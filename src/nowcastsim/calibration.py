@@ -13,9 +13,6 @@ clamping hides ingestion bugs.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rng import logistic_noise
@@ -29,30 +26,6 @@ class IpfError(ValueError):
     def __init__(self, message, deviation=None):
         super().__init__(message)
         self.deviation = deviation
-
-
-@dataclass(frozen=True)
-class AlignmentTarget:
-    """A weighted-count (or mean) target for one stratum."""
-
-    label: str
-    target: float
-
-
-def load_targets(path) -> list:
-    """Load (label, target) rows, as used for IPF row/column targets."""
-    targets = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(row for row in fh if not row.lstrip().startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["label", "target"]:
-            raise AlignmentError(f"{path}: expected columns label, target")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                targets.append(AlignmentTarget(row[0].strip(), float(row[1])))
-            except (IndexError, ValueError) as exc:
-                raise AlignmentError(f"{path}:{lineno}: bad target row") from exc
-    return targets
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -101,55 +74,6 @@ def align_binary(ids, probs, weights, target: float, seed: int, label: str) -> n
         raise AlignmentError("alignment weights must be positive")
     scores = _logit(probs) + logistic_noise(seed, "align:" + label, ids)
     return align_by_score(ids, scores, weights, target)
-
-
-def align_multinomial(ids, prob_matrix, weights, targets, seed: int, label: str) -> np.ndarray:
-    """Assign every unit exactly one of m outcomes matching per-outcome
-    weighted-count targets.
-
-    Implemented as sequential binary alignment per outcome on the units
-    still unassigned, in descending-target order; the smallest-target
-    outcome absorbs the remainder. Each aligned outcome lands within one
-    unit-weight of its target; the remainder outcome absorbs their summed
-    overshoot (at most m-1 unit-weights), which is zero for unit weights
-    and integer targets.
-    """
-    ids = np.asarray(ids)
-    probs = np.asarray(prob_matrix, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if probs.shape != (ids.size, targets.size):
-        raise AlignmentError("probability matrix shape does not match units x outcomes")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-        raise AlignmentError("probability vectors must sum to 1")
-    total = float(np.sum(weights))
-    max_w = float(np.max(weights)) if weights.size else 0.0
-    if abs(float(np.sum(targets)) - total) > max_w + 1e-9 * max(1.0, total):
-        raise AlignmentError(
-            f"targets sum to {float(np.sum(targets))} but weights sum to {total}"
-        )
-    if np.any(targets < 0):
-        raise AlignmentError("negative outcome target")
-
-    outcome_order = np.argsort(-targets, kind="stable")
-    assignment = np.full(ids.size, -1, dtype=np.int64)
-    remaining = np.ones(ids.size, dtype=bool)
-    pos = {i: k for k, i in enumerate(ids.tolist())}
-    for step, outcome in enumerate(outcome_order):
-        if step == len(outcome_order) - 1:
-            assignment[remaining] = outcome
-            break
-        sub = np.flatnonzero(remaining)
-        p = np.clip(probs[sub, outcome], 1e-9, 1.0 - 1e-9)
-        chosen = align_binary(
-            ids[sub], p, weights[sub], float(targets[outcome]),
-            seed, f"{label}:outcome{outcome}",
-        )
-        for i in chosen.tolist():
-            k = pos[i]
-            assignment[k] = outcome
-            remaining[k] = False
-    return assignment
 
 
 def align_continuous(values, weights, target_mean: float) -> np.ndarray:

@@ -179,8 +179,17 @@ def print_config(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (validation), not argparse's 2, which here
+    means infeasible calibration."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nowcastsim",
         description="Distributional nowcasting of a labour-market shock and "
                     "its income-support response.",
@@ -231,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     if args.print_config:
         return print_config(args)
     if not getattr(args, "fn", None):

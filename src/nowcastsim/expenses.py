@@ -165,8 +165,8 @@ def family_type(n_adults: int, n_children_under14: int) -> str:
 def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weights,
                           family_types, deciles, n_children_0_4, n_children_under14,
                           equiv_disposable_week_eur, two_workers_flag, observed_user,
-                          observed_spend_eur, seed: int, residual_scale: float = 0.0,
-                          residual_store=None) -> np.ndarray:
+                          observed_spend_eur, seed: int,
+                          residual_scale: float = 0.0) -> np.ndarray:
     """Baseline weekly childcare cost in cents per household.
 
     Participation replays the observed user flag through an anchored draw
@@ -205,13 +205,6 @@ def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weight
                      prediction + eps_stochastic)
     level = np.maximum(level, 0.0)
     level[~users] = 0.0
-    if residual_store is not None:
-        for i in np.flatnonzero(recovered):
-            residual_store.put(int(ids[i]), "childcare_spend",
-                               float(eps_recovered[i]), "recovered")
-        for i in np.flatnonzero(users & ~observed_user):
-            residual_store.put(int(ids[i]), "childcare_spend",
-                               float(eps_stochastic[i]), "stochastic")
 
     for (ftype, decile), target_cents in grid.cells.items():
         cell = users & (ftypes == ftype) & (deciles == decile)

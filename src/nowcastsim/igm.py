@@ -1,6 +1,6 @@
-"""Income-generation-model evaluation: logit / multinomial / linear
-predictions from coefficient tables, residual recovery for observed
-outcomes, and base-year-anchored Monte Carlo draws.
+"""Income-generation-model evaluation: logit and linear predictions from
+coefficient tables, stochastic residual draws, and base-year-anchored
+Monte Carlo draws.
 
 No estimation happens here; coefficient sets are inputs, loaded from a
 delimiter-separated table (columns model_name, kind, outcome, covariate,
@@ -19,7 +19,7 @@ import numpy as np
 
 from .rng import anchored_uniform, keyed_normal, keyed_uniform
 
-KINDS = ("logit", "multinomial", "linear")
+KINDS = ("logit", "linear")
 
 # Continuous covariates of the shipped model set; everything else is a dummy.
 CONTINUOUS_COVARIATES = frozenset(
@@ -38,42 +38,31 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """One named regression model: intercept(s) plus a coefficient per
-    covariate, for one of the three supported kinds.
-
-    For logit/linear there is a single coefficient row; a multinomial with
-    m outcomes carries m-1 rows against the reference outcome (index 0).
+    """One named regression model: an intercept plus a coefficient per
+    covariate, for one of the supported kinds (a single coefficient row).
     """
 
     name: str
     kind: str
     covariates: tuple
-    coefficients: tuple  # one tuple of floats per non-reference outcome
+    coefficients: tuple  # one tuple of floats (a single row)
     intercepts: tuple
-    outcomes: tuple = ()
     continuous: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ModelError(f"{self.name}: unknown model kind {self.kind!r}")
-        if self.kind in ("logit", "linear"):
-            if len(self.coefficients) != 1 or len(self.intercepts) != 1:
-                raise ModelError(f"{self.name}: {self.kind} model needs exactly one row")
-        else:
-            if len(self.coefficients) < 1:
-                raise ModelError(f"{self.name}: multinomial needs >= 1 non-reference outcome")
-            if len(self.intercepts) != len(self.coefficients):
-                raise ModelError(f"{self.name}: intercept count mismatch")
-        for row in self.coefficients:
-            if len(row) != len(self.covariates):
-                raise ModelError(
-                    f"{self.name}: coefficient row length {len(row)} != "
-                    f"covariate count {len(self.covariates)}"
-                )
+        if len(self.coefficients) != 1 or len(self.intercepts) != 1:
+            raise ModelError(f"{self.name}: {self.kind} model needs exactly one row")
+        if len(self.coefficients[0]) != len(self.covariates):
+            raise ModelError(
+                f"{self.name}: coefficient row length {len(self.coefficients[0])} != "
+                f"covariate count {len(self.covariates)}"
+            )
 
 
-def _index(model: CoefficientSet, covariates: dict, row: int):
-    """Linear index intercept + sum(beta * x) for one coefficient row.
+def _index(model: CoefficientSet, covariates: dict):
+    """Linear index intercept + sum(beta * x).
 
     Accepts scalars or aligned numpy arrays as covariate values.
     """
@@ -81,8 +70,8 @@ def _index(model: CoefficientSet, covariates: dict, row: int):
     for name in covariates:
         if name not in known:
             raise ModelError(f"{model.name}: unknown covariate {name!r}")
-    total = model.intercepts[row]
-    for name, beta in zip(model.covariates, model.coefficients[row]):
+    total = model.intercepts[0]
+    for name, beta in zip(model.covariates, model.coefficients[0]):
         if name in covariates:
             x = covariates[name]
         elif name in model.continuous:
@@ -100,52 +89,16 @@ def logit_prob(model: CoefficientSet, covariates: dict):
     """Logistic probability sigma(intercept + sum beta*x), strictly in (0, 1)."""
     if model.kind != "logit":
         raise ModelError(f"{model.name}: logit_prob needs a logit model")
-    idx = _index(model, covariates, 0)
+    idx = _index(model, covariates)
     p = 1.0 / (1.0 + np.exp(-np.asarray(idx, dtype=np.float64)))
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
     return float(p) if p.ndim == 0 else p
 
 
-def multinomial_probs(model: CoefficientSet, covariates: dict) -> np.ndarray:
-    """Softmax over the reference outcome (index 0, implicit) and each
-    non-reference outcome; components sum to 1."""
-    if model.kind != "multinomial":
-        raise ModelError(f"{model.name}: multinomial_probs needs a multinomial model")
-    indices = [np.asarray(_index(model, covariates, r), dtype=np.float64)
-               for r in range(len(model.coefficients))]
-    idx = np.stack([np.zeros_like(indices[0])] + indices, axis=-1)
-    idx -= idx.max(axis=-1, keepdims=True)
-    e = np.exp(idx)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def linear_predict(model: CoefficientSet, covariates: dict):
     if model.kind != "linear":
         raise ModelError(f"{model.name}: linear_predict needs a linear model")
-    return _index(model, covariates, 0)
-
-
-@dataclass
-class ResidualStore:
-    """Per (unit, model) disturbance terms with their provenance."""
-
-    residuals: dict = field(default_factory=dict)  # (unit_id, model) -> (eps, provenance)
-
-    def put(self, unit_id, model_name: str, value: float, provenance: str):
-        if provenance not in ("recovered", "stochastic"):
-            raise ModelError(f"unknown residual provenance {provenance!r}")
-        self.residuals[(unit_id, model_name)] = (float(value), provenance)
-
-    def get(self, unit_id, model_name: str):
-        return self.residuals[(unit_id, model_name)]
-
-
-def recover_residual(model: CoefficientSet, covariates: dict, observed: float) -> float:
-    """eps = observed - prediction, so prediction + eps replays the
-    observation exactly. Only valid when an outcome was observed."""
-    if observed is None:
-        raise ModelError(f"{model.name}: cannot recover a residual without an observation")
-    return float(observed) - float(linear_predict(model, covariates))
+    return _index(model, covariates)
 
 
 def draw_residual(model_name: str, scale: float, seed: int, ids):
@@ -157,20 +110,13 @@ def draw_residual(model_name: str, scale: float, seed: int, ids):
     return z * scale
 
 
-def simulate_binary_anchored(prob: float, observed: bool, seed: int, label: str, unit_id):
-    """Uniform draw consistent with the observed base-year outcome.
-
-    The returned u lies in [0, prob) when observed and [prob, 1) when not,
-    so replaying at the base-year probability reproduces the observation
-    and a counterfactual probability p' flips the outcome only when it
-    crosses u.
-    """
-    raw = keyed_uniform(seed, label, unit_id)
-    return anchored_uniform(prob, observed, raw)
-
-
 def anchored_draws(probs, observed, seed: int, label: str, ids) -> np.ndarray:
-    """Vectorised simulate_binary_anchored over aligned arrays."""
+    """Uniform draws consistent with the observed base-year outcomes.
+
+    Each u lies in [0, p) when observed and [p, 1) when not, so replaying
+    at the base-year probability reproduces the observation and a
+    counterfactual probability p' flips the outcome only when it crosses u.
+    """
     raw = keyed_uniform(seed, label, ids)
     return anchored_uniform(probs, observed, raw)
 
@@ -193,6 +139,8 @@ def load_coefficients(path, continuous=CONTINUOUS_COVARIATES) -> dict:
                 value = float(rec["value"])
             except ValueError as exc:
                 raise ModelError(f"{path}:{lineno}: bad value {rec['value']!r}") from exc
+            if kind not in KINDS:
+                raise ModelError(f"{path}:{lineno}: {name}: unknown model kind {kind!r}")
             model = rows.setdefault(name, {"kind": kind, "outcomes": {}})
             if model["kind"] != kind:
                 raise ModelError(f"{path}:{lineno}: {name} declared with two kinds")
@@ -216,7 +164,6 @@ def load_coefficients(path, continuous=CONTINUOUS_COVARIATES) -> dict:
             covariates=tuple(covariates),
             coefficients=tuple(coefficients),
             intercepts=tuple(intercepts),
-            outcomes=tuple(outcome_labels),
             continuous=frozenset(c for c in covariates if c in continuous),
         )
     return models

@@ -36,13 +36,6 @@ def equivalence_scale(adults_14plus, children_under14):
     return scale
 
 
-def equivalize(income, adults_14plus, children_under14):
-    """Household income per adult equivalent."""
-    return np.asarray(income, dtype=np.float64) / equivalence_scale(
-        adults_14plus, children_under14
-    )
-
-
 def weighted_gini(values, weights) -> float:
     """Weighted Gini coefficient.
 

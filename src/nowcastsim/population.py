@@ -125,21 +125,6 @@ class Population:
     households: list
     persons: list
     base_period: dt.date = dt.date(2019, 12, 1)
-    _person_index: dict = field(default=None, repr=False, compare=False)
-    _household_index: dict = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._person_index = {p.person_id: p for p in self.persons}
-        self._household_index = {h.household_id: h for h in self.households}
-
-    def person(self, person_id: int) -> Person:
-        return self._person_index[person_id]
-
-    def household(self, household_id: int) -> Household:
-        return self._household_index[household_id]
-
-    def members(self, household_id: int):
-        return [self._person_index[i] for i in self.household(household_id).member_ids]
 
 
 def validate(households, persons) -> list:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import expenses, igm, metrics, taxben
 from .calibration import AlignmentError, align_binary, align_by_score, align_continuous
-from .money import cents, round_div
+from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
 from .population import SECTORS, Population
 from .rng import anchored_uniform, keyed_uniform
 
@@ -52,13 +52,6 @@ class ScenarioError(ValueError):
 
 class ControlError(ValueError):
     pass
-
-
-def _np_round_div(n, d: int) -> np.ndarray:
-    """Vectorised round-half-away-from-zero division by a positive int."""
-    n = np.asarray(n, dtype=np.int64)
-    q = (2 * np.abs(n) + d) // (2 * d)
-    return np.where(n >= 0, q, -q).astype(np.int64)
 
 
 def case_age_band(age) -> np.ndarray:
@@ -243,6 +236,15 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioError(f"{path}: [{section.name}] {key} must be on or off")
         return value == "on"
 
+    def parsed(section, key, convert, fallback):
+        if key not in section:
+            return fallback
+        try:
+            return convert(section[key].strip())
+        except ValueError:
+            raise ScenarioError(f"{path}: [{section.name}] {key} has a bad value "
+                                f"{section[key]!r}") from None
+
     waves = []
     for section_name in parser.sections():
         if not section_name.startswith("wave:"):
@@ -256,7 +258,7 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioError(f"{path}: [{section_name}] bad subsidy {subsidy!r}")
         waves.append(WavePoint(
             label=label,
-            date=dt.date.fromisoformat(section["date"].strip()),
+            date=parsed(section, "date", dt.date.fromisoformat, None),
             pup_on=flag(section, "pup"),
             ceib_on=flag(section, "ceib"),
             subsidy=subsidy,
@@ -271,12 +273,21 @@ def parse_scenario(path) -> Scenario:
     if len(set(labels)) != len(labels):
         raise ScenarioError(f"{path}: duplicate wave labels")
     waves.sort(key=lambda w: w.date)
+    employer_topup = parsed(main, "employer_topup", float, 0.30)
+    if not 0.0 <= employer_topup <= 1.0:  # also rejects nan
+        raise ScenarioError(f"{path}: [scenario] employer_topup must lie in [0, 1], "
+                            f"got {employer_topup}")
+    capital_booking = main.get("capital_booking", "amortized").strip()
+    if capital_booking not in ("amortized", "once"):
+        raise ScenarioError(
+            f"{path}: [scenario] capital_booking must be amortized or once, "
+            f"got {capital_booking!r}")
     return Scenario(
         waves=waves,
         controls_path=controls,
-        seed=main.getint("seed", fallback=0),
-        employer_topup=main.getfloat("employer_topup", fallback=0.30),
-        capital_booking=main.get("capital_booking", "amortized").strip(),
+        seed=parsed(main, "seed", int, 0),
+        employer_topup=employer_topup,
+        capital_booking=capital_booking,
     )
 
 
@@ -425,7 +436,6 @@ class BaselineState:
     childcare_weekly_cents: np.ndarray
     decile: np.ndarray
     quintile: np.ndarray
-    residual_store: igm.ResidualStore
     ranking_equiv_adjusted: np.ndarray = None  # per person, set after the first wave
 
 
@@ -447,24 +457,15 @@ def build_baseline(pop: Population, tables: DataTables,
     se = np.array([cents(p.self_employment_income) for p in persons], dtype=np.int64)
     cap = np.array([cents(p.capital_income) for p in persons], dtype=np.int64)
     pens = np.array([cents(p.private_pension) for p in persons], dtype=np.int64)
-    weekly_earn = _np_round_div(emp + np.maximum(se, 0), 52)
-
-    taxable = emp + np.maximum(se, 0) + cap + pens
-    person_tax = taxben.income_tax_cents(taxable, schedules.tax)
-    take_home_weekly = _np_round_div(np.maximum(emp - person_tax, 0), 52)
+    weekly_earn = round_div(emp + np.maximum(se, 0), 52)
 
     # baseline taxes/benefits -> household disposable, for deciles and childcare
-    covid0 = np.zeros(pid.size, dtype=np.int64)
-    weekly_b = taxben.benefit_weekly_cents(
-        status, covid0, weekly_earn, pop.base_period, taxben.PolicyState(), schedules)
-    b_month_p = _np_round_div(weekly_b * 52, 12)
-    t_month_p = _np_round_div(person_tax, 12)
-    market_p = _np_round_div(emp + se + cap + pens, 12)
     n_hh = hid.size
-    market_hh = np.bincount(hh_row, weights=market_p, minlength=n_hh).astype(np.int64)
-    b_hh = np.bincount(hh_row, weights=b_month_p, minlength=n_hh).astype(np.int64)
-    t_hh = np.bincount(hh_row, weights=t_month_p, minlength=n_hh).astype(np.int64)
-    disposable_hh = market_hh + b_hh - t_hh
+    accounts = taxben.household_accounts(
+        status, np.zeros(pid.size, dtype=np.int64), weekly_earn, emp, se, cap, pens,
+        hh_row, n_hh, pop.base_period, taxben.PolicyState(), schedules)
+    take_home_weekly = round_div(np.maximum(emp - accounts.person_tax, 0), 52)
+    disposable_hh = accounts.market + accounts.benefits - accounts.taxes
 
     children_u14 = np.array([h.n_children_under14 for h in households], dtype=np.int64)
     members = np.bincount(hh_row, minlength=n_hh).astype(np.int64)
@@ -499,7 +500,6 @@ def build_baseline(pop: Population, tables: DataTables,
     ], dtype=object)
     lone_working = (adults_18 == 1) & (n_workers_hh >= 1)
     two_workers = (n_workers_hh == 2) | lone_working
-    residual_store = igm.ResidualStore()
     childcare_weekly = expenses.childcare_costs_cents(
         tables.models, tables.childcare_grid,
         household_ids=hid, weights=hh_weight, family_types=ftypes,
@@ -510,7 +510,7 @@ def build_baseline(pop: Population, tables: DataTables,
         two_workers_flag=two_workers,
         observed_user=np.array([h.childcare_user for h in households]),
         observed_spend_eur=np.array([h.childcare_expenditure for h in households]),
-        seed=seed, residual_store=residual_store,
+        seed=seed,
     )
 
     cap_band = expenses.age_band(age)
@@ -535,7 +535,6 @@ def build_baseline(pop: Population, tables: DataTables,
         equiv_scale=np.asarray(scale, dtype=np.float64),
         childcare_weekly_cents=childcare_weekly,
         decile=decile_hh, quintile=quintile_hh,
-        residual_store=residual_store,
     )
 
 
@@ -663,7 +662,7 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     # (c) wage subsidy among remaining employees, per sector
     subsidised = np.zeros(n, dtype=bool)
     if subsidy_scheme != "none" and controls.subsidy_by_sector:
-        gross_weekly = _np_round_div(base.emp_cents, 52)
+        gross_weekly = round_div(base.emp_cents, 52)
 
         def scheme_amount(i: int) -> int:
             if subsidy_scheme == "twss":
@@ -690,8 +689,7 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         for i in np.flatnonzero(subsidised):
             amount = scheme_amount(int(i))
             shortfall = max(int(gross_weekly[i]) - amount, 0)
-            new_weekly = amount + round_div(
-                int(round(employer_topup * 10000)) * shortfall, 10000)
+            new_weekly = amount + apply_rate(employer_topup, shortfall)
             emp_now[i] = new_weekly * 52
 
     # (d) home working for non-essential remaining workers
@@ -722,21 +720,13 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         if capital_booking == "once":
             q_hh = -change_hh
         else:
-            q_hh = _np_round_div(-change_hh, 12)
+            q_hh = annual_to_monthly(-change_hh)
 
     # (g) taxes, benefits, and the four income definitions
-    policy = taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on,
-                                subsidy=subsidy_scheme)
-    weekly_b = taxben.benefit_weekly_cents(
-        status_now, covid, base.weekly_earn_cents, wave.date, policy, schedules)
-    taxable = emp_now + np.maximum(se_now, 0) + base.cap_cents + base.pens_cents
-    person_tax = taxben.income_tax_cents(taxable, schedules.tax)
-    b_hh = np.bincount(base.hh_row, weights=_np_round_div(weekly_b * 52, 12),
-                       minlength=n_hh).astype(np.int64)
-    t_hh = np.bincount(base.hh_row, weights=_np_round_div(person_tax, 12),
-                       minlength=n_hh).astype(np.int64)
-    market_p = _np_round_div(emp_now + se_now + base.cap_cents + base.pens_cents, 12)
-    market_hh = np.bincount(base.hh_row, weights=market_p, minlength=n_hh).astype(np.int64)
+    accounts = taxben.household_accounts(
+        status_now, covid, base.weekly_earn_cents, emp_now, se_now, base.cap_cents,
+        base.pens_cents, base.hh_row, n_hh, wave.date,
+        taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on), schedules)
 
     h_hh = expenses.housing_cost_cents(base.tenure_code, base.mortgage_cents,
                                        base.rent_cents, deferred)
@@ -760,16 +750,16 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         home_hh = np.bincount(base.hh_row[someone_home], minlength=n_hh) > 0
         childcare_weekly[home_hh] = 0
 
-    c_hh = _np_round_div((commuting_weekly + childcare_weekly) * 52, 12)
+    c_hh = weekly_to_monthly(commuting_weekly + childcare_weekly)
 
-    gross_hh = market_hh + b_hh
-    disposable_hh = gross_hh - t_hh
+    gross_hh = accounts.market + accounts.benefits
+    disposable_hh = gross_hh - accounts.taxes
     adjusted_hh = disposable_hh - h_hh - q_hh - c_hh
 
     return WaveResult(
         label=wave.label, date=wave.date,
-        market=market_hh, gross=gross_hh, disposable=disposable_hh,
-        adjusted=adjusted_hh, taxes=t_hh, benefits=b_hh,
+        market=accounts.market, gross=gross_hh, disposable=disposable_hh,
+        adjusted=adjusted_hh, taxes=accounts.taxes, benefits=accounts.benefits,
         housing=h_hh.astype(np.int64), capital_adjustment=q_hh,
         work_expenses=c_hh, covid_code=covid, employed_now=employed_now,
         home_working=home_working, person_ids=base.pid,

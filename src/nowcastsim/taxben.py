@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .money import annual_to_monthly, cents, round_div, weekly_to_monthly
+from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
 
 TWSS_START = dt.date(2020, 3, 13)
-PUP_START = dt.date(2020, 3, 13)
 # Handover from the temporary to the employment wage subsidy scheme.
 EWSS_HANDOVER = dt.date(2020, 9, 1)
 
@@ -85,7 +84,7 @@ def _eval_band(band: Band, amount_cents: int) -> int:
     if band.kind == "flat":
         return band.value_cents
     if band.kind == "rate":
-        pay = round_div(int(round(band.rate * 10000)) * amount_cents, 10000)
+        pay = apply_rate(band.rate, amount_cents)
         if band.cap_cents:
             pay = min(pay, band.cap_cents)
         return pay
@@ -292,7 +291,6 @@ class PolicyState:
 
     pup_on: bool = False
     ceib_on: bool = False
-    subsidy: str = "none"  # none | twss | ewss
 
 
 def benefit_weekly_cents(status_code, covid_code, prev_weekly_cents,
@@ -329,38 +327,40 @@ def benefit_weekly_cents(status_code, covid_code, prev_weekly_cents,
     return out
 
 
-def household_T_and_B(household, persons, date: dt.date, policy: PolicyState,
-                      schedules: PolicySchedules,
-                      baseline_weekly_cents=None) -> tuple:
-    """Monthly household taxes T and benefits B in cents.
+@dataclass(frozen=True)
+class HouseholdAccounts:
+    """Monthly household market income, taxes T and benefits B in cents
+    (aligned to the household rows), plus the annual tax per person."""
 
-    `persons` carry the scenario-state incomes and covid states; PUP/CEIB
-    banding uses `baseline_weekly_cents` (person_id -> pre-shock weekly
-    earnings in cents) and falls back to current earnings when absent.
+    market: np.ndarray
+    taxes: np.ndarray
+    benefits: np.ndarray
+    person_tax: np.ndarray
+
+
+def household_accounts(status_code, covid_code, prev_weekly_cents, emp, se, cap, pens,
+                       hh_row, n_households: int, date: dt.date, policy: PolicyState,
+                       schedules: PolicySchedules) -> HouseholdAccounts:
+    """Household market income, taxes and benefits from person arrays.
+
+    `emp`, `se`, `cap` and `pens` are each person's annual employment,
+    self-employment, capital and pension income in cents; negative
+    self-employment income counts in market income but not in taxable
+    income. `prev_weekly_cents` are the pre-shock weekly earnings that band
+    the pandemic rates, and `hh_row` maps each person to its household row.
+    Each person's monthly amount is rounded before the household sum.
     """
-    status = np.array([STATUS_CODES[p.work_status] for p in persons], dtype=np.int64)
-    covid = np.array([COVID_CODES[p.covid_state] for p in persons], dtype=np.int64)
-    prev = np.array(
-        [
-            (baseline_weekly_cents or {}).get(
-                p.person_id,
-                round_div(cents(p.employment_income + max(p.self_employment_income, 0.0)), 52),
-            )
-            for p in persons
-        ],
-        dtype=np.int64,
-    )
-    weekly_b = benefit_weekly_cents(status, covid, prev, date, policy, schedules)
-    b_month = int(sum(weekly_to_monthly(int(b)) for b in weekly_b))
+    weekly_b = benefit_weekly_cents(status_code, covid_code, prev_weekly_cents,
+                                    date, policy, schedules)
+    person_tax = income_tax_cents(emp + np.maximum(se, 0) + cap + pens, schedules.tax)
 
-    taxable = np.array(
-        [
-            cents(p.employment_income) + max(cents(p.self_employment_income), 0)
-            + cents(p.capital_income) + cents(p.private_pension)
-            for p in persons
-        ],
-        dtype=np.int64,
+    def per_household(monthly):
+        return np.bincount(hh_row, weights=monthly,
+                           minlength=n_households).astype(np.int64)
+
+    return HouseholdAccounts(
+        market=per_household(annual_to_monthly(emp + se + cap + pens)),
+        taxes=per_household(annual_to_monthly(person_tax)),
+        benefits=per_household(weekly_to_monthly(weekly_b)),
+        person_tax=person_tax,
     )
-    taxes = income_tax_cents(taxable, schedules.tax)
-    t_month = int(sum(annual_to_monthly(int(t)) for t in np.atleast_1d(taxes)))
-    return t_month, b_month

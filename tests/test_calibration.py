@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nowcastsim.calibration import (AlignmentError, IpfError, align_binary,
-                                    align_continuous, align_multinomial, ipf)
+                                    align_continuous, ipf)
 from nowcastsim.metrics import weighted_gini
 
 
@@ -67,52 +67,6 @@ class TestAlignBinary:
     def test_degenerate_probs_rejected(self):
         with pytest.raises(AlignmentError):
             align_binary(np.array([1]), np.array([1.0]), np.array([1.0]), 1.0, 1, "t")
-
-
-class TestAlignMultinomial:
-    def test_everything_to_single_outcome(self):
-        ids = np.arange(50)
-        probs = np.full((50, 2), 0.5)
-        out = align_multinomial(ids, probs, np.ones(50), [50.0, 0.0], 1, "m")
-        assert np.all(out == 0)
-
-    def test_uniform_probs_match_targets_exactly(self):
-        ids = np.arange(1000)
-        probs = np.full((1000, 3), 1.0 / 3.0)
-        out = align_multinomial(ids, probs, np.ones(1000), [500.0, 300.0, 200.0], 1, "m")
-        counts = np.bincount(out, minlength=3)
-        assert counts.tolist() == [500, 300, 200]
-
-    def test_every_unit_assigned_exactly_once(self):
-        rng = np.random.default_rng(8)
-        probs = rng.dirichlet([1, 1, 1, 1], size=200)
-        out = align_multinomial(np.arange(200), probs, np.ones(200),
-                                [80.0, 60.0, 40.0, 20.0], 2, "m")
-        assert np.all((out >= 0) & (out < 4))
-
-    def test_infeasible_targets_raise(self):
-        ids = np.arange(200)
-        probs = np.full((200, 2), 0.5)
-        with pytest.raises(AlignmentError):
-            align_multinomial(ids, probs, np.ones(200), [50.0, 50.0], 1, "m")
-
-    def test_weighted_error_bounds(self):
-        # aligned outcomes within one unit-weight; the remainder outcome
-        # absorbs their summed overshoot (at most m-1 unit-weights)
-        rng = np.random.default_rng(17)
-        for trial in range(30):
-            n = int(rng.integers(30, 300))
-            ids = np.arange(n)
-            w = rng.uniform(0.3, 2.5, n)
-            probs = rng.dirichlet([1.0, 1.0, 1.0], size=n)
-            shares = rng.dirichlet([2.0, 2.0, 2.0])
-            targets = shares * w.sum()
-            out = align_multinomial(ids, probs, w, targets, trial, "wb")
-            realized = np.array([w[out == k].sum() for k in range(3)])
-            errors = np.abs(realized - targets)
-            order = np.argsort(-targets, kind="stable")
-            assert np.all(errors[order[:-1]] <= w.max() + 1e-9)
-            assert errors[order[-1]] <= 2 * w.max() + 1e-9
 
 
 class TestAlignContinuous:
@@ -198,20 +152,3 @@ class TestIpf:
         seed = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(IpfError):
             ipf(seed, [1.0, 1.0], [1.0, 1.0])
-
-
-class TestTargetFile:
-    def test_load_targets(self, tmp_path):
-        from nowcastsim.calibration import load_targets
-        path = tmp_path / "row_targets.csv"
-        path.write_text("label,target\nunder 35,12.5\n35-44,30\n")
-        targets = load_targets(path)
-        assert [t.label for t in targets] == ["under 35", "35-44"]
-        assert [t.target for t in targets] == [12.5, 30.0]
-
-    def test_bad_header_rejected(self, tmp_path):
-        from nowcastsim.calibration import AlignmentError, load_targets
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\nx,1\n")
-        with pytest.raises(AlignmentError):
-            load_targets(path)

@@ -1,6 +1,7 @@
 import filecmp
 import os
 
+import pytest
 
 from nowcastsim.cli import main
 from nowcastsim.population import SynthConfig, generate_synthetic, save_population
@@ -150,6 +151,44 @@ class TestRunCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
+
+
+class TestBadScenarioFields:
+    """A bad scenario field exits 1 from run and validate, naming the file
+    and the [section] key."""
+
+    CASES = [
+        ("capital_booking = x\n", "date = 2020-05-05\n", "[scenario] capital_booking"),
+        ("employer_topup = 2\n", "date = 2020-05-05\n", "[scenario] employer_topup"),
+        ("seed = abc\n", "date = 2020-05-05\n", "[scenario] seed"),
+        ("", "date = 2020-05-32\n", "[wave:w1] date"),
+    ]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("scenario_lines, wave_lines, where", CASES)
+    def test_exits_one_with_location(self, tmp_path, capsys, command, scenario_lines,
+                                     wave_lines, where):
+        (tmp_path / "controls.csv").write_text("stratum_key,date,target\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[scenario]\ncontrols = controls.csv\n{scenario_lines}"
+                       f"[wave:w1]\n{wave_lines}")
+        args = [command, "--scenario", str(cfg)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "bad.cfg" in err and where in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected(data_dir, tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+              "--out", str(tmp_path / "out"), "--threads", threads])
+    assert exc.value.code == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSynthCommand:

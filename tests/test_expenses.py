@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from nowcastsim.expenses import (ExpenseError, MODE_NONE, MODE_PRIVATE,
-                                 MODE_PUBLIC, age_band, assign_commute_modes,
+from nowcastsim.expenses import (MODE_NONE, MODE_PRIVATE, MODE_PUBLIC,
+                                 ChildcareCostGrid, ExpenseError, age_band,
+                                 assign_commute_modes,
                                  capital_participants,
                                  capital_value_change_cents,
                                  childcare_costs_cents, commuting_cost_cents,
                                  family_type, housing_cost_cents)
-from nowcastsim.igm import ResidualStore, logit_prob
+from nowcastsim.igm import logit_prob
+from nowcastsim.money import cents
 
 
 class TestCommuteTable:
@@ -139,13 +141,17 @@ class TestChildcare:
         expected = kw["observed_user"] & (kw["family_types"] != "no_children")
         assert np.array_equal(users, expected)
 
-    def test_recovered_residuals_stored(self, tables):
+
+    def test_recovered_residual_replays_observed_spend(self, tables):
+        # with no grid cell to calibrate to, an observed user's cost is the
+        # expenditure prediction plus the recovered residual: the observation
         kw = self.build(tables)
-        store = ResidualStore()
-        childcare_costs_cents(**kw, residual_store=store)
-        provenances = {prov for _, prov in store.residuals.values()}
-        assert provenances <= {"recovered", "stochastic"}
-        assert any(prov == "recovered" for _, prov in store.residuals.values())
+        kw["grid"] = ChildcareCostGrid(cells={})
+        costs = childcare_costs_cents(**kw)
+        users = kw["observed_user"]
+        assert users.any()
+        assert costs[users].tolist() == [cents(v) for v in kw["observed_spend_eur"][users]]
+        assert np.all(costs[~users] == 0)
 
 
 class TestHousing:

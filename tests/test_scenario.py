@@ -5,9 +5,10 @@ import pytest
 
 from nowcastsim import taxben
 from nowcastsim.calibration import AlignmentError
+from nowcastsim.money import weekly_to_monthly
 from nowcastsim.population import SECTORS
 from nowcastsim.scenario import (ControlError, ControlTotals,
-                                 ScenarioError, WavePoint, apply_wave,
+                                 ScenarioError, WavePoint, _align_units, apply_wave,
                                  build_baseline, compare, load_control_totals,
                                  nowcast_baseline, parse_scenario,
                                  person_equivalized, run_scenario)
@@ -15,6 +16,19 @@ from nowcastsim.scenario import (ControlError, ControlTotals,
 D = dt.date
 ACCOM = "accommodation and food service activities"
 CONSTRUCTION = "construction"
+
+
+# (scenario lines, wave lines, the location the error must name)
+BAD_FIELDS = [
+    ("capital_booking = monthly\n", "date=2020-05-05\n", r"\[scenario\] capital_booking"),
+    ("employer_topup = 1.5\n", "date=2020-05-05\n", r"\[scenario\] employer_topup"),
+    ("employer_topup = -0.1\n", "date=2020-05-05\n", r"\[scenario\] employer_topup"),
+    ("employer_topup = nan\n", "date=2020-05-05\n", r"\[scenario\] employer_topup"),
+    ("employer_topup = inf\n", "date=2020-05-05\n", r"\[scenario\] employer_topup"),
+    ("employer_topup = lots\n", "date=2020-05-05\n", r"\[scenario\] employer_topup"),
+    ("seed = 4.5\n", "date=2020-05-05\n", r"\[scenario\] seed"),
+    ("", "date=2020-13-01\n", r"\[wave:a\] date"),
+]
 
 
 def null_wave(label="before", date=D(2019, 12, 1)):
@@ -97,6 +111,39 @@ class TestScenarioFile:
         path.write_text("[scenario]\n[wave:a]\npup=on\n")
         with pytest.raises(ScenarioError):
             parse_scenario(path)
+
+    @pytest.mark.parametrize("scenario_lines, wave_lines, where", BAD_FIELDS)
+    def test_bad_field_is_located(self, tmp_path, scenario_lines, wave_lines, where):
+        path = tmp_path / "s.cfg"
+        path.write_text(f"[scenario]\ncontrols=c.csv\n{scenario_lines}"
+                        f"[wave:a]\n{wave_lines}")
+        with pytest.raises(ScenarioError, match=where) as err:
+            parse_scenario(path)
+        assert "s.cfg" in str(err.value)
+
+    def test_capital_booking_once_accepted(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("[scenario]\ncontrols=c.csv\ncapital_booking = once\n"
+                        "employer_topup = 1\n[wave:a]\ndate=2020-05-05\n")
+        plan = parse_scenario(path)
+        assert plan.capital_booking == "once" and plan.employer_topup == 1.0
+
+
+class TestAlignUnitsEmptyStratum:
+    """A stratum with no eligible units absorbs a target of at most one
+    unit-weight by selecting nobody; a larger target is infeasible."""
+
+    def test_target_within_unit_weight_selects_nobody(self):
+        for target in (0.5, 1.0):
+            chosen = _align_units(np.empty(0, dtype=np.int64), np.empty(0), target,
+                                  7, "t", 1.0, "sickness cases in age band 0")
+            assert chosen.size == 0
+
+    def test_target_above_unit_weight_raises_with_context(self):
+        for unit_weight, target in ((0.0, 0.5), (1.0, 1.5)):
+            with pytest.raises(AlignmentError, match="sickness cases in age band 0"):
+                _align_units(np.empty(0, dtype=np.int64), np.empty(0), target,
+                             7, "t", unit_weight, "sickness cases in age band 0")
 
 
 class TestNowcastBaseline:
@@ -215,9 +262,8 @@ class TestApplyWave:
             schedules.tax.unemployment_weekly_cents
         retired = base.status == taxben.STATUS_CODES["retired"]
         expected_weekly[retired] = schedules.tax.pension_weekly_cents
-        from nowcastsim.scenario import _np_round_div
         expected_b = np.bincount(
-            base.hh_row, weights=_np_round_div(expected_weekly * 52, 12),
+            base.hh_row, weights=weekly_to_monthly(expected_weekly),
             minlength=base.hid.size).astype(np.int64)
         assert np.array_equal(expected_b, r.benefits)
 

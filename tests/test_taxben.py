@@ -1,13 +1,15 @@
 import datetime as dt
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nowcastsim.money import weekly_to_monthly
-from nowcastsim.population import Household, Person
-from nowcastsim.taxben import (PolicyError, PolicyState, TaxSystem,
-                               ceib_rate_cents, ewss_subsidy_cents,
-                               household_T_and_B, income_tax_cents,
+from nowcastsim.money import cents, round_div, weekly_to_monthly
+from nowcastsim.taxben import (COVID_CODES, STATUS_CODES, PolicyError, PolicyState,
+                               TaxSystem, ceib_rate_cents, ewss_subsidy_cents,
+                               household_accounts, income_tax_cents,
                                pup_rate_cents, twss_subsidy_cents)
 
 D = dt.date
@@ -166,57 +168,95 @@ class TestIncomeTax:
         assert income_tax_cents(100000, system) == 0
 
 
-def one_person_household(covid_state, employment_income=0.0, work_status="employee",
-                         age=40):
-    person = Person(
-        person_id=1, household_id=1, age=age, sex="male", education="secondary",
-        occupation=2 if work_status in ("employee", "self-employed") else 0,
-        industry="construction" if work_status in ("employee", "self-employed") else "",
-        region="southern and eastern", work_status=work_status,
-        employment_income=employment_income, self_employment_income=0.0,
-        capital_income=0.0, private_pension=0.0, essential_worker=False,
-        home_work_capable=False, covid_state=covid_state,
-    )
-    household = Household(
-        household_id=1, weight=1.0, member_ids=(1,), tenure="renter",
-        mortgage_payment=0.0, rent=700.0, childcare_user=False,
-        childcare_expenditure=0.0, n_children_0_4=0, n_children_under14=0,
-    )
-    return household, [person]
+def one_person_tb(schedules, date, policy, covid_state, employment_income=0.0,
+                  work_status="employee", prev_weekly_cents=None):
+    """(T, B) of a one-person household through the household accounts;
+    previous weekly earnings default to the current ones."""
+    emp = cents(employment_income)
+    prev = round_div(emp, 52) if prev_weekly_cents is None else prev_weekly_cents
+    zero = np.zeros(1, dtype=np.int64)
+    accounts = household_accounts(
+        np.array([STATUS_CODES[work_status]]), np.array([COVID_CODES[covid_state]]),
+        np.array([prev]), np.array([emp]), zero, zero, zero, zero, 1,
+        date, policy, schedules)
+    return int(accounts.taxes[0]), int(accounts.benefits[0])
 
 
 class TestHouseholdTB:
     def test_pup_recipient_monthly_benefit(self, schedules):
-        household, persons = one_person_household("pup_recipient")
         policy = PolicyState(pup_on=True)
-        t, b = household_T_and_B(household, persons, D(2020, 5, 5), policy, schedules,
-                                 baseline_weekly_cents={1: 50000})
+        t, b = one_person_tb(schedules, D(2020, 5, 5), policy, "pup_recipient",
+                             prev_weekly_cents=50000)
         assert b == weekly_to_monthly(35000)
         assert t == 0
 
     def test_no_income_no_recipients_no_tax(self, schedules):
-        household, persons = one_person_household("none", work_status="inactive")
-        t, b = household_T_and_B(household, persons, D(2020, 5, 5), PolicyState(),
-                                 schedules)
+        t, b = one_person_tb(schedules, D(2020, 5, 5), PolicyState(), "none",
+                             work_status="inactive")
         assert t == 0 and b == 0
 
     def test_disabling_instruments_reproduces_baseline(self, schedules):
-        household, persons = one_person_household("none", employment_income=40000.0)
         date = D(2020, 5, 5)
-        on = household_T_and_B(household, persons, date,
-                               PolicyState(pup_on=True, ceib_on=True, subsidy="twss"),
-                               schedules)
-        off = household_T_and_B(household, persons, date, PolicyState(), schedules)
+        on = one_person_tb(schedules, date, PolicyState(pup_on=True, ceib_on=True),
+                           "none", employment_income=40000.0)
+        off = one_person_tb(schedules, date, PolicyState(), "none",
+                            employment_income=40000.0)
         assert on == off
 
     def test_unemployed_gets_baseline_rate(self, schedules):
-        household, persons = one_person_household("none", work_status="unemployed")
-        _, b = household_T_and_B(household, persons, D(2020, 5, 5), PolicyState(),
-                                 schedules)
+        _, b = one_person_tb(schedules, D(2020, 5, 5), PolicyState(), "none",
+                             work_status="unemployed")
         assert b == weekly_to_monthly(schedules.tax.unemployment_weekly_cents)
 
     def test_pup_recipient_with_instrument_off_gets_unemployment_rate(self, schedules):
-        household, persons = one_person_household("pup_recipient")
-        _, b = household_T_and_B(household, persons, D(2020, 5, 5), PolicyState(),
-                                 schedules, baseline_weekly_cents={1: 50000})
+        _, b = one_person_tb(schedules, D(2020, 5, 5), PolicyState(), "pup_recipient",
+                             prev_weekly_cents=50000)
         assert b == weekly_to_monthly(schedules.tax.unemployment_weekly_cents)
+
+
+N_HOUSEHOLDS = 4
+PERSON = st.tuples(
+    st.sampled_from(sorted(STATUS_CODES.values())),
+    st.sampled_from(sorted(COVID_CODES.values())),
+    st.integers(0, 150_000),              # previous weekly earnings
+    st.integers(0, 12_000_000),           # annual employment income
+    st.integers(-3_000_000, 3_000_000),   # annual self-employment income
+    st.integers(0, 2_000_000),            # annual capital income
+    st.integers(0, 4_000_000),            # annual private pension
+    st.integers(0, N_HOUSEHOLDS - 1),     # household row
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(persons=st.lists(PERSON, min_size=1, max_size=12),
+       date=st.dates(min_value=D(2020, 3, 13), max_value=D(2021, 6, 30)))
+def test_household_accounts_match_scalar_oracle(schedules, persons, date):
+    """Vector accounts equal a per-person sum of scalar rules, under every
+    on/off combination of the PUP and CEIB switches."""
+    tax = schedules.tax
+    pup, ceib = COVID_CODES["pup_recipient"], COVID_CODES["ceib_recipient"]
+    columns = [np.array(c, dtype=np.int64) for c in zip(*persons)]
+    for pup_on, ceib_on in itertools.product((False, True), repeat=2):
+        market, taxes, benefits = ([0] * N_HOUSEHOLDS for _ in range(3))
+        person_tax = []
+        for status, covid, prev, emp, se, cap, pens, row in persons:
+            if (covid == pup and pup_on) or (covid == ceib and ceib_on):
+                weekly = pup_rate_cents(schedules, prev, date)
+            elif covid in (pup, ceib) or status == STATUS_CODES["unemployed"]:
+                weekly = tax.unemployment_weekly_cents
+            elif status == STATUS_CODES["retired"]:
+                weekly = tax.pension_weekly_cents
+            else:
+                weekly = 0
+            annual_tax = income_tax_cents(emp + max(se, 0) + cap + pens, tax)
+            person_tax.append(annual_tax)
+            market[row] += round_div(emp + se + cap + pens, 12)
+            taxes[row] += round_div(annual_tax, 12)
+            benefits[row] += round_div(weekly * 52, 12)
+        accounts = household_accounts(
+            *columns, N_HOUSEHOLDS, date, PolicyState(pup_on=pup_on, ceib_on=ceib_on),
+            schedules)
+        assert accounts.market.tolist() == market
+        assert accounts.taxes.tolist() == taxes
+        assert accounts.benefits.tolist() == benefits
+        assert accounts.person_tax.tolist() == person_tax
