@@ -76,8 +76,14 @@ def _load_population(args):
     return population.generate_synthetic(cfg, args.seed)
 
 
+def _warn_control_gaps(plan, series) -> None:
+    for gap in scenario.control_gaps(plan, series):
+        print(f"warning: {gap}", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     plan = scenario.parse_scenario(args.scenario)
+    _warn_control_gaps(plan, scenario.load_control_totals(plan.controls_path))
     seed = args.seed if args.seed is not None else plan.seed
     tables = scenario.load_data_tables(args.data_dir)
     schedules = taxben.load_policy(args.policy_dir)
@@ -122,7 +128,9 @@ def cmd_validate(args) -> int:
 
     plan = check("scenario", lambda: scenario.parse_scenario(args.scenario))
     if plan is not None:
-        check("controls", lambda: scenario.load_control_totals(plan.controls_path))
+        series = check("controls", lambda: scenario.load_control_totals(plan.controls_path))
+        if series is not None:
+            _warn_control_gaps(plan, series)
     check("data", lambda: scenario.load_data_tables(args.data_dir))
     check("policy", lambda: taxben.load_policy(args.policy_dir))
     if args.population:

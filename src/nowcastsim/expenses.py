@@ -123,12 +123,15 @@ def assign_commute_modes(models, sector_groups, is_worker, industry, region_bmw,
     return modes
 
 
-def commuting_cost_cents(table: CommuteCostTable, n_private: int, n_public: int) -> int:
-    """Weekly household commuting cost for the active commuter mix."""
-    if n_private < 0 or n_public < 0:
+def commuting_cost_cents(table: CommuteCostTable, n_private, n_public):
+    """Weekly household commuting cost for the active commuter mix; counts
+    are ints (returns an int) or per-household arrays (returns int64)."""
+    n_private, n_public = np.asarray(n_private), np.asarray(n_public)
+    if np.any(n_private < 0) or np.any(n_public < 0):
         raise ExpenseError("commuter counts must be >= 0")
-    return (table.motor_fuels_cents[min(n_private, 3)]
-            + table.public_transport_cents[min(n_public, 3)])
+    cost = (np.array(table.motor_fuels_cents, dtype=np.int64)[np.minimum(n_private, 3)]
+            + np.array(table.public_transport_cents, dtype=np.int64)[np.minimum(n_public, 3)])
+    return int(cost) if cost.ndim == 0 else cost
 
 
 # -- childcare ---------------------------------------------------------------
@@ -151,15 +154,14 @@ def load_childcare_grid(path) -> ChildcareCostGrid:
     return ChildcareCostGrid(cells=cells)
 
 
-def family_type(n_adults: int, n_children_under14: int) -> str:
-    """Family-type cell of the childcare grid; adults counted from 18."""
-    if n_children_under14 <= 0:
-        return "no_children"
-    if n_adults <= 1:
-        return "lone_parent"
-    if n_adults == 2 and 1 <= n_children_under14 <= 3:
-        return "two_adults_1_3_children"
-    return "other_with_children"
+def family_type(n_adults, n_children_under14):
+    """Family-type cell of the childcare grid; adults counted from 18.
+    Takes ints (returns a str) or per-household arrays (returns a str array)."""
+    a, c = np.asarray(n_adults), np.asarray(n_children_under14)
+    cell = np.select([c <= 0, a <= 1, (a == 2) & (c <= 3)],
+                     ["no_children", "lone_parent", "two_adults_1_3_children"],
+                     default="other_with_children")
+    return str(cell) if cell.ndim == 0 else cell
 
 
 def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weights,
@@ -216,7 +218,7 @@ def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weight
             level[cell] = target
         else:
             level[cell] = align_continuous(level[cell], w[cell], target)
-    return np.array([cents(v) for v in level], dtype=np.int64)
+    return cents(level)
 
 
 # -- housing -----------------------------------------------------------------
@@ -278,19 +280,26 @@ def age_band(age) -> np.ndarray:
     return bands
 
 
+def _grid_cells(cells: dict, bands, quintiles) -> np.ndarray:
+    """Each unit's (age band, quintile) cell of a holdings grid, as float64."""
+    bands, quintiles = np.asarray(bands).astype(str), np.asarray(quintiles).astype(np.int64)
+    band_keys, row = np.unique(bands, return_inverse=True)
+    quintile_keys, col = np.unique(quintiles, return_inverse=True)
+    table = np.array([[cells.get((b, q), np.nan) for q in quintile_keys.tolist()]
+                      for b in band_keys.tolist()], dtype=np.float64)
+    values = table.reshape(band_keys.size, quintile_keys.size)[row, col]
+    missing = np.flatnonzero(np.isnan(values))
+    if missing.size:
+        i = missing[0]
+        raise ExpenseError(f"holding grid has no cell {(str(bands[i]), int(quintiles[i]))!r}")
+    return values
+
+
 def capital_participants(grid: CapitalHoldingsGrid, bands, quintiles, observed_holder,
                          person_ids, seed: int) -> np.ndarray:
     """Participation gate: anchored draw at the grid rate against the
     observed holder state (capital income present)."""
-    bands = np.asarray(bands)
-    quintiles = np.asarray(quintiles)
-    rates = np.empty(bands.shape, dtype=np.float64)
-    for i, (b, q) in enumerate(zip(bands.tolist(), quintiles.tolist())):
-        try:
-            rates[i] = grid.participation[(b, int(q))]
-        except KeyError:
-            raise ExpenseError(f"holding grid has no cell ({b!r}, {q})") from None
-    rates = np.clip(rates, 1e-9, 1.0 - 1e-9)
+    rates = np.clip(_grid_cells(grid.participation, bands, quintiles), 1e-9, 1.0 - 1e-9)
     u = anchored_draws(rates, np.asarray(observed_holder, dtype=bool), seed,
                        "shareholding", np.asarray(person_ids))
     return u < rates
@@ -300,15 +309,10 @@ def capital_value_change_cents(grid: CapitalHoldingsGrid, bands, quintiles,
                                participant, index_change_factor: float) -> np.ndarray:
     """Signed change in share value per person: holding x index factor for
     participants, 0 otherwise. Negative when markets fall."""
-    bands = np.asarray(bands)
-    quintiles = np.asarray(quintiles)
     participant = np.asarray(participant, dtype=bool)
-    out = np.zeros(bands.shape, dtype=np.int64)
-    for i in np.flatnonzero(participant):
-        key = (str(bands[i]), int(quintiles[i]))
-        try:
-            holding = grid.value_cents[key]
-        except KeyError:
-            raise ExpenseError(f"holding grid has no cell {key!r}") from None
-        out[i] = int(round(holding * index_change_factor))
+    out = np.zeros(participant.shape, dtype=np.int64)
+    holding = _grid_cells(grid.value_cents, np.asarray(bands)[participant],
+                          np.asarray(quintiles)[participant])
+    # np.rint rounds half to even, as round() does on a float
+    out[participant] = np.rint(holding * index_change_factor)
     return out

@@ -90,14 +90,13 @@ def weighted_quantile_groups(ranking, weights, n_groups: int, ids=None) -> np.nd
     return groups
 
 
-def decile_means(values_by_definition: dict, weights, ranking, ids=None) -> dict:
+def decile_means(values_by_definition: dict, weights, deciles) -> dict:
     """Per-decile weighted means of each income definition.
 
-    Deciles are fixed by `ranking` (the baseline equivalised adjusted
-    disposable income), so a shock moves people's incomes but not their
-    decile membership.
+    `deciles` (1..10 per unit) are grouped once from a fixed ranking (the
+    baseline equivalised adjusted disposable income), so a shock moves
+    people's incomes but not their decile membership.
     """
-    deciles = weighted_quantile_groups(ranking, weights, 10, ids=ids)
     w = np.asarray(weights, dtype=np.float64)
     out = {}
     for name, values in values_by_definition.items():
@@ -136,8 +135,9 @@ class DistributionSummary:
     decomposition: tuple = (0.0, 0.0, 0.0)           # (benefits, taxes, expenses)
 
 
-def summarize(label: str, equivalized_by_definition: dict, weights, ranking, ids=None):
-    """Build a DistributionSummary from person-level equivalised incomes."""
+def summarize(label: str, equivalized_by_definition: dict, weights, deciles):
+    """Build a DistributionSummary from person-level equivalised incomes
+    and the fixed deciles (see decile_means)."""
     w = np.asarray(weights, dtype=np.float64)
     means = {}
     gini = {}
@@ -145,12 +145,12 @@ def summarize(label: str, equivalized_by_definition: dict, weights, ranking, ids
         v = np.asarray(equivalized_by_definition[name], dtype=np.float64)
         means[name] = float(np.sum(v * w) / np.sum(w))
         gini[name] = weighted_gini(v, w)
-    deciles = decile_means(equivalized_by_definition, w, ranking, ids=ids)
+    decile_table = decile_means(equivalized_by_definition, w, deciles)
     decomposition = redistribution_decomposition(
         gini["market"], gini["gross"], gini["disposable"], gini["adjusted"]
     )
     return DistributionSummary(
-        label=label, means=means, gini=gini, decile_means=deciles,
+        label=label, means=means, gini=gini, decile_means=decile_table,
         decomposition=decomposition,
     )
 

@@ -26,14 +26,20 @@ def round_div(n, d: int):
     return -((-2 * n + d) // (2 * d))
 
 
-def apply_rate(rate: float, c: int) -> int:
-    """rate x c cents, with the rate fixed to four decimal places."""
+def apply_rate(rate: float, c):
+    """rate x c cents, with the rate fixed to four decimal places; c is an
+    int or an int64 array, as for round_div."""
     return round_div(int(round(rate * 10000)) * c, 10000)
 
 
-def cents(euros: float) -> int:
-    """Euros to integer cents, half away from zero."""
+def cents(euros):
+    """Euros to integer cents, half away from zero. Accepts a float (returns
+    an int) or a float array (returns an int64 array)."""
     scaled = euros * 100.0
+    if isinstance(scaled, np.ndarray):
+        if not np.isfinite(scaled).all():
+            raise ValueError("cannot convert a non-finite amount to cents")
+        return np.copysign(np.floor(np.abs(scaled) + 0.5), scaled).astype(np.int64)
     if scaled >= 0:
         return int(scaled + 0.5)
     return -int(-scaled + 0.5)

@@ -172,7 +172,11 @@ def load_national_reference(path) -> dict:
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, rec in enumerate(csv.DictReader(fh), start=2):
             key = rec["key"].strip()
-            value = float(rec["value"])
+            try:
+                value = float(rec["value"])
+            except ValueError:
+                raise ControlError(f"{path}:{lineno}: {key} is not a number: "
+                                   f"{rec['value']!r}") from None
             if key.startswith("sector_employment:"):
                 sector = key.split(":", 1)[1]
                 if sector not in SECTORS:
@@ -216,6 +220,11 @@ class Scenario:
     capital_booking: str = "amortized"  # amortized (/12) or once
 
 
+SCENARIO_KEYS = {"controls", "seed", "employer_topup", "capital_booking"}
+WAVE_KEYS = {"date", "pup", "ceib", "subsidy", "childcare_support", "deferrals",
+             "capital_losses", "home_working"}
+
+
 def parse_scenario(path) -> Scenario:
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -223,6 +232,14 @@ def parse_scenario(path) -> Scenario:
         raise FileNotFoundError(f"cannot read scenario file {path}")
     if "scenario" not in parser:
         raise ScenarioError(f"{path}: missing [scenario] section")
+    # configparser copies [DEFAULT] keys into every section, so they are checked too
+    for name in parser.sections():
+        if name != "scenario" and not name.startswith("wave:"):
+            raise ScenarioError(f"{path}: unknown section [{name}]")
+        known = SCENARIO_KEYS if name == "scenario" else WAVE_KEYS
+        unknown = [key for key in parser[name] if key not in known]
+        if unknown:
+            raise ScenarioError(f"{path}: [{name}] {unknown[0]} is not a known key")
     main = parser["scenario"]
     controls = main.get("controls", "")
     if not controls:
@@ -289,6 +306,21 @@ def parse_scenario(path) -> Scenario:
         employer_topup=employer_topup,
         capital_booking=capital_booking,
     )
+
+
+def control_gaps(plan: Scenario, series: ControlSeries) -> list:
+    """One message per wave that switches an instrument on while the
+    controls have no rows for it at the wave's date, which makes that
+    instrument a null shock. Deferrals are interpolated, so never missing."""
+    return [f"wave {w.label} switches {name} on, but "
+            f"{os.path.basename(plan.controls_path)} has no {key} rows at {w.date}"
+            for w in plan.waves
+            for on, rows, name, key in (
+                (w.pup_on, series.pup, "pup", "pup:<sector>"),
+                (w.ceib_on, series.ceib_cases, "ceib", "ceib_cases"),
+                (w.subsidy != "none", series.subsidy, "subsidy", "subsidy:<sector>"),
+                (w.capital_on, series.index_factor, "capital_losses", "index_change_factor"))
+            if on and w.date not in rows]
 
 
 # -- reference data bundle -------------------------------------------------------
@@ -494,10 +526,7 @@ def build_baseline(pop: Population, tables: DataTables,
                                minlength=n_hh).astype(np.int64)
     adults_18 = np.bincount(hh_row, weights=(age >= 18).astype(float),
                             minlength=n_hh).astype(np.int64)
-    ftypes = np.array([
-        expenses.family_type(int(a), int(c))
-        for a, c in zip(adults_18, children_u14)
-    ], dtype=object)
+    ftypes = expenses.family_type(adults_18, children_u14)
     lone_working = (adults_18 == 1) & (n_workers_hh >= 1)
     two_workers = (n_workers_hh == 2) | lone_working
     childcare_weekly = expenses.childcare_costs_cents(
@@ -621,6 +650,8 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         subsidy_scheme = "twss" if wave.date < schedules.ewss_handover else "ewss"
 
     unit_weight = float(np.max(base.person_weight))
+    # alignment returns ascending ids; person and household ids ascend with
+    # their rows, so a binary search maps the chosen ids back to rows
 
     # (a) pandemic job losses per sector
     job_lost = np.zeros(n, dtype=bool)
@@ -630,11 +661,11 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         eligible_age = (base.age >= 18) & (base.age <= 66)
         for sector, target in sorted(targets.items()):
             s = SECTORS.index(sector)
-            mask = base.is_worker & eligible_age & (base.sector_idx == s)
-            chosen = _align_units(base.pid[mask], base.person_weight[mask], target,
+            rows = np.flatnonzero(base.is_worker & eligible_age & (base.sector_idx == s))
+            chosen = _align_units(base.pid[rows], base.person_weight[rows], target,
                                   seed, f"pup:{sector}", unit_weight,
                                   f"job losses in {sector!r}")
-            job_lost[np.isin(base.pid, chosen)] = True
+            job_lost[rows[np.searchsorted(base.pid[rows], chosen)]] = True
     if wave.pup_on:
         covid[job_lost] = taxben.COVID_CODES["pup_recipient"]
     else:
@@ -649,12 +680,12 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         for (band, in_work), count in sorted(controls.ceib_cases.items()):
             if not in_work:
                 continue  # out-of-work cases carry no income change
-            mask = base.is_worker & ~job_lost & (base.case_band == band)
-            chosen = _align_units(base.pid[mask], base.person_weight[mask],
+            rows = np.flatnonzero(base.is_worker & ~job_lost & (base.case_band == band))
+            chosen = _align_units(base.pid[rows], base.person_weight[rows],
                                   count * pop_share, seed,
                                   f"ceib:{band}:{wave.date.isoformat()}", unit_weight,
                                   f"sickness cases in age band {band}")
-            ceib[np.isin(base.pid, chosen)] = True
+            ceib[rows[np.searchsorted(base.pid[rows], chosen)]] = True
     covid[ceib] = taxben.COVID_CODES["ceib_recipient"]
     emp_now[ceib] = 0
     se_now[ceib] = 0
@@ -663,34 +694,32 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     subsidised = np.zeros(n, dtype=bool)
     if subsidy_scheme != "none" and controls.subsidy_by_sector:
         gross_weekly = round_div(base.emp_cents, 52)
-
-        def scheme_amount(i: int) -> int:
-            if subsidy_scheme == "twss":
-                return taxben.twss_subsidy_cents(
-                    schedules, int(base.take_home_weekly_cents[i]), wave.date)
-            return taxben.ewss_subsidy_cents(schedules, int(gross_weekly[i]), wave.date)
-
         targets = _scaled_sector_targets(base, controls.subsidy_by_sector,
                                          tables.national["sector_employment"])
+        candidate = (base.status == taxben.STATUS_CODES["employee"]) & ~job_lost & ~ceib
+        sector_rows = {s: np.flatnonzero(candidate & (base.sector_idx == SECTORS.index(s)))
+                       for s in sorted(targets)}
+        rows = np.concatenate(list(sector_rows.values()))
+        # every candidate's scheme amount, in one call per wave
+        amount = np.zeros(n, dtype=np.int64)
+        if rows.size:
+            if subsidy_scheme == "twss":
+                amount[rows] = taxben.twss_subsidy_cents(
+                    schedules, base.take_home_weekly_cents[rows], wave.date)
+            else:
+                amount[rows] = taxben.ewss_subsidy_cents(schedules, gross_weekly[rows],
+                                                         wave.date)
         for sector, target in sorted(targets.items()):
-            s = SECTORS.index(sector)
-            mask = (base.status == taxben.STATUS_CODES["employee"]) & ~job_lost \
-                & ~ceib & (base.sector_idx == s)
+            rows = sector_rows[sector]
             # pay bands outside the scheme ("no subsidy applies") are ineligible
-            rows = np.flatnonzero(mask)
-            eligible = np.array([scheme_amount(int(i)) > 0 for i in rows], dtype=bool) \
-                if rows.size else np.empty(0, dtype=bool)
-            rows = rows[eligible]
+            rows = rows[amount[rows] > 0]
             chosen = _align_units(base.pid[rows], base.person_weight[rows], target,
                                   seed, f"subsidy:{sector}", unit_weight,
                                   f"wage subsidy in {sector!r}")
-            subsidised[np.isin(base.pid, chosen)] = True
+            subsidised[rows[np.searchsorted(base.pid[rows], chosen)]] = True
         covid[subsidised] = taxben.COVID_CODES["wage_subsidised"]
-        for i in np.flatnonzero(subsidised):
-            amount = scheme_amount(int(i))
-            shortfall = max(int(gross_weekly[i]) - amount, 0)
-            new_weekly = amount + apply_rate(employer_topup, shortfall)
-            emp_now[i] = new_weekly * 52
+        shortfall = np.maximum(gross_weekly[subsidised] - amount[subsidised], 0)
+        emp_now[subsidised] = (amount[subsidised] + apply_rate(employer_topup, shortfall)) * 52
 
     # (d) home working for non-essential remaining workers
     employed_now = base.is_worker & ~job_lost & ~ceib
@@ -704,10 +733,11 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         holders = base.tenure_code == expenses.TENURE_CODES["mortgage"]
         holder_weight = float(np.sum(base.hh_weight[holders]))
         target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
-        chosen = _align_units(base.hid[holders], base.hh_weight[holders], target,
+        rows = np.flatnonzero(holders)
+        chosen = _align_units(base.hid[rows], base.hh_weight[rows], target,
                               seed, "deferral", float(np.max(base.hh_weight)),
                               "mortgage deferrals")
-        deferred[np.isin(base.hid, chosen)] = True
+        deferred[rows[np.searchsorted(base.hid[rows], chosen)]] = True
 
     # (f) capital value changes
     q_hh = np.zeros(n_hh, dtype=np.int64)
@@ -738,9 +768,7 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     n_public = np.bincount(base.hh_row[commuting_active
                                        & (base.commute_mode == expenses.MODE_PUBLIC)],
                            minlength=n_hh)
-    commuting_weekly = np.array(
-        [expenses.commuting_cost_cents(tables.commute, int(a), int(b))
-         for a, b in zip(n_private, n_public)], dtype=np.int64)
+    commuting_weekly = expenses.commuting_cost_cents(tables.commute, n_private, n_public)
 
     childcare_weekly = base.childcare_weekly_cents.copy()
     if wave.childcare_support:
@@ -797,8 +825,9 @@ def compare(base_state: BaselineState, base_result: WaveResult,
     a = person_equivalized(base_state, base_result)
     b = person_equivalized(base_state, cf_result)
     mean_delta, gini_delta, decile_delta = {}, {}, {}
-    da = metrics.decile_means(a, w, ranking, ids=base_state.pid)
-    db = metrics.decile_means(b, w, ranking, ids=base_state.pid)
+    deciles = metrics.weighted_quantile_groups(ranking, w, 10, ids=base_state.pid)
+    da = metrics.decile_means(a, w, deciles)
+    db = metrics.decile_means(b, w, deciles)
     for name in metrics.INCOME_DEFINITIONS:
         mean_delta[name] = float(np.sum((b[name] - a[name]) * w) / np.sum(w))
         gini_delta[name] = metrics.weighted_gini(b[name], w) - metrics.weighted_gini(a[name], w)
@@ -836,9 +865,10 @@ def run_scenario(pop: Population, scenario: Scenario, tables: DataTables,
         others = [run_wave(w) for w in rest]
     results = [before] + others
 
+    deciles = metrics.weighted_quantile_groups(base.ranking_equiv_adjusted,
+                                               base.person_weight, 10, ids=base.pid)
     summaries = [
-        metrics.summarize(r.label, person_equivalized(base, r), base.person_weight,
-                          base.ranking_equiv_adjusted, ids=base.pid)
+        metrics.summarize(r.label, person_equivalized(base, r), base.person_weight, deciles)
         for r in results
     ]
     return base, results, summaries

@@ -5,6 +5,8 @@ All money arithmetic is in integer cents so schedule lookups are bit-exact.
 Schedules are data, loaded from a policy directory with one row per
 (scheme, effective_from, band_lower, value); bands are inclusive of their
 lower bound and regimes partition the scheme life from their first date.
+Every schedule function takes an int (returning an int) or an int64 array
+(returning an int64 array); both are evaluated by `Regime.evaluate`.
 
 Interpretation notes (the published wording leaves gaps; every choice
 below ships as overridable data, see the README):
@@ -56,10 +58,30 @@ class Regime:
     effective_from: dt.date
     bands: tuple
 
-    def band_for(self, amount_cents: int) -> Band:
+    def evaluate(self, amounts: np.ndarray) -> np.ndarray:
+        """Payment per amount in cents (int64 array in and out): the rule of
+        the last band starting at or below max(amount, 0), or of the first."""
+        amounts = np.asarray(amounts, dtype=np.int64)
         lowers = [b.lower_cents for b in self.bands]
-        i = bisect.bisect_right(lowers, max(amount_cents, 0)) - 1
-        return self.bands[max(i, 0)]
+        which = np.maximum(np.searchsorted(lowers, np.maximum(amounts, 0), side="right") - 1, 0)
+        out = np.zeros(amounts.shape, dtype=np.int64)
+        for k, band in enumerate(self.bands):
+            rows = which == k
+            if not rows.any():
+                continue
+            x = amounts[rows]
+            if band.kind == "flat":
+                out[rows] = band.value_cents
+            elif band.kind == "rate":
+                pay = apply_rate(band.rate, x)
+                out[rows] = np.minimum(pay, band.cap_cents) if band.cap_cents else pay
+            elif band.kind == "taper":
+                remaining = np.maximum(band.taper_end_cents - x, 0)
+                out[rows] = round_div(band.value_cents * remaining,
+                                      band.taper_end_cents - band.lower_cents)
+            else:
+                raise PolicyError(f"unknown band kind {band.kind!r}")
+        return out
 
 
 @dataclass(frozen=True)
@@ -78,21 +100,6 @@ class Schedule:
                 f"(scheme starts {dates[0]})"
             )
         return self.regimes[i]
-
-
-def _eval_band(band: Band, amount_cents: int) -> int:
-    if band.kind == "flat":
-        return band.value_cents
-    if band.kind == "rate":
-        pay = apply_rate(band.rate, amount_cents)
-        if band.cap_cents:
-            pay = min(pay, band.cap_cents)
-        return pay
-    if band.kind == "taper":
-        span = band.taper_end_cents - band.lower_cents
-        remaining = max(band.taper_end_cents - amount_cents, 0)
-        return round_div(band.value_cents * remaining, span)
-    raise PolicyError(f"unknown band kind {band.kind!r}")
 
 
 def _parse_band_value(text: str, lower_cents: int, where: str) -> Band:
@@ -133,6 +140,8 @@ def load_schedule(path, scheme: str) -> Schedule:
                 lower = cents(float(rec["band_lower"]))
             except ValueError as exc:
                 raise PolicyError(f"{where}: bad date or band_lower") from exc
+            if lower < 0:  # amounts are banded at max(amount, 0)
+                raise PolicyError(f"{where}: negative band_lower")
             band = _parse_band_value(rec["value"], lower, where)
             by_date.setdefault(eff, []).append(band)
 
@@ -174,29 +183,38 @@ class TaxSystem:
 def load_tax_system(path) -> TaxSystem:
     bands = []
     values = {}
+    name = os.path.basename(path)
+
+    def number(key, text, lineno):
+        try:
+            return float(text)
+        except ValueError:
+            raise PolicyError(f"{name}:{lineno}: {key} is not a number: {text!r}") from None
+
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise PolicyError(f"{os.path.basename(path)}:{lineno}: expected key = value")
+                raise PolicyError(f"{name}:{lineno}: expected key = value")
             key, value = (tok.strip() for tok in line.split("=", 1))
             if key == "band":
                 threshold, _, rate = value.partition(":")
-                bands.append((cents(float(threshold)), float(rate)))
+                bands.append((cents(number("band threshold", threshold, lineno)),
+                              number("band rate", rate, lineno)))
             else:
-                values[key] = value
+                values[key] = number(key, value, lineno)
     bands.sort()
     try:
         return TaxSystem(
             band_thresholds_cents=tuple(b[0] for b in bands),
             band_rates=tuple(b[1] for b in bands),
-            credit_cents=cents(float(values["credit"])),
-            si_rate=float(values["si_rate"]),
-            si_floor_cents=cents(float(values["si_floor"])),
-            unemployment_weekly_cents=cents(float(values["unemployment_rate_weekly"])),
-            pension_weekly_cents=cents(float(values["pension_rate_weekly"])),
+            credit_cents=cents(values["credit"]),
+            si_rate=values["si_rate"],
+            si_floor_cents=cents(values["si_floor"]),
+            unemployment_weekly_cents=cents(values["unemployment_rate_weekly"]),
+            pension_weekly_cents=cents(values["pension_rate_weekly"]),
         )
     except KeyError as exc:
         raise PolicyError(f"{path}: missing key {exc.args[0]!r}") from exc
@@ -220,12 +238,18 @@ def load_policy(policy_dir) -> PolicySchedules:
     )
 
 
-def pup_rate_cents(schedules: PolicySchedules, prev_weekly_cents: int, date: dt.date) -> int:
+def _evaluate(regime: Regime, amounts):
+    """Regime.evaluate for an int (returns an int) or an int64 array."""
+    if isinstance(amounts, np.ndarray):
+        return regime.evaluate(amounts)
+    return int(regime.evaluate(np.array([amounts], dtype=np.int64))[0])
+
+
+def pup_rate_cents(schedules: PolicySchedules, prev_weekly_cents, date: dt.date):
     """Weekly pandemic unemployment payment for previous earnings at date."""
-    if prev_weekly_cents < 0:
+    if np.any(np.asarray(prev_weekly_cents) < 0):
         raise PolicyError("previous earnings must be >= 0")
-    regime = schedules.pup.regime_at(date)
-    return _eval_band(regime.band_for(prev_weekly_cents), prev_weekly_cents)
+    return _evaluate(schedules.pup.regime_at(date), prev_weekly_cents)
 
 
 def ceib_rate_cents(schedules: PolicySchedules, date: dt.date) -> int:
@@ -234,29 +258,25 @@ def ceib_rate_cents(schedules: PolicySchedules, date: dt.date) -> int:
     The earnings-banded rate is used instead when previous earnings are
     known (see household benefit computation below)."""
     regime = schedules.pup.regime_at(date)
-    return max(_eval_band(b, b.lower_cents) for b in regime.bands)
+    return int(regime.evaluate([b.lower_cents for b in regime.bands]).max())
 
 
-def twss_subsidy_cents(schedules: PolicySchedules, avg_take_home_weekly_cents: int,
-                       date: dt.date) -> int:
+def twss_subsidy_cents(schedules: PolicySchedules, avg_take_home_weekly_cents,
+                       date: dt.date):
     """Temporary wage subsidy on average weekly take-home pay."""
     if not TWSS_START <= date < schedules.ewss_handover:
         raise PolicyError(
             f"twss not in force on {date} (life {TWSS_START} to {schedules.ewss_handover})"
         )
-    regime = schedules.twss.regime_at(date)
-    return _eval_band(regime.band_for(avg_take_home_weekly_cents),
-                      avg_take_home_weekly_cents)
+    return _evaluate(schedules.twss.regime_at(date), avg_take_home_weekly_cents)
 
 
-def ewss_subsidy_cents(schedules: PolicySchedules, gross_weekly_cents: int,
-                       date: dt.date) -> int:
+def ewss_subsidy_cents(schedules: PolicySchedules, gross_weekly_cents, date: dt.date):
     """Employment wage subsidy: exact band lookup on gross weekly pay."""
     first = schedules.ewss.regimes[0].effective_from
     if date < first:
         raise PolicyError(f"ewss rates start {first}, got {date}")
-    regime = schedules.ewss.regime_at(date)
-    return _eval_band(regime.band_for(gross_weekly_cents), gross_weekly_cents)
+    return _evaluate(schedules.ewss.regime_at(date), gross_weekly_cents)
 
 
 def income_tax_cents(taxable_annual_cents, system: TaxSystem):
@@ -313,17 +333,10 @@ def benefit_weekly_cents(status_code, covid_code, prev_weekly_cents,
 
     pup_mask = covid == COVID_CODES["pup_recipient"]
     ceib_mask = covid == COVID_CODES["ceib_recipient"]
-    for mask, on in ((pup_mask, policy.pup_on), (ceib_mask, policy.ceib_on)):
-        if not np.any(mask):
-            continue
-        if on:
-            rates = np.fromiter(
-                (pup_rate_cents(schedules, int(c), date) for c in prev[mask]),
-                dtype=np.int64, count=int(mask.sum()),
-            )
-            out[mask] = rates
-        else:
-            out[mask] = schedules.tax.unemployment_weekly_cents
+    out[pup_mask | ceib_mask] = schedules.tax.unemployment_weekly_cents
+    banded = (pup_mask & policy.pup_on) | (ceib_mask & policy.ceib_on)
+    if np.any(banded):
+        out[banded] = pup_rate_cents(schedules, prev[banded], date)
     return out
 
 

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import shutil
 
 import pytest
 
@@ -162,6 +163,8 @@ class TestBadScenarioFields:
         ("employer_topup = 2\n", "date = 2020-05-05\n", "[scenario] employer_topup"),
         ("seed = abc\n", "date = 2020-05-05\n", "[scenario] seed"),
         ("", "date = 2020-05-32\n", "[wave:w1] date"),
+        ("employer_top_up = 0.9\n", "date = 2020-05-05\n", "[scenario] employer_top_up"),
+        ("", "date = 2020-05-05\npupp = on\n", "[wave:w1] pupp"),
     ]
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -217,3 +220,57 @@ def test_missing_scenario_file_is_io_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 3
     assert "nope.cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_instrument_without_control_rows_warns(tmp_path, capsys, command):
+    (tmp_path / "controls.csv").write_text("stratum_key,date,target\n")
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("[scenario]\ncontrols = controls.csv\n"
+                   "[wave:before]\ndate = 2019-12-01\n"
+                   "[wave:w1]\ndate = 2020-05-05\nsubsidy = ewss\n")
+    synth = tmp_path / "synth.cfg"
+    synth.write_text("households = 40\n")
+    args = [command, "--scenario", str(cfg), "--synth-config", str(synth)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    err = capsys.readouterr().err
+    assert "warning: wave w1 switches subsidy on" in err and "2020-05-05" in err
+    if command == "run":  # the warning goes to stderr only
+        assert not any("warning" in (tmp_path / "out" / name).read_text()
+                       for name in os.listdir(tmp_path / "out"))
+
+
+def edited_copy(src, dst, name, old, new):
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, name)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new, 1))
+
+
+def test_non_numeric_national_reference_is_located(data_dir, tmp_path, capsys):
+    edited_copy(data_dir, tmp_path / "data", "national_reference.csv",
+                "sector_employment:construction,145000", "sector_employment:construction,lots")
+    code = main(["validate", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                 "--data-dir", str(tmp_path / "data")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "national_reference.csv:5" in err and "sector_employment:construction" in err
+    assert "'lots'" in err
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("si_rate = 0.04", "si_rate = lots", "tax_system.cfg:5: si_rate is not a number"),
+    ("band = 35300:0.40", "band = 35300:forty", "tax_system.cfg:3: band rate is not a number"),
+])
+def test_non_numeric_tax_system_is_located(policy_dir, data_dir, tmp_path, capsys,
+                                           old, new, where):
+    edited_copy(policy_dir, tmp_path / "policy", "tax_system.cfg", old, new)
+    code = main(["validate", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                 "--policy-dir", str(tmp_path / "policy")])
+    assert code == 1
+    assert where in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nowcastsim.expenses import (MODE_NONE, MODE_PRIVATE, MODE_PUBLIC,
-                                 ChildcareCostGrid, ExpenseError, age_band,
+                                 CapitalHoldingsGrid, ChildcareCostGrid, ExpenseError, age_band,
                                  assign_commute_modes,
                                  capital_participants,
                                  capital_value_change_cents,
@@ -200,3 +202,51 @@ class TestCapital:
     def test_unknown_cell_rejected(self, tables):
         with pytest.raises(ExpenseError):
             capital_participants(tables.holdings, ["95"], [1], [False], [1], 1)
+
+
+COUNTS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40)
+
+
+@given(counts=COUNTS)
+def test_commuting_array_matches_scalar_formula(tables, counts):
+    mf = tables.commute.motor_fuels_cents
+    pt = tables.commute.public_transport_cents
+    private = np.array([c[0] for c in counts], dtype=np.int64)
+    public = np.array([c[1] for c in counts], dtype=np.int64)
+    out = commuting_cost_cents(tables.commute, private, public)
+    assert out.dtype == np.int64
+    assert out.tolist() == [mf[min(a, 3)] + pt[min(b, 3)] for a, b in counts]
+
+
+def test_commuting_array_rejects_negative_counts(tables):
+    with pytest.raises(ExpenseError):
+        commuting_cost_cents(tables.commute, np.array([1, 0]), np.array([0, -1]))
+
+
+# with odd holdings, factors of k + 0.5 put changes exactly on half a cent
+FACTORS = st.sampled_from([0.5, -0.5, 1.5, -2.5]) | st.floats(-1.0, 1.0, allow_nan=False)
+CELLS = [(b, q) for b in ("30", "40", "50", "60", "70") for q in range(1, 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(holdings=st.lists(st.integers(0, 10**7), min_size=len(CELLS), max_size=len(CELLS)),
+       units=st.lists(st.tuples(st.sampled_from(CELLS), st.booleans()), max_size=40),
+       factor=FACTORS)
+def test_capital_change_matches_per_person_round(holdings, units, factor):
+    values = dict(zip(CELLS, holdings))
+    grid = CapitalHoldingsGrid(participation=dict.fromkeys(CELLS, 0.5), value_cents=values)
+    bands = np.array([u[0][0] for u in units], dtype=str)
+    quintiles = np.array([u[0][1] for u in units], dtype=np.int64)
+    participant = np.array([u[1] for u in units], dtype=bool)
+    out = capital_value_change_cents(grid, bands, quintiles, participant, factor)
+    assert out.dtype == np.int64
+    assert out.tolist() == [int(round(values[cell] * factor)) if p else 0
+                            for cell, p in units]
+
+
+def test_capital_change_unknown_cell_rejected_for_participants_only(tables):
+    assert capital_value_change_cents(
+        tables.holdings, ["95"], [1], [False], -0.3).tolist() == [0]
+    with pytest.raises(ExpenseError, match="'95', 1"):
+        capital_value_change_cents(tables.holdings, ["60", "95"], [1, 1],
+                                   [True, True], -0.3)

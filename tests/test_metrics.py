@@ -94,7 +94,8 @@ class TestQuantileGroups:
 class TestDecileMeans:
     def test_uniform_population_equals_grand_mean(self):
         values = {"market": np.full(100, 42.0)}
-        out = decile_means(values, np.ones(100), np.arange(100))
+        out = decile_means(values, np.ones(100),
+                           weighted_quantile_groups(np.arange(100), np.ones(100), 10))
         assert np.allclose(out["market"], 42.0)
 
     def test_shock_to_top_decile_leaves_lower_deciles_fixed(self):
@@ -105,8 +106,8 @@ class TestDecileMeans:
         deciles = weighted_quantile_groups(ranking, w, 10)
         shocked = base.copy()
         shocked[deciles == 10] *= 0.5
-        before = decile_means({"x": base}, w, ranking)["x"]
-        after = decile_means({"x": shocked}, w, ranking)["x"]
+        before = decile_means({"x": base}, w, deciles)["x"]
+        after = decile_means({"x": shocked}, w, deciles)["x"]
         assert np.allclose(after[:9], before[:9])
         assert after[9] < before[9]
 

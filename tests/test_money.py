@@ -65,3 +65,27 @@ def test_conversions_accept_arrays():
     assert weekly_to_monthly(weekly).tolist() == [weekly_to_monthly(int(c)) for c in weekly]
     annual = np.array([120000, 100, -100], dtype=np.int64)
     assert annual_to_monthly(annual).tolist() == [10000, 8, -8]
+
+
+@given(rate=st.floats(0.0, 1.5, allow_nan=False),
+       amounts=st.lists(st.integers(-10**9, 10**9), max_size=40))
+def test_apply_rate_array_matches_scalar(rate, amounts):
+    out = apply_rate(rate, np.array(amounts, dtype=np.int64))
+    assert out.dtype == np.int64
+    assert out.tolist() == [apply_rate(rate, a) for a in amounts]
+
+
+# exact half-cent amounts: n/8 euros is exact in binary, and so is its x100
+HALF_CENTS = st.integers(-10**7, 10**7).map(lambda n: n / 8.0)
+
+
+@given(values=st.lists(st.floats(-1e9, 1e9, allow_nan=False) | HALF_CENTS, max_size=40))
+def test_cents_array_matches_scalar(values):
+    out = cents(np.array(values, dtype=np.float64))
+    assert out.dtype == np.int64
+    assert out.tolist() == [cents(v) for v in values]
+
+
+def test_cents_array_rejects_non_finite():
+    with pytest.raises(ValueError):
+        cents(np.array([1.0, np.nan]))

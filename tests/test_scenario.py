@@ -9,7 +9,7 @@ from nowcastsim.money import weekly_to_monthly
 from nowcastsim.population import SECTORS
 from nowcastsim.scenario import (ControlError, ControlTotals,
                                  ScenarioError, WavePoint, _align_units, apply_wave,
-                                 build_baseline, compare, load_control_totals,
+                                 build_baseline, compare, control_gaps, load_control_totals,
                                  nowcast_baseline, parse_scenario,
                                  person_equivalized, run_scenario)
 
@@ -28,6 +28,10 @@ BAD_FIELDS = [
     ("employer_topup = lots\n", "date=2020-05-05\n", r"\[scenario\] employer_topup"),
     ("seed = 4.5\n", "date=2020-05-05\n", r"\[scenario\] seed"),
     ("", "date=2020-13-01\n", r"\[wave:a\] date"),
+    ("employer_top_up = 0.9\n", "date=2020-05-05\n", r"\[scenario\] employer_top_up"),
+    ("", "date=2020-05-05\npupp = on\n", r"\[wave:a\] pupp"),
+    ("", "date=2020-05-05\n[DEFAULT]\npupp = on\n", r"\[scenario\] pupp"),
+    ("", "date=2020-05-05\n[wave_b]\ndate=2020-06-06\n", r"unknown section \[wave_b\]"),
 ]
 
 
@@ -127,6 +131,26 @@ class TestScenarioFile:
                         "employer_topup = 1\n[wave:a]\ndate=2020-05-05\n")
         plan = parse_scenario(path)
         assert plan.capital_booking == "once" and plan.employer_topup == 1.0
+
+
+class TestControlGaps:
+    def test_shipped_scenario_has_no_gaps(self, default_scenario, shipped_controls):
+        assert control_gaps(default_scenario, shipped_controls) == []
+
+    def test_instrument_without_rows_is_named(self, tmp_path):
+        (tmp_path / "c.csv").write_text(
+            "stratum_key,date,target\nsubsidy:construction,2020-05-05,10\n"
+            "mortgage_deferrals,2020-05-05,10\n")
+        path = tmp_path / "s.cfg"
+        path.write_text("[scenario]\ncontrols=c.csv\n[wave:a]\ndate=2020-05-05\n"
+                        "pup=on\nceib=on\nsubsidy=auto\ndeferrals=on\n"
+                        "capital_losses=on\n[wave:b]\ndate=2020-06-06\n")
+        plan = parse_scenario(path)
+        gaps = control_gaps(plan, load_control_totals(plan.controls_path))
+        assert len(gaps) == 3
+        for gap, instrument in zip(gaps, ("pup", "ceib", "capital_losses")):
+            assert gap.startswith(f"wave a switches {instrument} on")
+            assert "c.csv" in gap and "2020-05-05" in gap
 
 
 class TestAlignUnitsEmptyStratum:

@@ -1,3 +1,4 @@
+import bisect
 import datetime as dt
 import itertools
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nowcastsim.money import cents, round_div, weekly_to_monthly
-from nowcastsim.taxben import (COVID_CODES, STATUS_CODES, PolicyError, PolicyState,
-                               TaxSystem, ceib_rate_cents, ewss_subsidy_cents,
-                               household_accounts, income_tax_cents,
+from nowcastsim.money import apply_rate, cents, round_div, weekly_to_monthly
+from nowcastsim.taxben import (COVID_CODES, STATUS_CODES, Band, PolicyError, PolicyState,
+                               Regime, TaxSystem, ceib_rate_cents, ewss_subsidy_cents,
+                               household_accounts, income_tax_cents, load_schedule,
                                pup_rate_cents, twss_subsidy_cents)
 
 D = dt.date
@@ -260,3 +261,116 @@ def test_household_accounts_match_scalar_oracle(schedules, persons, date):
         assert accounts.taxes.tolist() == taxes
         assert accounts.benefits.tolist() == benefits
         assert accounts.person_tax.tolist() == person_tax
+
+
+# -- Regime.evaluate against the scalar band rules it replaced -----------------
+
+
+def oracle_band_for(regime, amount_cents):
+    lowers = [b.lower_cents for b in regime.bands]
+    i = bisect.bisect_right(lowers, max(amount_cents, 0)) - 1
+    return regime.bands[max(i, 0)]
+
+
+def oracle_eval_band(band, amount_cents):
+    if band.kind == "flat":
+        return band.value_cents
+    if band.kind == "rate":
+        pay = apply_rate(band.rate, amount_cents)
+        if band.cap_cents:
+            pay = min(pay, band.cap_cents)
+        return pay
+    span = band.taper_end_cents - band.lower_cents
+    remaining = max(band.taper_end_cents - amount_cents, 0)
+    return round_div(band.value_cents * remaining, span)
+
+
+def oracle(regime, amounts):
+    return [oracle_eval_band(oracle_band_for(regime, a), a) for a in amounts]
+
+
+def edge_amounts(regime):
+    """0, every band floor and its neighbours, and the range ends."""
+    out = {0, -1, -(10**9), 10**9}
+    for band in regime.bands:
+        out |= {band.lower_cents - 1, band.lower_cents, band.lower_cents + 1}
+        if band.kind == "taper":
+            out |= {band.taper_end_cents - 1, band.taper_end_cents,
+                    band.taper_end_cents + 1}
+    return sorted(out)
+
+
+AMOUNTS = st.lists(st.integers(-(10**9), 10**9), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(amounts=AMOUNTS)
+def test_evaluate_matches_oracle_on_shipped_regimes(schedules, amounts):
+    for schedule in (schedules.pup, schedules.twss, schedules.ewss):
+        for regime in schedule.regimes:
+            values = edge_amounts(regime) + amounts
+            got = regime.evaluate(np.array(values, dtype=np.int64))
+            assert got.dtype == np.int64
+            assert got.tolist() == oracle(regime, values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(amounts=st.lists(st.integers(0, 10**9), max_size=30),
+       date=st.dates(min_value=D(2020, 3, 13), max_value=D(2021, 6, 30)))
+def test_schedule_functions_match_oracle_at_any_date(schedules, amounts, date):
+    """The public functions, in int and array form, over dates drawn across
+    every regime of each scheme."""
+    cases = [(pup_rate_cents, schedules.pup)]
+    if date < schedules.ewss_handover:
+        cases.append((twss_subsidy_cents, schedules.twss))
+    if date >= schedules.ewss.regimes[0].effective_from:
+        cases.append((ewss_subsidy_cents, schedules.ewss))
+    for fn, schedule in cases:
+        regime = schedule.regime_at(date)
+        values = [a for a in edge_amounts(regime) if a >= 0] + amounts
+        expected = oracle(regime, values)
+        assert fn(schedules, np.array(values, dtype=np.int64), date).tolist() == expected
+        scalars = [fn(schedules, v, date) for v in values]
+        assert scalars == expected and all(type(v) is int for v in scalars)
+    pup_regime = schedules.pup.regime_at(date)
+    assert ceib_rate_cents(schedules, date) == max(
+        oracle_eval_band(b, b.lower_cents) for b in pup_regime.bands)
+
+
+@st.composite
+def band_tables(draw):
+    lowers = sorted(draw(st.sets(st.integers(0, 2_000_000), min_size=1, max_size=6)))
+    bands = []
+    for lower in lowers:
+        kind = draw(st.sampled_from(["flat", "rate", "rate_capped", "taper"]))
+        if kind == "flat":
+            bands.append(Band(lower, "flat", value_cents=draw(st.integers(0, 10**6))))
+        elif kind.startswith("rate"):
+            cap = draw(st.integers(1, 10**6)) if kind == "rate_capped" else 0
+            rate = draw(st.floats(0.0, 1.5, allow_nan=False))
+            bands.append(Band(lower, "rate", rate=rate, cap_cents=cap))
+        else:
+            bands.append(Band(lower, "taper", value_cents=draw(st.integers(0, 10**6)),
+                              taper_end_cents=lower + draw(st.integers(1, 2_000_000))))
+    return Regime(effective_from=D(2020, 1, 1), bands=tuple(bands))
+
+
+@settings(max_examples=150, deadline=None)
+@given(regime=band_tables(), amounts=AMOUNTS)
+def test_evaluate_matches_oracle_on_random_band_tables(regime, amounts):
+    values = edge_amounts(regime) + amounts
+    assert regime.evaluate(np.array(values, dtype=np.int64)).tolist() == \
+        oracle(regime, values)
+
+
+def test_array_pup_rejects_negative_earnings(schedules):
+    with pytest.raises(PolicyError):
+        pup_rate_cents(schedules, np.array([100, -1], dtype=np.int64), D(2020, 5, 5))
+
+
+def test_negative_band_lower_rejected(tmp_path):
+    path = tmp_path / "pup.csv"
+    path.write_text("scheme,effective_from,band_lower,value\n"
+                    "pup,2020-03-13,-1,203\n")
+    with pytest.raises(PolicyError, match="pup.csv:2"):
+        load_schedule(path, "pup")
