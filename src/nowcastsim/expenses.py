@@ -25,6 +25,7 @@ import numpy as np
 from .calibration import align_continuous
 from .igm import anchored_draws, draw_residual, linear_predict, logit_prob
 from .money import cents
+from .population import SECTORS, TENURES
 from .rng import keyed_uniform
 
 MODE_NONE, MODE_PUBLIC, MODE_PRIVATE = 0, 1, 2
@@ -100,16 +101,18 @@ def transport_covariates(groups, region_bmw, occupation, age, university) -> dic
     return cov
 
 
-def assign_commute_modes(models, sector_groups, is_worker, industry, region_bmw,
+def assign_commute_modes(models, sector_groups, is_worker, sector_idx, region_bmw,
                          occupation, age, university, person_ids, seed: int) -> np.ndarray:
-    """Commute mode per person: 1 public, 2 private, 0 none.
+    """Commute mode per person: 1 public, 2 private, 0 none. `sector_idx`
+    indexes `SECTORS`, -1 for no industry.
 
     Both logits are evaluated; the draws are keyed per person so modes stay
     fixed across scenarios. Public transport wins when both fire;
     non-workers always get none.
     """
     is_worker = np.asarray(is_worker, dtype=bool)
-    groups = np.array([sector_groups.get(s, "reference") for s in industry])
+    groups = np.array([sector_groups.get(s, "reference") for s in SECTORS]
+                      + ["reference"])[sector_idx]
     cov = transport_covariates(groups, region_bmw, occupation, age, university)
     p_public = np.asarray(logit_prob(models["transport_public"], cov))
     p_private = np.asarray(logit_prob(models["transport_private"], cov))
@@ -223,7 +226,7 @@ def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weight
 
 # -- housing -----------------------------------------------------------------
 
-TENURE_CODES = {"owner_outright": 0, "mortgage": 1, "renter": 2}
+TENURE_CODES = {tenure: code for code, tenure in enumerate(TENURES)}
 
 
 def housing_cost_cents(tenure_code, mortgage_cents, rent_cents, deferred) -> np.ndarray:

@@ -4,11 +4,19 @@ synthetic-population generator used when no survey file is supplied.
 Two delimiter-separated files describe a population: `households.csv` and
 `persons.csv`, UTF-8 with a mandatory header row, enums as lowercase
 strings, money as decimals with a '.' separator, booleans as true/false,
-and household member ids joined with ';'.
+and household member ids joined with ';'. Every schema column must be
+present and no other; every row has the header's field count.
 
 Occupation is a code in 1..9 and is required for workers; non-workers may
 carry 0 (not applicable). Industry must be one of the seventeen sector
 labels below whenever the person works, and may be empty otherwise.
+
+In memory a population is two column tables (`Table`), persons and
+households, with one numpy array per schema column and rows in file or
+generation order: int64 ids, counts and enum codes, float64 money and
+weights, bool flags. An enum code indexes the column's label tuple below
+(industry -1 is none); household i's member ids are
+`member_ids[member_offsets[i]:member_offsets[i + 1]]`.
 """
 from __future__ import annotations
 
@@ -16,6 +24,8 @@ import csv
 import datetime as dt
 import os
 from dataclasses import dataclass, field
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,6 +82,9 @@ DEFAULT_SECTOR_SHARES = {k: v / _total for k, v in DEFAULT_SECTOR_SHARES.items()
 del _total
 
 
+WORKER_CODES = tuple(WORK_STATUSES.index(s) for s in WORKER_STATUSES)
+
+
 class PopulationError(ValueError):
     """Raised on schema or referential violations; carries them all."""
 
@@ -82,264 +95,238 @@ class PopulationError(ValueError):
         super().__init__(f"{len(self.violations)} violation(s): {preview}{more}")
 
 
-@dataclass
-class Person:
-    person_id: int
-    household_id: int
-    age: int
-    sex: str
-    education: str
-    occupation: int
-    industry: str
-    region: str
-    work_status: str
-    employment_income: float
-    self_employment_income: float
-    capital_income: float
-    private_pension: float
-    essential_worker: bool
-    home_work_capable: bool
-    covid_state: str = "none"
-
-    @property
-    def is_worker(self) -> bool:
-        return self.work_status in WORKER_STATUSES
+_boolean = {"true": True, "false": False}.__getitem__  # raises KeyError on other text
 
 
-@dataclass
-class Household:
-    household_id: int
-    weight: float
-    member_ids: tuple
-    tenure: str
-    mortgage_payment: float
-    rent: float
-    childcare_user: bool
-    childcare_expenditure: float
-    n_children_0_4: int
-    n_children_under14: int
+# Column -> kind: int, float, _boolean, "ids" (';'-joined person ids), or
+# the label tuple that an enum column's codes index.
+_PERSON_COLUMNS = {
+    "person_id": int, "household_id": int, "age": int, "sex": SEXES,
+    "education": EDUCATIONS, "occupation": int, "industry": SECTORS, "region": REGIONS,
+    "work_status": WORK_STATUSES, "employment_income": float,
+    "self_employment_income": float, "capital_income": float, "private_pension": float,
+    "essential_worker": _boolean, "home_work_capable": _boolean, "covid_state": COVID_STATES,
+}
+_HOUSEHOLD_COLUMNS = {
+    "household_id": int, "weight": float, "member_ids": "ids", "tenure": TENURES,
+    "mortgage_payment": float, "rent": float, "childcare_user": _boolean,
+    "childcare_expenditure": float, "n_children_0_4": int, "n_children_under14": int,
+}
+_DTYPES = {int: np.int64, float: np.float64, _boolean: bool}
+
+
+class Table(SimpleNamespace):
+    """One numpy array per schema column, as attributes; `len()` is the row
+    count (the length of the first column, the id)."""
+
+    def __len__(self):
+        return len(next(iter(vars(self).values())))
 
 
 @dataclass
 class Population:
-    households: list
-    persons: list
+    households: Table
+    persons: Table
     base_period: dt.date = dt.date(2019, 12, 1)
 
 
-def validate(households, persons) -> list:
-    """Return every schema/invariant violation as a human-readable string."""
-    violations = []
-    hh_by_id = {}
-    for h in households:
-        if h.household_id in hh_by_id:
-            violations.append(f"household {h.household_id}: duplicate household_id")
-        hh_by_id[h.household_id] = h
-        if not h.weight > 0:
-            violations.append(f"household {h.household_id}: column 'weight': must be > 0")
-        if h.tenure not in TENURES:
-            violations.append(f"household {h.household_id}: column 'tenure': bad value {h.tenure!r}")
-        if h.mortgage_payment < 0 or h.rent < 0 or h.childcare_expenditure < 0:
-            violations.append(f"household {h.household_id}: negative money amount")
-        if (h.mortgage_payment > 0) != (h.tenure == "mortgage"):
-            violations.append(
-                f"household {h.household_id}: mortgage_payment > 0 must hold exactly "
-                f"for tenure 'mortgage' (tenure={h.tenure!r}, payment={h.mortgage_payment})"
-            )
-        if h.childcare_expenditure > 0 and not h.childcare_user:
-            violations.append(
-                f"household {h.household_id}: childcare_expenditure > 0 without childcare_user"
-            )
-        if h.n_children_0_4 < 0 or h.n_children_under14 < 0:
-            violations.append(f"household {h.household_id}: negative child count")
-        if not h.member_ids:
-            violations.append(f"household {h.household_id}: empty member_ids")
-
-    seen_person = {}
-    membership = {}
-    for h in households:
-        for pid in h.member_ids:
-            membership.setdefault(pid, []).append(h.household_id)
-
-    for p in persons:
-        tag = f"person {p.person_id}"
-        if p.person_id in seen_person:
-            violations.append(f"{tag}: duplicate person_id")
-        seen_person[p.person_id] = p
-        if p.age < 0:
-            violations.append(f"{tag}: column 'age': must be >= 0")
-        if p.sex not in SEXES:
-            violations.append(f"{tag}: column 'sex': bad value {p.sex!r}")
-        if p.education not in EDUCATIONS:
-            violations.append(f"{tag}: column 'education': bad value {p.education!r}")
-        if p.region not in REGIONS:
-            violations.append(f"{tag}: column 'region': bad value {p.region!r}")
-        if p.work_status not in WORK_STATUSES:
-            violations.append(f"{tag}: column 'work_status': bad value {p.work_status!r}")
-        if p.covid_state not in COVID_STATES:
-            violations.append(f"{tag}: column 'covid_state': bad value {p.covid_state!r}")
-        is_worker = p.work_status in WORKER_STATUSES
-        if is_worker:
-            if p.occupation not in range(1, 10):
-                violations.append(f"{tag}: column 'occupation': workers need a code in 1..9")
-            if p.industry not in SECTORS:
-                violations.append(f"{tag}: column 'industry': bad value {p.industry!r}")
-        else:
-            if p.occupation not in range(0, 10):
-                violations.append(f"{tag}: column 'occupation': bad code {p.occupation}")
-            if p.industry and p.industry not in SECTORS:
-                violations.append(f"{tag}: column 'industry': bad value {p.industry!r}")
-        if p.employment_income < 0 or p.capital_income < 0 or p.private_pension < 0:
-            violations.append(f"{tag}: negative income where >= 0 required")
-        if p.employment_income > 0 and p.work_status != "employee":
-            violations.append(
-                f"{tag}: employment_income > 0 requires work_status 'employee'"
-            )
-        if p.covid_state == "pup_recipient" and not (18 <= p.age <= 66):
-            violations.append(f"{tag}: pup_recipient outside the 18-66 age rule")
-        if p.household_id not in hh_by_id:
-            violations.append(
-                f"{tag}: column 'household_id': references household "
-                f"{p.household_id} absent from households"
-            )
-        homes = membership.get(p.person_id, [])
-        if len(homes) != 1:
-            violations.append(
-                f"{tag}: appears in member_ids of {len(homes)} households"
-            )
-        elif homes[0] != p.household_id:
-            violations.append(
-                f"{tag}: household_id {p.household_id} disagrees with "
-                f"member_ids of household {homes[0]}"
-            )
-
-    for pid, hhs in membership.items():
-        if pid not in seen_person:
-            violations.append(
-                f"household {hhs[0]}: member_ids references missing person {pid}"
-            )
-    return violations
+def _repeats(ids) -> np.ndarray:
+    """True on every row whose id already occurs on an earlier row."""
+    order = np.argsort(ids, kind="stable")
+    out = np.zeros(ids.size, dtype=bool)
+    out[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    return out
 
 
-def _parse_bool(text, where):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise PopulationError([f"{where}: bad boolean {text!r}"])
+def _valid(codes, labels) -> np.ndarray:
+    return (codes >= 0) & (codes < len(labels))
 
 
-def _parse(kind, text, where):
-    try:
-        return kind(text)
-    except ValueError:
-        raise PopulationError([f"{where}: bad {kind.__name__} {text!r}"]) from None
+def validate(households: Table, persons: Table, unknown=None) -> list:
+    """Return every schema/invariant violation as a human-readable string:
+    households, then persons, then missing members, each in row order.
+
+    `unknown` maps an enum column to the texts of its codes past the end of
+    its label tuple (values read from a file that the schema lacks)."""
+    unknown = unknown or {}
+    h, p = households, persons
+    hid, pid = h.household_id, p.person_id
+
+    def label(column, labels, code):
+        return "" if code == -1 else (labels + tuple(unknown.get(column, ())))[code]
+
+    def bad_value(column, labels, codes):
+        return lambda r: f"column '{column}': bad value {label(column, labels, codes[r])!r}"
+
+    household_checks = [
+        (_repeats(hid), lambda r: "duplicate household_id"),
+        (~(h.weight > 0), lambda r: "column 'weight': must be > 0"),
+        (~_valid(h.tenure, TENURES), bad_value("tenure", TENURES, h.tenure)),
+        ((h.mortgage_payment < 0) | (h.rent < 0) | (h.childcare_expenditure < 0),
+         lambda r: "negative money amount"),
+        ((h.mortgage_payment > 0) != (h.tenure == TENURES.index("mortgage")),
+         lambda r: "mortgage_payment > 0 must hold exactly for tenure 'mortgage' "
+                   f"(tenure={label('tenure', TENURES, h.tenure[r])!r}, "
+                   f"payment={float(h.mortgage_payment[r])})"),
+        ((h.childcare_expenditure > 0) & ~h.childcare_user,
+         lambda r: "childcare_expenditure > 0 without childcare_user"),
+        ((h.n_children_0_4 < 0) | (h.n_children_under14 < 0),
+         lambda r: "negative child count"),
+        (h.member_offsets[1:] == h.member_offsets[:-1], lambda r: "empty member_ids"),
+    ]
+
+    # each person's listings in member_ids: how many, and the first household
+    owner = np.repeat(hid, np.diff(h.member_offsets))
+    order = np.argsort(h.member_ids, kind="stable")
+    listed = h.member_ids[order]
+    first = np.searchsorted(listed, pid, side="left")
+    homes = np.searchsorted(listed, pid, side="right") - first
+    first_home = np.append(owner[order], 0)[first]
+
+    worker = np.isin(p.work_status, WORKER_CODES)
+    person_checks = [
+        (_repeats(pid), lambda r: "duplicate person_id"),
+        (p.age < 0, lambda r: "column 'age': must be >= 0"),
+        *[(~_valid(getattr(p, column), labels), bad_value(column, labels, getattr(p, column)))
+          for column, labels in (("sex", SEXES), ("education", EDUCATIONS), ("region", REGIONS),
+                                 ("work_status", WORK_STATUSES),
+                                 ("covid_state", COVID_STATES))],
+        # workers need an occupation in 1..9, others one in 0..9
+        ((p.occupation < worker.astype(np.int64)) | (p.occupation > 9),
+         lambda r: "column 'occupation': workers need a code in 1..9" if worker[r]
+         else f"column 'occupation': bad code {p.occupation[r]}"),
+        (~_valid(p.industry, SECTORS) & (worker | (p.industry != -1)),
+         bad_value("industry", SECTORS, p.industry)),
+        ((p.employment_income < 0) | (p.capital_income < 0) | (p.private_pension < 0),
+         lambda r: "negative income where >= 0 required"),
+        ((p.employment_income > 0) & (p.work_status != WORK_STATUSES.index("employee")),
+         lambda r: "employment_income > 0 requires work_status 'employee'"),
+        ((p.covid_state == COVID_STATES.index("pup_recipient")) & ((p.age < 18) | (p.age > 66)),
+         lambda r: "pup_recipient outside the 18-66 age rule"),
+        (~np.isin(p.household_id, hid),
+         lambda r: f"column 'household_id': references household {p.household_id[r]} "
+                   "absent from households"),
+        (homes != 1, lambda r: f"appears in member_ids of {homes[r]} households"),
+        ((homes == 1) & (first_home != p.household_id),
+         lambda r: f"household_id {p.household_id[r]} disagrees with member_ids of "
+                   f"household {first_home[r]}"),
+    ]
+
+    found = [(section, r, check, f"{tag} {ids[r]}: {message(r)}")
+             for section, tag, ids, checks in ((0, "household", hid, household_checks),
+                                               (1, "person", pid, person_checks))
+             for check, (mask, message) in enumerate(checks)
+             for r in np.flatnonzero(mask)]
+    listed_ids, first_at = np.unique(h.member_ids, return_index=True)
+    found += [(2, first_at[k], 0, f"household {owner[first_at[k]]}: member_ids "
+                                  f"references missing person {listed_ids[k]}")
+              for k in np.flatnonzero(~np.isin(listed_ids, pid))]
+    return [message for *_, message in sorted(found)]
 
 
-_PERSON_COLUMNS = (
-    "person_id", "household_id", "age", "sex", "education", "occupation",
-    "industry", "region", "work_status", "employment_income",
-    "self_employment_income", "capital_income", "private_pension",
-    "essential_worker", "home_work_capable", "covid_state",
-)
-_HOUSEHOLD_COLUMNS = (
-    "household_id", "weight", "member_ids", "tenure", "mortgage_payment",
-    "rent", "childcare_user", "childcare_expenditure", "n_children_0_4",
-    "n_children_under14",
-)
+def _codes(texts, labels, unknown: list) -> np.ndarray:
+    """Codes of the stripped texts in `labels`, -1 for ''; a text outside
+    `labels` is appended to `unknown` and coded past the end of `labels`."""
+    texts = list(map(str.strip, texts))
+    lookup = {text: code for code, text in enumerate(labels)} | {"": -1}
+    for text in sorted(set(texts) - lookup.keys()):
+        lookup[text] = len(labels) + len(unknown)
+        unknown.append(text)
+    return np.fromiter(map(lookup.__getitem__, texts), np.int64, len(texts))
 
 
-def _read_rows(path, columns):
+def _parse(texts, kind) -> np.ndarray:
+    return np.fromiter(map(kind, texts), _DTYPES[kind], len(texts))
+
+
+def _load_table(path, columns) -> tuple:
+    """One CSV file as a Table plus the unknown texts of its enum columns.
+
+    A missing or unknown column, or a row whose field count differs from the
+    header's, raises; so does the first unparseable cell, in row order and,
+    within a row, member_ids first and then column order."""
+    name = os.path.basename(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        got = tuple(reader.fieldnames or ())
-        missing = [c for c in columns if c not in got]
-        if missing:
-            raise PopulationError(
-                [f"{os.path.basename(path)}: missing column {c!r}" for c in missing]
-            )
-        return list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    problems = [f"{name}: missing column {c!r}" for c in columns if c not in header]
+    problems += [f"{name}: unknown column {c!r}" for c in header if c not in columns]
+    if problems:
+        raise PopulationError(problems)
+    ragged = next((r for r, row in enumerate(rows) if len(row) != len(header)), None)
+    if ragged is not None:
+        raise PopulationError([f"{name}:{ragged + 2}: {len(rows[ragged])} fields where the "
+                               f"header has {len(header)}"])
+    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    if "occupation" in cells:  # empty means 0, not applicable
+        cells["occupation"] = tuple(text or "0" for text in cells["occupation"])
+
+    table, unknown = {}, {}
+    try:
+        for column, kind in columns.items():
+            if kind == "ids":
+                tokens = [list(filter(None, text.split(";"))) for text in cells[column]]
+                table[column] = np.fromiter(map(int, chain.from_iterable(tokens)), np.int64)
+                table["member_offsets"] = np.cumsum([0, *map(len, tokens)], dtype=np.int64)
+            elif isinstance(kind, tuple):
+                table[column] = _codes(cells[column], kind, unknown.setdefault(column, []))
+            else:
+                table[column] = _parse(cells[column], kind)
+    except (KeyError, OverflowError, ValueError):
+        parsed = sorted(((c, k) for c, k in columns.items() if not isinstance(k, tuple)),
+                        key=lambda ck: ck[1] != "ids")  # member ids are read first
+        for r in range(len(rows)):
+            for column, kind in parsed:
+                for cell in filter(None, cells[column][r].split(";")) if kind == "ids" \
+                        else [cells[column][r]]:
+                    try:
+                        _parse((cell,), int if kind == "ids" else kind)
+                    except (KeyError, OverflowError, ValueError):
+                        what = {int: "int", "ids": "int", float: "float"}.get(kind, "boolean")
+                        raise PopulationError([f"{name}:{r + 2}: bad {what} {cell!r}"]) \
+                            from None
+        raise
+    return Table(**table), unknown
 
 
 def load_population(path, base_period: dt.date = dt.date(2019, 12, 1)) -> Population:
     """Load and validate households.csv + persons.csv from a directory."""
-    hh_path = os.path.join(path, "households.csv")
-    p_path = os.path.join(path, "persons.csv")
-    households = []
-    for lineno, rec in enumerate(_read_rows(hh_path, _HOUSEHOLD_COLUMNS), start=2):
-        where = f"households.csv:{lineno}"
-        member_ids = tuple(
-            _parse(int, tok, where) for tok in rec["member_ids"].split(";") if tok
-        )
-        households.append(
-            Household(
-                household_id=_parse(int, rec["household_id"], where),
-                weight=_parse(float, rec["weight"], where),
-                member_ids=member_ids,
-                tenure=rec["tenure"].strip(),
-                mortgage_payment=_parse(float, rec["mortgage_payment"], where),
-                rent=_parse(float, rec["rent"], where),
-                childcare_user=_parse_bool(rec["childcare_user"], where),
-                childcare_expenditure=_parse(float, rec["childcare_expenditure"], where),
-                n_children_0_4=_parse(int, rec["n_children_0_4"], where),
-                n_children_under14=_parse(int, rec["n_children_under14"], where),
-            )
-        )
-    persons = []
-    for lineno, rec in enumerate(_read_rows(p_path, _PERSON_COLUMNS), start=2):
-        where = f"persons.csv:{lineno}"
-        persons.append(
-            Person(
-                person_id=_parse(int, rec["person_id"], where),
-                household_id=_parse(int, rec["household_id"], where),
-                age=_parse(int, rec["age"], where),
-                sex=rec["sex"].strip(),
-                education=rec["education"].strip(),
-                occupation=_parse(int, rec["occupation"] or "0", where),
-                industry=rec["industry"].strip(),
-                region=rec["region"].strip(),
-                work_status=rec["work_status"].strip(),
-                employment_income=_parse(float, rec["employment_income"], where),
-                self_employment_income=_parse(float, rec["self_employment_income"], where),
-                capital_income=_parse(float, rec["capital_income"], where),
-                private_pension=_parse(float, rec["private_pension"], where),
-                essential_worker=_parse_bool(rec["essential_worker"], where),
-                home_work_capable=_parse_bool(rec["home_work_capable"], where),
-                covid_state=rec["covid_state"].strip(),
-            )
-        )
-    violations = validate(households, persons)
+    households, unknown = _load_table(os.path.join(path, "households.csv"),
+                                      _HOUSEHOLD_COLUMNS)
+    persons, unknown_persons = _load_table(os.path.join(path, "persons.csv"),
+                                           _PERSON_COLUMNS)
+    violations = validate(households, persons, unknown | unknown_persons)
     if violations:
         raise PopulationError(violations)
     return Population(households=households, persons=persons, base_period=base_period)
 
 
+def _texts(table: Table, column, kind) -> list:
+    """One column as the strings save_population writes."""
+    values = getattr(table, column)
+    if kind == "ids":
+        ids, bounds = values.astype(str).tolist(), table.member_offsets.tolist()
+        return [";".join(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if isinstance(kind, tuple):
+        return np.array(kind + ("",))[values].tolist()  # code -1 is the empty text
+    if kind is _boolean:
+        return np.where(values, "true", "false").tolist()
+    if kind is float:  # weights keep every digit, money two decimals
+        return list(map(repr if column == "weight" else "{:.2f}".format, values.tolist()))
+    return values.tolist()
+
+
 def save_population(pop: Population, path) -> None:
     """Write households.csv + persons.csv; output is byte-stable."""
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "households.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HOUSEHOLD_COLUMNS)
-        for h in pop.households:
-            writer.writerow([
-                h.household_id, repr(h.weight), ";".join(str(i) for i in h.member_ids),
-                h.tenure, f"{h.mortgage_payment:.2f}", f"{h.rent:.2f}",
-                "true" if h.childcare_user else "false",
-                f"{h.childcare_expenditure:.2f}", h.n_children_0_4, h.n_children_under14,
-            ])
-    with open(os.path.join(path, "persons.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_PERSON_COLUMNS)
-        for p in pop.persons:
-            writer.writerow([
-                p.person_id, p.household_id, p.age, p.sex, p.education,
-                p.occupation, p.industry, p.region, p.work_status,
-                f"{p.employment_income:.2f}", f"{p.self_employment_income:.2f}",
-                f"{p.capital_income:.2f}", f"{p.private_pension:.2f}",
-                "true" if p.essential_worker else "false",
-                "true" if p.home_work_capable else "false",
-                p.covid_state,
-            ])
+    for name, table, columns in (("households.csv", pop.households, _HOUSEHOLD_COLUMNS),
+                                 ("persons.csv", pop.persons, _PERSON_COLUMNS)):
+        texts = [_texts(table, column, kind) for column, kind in columns.items()]
+        with open(os.path.join(path, name), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(zip(*texts))
 
 
 @dataclass
@@ -356,45 +343,55 @@ class SynthConfig:
     base_period: dt.date = dt.date(2019, 12, 1)
 
 
+_SWITCH = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
+
+
 def parse_synth_config(path) -> SynthConfig:
     """Parse a key=value synth.cfg; bracketed keys override per-sector maps.
 
     Recognised keys: households, income_location, income_scale,
-    weight_jitter (on/off), base_period (ISO date), sector_share[<sector>],
-    income_offset[<sector>], essential_share[<sector>].
+    weight_jitter (on/true/1 or off/false/0), base_period (ISO date),
+    sector_share[<sector>], income_offset[<sector>], essential_share[<sector>]
+    (in [0, 1]). Anything else, an unknown sector or a bad value raises
+    PopulationError naming the line and the key.
     """
     cfg = SynthConfig()
+    scalars = {"households": int, "income_location": float, "income_scale": float,
+               "weight_jitter": _SWITCH.__getitem__, "base_period": dt.date.fromisoformat}
     explicit_shares = {}
+    sector_maps = {"sector_share": explicit_shares, "income_offset": cfg.income_offsets,
+                   "essential_share": cfg.essential_shares}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"synth.cfg:{lineno}"
             if "=" not in line:
-                raise PopulationError([f"synth.cfg:{lineno}: expected key = value"])
+                raise PopulationError([f"{where}: expected key = value"])
             key, value = (tok.strip() for tok in line.split("=", 1))
-            if key == "households":
-                cfg.households = int(value)
-            elif key == "income_location":
-                cfg.income_location = float(value)
-            elif key == "income_scale":
-                cfg.income_scale = float(value)
-            elif key == "weight_jitter":
-                cfg.weight_jitter = value in ("on", "true", "1")
-            elif key == "base_period":
-                cfg.base_period = dt.date.fromisoformat(value)
-            elif key.startswith("sector_share[") and key.endswith("]"):
-                explicit_shares[key[13:-1].strip()] = float(value)
-            elif key.startswith("income_offset[") and key.endswith("]"):
-                cfg.income_offsets[key[14:-1].strip()] = float(value)
-            elif key.startswith("essential_share[") and key.endswith("]"):
-                cfg.essential_shares[key[16:-1].strip()] = float(value)
+
+            def parsed(convert):
+                try:
+                    return convert(value)
+                except (KeyError, ValueError):
+                    raise PopulationError([f"{where}: {key} has a bad value {value!r}"]) \
+                        from None
+
+            head, _, sector = key.partition("[")
+            if key in scalars:
+                setattr(cfg, key, parsed(scalars[key]))
+            elif head in sector_maps and sector.endswith("]"):
+                sector = sector[:-1].strip()
+                if sector not in SECTORS:
+                    raise PopulationError([f"{where}: {key}: unknown sector {sector!r}"])
+                number = parsed(float)
+                if head == "essential_share" and not 0.0 <= number <= 1.0:
+                    raise PopulationError([f"{where}: {key} must lie in [0, 1], got {value}"])
+                sector_maps[head][sector] = number
             else:
-                raise PopulationError([f"synth.cfg:{lineno}: unknown key {key!r}"])
+                raise PopulationError([f"{where}: unknown key {key!r}"])
     if explicit_shares:
-        unknown = sorted(set(explicit_shares) - set(SECTORS))
-        if unknown:
-            raise PopulationError([f"synth.cfg: unknown sector {s!r}" for s in unknown])
         remainder = 1.0 - sum(explicit_shares.values())
         if remainder < -1e-9:
             raise PopulationError(["synth.cfg: sector shares exceed 1"])
@@ -416,6 +413,22 @@ def _quota_counts(shares: dict, n: int) -> dict:
     return counts
 
 
+def _generated_table(values: dict, columns) -> Table:
+    """Table of generated column values: enum labels become codes, and the
+    member_ids column holds household sizes, as persons are numbered from 1
+    in household order."""
+    table = {}
+    for column, kind in columns.items():
+        if kind == "ids":
+            table["member_offsets"] = np.cumsum([0, *values[column]], dtype=np.int64)
+            table[column] = np.arange(1, table["member_offsets"][-1] + 1, dtype=np.int64)
+        elif isinstance(kind, tuple):
+            table[column] = _codes(values[column], kind, [])
+        else:
+            table[column] = np.array(values[column], dtype=_DTYPES[kind])
+    return Table(**table)
+
+
 def generate_synthetic(config: SynthConfig, seed: int) -> Population:
     """Deterministic synthetic population: a pure function of (config, seed).
 
@@ -428,8 +441,8 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
     if config.households <= 0:
         raise PopulationError(["synthetic generator needs a positive household count"])
     rng = np.random.default_rng(np.random.SeedSequence([0x5E3D, seed & 0xFFFFFFFF]))
-    households = []
-    persons = []
+    households = []  # one tuple per household, the size in place of its member ids
+    persons = []  # one tuple per person, in _PERSON_COLUMNS order
     next_pid = 1
 
     def new_person(hid, age, work_status, rng):
@@ -461,13 +474,8 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
         home_capable = False
         if occupation:
             home_capable = rng.random() < (0.7 if occupation <= 4 else (0.3 if occupation == 9 else 0.15))
-        return Person(
-            person_id=pid, household_id=hid, age=age, sex=sex, education=education,
-            occupation=occupation, industry="", region=region, work_status=work_status,
-            employment_income=0.0, self_employment_income=0.0, capital_income=capital,
-            private_pension=pension, essential_worker=False,
-            home_work_capable=home_capable, covid_state="none",
-        )
+        return (pid, hid, age, sex, education, occupation, "", region, work_status,
+                0.0, 0.0, capital, pension, False, home_capable, "none")
 
     def adult_status(age, rng):
         u = rng.random()
@@ -517,19 +525,19 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
             for _ in range(n_kids):
                 member_list.append(new_person(hid, int(rng.integers(0, 16)), "child", rng))
 
-        head_age = member_list[0].age
+        ages = [member[2] for member in member_list]  # column 2 is age
         u = rng.random()
-        if head_age < 35:
+        if ages[0] < 35:
             tenure = "renter" if u < 0.55 else ("mortgage" if u < 0.90 else "owner_outright")
-        elif head_age < 60:
+        elif ages[0] < 60:
             tenure = "renter" if u < 0.20 else ("mortgage" if u < 0.70 else "owner_outright")
         else:
             tenure = "renter" if u < 0.12 else ("mortgage" if u < 0.25 else "owner_outright")
         mortgage = round(float(rng.lognormal(6.8, 0.35)), 2) if tenure == "mortgage" else 0.0
         rent = round(float(rng.lognormal(6.95, 0.30)), 2) if tenure == "renter" else 0.0
 
-        kids_0_4 = sum(1 for p in member_list if p.age <= 4)
-        kids_u14 = sum(1 for p in member_list if p.age < 14)
+        kids_0_4 = sum(1 for age in ages if age <= 4)
+        kids_u14 = sum(1 for age in ages if age < 14)
         childcare_user = False
         childcare_spend = 0.0
         if kids_0_4 > 0 and rng.random() < 0.55:
@@ -540,36 +548,34 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
             childcare_spend = round(float(rng.lognormal(4.9, 0.5)), 2)
 
         weight = round(float(0.5 + rng.random()), 6) if config.weight_jitter else 1.0
-        households.append(
-            Household(
-                household_id=hid, weight=weight,
-                member_ids=tuple(p.person_id for p in member_list),
-                tenure=tenure, mortgage_payment=mortgage, rent=rent,
-                childcare_user=childcare_user, childcare_expenditure=childcare_spend,
-                n_children_0_4=kids_0_4, n_children_under14=kids_u14,
-            )
-        )
+        households.append((hid, weight, len(member_list), tenure, mortgage, rent,
+                           childcare_user, childcare_spend, kids_0_4, kids_u14))
         persons.extend(member_list)
 
+    values = dict(zip(_PERSON_COLUMNS, map(list, zip(*persons))))
     # sector assignment by quota keeps realized shares within one worker
-    workers = [i for i, p in enumerate(persons) if p.is_worker]
+    status = values["work_status"]
+    workers = [i for i, s in enumerate(status) if s in WORKER_STATUSES]
     counts = _quota_counts(config.sector_shares, len(workers))
     sector_slots = []
     for s in SECTORS:
         sector_slots.extend([s] * counts.get(s, 0))
     order = rng.permutation(len(workers))
-    for slot, widx in zip(sector_slots, (workers[i] for i in order)):
-        p = persons[widx]
-        p.industry = slot
-        p.essential_worker = bool(rng.random() < config.essential_shares.get(slot, 0.3))
+    for slot, i in zip(sector_slots, (workers[k] for k in order)):
+        values["industry"][i] = slot
+        values["essential_worker"][i] = bool(rng.random() < config.essential_shares.get(slot, 0.3))
         location = config.income_location + config.income_offsets.get(slot, 0.0)
         amount = round(float(rng.lognormal(location, config.income_scale)), 2)
-        if p.work_status == "employee":
-            p.employment_income = amount
+        if status[i] == "employee":
+            values["employment_income"][i] = amount
         else:
-            p.self_employment_income = round(amount * 0.9, 2)
+            values["self_employment_income"][i] = round(amount * 0.9, 2)
 
-    violations = validate(households, persons)
+    person_table = _generated_table(values, _PERSON_COLUMNS)
+    household_table = _generated_table(dict(zip(_HOUSEHOLD_COLUMNS, zip(*households))),
+                                       _HOUSEHOLD_COLUMNS)
+    violations = validate(household_table, person_table)
     if violations:  # would be a generator bug, not a data fault
         raise PopulationError(violations)
-    return Population(households=households, persons=persons, base_period=config.base_period)
+    return Population(households=household_table, persons=person_table,
+                      base_period=config.base_period)

@@ -32,18 +32,20 @@ import csv
 import datetime as dt
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expenses, igm, metrics, taxben
 from .calibration import AlignmentError, align_binary, align_by_score, align_continuous
 from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
-from .population import SECTORS, Population
+from .population import (EDUCATIONS, REGIONS, SECTORS, WORK_STATUSES, WORKER_CODES,
+                         Population, Table)
 from .rng import anchored_uniform, keyed_uniform
 
 CASE_AGE_BANDS = ("0", "1-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64", "65+")
 _CASE_BAND_EDGES = (1, 5, 15, 25, 35, 45, 55, 65)
+NATIONAL_KEYS = ("population_total", "mortgage_count")  # plus sector_employment:<sector>
 
 
 class ScenarioError(ValueError):
@@ -182,9 +184,11 @@ def load_national_reference(path) -> dict:
                 if sector not in SECTORS:
                     raise ControlError(f"{path}:{lineno}: unknown sector {sector!r}")
                 ref["sector_employment"][sector] = value
-            else:
+            elif key in NATIONAL_KEYS:
                 ref[key] = value
-    for required in ("population_total", "mortgage_count"):
+            else:
+                raise ControlError(f"{path}:{lineno}: unknown key {key!r}")
+    for required in NATIONAL_KEYS:
         if required not in ref:
             raise ControlError(f"{path}: missing key {required!r}")
     missing = [s for s in SECTORS if s not in ref["sector_employment"]]
@@ -360,71 +364,60 @@ def nowcast_baseline(pop: Population, controls: ControlTotals, seed: int) -> Pop
     built from anchored uniforms, so targets equal to the observed rates
     leave the population untouched and shifted targets flip the loosest
     attachments first. Employee earnings are then uprated to the wage
-    index. Returns a new Population; the input is not modified.
+    index. Returns a new Population holding copies of the changed columns;
+    the input is not modified.
     """
-    persons = [replace(p) for p in pop.persons]
-    weights = {h.household_id: h.weight for h in pop.households}
+    p = pop.persons
+    changed = {}
+    order = np.argsort(pop.households.household_id)
+    weight = pop.households.weight[order[np.searchsorted(
+        pop.households.household_id, p.household_id, sorter=order)]]
+    employee = p.work_status == WORK_STATUSES.index("employee")
     if controls.employment_rate_by_age:
-        bands = case_age_band([p.age for p in persons])
-        med = _weighted_median(
-            [p.employment_income for p in persons if p.work_status == "employee"],
-            [weights[p.household_id] for p in persons if p.work_status == "employee"],
-        )
-        shares = np.cumsum([_worker_share(pop, s) for s in SECTORS])
+        changed = {name: getattr(p, name).copy() for name in (
+            "work_status", "industry", "occupation", "employment_income",
+            "self_employment_income")}
+        status, emp = changed["work_status"], changed["employment_income"]
+        bands = case_age_band(p.age)
+        med = _weighted_median(p.employment_income[employee], weight[employee])
+        worker = np.isin(p.work_status, WORKER_CODES)
+        counts = np.bincount(p.industry[worker], minlength=len(SECTORS)).astype(np.float64)
+        shares = np.cumsum(np.where(counts > 0, counts, 1e-9))
         for band, rate in sorted(controls.employment_rate_by_age.items()):
-            idx = [i for i in range(len(persons))
-                   if bands[i] == band and persons[i].age >= 16]
-            if not idx:
+            idx = np.flatnonzero((bands == band) & (p.age >= 16))
+            if not idx.size:
                 continue
-            w = np.array([weights[persons[i].household_id] for i in idx])
-            observed = np.array([persons[i].is_worker for i in idx])
-            pids = np.array([persons[i].person_id for i in idx])
+            w, observed, pids = weight[idx], worker[idx], p.person_id[idx]
             p0 = float(np.sum(w[observed]) / np.sum(w))
             p0 = min(max(p0, 1e-9), 1.0 - 1e-9)
             u = anchored_uniform(p0, observed, keyed_uniform(seed, "employment", pids))
-            target = rate * float(np.sum(w))
-            chosen = set(align_by_score(pids, -u, w, target).tolist())
-            for i in idx:
-                p = persons[i]
-                selected = p.person_id in chosen
-                if selected and not p.is_worker:
-                    sector_u = keyed_uniform(seed, "employment:sector", p.person_id)
-                    sector = SECTORS[int(np.searchsorted(shares, sector_u * shares[-1]))]
-                    occupation = p.occupation or 1 + int(
-                        keyed_uniform(seed, "employment:occ", p.person_id) * 9)
-                    persons[i] = replace(
-                        p, work_status="employee", industry=sector,
-                        occupation=occupation, employment_income=med,
-                    )
-                elif not selected and p.is_worker:
-                    persons[i] = replace(
-                        p, work_status="unemployed",
-                        employment_income=0.0, self_employment_income=0.0,
-                    )
+            selected = np.isin(pids, align_by_score(pids, -u, w, rate * float(np.sum(w))))
+            hired, fired = idx[selected & ~observed], idx[~selected & observed]
+            sector_u = keyed_uniform(seed, "employment:sector", p.person_id[hired])
+            changed["industry"][hired] = np.searchsorted(shares, sector_u * shares[-1])
+            drawn = 1 + (keyed_uniform(seed, "employment:occ", p.person_id[hired]) * 9).astype(int)
+            changed["occupation"][hired] = np.where(p.occupation[hired], p.occupation[hired], drawn)
+            status[hired] = WORK_STATUSES.index("employee")
+            emp[hired] = med
+            status[fired] = WORK_STATUSES.index("unemployed")
+            emp[fired] = 0.0
+            changed["self_employment_income"][fired] = 0.0
+        employee = status == WORK_STATUSES.index("employee")
     if controls.wage_index != 1.0:
-        emp = [i for i, p in enumerate(persons) if p.work_status == "employee"]
-        values = np.array([persons[i].employment_income for i in emp])
-        w = np.array([weights[persons[i].household_id] for i in emp])
+        emp = changed.setdefault("employment_income", p.employment_income.copy())
+        values, w = emp[employee], weight[employee]
         current = float(np.sum(values * w) / np.sum(w))
-        scaled = align_continuous(values, w, controls.wage_index * current)
-        for i, v in zip(emp, scaled):
-            persons[i] = replace(persons[i], employment_income=float(v))
-    return Population(households=pop.households, persons=persons,
+        emp[employee] = align_continuous(values, w, controls.wage_index * current)
+    return Population(households=pop.households, persons=Table(**{**vars(p), **changed}),
                       base_period=pop.base_period)
 
 
 def _weighted_median(values, weights) -> float:
     if not len(values):
         return 0.0
-    v = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    order = np.argsort(v)
-    cum = np.cumsum(w[order])
-    return float(v[order][np.searchsorted(cum, 0.5 * cum[-1])])
-
-
-def _worker_share(pop: Population, sector: str) -> float:
-    return sum(1.0 for p in pop.persons if p.is_worker and p.industry == sector) or 1e-9
+    order = np.argsort(values)
+    cum = np.cumsum(weights[order])
+    return float(values[order][np.searchsorted(cum, 0.5 * cum[-1])])
 
 
 # -- baseline state --------------------------------------------------------------
@@ -473,33 +466,30 @@ class BaselineState:
 
 def build_baseline(pop: Population, tables: DataTables,
                    schedules: taxben.PolicySchedules, seed: int) -> BaselineState:
-    persons = sorted(pop.persons, key=lambda p: p.person_id)
-    households = sorted(pop.households, key=lambda h: h.household_id)
-    hid = np.array([h.household_id for h in households], dtype=np.int64)
-    pid = np.array([p.person_id for p in persons], dtype=np.int64)
-    hh_row = np.searchsorted(hid, np.array([p.household_id for p in persons]))
-    hh_weight = np.array([h.weight for h in households], dtype=np.float64)
-
-    age = np.array([p.age for p in persons], dtype=np.int64)
-    status = np.array([taxben.STATUS_CODES[p.work_status] for p in persons], dtype=np.int64)
-    sector_index = {s: i for i, s in enumerate(SECTORS)}
-    sector_idx = np.array([sector_index.get(p.industry, -1) for p in persons], dtype=np.int64)
-    is_worker = np.array([p.is_worker for p in persons], dtype=bool)
-    emp = np.array([cents(p.employment_income) for p in persons], dtype=np.int64)
-    se = np.array([cents(p.self_employment_income) for p in persons], dtype=np.int64)
-    cap = np.array([cents(p.capital_income) for p in persons], dtype=np.int64)
-    pens = np.array([cents(p.private_pension) for p in persons], dtype=np.int64)
+    hh_order = np.argsort(pop.households.household_id, kind="stable")
+    p_order = np.argsort(pop.persons.person_id, kind="stable")
+    households = Table(**{name: column[hh_order] for name, column in vars(pop.households).items()
+                          if name not in ("member_ids", "member_offsets")})  # not per row
+    persons = Table(**{name: column[p_order] for name, column in vars(pop.persons).items()})
+    hid, pid, age = households.household_id, persons.person_id, persons.age
+    hh_row = np.searchsorted(hid, persons.household_id)
+    hh_weight = households.weight
+    is_worker = np.isin(persons.work_status, WORKER_CODES)
+    emp = cents(persons.employment_income)
+    se = cents(persons.self_employment_income)
+    cap = cents(persons.capital_income)
+    pens = cents(persons.private_pension)
     weekly_earn = round_div(emp + np.maximum(se, 0), 52)
 
     # baseline taxes/benefits -> household disposable, for deciles and childcare
     n_hh = hid.size
     accounts = taxben.household_accounts(
-        status, np.zeros(pid.size, dtype=np.int64), weekly_earn, emp, se, cap, pens,
+        persons.work_status, np.zeros(pid.size, dtype=np.int64), weekly_earn, emp, se, cap, pens,
         hh_row, n_hh, pop.base_period, taxben.PolicyState(), schedules)
     take_home_weekly = round_div(np.maximum(emp - accounts.person_tax, 0), 52)
     disposable_hh = accounts.market + accounts.benefits - accounts.taxes
 
-    children_u14 = np.array([h.n_children_under14 for h in households], dtype=np.int64)
+    children_u14 = households.n_children_under14
     members = np.bincount(hh_row, minlength=n_hh).astype(np.int64)
     adults_14plus = members - children_u14
     scale = metrics.equivalence_scale(adults_14plus, children_u14)
@@ -514,13 +504,11 @@ def build_baseline(pop: Population, tables: DataTables,
     quintile_hh = metrics.weighted_quantile_groups(equiv_disposable, group_weight, 5, ids=hid)
     quintile_p = quintile_hh[hh_row]
 
-    region_bmw = np.array([1.0 if p.region.startswith("border") else 0.0 for p in persons])
-    occupation = np.array([p.occupation for p in persons], dtype=np.int64)
-    university = np.array([1.0 if p.education == "university" else 0.0 for p in persons])
-    industry = [p.industry for p in persons]
+    region_bmw = (persons.region == REGIONS.index("border, midland and western")).astype(float)
+    university = (persons.education == EDUCATIONS.index("university")).astype(float)
     commute_mode = expenses.assign_commute_modes(
-        tables.models, tables.sector_groups, is_worker, industry, region_bmw,
-        occupation, age, university, pid, seed)
+        tables.models, tables.sector_groups, is_worker, persons.industry, region_bmw,
+        persons.occupation, age, university, pid, seed)
 
     n_workers_hh = np.bincount(hh_row, weights=is_worker.astype(float),
                                minlength=n_hh).astype(np.int64)
@@ -533,12 +521,12 @@ def build_baseline(pop: Population, tables: DataTables,
         tables.models, tables.childcare_grid,
         household_ids=hid, weights=hh_weight, family_types=ftypes,
         deciles=decile_hh,
-        n_children_0_4=np.array([h.n_children_0_4 for h in households]),
+        n_children_0_4=households.n_children_0_4,
         n_children_under14=children_u14,
         equiv_disposable_week_eur=equiv_disposable * 12.0 / 52.0,
         two_workers_flag=two_workers,
-        observed_user=np.array([h.childcare_user for h in households]),
-        observed_spend_eur=np.array([h.childcare_expenditure for h in households]),
+        observed_user=households.childcare_user,
+        observed_spend_eur=households.childcare_expenditure,
         seed=seed,
     )
 
@@ -549,17 +537,16 @@ def build_baseline(pop: Population, tables: DataTables,
     return BaselineState(
         base_date=pop.base_period,
         pid=pid, hh_row=hh_row, age=age, person_weight=person_weight,
-        status=status, sector_idx=sector_idx, is_worker=is_worker,
-        essential=np.array([p.essential_worker for p in persons], dtype=bool),
-        home_capable=np.array([p.home_work_capable for p in persons], dtype=bool),
+        status=persons.work_status, sector_idx=persons.industry, is_worker=is_worker,
+        essential=persons.essential_worker, home_capable=persons.home_work_capable,
         emp_cents=emp, se_cents=se, cap_cents=cap, pens_cents=pens,
         weekly_earn_cents=weekly_earn, take_home_weekly_cents=take_home_weekly,
         commute_mode=commute_mode, case_band=case_age_band(age),
         cap_band=cap_band, cap_quintile=quintile_p, cap_participant=cap_participant,
         hid=hid, hh_weight=hh_weight,
-        tenure_code=np.array([expenses.TENURE_CODES[h.tenure] for h in households]),
-        mortgage_cents=np.array([cents(h.mortgage_payment) for h in households]),
-        rent_cents=np.array([cents(h.rent) for h in households]),
+        tenure_code=households.tenure,
+        mortgage_cents=cents(households.mortgage_payment),
+        rent_cents=cents(households.rent),
         adults_14plus=adults_14plus, children_under14=children_u14,
         equiv_scale=np.asarray(scale, dtype=np.float64),
         childcare_weekly_cents=childcare_weekly,

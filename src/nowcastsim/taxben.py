@@ -33,10 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
+from .population import COVID_STATES, WORK_STATUSES
 
 TWSS_START = dt.date(2020, 3, 13)
 # Handover from the temporary to the employment wage subsidy scheme.
 EWSS_HANDOVER = dt.date(2020, 9, 1)
+# tax_system.cfg keys besides `band`
+TAX_KEYS = ("credit", "si_rate", "si_floor", "unemployment_rate_weekly", "pension_rate_weekly")
 
 
 class PolicyError(ValueError):
@@ -203,8 +206,10 @@ def load_tax_system(path) -> TaxSystem:
                 threshold, _, rate = value.partition(":")
                 bands.append((cents(number("band threshold", threshold, lineno)),
                               number("band rate", rate, lineno)))
-            else:
+            elif key in TAX_KEYS:
                 values[key] = number(key, value, lineno)
+            else:
+                raise PolicyError(f"{name}:{lineno}: unknown key {key!r}")
     bands.sort()
     try:
         return TaxSystem(
@@ -300,9 +305,8 @@ def income_tax_cents(taxable_annual_cents, system: TaxSystem):
 
 
 # work_status / covid_state integer codes used on the vectorised path
-STATUS_CODES = {"employee": 0, "self-employed": 1, "unemployed": 2, "retired": 3,
-                "inactive": 4, "student": 5, "child": 6}
-COVID_CODES = {"none": 0, "pup_recipient": 1, "ceib_recipient": 2, "wage_subsidised": 3}
+STATUS_CODES = {status: code for code, status in enumerate(WORK_STATUSES)}
+COVID_CODES = {state: code for code, state in enumerate(COVID_STATES)}
 
 
 @dataclass(frozen=True)

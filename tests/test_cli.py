@@ -274,3 +274,48 @@ def test_non_numeric_tax_system_is_located(policy_dir, data_dir, tmp_path, capsy
                  "--policy-dir", str(tmp_path / "policy")])
     assert code == 1
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "synth"])
+@pytest.mark.parametrize("line", ["weight_jitter = yes", "essential_share[not a sector] = 0.5",
+                                  "income_offset[manufactoring] = 0.1", "households = lots"])
+def test_bad_synth_config_exits_one(data_dir, tmp_path, capsys, command, line):
+    synth = tmp_path / "synth.cfg"
+    synth.write_text(f"households = 40\n{line}\n")
+    key = line.split(" =")[0]
+    if command == "synth":
+        args = ["synth", "--config", str(synth), "--out", str(tmp_path / "out")]
+    else:
+        args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                "--synth-config", str(synth)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert f"synth.cfg:2: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_population_column_exits_one(data_dir, tmp_path, capsys):
+    save_population(generate_synthetic(SynthConfig(households=3), 1), tmp_path)
+    lines = (tmp_path / "households.csv").read_text().splitlines()
+    lines = [lines[0] + ",rooms"] + [line + ",4" for line in lines[1:]]
+    (tmp_path / "households.csv").write_text("\n".join(lines) + "\n")
+    code = main(["validate", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                 "--population", str(tmp_path)])
+    assert code == 1
+    assert "households.csv: unknown column 'rooms'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, old, new, where", [
+    ("policy/tax_system.cfg", "si_rate = 0.04", "si_rate = 0.04\ncredits = 5000",
+     "tax_system.cfg:6: unknown key 'credits'"),
+    ("national_reference.csv", "mortgage_count,", "mortgage_cont,5\nmortgage_count,",
+     "national_reference.csv:20: unknown key 'mortgage_cont'"),
+])
+def test_unknown_reference_key_exits_one(data_dir, tmp_path, capsys, name, old, new, where):
+    edited_copy(data_dir, tmp_path / "data", name, old, new)
+    code = main(["validate", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                 "--data-dir", str(tmp_path / "data"),
+                 "--policy-dir", str(tmp_path / "data" / "policy")])
+    assert code == 1
+    assert where in capsys.readouterr().err

@@ -1,0 +1,145 @@
+"""Engine-level properties on small random populations built directly as
+columns: the adjusted-income identity on every wave, the null wave as a
+fixed point, and nested PUP recipient sets as the sector targets rise."""
+import datetime as dt
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nowcastsim import taxben
+from nowcastsim.calibration import AlignmentError
+from nowcastsim.population import (SECTORS, TENURES, WORK_STATUSES, Population, Table,
+                                   validate)
+from nowcastsim.scenario import CASE_AGE_BANDS, ControlTotals, WavePoint, apply_wave, \
+    build_baseline
+
+DATES = [dt.date(2020, 5, 5), dt.date(2020, 11, 15), dt.date(2021, 2, 23)]
+PUP = taxben.COVID_CODES["pup_recipient"]
+
+
+def column_population(seed: int, n_households: int) -> Population:
+    """A valid population of `n_households`, drawn column by column. Every
+    worker is an employee or self-employed person aged 18-66 with yearly
+    pay the wage-subsidy schemes cover."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, n_households)
+    n = int(sizes.sum())
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    hh_row = np.repeat(np.arange(n_households), sizes)
+    age = rng.integers(0, 90, n)
+    age[offsets[:-1]] = rng.integers(18, 90, n_households)  # every head is an adult
+    code = WORK_STATUSES.index
+    status = np.where(age < 16, code("child"),
+                      rng.choice([code(s) for s in WORK_STATUSES[:6]], n))
+    status[(age > 66) & (status <= 1)] = code("retired")
+    status[(age < 18) & (status <= 1)] = code("student")
+    worker = status <= 1
+    employee = status == code("employee")
+    pay = rng.uniform(10_000, 60_000, n).round(2)
+    mortgage = rng.random(n_households) < 0.4
+    tenure = np.where(mortgage, TENURES.index("mortgage"),
+                      rng.choice([TENURES.index("renter"), TENURES.index("owner_outright")],
+                                 n_households))
+    kids_0_4 = np.bincount(hh_row, weights=age <= 4, minlength=n_households).astype(int)
+    kids_u14 = np.bincount(hh_row, weights=age < 14, minlength=n_households).astype(int)
+    childcare = (kids_u14 > 0) & (rng.random(n_households) < 0.5)
+    households = Table(
+        household_id=np.arange(1, n_households + 1), weight=rng.uniform(0.5, 1.5, n_households),
+        member_ids=np.arange(1, n + 1), member_offsets=offsets, tenure=tenure,
+        mortgage_payment=np.where(mortgage, rng.uniform(500, 1500, n_households).round(2), 0.0),
+        rent=np.where(tenure == TENURES.index("renter"), 900.0, 0.0),
+        childcare_user=childcare,
+        childcare_expenditure=np.where(childcare, rng.uniform(50, 200, n_households).round(2),
+                                       0.0),
+        n_children_0_4=kids_0_4, n_children_under14=kids_u14)
+    persons = Table(
+        person_id=np.arange(1, n + 1), household_id=hh_row + 1, age=age,
+        sex=rng.integers(0, 2, n), education=rng.integers(0, 3, n),
+        occupation=np.where(worker, rng.integers(1, 10, n), 0),
+        industry=np.where(worker, rng.integers(0, len(SECTORS), n), -1),
+        region=rng.integers(0, 2, n), work_status=status,
+        employment_income=np.where(employee, pay, 0.0),
+        self_employment_income=np.where(worker & ~employee, pay - 15_000, 0.0),
+        capital_income=np.where((age >= 18) & (rng.random(n) < 0.2), 300.0, 0.0),
+        private_pension=np.where(status == code("retired"), 8_000.0, 0.0),
+        essential_worker=worker & (rng.random(n) < 0.3),
+        home_work_capable=worker & (rng.random(n) < 0.5),
+        covid_state=np.zeros(n, dtype=np.int64))
+    assert validate(households, persons) == []
+    return Population(households=households, persons=persons)
+
+
+def controls_at(date, tables, base, pup=0.0, ceib=0.0, subsidy=0.0, deferrals=0.0):
+    """Control totals whose rescaled targets are the given shares of each
+    sector's worker weight (PUP, subsidy), of each age band's worker
+    weight (CEIB) and of the mortgage holders' weight (deferrals)."""
+    national = tables.national
+    band_weight = {band: float(base.person_weight[base.is_worker
+                                                  & (base.case_band == band)].sum())
+                   for band in CASE_AGE_BANDS}
+    pop_share = float(base.person_weight.sum()) / national["population_total"]
+    return ControlTotals(
+        date=date,
+        pup_by_sector={s: pup * national["sector_employment"][s] for s in SECTORS},
+        ceib_cases={(band, True): ceib * w / pop_share for band, w in band_weight.items()},
+        subsidy_by_sector={s: subsidy * national["sector_employment"][s] for s in SECTORS},
+        deferral_count=deferrals * national["mortgage_count"],
+        index_change_factor=-0.35)
+
+
+POPULATIONS = st.tuples(st.integers(0, 10 ** 6), st.integers(5, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=POPULATIONS, date=st.sampled_from(DATES),
+       switches=st.lists(st.booleans(), min_size=7, max_size=7),
+       subsidy=st.sampled_from(["none", "auto"]),  # auto: the scheme in force at the date
+       shares=st.lists(st.floats(0.0, 0.3), min_size=4, max_size=4))
+def test_adjusted_identity_on_every_wave(tables, schedules, population, date, switches,
+                                         subsidy, shares):
+    base = build_baseline(column_population(*population), tables, schedules, seed=5)
+    pup_on, ceib_on, childcare, deferrals_on, capital_on, home, booking = switches
+    wave = WavePoint(label="w", date=date, pup_on=pup_on, ceib_on=ceib_on, subsidy=subsidy,
+                     childcare_support=childcare, deferrals_on=deferrals_on,
+                     capital_on=capital_on, home_working_on=home)
+    try:
+        r = apply_wave(base, controls_at(date, tables, base, *shares), wave, tables,
+                       schedules, seed=5, capital_booking="once" if booking else "amortized")
+    except AlignmentError:  # CEIB and job losses left too few subsidy candidates
+        assume(False)
+    assert np.array_equal(r.adjusted,
+                          r.disposable - r.housing - r.capital_adjustment - r.work_expenses)
+    assert np.array_equal(r.gross, r.market + r.benefits)
+    assert np.array_equal(r.disposable, r.gross - r.taxes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(population=POPULATIONS, date=st.sampled_from(DATES))
+def test_null_wave_is_a_fixed_point(tables, schedules, population, date):
+    """With no instrument switched on, a wave at any date leaves every
+    person's state and every income where the base date has them."""
+    base = build_baseline(column_population(*population), tables, schedules, seed=5)
+    controls = controls_at(date, tables, base, 0.0, 0.2, 0.2, 0.2)  # no job losses
+    at_base = apply_wave(base, ControlTotals(date=base.base_date),
+                         WavePoint(label="base", date=base.base_date), tables, schedules, 5)
+    later = apply_wave(base, controls, WavePoint(label="null", date=date), tables,
+                       schedules, 5)
+    assert np.all(later.covid_code == 0)
+    assert np.array_equal(later.employed_now, base.is_worker)
+    assert not later.home_working.any()
+    for name in ("market", "gross", "disposable", "adjusted", "taxes", "benefits",
+                 "housing", "capital_adjustment", "work_expenses"):
+        assert np.array_equal(getattr(later, name), getattr(at_base, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(population=POPULATIONS, date=st.sampled_from(DATES),
+       shares=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
+def test_pup_recipients_nested_as_targets_rise(tables, schedules, population, date, shares):
+    base = build_baseline(column_population(*population), tables, schedules, seed=5)
+    wave = WavePoint(label="pup", date=date, pup_on=True)
+    recipients = [apply_wave(base, controls_at(date, tables, base, pup=share), wave, tables,
+                             schedules, 5).covid_code == PUP for share in sorted(shares)]
+    for smaller, larger in zip(recipients, recipients[1:]):
+        assert np.all(larger[smaller])

@@ -12,6 +12,7 @@ from nowcastsim.expenses import (MODE_NONE, MODE_PRIVATE, MODE_PUBLIC,
                                  family_type, housing_cost_cents)
 from nowcastsim.igm import logit_prob
 from nowcastsim.money import cents
+from nowcastsim.population import SECTORS
 
 
 class TestCommuteTable:
@@ -41,7 +42,7 @@ class TestCommuteModes:
     def assign(self, tables, is_worker=True, industry="construction", age=30):
         return assign_commute_modes(
             tables.models, tables.sector_groups,
-            is_worker=np.array([is_worker]), industry=[industry],
+            is_worker=np.array([is_worker]), sector_idx=np.array([SECTORS.index(industry)]),
             region_bmw=np.array([0.0]), occupation=np.array([3]),
             age=np.array([age]), university=np.array([0.0]),
             person_ids=np.array([1]), seed=3,
@@ -54,7 +55,7 @@ class TestCommuteModes:
         for pid in range(50):
             modes = assign_commute_modes(
                 tables.models, tables.sector_groups,
-                is_worker=np.array([True]), industry=["manufacturing"],
+                is_worker=np.array([True]), sector_idx=np.array([SECTORS.index("manufacturing")]),
                 region_bmw=np.array([0.0]), occupation=np.array([2]),
                 age=np.array([40]), university=np.array([1.0]),
                 person_ids=np.array([pid]), seed=3,
@@ -65,7 +66,7 @@ class TestCommuteModes:
         n = 20_000
         modes = assign_commute_modes(
             tables.models, tables.sector_groups,
-            is_worker=np.ones(n, dtype=bool), industry=["construction"] * n,
+            is_worker=np.ones(n, dtype=bool), sector_idx=np.full(n, SECTORS.index("construction")),
             region_bmw=np.zeros(n), occupation=np.full(n, 3),
             age=np.full(n, 40), university=np.zeros(n),
             person_ids=np.arange(n), seed=3,

@@ -1,15 +1,23 @@
+import csv
 import filecmp
+import os
+import tempfile
 
 import numpy as np
+import population_oracle
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nowcastsim.population import (DEFAULT_SECTOR_SHARES, Household, Person,
-                                   PopulationError, SECTORS, SynthConfig,
+from nowcastsim.population import (COVID_STATES, DEFAULT_SECTOR_SHARES, EDUCATIONS,
+                                   REGIONS, SECTORS, SEXES, TENURES, WORK_STATUSES,
+                                   WORKER_CODES, PopulationError, SynthConfig, Table,
                                    generate_synthetic, load_population,
-                                   parse_synth_config, save_population,
-                                   validate)
+                                   parse_synth_config, save_population, validate)
 
 CONSTRUCTION = "construction"
+ENUMS = {"tenure": TENURES, "sex": SEXES, "education": EDUCATIONS, "industry": SECTORS,
+         "region": REGIONS, "work_status": WORK_STATUSES, "covid_state": COVID_STATES}
 
 
 def tiny_household(hid=1, **overrides):
@@ -19,7 +27,7 @@ def tiny_household(hid=1, **overrides):
         childcare_expenditure=0.0, n_children_0_4=0, n_children_under14=0,
     )
     fields.update(overrides)
-    return Household(**fields)
+    return fields
 
 
 def tiny_person(pid=10, hid=1, **overrides):
@@ -32,37 +40,55 @@ def tiny_person(pid=10, hid=1, **overrides):
         home_work_capable=True, covid_state="none",
     )
     fields.update(overrides)
-    return Person(**fields)
+    return fields
+
+
+def tables(households, persons):
+    """Household and person Tables of field dicts (enum labels as codes)."""
+    def column(rows, name):
+        if name in ENUMS:
+            return np.array([ENUMS[name].index(r[name]) if r[name] else -1 for r in rows])
+        return np.array([r[name] for r in rows])
+
+    h = Table(**{c: column(households, c) for c in households[0] if c != "member_ids"})
+    h.member_ids = np.array([i for r in households for i in r["member_ids"]], dtype=np.int64)
+    h.member_offsets = np.cumsum([0] + [len(r["member_ids"]) for r in households])
+    return h, Table(**{c: column(persons, c) for c in persons[0]})
+
+
+def same_columns(a, b) -> bool:
+    return vars(a).keys() == vars(b).keys() and all(
+        np.array_equal(column, getattr(b, name)) for name, column in vars(a).items())
 
 
 class TestValidation:
     def test_consistent_pair_passes(self):
-        assert validate([tiny_household()], [tiny_person()]) == []
+        assert validate(*tables([tiny_household()], [tiny_person()])) == []
 
     def test_orphan_person_named(self):
-        problems = validate([tiny_household()], [tiny_person(hid=99)])
+        problems = validate(*tables([tiny_household()], [tiny_person(hid=99)]))
         assert any("person 10" in p and "99" in p for p in problems)
 
     def test_zero_weight_rejected(self):
-        problems = validate([tiny_household(weight=0.0)], [tiny_person()])
+        problems = validate(*tables([tiny_household(weight=0.0)], [tiny_person()]))
         assert any("weight" in p for p in problems)
 
     def test_all_violations_reported(self):
-        problems = validate(
+        problems = validate(*tables(
             [tiny_household(weight=0.0)],
             [tiny_person(hid=99, covid_state="pup_recipient", age=70)],
-        )
+        ))
         assert len(problems) >= 3
 
     def test_mortgage_payment_tenure_consistency(self):
-        problems = validate([tiny_household(tenure="mortgage", mortgage_payment=0.0)],
-                            [tiny_person()])
+        problems = validate(*tables([tiny_household(tenure="mortgage", mortgage_payment=0.0)],
+                                    [tiny_person()]))
         assert any("mortgage" in p for p in problems)
 
     def test_employment_income_requires_employee(self):
-        problems = validate([tiny_household()],
-                            [tiny_person(work_status="unemployed",
-                                         employment_income=100.0, industry="")])
+        problems = validate(*tables([tiny_household()],
+                                    [tiny_person(work_status="unemployed",
+                                                 employment_income=100.0, industry="")]))
         assert any("employment_income" in p for p in problems)
 
 
@@ -83,8 +109,7 @@ class TestRoundTrip:
         save_population(pop, tmp_path)
         loaded = load_population(tmp_path)
         assert len(loaded.persons) == len(pop.persons)
-        for a, b in zip(loaded.persons, pop.persons):
-            assert a == b
+        assert same_columns(loaded.persons, pop.persons)
 
     def test_referential_error_on_load(self, tmp_path):
         pop = generate_synthetic(SynthConfig(households=5), 1)
@@ -121,7 +146,8 @@ class TestGenerator:
 
     def test_seed_changes_output(self):
         cfg = SynthConfig(households=100)
-        assert generate_synthetic(cfg, 1).persons != generate_synthetic(cfg, 2).persons
+        assert not same_columns(generate_synthetic(cfg, 1).persons,
+                                generate_synthetic(cfg, 2).persons)
 
     def test_sector_share_within_one_percent(self):
         shares = dict(DEFAULT_SECTOR_SHARES)
@@ -131,8 +157,8 @@ class TestGenerator:
         shares = {k: (explicit.get(k) if k in explicit else v * rest / other_total)
                   for k, v in shares.items()}
         pop = generate_synthetic(SynthConfig(households=1000, sector_shares=shares), 3)
-        workers = [p for p in pop.persons if p.is_worker]
-        share = sum(1 for p in workers if p.industry == CONSTRUCTION) / len(workers)
+        workers = np.isin(pop.persons.work_status, WORKER_CODES)
+        share = np.mean(pop.persons.industry[workers] == SECTORS.index(CONSTRUCTION))
         assert 0.09 <= share <= 0.11
 
     def test_zero_households_rejected(self):
@@ -140,22 +166,21 @@ class TestGenerator:
             generate_synthetic(SynthConfig(households=0), 1)
 
     def test_children_are_children(self, small_pop):
-        for p in small_pop.persons:
-            if p.age < 16:
-                assert p.work_status == "child"
+        p = small_pop.persons
+        assert np.all(p.work_status[p.age < 16] == WORK_STATUSES.index("child"))
 
     def test_workers_have_industry_and_occupation(self, small_pop):
-        for p in small_pop.persons:
-            if p.work_status == "employee":
-                assert p.industry in SECTORS
-                assert 1 <= p.occupation <= 9
+        p = small_pop.persons
+        employee = p.work_status == WORK_STATUSES.index("employee")
+        assert np.all((p.industry[employee] >= 0) & (p.industry[employee] < len(SECTORS)))
+        assert np.all((p.occupation[employee] >= 1) & (p.occupation[employee] <= 9))
 
     def test_weights_default_to_one(self, small_pop):
-        assert all(h.weight == 1.0 for h in small_pop.households)
+        assert np.all(small_pop.households.weight == 1.0)
 
     def test_weight_jitter_stays_in_band(self):
         pop = generate_synthetic(SynthConfig(households=150, weight_jitter=True), 2)
-        weights = np.array([h.weight for h in pop.households])
+        weights = pop.households.weight
         assert np.all((weights >= 0.5) & (weights <= 1.5))
         assert weights.std() > 0.0
 
@@ -190,10 +215,185 @@ class TestSynthConfigFile:
             parse_synth_config(cfg_path)
 
 
+class TestSynthConfigRejections:
+    @pytest.mark.parametrize("line, where", [
+        ("weight_jitter = yes", "synth.cfg:2: weight_jitter has a bad value 'yes'"),
+        ("essential_share[not a sector] = 0.5",
+         "synth.cfg:2: essential_share[not a sector]: unknown sector 'not a sector'"),
+        ("income_offset[manufactoring] = 0.1",
+         "synth.cfg:2: income_offset[manufactoring]: unknown sector 'manufactoring'"),
+        ("sector_share[space mining] = 0.5",
+         "synth.cfg:2: sector_share[space mining]: unknown sector 'space mining'"),
+        ("households = lots", "synth.cfg:2: households has a bad value 'lots'"),
+        ("income_scale = wide", "synth.cfg:2: income_scale has a bad value 'wide'"),
+        ("income_offset[construction] = up", "synth.cfg:2: income_offset[construction] has a "
+                                             "bad value 'up'"),
+        ("base_period = 2020-13-01", "synth.cfg:2: base_period has a bad value '2020-13-01'"),
+        ("essential_share[construction] = 1.5",
+         "synth.cfg:2: essential_share[construction] must lie in [0, 1], got 1.5"),
+        ("essential_share[construction] = -0.1",
+         "synth.cfg:2: essential_share[construction] must lie in [0, 1], got -0.1"),
+    ])
+    def test_bad_line_names_line_and_key(self, tmp_path, line, where):
+        cfg_path = tmp_path / "synth.cfg"
+        cfg_path.write_text(f"households = 20\n{line}\n")
+        with pytest.raises(PopulationError) as err:
+            parse_synth_config(cfg_path)
+        assert err.value.violations == [where]
+
+    @pytest.mark.parametrize("value, expected", [("on", True), ("true", True), ("1", True),
+                                                 ("off", False), ("false", False),
+                                                 ("0", False)])
+    def test_weight_jitter_switch_values(self, tmp_path, value, expected):
+        cfg_path = tmp_path / "synth.cfg"
+        cfg_path.write_text(f"weight_jitter = {value}\n")
+        assert parse_synth_config(cfg_path).weight_jitter is expected
+
+    def test_sector_maps_are_used(self, tmp_path):
+        cfg_path = tmp_path / "synth.cfg"
+        cfg_path.write_text(f"essential_share[{CONSTRUCTION}] = 1\n"
+                            f"income_offset[{CONSTRUCTION}] = 0.5\n")
+        cfg = parse_synth_config(cfg_path)
+        assert cfg.essential_shares[CONSTRUCTION] == 1.0
+        assert cfg.income_offsets[CONSTRUCTION] == 0.5
+
+
 class TestPopulationIndex:
     def test_member_lookup(self, small_pop):
-        h = small_pop.households[0]
-        by_id = {p.person_id: p for p in small_pop.persons}
-        members = [by_id[i] for i in h.member_ids]
-        assert [p.person_id for p in members] == list(h.member_ids)
-        assert all(p.household_id == h.household_id for p in members)
+        h, p = small_pop.households, small_pop.persons
+        member_ids = h.member_ids[h.member_offsets[0]:h.member_offsets[1]]
+        rows = [int(np.flatnonzero(p.person_id == i)[0]) for i in member_ids]
+        assert list(p.person_id[rows]) == list(member_ids)
+        assert np.all(p.household_id[rows] == h.household_id[0])
+
+
+class TestSchemaRejections:
+    @pytest.mark.parametrize("name, header_edit, where", [
+        ("households.csv", ",n_children_under14", "households.csv: unknown column 'rooms'"),
+        ("persons.csv", ",covid_state", "persons.csv: unknown column 'rooms'"),
+    ])
+    def test_unknown_column_named(self, tmp_path, name, header_edit, where):
+        save_population(generate_synthetic(SynthConfig(households=3), 1), tmp_path)
+        lines = (tmp_path / name).read_text().splitlines()
+        lines = [lines[0].replace(header_edit, header_edit + ",rooms")] + \
+            [line + ",4" for line in lines[1:]]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(PopulationError) as err:
+            load_population(tmp_path)
+        assert where in err.value.violations
+
+    @pytest.mark.parametrize("edit", [lambda line: line + ",extra",
+                                      lambda line: line.rsplit(",", 1)[0]])
+    def test_ragged_row_located(self, tmp_path, edit):
+        save_population(generate_synthetic(SynthConfig(households=3), 1), tmp_path)
+        lines = (tmp_path / "persons.csv").read_text().splitlines()
+        lines[2] = edit(lines[2])
+        (tmp_path / "persons.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(PopulationError, match=r"persons.csv:3: 1[57] fields where "
+                                                  r"the header has 16"):
+            load_population(tmp_path)
+
+
+# -- the columnar loader and validate against the object-based oracle --------
+
+# candidate cell texts per column: bad enum values, negative money, orphan or
+# duplicate ids, member_ids mismatches, unparseable numbers, mortgage/tenure
+# disagreements and the PUP 18-66 rule, next to valid values
+CELLS = {
+    "households.csv": {
+        "household_id": ["1", "2", "999", "x", "2.0", ""],
+        "weight": ["0", "-1.5", "nan", "abc", "2.5"],
+        "member_ids": ["", "1", "1;1", "2;1", "3;4", "999", "1;x", ";;3"],
+        "tenure": ["mortgage", "renter", " owner_outright ", "castle", ""],
+        "mortgage_payment": ["0.00", "12.50", "-1.00", "lots"],
+        "rent": ["-3.00", "0.00", "1e3", "x"],
+        "childcare_user": ["true", "false", "yes", ""],
+        "childcare_expenditure": ["0.00", "5.00", "-2.00"],
+        "n_children_0_4": ["-1", "2", "x"],
+        "n_children_under14": ["-1", "0", "1.5"],
+    },
+    "persons.csv": {
+        "person_id": ["1", "3", "999", "x", ""],
+        "household_id": ["1", "2", "999", "y"],
+        "age": ["-1", "17", "70", "40", "forty"],
+        "sex": ["female", "other", ""],
+        "education": ["university", "phd"],
+        "occupation": ["", "0", "5", "10", "-1", "x"],
+        "industry": ["", "construction", "space mining"],
+        "region": ["southern and eastern", "mars"],
+        "work_status": ["employee", "unemployed", "retired", "boss"],
+        "employment_income": ["0.00", "100.00", "-1.00", "x"],
+        "self_employment_income": ["-100.00", "x"],
+        "capital_income": ["-1.00", "5.00"],
+        "private_pension": ["-1.00", "nan"],
+        "essential_worker": ["true", "nope"],
+        "home_work_capable": ["false", "1"],
+        "covid_state": ["pup_recipient", "none", "zombie"],
+    },
+}
+EDITS = [(name, column, text) for name, columns in CELLS.items()
+         for column, texts in columns.items() for text in texts]
+
+
+def outcome(load, path):
+    try:
+        return load(path), []
+    except PopulationError as exc:
+        return None, exc.violations
+
+
+def decoded(table, name) -> list:
+    """One Table column as the oracle's field values."""
+    column = getattr(table, name).tolist()
+    if name == "member_ids":
+        bounds = table.member_offsets.tolist()
+        return [tuple(column[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if name in ENUMS:
+        return [(ENUMS[name] + ("",))[code] for code in column]
+    return column
+
+
+def same_as_objects(table, objects, columns) -> bool:
+    return all(list(map(repr, decoded(table, name))) ==
+               [repr(getattr(o, name)) for o in objects] for name in columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 1000), households=st.integers(1, 5),
+       edits=st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 10 ** 6)),
+                      max_size=4))
+# member_ids are parsed before household_id within a row
+@example(seed=0, households=2, edits=[(("households.csv", "household_id", "2.0"), 0),
+                                      (("households.csv", "member_ids", "1;x"), 0)])
+# person 2 of household 2 also listed first by household 1
+@example(seed=1, households=2, edits=[(("households.csv", "member_ids", "1;2"), 0)])
+# a non-worker's industry must be empty or a sector
+@example(seed=2, households=2, edits=[(("persons.csv", "work_status", "retired"), 0),
+                                      (("persons.csv", "industry", "space mining"), 0)])
+# the repeated id is the later row, after a violation on the row between
+@example(seed=0, households=2, edits=[(("persons.csv", "person_id", "1"), 2),
+                                      (("persons.csv", "age", "-1"), 1)])
+def test_loader_and_validate_match_oracle(seed, households, edits):
+    """A saved population with corrupted cells loads to the same columns, or
+    fails with the same first parse error or the same violations, as the
+    object-based loader and validate it replaced."""
+    with tempfile.TemporaryDirectory() as d:
+        save_population(generate_synthetic(SynthConfig(households=households,
+                                                       weight_jitter=True), seed), d)
+        files = {}
+        for name in CELLS:
+            with open(os.path.join(d, name), newline="", encoding="utf-8") as fh:
+                files[name] = list(csv.reader(fh))
+        for (name, column, text), k in edits:
+            header, body = files[name][0], files[name][1:]
+            body[k % len(body)][header.index(column)] = text
+        for name, rows in files.items():
+            with open(os.path.join(d, name), "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        pop, violations = outcome(load_population, d)
+        objects, expected = outcome(population_oracle.load_population, d)
+    assert violations == expected
+    if objects is not None:
+        households_, persons_ = objects
+        assert same_as_objects(pop.households, households_, CELLS["households.csv"])
+        assert same_as_objects(pop.persons, persons_, CELLS["persons.csv"])

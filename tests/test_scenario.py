@@ -6,7 +6,7 @@ import pytest
 from nowcastsim import taxben
 from nowcastsim.calibration import AlignmentError
 from nowcastsim.money import weekly_to_monthly
-from nowcastsim.population import SECTORS
+from nowcastsim.population import SECTORS, WORK_STATUSES, WORKER_CODES
 from nowcastsim.scenario import (ControlError, ControlTotals,
                                  ScenarioError, WavePoint, _align_units, apply_wave,
                                  build_baseline, compare, control_gaps, load_control_totals,
@@ -170,57 +170,81 @@ class TestAlignUnitsEmptyStratum:
                              7, "t", unit_weight, "sickness cases in age band 0")
 
 
+def same_columns(a, b) -> bool:
+    return vars(a).keys() == vars(b).keys() and all(
+        np.array_equal(column, getattr(b, name)) for name, column in vars(a).items())
+
+
+def person_weights(pop):
+    h = pop.households
+    return h.weight[np.searchsorted(h.household_id, pop.persons.household_id)]
+
+
+def is_worker(persons):
+    return np.isin(persons.work_status, WORKER_CODES)
+
+
 class TestNowcastBaseline:
     def test_no_targets_is_identity(self, small_pop):
         out = nowcast_baseline(small_pop, ControlTotals(date=D(2019, 12, 1)), seed=7)
-        assert out.persons == small_pop.persons
+        assert same_columns(out.persons, small_pop.persons)
 
     def test_observed_rates_are_a_fixed_point(self, small_pop):
         bands = {}
         from nowcastsim.scenario import case_age_band
-        group = case_age_band([p.age for p in small_pop.persons])
-        weights = {h.household_id: h.weight for h in small_pop.households}
+        group = case_age_band(small_pop.persons.age)
+        weights = person_weights(small_pop)
         for band in ("25-34", "35-44", "45-54"):
-            idx = [i for i, p in enumerate(small_pop.persons)
-                   if group[i] == band and p.age >= 16]
-            w = np.array([weights[small_pop.persons[i].household_id] for i in idx])
-            worker = np.array([small_pop.persons[i].is_worker for i in idx])
+            idx = np.flatnonzero((group == band) & (small_pop.persons.age >= 16))
+            w = weights[idx]
+            worker = is_worker(small_pop.persons)[idx]
             bands[band] = float(w[worker].sum() / w.sum())
         controls = ControlTotals(date=D(2019, 12, 1), employment_rate_by_age=bands)
         out = nowcast_baseline(small_pop, controls, seed=7)
-        assert out.persons == small_pop.persons
+        assert same_columns(out.persons, small_pop.persons)
 
     def test_higher_target_hits_rate_within_one_unit(self, small_pop):
         from nowcastsim.scenario import case_age_band
-        group = case_age_band([p.age for p in small_pop.persons])
-        weights = {h.household_id: h.weight for h in small_pop.households}
+        group = case_age_band(small_pop.persons.age)
+        weights = person_weights(small_pop)
         band = "35-44"
-        idx = [i for i, p in enumerate(small_pop.persons)
-               if group[i] == band and p.age >= 16]
-        w = np.array([weights[small_pop.persons[i].household_id] for i in idx])
-        worker = np.array([small_pop.persons[i].is_worker for i in idx])
+        idx = np.flatnonzero((group == band) & (small_pop.persons.age >= 16))
+        w = weights[idx]
+        worker = is_worker(small_pop.persons)[idx]
         rate0 = float(w[worker].sum() / w.sum())
         target = min(rate0 + 0.05, 0.99)
         controls = ControlTotals(date=D(2019, 12, 1),
                                  employment_rate_by_age={band: target})
         out = nowcast_baseline(small_pop, controls, seed=7)
-        worker_now = np.array([out.persons[i].is_worker for i in idx])
+        worker_now = is_worker(out.persons)[idx]
         realized = float(w[worker_now].sum() / w.sum())
         assert abs(realized - target) <= w.max() / w.sum()
         violations = __import__("nowcastsim.population", fromlist=["validate"]) \
             .validate(out.households, out.persons)
         assert violations == []
 
+    def test_lower_target_fires_with_zero_earnings(self, small_pop):
+        from nowcastsim.scenario import case_age_band
+        band = "35-44"
+        in_band = (case_age_band(small_pop.persons.age) == band) & (small_pop.persons.age >= 16)
+        controls = ControlTotals(date=D(2019, 12, 1), employment_rate_by_age={band: 0.3})
+        out = nowcast_baseline(small_pop, controls, seed=7)
+        fired = in_band & is_worker(small_pop.persons) & ~is_worker(out.persons)
+        assert fired.any()
+        assert np.all(out.persons.work_status[fired] == WORK_STATUSES.index("unemployed"))
+        assert np.all(out.persons.employment_income[fired] == 0.0)
+        assert np.all(out.persons.self_employment_income[fired] == 0.0)
+        assert np.all(is_worker(out.persons)[~in_band] == is_worker(small_pop.persons)[~in_band])
+
     def test_wage_index_scales_mean(self, small_pop):
         controls = ControlTotals(date=D(2019, 12, 1), wage_index=1.02)
         out = nowcast_baseline(small_pop, controls, seed=7)
-        weights = {h.household_id: h.weight for h in small_pop.households}
+        weights = person_weights(small_pop)
 
         def mean(pop):
-            pairs = [(p.employment_income, weights[p.household_id])
-                     for p in pop.persons if p.work_status == "employee"]
-            v = np.array([a for a, _ in pairs])
-            w = np.array([b for _, b in pairs])
+            employee = pop.persons.work_status == WORK_STATUSES.index("employee")
+            v = pop.persons.employment_income[employee]
+            w = weights[employee]
             return float((v * w).sum() / w.sum())
 
         assert mean(out) == pytest.approx(1.02 * mean(small_pop), rel=1e-9)
