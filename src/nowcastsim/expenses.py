@@ -8,8 +8,9 @@ per-worker-count cost table, with the count capped at its last column.
 
 Childcare is a three-stage pipeline: a participation logit with a draw
 anchored to the observed user flag, an expenditure regression with the
-residual recovered from observed spending, and a cell-mean calibration of
-users' costs to the family-type x income-decile grid.
+residual recovered from observed spending (none for users without an
+observation), and a cell-mean calibration of users' costs to the
+family-type x income-decile grid.
 
 Capital losses apply a participation gate at the holdings-grid rate
 (anchored to observed capital income) and a per-holder value change of
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import align_continuous
-from .igm import anchored_draws, draw_residual, linear_predict, logit_prob
+from .igm import anchored_draws, linear_predict, logit_prob
 from .money import cents
 from .population import SECTORS, TENURES
 from .rng import keyed_uniform
@@ -31,7 +32,6 @@ from .rng import keyed_uniform
 MODE_NONE, MODE_PUBLIC, MODE_PRIVATE = 0, 1, 2
 
 FAMILY_TYPES = ("lone_parent", "two_adults_1_3_children", "other_with_children")
-AGE_BANDS = ("30", "40", "50", "60", "70")
 
 
 class ExpenseError(ValueError):
@@ -170,15 +170,14 @@ def family_type(n_adults, n_children_under14):
 def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weights,
                           family_types, deciles, n_children_0_4, n_children_under14,
                           equiv_disposable_week_eur, two_workers_flag, observed_user,
-                          observed_spend_eur, seed: int,
-                          residual_scale: float = 0.0) -> np.ndarray:
+                          observed_spend_eur, seed: int) -> np.ndarray:
     """Baseline weekly childcare cost in cents per household.
 
     Participation replays the observed user flag through an anchored draw
     at the participation-logit probability; user-level costs start from the
-    expenditure regression plus the recovered (or, for users without an
-    observation, stochastic) residual, then users' costs in each populated
-    family-type x decile cell are mean-calibrated to the cost grid.
+    expenditure regression plus, for users with an observation, the residual
+    recovered from it, then users' costs in each populated family-type x
+    decile cell are mean-calibrated to the cost grid.
     """
     ids = np.asarray(household_ids)
     w = np.asarray(weights, dtype=np.float64)
@@ -203,11 +202,9 @@ def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weight
 
     prediction = np.asarray(linear_predict(
         spend_model, {k: v for k, v in cov.items() if k in spend_model.covariates}))
+    # prediction + (observed - prediction) is not always bit-equal to observed
     eps_recovered = observed_spend - prediction
-    eps_stochastic = draw_residual("childcare_spend", residual_scale, seed, ids)
-    recovered = users & observed_user
-    level = np.where(recovered, prediction + eps_recovered,
-                     prediction + eps_stochastic)
+    level = np.where(users & observed_user, prediction + eps_recovered, prediction)
     level = np.maximum(level, 0.0)
     level[~users] = 0.0
 

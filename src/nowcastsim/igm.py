@@ -39,24 +39,22 @@ class ModelError(ValueError):
 @dataclass(frozen=True)
 class CoefficientSet:
     """One named regression model: an intercept plus a coefficient per
-    covariate, for one of the supported kinds (a single coefficient row).
+    covariate, for one of the supported kinds.
     """
 
     name: str
     kind: str
     covariates: tuple
-    coefficients: tuple  # one tuple of floats (a single row)
-    intercepts: tuple
+    coefficients: tuple  # floats, one per covariate
+    intercept: float
     continuous: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ModelError(f"{self.name}: unknown model kind {self.kind!r}")
-        if len(self.coefficients) != 1 or len(self.intercepts) != 1:
-            raise ModelError(f"{self.name}: {self.kind} model needs exactly one row")
-        if len(self.coefficients[0]) != len(self.covariates):
+        if len(self.coefficients) != len(self.covariates):
             raise ModelError(
-                f"{self.name}: coefficient row length {len(self.coefficients[0])} != "
+                f"{self.name}: coefficient count {len(self.coefficients)} != "
                 f"covariate count {len(self.covariates)}"
             )
 
@@ -70,8 +68,8 @@ def _index(model: CoefficientSet, covariates: dict):
     for name in covariates:
         if name not in known:
             raise ModelError(f"{model.name}: unknown covariate {name!r}")
-    total = model.intercepts[0]
-    for name, beta in zip(model.covariates, model.coefficients[0]):
+    total = model.intercept
+    for name, beta in zip(model.covariates, model.coefficients):
         if name in covariates:
             x = covariates[name]
         elif name in model.continuous:
@@ -103,7 +101,7 @@ def linear_predict(model: CoefficientSet, covariates: dict):
 
 def draw_residual(model_name: str, scale: float, seed: int, ids):
     """Stochastic residuals: normal with mean 0 and the configured sd,
-    keyed by (seed, unit id, model name)."""
+    keyed by (seed, unit id, model name). No engine path calls it."""
     if scale < 0:
         raise ModelError(f"{model_name}: residual scale must be non-negative")
     z = keyed_normal(seed, "residual:" + model_name, ids)
@@ -123,7 +121,8 @@ def anchored_draws(probs, observed, seed: int, label: str, ids) -> np.ndarray:
 
 def load_coefficients(path, continuous=CONTINUOUS_COVARIATES) -> dict:
     """Load coefficient sets from a CSV of
-    (model_name, kind, outcome, covariate, value)."""
+    (model_name, kind, outcome, covariate, value); each model has one
+    outcome label."""
     rows = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -141,29 +140,24 @@ def load_coefficients(path, continuous=CONTINUOUS_COVARIATES) -> dict:
                 raise ModelError(f"{path}:{lineno}: bad value {rec['value']!r}") from exc
             if kind not in KINDS:
                 raise ModelError(f"{path}:{lineno}: {name}: unknown model kind {kind!r}")
-            model = rows.setdefault(name, {"kind": kind, "outcomes": {}})
+            model = rows.setdefault(name, {"kind": kind, "outcome": outcome, "coeffs": {}})
             if model["kind"] != kind:
                 raise ModelError(f"{path}:{lineno}: {name} declared with two kinds")
-            model["outcomes"].setdefault(outcome, {})[covariate] = value
+            if model["outcome"] != outcome:
+                raise ModelError(f"{path}:{lineno}: {name} declared with a second outcome "
+                                 f"{outcome!r}; a {kind} model has one")
+            model["coeffs"][covariate] = value
 
     models = {}
     for name, entry in rows.items():
-        outcome_labels = sorted(entry["outcomes"])
-        covariates = sorted(
-            {c for coeffs in entry["outcomes"].values() for c in coeffs if c != "_constant"}
-        )
-        coefficients = []
-        intercepts = []
-        for outcome in outcome_labels:
-            coeffs = entry["outcomes"][outcome]
-            coefficients.append(tuple(coeffs.get(c, 0.0) for c in covariates))
-            intercepts.append(coeffs.get("_constant", 0.0))
+        coeffs = entry["coeffs"]
+        covariates = sorted(c for c in coeffs if c != "_constant")
         models[name] = CoefficientSet(
             name=name,
             kind=entry["kind"],
             covariates=tuple(covariates),
-            coefficients=tuple(coefficients),
-            intercepts=tuple(intercepts),
+            coefficients=tuple(coeffs[c] for c in covariates),
+            intercept=coeffs.get("_constant", 0.0),
             continuous=frozenset(c for c in covariates if c in continuous),
         )
     return models

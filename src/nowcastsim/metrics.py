@@ -98,15 +98,10 @@ def decile_means(values_by_definition: dict, weights, deciles) -> dict:
     people's incomes but not their decile membership.
     """
     w = np.asarray(weights, dtype=np.float64)
-    out = {}
-    for name, values in values_by_definition.items():
-        v = np.asarray(values, dtype=np.float64)
-        means = np.empty(10)
-        for d in range(1, 11):
-            mask = deciles == d
-            means[d - 1] = np.sum(v[mask] * w[mask]) / np.sum(w[mask])
-        out[name] = means
-    return out
+    weight_sums = np.bincount(deciles, weights=w, minlength=11)[1:]  # 0/0 is NaN
+    return {name: np.bincount(deciles, weights=np.asarray(v, dtype=np.float64) * w,
+                              minlength=11)[1:] / weight_sums
+            for name, v in values_by_definition.items()}
 
 
 def redistribution_decomposition(

@@ -158,6 +158,12 @@ def validate(households: Table, persons: Table, unknown=None) -> list:
     def bad_value(column, labels, codes):
         return lambda r: f"column '{column}': bad value {label(column, labels, codes[r])!r}"
 
+    def non_finite(table, columns):
+        columns = [column for column, kind in columns.items() if kind is float]
+        bad = {c: ~np.isfinite(getattr(table, c)) for c in columns}
+        return np.logical_or.reduce(list(bad.values())), lambda r: ", ".join(
+            f"column {c!r}" for c in columns if bad[c][r]) + ": must be finite"
+
     household_checks = [
         (_repeats(hid), lambda r: "duplicate household_id"),
         (~(h.weight > 0), lambda r: "column 'weight': must be > 0"),
@@ -173,6 +179,7 @@ def validate(households: Table, persons: Table, unknown=None) -> list:
         ((h.n_children_0_4 < 0) | (h.n_children_under14 < 0),
          lambda r: "negative child count"),
         (h.member_offsets[1:] == h.member_offsets[:-1], lambda r: "empty member_ids"),
+        non_finite(h, _HOUSEHOLD_COLUMNS),
     ]
 
     # each person's listings in member_ids: how many, and the first household
@@ -210,6 +217,7 @@ def validate(households: Table, persons: Table, unknown=None) -> list:
         ((homes == 1) & (first_home != p.household_id),
          lambda r: f"household_id {p.household_id[r]} disagrees with member_ids of "
                    f"household {first_home[r]}"),
+        non_finite(p, _PERSON_COLUMNS),
     ]
 
     found = [(section, r, check, f"{tag} {ids[r]}: {message(r)}")
@@ -353,7 +361,7 @@ def parse_synth_config(path) -> SynthConfig:
     weight_jitter (on/true/1 or off/false/0), base_period (ISO date),
     sector_share[<sector>], income_offset[<sector>], essential_share[<sector>]
     (in [0, 1]). Anything else, an unknown sector or a bad value raises
-    PopulationError naming the line and the key.
+    PopulationError naming the file, the line and the key.
     """
     cfg = SynthConfig()
     scalars = {"households": int, "income_location": float, "income_scale": float,
@@ -361,12 +369,13 @@ def parse_synth_config(path) -> SynthConfig:
     explicit_shares = {}
     sector_maps = {"sector_share": explicit_shares, "income_offset": cfg.income_offsets,
                    "essential_share": cfg.essential_shares}
+    name = os.path.basename(path)
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            where = f"synth.cfg:{lineno}"
+            where = f"{name}:{lineno}"
             if "=" not in line:
                 raise PopulationError([f"{where}: expected key = value"])
             key, value = (tok.strip() for tok in line.split("=", 1))
@@ -394,7 +403,7 @@ def parse_synth_config(path) -> SynthConfig:
     if explicit_shares:
         remainder = 1.0 - sum(explicit_shares.values())
         if remainder < -1e-9:
-            raise PopulationError(["synth.cfg: sector shares exceed 1"])
+            raise PopulationError([f"{name}: sector shares exceed 1"])
         others = {s: DEFAULT_SECTOR_SHARES[s] for s in SECTORS if s not in explicit_shares}
         scale = remainder / sum(others.values()) if others else 0.0
         cfg.sector_shares = {**{s: v * scale for s, v in others.items()}, **explicit_shares}

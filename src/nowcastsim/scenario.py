@@ -423,11 +423,11 @@ def _weighted_median(values, weights) -> float:
 # -- baseline state --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineState:
-    """Immutable pre-shock arrays shared by every wave computation."""
+    """Pre-shock arrays shared by every wave computation; frozen, so no
+    field can be reassigned once build_baseline returns."""
 
-    base_date: dt.date
     # person arrays (sorted by person id)
     pid: np.ndarray
     hh_row: np.ndarray           # index into the household arrays
@@ -455,13 +455,8 @@ class BaselineState:
     tenure_code: np.ndarray
     mortgage_cents: np.ndarray
     rent_cents: np.ndarray
-    adults_14plus: np.ndarray
-    children_under14: np.ndarray
     equiv_scale: np.ndarray
     childcare_weekly_cents: np.ndarray
-    decile: np.ndarray
-    quintile: np.ndarray
-    ranking_equiv_adjusted: np.ndarray = None  # per person, set after the first wave
 
 
 def build_baseline(pop: Population, tables: DataTables,
@@ -535,7 +530,6 @@ def build_baseline(pop: Population, tables: DataTables,
         tables.holdings, cap_band, quintile_p, cap > 0, pid, seed)
 
     return BaselineState(
-        base_date=pop.base_period,
         pid=pid, hh_row=hh_row, age=age, person_weight=person_weight,
         status=persons.work_status, sector_idx=persons.industry, is_worker=is_worker,
         essential=persons.essential_worker, home_capable=persons.home_work_capable,
@@ -547,10 +541,8 @@ def build_baseline(pop: Population, tables: DataTables,
         tenure_code=households.tenure,
         mortgage_cents=cents(households.mortgage_payment),
         rent_cents=cents(households.rent),
-        adults_14plus=adults_14plus, children_under14=children_u14,
         equiv_scale=np.asarray(scale, dtype=np.float64),
         childcare_weekly_cents=childcare_weekly,
-        decile=decile_hh, quintile=quintile_hh,
     )
 
 
@@ -578,7 +570,6 @@ class WaveResult:
     covid_code: np.ndarray
     employed_now: np.ndarray
     home_working: np.ndarray
-    person_ids: np.ndarray
 
     def household_incomes(self) -> dict:
         return {"market": self.market, "gross": self.gross,
@@ -634,7 +625,7 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
 
     subsidy_scheme = wave.subsidy
     if subsidy_scheme == "auto":
-        subsidy_scheme = "twss" if wave.date < schedules.ewss_handover else "ewss"
+        subsidy_scheme = "twss" if wave.date < taxben.EWSS_HANDOVER else "ewss"
 
     unit_weight = float(np.max(base.person_weight))
     # alignment returns ascending ids; person and household ids ascend with
@@ -777,20 +768,11 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         adjusted=adjusted_hh, taxes=accounts.taxes, benefits=accounts.benefits,
         housing=h_hh.astype(np.int64), capital_adjustment=q_hh,
         work_expenses=c_hh, covid_code=covid, employed_now=employed_now,
-        home_working=home_working, person_ids=base.pid,
+        home_working=home_working,
     )
 
 
-# -- comparison and summaries ------------------------------------------------------
-
-
-@dataclass
-class DistributionDelta:
-    """Counterfactual-minus-base deltas per income definition."""
-
-    mean_delta: dict
-    gini_delta: dict
-    decile_mean_delta: dict
+# -- summaries ------------------------------------------------------------------
 
 
 def person_equivalized(base: BaselineState, result: WaveResult) -> dict:
@@ -799,28 +781,6 @@ def person_equivalized(base: BaselineState, result: WaveResult) -> dict:
     for name, values in result.household_incomes().items():
         out[name] = (values / 100.0 / base.equiv_scale)[base.hh_row]
     return out
-
-
-def compare(base_state: BaselineState, base_result: WaveResult,
-            cf_result: WaveResult) -> DistributionDelta:
-    if not np.array_equal(base_result.person_ids, cf_result.person_ids):
-        raise ScenarioError("cannot compare results over different person sets")
-    ranking = base_state.ranking_equiv_adjusted
-    if ranking is None:
-        ranking = person_equivalized(base_state, base_result)["adjusted"]
-    w = base_state.person_weight
-    a = person_equivalized(base_state, base_result)
-    b = person_equivalized(base_state, cf_result)
-    mean_delta, gini_delta, decile_delta = {}, {}, {}
-    deciles = metrics.weighted_quantile_groups(ranking, w, 10, ids=base_state.pid)
-    da = metrics.decile_means(a, w, deciles)
-    db = metrics.decile_means(b, w, deciles)
-    for name in metrics.INCOME_DEFINITIONS:
-        mean_delta[name] = float(np.sum((b[name] - a[name]) * w) / np.sum(w))
-        gini_delta[name] = metrics.weighted_gini(b[name], w) - metrics.weighted_gini(a[name], w)
-        decile_delta[name] = db[name] - da[name]
-    return DistributionDelta(mean_delta=mean_delta, gini_delta=gini_delta,
-                             decile_mean_delta=decile_delta)
 
 
 def run_scenario(pop: Population, scenario: Scenario, tables: DataTables,
@@ -833,8 +793,7 @@ def run_scenario(pop: Population, scenario: Scenario, tables: DataTables,
     fixed for every wave's decile table.
     """
     series = load_control_totals(scenario.controls_path)
-    first = scenario.waves[0]
-    pop = nowcast_baseline(pop, series.at(first.date), seed)
+    pop = nowcast_baseline(pop, series.at(scenario.waves[0].date), seed)
     base = build_baseline(pop, tables, schedules, seed)
 
     def run_wave(wave: WavePoint) -> WaveResult:
@@ -842,20 +801,18 @@ def run_scenario(pop: Population, scenario: Scenario, tables: DataTables,
                           seed, employer_topup=scenario.employer_topup,
                           capital_booking=scenario.capital_booking)
 
-    before = run_wave(first)
-    base.ranking_equiv_adjusted = person_equivalized(base, before)["adjusted"]
-    rest = scenario.waves[1:]
-    if threads > 1 and rest:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            others = list(pool.map(run_wave, rest))
+            results = list(pool.map(run_wave, scenario.waves))
     else:
-        others = [run_wave(w) for w in rest]
-    results = [before] + others
+        results = [run_wave(w) for w in scenario.waves]
 
-    deciles = metrics.weighted_quantile_groups(base.ranking_equiv_adjusted,
-                                               base.person_weight, 10, ids=base.pid)
-    summaries = [
-        metrics.summarize(r.label, person_equivalized(base, r), base.person_weight, deciles)
-        for r in results
-    ]
+    deciles = None
+    summaries = []
+    for r in results:
+        equivalized = person_equivalized(base, r)
+        if deciles is None:  # ranked once, by the first wave
+            deciles = metrics.weighted_quantile_groups(equivalized["adjusted"],
+                                                       base.person_weight, 10, ids=base.pid)
+        summaries.append(metrics.summarize(r.label, equivalized, base.person_weight, deciles))
     return base, results, summaries

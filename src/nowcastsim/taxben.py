@@ -231,7 +231,6 @@ class PolicySchedules:
     twss: Schedule
     ewss: Schedule
     tax: TaxSystem
-    ewss_handover: dt.date = EWSS_HANDOVER
 
 
 def load_policy(policy_dir) -> PolicySchedules:
@@ -269,10 +268,8 @@ def ceib_rate_cents(schedules: PolicySchedules, date: dt.date) -> int:
 def twss_subsidy_cents(schedules: PolicySchedules, avg_take_home_weekly_cents,
                        date: dt.date):
     """Temporary wage subsidy on average weekly take-home pay."""
-    if not TWSS_START <= date < schedules.ewss_handover:
-        raise PolicyError(
-            f"twss not in force on {date} (life {TWSS_START} to {schedules.ewss_handover})"
-        )
+    if not TWSS_START <= date < EWSS_HANDOVER:
+        raise PolicyError(f"twss not in force on {date} (life {TWSS_START} to {EWSS_HANDOVER})")
     return _evaluate(schedules.twss.regime_at(date), avg_take_home_weekly_cents)
 
 

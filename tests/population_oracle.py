@@ -1,9 +1,11 @@
 """The object-based population loader and validator that the columnar
-`nowcastsim.population` replaced, kept unchanged as the differential
-oracle: `load_population` returns (households, persons) as lists of
-`Household`/`Person`, or raises the same `PopulationError`.
+`nowcastsim.population` replaced, kept as the differential oracle:
+`load_population` returns (households, persons) as lists of
+`Household`/`Person`, or raises the same `PopulationError`. One rule was
+added after the replacement, in both: every float field must be finite.
 """
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -50,6 +52,13 @@ class Household:
     n_children_under14: int
 
 
+def _check_finite(violations, tag, record, fields):
+    bad = [name for name in fields if not math.isfinite(getattr(record, name))]
+    if bad:
+        violations.append(f"{tag}: " + ", ".join(f"column {name!r}" for name in bad)
+                          + ": must be finite")
+
+
 def validate(households, persons) -> list:
     """Return every schema/invariant violation as a human-readable string."""
     violations = []
@@ -77,6 +86,8 @@ def validate(households, persons) -> list:
             violations.append(f"household {h.household_id}: negative child count")
         if not h.member_ids:
             violations.append(f"household {h.household_id}: empty member_ids")
+        _check_finite(violations, f"household {h.household_id}", h,
+                      ("weight", "mortgage_payment", "rent", "childcare_expenditure"))
 
     seen_person = {}
     membership = {}
@@ -135,6 +146,8 @@ def validate(households, persons) -> list:
                 f"{tag}: household_id {p.household_id} disagrees with "
                 f"member_ids of household {homes[0]}"
             )
+        _check_finite(violations, tag, p, ("employment_income", "self_employment_income",
+                                           "capital_income", "private_pension"))
 
     for pid, hhs in membership.items():
         if pid not in seen_person:

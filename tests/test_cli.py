@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import os
 import shutil
@@ -304,6 +305,28 @@ def test_unknown_population_column_exits_one(data_dir, tmp_path, capsys):
                  "--population", str(tmp_path)])
     assert code == 1
     assert "households.csv: unknown column 'rooms'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_population_values_exit_one(data_dir, tmp_path, capsys, command):
+    save_population(generate_synthetic(SynthConfig(households=3), 1), tmp_path / "pop")
+    for name, column, text in (("households.csv", "rent", "inf"),
+                               ("persons.csv", "private_pension", "nan")):
+        path = tmp_path / "pop" / name
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][rows[0].index(column)] = text
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+            "--population", str(tmp_path / "pop")]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "household 1: column 'rent': must be finite" in err
+    assert "person 1: column 'private_pension': must be finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, old, new, where", [

@@ -119,10 +119,11 @@ def test_adjusted_identity_on_every_wave(tables, schedules, population, date, sw
 def test_null_wave_is_a_fixed_point(tables, schedules, population, date):
     """With no instrument switched on, a wave at any date leaves every
     person's state and every income where the base date has them."""
-    base = build_baseline(column_population(*population), tables, schedules, seed=5)
+    pop = column_population(*population)
+    base = build_baseline(pop, tables, schedules, seed=5)
     controls = controls_at(date, tables, base, 0.0, 0.2, 0.2, 0.2)  # no job losses
-    at_base = apply_wave(base, ControlTotals(date=base.base_date),
-                         WavePoint(label="base", date=base.base_date), tables, schedules, 5)
+    at_base = apply_wave(base, ControlTotals(date=pop.base_period),
+                         WavePoint(label="base", date=pop.base_period), tables, schedules, 5)
     later = apply_wave(base, controls, WavePoint(label="null", date=date), tables,
                        schedules, 5)
     assert np.all(later.covid_code == 0)

@@ -11,7 +11,7 @@ from nowcastsim.igm import (CoefficientSet, ModelError, anchored_draws,
 def make_logit(covariates, coefficients, intercept, continuous=()):
     return CoefficientSet(
         name="m", kind="logit", covariates=tuple(covariates),
-        coefficients=(tuple(coefficients),), intercepts=(intercept,),
+        coefficients=tuple(coefficients), intercept=intercept,
         continuous=frozenset(continuous),
     )
 
@@ -19,7 +19,7 @@ def make_logit(covariates, coefficients, intercept, continuous=()):
 def make_linear(covariates, coefficients, intercept):
     return CoefficientSet(
         name="m", kind="linear", covariates=tuple(covariates),
-        coefficients=(tuple(coefficients),), intercepts=(intercept,),
+        coefficients=tuple(coefficients), intercept=intercept,
     )
 
 
@@ -153,7 +153,7 @@ class TestLoader:
                                       "childcare_has", "childcare_spend"}
         public = tables.models["transport_public"]
         assert public.kind == "logit"
-        assert public.intercepts == (-2.839,)
+        assert public.intercept == -2.839
         assert len(public.covariates) == 29
 
     def test_unsupported_kind_rejected_with_location(self, tmp_path):
@@ -161,6 +161,15 @@ class TestLoader:
         path.write_text("model_name,kind,outcome,covariate,value\n"
                         "mode,multinomial,bus,_constant,0.5\n")
         with pytest.raises(ModelError, match="coefficients.csv:2: mode: unknown model kind"):
+            load_coefficients(path)
+
+    def test_second_outcome_rejected_with_location(self, tmp_path):
+        path = tmp_path / "coefficients.csv"
+        path.write_text("model_name,kind,outcome,covariate,value\n"
+                        "mode,logit,bus,_constant,0.5\n"
+                        "mode,logit,car,_constant,0.2\n")
+        with pytest.raises(ModelError, match="coefficients.csv:3: mode declared with a "
+                                             "second outcome 'car'"):
             load_coefficients(path)
 
     def test_bad_file_rejected(self, tmp_path):

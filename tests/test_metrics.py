@@ -111,6 +111,23 @@ class TestDecileMeans:
         assert np.allclose(after[:9], before[:9])
         assert after[9] < before[9]
 
+    def test_empty_decile_is_nan(self):
+        deciles = np.array([1, 1, 3, 10])
+        with np.errstate(invalid="ignore"):  # 0/0 in the empty deciles
+            out = decile_means({"x": np.array([1.0, 3.0, 5.0, 7.0])}, np.ones(4), deciles)["x"]
+        assert out[0] == 2.0 and out[2] == 5.0 and out[9] == 7.0
+        assert np.isnan(out[[1, 3, 4, 5, 6, 7, 8]]).all()
+
+    def test_matches_per_decile_masks(self):
+        """The masked sums this replaced, to the rounding of a float64 sum."""
+        rng = np.random.default_rng(4)
+        v, w = rng.uniform(-500, 5000, 2000), rng.uniform(0.5, 1.5, 2000)
+        deciles = weighted_quantile_groups(rng.uniform(size=2000), w, 10)
+        expected = [np.sum(v[deciles == d] * w[deciles == d]) / np.sum(w[deciles == d])
+                    for d in range(1, 11)]
+        assert np.allclose(decile_means({"x": v}, w, deciles)["x"], expected,
+                           rtol=1e-12, atol=0.0)
+
 
 class TestRedistribution:
     def test_before_crisis_row(self):

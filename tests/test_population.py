@@ -241,6 +241,18 @@ class TestSynthConfigRejections:
             parse_synth_config(cfg_path)
         assert err.value.violations == [where]
 
+    @pytest.mark.parametrize("lines, where", [
+        ("households = lots\n", "a.cfg:1: households has a bad value 'lots'"),
+        ("sector_share[construction] = 0.7\nsector_share[education] = 0.6\n",
+         "a.cfg: sector shares exceed 1"),
+    ])
+    def test_errors_name_the_file_given(self, tmp_path, lines, where):
+        cfg_path = tmp_path / "a.cfg"
+        cfg_path.write_text(lines)
+        with pytest.raises(PopulationError) as err:
+            parse_synth_config(cfg_path)
+        assert err.value.violations == [where]
+
     @pytest.mark.parametrize("value, expected", [("on", True), ("true", True), ("1", True),
                                                  ("off", False), ("false", False),
                                                  ("0", False)])
@@ -296,9 +308,9 @@ class TestSchemaRejections:
 
 # -- the columnar loader and validate against the object-based oracle --------
 
-# candidate cell texts per column: bad enum values, negative money, orphan or
-# duplicate ids, member_ids mismatches, unparseable numbers, mortgage/tenure
-# disagreements and the PUP 18-66 rule, next to valid values
+# candidate cell texts per column: bad enum values, negative or non-finite
+# money, orphan or duplicate ids, member_ids mismatches, unparseable numbers,
+# mortgage/tenure disagreements and the PUP 18-66 rule, next to valid values
 CELLS = {
     "households.csv": {
         "household_id": ["1", "2", "999", "x", "2.0", ""],
@@ -306,7 +318,7 @@ CELLS = {
         "member_ids": ["", "1", "1;1", "2;1", "3;4", "999", "1;x", ";;3"],
         "tenure": ["mortgage", "renter", " owner_outright ", "castle", ""],
         "mortgage_payment": ["0.00", "12.50", "-1.00", "lots"],
-        "rent": ["-3.00", "0.00", "1e3", "x"],
+        "rent": ["-3.00", "0.00", "1e3", "x", "inf"],
         "childcare_user": ["true", "false", "yes", ""],
         "childcare_expenditure": ["0.00", "5.00", "-2.00"],
         "n_children_0_4": ["-1", "2", "x"],
@@ -324,7 +336,7 @@ CELLS = {
         "work_status": ["employee", "unemployed", "retired", "boss"],
         "employment_income": ["0.00", "100.00", "-1.00", "x"],
         "self_employment_income": ["-100.00", "x"],
-        "capital_income": ["-1.00", "5.00"],
+        "capital_income": ["-1.00", "5.00", "-inf"],
         "private_pension": ["-1.00", "nan"],
         "essential_worker": ["true", "nope"],
         "home_work_capable": ["false", "1"],
@@ -373,6 +385,11 @@ def same_as_objects(table, objects, columns) -> bool:
 # the repeated id is the later row, after a violation on the row between
 @example(seed=0, households=2, edits=[(("persons.csv", "person_id", "1"), 2),
                                       (("persons.csv", "age", "-1"), 1)])
+# non-finite money and weights, two in one row
+@example(seed=3, households=2, edits=[(("persons.csv", "private_pension", "nan"), 0),
+                                      (("persons.csv", "capital_income", "-inf"), 0),
+                                      (("households.csv", "weight", "nan"), 1),
+                                      (("households.csv", "rent", "inf"), 1)])
 def test_loader_and_validate_match_oracle(seed, households, edits):
     """A saved population with corrupted cells loads to the same columns, or
     fails with the same first parse error or the same violations, as the

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nowcastsim.money import apply_rate, cents, round_div, weekly_to_monthly
-from nowcastsim.taxben import (COVID_CODES, STATUS_CODES, Band, PolicyError, PolicyState,
-                               Regime, TaxSystem, ceib_rate_cents, ewss_subsidy_cents,
+from nowcastsim.taxben import (COVID_CODES, EWSS_HANDOVER, STATUS_CODES, Band, PolicyError,
+                               PolicyState, Regime, TaxSystem, ceib_rate_cents, ewss_subsidy_cents,
                                household_accounts, income_tax_cents, load_schedule,
                                pup_rate_cents, twss_subsidy_cents)
 
@@ -321,7 +321,7 @@ def test_schedule_functions_match_oracle_at_any_date(schedules, amounts, date):
     """The public functions, in int and array form, over dates drawn across
     every regime of each scheme."""
     cases = [(pup_rate_cents, schedules.pup)]
-    if date < schedules.ewss_handover:
+    if date < EWSS_HANDOVER:
         cases.append((twss_subsidy_cents, schedules.twss))
     if date >= schedules.ewss.regimes[0].effective_from:
         cases.append((ewss_subsidy_cents, schedules.ewss))
