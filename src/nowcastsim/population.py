@@ -4,8 +4,18 @@ synthetic-population generator used when no survey file is supplied.
 Two delimiter-separated files describe a population: `households.csv` and
 `persons.csv`, UTF-8 with a mandatory header row, enums as lowercase
 strings, money as decimals with a '.' separator, booleans as true/false,
-and household member ids joined with ';'. Every schema column must be
-present and no other; every row has the header's field count.
+and household member ids joined with ';'. Fields may be quoted as
+`save_population` (Python's csv module) writes them; blank rows are
+skipped. Every schema column must be present and no other; every row has
+the header's field count.
+
+Each file is read in one `np.loadtxt` pass: numpy's C parser reads the int
+and float columns, converters the others. Only when that pass fails is the
+file streamed row by row to locate the first bad row or cell, with the
+same messages and line numbers as a row-by-row `csv` reading (a line
+number counts the header and the non-blank rows). A number that numpy
+rejects but Python's int or float reads, such as `1_000`, loads as Python
+reads it.
 
 Occupation is a code in 1..9 and is required for workers; non-workers may
 carry 0 (not applicable). Industry must be one of the seventeen sector
@@ -20,11 +30,13 @@ weights, bool flags. An enum code indexes the column's label tuple below
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import os
+import warnings
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,12 +110,17 @@ class PopulationError(ValueError):
 _boolean = {"true": True, "false": False}.__getitem__  # raises KeyError on other text
 
 
-# Column -> kind: int, float, _boolean, "ids" (';'-joined person ids), or
-# the label tuple that an enum column's codes index.
+def _occupation(text) -> int:
+    return int(text or "0")  # empty means 0, not applicable
+
+
+# Column -> kind: the Python parser of its cells (int, float, _boolean or
+# _occupation), "ids" (';'-joined person ids), or the label tuple that an
+# enum column's codes index.
 _PERSON_COLUMNS = {
     "person_id": int, "household_id": int, "age": int, "sex": SEXES,
-    "education": EDUCATIONS, "occupation": int, "industry": SECTORS, "region": REGIONS,
-    "work_status": WORK_STATUSES, "employment_income": float,
+    "education": EDUCATIONS, "occupation": _occupation, "industry": SECTORS,
+    "region": REGIONS, "work_status": WORK_STATUSES, "employment_income": float,
     "self_employment_income": float, "capital_income": float, "private_pension": float,
     "essential_worker": _boolean, "home_work_capable": _boolean, "covid_state": COVID_STATES,
 }
@@ -112,7 +129,7 @@ _HOUSEHOLD_COLUMNS = {
     "mortgage_payment": float, "rent": float, "childcare_user": _boolean,
     "childcare_expenditure": float, "n_children_0_4": int, "n_children_under14": int,
 }
-_DTYPES = {int: np.int64, float: np.float64, _boolean: bool}
+_DTYPES = {int: np.int64, float: np.float64, _boolean: bool, _occupation: np.int64}
 
 
 class Table(SimpleNamespace):
@@ -232,19 +249,112 @@ def validate(households: Table, persons: Table, unknown=None) -> list:
     return [message for *_, message in sorted(found)]
 
 
-def _codes(texts, labels, unknown: list) -> np.ndarray:
-    """Codes of the stripped texts in `labels`, -1 for ''; a text outside
-    `labels` is appended to `unknown` and coded past the end of `labels`."""
-    texts = list(map(str.strip, texts))
-    lookup = {text: code for code, text in enumerate(labels)} | {"": -1}
-    for text in sorted(set(texts) - lookup.keys()):
-        lookup[text] = len(labels) + len(unknown)
-        unknown.append(text)
-    return np.fromiter(map(lookup.__getitem__, texts), np.int64, len(texts))
+def _coder(labels, unknown: list):
+    """Parser of enum texts: the code of the stripped text in `labels`, -1
+    for ''; a text outside `labels` is appended to `unknown` and coded past
+    the end of `labels`."""
+    codes = {text: code for code, text in enumerate(labels)} | {"": -1}
+
+    def code(text) -> int:
+        text = text.strip()
+        if text not in codes:
+            codes[text] = len(labels) + len(unknown)
+            unknown.append(text)
+        return codes[text]
+    return code
 
 
-def _parse(texts, kind) -> np.ndarray:
-    return np.fromiter(map(kind, texts), _DTYPES[kind], len(texts))
+class _Memo(dict):
+    """`parse` with every result kept: `_Memo(parse).__getitem__` is a
+    C-level lookup for a text seen before."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        self[text] = self.parse(text)
+        return self[text]
+
+
+def _split_ids(ids: list, text) -> int:
+    """Append the ';'-separated ids of one cell to `ids`; return their count."""
+    count = len(ids)
+    ids.extend(filter(None, text.split(";")))
+    return len(ids) - count
+
+
+def _read(path, header, columns, native: bool) -> tuple:
+    """One np.loadtxt pass over the rows of a CSV file whose header has every
+    column of `columns`: int and float cells parsed by numpy's C parser if
+    `native`, else by Python's int and float; other cells by their kind."""
+    at = {column: i for i, column in enumerate(header)}  # the last of a repeated name
+    unknown, ids, types, converters = {}, [], [], {}
+    for i, column in enumerate(header):
+        kind = columns[column]
+        if at[column] != i:  # an earlier copy of a repeated column is not parsed
+            types.append(bool)
+            converters[i] = bool
+        elif kind == "ids":  # the cell's count of ids
+            types.append(np.int64)
+            converters[i] = partial(_split_ids, ids)
+        elif isinstance(kind, tuple):
+            types.append(np.int64)
+            converters[i] = _Memo(_coder(kind, unknown.setdefault(column, []))).__getitem__
+        else:
+            types.append(_DTYPES[kind])
+            if kind not in (int, float):
+                converters[i] = _Memo(kind).__getitem__
+            elif not native:
+                converters[i] = kind
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # header only
+        records = np.loadtxt(fh, dtype=[(f"f{i}", t) for i, t in enumerate(types)],
+                             delimiter=",", quotechar='"', skiprows=1, comments=None,
+                             ndmin=1, encoding="utf-8", converters=converters)
+    table = {}
+    for column, kind in columns.items():
+        values = records[f"f{at[column]}"]
+        if kind == "ids":
+            table[column] = np.fromiter(map(int, ids), np.int64, len(ids))
+            table["member_offsets"] = np.cumsum(np.append(0, values), dtype=np.int64)
+        else:
+            table[column] = values.copy()
+    return Table(**table), unknown
+
+
+def _bad_cells(row, parsed):
+    """(type name, text) of each cell of `row` that its Python kind rejects,
+    member ids first and then column order; `parsed` is (index, kind) pairs."""
+    for i, kind in parsed:
+        for cell in filter(None, row[i].split(";")) if kind == "ids" else [row[i]]:
+            parse = int if kind == "ids" else kind
+            try:
+                _DTYPES[parse](parse(cell))
+            except (KeyError, OverflowError, ValueError):
+                yield {float: "float", _boolean: "boolean"}.get(parse, "int"), cell
+
+
+def _raise_first_bad(path, header, columns) -> None:
+    """Raise the first row whose field count differs from the header's,
+    else the first cell its Python kind rejects, in row order; return if
+    there is none. Rows are streamed; blank rows are skipped, not counted."""
+    name = os.path.basename(path)
+    at = {column: i for i, column in enumerate(header)}
+    parsed = sorted(((at[c], k) for c, k in columns.items() if not isinstance(k, tuple)),
+                    key=lambda ik: ik[1] != "ids")  # member ids are read first
+    bad = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for r, row in enumerate(filter(None, reader)):
+            if len(row) != len(header):
+                raise PopulationError([f"{name}:{r + 2}: {len(row)} fields where the "
+                                       f"header has {len(header)}"])
+            bad = bad or next((f"{name}:{r + 2}: bad {what} {cell!r}"
+                               for what, cell in _bad_cells(row, parsed)), None)
+    if bad:
+        raise PopulationError([bad])
 
 
 def _load_table(path, columns) -> tuple:
@@ -255,47 +365,17 @@ def _load_table(path, columns) -> tuple:
     within a row, member_ids first and then column order."""
     name = os.path.basename(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [row for row in reader if row]
+        header = next(csv.reader(fh), [])
     problems = [f"{name}: missing column {c!r}" for c in columns if c not in header]
     problems += [f"{name}: unknown column {c!r}" for c in header if c not in columns]
     if problems:
         raise PopulationError(problems)
-    ragged = next((r for r, row in enumerate(rows) if len(row) != len(header)), None)
-    if ragged is not None:
-        raise PopulationError([f"{name}:{ragged + 2}: {len(rows[ragged])} fields where the "
-                               f"header has {len(header)}"])
-    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
-    if "occupation" in cells:  # empty means 0, not applicable
-        cells["occupation"] = tuple(text or "0" for text in cells["occupation"])
-
-    table, unknown = {}, {}
     try:
-        for column, kind in columns.items():
-            if kind == "ids":
-                tokens = [list(filter(None, text.split(";"))) for text in cells[column]]
-                table[column] = np.fromiter(map(int, chain.from_iterable(tokens)), np.int64)
-                table["member_offsets"] = np.cumsum([0, *map(len, tokens)], dtype=np.int64)
-            elif isinstance(kind, tuple):
-                table[column] = _codes(cells[column], kind, unknown.setdefault(column, []))
-            else:
-                table[column] = _parse(cells[column], kind)
+        return _read(path, header, columns, native=True)
     except (KeyError, OverflowError, ValueError):
-        parsed = sorted(((c, k) for c, k in columns.items() if not isinstance(k, tuple)),
-                        key=lambda ck: ck[1] != "ids")  # member ids are read first
-        for r in range(len(rows)):
-            for column, kind in parsed:
-                for cell in filter(None, cells[column][r].split(";")) if kind == "ids" \
-                        else [cells[column][r]]:
-                    try:
-                        _parse((cell,), int if kind == "ids" else kind)
-                    except (KeyError, OverflowError, ValueError):
-                        what = {int: "int", "ids": "int", float: "float"}.get(kind, "boolean")
-                        raise PopulationError([f"{name}:{r + 2}: bad {what} {cell!r}"]) \
-                            from None
-        raise
-    return Table(**table), unknown
+        _raise_first_bad(path, header, columns)
+    # numpy rejects a number that Python's int or float reads, such as 1_000
+    return _read(path, header, columns, native=False)
 
 
 def load_population(path, base_period: dt.date = dt.date(2019, 12, 1)) -> Population:
@@ -432,10 +512,25 @@ def _generated_table(values: dict, columns) -> Table:
             table["member_offsets"] = np.cumsum([0, *values[column]], dtype=np.int64)
             table[column] = np.arange(1, table["member_offsets"][-1] + 1, dtype=np.int64)
         elif isinstance(kind, tuple):
-            table[column] = _codes(values[column], kind, [])
+            table[column] = np.fromiter(map(_coder(kind, []), values[column]), np.int64)
         else:
             table[column] = np.array(values[column], dtype=_DTYPES[kind])
     return Table(**table)
+
+
+# The generator's categorical draws: a worker's occupation code (1..9), and
+# a household type's number of children (1..3 and 1..2).
+_CHOICES = {"occupation": (0.13, 0.12, 0.12, 0.13, 0.10, 0.10, 0.10, 0.10, 0.10),
+            "couple_kids": (0.4, 0.4, 0.2), "lone_parent": (0.7, 0.3)}
+_CDFS = {name: (np.cumsum(p) / np.cumsum(p)[-1]).tolist() for name, p in _CHOICES.items()}
+
+
+def _choice(name, rng) -> int:
+    """An index drawn with the probabilities `_CHOICES[name]`: the index that
+    `rng.choice(len(p), p=p)` returns from the same one `rng.random()` draw,
+    as choice bisects the same normalised cumulative table, at under a
+    tenth of its cost."""
+    return bisect.bisect_right(_CDFS[name], rng.random())
 
 
 def generate_synthetic(config: SynthConfig, seed: int) -> Population:
@@ -467,10 +562,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
             education = "secondary" if rng.random() < 0.75 else "primary"
         occupation = 0
         if work_status in WORKER_STATUSES:
-            occupation = int(rng.choice(
-                np.arange(1, 10),
-                p=[0.13, 0.12, 0.12, 0.13, 0.10, 0.10, 0.10, 0.10, 0.10],
-            ))
+            occupation = 1 + _choice("occupation", rng)
         region = REGIONS[0] if rng.random() < 0.27 else REGIONS[1]
         capital = 0.0
         if age >= 18:
@@ -525,8 +617,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
                 age3 = int(rng.integers(18, 29))
                 member_list.append(new_person(hid, age3, adult_status(age3, rng), rng))
         else:
-            n_kids = int(rng.choice([1, 2, 3], p=[0.4, 0.4, 0.2])) if htype == "couple_kids" \
-                else int(rng.choice([1, 2], p=[0.7, 0.3]))
+            n_kids = 1 + _choice(htype, rng)
             n_adults = 2 if htype == "couple_kids" else 1
             for _ in range(n_adults):
                 age = int(rng.integers(25, 51))

@@ -1,7 +1,9 @@
 import csv
 import filecmp
+import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import population_oracle
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nowcastsim import population
 from nowcastsim.population import (COVID_STATES, DEFAULT_SECTOR_SHARES, EDUCATIONS,
                                    REGIONS, SECTORS, SEXES, TENURES, WORK_STATUSES,
                                    WORKER_CODES, PopulationError, SynthConfig, Table,
@@ -183,6 +186,21 @@ class TestGenerator:
         weights = pop.households.weight
         assert np.all((weights >= 0.5) & (weights <= 1.5))
         assert weights.std() > 0.0
+
+    @pytest.mark.parametrize("name", sorted(population._CHOICES))
+    def test_choice_draws_as_generator_choice(self, name):
+        """The bisected table draws what Generator.choice(a, p=p), which the
+        generator called before, draws from the same stream, and leaves the
+        stream where choice leaves it."""
+        p = population._CHOICES[name]
+        a = np.arange(1, len(p) + 1)  # occupation codes 1..9, 1..3 or 1..2 children
+        ours, numpys = (np.random.default_rng(np.random.SeedSequence([0x5E3D, 42]))
+                        for _ in range(2))
+        draws = [(1 + population._choice(name, ours), int(ours.integers(0, 100)))
+                 for _ in range(100_000)]
+        assert draws == [(int(numpys.choice(a, p=p)), int(numpys.integers(0, 100)))
+                         for _ in range(100_000)]
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestSynthConfigFile:
@@ -414,3 +432,127 @@ def test_loader_and_validate_match_oracle(seed, households, edits):
         households_, persons_ = objects
         assert same_as_objects(pop.households, households_, CELLS["households.csv"])
         assert same_as_objects(pop.persons, persons_, CELLS["persons.csv"])
+
+
+# -- edge cases of the file syntax, against the oracle ---------------------
+
+def saved_bytes(path) -> dict:
+    save_population(generate_synthetic(SynthConfig(households=3, weight_jitter=True), 1), path)
+    return {name: (path / name).read_bytes() for name in CELLS}
+
+
+def with_cell(data: bytes, column, text, row=1) -> bytes:
+    rows = list(csv.reader(data.decode().splitlines()))
+    rows[row][rows[0].index(column)] = text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode()
+
+
+PERSONS_EDITS = {
+    "blank line": lambda data: data.replace(b"\n", b"\n\n", 2),
+    "row starts with #": lambda data: data.replace(b"\n1,", b"\n#1,", 1),
+    "doubled quotes": lambda data: with_cell(data, "region", 'a "quoted" region'),
+    "quoted comma": lambda data: with_cell(data, "sex", "ma,le"),
+    "quoted newline": lambda data: with_cell(data, "region", "southern and\neastern"),
+    "unknown enum text": lambda data: with_cell(data, "covid_state", "zombie", row=2),
+    "1_000 in an int column": lambda data: with_cell(data, "age", "1_000"),
+    "1_000 in a float column": lambda data: with_cell(data, "capital_income", "1_000"),
+    "arabic digits in an int column": lambda data: with_cell(data, "age", "١٢"),
+    "arabic digits in a float column": lambda data: with_cell(data, "capital_income", "١٢"),
+    "2**63 in a float column": lambda data: with_cell(data, "capital_income",
+                                                       "9223372036854775808"),
+    "invalid UTF-8 byte": lambda data: data.replace(b"female", b"fem\xffale", 1),
+}
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("edit", PERSONS_EDITS.values(), ids=PERSONS_EDITS)
+def test_syntax_edge_cases_match_oracle(tmp_path, edit, line_end):
+    """CRLF and CR-only line ends, blank lines, quoting, numbers that only
+    Python reads and undecodable bytes: the same tables, violations or
+    exception as the object-based loader."""
+    files = saved_bytes(tmp_path)
+    files["persons.csv"] = edit(files["persons.csv"])
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data.replace(b"\n", line_end))
+
+    def result(load):
+        try:
+            return outcome(load, tmp_path)
+        except UnicodeDecodeError as exc:
+            return None, [repr(exc)]
+    (pop, violations), (objects, expected) = (
+        result(load_population), result(population_oracle.load_population))
+    assert violations == expected
+    if objects is not None:
+        assert same_as_objects(pop.households, objects[0], CELLS["households.csv"])
+        assert same_as_objects(pop.persons, objects[1], CELLS["persons.csv"])
+
+
+@pytest.mark.parametrize("name, edit, violations", [
+    # the oracle reads past these: a whitespace-only row is one field, an
+    # int64 overflow is its int, and it ignores unknown columns
+    ("persons.csv", lambda data: data.replace(b"\n", b"\n  \n", 2),
+     ["persons.csv:2: 1 fields where the header has 16"]),
+    ("persons.csv", lambda data: with_cell(data, "age", "9223372036854775808"),
+     ["persons.csv:2: bad int '9223372036854775808'"]),
+    ("households.csv", lambda data: with_cell(data, "member_ids", "1;9223372036854775808"),
+     ["households.csv:2: bad int '9223372036854775808'"]),
+    ("households.csv", lambda data: b"\xef\xbb\xbf" + data,
+     ["households.csv: missing column 'household_id'",
+      "households.csv: unknown column '\\ufeffhousehold_id'"]),
+])
+def test_syntax_errors_located(tmp_path, name, edit, violations):
+    files = saved_bytes(tmp_path)
+    (tmp_path / name).write_bytes(edit(files[name]))
+    with pytest.raises(PopulationError) as err:
+        load_population(tmp_path)
+    assert err.value.violations == violations
+
+
+def test_header_only_files_load_silently(tmp_path, capfd):
+    for name, data in saved_bytes(tmp_path).items():
+        (tmp_path / name).write_bytes(data.split(b"\n")[0] + b"\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing printed on stderr either
+        pop = load_population(tmp_path)
+    assert len(pop.households) == len(pop.persons) == 0
+    assert capfd.readouterr() == ("", "")
+
+
+def test_repeated_column_reads_its_last_copy(tmp_path):
+    """As with a dict of the header, the last copy of a repeated column is
+    the one read; an earlier copy is never parsed."""
+    pop = generate_synthetic(SynthConfig(households=3), 1)
+    save_population(pop, tmp_path)
+    rows = list(csv.reader((tmp_path / "persons.csv").read_text().splitlines()))
+    with open(tmp_path / "persons.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [["age", *rows[0]]] + [["x", *row] for row in rows[1:]])
+    assert same_columns(load_population(tmp_path).persons, pop.persons)
+
+
+NUMBER_TEXTS = st.lists(st.sampled_from([*"0123456789.eE+-_ ", "nan", "inf"]),
+                        max_size=12).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=NUMBER_TEXTS)
+@example(text="1_000")
+@example(text="9223372036854775808")
+@example(text=" -1e5 ")
+def test_native_numbers_are_pythons(text):
+    """numpy's C parser reads an int64 or float64 cell to exactly the value
+    Python's int or float reads, or rejects it: so a file it accepts loads
+    as before, and one it rejects is rescanned with Python's parsers."""
+    for kind, dtype in ((int, np.int64), (float, np.float64)):
+        try:
+            native = np.loadtxt([f'"{text}"'], dtype=dtype, delimiter=",", quotechar='"',
+                                comments=None, ndmin=1)
+        except ValueError:
+            continue
+        assert native.shape == (1,)
+        python = kind(text)
+        assert np.array_equal(native, np.array([python], dtype=dtype), equal_nan=True)
+        assert np.signbit(native[0]) == np.signbit(python)
