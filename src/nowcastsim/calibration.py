@@ -37,25 +37,39 @@ def align_by_score(ids, scores, weights, target: float) -> np.ndarray:
     id) until cumulative weight first reaches `target`. Returns selected
     ids, ascending."""
     ids = np.asarray(ids)
-    scores = np.asarray(scores, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    total = float(np.sum(weights))
+    order = score_order(ids, scores)
+    return take_by_score(ids[order], weights[order], target, float(np.sum(weights)))
+
+
+def score_order(ids, scores) -> np.ndarray:
+    """Rank step: units in descending score order, ties by ascending id."""
+    return np.lexsort((np.asarray(ids), -np.asarray(scores, dtype=np.float64)))
+
+
+def take_by_score(ranked, ranked_weights, target: float, total: float) -> np.ndarray:
+    """Take step: the leading units of `ranked` (alignment order, weights
+    summing to `total`) whose cumulative weight first reaches `target`, ascending."""
     tol = 1e-9 * max(1.0, abs(target))
     if target < -tol:
         raise AlignmentError(f"negative target {target}")
     if target <= tol:
-        return np.empty(0, dtype=ids.dtype)
-    if ids.size == 0:
+        return np.empty(0, dtype=ranked.dtype)
+    if ranked.size == 0:
         raise AlignmentError(f"no units available for target {target}")
     if target > total + max(tol, 1e-9 * total):
         raise AlignmentError(
             f"target {target} exceeds available weight {total}"
         )
-    order = np.lexsort((ids, -scores))
-    cum = np.cumsum(weights[order])
+    cum = np.cumsum(ranked_weights)
     k = int(np.searchsorted(cum, target - tol, side="left"))
-    k = min(k, ids.size - 1)
-    return np.sort(ids[order[: k + 1]])
+    k = min(k, ranked.size - 1)
+    return np.sort(ranked[: k + 1])
+
+
+def binary_scores(ids, probs, seed: int, label: str) -> np.ndarray:
+    """logit(p) plus logistic noise keyed by (seed, label, id)."""
+    return _logit(probs) + logistic_noise(seed, "align:" + label, ids)
 
 
 def align_binary(ids, probs, weights, target: float, seed: int, label: str) -> np.ndarray:
@@ -72,8 +86,7 @@ def align_binary(ids, probs, weights, target: float, seed: int, label: str) -> n
         raise AlignmentError("alignment probabilities must lie strictly in (0, 1)")
     if np.any(weights <= 0.0):
         raise AlignmentError("alignment weights must be positive")
-    scores = _logit(probs) + logistic_noise(seed, "align:" + label, ids)
-    return align_by_score(ids, scores, weights, target)
+    return align_by_score(ids, binary_scores(ids, probs, seed, label), weights, target)
 
 
 def align_continuous(values, weights, target_mean: float) -> np.ndarray:

@@ -3,6 +3,10 @@ and the benefits/taxes/expenses redistribution decomposition.
 
 Analysis is person-weighted: each person carries their household's survey
 weight and the household's equivalised income (modified OECD scale).
+A Gini sorts persons by income, ties by row. As a person's income is their
+household's, `summarize` takes that order from household ranks: household
+values are dense-ranked (equal values, 0.0 and -0.0 too, share a rank) and
+persons sorted by the integer key rank * n + row (`household_order`).
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ def equivalence_scale(adults_14plus, children_under14):
     return scale
 
 
-def weighted_gini(values, weights) -> float:
+def weighted_gini(values, weights, order=None) -> float:
     """Weighted Gini coefficient.
 
     Definition: sum_i sum_j w_i w_j |x_i - x_j| / (2 W^2 mu). Computed in
@@ -45,7 +49,8 @@ def weighted_gini(values, weights) -> float:
         G = sum_i w_i x_i (2 c_i - w_i - W) / (W^2 mu)
 
     with c_i the inclusive cumulative weight in ascending-x order, which
-    equals the double sum (tie order does not matter).
+    equals the double sum (tie order does not matter); `order` is the
+    stable argsort of the values when the caller has it.
     """
     x = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -61,12 +66,23 @@ def weighted_gini(values, weights) -> float:
     mean = float(np.sum(w * x)) / total
     if mean == 0.0:
         raise MetricsError("gini undefined: zero mean with nonzero dispersion")
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x, kind="stable") if order is None else order
     xs = x[order]
     ws = w[order]
     cum = np.cumsum(ws)
     g = float(np.sum(ws * xs * (2.0 * cum - ws - total))) / (total * total * mean)
     return g
+
+
+def household_order(hh_values, hh_row) -> np.ndarray:
+    """`np.argsort(hh_values[hh_row], kind="stable")`, formed by sorting the
+    household values and then integer (rank, row) keys."""
+    v = np.asarray(hh_values, dtype=np.float64)
+    by_value = np.argsort(v)
+    rank = np.empty(v.size, dtype=np.int64)
+    rank[by_value] = np.cumsum(np.r_[True, v[by_value[1:]] != v[by_value[:-1]]])
+    n = len(hh_row)
+    return np.sort(rank[hh_row] * n + np.arange(n)) % n
 
 
 def weighted_quantile_groups(ranking, weights, n_groups: int, ids=None) -> np.ndarray:
@@ -130,17 +146,19 @@ class DistributionSummary:
     decomposition: tuple = (0.0, 0.0, 0.0)           # (benefits, taxes, expenses)
 
 
-def summarize(label: str, equivalized_by_definition: dict, weights, deciles):
-    """Build a DistributionSummary from person-level equivalised incomes
-    and the fixed deciles (see decile_means)."""
+def summarize(label: str, hh_equivalized: dict, hh_row, weights, deciles):
+    """Build a DistributionSummary from household-level equivalised
+    incomes, each carried by the household's persons (`hh_row` maps person
+    rows to household rows), and the fixed deciles (see decile_means)."""
     w = np.asarray(weights, dtype=np.float64)
+    equivalized = {name: v[hh_row] for name, v in hh_equivalized.items()}
     means = {}
     gini = {}
     for name in INCOME_DEFINITIONS:
-        v = np.asarray(equivalized_by_definition[name], dtype=np.float64)
+        v = equivalized[name]
         means[name] = float(np.sum(v * w) / np.sum(w))
-        gini[name] = weighted_gini(v, w)
-    decile_table = decile_means(equivalized_by_definition, w, deciles)
+        gini[name] = weighted_gini(v, w, household_order(hh_equivalized[name], hh_row))
+    decile_table = decile_means(equivalized, w, deciles)
     decomposition = redistribution_decomposition(
         gini["market"], gini["gross"], gini["disposable"], gini["adjusted"]
     )

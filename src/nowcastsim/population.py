@@ -503,18 +503,16 @@ def _quota_counts(shares: dict, n: int) -> dict:
 
 
 def _generated_table(values: dict, columns) -> Table:
-    """Table of generated column values: enum labels become codes, and the
-    member_ids column holds household sizes, as persons are numbered from 1
-    in household order."""
+    """Table of generated column values, enums as codes; the member_ids
+    column holds household sizes, as persons are numbered from 1 in
+    household order."""
     table = {}
     for column, kind in columns.items():
         if kind == "ids":
             table["member_offsets"] = np.cumsum([0, *values[column]], dtype=np.int64)
             table[column] = np.arange(1, table["member_offsets"][-1] + 1, dtype=np.int64)
-        elif isinstance(kind, tuple):
-            table[column] = np.fromiter(map(_coder(kind, []), values[column]), np.int64)
         else:
-            table[column] = np.array(values[column], dtype=_DTYPES[kind])
+            table[column] = np.array(values[column], dtype=_DTYPES.get(kind, np.int64))
     return Table(**table)
 
 
@@ -546,24 +544,29 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
         raise PopulationError(["synthetic generator needs a positive household count"])
     rng = np.random.default_rng(np.random.SeedSequence([0x5E3D, seed & 0xFFFFFFFF]))
     households = []  # one tuple per household, the size in place of its member ids
-    persons = []  # one tuple per person, in _PERSON_COLUMNS order
-    next_pid = 1
+    # one list per person column, enums as codes; the columns that only the
+    # sector assignment below sets are filled once the persons are drawn
+    values = {column: [] for column in _PERSON_COLUMNS}
+    status_code = {status: code for code, status in enumerate(WORK_STATUSES)}
+    primary, secondary, university = range(3)  # EDUCATIONS codes
 
     def new_person(hid, age, work_status, rng):
-        nonlocal next_pid
-        pid = next_pid
-        next_pid += 1
-        sex = "male" if rng.random() < 0.5 else "female"
+        values["household_id"].append(hid)
+        values["age"].append(age)
+        values["sex"].append(0 if rng.random() < 0.5 else 1)  # male, female
         if age < 16:
-            education = "primary"
+            education = primary
         elif rng.random() < (0.35 if age < 65 else 0.20):
-            education = "university"
+            education = university
         else:
-            education = "secondary" if rng.random() < 0.75 else "primary"
+            education = secondary if rng.random() < 0.75 else primary
+        values["education"].append(education)
         occupation = 0
         if work_status in WORKER_STATUSES:
             occupation = 1 + _choice("occupation", rng)
-        region = REGIONS[0] if rng.random() < 0.27 else REGIONS[1]
+        values["occupation"].append(occupation)
+        values["region"].append(0 if rng.random() < 0.27 else 1)
+        values["work_status"].append(status_code[work_status])
         capital = 0.0
         if age >= 18:
             cap_rate = {0: 0.03, 1: 0.06, 2: 0.10, 3: 0.13}.get(min((age - 15) // 10, 3), 0.10)
@@ -575,8 +578,9 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
         home_capable = False
         if occupation:
             home_capable = rng.random() < (0.7 if occupation <= 4 else (0.3 if occupation == 9 else 0.15))
-        return (pid, hid, age, sex, education, occupation, "", region, work_status,
-                0.0, 0.0, capital, pension, False, home_capable, "none")
+        values["capital_income"].append(capital)
+        values["private_pension"].append(pension)
+        values["home_work_capable"].append(home_capable)
 
     def adult_status(age, rng):
         u = rng.random()
@@ -593,6 +597,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
         return "retired" if u < 0.92 else ("employee" if u < 0.97 else "self-employed")
 
     for hid in range(1, config.households + 1):
+        first = len(values["age"])
         u = rng.random()
         if u < 0.28:
             htype = "single"
@@ -604,28 +609,27 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
             htype = "lone_parent"
         else:
             htype = "three_adult"
-        member_list = []
         if htype == "single":
             age = int(rng.integers(25, 91))
-            member_list.append(new_person(hid, age, adult_status(age, rng), rng))
+            new_person(hid, age, adult_status(age, rng), rng)
         elif htype in ("couple", "three_adult"):
             age1 = int(rng.integers(25, 86))
             age2 = max(18, age1 + int(rng.integers(-5, 6)))
             for age in (age1, age2):
-                member_list.append(new_person(hid, age, adult_status(age, rng), rng))
+                new_person(hid, age, adult_status(age, rng), rng)
             if htype == "three_adult":
                 age3 = int(rng.integers(18, 29))
-                member_list.append(new_person(hid, age3, adult_status(age3, rng), rng))
+                new_person(hid, age3, adult_status(age3, rng), rng)
         else:
             n_kids = 1 + _choice(htype, rng)
             n_adults = 2 if htype == "couple_kids" else 1
             for _ in range(n_adults):
                 age = int(rng.integers(25, 51))
-                member_list.append(new_person(hid, age, adult_status(age, rng), rng))
+                new_person(hid, age, adult_status(age, rng), rng)
             for _ in range(n_kids):
-                member_list.append(new_person(hid, int(rng.integers(0, 16)), "child", rng))
+                new_person(hid, int(rng.integers(0, 16)), "child", rng)
 
-        ages = [member[2] for member in member_list]  # column 2 is age
+        ages = values["age"][first:]
         u = rng.random()
         if ages[0] < 35:
             tenure = "renter" if u < 0.55 else ("mortgage" if u < 0.90 else "owner_outright")
@@ -648,25 +652,28 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
             childcare_spend = round(float(rng.lognormal(4.9, 0.5)), 2)
 
         weight = round(float(0.5 + rng.random()), 6) if config.weight_jitter else 1.0
-        households.append((hid, weight, len(member_list), tenure, mortgage, rent,
+        households.append((hid, weight, len(ages), TENURES.index(tenure), mortgage, rent,
                            childcare_user, childcare_spend, kids_0_4, kids_u14))
-        persons.extend(member_list)
 
-    values = dict(zip(_PERSON_COLUMNS, map(list, zip(*persons))))
+    n = len(values["age"])
+    values.update(person_id=range(1, n + 1), industry=[-1] * n, employment_income=[0.0] * n,
+                  self_employment_income=[0.0] * n, essential_worker=[False] * n,
+                  covid_state=[0] * n)  # covid_state "none"
     # sector assignment by quota keeps realized shares within one worker
     status = values["work_status"]
-    workers = [i for i, s in enumerate(status) if s in WORKER_STATUSES]
+    workers = [i for i, s in enumerate(status) if s in WORKER_CODES]
     counts = _quota_counts(config.sector_shares, len(workers))
     sector_slots = []
-    for s in SECTORS:
-        sector_slots.extend([s] * counts.get(s, 0))
+    for code, s in enumerate(SECTORS):
+        sector_slots.extend([code] * counts.get(s, 0))
     order = rng.permutation(len(workers))
-    for slot, i in zip(sector_slots, (workers[k] for k in order)):
-        values["industry"][i] = slot
+    for code, i in zip(sector_slots, (workers[k] for k in order)):
+        slot = SECTORS[code]
+        values["industry"][i] = code
         values["essential_worker"][i] = bool(rng.random() < config.essential_shares.get(slot, 0.3))
         location = config.income_location + config.income_offsets.get(slot, 0.0)
         amount = round(float(rng.lognormal(location, config.income_scale)), 2)
-        if status[i] == "employee":
+        if status[i] == status_code["employee"]:
             values["employment_income"][i] = amount
         else:
             values["self_employment_income"][i] = round(amount * 0.9, 2)

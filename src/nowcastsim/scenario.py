@@ -22,8 +22,9 @@ Per wave, in a fixed order so a person holds at most one pandemic state:
 
 Ranking alignment keys never include the wave date for persistent states
 (job loss, subsidy, deferral), so recipient sets are nested as targets
-move; sickness draws are keyed per wave. All draws are keyed by unit id,
-making results independent of iteration order and thread count.
+move, and build_baseline ranks each of their pools once per run; sickness
+draws are keyed per wave, so CEIB is ranked per wave. All draws are keyed by
+unit id, making results independent of iteration order and thread count.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expenses, igm, metrics, taxben
-from .calibration import AlignmentError, align_binary, align_by_score, align_continuous
+from .calibration import (AlignmentError, align_by_score, align_continuous, binary_scores,
+                          score_order, take_by_score)
 from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
 from .population import (EDUCATIONS, REGIONS, SECTORS, WORK_STATUSES, WORKER_CODES,
                          Population, Table)
@@ -71,7 +73,6 @@ class ControlTotals:
 
     date: dt.date
     pup_by_sector: dict = field(default_factory=dict)
-    ceib_by_sector: dict = field(default_factory=dict)
     ceib_cases: dict = field(default_factory=dict)  # (band, in_work) -> count
     subsidy_by_sector: dict = field(default_factory=dict)
     deferral_count: float = 0.0
@@ -112,7 +113,6 @@ class ControlSeries:
         return ControlTotals(
             date=date,
             pup_by_sector=self.pup.get(date, {}),
-            ceib_by_sector=self.ceib_sector.get(date, {}),
             ceib_cases=self.ceib_cases.get(date, {}),
             subsidy_by_sector=self.subsidy.get(date, {}),
             deferral_count=self.deferrals_at(date),
@@ -315,16 +315,24 @@ def parse_scenario(path) -> Scenario:
 def control_gaps(plan: Scenario, series: ControlSeries) -> list:
     """One message per wave that switches an instrument on while the
     controls have no rows for it at the wave's date, which makes that
-    instrument a null shock. Deferrals are interpolated, so never missing."""
-    return [f"wave {w.label} switches {name} on, but "
-            f"{os.path.basename(plan.controls_path)} has no {key} rows at {w.date}"
+    instrument a null shock (deferrals are interpolated, so never missing);
+    then one per date whose ceib:<sector> rows and in-work ceib_cases rows,
+    two margins of the same sickness cases, differ by more than one case."""
+    name = os.path.basename(plan.controls_path)
+    in_work = {date: sum(count for (_, working), count in cases.items() if working)
+               for date, cases in series.ceib_cases.items()}
+    return [f"wave {w.label} switches {instrument} on, but {name} has no {key} rows at {w.date}"
             for w in plan.waves
-            for on, rows, name, key in (
+            for on, rows, instrument, key in (
                 (w.pup_on, series.pup, "pup", "pup:<sector>"),
                 (w.ceib_on, series.ceib_cases, "ceib", "ceib_cases"),
                 (w.subsidy != "none", series.subsidy, "subsidy", "subsidy:<sector>"),
                 (w.capital_on, series.index_factor, "capital_losses", "index_change_factor"))
-            if on and w.date not in rows]
+            if on and w.date not in rows] + [
+        f"{name}: the ceib:<sector> rows at {date} sum to {sum(by_sector.values()):g} cases, "
+        f"the in-work ceib_cases rows to {in_work.get(date, 0.0):g}"
+        for date, by_sector in sorted(series.ceib_sector.items())
+        if abs(sum(by_sector.values()) - in_work.get(date, 0.0)) > 1.0]
 
 
 # -- reference data bundle -------------------------------------------------------
@@ -445,7 +453,6 @@ class BaselineState:
     weekly_earn_cents: np.ndarray
     take_home_weekly_cents: np.ndarray
     commute_mode: np.ndarray
-    case_band: np.ndarray
     cap_band: np.ndarray
     cap_quintile: np.ndarray
     cap_participant: np.ndarray
@@ -457,6 +464,10 @@ class BaselineState:
     rent_cents: np.ndarray
     equiv_scale: np.ndarray
     childcare_weekly_cents: np.ndarray
+    # alignment pools, fixed for the run: label -> (rows, rows in alignment order)
+    strata: dict
+    band_workers: dict               # case age band -> worker rows (CEIB)
+    sector_worker_weight: np.ndarray  # per SECTORS entry
 
 
 def build_baseline(pop: Population, tables: DataTables,
@@ -529,13 +540,26 @@ def build_baseline(pop: Population, tables: DataTables,
     cap_participant = expenses.capital_participants(
         tables.holdings, cap_band, quintile_p, cap > 0, pid, seed)
 
+    def stratum(label, rows, ids):
+        return rows, rows[_rank(ids[rows], seed, label)]
+    holders = np.flatnonzero(households.tenure == expenses.TENURE_CODES["mortgage"])
+    strata = {"deferral": stratum("deferral", holders, hid)}
+    employee = persons.work_status == taxben.STATUS_CODES["employee"]
+    sector_workers = [np.flatnonzero(is_worker & (persons.industry == s))
+                      for s in range(len(SECTORS))]
+    for sector, rows in zip(SECTORS, sector_workers):
+        strata[f"pup:{sector}"] = stratum(f"pup:{sector}",
+                                          rows[(age[rows] >= 18) & (age[rows] <= 66)], pid)
+        strata[f"subsidy:{sector}"] = stratum(f"subsidy:{sector}", rows[employee[rows]], pid)
+    bands = case_age_band(age)
+
     return BaselineState(
         pid=pid, hh_row=hh_row, age=age, person_weight=person_weight,
         status=persons.work_status, sector_idx=persons.industry, is_worker=is_worker,
         essential=persons.essential_worker, home_capable=persons.home_work_capable,
         emp_cents=emp, se_cents=se, cap_cents=cap, pens_cents=pens,
         weekly_earn_cents=weekly_earn, take_home_weekly_cents=take_home_weekly,
-        commute_mode=commute_mode, case_band=case_age_band(age),
+        commute_mode=commute_mode,
         cap_band=cap_band, cap_quintile=quintile_p, cap_participant=cap_participant,
         hid=hid, hh_weight=hh_weight,
         tenure_code=households.tenure,
@@ -543,6 +567,10 @@ def build_baseline(pop: Population, tables: DataTables,
         rent_cents=cents(households.rent),
         equiv_scale=np.asarray(scale, dtype=np.float64),
         childcare_weekly_cents=childcare_weekly,
+        strata=strata,
+        band_workers={band: np.flatnonzero(is_worker & (bands == band))
+                      for band in CASE_AGE_BANDS},
+        sector_worker_weight=np.array([np.sum(person_weight[rows]) for rows in sector_workers]),
     )
 
 
@@ -580,18 +608,19 @@ def _scaled_sector_targets(base: BaselineState, national_counts: dict,
                            national_employment: dict) -> dict:
     """Rescale national recipient stocks to the loaded population by the
     sector worker-weight share of national sector employment."""
-    targets = {}
-    for sector, count in national_counts.items():
-        s = SECTORS.index(sector)
-        mask = base.is_worker & (base.sector_idx == s)
-        pop_weight = float(np.sum(base.person_weight[mask]))
-        targets[sector] = count * pop_weight / national_employment[sector]
-    return targets
+    return {sector: count * float(base.sector_worker_weight[SECTORS.index(sector)])
+            / national_employment[sector] for sector, count in national_counts.items()}
 
 
-def _align_units(ids, weights, target: float, seed: int, label: str,
-                 unit_weight: float, context: str) -> np.ndarray:
-    """Align uniform-odds units to a rescaled (fractional) target.
+def _rank(ids, seed: int, label: str) -> np.ndarray:
+    """Alignment order of uniform-odds units (see calibration.align_binary)."""
+    return score_order(ids, binary_scores(ids, np.full(len(ids), 0.5), seed, label))
+
+
+def _align_rows(pool, ranked, weight, target: float, unit_weight: float,
+                context: str) -> np.ndarray:
+    """Rows chosen from `pool` (rows of `weight`; `ranked` is the pool in
+    alignment order) for a rescaled (fractional) target.
 
     A shortfall within one unit-weight is satisfiable by construction
     (|realized - target| <= one unit-weight), so thin strata may legally
@@ -600,8 +629,9 @@ def _align_units(ids, weights, target: float, seed: int, label: str,
     """
     if target <= 0:
         return np.empty(0, dtype=np.int64)
-    available = float(np.sum(weights))
-    w_max = float(np.max(weights)) if len(weights) else unit_weight
+    pool_weight = weight[pool]
+    available = float(np.sum(pool_weight))
+    w_max = float(np.max(pool_weight)) if pool.size else unit_weight
     if target > available + w_max + 1e-9:
         raise AlignmentError(
             f"{context}: target {target:.2f} exceeds the available weight "
@@ -609,8 +639,9 @@ def _align_units(ids, weights, target: float, seed: int, label: str,
         )
     if available == 0.0:
         return np.empty(0, dtype=np.int64)
-    probs = np.full(len(ids), 0.5)
-    return align_binary(ids, probs, weights, min(target, available), seed, label)
+    if np.any(pool_weight <= 0.0):
+        raise AlignmentError("alignment weights must be positive")
+    return take_by_score(ranked, weight[ranked], min(target, available), available)
 
 
 def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
@@ -628,22 +659,14 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         subsidy_scheme = "twss" if wave.date < taxben.EWSS_HANDOVER else "ewss"
 
     unit_weight = float(np.max(base.person_weight))
-    # alignment returns ascending ids; person and household ids ascend with
-    # their rows, so a binary search maps the chosen ids back to rows
+    national_employment = tables.national["sector_employment"]
 
     # (a) pandemic job losses per sector
     job_lost = np.zeros(n, dtype=bool)
-    if controls.pup_by_sector:
-        targets = _scaled_sector_targets(base, controls.pup_by_sector,
-                                         tables.national["sector_employment"])
-        eligible_age = (base.age >= 18) & (base.age <= 66)
-        for sector, target in sorted(targets.items()):
-            s = SECTORS.index(sector)
-            rows = np.flatnonzero(base.is_worker & eligible_age & (base.sector_idx == s))
-            chosen = _align_units(base.pid[rows], base.person_weight[rows], target,
-                                  seed, f"pup:{sector}", unit_weight,
-                                  f"job losses in {sector!r}")
-            job_lost[rows[np.searchsorted(base.pid[rows], chosen)]] = True
+    targets = _scaled_sector_targets(base, controls.pup_by_sector, national_employment)
+    for sector, target in sorted(targets.items()):
+        job_lost[_align_rows(*base.strata[f"pup:{sector}"], base.person_weight, target,
+                             unit_weight, f"job losses in {sector!r}")] = True
     if wave.pup_on:
         covid[job_lost] = taxben.COVID_CODES["pup_recipient"]
     else:
@@ -658,12 +681,10 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         for (band, in_work), count in sorted(controls.ceib_cases.items()):
             if not in_work:
                 continue  # out-of-work cases carry no income change
-            rows = np.flatnonzero(base.is_worker & ~job_lost & (base.case_band == band))
-            chosen = _align_units(base.pid[rows], base.person_weight[rows],
-                                  count * pop_share, seed,
-                                  f"ceib:{band}:{wave.date.isoformat()}", unit_weight,
-                                  f"sickness cases in age band {band}")
-            ceib[rows[np.searchsorted(base.pid[rows], chosen)]] = True
+            rows = base.band_workers[band][~job_lost[base.band_workers[band]]]
+            ranked = rows[_rank(base.pid[rows], seed, f"ceib:{band}:{wave.date.isoformat()}")]
+            ceib[_align_rows(rows, ranked, base.person_weight, count * pop_share,
+                             unit_weight, f"sickness cases in age band {band}")] = True
     covid[ceib] = taxben.COVID_CODES["ceib_recipient"]
     emp_now[ceib] = 0
     se_now[ceib] = 0
@@ -672,13 +693,10 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     subsidised = np.zeros(n, dtype=bool)
     if subsidy_scheme != "none" and controls.subsidy_by_sector:
         gross_weekly = round_div(base.emp_cents, 52)
-        targets = _scaled_sector_targets(base, controls.subsidy_by_sector,
-                                         tables.national["sector_employment"])
-        candidate = (base.status == taxben.STATUS_CODES["employee"]) & ~job_lost & ~ceib
-        sector_rows = {s: np.flatnonzero(candidate & (base.sector_idx == SECTORS.index(s)))
-                       for s in sorted(targets)}
-        rows = np.concatenate(list(sector_rows.values()))
-        # every candidate's scheme amount, in one call per wave
+        targets = _scaled_sector_targets(base, controls.subsidy_by_sector, national_employment)
+        rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(targets)])
+        rows = rows[~job_lost[rows] & ~ceib[rows]]
+        # every remaining employee's scheme amount in one call, 0 for the rest
         amount = np.zeros(n, dtype=np.int64)
         if rows.size:
             if subsidy_scheme == "twss":
@@ -688,13 +706,11 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                 amount[rows] = taxben.ewss_subsidy_cents(schedules, gross_weekly[rows],
                                                          wave.date)
         for sector, target in sorted(targets.items()):
-            rows = sector_rows[sector]
-            # pay bands outside the scheme ("no subsidy applies") are ineligible
-            rows = rows[amount[rows] > 0]
-            chosen = _align_units(base.pid[rows], base.person_weight[rows], target,
-                                  seed, f"subsidy:{sector}", unit_weight,
-                                  f"wage subsidy in {sector!r}")
-            subsidised[rows[np.searchsorted(base.pid[rows], chosen)]] = True
+            # pay bands outside the scheme ("no subsidy applies") are ineligible;
+            # a subset of the ranked rows keeps their order
+            rows, ranked = (r[amount[r] > 0] for r in base.strata[f"subsidy:{sector}"])
+            subsidised[_align_rows(rows, ranked, base.person_weight, target, unit_weight,
+                                   f"wage subsidy in {sector!r}")] = True
         covid[subsidised] = taxben.COVID_CODES["wage_subsidised"]
         shortfall = np.maximum(gross_weekly[subsidised] - amount[subsidised], 0)
         emp_now[subsidised] = (amount[subsidised] + apply_rate(employer_topup, shortfall)) * 52
@@ -708,14 +724,11 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     # (e) mortgage deferrals
     deferred = np.zeros(n_hh, dtype=bool)
     if wave.deferrals_on and controls.deferral_count > 0:
-        holders = base.tenure_code == expenses.TENURE_CODES["mortgage"]
+        holders, ranked = base.strata["deferral"]
         holder_weight = float(np.sum(base.hh_weight[holders]))
         target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
-        rows = np.flatnonzero(holders)
-        chosen = _align_units(base.hid[rows], base.hh_weight[rows], target,
-                              seed, "deferral", float(np.max(base.hh_weight)),
-                              "mortgage deferrals")
-        deferred[rows[np.searchsorted(base.hid[rows], chosen)]] = True
+        deferred[_align_rows(holders, ranked, base.hh_weight, target,
+                             float(np.max(base.hh_weight)), "mortgage deferrals")] = True
 
     # (f) capital value changes
     q_hh = np.zeros(n_hh, dtype=np.int64)
@@ -775,12 +788,10 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
 # -- summaries ------------------------------------------------------------------
 
 
-def person_equivalized(base: BaselineState, result: WaveResult) -> dict:
-    """Person-level equivalised EUR/month for the four definitions."""
-    out = {}
-    for name, values in result.household_incomes().items():
-        out[name] = (values / 100.0 / base.equiv_scale)[base.hh_row]
-    return out
+def household_equivalized(base: BaselineState, result: WaveResult) -> dict:
+    """Household-level equivalised EUR/month for the four definitions."""
+    return {name: values / 100.0 / base.equiv_scale
+            for name, values in result.household_incomes().items()}
 
 
 def run_scenario(pop: Population, scenario: Scenario, tables: DataTables,
@@ -810,9 +821,10 @@ def run_scenario(pop: Population, scenario: Scenario, tables: DataTables,
     deciles = None
     summaries = []
     for r in results:
-        equivalized = person_equivalized(base, r)
+        equivalized = household_equivalized(base, r)
         if deciles is None:  # ranked once, by the first wave
-            deciles = metrics.weighted_quantile_groups(equivalized["adjusted"],
+            deciles = metrics.weighted_quantile_groups(equivalized["adjusted"][base.hh_row],
                                                        base.person_weight, 10, ids=base.pid)
-        summaries.append(metrics.summarize(r.label, equivalized, base.person_weight, deciles))
+        summaries.append(metrics.summarize(r.label, equivalized, base.hh_row,
+                                           base.person_weight, deciles))
     return base, results, summaries

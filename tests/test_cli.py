@@ -253,6 +253,33 @@ def edited_copy(src, dst, name, old, new):
         fh.write(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("count, warns", [("5101", False), ("5102", True)])
+def test_ceib_margins_are_cross_checked(data_dir, tmp_path, capsys, count, warns):
+    """The ceib:<sector> rows and the in-work ceib_cases rows count the same
+    cases; a date where they differ by more than one case gets a warning
+    from validate and run, and recipients stay as they were."""
+    edited_copy(data_dir, tmp_path / "data", "control_totals.csv",
+                "ceib:manufacturing,2020-05-05,5100", f"ceib:manufacturing,2020-05-05,{count}")
+    shipped = os.path.join(data_dir, "scenario.cfg")
+    edited = str(tmp_path / "data" / "scenario.cfg")
+    assert main(["validate", "--scenario", shipped]) == 0
+    assert "warning" not in capsys.readouterr().err  # 2020-12-22 differs by one case
+    assert main(["validate", "--scenario", edited]) == 0
+    message = ("warning: control_totals.csv: the ceib:<sector> rows at 2020-05-05 sum to "
+               f"{33800 + int(count)} cases, the in-work ceib_cases rows to 38900")
+    assert capsys.readouterr().err == (message + "\n" if warns else "")
+    synth = tmp_path / "synth.cfg"
+    synth.write_text("households = 80\n")
+    run = ["run", "--synth-config", str(synth), "--seed", "4", "--scenario"]
+    assert main(run + [shipped, "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    assert main(run + [edited, "--out", str(tmp_path / "b")]) == 0
+    assert (message in capsys.readouterr().err) is warns
+    a, b = read_dir(tmp_path / "a"), read_dir(tmp_path / "b")
+    assert a.pop("manifest.json") != b.pop("manifest.json")  # the controls digest
+    assert a == b
+
+
 def test_non_numeric_national_reference_is_located(data_dir, tmp_path, capsys):
     edited_copy(data_dir, tmp_path / "data", "national_reference.csv",
                 "sector_employment:construction,145000", "sector_employment:construction,lots")

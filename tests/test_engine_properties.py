@@ -11,8 +11,8 @@ from nowcastsim import taxben
 from nowcastsim.calibration import AlignmentError
 from nowcastsim.population import (SECTORS, TENURES, WORK_STATUSES, Population, Table,
                                    validate)
-from nowcastsim.scenario import CASE_AGE_BANDS, ControlTotals, WavePoint, apply_wave, \
-    build_baseline
+from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, apply_wave,
+                                 build_baseline, case_age_band)
 
 DATES = [dt.date(2020, 5, 5), dt.date(2020, 11, 15), dt.date(2021, 2, 23)]
 PUP = taxben.COVID_CODES["pup_recipient"]
@@ -75,8 +75,8 @@ def controls_at(date, tables, base, pup=0.0, ceib=0.0, subsidy=0.0, deferrals=0.
     sector's worker weight (PUP, subsidy), of each age band's worker
     weight (CEIB) and of the mortgage holders' weight (deferrals)."""
     national = tables.national
-    band_weight = {band: float(base.person_weight[base.is_worker
-                                                  & (base.case_band == band)].sum())
+    bands = case_age_band(base.age)
+    band_weight = {band: float(base.person_weight[base.is_worker & (bands == band)].sum())
                    for band in CASE_AGE_BANDS}
     pop_share = float(base.person_weight.sum()) / national["population_total"]
     return ControlTotals(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nowcastsim.metrics import (MetricsError, decile_means, equivalence_scale,
-                                redistribution_decomposition, weighted_gini,
-                                weighted_quantile_groups)
+                                household_order, redistribution_decomposition,
+                                summarize, weighted_gini, weighted_quantile_groups)
 
 
 def gini_double_sum(values, weights):
@@ -66,6 +68,47 @@ class TestWeightedGini:
 
     def test_all_zero_convention(self):
         assert weighted_gini([0.0, 0.0], [1.0, 1.0]) == 0.0
+
+
+# household values with heavy ties, signed zeros and negatives
+HOUSEHOLD_VALUES = st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.25, 1e-300, -1e-300])
+                            | st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=12)
+
+
+def gini_or_error(values, weights, order=None):
+    try:
+        return weighted_gini(values, weights, order)
+    except MetricsError as exc:
+        return str(exc)
+
+
+class TestHouseholdOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), hh_values=HOUSEHOLD_VALUES)
+    def test_matches_stable_argsort_and_gini_bits(self, data, hh_values):
+        """Any household map, monotone or not: the integer-key order is the
+        stable argsort of the person values, so the Gini is bit-equal."""
+        v = np.array(hh_values)
+        hh_row = np.array(data.draw(st.lists(st.integers(0, v.size - 1), min_size=1,
+                                             max_size=40)))
+        w = np.array(data.draw(st.lists(st.floats(0.25, 4.0), min_size=hh_row.size,
+                                        max_size=hh_row.size)))
+        order = household_order(v, hh_row)
+        assert np.array_equal(order, np.argsort(v[hh_row], kind="stable"))
+        generic, keyed = gini_or_error(v[hh_row], w), gini_or_error(v[hh_row], w, order)
+        assert type(generic) is type(keyed)
+        assert generic == keyed if isinstance(generic, str) else \
+            np.float64(generic).tobytes() == np.float64(keyed).tobytes()
+
+    def test_summarize_gini_matches_generic_path(self):
+        rng = np.random.default_rng(3)
+        hh = {name: rng.choice([0.0, 250.0, 1200.5, -40.0], 50) + rng.integers(0, 3, 50)
+              for name in ("market", "gross", "disposable", "adjusted")}
+        hh_row = rng.integers(0, 50, 140)
+        w = rng.uniform(0.5, 1.5, 50)[hh_row]
+        summary = summarize("w", hh, hh_row, w, rng.integers(1, 11, 140))
+        for name, values in hh.items():
+            assert summary.gini[name] == weighted_gini(values[hh_row], w)
 
 
 class TestQuantileGroups:

@@ -9,10 +9,10 @@ from nowcastsim.calibration import AlignmentError
 from nowcastsim.money import weekly_to_monthly
 from nowcastsim.population import SECTORS, WORK_STATUSES, WORKER_CODES
 from nowcastsim.scenario import (ControlError, ControlTotals,
-                                 ScenarioError, WavePoint, _align_units, apply_wave,
+                                 ScenarioError, WavePoint, _align_rows, apply_wave,
                                  build_baseline, control_gaps, load_control_totals,
                                  nowcast_baseline, parse_scenario,
-                                 person_equivalized, run_scenario)
+                                 household_equivalized, run_scenario)
 
 D = dt.date
 ACCOM = "accommodation and food service activities"
@@ -154,21 +154,44 @@ class TestControlGaps:
             assert "c.csv" in gap and "2020-05-05" in gap
 
 
+    def test_ceib_margins_more_than_one_case_apart_are_named(self, tmp_path):
+        (tmp_path / "c.csv").write_text(
+            "stratum_key,date,target\nceib:construction,2020-05-05,10\n"
+            "ceib:manufacturing,2020-05-05,5\nceib_cases:in_work:25-34,2020-05-05,12\n"
+            "ceib_cases:out_of_work:25-34,2020-05-05,40\nceib:construction,2020-06-06,7\n"
+            "ceib_cases:in_work:35-44,2020-06-06,3\nceib_cases:in_work:45-54,2020-06-06,5\n"
+            "ceib:construction,2020-08-28,4\n")
+        path = tmp_path / "s.cfg"
+        path.write_text("[scenario]\ncontrols=c.csv\n[wave:a]\ndate=2019-12-01\n")
+        plan = parse_scenario(path)
+        assert control_gaps(plan, load_control_totals(plan.controls_path)) == [
+            "c.csv: the ceib:<sector> rows at 2020-05-05 sum to 15 cases, "
+            "the in-work ceib_cases rows to 12",
+            "c.csv: the ceib:<sector> rows at 2020-08-28 sum to 4 cases, "
+            "the in-work ceib_cases rows to 0"]
+
+    def test_shipped_ceib_margins_agree_within_one_case(self, default_scenario,
+                                                        shipped_controls):
+        assert control_gaps(default_scenario, shipped_controls) == []
+
+
 class TestAlignUnitsEmptyStratum:
     """A stratum with no eligible units absorbs a target of at most one
     unit-weight by selecting nobody; a larger target is infeasible."""
 
     def test_target_within_unit_weight_selects_nobody(self):
         for target in (0.5, 1.0):
-            chosen = _align_units(np.empty(0, dtype=np.int64), np.empty(0), target,
-                                  7, "t", 1.0, "sickness cases in age band 0")
+            empty = np.empty(0, dtype=np.int64)
+            chosen = _align_rows(empty, empty, np.empty(0), target, 1.0,
+                                 "sickness cases in age band 0")
             assert chosen.size == 0
 
     def test_target_above_unit_weight_raises_with_context(self):
         for unit_weight, target in ((0.0, 0.5), (1.0, 1.5)):
             with pytest.raises(AlignmentError, match="sickness cases in age band 0"):
-                _align_units(np.empty(0, dtype=np.int64), np.empty(0), target,
-                             7, "t", unit_weight, "sickness cases in age band 0")
+                empty = np.empty(0, dtype=np.int64)
+                _align_rows(empty, empty, np.empty(0), target, unit_weight,
+                            "sickness cases in age band 0")
 
 
 def same_columns(a, b) -> bool:
@@ -407,9 +430,9 @@ class TestCompare:
                          crisis_wave(pup_on=False, ceib_on=False, subsidy="none"),
                          tables, schedules, seed=7)
         def gini_delta(result, name):
-            return (metrics.weighted_gini(person_equivalized(base, result)[name],
+            return (metrics.weighted_gini(household_equivalized(base, result)[name][base.hh_row],
                                           base.person_weight)
-                    - metrics.weighted_gini(person_equivalized(base, before)[name],
+                    - metrics.weighted_gini(household_equivalized(base, before)[name][base.hh_row],
                                             base.person_weight))
 
         assert gini_delta(on, "market") > 0
@@ -454,7 +477,7 @@ class TestRunScenario:
                                          default_scenario):
         base, results, _ = run_scenario(small_pop, default_scenario, tables,
                                         schedules, seed=3)
-        values = person_equivalized(base, results[0])
+        values = household_equivalized(base, results[0])
         assert set(values) == {"market", "gross", "disposable", "adjusted"}
         assert values["gross"].mean() > 0
 
