@@ -74,30 +74,35 @@ def load_sector_groups(path) -> dict:
     return groups
 
 
-def transport_covariates(groups, region_bmw, occupation, age, university) -> dict:
-    """Dummy covariates for the transport-mode logits.
+# The industry-group covariates of the transport-mode logits; any other
+# group, and no industry, is the reference category.
+TRANSPORT_GROUPS = ("ind_manufacturing_utilities", "ind_construction", "ind_commerce",
+                    "ind_transport_comms", "ind_public_admin", "ind_education_health",
+                    "ind_other")
 
-    `groups` holds the industry-group covariate name per worker (or
-    "reference"); occupation 9 and ages under 20 are the reference
-    categories.
+
+def transport_covariates(group, region_bmw, occupation, age, university) -> dict:
+    """Dummy covariates for the transport-mode logits, as bool arrays (the
+    logit index reads each as float64 0/1).
+
+    `group` holds per person the code of the industry-group covariate in
+    `TRANSPORT_GROUPS` (any other code is the reference group); occupation
+    9 and ages under 20 are the reference categories. `region_bmw` and
+    `university` are 0/1 dummies, passed through.
     """
-    groups = np.asarray(groups)
+    group = np.asarray(group)
     occupation = np.asarray(occupation)
     age = np.asarray(age)
-    cov = {}
-    for name in ("ind_manufacturing_utilities", "ind_construction", "ind_commerce",
-                 "ind_transport_comms", "ind_public_admin", "ind_education_health",
-                 "ind_other"):
-        cov[name] = (groups == name).astype(np.float64)
-    cov["region_bmw"] = np.asarray(region_bmw, dtype=np.float64)
+    cov = {name: group == code for code, name in enumerate(TRANSPORT_GROUPS)}
+    cov["region_bmw"] = np.asarray(region_bmw)
     for occ in range(1, 9):
-        cov[f"occ_{occ}"] = (occupation == occ).astype(np.float64)
+        cov[f"occ_{occ}"] = occupation == occ
     edges = [(20, 24), (25, 29), (30, 34), (35, 39), (40, 44), (45, 49),
              (50, 54), (55, 59), (60, 64), (65, 69), (70, 74)]
     for lo, hi in edges:
-        cov[f"age_{lo}_{hi}"] = ((age >= lo) & (age <= hi)).astype(np.float64)
-    cov["age_75p"] = (age >= 75).astype(np.float64)
-    cov["university"] = np.asarray(university, dtype=np.float64)
+        cov[f"age_{lo}_{hi}"] = (age >= lo) & (age <= hi)
+    cov["age_75p"] = age >= 75
+    cov["university"] = np.asarray(university)
     return cov
 
 
@@ -111,9 +116,11 @@ def assign_commute_modes(models, sector_groups, is_worker, sector_idx, region_bm
     non-workers always get none.
     """
     is_worker = np.asarray(is_worker, dtype=bool)
-    groups = np.array([sector_groups.get(s, "reference") for s in SECTORS]
-                      + ["reference"])[sector_idx]
-    cov = transport_covariates(groups, region_bmw, occupation, age, university)
+    codes = {name: code for code, name in enumerate(TRANSPORT_GROUPS)}
+    reference = len(TRANSPORT_GROUPS)
+    group = np.array([codes.get(sector_groups.get(s), reference) for s in SECTORS]
+                     + [reference], dtype=np.int8)[sector_idx]
+    cov = transport_covariates(group, region_bmw, occupation, age, university)
     p_public = np.asarray(logit_prob(models["transport_public"], cov))
     p_private = np.asarray(logit_prob(models["transport_private"], cov))
     ids = np.asarray(person_ids)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime as dt
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -437,15 +438,22 @@ _SWITCH = {"on": True, "true": True, "1": True, "off": False, "false": False, "0
 def parse_synth_config(path) -> SynthConfig:
     """Parse a key=value synth.cfg; bracketed keys override per-sector maps.
 
-    Recognised keys: households, income_location, income_scale,
-    weight_jitter (on/true/1 or off/false/0), base_period (ISO date),
-    sector_share[<sector>], income_offset[<sector>], essential_share[<sector>]
-    (in [0, 1]). Anything else, an unknown sector or a bad value raises
-    PopulationError naming the file, the line and the key.
+    Recognised keys: households (at least 1), income_location (finite),
+    income_scale (finite, >= 0), weight_jitter (on/true/1 or off/false/0),
+    base_period (ISO date), sector_share[<sector>] (finite, >= 0),
+    income_offset[<sector>] (finite), essential_share[<sector>] (in
+    [0, 1]). Anything else, an unknown sector or a bad or out-of-range
+    value raises PopulationError naming the file, the line and the key.
     """
     cfg = SynthConfig()
     scalars = {"households": int, "income_location": float, "income_scale": float,
                "weight_jitter": _SWITCH.__getitem__, "base_period": dt.date.fromisoformat}
+    finite = (math.isfinite, "must be finite")
+    finite_non_negative = (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+    ranges = {"households": (lambda v: v >= 1, "must be at least 1"),
+              "income_location": finite, "income_offset": finite,
+              "income_scale": finite_non_negative, "sector_share": finite_non_negative,
+              "essential_share": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")}
     explicit_shares = {}
     sector_maps = {"sector_share": explicit_shares, "income_offset": cfg.income_offsets,
                    "essential_share": cfg.essential_shares}
@@ -459,25 +467,25 @@ def parse_synth_config(path) -> SynthConfig:
             if "=" not in line:
                 raise PopulationError([f"{where}: expected key = value"])
             key, value = (tok.strip() for tok in line.split("=", 1))
+            head, _, sector = key.partition("[")
 
             def parsed(convert):
                 try:
-                    return convert(value)
+                    number = convert(value)
                 except (KeyError, ValueError):
                     raise PopulationError([f"{where}: {key} has a bad value {value!r}"]) \
                         from None
+                if head in ranges and not ranges[head][0](number):
+                    raise PopulationError([f"{where}: {key} {ranges[head][1]}, got {value}"])
+                return number
 
-            head, _, sector = key.partition("[")
             if key in scalars:
                 setattr(cfg, key, parsed(scalars[key]))
             elif head in sector_maps and sector.endswith("]"):
                 sector = sector[:-1].strip()
                 if sector not in SECTORS:
                     raise PopulationError([f"{where}: {key}: unknown sector {sector!r}"])
-                number = parsed(float)
-                if head == "essential_share" and not 0.0 <= number <= 1.0:
-                    raise PopulationError([f"{where}: {key} must lie in [0, 1], got {value}"])
-                sector_maps[head][sector] = number
+                sector_maps[head][sector] = parsed(float)
             else:
                 raise PopulationError([f"{where}: unknown key {key!r}"])
     if explicit_shares:
@@ -517,18 +525,40 @@ def _generated_table(values: dict, columns) -> Table:
 
 
 # The generator's categorical draws: a worker's occupation code (1..9), and
-# a household type's number of children (1..3 and 1..2).
+# a household type's number of children (1..3 and 1..2). Bisecting a
+# uniform draw on `_CDFS[name]` gives the index that
+# `rng.choice(len(p), p=p)` returns from the same draw, as choice bisects
+# the same normalised cumulative table.
 _CHOICES = {"occupation": (0.13, 0.12, 0.12, 0.13, 0.10, 0.10, 0.10, 0.10, 0.10),
             "couple_kids": (0.4, 0.4, 0.2), "lone_parent": (0.7, 0.3)}
 _CDFS = {name: (np.cumsum(p) / np.cumsum(p)[-1]).tolist() for name, p in _CHOICES.items()}
 
 
-def _choice(name, rng) -> int:
-    """An index drawn with the probabilities `_CHOICES[name]`: the index that
-    `rng.choice(len(p), p=p)` returns from the same one `rng.random()` draw,
-    as choice bisects the same normalised cumulative table, at under a
-    tenth of its cost."""
-    return bisect.bisect_right(_CDFS[name], rng.random())
+def _draws(rng) -> tuple:
+    """`rng.random()` and `int(rng.integers(lo, hi))`, read from the PCG64
+    state behind `rng` without numpy's per-call argument handling.
+
+    The uniform is the bit generator's own `next_double`, which
+    `Generator.random` returns. The integer is `Generator.integers`' rule
+    for a span `hi - lo` in 2..2**32: Lemire's bounded multiply of one
+    `next_uint32`, drawn again while the low word is under
+    `(2**32 - span) % span`. Both advance the live state, its buffered
+    half word included, so `rng`'s own methods may be called in between
+    and the stream stays the one numpy draws. Valid while `rng` lives.
+    """
+    bits = rng.bit_generator.ctypes
+    next_uint32 = partial(bits.next_uint32, bits.state)
+
+    def integers(lo, hi):
+        span = hi - lo
+        m = next_uint32() * span
+        if (m & 0xFFFFFFFF) < span:
+            threshold = (0x100000000 - span) % span
+            while (m & 0xFFFFFFFF) < threshold:
+                m = next_uint32() * span
+        return lo + (m >> 32)
+
+    return partial(bits.next_double, bits.state), integers
 
 
 def generate_synthetic(config: SynthConfig, seed: int) -> Population:
@@ -539,121 +569,126 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
     within one worker of the configured shares; employee earnings are
     log-normal per sector. Children (age < 16) always have work_status
     'child'. Weights are 1.0 unless weight_jitter draws them in [0.5, 1.5].
+
+    Every value comes from one sequential numpy PCG64 stream seeded with
+    (0x5E3D, seed mod 2**32), in a fixed order: household by household,
+    then the sector assignment. So, unlike the engine's keyed draws, a
+    change to any setting, the household count included, can change every
+    household. Uniform and bounded-integer draws are read from the bit
+    generator directly (`_draws`), log-normals and the worker permutation
+    through the `Generator`; the stream is the one that one `Generator`
+    call per draw reads.
     """
     if config.households <= 0:
         raise PopulationError(["synthetic generator needs a positive household count"])
     rng = np.random.default_rng(np.random.SeedSequence([0x5E3D, seed & 0xFFFFFFFF]))
-    households = []  # one tuple per household, the size in place of its member ids
-    # one list per person column, enums as codes; the columns that only the
+    random, integers = _draws(rng)
+    lognormal = rng.lognormal
+    occupation_cdf, couple_kids_cdf, lone_parent_cdf = (
+        _CDFS[name] for name in ("occupation", "couple_kids", "lone_parent"))
+    # WORK_STATUSES codes
+    employee, self_employed, unemployed, retired, inactive, student, child = range(7)
+    owner_outright, mortgage, renter = range(3)  # TENURES codes
+    primary, secondary, university = range(3)  # EDUCATIONS codes
+    # one list per column, enums as codes; the person columns that only the
     # sector assignment below sets are filled once the persons are drawn
     values = {column: [] for column in _PERSON_COLUMNS}
-    status_code = {status: code for code, status in enumerate(WORK_STATUSES)}
-    primary, secondary, university = range(3)  # EDUCATIONS codes
+    (add_household_id, add_age, add_sex, add_education, add_occupation, add_region,
+     add_status, add_capital, add_pension, add_home) = (values[column].append for column in (
+        "household_id", "age", "sex", "education", "occupation", "region", "work_status",
+        "capital_income", "private_pension", "home_work_capable"))
+    households = {column: [] for column in _HOUSEHOLD_COLUMNS}
+    (add_weight, add_size, add_tenure, add_mortgage, add_rent, add_childcare_user,
+     add_childcare_spend, add_kids_0_4, add_kids_u14) = (households[column].append for column in (
+        "weight", "member_ids", "tenure", "mortgage_payment", "rent", "childcare_user",
+        "childcare_expenditure", "n_children_0_4", "n_children_under14"))
 
-    def new_person(hid, age, work_status, rng):
-        values["household_id"].append(hid)
-        values["age"].append(age)
-        values["sex"].append(0 if rng.random() < 0.5 else 1)  # male, female
-        if age < 16:
-            education = primary
-        elif rng.random() < (0.35 if age < 65 else 0.20):
-            education = university
-        else:
-            education = secondary if rng.random() < 0.75 else primary
-        values["education"].append(education)
-        occupation = 0
-        if work_status in WORKER_STATUSES:
-            occupation = 1 + _choice("occupation", rng)
-        values["occupation"].append(occupation)
-        values["region"].append(0 if rng.random() < 0.27 else 1)
-        values["work_status"].append(status_code[work_status])
-        capital = 0.0
-        if age >= 18:
-            cap_rate = {0: 0.03, 1: 0.06, 2: 0.10, 3: 0.13}.get(min((age - 15) // 10, 3), 0.10)
-            if rng.random() < cap_rate:
-                capital = round(float(rng.lognormal(6.0, 1.0)), 2)
-        pension = 0.0
-        if work_status == "retired" and rng.random() < 0.55:
-            pension = round(float(rng.lognormal(9.3, 0.5)), 2)
-        home_capable = False
-        if occupation:
-            home_capable = rng.random() < (0.7 if occupation <= 4 else (0.3 if occupation == 9 else 0.15))
-        values["capital_income"].append(capital)
-        values["private_pension"].append(pension)
-        values["home_work_capable"].append(home_capable)
-
-    def adult_status(age, rng):
-        u = rng.random()
-        if age < 18:
-            return "student"
+    def adult(hid, age):
+        """Append one person aged 18 or over, status drawn first."""
+        u = random()
         if age < 25:
-            return ("student" if u < 0.45 else
-                    "employee" if u < 0.85 else
-                    "unemployed" if u < 0.92 else "inactive")
-        if age < 65:
-            return ("employee" if u < 0.68 else
-                    "self-employed" if u < 0.78 else
-                    "unemployed" if u < 0.84 else "inactive")
-        return "retired" if u < 0.92 else ("employee" if u < 0.97 else "self-employed")
+            status = (student if u < 0.45 else employee if u < 0.85 else
+                      unemployed if u < 0.92 else inactive)
+        elif age < 65:
+            status = (employee if u < 0.68 else self_employed if u < 0.78 else
+                      unemployed if u < 0.84 else inactive)
+        else:
+            status = retired if u < 0.92 else (employee if u < 0.97 else self_employed)
+        add_household_id(hid)
+        add_age(age)
+        add_sex(0 if random() < 0.5 else 1)  # male, female
+        if random() < (0.35 if age < 65 else 0.20):
+            add_education(university)
+        else:
+            add_education(secondary if random() < 0.75 else primary)
+        occupation = 0
+        if status <= self_employed:  # a worker
+            occupation = 1 + bisect.bisect_right(occupation_cdf, random())
+        add_occupation(occupation)
+        add_region(0 if random() < 0.27 else 1)
+        add_status(status)
+        cap_rate = 0.03 if age < 25 else (0.06 if age < 35 else (0.10 if age < 45 else 0.13))
+        add_capital(round(lognormal(6.0, 1.0), 2) if random() < cap_rate else 0.0)
+        add_pension(round(lognormal(9.3, 0.5), 2)
+                    if status == retired and random() < 0.55 else 0.0)
+        add_home(occupation > 0 and
+                 random() < (0.7 if occupation <= 4 else (0.3 if occupation == 9 else 0.15)))
 
     for hid in range(1, config.households + 1):
         first = len(values["age"])
-        u = rng.random()
-        if u < 0.28:
-            htype = "single"
-        elif u < 0.58:
-            htype = "couple"
-        elif u < 0.83:
-            htype = "couple_kids"
-        elif u < 0.92:
-            htype = "lone_parent"
-        else:
-            htype = "three_adult"
-        if htype == "single":
-            age = int(rng.integers(25, 91))
-            new_person(hid, age, adult_status(age, rng), rng)
-        elif htype in ("couple", "three_adult"):
-            age1 = int(rng.integers(25, 86))
-            age2 = max(18, age1 + int(rng.integers(-5, 6)))
-            for age in (age1, age2):
-                new_person(hid, age, adult_status(age, rng), rng)
-            if htype == "three_adult":
-                age3 = int(rng.integers(18, 29))
-                new_person(hid, age3, adult_status(age3, rng), rng)
-        else:
-            n_kids = 1 + _choice(htype, rng)
-            n_adults = 2 if htype == "couple_kids" else 1
-            for _ in range(n_adults):
-                age = int(rng.integers(25, 51))
-                new_person(hid, age, adult_status(age, rng), rng)
-            for _ in range(n_kids):
-                new_person(hid, int(rng.integers(0, 16)), "child", rng)
+        kids_0_4 = kids_u14 = 0
+        u = random()
+        if u < 0.28:  # single
+            head = integers(25, 91)
+            adult(hid, head)
+        elif u < 0.58 or u >= 0.92:  # couple, or three adults
+            head = integers(25, 86)
+            partner = max(18, head + integers(-5, 6))
+            adult(hid, head)
+            adult(hid, partner)
+            if u >= 0.92:
+                adult(hid, integers(18, 29))
+        else:  # couple with children, or lone parent
+            couple = u < 0.83
+            n_kids = 1 + bisect.bisect_right(couple_kids_cdf if couple else lone_parent_cdf,
+                                             random())
+            head = integers(25, 51)
+            adult(hid, head)
+            if couple:
+                adult(hid, integers(25, 51))
+            for _ in range(n_kids):  # a child draws its age, sex and region
+                age = integers(0, 16)
+                add_household_id(hid)
+                add_age(age)
+                add_sex(0 if random() < 0.5 else 1)
+                add_education(primary)
+                add_occupation(0)
+                add_region(0 if random() < 0.27 else 1)
+                add_status(child)
+                add_capital(0.0)
+                add_pension(0.0)
+                add_home(False)
+                kids_0_4 += age <= 4
+                kids_u14 += age < 14
 
-        ages = values["age"][first:]
-        u = rng.random()
-        if ages[0] < 35:
-            tenure = "renter" if u < 0.55 else ("mortgage" if u < 0.90 else "owner_outright")
-        elif ages[0] < 60:
-            tenure = "renter" if u < 0.20 else ("mortgage" if u < 0.70 else "owner_outright")
+        u = random()
+        if head < 35:
+            tenure = renter if u < 0.55 else (mortgage if u < 0.90 else owner_outright)
+        elif head < 60:
+            tenure = renter if u < 0.20 else (mortgage if u < 0.70 else owner_outright)
         else:
-            tenure = "renter" if u < 0.12 else ("mortgage" if u < 0.25 else "owner_outright")
-        mortgage = round(float(rng.lognormal(6.8, 0.35)), 2) if tenure == "mortgage" else 0.0
-        rent = round(float(rng.lognormal(6.95, 0.30)), 2) if tenure == "renter" else 0.0
-
-        kids_0_4 = sum(1 for age in ages if age <= 4)
-        kids_u14 = sum(1 for age in ages if age < 14)
-        childcare_user = False
-        childcare_spend = 0.0
-        if kids_0_4 > 0 and rng.random() < 0.55:
-            childcare_user = True
-        elif kids_u14 > 0 and rng.random() < 0.15:
-            childcare_user = True
-        if childcare_user:
-            childcare_spend = round(float(rng.lognormal(4.9, 0.5)), 2)
-
-        weight = round(float(0.5 + rng.random()), 6) if config.weight_jitter else 1.0
-        households.append((hid, weight, len(ages), TENURES.index(tenure), mortgage, rent,
-                           childcare_user, childcare_spend, kids_0_4, kids_u14))
+            tenure = renter if u < 0.12 else (mortgage if u < 0.25 else owner_outright)
+        add_tenure(tenure)
+        add_mortgage(round(lognormal(6.8, 0.35), 2) if tenure == mortgage else 0.0)
+        add_rent(round(lognormal(6.95, 0.30), 2) if tenure == renter else 0.0)
+        childcare_user = ((kids_0_4 > 0 and random() < 0.55)
+                          or (kids_u14 > 0 and random() < 0.15))
+        add_childcare_user(childcare_user)
+        add_childcare_spend(round(lognormal(4.9, 0.5), 2) if childcare_user else 0.0)
+        add_kids_0_4(kids_0_4)
+        add_kids_u14(kids_u14)
+        add_weight(round(0.5 + random(), 6) if config.weight_jitter else 1.0)
+        add_size(len(values["age"]) - first)
 
     n = len(values["age"])
     values.update(person_id=range(1, n + 1), industry=[-1] * n, employment_income=[0.0] * n,
@@ -661,7 +696,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
                   covid_state=[0] * n)  # covid_state "none"
     # sector assignment by quota keeps realized shares within one worker
     status = values["work_status"]
-    workers = [i for i, s in enumerate(status) if s in WORKER_CODES]
+    workers = [i for i, s in enumerate(status) if s <= self_employed]
     counts = _quota_counts(config.sector_shares, len(workers))
     sector_slots = []
     for code, s in enumerate(SECTORS):
@@ -670,17 +705,17 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
     for code, i in zip(sector_slots, (workers[k] for k in order)):
         slot = SECTORS[code]
         values["industry"][i] = code
-        values["essential_worker"][i] = bool(rng.random() < config.essential_shares.get(slot, 0.3))
+        values["essential_worker"][i] = random() < config.essential_shares.get(slot, 0.3)
         location = config.income_location + config.income_offsets.get(slot, 0.0)
-        amount = round(float(rng.lognormal(location, config.income_scale)), 2)
-        if status[i] == status_code["employee"]:
+        amount = round(lognormal(location, config.income_scale), 2)
+        if status[i] == employee:
             values["employment_income"][i] = amount
         else:
             values["self_employment_income"][i] = round(amount * 0.9, 2)
 
+    households["household_id"] = range(1, config.households + 1)
     person_table = _generated_table(values, _PERSON_COLUMNS)
-    household_table = _generated_table(dict(zip(_HOUSEHOLD_COLUMNS, zip(*households))),
-                                       _HOUSEHOLD_COLUMNS)
+    household_table = _generated_table(households, _HOUSEHOLD_COLUMNS)
     violations = validate(household_table, person_table)
     if violations:  # would be a generator bug, not a data fault
         raise PopulationError(violations)

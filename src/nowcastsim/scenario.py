@@ -510,8 +510,8 @@ def build_baseline(pop: Population, tables: DataTables,
     quintile_hh = metrics.weighted_quantile_groups(equiv_disposable, group_weight, 5, ids=hid)
     quintile_p = quintile_hh[hh_row]
 
-    region_bmw = (persons.region == REGIONS.index("border, midland and western")).astype(float)
-    university = (persons.education == EDUCATIONS.index("university")).astype(float)
+    region_bmw = persons.region == REGIONS.index("border, midland and western")
+    university = persons.education == EDUCATIONS.index("university")
     commute_mode = expenses.assign_commute_modes(
         tables.models, tables.sector_groups, is_worker, persons.industry, region_bmw,
         persons.occupation, age, university, pid, seed)

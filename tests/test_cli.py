@@ -306,7 +306,8 @@ def test_non_numeric_tax_system_is_located(policy_dir, data_dir, tmp_path, capsy
 
 @pytest.mark.parametrize("command", ["validate", "run", "synth"])
 @pytest.mark.parametrize("line", ["weight_jitter = yes", "essential_share[not a sector] = 0.5",
-                                  "income_offset[manufactoring] = 0.1", "households = lots"])
+                                  "income_offset[manufactoring] = 0.1", "households = lots",
+                                  "income_scale = nan", "sector_share[construction] = -0.5"])
 def test_bad_synth_config_exits_one(data_dir, tmp_path, capsys, command, line):
     synth = tmp_path / "synth.cfg"
     synth.write_text(f"households = 40\n{line}\n")

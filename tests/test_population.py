@@ -1,3 +1,4 @@
+import bisect
 import csv
 import filecmp
 import io
@@ -5,6 +6,7 @@ import os
 import tempfile
 import warnings
 
+import generator_oracle
 import numpy as np
 import population_oracle
 import pytest
@@ -189,18 +191,70 @@ class TestGenerator:
 
     @pytest.mark.parametrize("name", sorted(population._CHOICES))
     def test_choice_draws_as_generator_choice(self, name):
-        """The bisected table draws what Generator.choice(a, p=p), which the
-        generator called before, draws from the same stream, and leaves the
-        stream where choice leaves it."""
+        """Bisecting `_CDFS[name]` on one uniform draws what
+        Generator.choice(a, p=p), which the generator called before, draws
+        from the same stream, and leaves the stream where choice leaves it."""
         p = population._CHOICES[name]
         a = np.arange(1, len(p) + 1)  # occupation codes 1..9, 1..3 or 1..2 children
         ours, numpys = (np.random.default_rng(np.random.SeedSequence([0x5E3D, 42]))
                         for _ in range(2))
-        draws = [(1 + population._choice(name, ours), int(ours.integers(0, 100)))
-                 for _ in range(100_000)]
+        draws = [(1 + bisect.bisect_right(population._CDFS[name], ours.random()),
+                  int(ours.integers(0, 100))) for _ in range(100_000)]
         assert draws == [(int(numpys.choice(a, p=p)), int(numpys.integers(0, 100)))
                          for _ in range(100_000)]
         assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_draws_follow_the_generator_stream(self):
+        """`_draws` returns what `Generator.random()` and
+        `Generator.integers(lo, hi)` return, interleaved with the
+        Generator's own lognormal and permutation, and leaves the same
+        state, the buffered half word included. The spans are the
+        generator's, plus 2**31 + 1, which rejects about half its words."""
+        spans = [(25, 91), (25, 86), (-5, 6), (18, 29), (25, 51), (0, 16), (7, 7 + 2**31 + 1)]
+        ours, numpys = (np.random.default_rng(np.random.SeedSequence([0x5E3D, 42]))
+                        for _ in range(2))
+        random, integers = population._draws(ours)
+        got, want = [], []
+        schedule = np.random.default_rng(1).integers(0, len(spans) + 2, 120_000).tolist()
+        for k in schedule:
+            if k < len(spans):
+                got.append(integers(*spans[k]))
+                want.append(int(numpys.integers(*spans[k])))
+            elif k == len(spans):
+                got.append(random())
+                want.append(numpys.random())
+            else:
+                got.append(ours.lognormal(6.0, 1.0))
+                want.append(numpys.lognormal(6.0, 1.0))
+        assert got == want
+        assert ours.permutation(1000).tolist() == numpys.permutation(1000).tolist()
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    @pytest.mark.parametrize("lines, seed", [
+        ("", 42),
+        ("households = 600\nweight_jitter = on\n", 7),
+        ("households = 600\nsector_share[construction] = 0.3\nsector_share[education] = 0\n"
+         "income_offset[construction] = 0.4\nincome_offset[manufacturing] = -0.2\n"
+         "essential_share[manufacturing] = 1\nessential_share[construction] = 0\n"
+         "income_location = 9.5\nincome_scale = 0.8\n", 3),
+        ("households = 1\n", 11),
+        ("households = 300\n", 0),
+        ("households = 300\n", 2**32 + 5),
+    ], ids=["defaults", "weight_jitter", "overrides", "one_household", "seed_0", "seed_2**32+5"])
+    def test_tables_match_oracle(self, tmp_path, lines, seed):
+        """The generator returns the tables, array for array and dtype for
+        dtype, that one Generator call per draw gave (`generator_oracle`)."""
+        (tmp_path / "synth.cfg").write_text(lines)
+        config = parse_synth_config(tmp_path / "synth.cfg")
+        ours = generate_synthetic(config, seed)
+        oracle = generator_oracle.generate_synthetic(config, seed)
+        for table, expected in ((ours.persons, oracle.persons),
+                                (ours.households, oracle.households)):
+            assert list(vars(table)) == list(vars(expected))
+            for name, column in vars(table).items():
+                assert column.dtype == getattr(expected, name).dtype, name
+                assert np.array_equal(column, getattr(expected, name)), name
+        assert ours.base_period == oracle.base_period
 
 
 class TestSynthConfigFile:
@@ -251,6 +305,23 @@ class TestSynthConfigRejections:
          "synth.cfg:2: essential_share[construction] must lie in [0, 1], got 1.5"),
         ("essential_share[construction] = -0.1",
          "synth.cfg:2: essential_share[construction] must lie in [0, 1], got -0.1"),
+        ("essential_share[construction] = nan",
+         "synth.cfg:2: essential_share[construction] must lie in [0, 1], got nan"),
+        ("households = -3", "synth.cfg:2: households must be at least 1, got -3"),
+        ("households = 0", "synth.cfg:2: households must be at least 1, got 0"),
+        ("income_scale = -1", "synth.cfg:2: income_scale must be finite and >= 0, got -1"),
+        ("income_scale = nan", "synth.cfg:2: income_scale must be finite and >= 0, got nan"),
+        ("income_scale = inf", "synth.cfg:2: income_scale must be finite and >= 0, got inf"),
+        ("income_location = inf", "synth.cfg:2: income_location must be finite, got inf"),
+        ("income_location = -inf", "synth.cfg:2: income_location must be finite, got -inf"),
+        ("income_offset[construction] = nan",
+         "synth.cfg:2: income_offset[construction] must be finite, got nan"),
+        ("sector_share[construction] = nan",
+         "synth.cfg:2: sector_share[construction] must be finite and >= 0, got nan"),
+        ("sector_share[construction] = -0.5",
+         "synth.cfg:2: sector_share[construction] must be finite and >= 0, got -0.5"),
+        ("sector_share[construction] = inf",
+         "synth.cfg:2: sector_share[construction] must be finite and >= 0, got inf"),
     ])
     def test_bad_line_names_line_and_key(self, tmp_path, line, where):
         cfg_path = tmp_path / "synth.cfg"
