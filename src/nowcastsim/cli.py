@@ -22,19 +22,13 @@ from importlib.resources import files
 
 from . import __version__, metrics, population, scenario, taxben
 from .calibration import AlignmentError, IpfError
-from .expenses import ExpenseError
-from .igm import ModelError
 from .money import cents, euros
 from .population import PopulationError
-from .scenario import ControlError, ScenarioError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
-
-_VALIDATION_ERRORS = (PopulationError, ControlError, ScenarioError,
-                      taxben.PolicyError, ModelError, ExpenseError, ValueError)
 
 DEFAULT_DATA_DIR = str(files("nowcastsim") / "data")
 DEFAULT_POLICY_DIR = os.path.join(DEFAULT_DATA_DIR, "policy")
@@ -122,7 +116,7 @@ def cmd_validate(args) -> int:
             return fn()
         except PopulationError as exc:
             problems.extend(f"{label}: {v}" for v in exc.violations)
-        except _VALIDATION_ERRORS as exc:
+        except ValueError as exc:
             problems.append(f"{label}: {exc}")
         return None
 
@@ -266,7 +260,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
         return EXIT_VALIDATION
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

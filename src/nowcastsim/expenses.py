@@ -15,15 +15,21 @@ family-type x income-decile grid.
 Capital losses apply a participation gate at the holdings-grid rate
 (anchored to observed capital income) and a per-holder value change of
 holding x index factor.
+
+The reference tables are read by `files.csv_rows`. A row with an unknown
+or repeated key (sector, worker count, family type x decile, age band x
+quintile) fails with its `<file>:<line>`; the sector groups must list
+every sector, and the commuting table every count 1..3.
 """
 from __future__ import annotations
 
-import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import align_continuous
+from .files import csv_rows, finite
 from .igm import anchored_draws, linear_predict, logit_prob
 from .money import cents
 from .population import SECTORS, TENURES
@@ -49,33 +55,51 @@ class CommuteCostTable:
 
 
 def load_commute_costs(path) -> CommuteCostTable:
+    """Weekly costs for 1, 2 and 3+ commuters: one row for each count."""
     mf = [0, 0, 0, 0]
     pt = [0, 0, 0, 0]
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, rec in enumerate(csv.DictReader(fh), start=2):
-            n = int(rec["workers"])
-            if n not in (1, 2, 3):
-                raise ExpenseError(f"{path}:{lineno}: workers column must be 1, 2 or 3")
-            mf[n] = cents(float(rec["motor_fuels_eur"]))
-            pt[n] = cents(float(rec["public_transport_eur"]))
-            total = cents(float(rec["total_eur"]))
-            if abs(total - mf[n] - pt[n]) > 1:  # components must add up to the total
-                raise ExpenseError(
-                    f"{path}:{lineno}: total {total} != {mf[n]} + {pt[n]} within a cent"
-                )
+    seen = set()
+    columns = {"workers": int, "motor_fuels_eur": finite, "public_transport_eur": finite,
+               "total_eur": finite}
+    for where, rec in csv_rows(path, columns, ExpenseError):
+        n = rec["workers"]
+        if n not in (1, 2, 3):
+            raise ExpenseError(f"{where}: workers column must be 1, 2 or 3")
+        if n in seen:
+            raise ExpenseError(f"{where}: second row for workers {n}")
+        seen.add(n)
+        mf[n] = cents(rec["motor_fuels_eur"])
+        pt[n] = cents(rec["public_transport_eur"])
+        total = cents(rec["total_eur"])
+        if abs(total - mf[n] - pt[n]) > 1:  # components must add up to the total
+            raise ExpenseError(f"{where}: total {total} != {mf[n]} + {pt[n]} within a cent")
+    missing = [n for n in (1, 2, 3) if n not in seen]
+    if missing:
+        raise ExpenseError(f"{os.path.basename(path)}: no row for workers {missing[0]}")
     return CommuteCostTable(motor_fuels_cents=tuple(mf), public_transport_cents=tuple(pt))
 
 
 def load_sector_groups(path) -> dict:
+    """Each sector's transport-model industry group: one of
+    `TRANSPORT_GROUPS` or `reference`, one row for every sector."""
     groups = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            groups[rec["sector"].strip()] = rec["transport_group"].strip()
+    for where, rec in csv_rows(path, {"sector": str, "transport_group": str}, ExpenseError):
+        sector, group = rec["sector"], rec["transport_group"]
+        if sector not in SECTORS:
+            raise ExpenseError(f"{where}: unknown sector {sector!r}")
+        if group not in TRANSPORT_GROUPS and group != "reference":
+            raise ExpenseError(f"{where}: unknown transport group {group!r}")
+        if sector in groups:
+            raise ExpenseError(f"{where}: second row for sector {sector!r}")
+        groups[sector] = group
+    missing = [s for s in SECTORS if s not in groups]
+    if missing:
+        raise ExpenseError(f"{os.path.basename(path)}: no row for sector {missing[0]!r}")
     return groups
 
 
-# The industry-group covariates of the transport-mode logits; any other
-# group, and no industry, is the reference category.
+# The industry-group covariates of the transport-mode logits; the group
+# `reference`, and no industry, is the reference category.
 TRANSPORT_GROUPS = ("ind_manufacturing_utilities", "ind_construction", "ind_commerce",
                     "ind_transport_comms", "ind_public_admin", "ind_education_health",
                     "ind_other")
@@ -155,12 +179,16 @@ class ChildcareCostGrid:
 
 def load_childcare_grid(path) -> ChildcareCostGrid:
     cells = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, rec in enumerate(csv.DictReader(fh), start=2):
-            ftype = rec["family_type"].strip()
-            if ftype not in FAMILY_TYPES:
-                raise ExpenseError(f"{path}:{lineno}: unknown family type {ftype!r}")
-            cells[(ftype, int(rec["decile"]))] = cents(float(rec["cost_eur_week"]))
+    columns = {"family_type": str, "decile": int, "cost_eur_week": finite}
+    for where, rec in csv_rows(path, columns, ExpenseError):
+        cell = (rec["family_type"], rec["decile"])
+        if cell[0] not in FAMILY_TYPES:
+            raise ExpenseError(f"{where}: unknown family type {cell[0]!r}")
+        if not 1 <= cell[1] <= 10:
+            raise ExpenseError(f"{where}: decile {cell[1]} outside 1..10")
+        if cell in cells:
+            raise ExpenseError(f"{where}: second row for cell {cell!r}")
+        cells[cell] = cents(rec["cost_eur_week"])
     return ChildcareCostGrid(cells=cells)
 
 
@@ -257,34 +285,41 @@ class CapitalHoldingsGrid:
 
 
 def load_holdings_grid(participation_path, values_path) -> CapitalHoldingsGrid:
-    participation = {}
-    with open(participation_path, newline="", encoding="utf-8") as fh:
-        for lineno, rec in enumerate(csv.DictReader(fh), start=2):
-            rate = float(rec["participation"])
-            if not 0.0 <= rate <= 1.0:
-                raise ExpenseError(f"{participation_path}:{lineno}: rate outside [0, 1]")
-            participation[(rec["age_band"].strip(), int(rec["quintile"]))] = rate
-    values = {}
-    with open(values_path, newline="", encoding="utf-8") as fh:
-        for lineno, rec in enumerate(csv.DictReader(fh), start=2):
-            thousands = float(rec["value_eur_thousand"])
-            if thousands < 0:
-                raise ExpenseError(f"{values_path}:{lineno}: negative holding value")
-            values[(rec["age_band"].strip(), int(rec["quintile"]))] = cents(thousands * 1000.0)
+    def cells(path, column, valid, message):
+        grid = {}
+        columns = {"age_band": str, "quintile": int, column: finite}
+        for where, rec in csv_rows(path, columns, ExpenseError):
+            cell = (rec["age_band"], rec["quintile"])
+            if cell[0] not in AGE_BANDS:
+                raise ExpenseError(f"{where}: age_band {cell[0]!r} is not one of "
+                                   f"{', '.join(AGE_BANDS)}")
+            if not 1 <= cell[1] <= 5:
+                raise ExpenseError(f"{where}: quintile {cell[1]} outside 1..5")
+            if cell in grid:
+                raise ExpenseError(f"{where}: second row for cell {cell!r}")
+            if not valid(rec[column]):
+                raise ExpenseError(f"{where}: {message}")
+            grid[cell] = rec[column]
+        return grid
+
+    participation = cells(participation_path, "participation",
+                          lambda rate: 0.0 <= rate <= 1.0, "rate outside [0, 1]")
+    values = {cell: cents(thousands * 1000.0) for cell, thousands in cells(
+        values_path, "value_eur_thousand", lambda v: v >= 0, "negative holding value").items()}
     if set(participation) != set(values):
         raise ExpenseError("participation and value grids cover different cells")
     return CapitalHoldingsGrid(participation=participation, value_cents=values)
 
 
+# Holding-grid age bands, labelled by decade: <35, 35-44, 45-54, 55-64, 65+.
+AGE_BANDS = ("30", "40", "50", "60", "70")
+
+
 def age_band(age) -> np.ndarray:
-    """Holding-grid age band labels: <35, 35-44, 45-54, 55-64, 65+."""
+    """Each age's holding-grid band label in `AGE_BANDS`."""
     a = np.atleast_1d(np.asarray(age, dtype=np.int64))
-    bands = np.select(
-        [a < 35, a < 45, a < 55, a < 65],
-        [np.str_("30"), np.str_("40"), np.str_("50"), np.str_("60")],
-        default=np.str_("70"),
-    )
-    return bands
+    return np.select([a < 35, a < 45, a < 55, a < 65], [np.str_(b) for b in AGE_BANDS[:4]],
+                     default=np.str_(AGE_BANDS[4]))
 
 
 def _grid_cells(cells: dict, bands, quintiles) -> np.ndarray:

@@ -3,8 +3,9 @@ coefficient tables, stochastic residual draws, and base-year-anchored
 Monte Carlo draws.
 
 No estimation happens here; coefficient sets are inputs, loaded from a
-delimiter-separated table (columns model_name, kind, outcome, covariate,
-value; intercept rows use the covariate name "_constant").
+CSV read by `files.csv_rows` (required columns model_name, kind, outcome,
+covariate, value; intercept rows use the covariate name "_constant"), so
+a bad row is reported as `<file>:<line>`.
 
 Covariates are dummy-coded unless registered as continuous: an absent
 dummy reads as 0, while an absent continuous covariate is an error, since
@@ -12,11 +13,11 @@ a silent zero on a continuous field masks a data fault.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import csv_rows, finite
 from .rng import anchored_uniform, keyed_normal, keyed_uniform
 
 KINDS = ("logit", "linear")
@@ -124,29 +125,18 @@ def load_coefficients(path, continuous=CONTINUOUS_COVARIATES) -> dict:
     (model_name, kind, outcome, covariate, value); each model has one
     outcome label."""
     rows = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"model_name", "kind", "outcome", "covariate", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ModelError(f"{path}: expected columns {sorted(required)}")
-        for lineno, rec in enumerate(reader, start=2):
-            name = rec["model_name"].strip()
-            kind = rec["kind"].strip()
-            outcome = rec["outcome"].strip()
-            covariate = rec["covariate"].strip()
-            try:
-                value = float(rec["value"])
-            except ValueError as exc:
-                raise ModelError(f"{path}:{lineno}: bad value {rec['value']!r}") from exc
-            if kind not in KINDS:
-                raise ModelError(f"{path}:{lineno}: {name}: unknown model kind {kind!r}")
-            model = rows.setdefault(name, {"kind": kind, "outcome": outcome, "coeffs": {}})
-            if model["kind"] != kind:
-                raise ModelError(f"{path}:{lineno}: {name} declared with two kinds")
-            if model["outcome"] != outcome:
-                raise ModelError(f"{path}:{lineno}: {name} declared with a second outcome "
-                                 f"{outcome!r}; a {kind} model has one")
-            model["coeffs"][covariate] = value
+    for where, rec in csv_rows(path, {"model_name": str, "kind": str, "outcome": str,
+                                      "covariate": str, "value": finite}, ModelError):
+        name, kind, outcome = rec["model_name"], rec["kind"], rec["outcome"]
+        if kind not in KINDS:
+            raise ModelError(f"{where}: {name}: unknown model kind {kind!r}")
+        model = rows.setdefault(name, {"kind": kind, "outcome": outcome, "coeffs": {}})
+        if model["kind"] != kind:
+            raise ModelError(f"{where}: {name} declared with two kinds")
+        if model["outcome"] != outcome:
+            raise ModelError(f"{where}: {name} declared with a second outcome "
+                             f"{outcome!r}; a {kind} model has one")
+        model["coeffs"][rec["covariate"]] = rec["value"]
 
     models = {}
     for name, entry in rows.items():

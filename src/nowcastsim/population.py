@@ -42,6 +42,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .files import key_values
+
 SECTORS = (
     "agriculture, forestry and fishing; mining and quarrying",
     "manufacturing",
@@ -458,36 +460,27 @@ def parse_synth_config(path) -> SynthConfig:
     sector_maps = {"sector_share": explicit_shares, "income_offset": cfg.income_offsets,
                    "essential_share": cfg.essential_shares}
     name = os.path.basename(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{name}:{lineno}"
-            if "=" not in line:
-                raise PopulationError([f"{where}: expected key = value"])
-            key, value = (tok.strip() for tok in line.split("=", 1))
-            head, _, sector = key.partition("[")
+    for where, key, value in key_values(path, lambda message: PopulationError([message])):
+        head, _, sector = key.partition("[")
 
-            def parsed(convert):
-                try:
-                    number = convert(value)
-                except (KeyError, ValueError):
-                    raise PopulationError([f"{where}: {key} has a bad value {value!r}"]) \
-                        from None
-                if head in ranges and not ranges[head][0](number):
-                    raise PopulationError([f"{where}: {key} {ranges[head][1]}, got {value}"])
-                return number
+        def parsed(convert):
+            try:
+                number = convert(value)
+            except (KeyError, ValueError):
+                raise PopulationError([f"{where}: {key} has a bad value {value!r}"]) from None
+            if head in ranges and not ranges[head][0](number):
+                raise PopulationError([f"{where}: {key} {ranges[head][1]}, got {value}"])
+            return number
 
-            if key in scalars:
-                setattr(cfg, key, parsed(scalars[key]))
-            elif head in sector_maps and sector.endswith("]"):
-                sector = sector[:-1].strip()
-                if sector not in SECTORS:
-                    raise PopulationError([f"{where}: {key}: unknown sector {sector!r}"])
-                sector_maps[head][sector] = parsed(float)
-            else:
-                raise PopulationError([f"{where}: unknown key {key!r}"])
+        if key in scalars:
+            setattr(cfg, key, parsed(scalars[key]))
+        elif head in sector_maps and sector.endswith("]"):
+            sector = sector[:-1].strip()
+            if sector not in SECTORS:
+                raise PopulationError([f"{where}: {key}: unknown sector {sector!r}"])
+            sector_maps[head][sector] = parsed(float)
+        else:
+            raise PopulationError([f"{where}: unknown key {key!r}"])
     if explicit_shares:
         remainder = 1.0 - sum(explicit_shares.values())
         if remainder < -1e-9:

@@ -29,7 +29,6 @@ unit id, making results independent of iteration order and thread count.
 from __future__ import annotations
 
 import configparser
-import csv
 import datetime as dt
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +39,7 @@ import numpy as np
 from . import expenses, igm, metrics, taxben
 from .calibration import (AlignmentError, align_by_score, align_continuous, binary_scores,
                           score_order, take_by_score)
+from .files import csv_rows, finite
 from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
 from .population import (EDUCATIONS, REGIONS, SECTORS, WORK_STATUSES, WORKER_CODES,
                          Population, Table)
@@ -123,36 +123,24 @@ class ControlSeries:
 
 
 def load_control_totals(path) -> ControlSeries:
-    """Load (stratum_key, date, target) rows; '#' lines are comments."""
+    """Load (stratum_key, date, target) rows."""
     series = ControlSeries()
-    with open(path, encoding="utf-8") as fh:
-        lines = [(i, line) for i, line in enumerate(fh, start=1)
-                 if line.strip() and not line.lstrip().startswith("#")]
-    reader = csv.DictReader(line for _, line in lines)
-    if reader.fieldnames is None or not {"stratum_key", "date", "target"}.issubset(
-            reader.fieldnames):
-        raise ControlError(f"{path}: expected columns stratum_key, date, target")
-    name = os.path.basename(path)
-    for (lineno, _), rec in zip(lines[1:], reader):
-        key = rec["stratum_key"].strip()
-        try:
-            date = dt.date.fromisoformat(rec["date"].strip())
-            target = float(rec["target"])
-        except ValueError as exc:
-            raise ControlError(f"{name}:{lineno}: bad date or target") from exc
+    for where, rec in csv_rows(path, {"stratum_key": str, "date": dt.date.fromisoformat,
+                                      "target": finite}, ControlError):
+        key, date, target = rec["stratum_key"], rec["date"], rec["target"]
         if target < 0 and not key == "index_change_factor":
-            raise ControlError(f"{name}:{lineno}: negative target for {key!r}")
+            raise ControlError(f"{where}: negative target for {key!r}")
         head, _, rest = key.partition(":")
         if head in ("pup", "ceib", "subsidy"):
             if rest not in SECTORS:
-                raise ControlError(f"{name}:{lineno}: unknown sector {rest!r}")
+                raise ControlError(f"{where}: unknown sector {rest!r}")
             table = {"pup": series.pup, "ceib": series.ceib_sector,
                      "subsidy": series.subsidy}[head]
             table.setdefault(date, {})[rest] = target
         elif head == "ceib_cases":
             status, _, band = rest.partition(":")
             if status not in ("in_work", "out_of_work") or band not in CASE_AGE_BANDS:
-                raise ControlError(f"{name}:{lineno}: bad case stratum {key!r}")
+                raise ControlError(f"{where}: bad case stratum {key!r}")
             series.ceib_cases.setdefault(date, {})[(band, status == "in_work")] = target
         elif head == "mortgage_deferrals":
             series.deferrals.append((date, target))
@@ -160,40 +148,39 @@ def load_control_totals(path) -> ControlSeries:
             series.index_factor[date] = target
         elif head == "employment_rate":
             if not 0.0 <= target <= 1.0:
-                raise ControlError(f"{name}:{lineno}: employment rate outside [0, 1]")
+                raise ControlError(f"{where}: employment rate outside [0, 1]")
             series.employment_rate.setdefault(date, {})[rest] = target
         elif head == "wage_index":
             series.wage_index[date] = target
         else:
-            raise ControlError(f"{name}:{lineno}: unknown stratum_key {key!r}")
+            raise ControlError(f"{where}: unknown stratum_key {key!r}")
     return series
 
 
 def load_national_reference(path) -> dict:
     ref = {"sector_employment": {}}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, rec in enumerate(csv.DictReader(fh), start=2):
-            key = rec["key"].strip()
-            try:
-                value = float(rec["value"])
-            except ValueError:
-                raise ControlError(f"{path}:{lineno}: {key} is not a number: "
-                                   f"{rec['value']!r}") from None
-            if key.startswith("sector_employment:"):
-                sector = key.split(":", 1)[1]
-                if sector not in SECTORS:
-                    raise ControlError(f"{path}:{lineno}: unknown sector {sector!r}")
-                ref["sector_employment"][sector] = value
-            elif key in NATIONAL_KEYS:
-                ref[key] = value
-            else:
-                raise ControlError(f"{path}:{lineno}: unknown key {key!r}")
+    name = os.path.basename(path)
+    for where, rec in csv_rows(path, {"key": str, "value": str}, ControlError):
+        key = rec["key"]
+        try:
+            value = finite(rec["value"])
+        except ValueError:
+            raise ControlError(f"{where}: {key} is not a number: {rec['value']!r}") from None
+        if key.startswith("sector_employment:"):
+            sector = key.split(":", 1)[1]
+            if sector not in SECTORS:
+                raise ControlError(f"{where}: unknown sector {sector!r}")
+            ref["sector_employment"][sector] = value
+        elif key in NATIONAL_KEYS:
+            ref[key] = value
+        else:
+            raise ControlError(f"{where}: unknown key {key!r}")
     for required in NATIONAL_KEYS:
         if required not in ref:
-            raise ControlError(f"{path}: missing key {required!r}")
+            raise ControlError(f"{name}: missing key {required!r}")
     missing = [s for s in SECTORS if s not in ref["sector_employment"]]
     if missing:
-        raise ControlError(f"{path}: missing sector employment for {missing[0]!r}")
+        raise ControlError(f"{name}: missing sector employment for {missing[0]!r}")
     return ref
 
 
@@ -348,10 +335,19 @@ class DataTables:
     national: dict
 
 
+# The coefficient models the engine evaluates, by kind.
+ENGINE_MODELS = {"transport_public": "logit", "transport_private": "logit",
+                 "childcare_has": "logit", "childcare_spend": "linear"}
+
+
 def load_data_tables(data_dir) -> DataTables:
     join = lambda name: os.path.join(data_dir, name)
+    models = igm.load_coefficients(join("coefficients.csv"))
+    for name, kind in ENGINE_MODELS.items():
+        if name not in models or models[name].kind != kind:
+            raise igm.ModelError(f"coefficients.csv: the engine needs a {kind} model {name!r}")
     return DataTables(
-        models=igm.load_coefficients(join("coefficients.csv")),
+        models=models,
         sector_groups=expenses.load_sector_groups(join("sector_groups.csv")),
         commute=expenses.load_commute_costs(join("commuting_costs.csv")),
         childcare_grid=expenses.load_childcare_grid(join("childcare_cost_grid.csv")),

@@ -2,9 +2,12 @@
 instruments (PUP, CEIB, TWSS, EWSS).
 
 All money arithmetic is in integer cents so schedule lookups are bit-exact.
-Schedules are data, loaded from a policy directory with one row per
-(scheme, effective_from, band_lower, value); bands are inclusive of their
-lower bound and regimes partition the scheme life from their first date.
+Schedules are data, loaded from a policy directory: one CSV per scheme
+with one row per (scheme, effective_from, band_lower, value), read by
+`files.csv_rows`, and the `key = value` file `tax_system.cfg`, read by
+`files.key_values`; every number must be finite. Bands are inclusive of
+their lower bound and regimes partition the scheme life from their first
+date.
 Every schedule function takes an int (returning an int) or an int64 array
 (returning an int64 array); both are evaluated by `Regime.evaluate`.
 
@@ -25,13 +28,13 @@ below ships as overridable data, see the README):
 from __future__ import annotations
 
 import bisect
-import csv
 import datetime as dt
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .files import csv_rows, finite, key_values
 from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
 from .population import COVID_STATES, WORK_STATUSES
 
@@ -110,18 +113,18 @@ def _parse_band_value(text: str, lower_cents: int, where: str) -> Band:
     try:
         if text.startswith("taper:"):
             _, start, end = text.split(":")
-            return Band(lower_cents, "taper", value_cents=cents(float(start)),
-                        taper_end_cents=cents(float(end)))
+            return Band(lower_cents, "taper", value_cents=cents(finite(start)),
+                        taper_end_cents=cents(finite(end)))
         if "%" in text:
             rate_part, _, cap_part = text.partition("%")
-            rate = float(rate_part) / 100.0
+            rate = finite(rate_part) / 100.0
             cap = 0
             if cap_part:
                 if not cap_part.startswith("max"):
                     raise ValueError(cap_part)
-                cap = cents(float(cap_part[3:]))
+                cap = cents(finite(cap_part[3:]))
             return Band(lower_cents, "rate", rate=rate, cap_cents=cap)
-        return Band(lower_cents, "flat", value_cents=cents(float(text)))
+        return Band(lower_cents, "flat", value_cents=cents(finite(text)))
     except ValueError as exc:
         raise PolicyError(f"{where}: bad band value {text!r}") from exc
 
@@ -129,34 +132,26 @@ def _parse_band_value(text: str, lower_cents: int, where: str) -> Band:
 def load_schedule(path, scheme: str) -> Schedule:
     """Load one scheme's banded regimes from a 4-column schedule file."""
     by_date = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"scheme", "effective_from", "band_lower", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise PolicyError(f"{path}: expected columns {sorted(required)}")
-        for lineno, rec in enumerate(reader, start=2):
-            where = f"{os.path.basename(path)}:{lineno}"
-            if rec["scheme"].strip() != scheme:
-                raise PolicyError(f"{where}: expected scheme {scheme!r}")
-            try:
-                eff = dt.date.fromisoformat(rec["effective_from"].strip())
-                lower = cents(float(rec["band_lower"]))
-            except ValueError as exc:
-                raise PolicyError(f"{where}: bad date or band_lower") from exc
-            if lower < 0:  # amounts are banded at max(amount, 0)
-                raise PolicyError(f"{where}: negative band_lower")
-            band = _parse_band_value(rec["value"], lower, where)
-            by_date.setdefault(eff, []).append(band)
+    name = os.path.basename(path)
+    for where, rec in csv_rows(path, {"scheme": str, "effective_from": dt.date.fromisoformat,
+                                      "band_lower": finite, "value": str}, PolicyError):
+        if rec["scheme"] != scheme:
+            raise PolicyError(f"{where}: expected scheme {scheme!r}")
+        lower = cents(rec["band_lower"])
+        if lower < 0:  # amounts are banded at max(amount, 0)
+            raise PolicyError(f"{where}: negative band_lower")
+        band = _parse_band_value(rec["value"], lower, where)
+        by_date.setdefault(rec["effective_from"], []).append(band)
 
     regimes = []
     for eff in sorted(by_date):
         bands = sorted(by_date[eff], key=lambda b: b.lower_cents)
         lowers = [b.lower_cents for b in bands]
         if len(set(lowers)) != len(lowers):
-            raise PolicyError(f"{path}: duplicate band lower bound in regime {eff}")
+            raise PolicyError(f"{name}: duplicate band lower bound in regime {eff}")
         regimes.append(Regime(effective_from=eff, bands=tuple(bands)))
     if not regimes:
-        raise PolicyError(f"{path}: no schedule rows")
+        raise PolicyError(f"{name}: no schedule rows")
     return Schedule(scheme=scheme, regimes=tuple(regimes))
 
 
@@ -186,30 +181,22 @@ class TaxSystem:
 def load_tax_system(path) -> TaxSystem:
     bands = []
     values = {}
-    name = os.path.basename(path)
 
-    def number(key, text, lineno):
+    def number(key, text, where):
         try:
-            return float(text)
+            return finite(text)
         except ValueError:
-            raise PolicyError(f"{name}:{lineno}: {key} is not a number: {text!r}") from None
+            raise PolicyError(f"{where}: {key} is not a number: {text!r}") from None
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PolicyError(f"{name}:{lineno}: expected key = value")
-            key, value = (tok.strip() for tok in line.split("=", 1))
-            if key == "band":
-                threshold, _, rate = value.partition(":")
-                bands.append((cents(number("band threshold", threshold, lineno)),
-                              number("band rate", rate, lineno)))
-            elif key in TAX_KEYS:
-                values[key] = number(key, value, lineno)
-            else:
-                raise PolicyError(f"{name}:{lineno}: unknown key {key!r}")
+    for where, key, value in key_values(path, PolicyError):
+        if key == "band":
+            threshold, _, rate = value.partition(":")
+            bands.append((cents(number("band threshold", threshold, where)),
+                          number("band rate", rate, where)))
+        elif key in TAX_KEYS:
+            values[key] = number(key, value, where)
+        else:
+            raise PolicyError(f"{where}: unknown key {key!r}")
     bands.sort()
     try:
         return TaxSystem(
@@ -222,7 +209,7 @@ def load_tax_system(path) -> TaxSystem:
             pension_weekly_cents=cents(values["pension_rate_weekly"]),
         )
     except KeyError as exc:
-        raise PolicyError(f"{path}: missing key {exc.args[0]!r}") from exc
+        raise PolicyError(f"{os.path.basename(path)}: missing key {exc.args[0]!r}") from exc
 
 
 @dataclass(frozen=True)

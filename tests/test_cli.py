@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import io
 import os
 import shutil
 
@@ -370,3 +371,75 @@ def test_unknown_reference_key_exits_one(data_dir, tmp_path, capsys, name, old, 
                  "--policy-dir", str(tmp_path / "data" / "policy")])
     assert code == 1
     assert where in capsys.readouterr().err
+
+
+# (reference file, a required column, the column of the cell made unparseable)
+REFERENCE_FILES = [
+    ("control_totals.csv", "stratum_key", "target"),
+    ("national_reference.csv", "value", "value"),
+    ("policy/pup.csv", "effective_from", "band_lower"),
+    ("policy/twss.csv", "scheme", "effective_from"),
+    ("policy/ewss.csv", "value", "band_lower"),
+    ("coefficients.csv", "covariate", "value"),
+    ("commuting_costs.csv", "total_eur", "workers"),
+    ("sector_groups.csv", "transport_group", "transport_group"),
+    ("childcare_cost_grid.csv", "decile", "cost_eur_week"),
+    ("shareholding_participation.csv", "age_band", "quintile"),
+    ("shareholding_values.csv", "value_eur_thousand", "value_eur_thousand"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("fault", ["renamed column", "bad cell after a blank line"])
+@pytest.mark.parametrize("name, column, bad_column", REFERENCE_FILES)
+def test_reference_file_faults_are_located(data_dir, tmp_path, capsys, command, fault,
+                                           name, column, bad_column):
+    """A renamed required column names the file; a blank line and then an
+    unparseable cell names the file and the cell's physical line."""
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    path = data / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    header = next(csv.reader([lines[head]]))
+    if fault == "renamed column":
+        header[header.index(column)] = column + "_renamed"
+        lines[head] = ",".join(header) + "\n"
+        where = f"{os.path.basename(name)}: "
+    else:
+        row = next(csv.reader([lines[head + 2]]))
+        row[header.index(bad_column)] = "abc"
+        with io.StringIO() as text:
+            csv.writer(text, lineterminator="\n").writerow(row)
+            lines[head + 2] = "\n" + text.getvalue()
+        where = f"{os.path.basename(name)}:{head + 4}: "  # 1-based header, row, blank, row
+    path.write_text("".join(lines), encoding="utf-8")
+    args = [command, "--scenario", str(data / "scenario.cfg"), "--data-dir", str(data),
+            "--policy-dir", str(data / "policy")]
+    if command == "run":
+        args += ["--synth-config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+    assert (repr(column) if fault == "renamed column" else "'abc'") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: "".join(line for line in text.splitlines(keepends=True)
+                          if not line.startswith("transport_public,")),
+     "coefficients.csv: the engine needs a logit model 'transport_public'"),
+    (lambda text: text.replace("childcare_spend,linear", "childcare_spend,logit"),
+     "coefficients.csv: the engine needs a linear model 'childcare_spend'"),
+])
+def test_missing_engine_model_exits_one(data_dir, tmp_path, capsys, command, edit, message):
+    shutil.copytree(data_dir, tmp_path / "data")
+    path = tmp_path / "data" / "coefficients.csv"
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+            "--data-dir", str(tmp_path / "data")]
+    if command == "run":
+        args += ["--synth-config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"{'data: ' if command == 'validate' else ''}{message}\n"

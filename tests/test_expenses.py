@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from nowcastsim.expenses import (MODE_NONE, MODE_PRIVATE, MODE_PUBLIC,
 from nowcastsim.igm import logit_prob
 from nowcastsim.money import cents
 from nowcastsim.population import SECTORS
+from nowcastsim.scenario import load_data_tables
 
 
 class TestCommuteTable:
@@ -251,3 +254,43 @@ def test_capital_change_unknown_cell_rejected_for_participants_only(tables):
     with pytest.raises(ExpenseError, match="'95', 1"):
         capital_value_change_cents(tables.holdings, ["60", "95"], [1, 1],
                                    [True, True], -0.3)
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("sector_groups.csv", "manufacturing,ind_manufacturing_utilities",
+     "manufactoring,ind_manufacturing_utilities",
+     "sector_groups.csv:3: unknown sector 'manufactoring'"),
+    ("sector_groups.csv", "construction,ind_construction", "construction,ind_constrution",
+     "sector_groups.csv:5: unknown transport group 'ind_constrution'"),
+    ("sector_groups.csv", "education,ind_education_health",
+     "education,ind_education_health\neducation,ind_other",
+     "sector_groups.csv:16: second row for sector 'education'"),
+    ("sector_groups.csv", "\nother sectors,ind_other", "",
+     "sector_groups.csv: no row for sector 'other sectors'"),
+    ("childcare_cost_grid.csv", "lone_parent,2,7.8", "lone_parent,12,7.8",
+     "childcare_cost_grid.csv:3: decile 12 outside 1..10"),
+    ("childcare_cost_grid.csv", "lone_parent,2,7.8", "lone_parent,1,7.8",
+     "childcare_cost_grid.csv:3: second row for cell ('lone_parent', 1)"),
+    ("shareholding_participation.csv", "30,2,", "35,2,",
+     "shareholding_participation.csv:3: age_band '35' is not one of 30, 40, 50, 60, 70"),
+    ("shareholding_values.csv", "30,2,", "30,6,",
+     "shareholding_values.csv:3: quintile 6 outside 1..5"),
+    ("shareholding_values.csv", "30,2,", "30,1,",
+     "shareholding_values.csv:3: second row for cell ('30', 1)"),
+    ("shareholding_values.csv", "30,1,0.001", "30,1,nan",
+     "shareholding_values.csv:2: bad value_eur_thousand 'nan'"),
+    ("commuting_costs.csv", "\n2,0.482", "\n1,0.482",
+     "commuting_costs.csv:3: second row for workers 1"),
+    ("commuting_costs.csv", "\n3,0.721,0.595,20.33,3.49,23.82", "",
+     "commuting_costs.csv: no row for workers 3"),
+    ("commuting_costs.csv", "9.17", "inf", "commuting_costs.csv:2: bad total_eur 'inf'"),
+])
+def test_reference_grid_rule_is_enforced(data_dir, tmp_path, name, old, new, message):
+    shutil.copytree(data_dir, tmp_path / "data")
+    path = tmp_path / "data" / name
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(ExpenseError) as err:
+        load_data_tables(str(tmp_path / "data"))
+    assert str(err.value) == message

@@ -1,0 +1,70 @@
+import datetime as dt
+
+import pytest
+
+from nowcastsim.files import csv_rows, finite, key_values
+
+
+class Bad(ValueError):
+    pass
+
+
+def rows(tmp_path, text, columns):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    return list(csv_rows(path, columns, Bad))
+
+
+class TestCsvRows:
+    def test_comments_and_blank_lines_count_as_physical_lines(self, tmp_path):
+        text = ("# a comment, with a comma\n\nkey,date,note,value\n"
+                "a,2020-05-05,skipped, 1.5 \n\n  # indented comment\n"
+                '"b, quoted",2020-06-06,,2\n')
+        out = rows(tmp_path, text, {"key": str, "date": dt.date.fromisoformat,
+                                    "value": finite})
+        assert out == [("table.csv:4", {"key": "a", "date": dt.date(2020, 5, 5), "value": 1.5}),
+                       ("table.csv:7", {"key": "b, quoted", "date": dt.date(2020, 6, 6),
+                                        "value": 2.0})]
+
+    def test_missing_column_names_file_and_column(self, tmp_path):
+        with pytest.raises(Bad, match="^table.csv: missing column 'value'; expected key, value$"):
+            rows(tmp_path, "key,valeu\na,1\n", {"key": str, "value": float})
+
+    def test_empty_file_misses_every_column(self, tmp_path):
+        with pytest.raises(Bad, match="^table.csv: missing column 'key'"):
+            rows(tmp_path, "# only a comment\n\n", {"key": str})
+
+    @pytest.mark.parametrize("line, fields", [("a", 1), ("a,1,2", 3)])
+    def test_wrong_field_count_is_located(self, tmp_path, line, fields):
+        with pytest.raises(Bad, match=f"^table.csv:4: {fields} fields where the header has 2$"):
+            rows(tmp_path, f"key,value\nb,2\n\n{line}\n", {"key": str, "value": float})
+
+    @pytest.mark.parametrize("parse, cell", [(int, "1.5"), (float, "abc"), (finite, "nan"),
+                                             (finite, "-inf"),
+                                             (dt.date.fromisoformat, "2020-13-01")])
+    def test_unparseable_cell_is_located(self, tmp_path, parse, cell):
+        with pytest.raises(Bad, match=f"^table.csv:3: bad value '{cell}'$"):
+            rows(tmp_path, f"key,value\n\na,{cell}\n", {"key": str, "value": parse})
+
+    def test_rows_are_read_lazily_up_to_the_first_fault(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("key\na\nb,c\n", encoding="utf-8")
+        reader = csv_rows(path, {"key": str}, Bad)
+        assert next(reader) == ("table.csv:2", {"key": "a"})
+        with pytest.raises(Bad, match="table.csv:3"):
+            next(reader)
+
+
+class TestKeyValues:
+    def test_comments_blank_lines_and_spacing(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("# header\n\nband = 0:0.20  # first band\nname=x = y\n",
+                        encoding="utf-8")
+        assert list(key_values(path, Bad)) == [("a.cfg:3", "band", "0:0.20"),
+                                               ("a.cfg:4", "name", "x = y")]
+
+    def test_line_without_equals_is_located(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("credit = 1\n\ncredit 2\n", encoding="utf-8")
+        with pytest.raises(Bad, match="^a.cfg:3: expected key = value$"):
+            list(key_values(path, Bad))
