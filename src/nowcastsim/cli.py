@@ -22,6 +22,7 @@ from importlib.resources import files
 
 from . import __version__, metrics, population, scenario, taxben
 from .calibration import AlignmentError, IpfError
+from .files import finite
 from .money import cents, euros
 from .population import PopulationError
 
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sched_p = sub.add_parser("schedules", help="look up an instrument's rate")
     sched_p.add_argument("instrument", choices=["pup", "ceib", "twss", "ewss"])
-    sched_p.add_argument("--earnings", type=float, default=None,
+    sched_p.add_argument("--earnings", type=finite, default=None,
                          help="weekly earnings EUR (previous, take-home, or gross "
                               "depending on the instrument)")
     sched_p.add_argument("--date", required=True)

@@ -16,10 +16,16 @@ Capital losses apply a participation gate at the holdings-grid rate
 (anchored to observed capital income) and a per-holder value change of
 holding x index factor.
 
+Categories are integer codes into their label tuples: `family_type` gives
+a code into `FAMILY_TYPES` (-1 for no children), `age_band` one into
+`AGE_BANDS`. The childcare grid is keyed by (family-type code, decile); each
+holdings grid is an array indexed by [age-band code, quintile - 1].
+
 The reference tables are read by `files.csv_rows`. A row with an unknown
 or repeated key (sector, worker count, family type x decile, age band x
 quintile) fails with its `<file>:<line>`; the sector groups must list
-every sector, and the commuting table every count 1..3.
+every sector, the commuting table every count 1..3, and each holdings grid
+all 25 cells.
 """
 from __future__ import annotations
 
@@ -172,7 +178,7 @@ def commuting_cost_cents(table: CommuteCostTable, n_private, n_public):
 
 @dataclass(frozen=True)
 class ChildcareCostGrid:
-    """Weekly cost cells in cents by (family type, income decile)."""
+    """Weekly cost cells in cents by (family-type code, income decile)."""
 
     cells: dict
 
@@ -181,25 +187,23 @@ def load_childcare_grid(path) -> ChildcareCostGrid:
     cells = {}
     columns = {"family_type": str, "decile": int, "cost_eur_week": finite}
     for where, rec in csv_rows(path, columns, ExpenseError):
-        cell = (rec["family_type"], rec["decile"])
-        if cell[0] not in FAMILY_TYPES:
-            raise ExpenseError(f"{where}: unknown family type {cell[0]!r}")
-        if not 1 <= cell[1] <= 10:
-            raise ExpenseError(f"{where}: decile {cell[1]} outside 1..10")
+        ftype, decile = rec["family_type"], rec["decile"]
+        if ftype not in FAMILY_TYPES:
+            raise ExpenseError(f"{where}: unknown family type {ftype!r}")
+        if not 1 <= decile <= 10:
+            raise ExpenseError(f"{where}: decile {decile} outside 1..10")
+        cell = (FAMILY_TYPES.index(ftype), decile)
         if cell in cells:
-            raise ExpenseError(f"{where}: second row for cell {cell!r}")
+            raise ExpenseError(f"{where}: second row for cell {(ftype, decile)!r}")
         cells[cell] = cents(rec["cost_eur_week"])
     return ChildcareCostGrid(cells=cells)
 
 
-def family_type(n_adults, n_children_under14):
-    """Family-type cell of the childcare grid; adults counted from 18.
-    Takes ints (returns a str) or per-household arrays (returns a str array)."""
+def family_type(n_adults, n_children_under14) -> np.ndarray:
+    """Each household's code into `FAMILY_TYPES`, -1 for no children;
+    adults counted from 18."""
     a, c = np.asarray(n_adults), np.asarray(n_children_under14)
-    cell = np.select([c <= 0, a <= 1, (a == 2) & (c <= 3)],
-                     ["no_children", "lone_parent", "two_adults_1_3_children"],
-                     default="other_with_children")
-    return str(cell) if cell.ndim == 0 else cell
+    return np.select([c <= 0, a <= 1, (a == 2) & (c <= 3)], [-1, 0, 1], default=2)
 
 
 def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weights,
@@ -233,7 +237,7 @@ def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weight
     p = np.asarray(logit_prob(has_model, {k: v for k, v in cov.items()
                                           if k in has_model.covariates}))
     u = anchored_draws(p, observed_user, seed, "childcare_has", ids)
-    users = (u < p) & (ftypes != "no_children")
+    users = (u < p) & (ftypes >= 0)
 
     prediction = np.asarray(linear_predict(
         spend_model, {k: v for k, v in cov.items() if k in spend_model.covariates}))
@@ -277,38 +281,39 @@ def housing_cost_cents(tenure_code, mortgage_cents, rent_cents, deferred) -> np.
 
 @dataclass(frozen=True)
 class CapitalHoldingsGrid:
-    """Per (age band, income quintile): participation rate and per-holder
-    share value in cents."""
+    """Participation rate and per-holder share value in cents, each a
+    (len(AGE_BANDS), 5) array indexed by [age-band code, quintile - 1]."""
 
-    participation: dict
-    value_cents: dict
+    participation: np.ndarray
+    value_cents: np.ndarray
 
 
 def load_holdings_grid(participation_path, values_path) -> CapitalHoldingsGrid:
     def cells(path, column, valid, message):
-        grid = {}
+        grid = np.full((len(AGE_BANDS), 5), np.nan)
         columns = {"age_band": str, "quintile": int, column: finite}
         for where, rec in csv_rows(path, columns, ExpenseError):
-            cell = (rec["age_band"], rec["quintile"])
-            if cell[0] not in AGE_BANDS:
-                raise ExpenseError(f"{where}: age_band {cell[0]!r} is not one of "
+            band, quintile = rec["age_band"], rec["quintile"]
+            if band not in AGE_BANDS:
+                raise ExpenseError(f"{where}: age_band {band!r} is not one of "
                                    f"{', '.join(AGE_BANDS)}")
-            if not 1 <= cell[1] <= 5:
-                raise ExpenseError(f"{where}: quintile {cell[1]} outside 1..5")
-            if cell in grid:
-                raise ExpenseError(f"{where}: second row for cell {cell!r}")
+            if not 1 <= quintile <= 5:
+                raise ExpenseError(f"{where}: quintile {quintile} outside 1..5")
+            cell = (AGE_BANDS.index(band), quintile - 1)
+            if not np.isnan(grid[cell]):
+                raise ExpenseError(f"{where}: second row for cell {(band, quintile)!r}")
             if not valid(rec[column]):
                 raise ExpenseError(f"{where}: {message}")
             grid[cell] = rec[column]
+        for band, quintile in np.argwhere(np.isnan(grid)):
+            raise ExpenseError(f"{os.path.basename(path)}: no row for cell "
+                               f"{(AGE_BANDS[band], int(quintile) + 1)!r}")
         return grid
 
     participation = cells(participation_path, "participation",
                           lambda rate: 0.0 <= rate <= 1.0, "rate outside [0, 1]")
-    values = {cell: cents(thousands * 1000.0) for cell, thousands in cells(
-        values_path, "value_eur_thousand", lambda v: v >= 0, "negative holding value").items()}
-    if set(participation) != set(values):
-        raise ExpenseError("participation and value grids cover different cells")
-    return CapitalHoldingsGrid(participation=participation, value_cents=values)
+    values = cells(values_path, "value_eur_thousand", lambda v: v >= 0, "negative holding value")
+    return CapitalHoldingsGrid(participation=participation, value_cents=cents(values * 1000.0))
 
 
 # Holding-grid age bands, labelled by decade: <35, 35-44, 45-54, 55-64, 65+.
@@ -316,32 +321,16 @@ AGE_BANDS = ("30", "40", "50", "60", "70")
 
 
 def age_band(age) -> np.ndarray:
-    """Each age's holding-grid band label in `AGE_BANDS`."""
-    a = np.atleast_1d(np.asarray(age, dtype=np.int64))
-    return np.select([a < 35, a < 45, a < 55, a < 65], [np.str_(b) for b in AGE_BANDS[:4]],
-                     default=np.str_(AGE_BANDS[4]))
-
-
-def _grid_cells(cells: dict, bands, quintiles) -> np.ndarray:
-    """Each unit's (age band, quintile) cell of a holdings grid, as float64."""
-    bands, quintiles = np.asarray(bands).astype(str), np.asarray(quintiles).astype(np.int64)
-    band_keys, row = np.unique(bands, return_inverse=True)
-    quintile_keys, col = np.unique(quintiles, return_inverse=True)
-    table = np.array([[cells.get((b, q), np.nan) for q in quintile_keys.tolist()]
-                      for b in band_keys.tolist()], dtype=np.float64)
-    values = table.reshape(band_keys.size, quintile_keys.size)[row, col]
-    missing = np.flatnonzero(np.isnan(values))
-    if missing.size:
-        i = missing[0]
-        raise ExpenseError(f"holding grid has no cell {(str(bands[i]), int(quintiles[i]))!r}")
-    return values
+    """Each age's code into the holding-grid bands `AGE_BANDS`."""
+    return np.searchsorted((35, 45, 55, 65), age, side="right")
 
 
 def capital_participants(grid: CapitalHoldingsGrid, bands, quintiles, observed_holder,
                          person_ids, seed: int) -> np.ndarray:
     """Participation gate: anchored draw at the grid rate against the
-    observed holder state (capital income present)."""
-    rates = np.clip(_grid_cells(grid.participation, bands, quintiles), 1e-9, 1.0 - 1e-9)
+    observed holder state (capital income present). `bands` are codes into
+    `AGE_BANDS`, `quintiles` run 1..5."""
+    rates = np.clip(grid.participation[bands, np.asarray(quintiles) - 1], 1e-9, 1.0 - 1e-9)
     u = anchored_draws(rates, np.asarray(observed_holder, dtype=bool), seed,
                        "shareholding", np.asarray(person_ids))
     return u < rates
@@ -353,8 +342,8 @@ def capital_value_change_cents(grid: CapitalHoldingsGrid, bands, quintiles,
     participants, 0 otherwise. Negative when markets fall."""
     participant = np.asarray(participant, dtype=bool)
     out = np.zeros(participant.shape, dtype=np.int64)
-    holding = _grid_cells(grid.value_cents, np.asarray(bands)[participant],
-                          np.asarray(quintiles)[participant])
+    holding = grid.value_cents[np.asarray(bands)[participant],
+                               np.asarray(quintiles)[participant] - 1]
     # np.rint rounds half to even, as round() does on a float
     out[participant] = np.rint(holding * index_change_factor)
     return out

@@ -1,7 +1,8 @@
 """Readers of the reference input files: the CSV tables of the data and
-policy directories, and the `key = value` configs. Both skip blank lines
-and `#` comments, name a row `<file basename>:<line>` counting every
-physical line, and raise the caller's error class built from one message."""
+policy directories, and the `key = value` configs. Both read UTF-8, skip
+blank lines and `#` comments, name a row `<file basename>:<line>` counting
+every physical line, and raise the caller's error class built from one
+message."""
 import csv
 import math
 import os
@@ -11,17 +12,23 @@ def csv_rows(path, columns: dict, error):
     """Yield (where, record) per data row of a header-first CSV. `columns`
     maps each required column to the parser of its stripped cells, and the
     record holds their parsed values; other columns are not read. A missing
-    column, a row of another field count than the header's, or a cell its
-    parser rejects with ValueError raises `error(message)`."""
+    or repeated column, a row of another field count than the header's, or a
+    cell its parser rejects with ValueError raises `error(message)`."""
     name = os.path.basename(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1)
-                 if line.strip() and not line.lstrip().startswith("#")]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [(lineno, line) for lineno, line in enumerate(fh, start=1)
+                     if line.strip() and not line.lstrip().startswith("#")]
+    except UnicodeDecodeError:
+        raise error(not_utf8(path)) from None
     rows = csv.reader(line for _, line in lines)
     header = [cell.strip() for cell in next(rows, [])]
     for column in columns:
         if column not in header:
             raise error(f"{name}: missing column {column!r}; expected {', '.join(columns)}")
+    for i, column in enumerate(header):
+        if column in header[:i]:
+            raise error(f"{name}: column {column!r} appears twice")
     for row in rows:
         where = f"{name}:{lines[rows.line_num - 1][0]}"
         if len(row) != len(header):
@@ -40,15 +47,34 @@ def key_values(path, error):
     """Yield (where, key, value) per `key = value` line of a config; `#`
     starts a comment. A line without `=` raises `error(message)`."""
     name = os.path.basename(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise error(f"{name}:{lineno}: expected key = value")
-            key, value = (token.strip() for token in line.split("=", 1))
-            yield f"{name}:{lineno}", key, value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise error(not_utf8(path)) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{name}:{lineno}: expected key = value")
+        key, value = (token.strip() for token in line.split("=", 1))
+        yield f"{name}:{lineno}", key, value
+
+
+def not_utf8(path) -> str:
+    """The fault of a file that is not UTF-8: `<file basename>:<line>` of its
+    first line that does not decode (lines end at LF, CRLF or CR, as in text
+    mode), and the byte that stops it."""
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return (f"{os.path.basename(path)}:{lineno}: not UTF-8 text "
+                        f"(byte {line[exc.start]:#04x}: {exc.reason})")
+    return f"{os.path.basename(path)}: not UTF-8 text"
 
 
 def finite(text) -> float:

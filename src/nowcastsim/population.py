@@ -42,7 +42,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .files import key_values
+from .files import key_values, not_utf8
 
 SECTORS = (
     "agriculture, forestry and fishing; mining and quarrying",
@@ -291,14 +291,10 @@ def _read(path, header, columns, native: bool) -> tuple:
     """One np.loadtxt pass over the rows of a CSV file whose header has every
     column of `columns`: int and float cells parsed by numpy's C parser if
     `native`, else by Python's int and float; other cells by their kind."""
-    at = {column: i for i, column in enumerate(header)}  # the last of a repeated name
     unknown, ids, types, converters = {}, [], [], {}
     for i, column in enumerate(header):
         kind = columns[column]
-        if at[column] != i:  # an earlier copy of a repeated column is not parsed
-            types.append(bool)
-            converters[i] = bool
-        elif kind == "ids":  # the cell's count of ids
+        if kind == "ids":  # the cell's count of ids
             types.append(np.int64)
             converters[i] = partial(_split_ids, ids)
         elif isinstance(kind, tuple):
@@ -317,7 +313,7 @@ def _read(path, header, columns, native: bool) -> tuple:
                              ndmin=1, encoding="utf-8", converters=converters)
     table = {}
     for column, kind in columns.items():
-        values = records[f"f{at[column]}"]
+        values = records[f"f{header.index(column)}"]
         if kind == "ids":
             table[column] = np.fromiter(map(int, ids), np.int64, len(ids))
             table["member_offsets"] = np.cumsum(np.append(0, values), dtype=np.int64)
@@ -364,21 +360,27 @@ def _load_table(path, columns) -> tuple:
     """One CSV file as a Table plus the unknown texts of its enum columns.
 
     A missing or unknown column, or a row whose field count differs from the
-    header's, raises; so does the first unparseable cell, in row order and,
-    within a row, member_ids first and then column order."""
+    header's, raises; so does a repeated column, a line that is not UTF-8, or
+    the first unparseable cell, in row order and, within a row, member_ids
+    first and then column order."""
     name = os.path.basename(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
-    problems = [f"{name}: missing column {c!r}" for c in columns if c not in header]
-    problems += [f"{name}: unknown column {c!r}" for c in header if c not in columns]
-    if problems:
-        raise PopulationError(problems)
     try:
-        return _read(path, header, columns, native=True)
-    except (KeyError, OverflowError, ValueError):
-        _raise_first_bad(path, header, columns)
-    # numpy rejects a number that Python's int or float reads, such as 1_000
-    return _read(path, header, columns, native=False)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+        problems = [f"{name}: missing column {c!r}" for c in columns if c not in header]
+        problems += [f"{name}: unknown column {c!r}" for c in header if c not in columns]
+        problems += [f"{name}: column {c!r} appears twice"
+                     for i, c in enumerate(header) if c in header[:i]]
+        if problems:
+            raise PopulationError(problems)
+        try:
+            return _read(path, header, columns, native=True)
+        except (KeyError, OverflowError, ValueError):
+            _raise_first_bad(path, header, columns)
+        # numpy rejects a number that Python's int or float reads, such as 1_000
+        return _read(path, header, columns, native=False)
+    except UnicodeDecodeError:
+        raise PopulationError([not_utf8(path)]) from None
 
 
 def load_population(path, base_period: dt.date = dt.date(2019, 12, 1)) -> Population:

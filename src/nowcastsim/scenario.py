@@ -25,6 +25,11 @@ Ranking alignment keys never include the wave date for persistent states
 move, and build_baseline ranks each of their pools once per run; sickness
 draws are keyed per wave, so CEIB is ranked per wave. All draws are keyed by
 unit id, making results independent of iteration order and thread count.
+
+Age bands are computed as integer codes into `CASE_AGE_BANDS` (sickness
+cases, employment rates) and `expenses.AGE_BANDS` (holdings); the control
+totals keep the band labels of the control file, which also name each CEIB
+stratum's draw stream `ceib:<band>:<date>`.
 """
 from __future__ import annotations
 
@@ -39,14 +44,13 @@ import numpy as np
 from . import expenses, igm, metrics, taxben
 from .calibration import (AlignmentError, align_by_score, align_continuous, binary_scores,
                           score_order, take_by_score)
-from .files import csv_rows, finite
+from .files import csv_rows, finite, not_utf8
 from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
 from .population import (EDUCATIONS, REGIONS, SECTORS, WORK_STATUSES, WORKER_CODES,
                          Population, Table)
 from .rng import anchored_uniform, keyed_uniform
 
 CASE_AGE_BANDS = ("0", "1-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64", "65+")
-_CASE_BAND_EDGES = (1, 5, 15, 25, 35, 45, 55, 65)
 NATIONAL_KEYS = ("population_total", "mortgage_count")  # plus sector_employment:<sector>
 
 
@@ -59,9 +63,8 @@ class ControlError(ValueError):
 
 
 def case_age_band(age) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(age, dtype=np.int64))
-    idx = np.searchsorted(np.asarray(_CASE_BAND_EDGES), a, side="right")
-    return np.asarray(CASE_AGE_BANDS, dtype=object)[idx]
+    """Each age's code into `CASE_AGE_BANDS`."""
+    return np.searchsorted((1, 5, 15, 25, 35, 45, 55, 65), age, side="right")
 
 
 # -- control totals ------------------------------------------------------------
@@ -147,6 +150,8 @@ def load_control_totals(path) -> ControlSeries:
         elif head == "index_change_factor":
             series.index_factor[date] = target
         elif head == "employment_rate":
+            if rest not in CASE_AGE_BANDS:
+                raise ControlError(f"{where}: unknown age band {rest!r}")
             if not 0.0 <= target <= 1.0:
                 raise ControlError(f"{where}: employment rate outside [0, 1]")
             series.employment_rate.setdefault(date, {})[rest] = target
@@ -217,10 +222,25 @@ WAVE_KEYS = {"date", "pup", "ceib", "subsidy", "childcare_support", "deferrals",
 
 
 def parse_scenario(path) -> Scenario:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"cannot read scenario file {path}")
+    """Read a UTF-8 `scenario.cfg`; values are taken as written (`%` is
+    literal). A fault names the file, and the line where configparser
+    reports one: a repeated key or section, or a line outside a section."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except UnicodeDecodeError:
+        raise ScenarioError(not_utf8(path)) from None
+    except configparser.DuplicateOptionError as exc:
+        raise ScenarioError(f"{path}:{exc.lineno}: [{exc.section}] {exc.option} "
+                            f"is given twice") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ScenarioError(f"{path}:{exc.lineno}: [{exc.section}] is given twice") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ScenarioError(f"{path}:{exc.lineno}: a line before the first [section]") from None
+    except configparser.ParsingError as exc:
+        raise ScenarioError(f"{path}:{exc.errors[0][0]}: not a [section] "
+                            f"or key = value line") from None
     if "scenario" not in parser:
         raise ScenarioError(f"{path}: missing [scenario] section")
     # configparser copies [DEFAULT] keys into every section, so they are checked too
@@ -388,7 +408,7 @@ def nowcast_baseline(pop: Population, controls: ControlTotals, seed: int) -> Pop
         counts = np.bincount(p.industry[worker], minlength=len(SECTORS)).astype(np.float64)
         shares = np.cumsum(np.where(counts > 0, counts, 1e-9))
         for band, rate in sorted(controls.employment_rate_by_age.items()):
-            idx = np.flatnonzero((bands == band) & (p.age >= 16))
+            idx = np.flatnonzero((bands == CASE_AGE_BANDS.index(band)) & (p.age >= 16))
             if not idx.size:
                 continue
             w, observed, pids = weight[idx], worker[idx], p.person_id[idx]
@@ -449,7 +469,7 @@ class BaselineState:
     weekly_earn_cents: np.ndarray
     take_home_weekly_cents: np.ndarray
     commute_mode: np.ndarray
-    cap_band: np.ndarray
+    cap_band: np.ndarray         # index into expenses.AGE_BANDS
     cap_quintile: np.ndarray
     cap_participant: np.ndarray
     # household arrays (sorted by household id)
@@ -462,7 +482,7 @@ class BaselineState:
     childcare_weekly_cents: np.ndarray
     # alignment pools, fixed for the run: label -> (rows, rows in alignment order)
     strata: dict
-    band_workers: dict               # case age band -> worker rows (CEIB)
+    band_workers: list               # per CASE_AGE_BANDS entry: worker rows (CEIB)
     sector_worker_weight: np.ndarray  # per SECTORS entry
 
 
@@ -564,8 +584,8 @@ def build_baseline(pop: Population, tables: DataTables,
         equiv_scale=np.asarray(scale, dtype=np.float64),
         childcare_weekly_cents=childcare_weekly,
         strata=strata,
-        band_workers={band: np.flatnonzero(is_worker & (bands == band))
-                      for band in CASE_AGE_BANDS},
+        band_workers=[np.flatnonzero(is_worker & (bands == code))
+                      for code in range(len(CASE_AGE_BANDS))],
         sector_worker_weight=np.array([np.sum(person_weight[rows]) for rows in sector_workers]),
     )
 
@@ -677,7 +697,8 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         for (band, in_work), count in sorted(controls.ceib_cases.items()):
             if not in_work:
                 continue  # out-of-work cases carry no income change
-            rows = base.band_workers[band][~job_lost[base.band_workers[band]]]
+            workers = base.band_workers[CASE_AGE_BANDS.index(band)]
+            rows = workers[~job_lost[workers]]
             ranked = rows[_rank(base.pid[rows], seed, f"ceib:{band}:{wave.date.isoformat()}")]
             ceib[_align_rows(rows, ranked, base.person_weight, count * pop_share,
                              unit_weight, f"sickness cases in age band {band}")] = True

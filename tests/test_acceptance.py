@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from nowcastsim import metrics, population, scenario, taxben
+from nowcastsim import expenses, metrics, population, scenario, taxben
 from nowcastsim.calibration import IpfError, align_binary, ipf
 from nowcastsim.cli import main as cli_main
 from nowcastsim.igm import anchored_draws
@@ -176,7 +176,8 @@ def test_criterion_3_capital_loss_oracle(tables):
     start = time.perf_counter()
     holdings = tables.holdings
     cells = sorted(HOLDING_CHANGE_REFERENCE)
-    values = np.array([holdings.value_cents[c] / 100000.0 for c in cells])
+    index = {c: (expenses.AGE_BANDS.index(c[0]), c[1] - 1) for c in cells}
+    values = np.array([holdings.value_cents[index[c]] / 100000.0 for c in cells])
     reference = np.array([HOLDING_CHANGE_REFERENCE[c] for c in cells])
 
     # stage 1: the change table divided by the holdings table is one constant
@@ -192,11 +193,11 @@ def test_criterion_3_capital_loss_oracle(tables):
     factor = -0.3532
     for cell in cells:
         band, quintile = cell
-        rate = holdings.participation[cell]
+        rate = holdings.participation[index[cell]]
         u = keyed_uniform(1234, f"capital-oracle:{band}:{quintile}", np.arange(draws))
         participant = u < rate
         change = capital_value_change_cents(
-            holdings, np.full(draws, band, dtype=object),
+            holdings, np.full(draws, index[cell][0]),
             np.full(draws, quintile), participant, factor)
         assert participant.sum() > 0
         mean_among_participants = change[participant].mean() / 100000.0

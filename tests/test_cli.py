@@ -3,9 +3,12 @@ import filecmp
 import io
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import nowcastsim
 from nowcastsim.cli import main
 from nowcastsim.population import SynthConfig, generate_synthetic, save_population
 
@@ -36,6 +39,15 @@ class TestSchedulesCommand:
                      "--date", "2020-03-01"])
         assert code == 1
         assert "2020-03-13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("earnings", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_earnings_is_a_usage_error(self, capsys, earnings):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedules", "pup", f"--earnings={earnings}", "--date", "2020-11-15"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --earnings: invalid finite value: '{earnings}'" in err
+        assert "Traceback" not in err
 
     def test_ceib_lookup(self, capsys):
         code = main(["schedules", "ceib", "--date", "2020-05-05"])
@@ -167,6 +179,10 @@ class TestBadScenarioFields:
         ("", "date = 2020-05-32\n", "[wave:w1] date"),
         ("employer_top_up = 0.9\n", "date = 2020-05-05\n", "[scenario] employer_top_up"),
         ("", "date = 2020-05-05\npupp = on\n", "[wave:w1] pupp"),
+        ("seed = 1\nseed = 2\n", "date = 2020-05-05\n",
+         "bad.cfg:4: [scenario] seed is given twice"),
+        ("", "date = 2020-05-05\n[wave:w1]\npup = on\n", "bad.cfg:5: [wave:w1] is given twice"),
+        ("", "date = 2020-05-05\npup\n", "bad.cfg:5: not a [section] or key = value line"),
     ]
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -184,6 +200,49 @@ class TestBadScenarioFields:
         err = capsys.readouterr().err
         assert "bad.cfg" in err and where in err
         assert not (tmp_path / "out").exists()
+
+
+def test_percent_in_scenario_value_is_literal(data_dir, tmp_path, capsys):
+    shutil.copy(os.path.join(data_dir, "control_totals.csv"), tmp_path / "a%b.csv")
+    edited_copy(data_dir, tmp_path / "data", "scenario.cfg",
+                "controls = control_totals.csv", f"controls = {tmp_path / 'a%b.csv'}")
+    assert main(["validate", "--scenario", str(tmp_path / "data" / "scenario.cfg")]) == 0
+    assert capsys.readouterr().out == "all inputs valid\n"
+
+
+@pytest.mark.parametrize("name", ["sector_groups.csv", "policy/tax_system.cfg",
+                                  "population/persons.csv", "scenario.cfg"])
+def test_input_that_is_not_utf8_is_named(data_dir, tmp_path, capsys, name):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    save_population(generate_synthetic(SynthConfig(households=5), 1), data / "population")
+    path = data / name
+    lines = path.read_bytes().split(b"\n")
+    lines[1] += b"\xe9"
+    path.write_bytes(b"\n".join(lines))
+    assert main(["validate", "--scenario", str(data / "scenario.cfg"), "--data-dir", str(data),
+                 "--policy-dir", str(data / "policy"), "--population",
+                 str(data / "population")]) == 1
+    err = capsys.readouterr().err
+    assert f"{os.path.basename(name)}:2: not UTF-8 text (byte 0xe9: " in err
+    assert "Traceback" not in err
+
+
+def test_commands_read_no_file_in_the_locale_encoding(data_dir, tmp_path):
+    """Under -X warn_default_encoding every text read or write that leaves
+    the encoding to the locale warns, and -W error makes that fatal."""
+    synth = tmp_path / "synth.cfg"
+    synth.write_text("households = 30\n", encoding="utf-8")
+    scenario = os.path.join(data_dir, "scenario.cfg")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nowcastsim.__file__))}
+    for args in (["validate", "--scenario", scenario, "--synth-config", str(synth)],
+                 ["run", "--scenario", scenario, "--synth-config", str(synth),
+                  "--out", str(tmp_path / "out")],
+                 ["schedules", "pup", "--earnings", "450", "--date", "2020-11-15"]):
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W",
+                               "error::EncodingWarning", "-m", "nowcastsim.cli", *args],
+                              env=env, capture_output=True, text=True, encoding="utf-8")
+        assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -76,8 +76,8 @@ def controls_at(date, tables, base, pup=0.0, ceib=0.0, subsidy=0.0, deferrals=0.
     weight (CEIB) and of the mortgage holders' weight (deferrals)."""
     national = tables.national
     bands = case_age_band(base.age)
-    band_weight = {band: float(base.person_weight[base.is_worker & (bands == band)].sum())
-                   for band in CASE_AGE_BANDS}
+    band_weight = {band: float(base.person_weight[base.is_worker & (bands == code)].sum())
+                   for code, band in enumerate(CASE_AGE_BANDS)}
     pop_share = float(base.person_weight.sum()) / national["population_total"]
     return ControlTotals(
         date=date,

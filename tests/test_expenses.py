@@ -1,3 +1,5 @@
+import csv
+import os
 import shutil
 
 import numpy as np
@@ -5,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nowcastsim.expenses import (MODE_NONE, MODE_PRIVATE, MODE_PUBLIC,
+from nowcastsim.expenses import (AGE_BANDS, FAMILY_TYPES, MODE_NONE, MODE_PRIVATE, MODE_PUBLIC,
                                  CapitalHoldingsGrid, ChildcareCostGrid, ExpenseError, age_band,
                                  assign_commute_modes,
                                  capital_participants,
                                  capital_value_change_cents,
                                  childcare_costs_cents, commuting_cost_cents,
                                  family_type, housing_cost_cents)
-from nowcastsim.igm import logit_prob
+from nowcastsim.igm import anchored_draws, logit_prob
 from nowcastsim.money import cents
 from nowcastsim.population import SECTORS
-from nowcastsim.scenario import load_data_tables
+from nowcastsim.scenario import CASE_AGE_BANDS, case_age_band, load_data_tables
 
 
 class TestCommuteTable:
@@ -90,11 +92,12 @@ class TestCommuteModes:
 
 class TestFamilyType:
     def test_classification(self):
-        assert family_type(1, 2) == "lone_parent"
-        assert family_type(2, 2) == "two_adults_1_3_children"
-        assert family_type(2, 4) == "other_with_children"
-        assert family_type(3, 1) == "other_with_children"
-        assert family_type(2, 0) == "no_children"
+        assert FAMILY_TYPES[family_type(1, 2)] == "lone_parent"
+        assert FAMILY_TYPES[family_type(2, 2)] == "two_adults_1_3_children"
+        assert FAMILY_TYPES[family_type(2, 4)] == "other_with_children"
+        assert FAMILY_TYPES[family_type(3, 1)] == "other_with_children"
+        assert family_type(2, 0) == -1  # no children
+        assert family_type([1, 2, 3], [2, 0, 1]).tolist() == [0, -1, 2]
 
 
 class TestChildcare:
@@ -105,8 +108,7 @@ class TestChildcare:
         kids04 = rng.integers(0, 3, n)
         kids14 = kids04 + rng.integers(0, 3, n)
         adults = rng.integers(1, 4, n)
-        ftypes = np.array([family_type(int(a), int(c))
-                           for a, c in zip(adults, kids14)], dtype=object)
+        ftypes = family_type(adults, kids14)
         deciles = rng.integers(1, 11, n)
         equiv_week = rng.uniform(100, 900, n)
         two_workers = rng.uniform(size=n) < 0.5
@@ -123,7 +125,7 @@ class TestChildcare:
     def test_no_children_pay_nothing(self, tables):
         kw = self.build(tables)
         costs = childcare_costs_cents(**kw)
-        no_kids = kw["family_types"] == "no_children"
+        no_kids = kw["family_types"] == -1
         assert np.all(costs[no_kids] == 0)
 
     def test_cell_means_match_grid(self, tables):
@@ -144,7 +146,7 @@ class TestChildcare:
         kw = self.build(tables)
         costs = childcare_costs_cents(**kw)
         users = costs > 0
-        expected = kw["observed_user"] & (kw["family_types"] != "no_children")
+        expected = kw["observed_user"] & (kw["family_types"] >= 0)
         assert np.array_equal(users, expected)
 
 
@@ -173,24 +175,24 @@ class TestHousing:
 
 class TestCapital:
     def test_age_bands(self):
-        assert age_band([20, 34, 35, 44, 45, 54, 55, 64, 65, 90]).tolist() == \
+        assert [AGE_BANDS[b] for b in age_band([20, 34, 35, 44, 45, 54, 55, 64, 65, 90])] == \
             ["30", "30", "40", "40", "50", "50", "60", "60", "70", "70"]
 
     def test_zero_factor_means_zero_loss(self, tables):
         change = capital_value_change_cents(
-            tables.holdings, ["60"], [5], [True], 0.0)
+            tables.holdings, [AGE_BANDS.index("60")], [5], [True], 0.0)
         assert change.tolist() == [0]
 
     def test_top_cell_change_matches_reference(self, tables):
         # holding 1763.00 x factor -0.3532 ~ -622.69 -> about -0.623 thousand
         change = capital_value_change_cents(
-            tables.holdings, ["60"], [5], [True], -0.3532)
+            tables.holdings, [AGE_BANDS.index("60")], [5], [True], -0.3532)
         assert change[0] == round(176300 * -0.3532)
         assert change[0] / 100000.0 == pytest.approx(-0.623, abs=0.002)
 
     def test_non_participants_lose_nothing(self, tables):
         change = capital_value_change_cents(
-            tables.holdings, ["60"], [5], [False], -0.3532)
+            tables.holdings, [AGE_BANDS.index("60")], [5], [False], -0.3532)
         assert change.tolist() == [0]
 
     def test_participation_gate_replays_observed(self, tables):
@@ -202,10 +204,6 @@ class TestCapital:
         out = capital_participants(tables.holdings, bands, quintiles, observed,
                                    np.arange(n), seed=7)
         assert np.array_equal(out, observed)
-
-    def test_unknown_cell_rejected(self, tables):
-        with pytest.raises(ExpenseError):
-            capital_participants(tables.holdings, ["95"], [1], [False], [1], 1)
 
 
 COUNTS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40)
@@ -238,8 +236,9 @@ CELLS = [(b, q) for b in ("30", "40", "50", "60", "70") for q in range(1, 6)]
        factor=FACTORS)
 def test_capital_change_matches_per_person_round(holdings, units, factor):
     values = dict(zip(CELLS, holdings))
-    grid = CapitalHoldingsGrid(participation=dict.fromkeys(CELLS, 0.5), value_cents=values)
-    bands = np.array([u[0][0] for u in units], dtype=str)
+    grid = CapitalHoldingsGrid(participation=np.full((5, 5), 0.5),
+                               value_cents=np.array(holdings, dtype=np.int64).reshape(5, 5))
+    bands = np.array([AGE_BANDS.index(u[0][0]) for u in units], dtype=np.int64)
     quintiles = np.array([u[0][1] for u in units], dtype=np.int64)
     participant = np.array([u[1] for u in units], dtype=bool)
     out = capital_value_change_cents(grid, bands, quintiles, participant, factor)
@@ -248,12 +247,68 @@ def test_capital_change_matches_per_person_round(holdings, units, factor):
                             for cell, p in units]
 
 
-def test_capital_change_unknown_cell_rejected_for_participants_only(tables):
-    assert capital_value_change_cents(
-        tables.holdings, ["95"], [1], [False], -0.3).tolist() == [0]
-    with pytest.raises(ExpenseError, match="'95', 1"):
-        capital_value_change_cents(tables.holdings, ["60", "95"], [1, 1],
-                                   [True, True], -0.3)
+def _case_band_label(age):
+    """The sickness-case band of one age, as the control file labels it."""
+    for upper, label in ((0, "0"), (4, "1-4"), (14, "5-14"), (24, "15-24"), (34, "25-34"),
+                         (44, "35-44"), (54, "45-54"), (64, "55-64")):
+        if age <= upper:
+            return label
+    return "65+"
+
+
+def _holding_band_label(age):
+    """The holdings-grid band of one age: its decade label, <35 to 65+."""
+    for upper, label in ((34, "30"), (44, "40"), (54, "50"), (64, "60")):
+        if age <= upper:
+            return label
+    return "70"
+
+
+def test_band_codes_index_the_band_labels():
+    ages = np.arange(121)
+    assert [CASE_AGE_BANDS[c] for c in case_age_band(ages)] == [_case_band_label(a) for a in ages]
+    assert [AGE_BANDS[c] for c in age_band(ages)] == [_holding_band_label(a) for a in ages]
+    assert CASE_AGE_BANDS[case_age_band(40)] == "35-44" and AGE_BANDS[age_band(40)] == "40"
+
+
+def _grid_rows(data_dir, name, column) -> dict:
+    with open(os.path.join(data_dir, name), newline="", encoding="utf-8") as fh:
+        return {(row["age_band"], int(row["quintile"])): float(row[column])
+                for row in csv.DictReader(fh)}
+
+
+def test_holdings_grid_lookups_match_the_csv_rows(tables, data_dir):
+    rates = _grid_rows(data_dir, "shareholding_participation.csv", "participation")
+    values = {cell: cents(v * 1000.0) for cell, v in
+              _grid_rows(data_dir, "shareholding_values.csv", "value_eur_thousand").items()}
+    rng = np.random.default_rng(8)
+    n = 3000
+    ages = rng.integers(0, 110, n)
+    quintiles = rng.integers(1, 6, n)
+    cells = [(_holding_band_label(a), q) for a, q in zip(ages.tolist(), quintiles.tolist())]
+    observed = rng.uniform(size=n) < 0.2
+    ids = np.arange(n)
+    expected_rates = np.clip([rates[c] for c in cells], 1e-9, 1.0 - 1e-9)
+    expected = anchored_draws(expected_rates, observed, 4, "shareholding", ids) < expected_rates
+    participant = capital_participants(tables.holdings, age_band(ages), quintiles, observed,
+                                       ids, seed=4)
+    assert np.array_equal(participant, expected)
+    change = capital_value_change_cents(tables.holdings, age_band(ages), quintiles,
+                                        participant, -0.3532)
+    assert change.tolist() == [round(values[c] * -0.3532) if p else 0
+                               for c, p in zip(cells, participant.tolist())]
+
+
+@pytest.mark.parametrize("name", ["shareholding_participation.csv", "shareholding_values.csv"])
+def test_holdings_grid_without_a_cell_is_rejected(data_dir, tmp_path, name):
+    shutil.copytree(data_dir, tmp_path / "data")
+    path = tmp_path / "data" / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[-1].startswith("70,5,")
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    with pytest.raises(ExpenseError) as err:
+        load_data_tables(str(tmp_path / "data"))
+    assert str(err.value) == f"{name}: no row for cell ('70', 5)"
 
 
 @pytest.mark.parametrize("name, old, new, message", [

@@ -46,6 +46,10 @@ class TestCsvRows:
         with pytest.raises(Bad, match=f"^table.csv:3: bad value '{cell}'$"):
             rows(tmp_path, f"key,value\n\na,{cell}\n", {"key": str, "value": parse})
 
+    def test_repeated_column_is_rejected(self, tmp_path):
+        with pytest.raises(Bad, match="^table.csv: column 'value' appears twice$"):
+            rows(tmp_path, "key,value, value\na,1,2\n", {"key": str, "value": float})
+
     def test_rows_are_read_lazily_up_to_the_first_fault(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("key\na\nb,c\n", encoding="utf-8")
@@ -68,3 +72,13 @@ class TestKeyValues:
         path.write_text("credit = 1\n\ncredit 2\n", encoding="utf-8")
         with pytest.raises(Bad, match="^a.cfg:3: expected key = value$"):
             list(key_values(path, Bad))
+
+
+@pytest.mark.parametrize("read", [lambda path: list(csv_rows(path, {"key": str}, Bad)),
+                                  lambda path: list(key_values(path, Bad))])
+def test_line_that_is_not_utf8_is_located(tmp_path, read):
+    path = tmp_path / "table.csv"
+    path.write_bytes("key = caf\u00e9\n\n".encode() + b"key = caf\xe9\nkey = 1\n")
+    with pytest.raises(Bad, match=r"^table.csv:3: not UTF-8 text \(byte 0xe9: "
+                                  r"invalid continuation byte\)$"):
+        read(path)

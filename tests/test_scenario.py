@@ -8,7 +8,7 @@ from nowcastsim import metrics, taxben
 from nowcastsim.calibration import AlignmentError
 from nowcastsim.money import weekly_to_monthly
 from nowcastsim.population import SECTORS, WORK_STATUSES, WORKER_CODES
-from nowcastsim.scenario import (ControlError, ControlTotals,
+from nowcastsim.scenario import (CASE_AGE_BANDS, ControlError, ControlTotals,
                                  ScenarioError, WavePoint, _align_rows, apply_wave,
                                  build_baseline, control_gaps, load_control_totals,
                                  nowcast_baseline, parse_scenario,
@@ -71,6 +71,13 @@ class TestControlLoading:
         with pytest.raises(ControlError, match="space mining"):
             load_control_totals(path)
 
+    def test_unknown_employment_rate_band_is_located(self, tmp_path):
+        path = tmp_path / "controls.csv"
+        path.write_text("stratum_key,date,target\nemployment_rate:25-34,2019-12-01,0.7\n"
+                        "employment_rate:25-35,2019-12-01,0.7\n")
+        with pytest.raises(ControlError, match="^controls.csv:3: unknown age band '25-35'$"):
+            load_control_totals(path)
+
     def test_unknown_stratum_key_rejected(self, tmp_path):
         path = tmp_path / "controls.csv"
         path.write_text("stratum_key,date,target\nfrobnicate,2020-05-05,10\n")
@@ -125,6 +132,12 @@ class TestScenarioFile:
         with pytest.raises(ScenarioError, match=where) as err:
             parse_scenario(path)
         assert "s.cfg" in str(err.value)
+
+    def test_key_before_any_section_is_located(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("seed = 1\n[scenario]\ncontrols=c.csv\n[wave:a]\ndate=2020-05-05\n")
+        with pytest.raises(ScenarioError, match=r"s.cfg:1: a line before the first \[section\]$"):
+            parse_scenario(path)
 
     def test_capital_booking_once_accepted(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -219,7 +232,8 @@ class TestNowcastBaseline:
         group = case_age_band(small_pop.persons.age)
         weights = person_weights(small_pop)
         for band in ("25-34", "35-44", "45-54"):
-            idx = np.flatnonzero((group == band) & (small_pop.persons.age >= 16))
+            idx = np.flatnonzero((group == CASE_AGE_BANDS.index(band))
+                                 & (small_pop.persons.age >= 16))
             w = weights[idx]
             worker = is_worker(small_pop.persons)[idx]
             bands[band] = float(w[worker].sum() / w.sum())
@@ -232,7 +246,8 @@ class TestNowcastBaseline:
         group = case_age_band(small_pop.persons.age)
         weights = person_weights(small_pop)
         band = "35-44"
-        idx = np.flatnonzero((group == band) & (small_pop.persons.age >= 16))
+        idx = np.flatnonzero((group == CASE_AGE_BANDS.index(band))
+                             & (small_pop.persons.age >= 16))
         w = weights[idx]
         worker = is_worker(small_pop.persons)[idx]
         rate0 = float(w[worker].sum() / w.sum())
@@ -250,7 +265,8 @@ class TestNowcastBaseline:
     def test_lower_target_fires_with_zero_earnings(self, small_pop):
         from nowcastsim.scenario import case_age_band
         band = "35-44"
-        in_band = (case_age_band(small_pop.persons.age) == band) & (small_pop.persons.age >= 16)
+        in_band = ((case_age_band(small_pop.persons.age) == CASE_AGE_BANDS.index(band))
+                   & (small_pop.persons.age >= 16))
         controls = ControlTotals(date=D(2019, 12, 1), employment_rate_by_age={band: 0.3})
         out = nowcast_baseline(small_pop, controls, seed=7)
         fired = in_band & is_worker(small_pop.persons) & ~is_worker(out.persons)

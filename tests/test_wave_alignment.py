@@ -72,7 +72,8 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
         bands = case_age_band(base.age)
         for (band, in_work), count in sorted(controls.ceib_cases.items()):
             if in_work:
-                rows = np.flatnonzero(base.is_worker & ~job_lost & (bands == band))
+                rows = np.flatnonzero(base.is_worker & ~job_lost
+                                      & (bands == CASE_AGE_BANDS.index(band)))
                 ceib[pick(rows, base.pid, base.person_weight, count * pop_share,
                           f"ceib:{band}:{wave.date.isoformat()}", unit_weight,
                           f"sickness cases in age band {band}")] = True
@@ -197,7 +198,7 @@ def controls_for(base, tables, schedules, wave, kinds):
     pop_share = float(np.sum(weight)) / national["population_total"]
     bands = case_age_band(base.age)
     ceib = {(band, True): stratum_target(
-                kinds["ceib"], float(np.sum(weight[base.is_worker & (bands == band)])), i)
+                kinds["ceib"], float(np.sum(weight[base.is_worker & (bands == i)])), i)
             / pop_share for i, band in enumerate(CASE_AGE_BANDS)}
     ceib[("25-34", False)] = 50.0  # out-of-work cases move nobody
     holders = base.tenure_code == expenses.TENURE_CODES["mortgage"]
