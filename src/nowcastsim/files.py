@@ -1,5 +1,6 @@
-"""Readers of the reference input files: the CSV tables of the data and
-policy directories, and the `key = value` configs. Both read UTF-8, skip
+"""Readers of every input file but the population tables: the CSV tables
+of the data and policy directories, and the `key = value` configs
+(`scenario.cfg`, `tax_system.cfg`, `synth.cfg`). Both read UTF-8, skip
 blank lines and `#` comments, name a row `<file basename>:<line>` counting
 every physical line, and raise the caller's error class built from one
 message."""
@@ -44,22 +45,30 @@ def csv_rows(path, columns: dict, error):
 
 
 def key_values(path, error):
-    """Yield (where, key, value) per `key = value` line of a config; `#`
-    starts a comment. A line without `=` raises `error(message)`."""
+    """Yield (where, section, key, value) per `key = value` line of a config,
+    with the name of the `[section]` header above it (None before the
+    first), and (where, name, None, None) per header. `#` starts a comment;
+    any other line raises `error(message)`."""
     name = os.path.basename(path)
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError:
         raise error(not_utf8(path)) from None
+    section = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise error(f"{name}:{lineno}: expected key = value")
-        key, value = (token.strip() for token in line.split("=", 1))
-        yield f"{name}:{lineno}", key, value
+        where = f"{name}:{lineno}"
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+            yield where, section, None, None
+        elif "=" in line:
+            key, value = (token.strip() for token in line.split("=", 1))
+            yield where, section, key, value
+        else:
+            raise error(f"{where}: expected key = value")
 
 
 def not_utf8(path) -> str:

@@ -123,7 +123,7 @@ def anchored_draws(probs, observed, seed: int, label: str, ids) -> np.ndarray:
 def load_coefficients(path, continuous=CONTINUOUS_COVARIATES) -> dict:
     """Load coefficient sets from a CSV of
     (model_name, kind, outcome, covariate, value); each model has one
-    outcome label."""
+    outcome label and one row per covariate."""
     rows = {}
     for where, rec in csv_rows(path, {"model_name": str, "kind": str, "outcome": str,
                                       "covariate": str, "value": finite}, ModelError):
@@ -136,6 +136,8 @@ def load_coefficients(path, continuous=CONTINUOUS_COVARIATES) -> dict:
         if model["outcome"] != outcome:
             raise ModelError(f"{where}: {name} declared with a second outcome "
                              f"{outcome!r}; a {kind} model has one")
+        if rec["covariate"] in model["coeffs"]:
+            raise ModelError(f"{where}: second row for {name} covariate {rec['covariate']!r}")
         model["coeffs"][rec["covariate"]] = rec["value"]
 
     models = {}

@@ -446,8 +446,9 @@ def parse_synth_config(path) -> SynthConfig:
     income_scale (finite, >= 0), weight_jitter (on/true/1 or off/false/0),
     base_period (ISO date), sector_share[<sector>] (finite, >= 0),
     income_offset[<sector>] (finite), essential_share[<sector>] (in
-    [0, 1]). Anything else, an unknown sector or a bad or out-of-range
-    value raises PopulationError naming the file, the line and the key.
+    [0, 1]). Anything else, a `[section]` line, a key given twice, an
+    unknown sector or a bad or out-of-range value raises PopulationError
+    naming the file, the line and the key.
     """
     cfg = SynthConfig()
     scalars = {"households": int, "income_location": float, "income_scale": float,
@@ -462,7 +463,10 @@ def parse_synth_config(path) -> SynthConfig:
     sector_maps = {"sector_share": explicit_shares, "income_offset": cfg.income_offsets,
                    "essential_share": cfg.essential_shares}
     name = os.path.basename(path)
-    for where, key, value in key_values(path, lambda message: PopulationError([message])):
+    given = set()
+    for where, section, key, value in key_values(path, lambda message: PopulationError([message])):
+        if key is None:
+            raise PopulationError([f"{where}: [{section}]: this file has no sections"])
         head, _, sector = key.partition("[")
 
         def parsed(convert):
@@ -483,6 +487,9 @@ def parse_synth_config(path) -> SynthConfig:
             sector_maps[head][sector] = parsed(float)
         else:
             raise PopulationError([f"{where}: unknown key {key!r}"])
+        if (head, sector) in given:
+            raise PopulationError([f"{where}: {key} is given twice"])
+        given.add((head, sector))
     if explicit_shares:
         remainder = 1.0 - sum(explicit_shares.values())
         if remainder < -1e-9:

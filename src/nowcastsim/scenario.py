@@ -33,7 +33,6 @@ stratum's draw stream `ceib:<band>:<date>`.
 """
 from __future__ import annotations
 
-import configparser
 import datetime as dt
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +43,7 @@ import numpy as np
 from . import expenses, igm, metrics, taxben
 from .calibration import (AlignmentError, align_by_score, align_continuous, binary_scores,
                           score_order, take_by_score)
-from .files import csv_rows, finite, not_utf8
+from .files import csv_rows, finite, key_values
 from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
 from .population import (EDUCATIONS, REGIONS, SECTORS, WORK_STATUSES, WORKER_CODES,
                          Population, Table)
@@ -126,11 +125,15 @@ class ControlSeries:
 
 
 def load_control_totals(path) -> ControlSeries:
-    """Load (stratum_key, date, target) rows."""
+    """Load (stratum_key, date, target) rows, one per key and date."""
     series = ControlSeries()
+    seen = set()
     for where, rec in csv_rows(path, {"stratum_key": str, "date": dt.date.fromisoformat,
                                       "target": finite}, ControlError):
         key, date, target = rec["stratum_key"], rec["date"], rec["target"]
+        if (key, date) in seen:
+            raise ControlError(f"{where}: second row for {key!r} on {date}")
+        seen.add((key, date))
         if target < 0 and not key == "index_change_factor":
             raise ControlError(f"{where}: negative target for {key!r}")
         head, _, rest = key.partition(":")
@@ -165,8 +168,12 @@ def load_control_totals(path) -> ControlSeries:
 def load_national_reference(path) -> dict:
     ref = {"sector_employment": {}}
     name = os.path.basename(path)
+    seen = set()
     for where, rec in csv_rows(path, {"key": str, "value": str}, ControlError):
         key = rec["key"]
+        if key in seen:
+            raise ControlError(f"{where}: second row for {key!r}")
+        seen.add(key)
         try:
             value = finite(rec["value"])
         except ValueError:
@@ -216,107 +223,81 @@ class Scenario:
     capital_booking: str = "amortized"  # amortized (/12) or once
 
 
-SCENARIO_KEYS = {"controls", "seed", "employer_topup", "capital_booking"}
-WAVE_KEYS = {"date", "pup", "ceib", "subsidy", "childcare_support", "deferrals",
-             "capital_losses", "home_working"}
+def _share(text) -> float:
+    share = float(text)
+    if not 0.0 <= share <= 1.0:  # also rejects nan
+        raise ValueError(text)
+    return share
+
+
+ON_OFF = {"on": True, "off": False}
+SUBSIDIES = {name: name for name in ("none", "twss", "ewss", "auto")}
+# key -> (the Scenario or WavePoint field it sets, its parser, what it must be)
+SCENARIO_KEYS = {
+    "controls": ("controls_path", str, "a file name"),
+    "seed": ("seed", int, "an integer"),
+    "employer_topup": ("employer_topup", _share, "a number in [0, 1]"),
+    "capital_booking": ("capital_booking", {"amortized": "amortized", "once": "once"}.__getitem__,
+                        "amortized or once"),
+}
+WAVE_KEYS = {
+    "date": ("date", dt.date.fromisoformat, "an ISO date"),
+    "subsidy": ("subsidy", lambda text: SUBSIDIES[text.lower()], "none, twss, ewss or auto"),
+    **{key: (name, lambda text: ON_OFF[text.lower()], "on or off") for key, name in (
+        ("pup", "pup_on"), ("ceib", "ceib_on"), ("childcare_support", "childcare_support"),
+        ("deferrals", "deferrals_on"), ("capital_losses", "capital_on"),
+        ("home_working", "home_working_on"))},
+}
 
 
 def parse_scenario(path) -> Scenario:
-    """Read a UTF-8 `scenario.cfg`; values are taken as written (`%` is
-    literal). A fault names the file, and the line where configparser
-    reports one: a repeated key or section, or a line outside a section."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except UnicodeDecodeError:
-        raise ScenarioError(not_utf8(path)) from None
-    except configparser.DuplicateOptionError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}: [{exc.section}] {exc.option} "
-                            f"is given twice") from None
-    except configparser.DuplicateSectionError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}: [{exc.section}] is given twice") from None
-    except configparser.MissingSectionHeaderError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}: a line before the first [section]") from None
-    except configparser.ParsingError as exc:
-        raise ScenarioError(f"{path}:{exc.errors[0][0]}: not a [section] "
-                            f"or key = value line") from None
-    if "scenario" not in parser:
-        raise ScenarioError(f"{path}: missing [scenario] section")
-    # configparser copies [DEFAULT] keys into every section, so they are checked too
-    for name in parser.sections():
-        if name != "scenario" and not name.startswith("wave:"):
-            raise ScenarioError(f"{path}: unknown section [{name}]")
-        known = SCENARIO_KEYS if name == "scenario" else WAVE_KEYS
-        unknown = [key for key in parser[name] if key not in known]
-        if unknown:
-            raise ScenarioError(f"{path}: [{name}] {unknown[0]} is not a known key")
-    main = parser["scenario"]
-    controls = main.get("controls", "")
-    if not controls:
-        raise ScenarioError(f"{path}: [scenario] needs a controls file reference")
-    if not os.path.isabs(controls):
-        controls = os.path.join(os.path.dirname(os.path.abspath(path)), controls)
-
-    def flag(section, key):
-        value = section.get(key, "off").strip().lower()
-        if value not in ("on", "off"):
-            raise ScenarioError(f"{path}: [{section.name}] {key} must be on or off")
-        return value == "on"
-
-    def parsed(section, key, convert, fallback):
-        if key not in section:
-            return fallback
-        try:
-            return convert(section[key].strip())
-        except ValueError:
-            raise ScenarioError(f"{path}: [{section.name}] {key} has a bad value "
-                                f"{section[key]!r}") from None
-
-    waves = []
-    for section_name in parser.sections():
-        if not section_name.startswith("wave:"):
+    """Read a `scenario.cfg` through `files.key_values`: a `[scenario]`
+    section and one `[wave:<label>]` section per wave, each holding the
+    `key = value` lines of `SCENARIO_KEYS` or `WAVE_KEYS`. Values are taken
+    as written (`%` is literal) and checked on their line, so a repeated key
+    or section, an unknown key or section, a key before the first section
+    and a bad value each fail with `<file basename>:<line>`. A relative
+    `controls` is resolved against the file's directory."""
+    name = os.path.basename(path)
+    sections = {}  # section name -> (where its header is, {field: value})
+    for where, section, key, value in key_values(path, ScenarioError):
+        if key is None:
+            if section in sections:
+                raise ScenarioError(f"{where}: [{section}] is given twice")
+            if section != "scenario" and not section.startswith("wave:"):
+                raise ScenarioError(f"{where}: unknown section [{section}]")
+            sections[section] = (where, {})
             continue
-        section = parser[section_name]
-        label = section_name.split(":", 1)[1]
-        if "date" not in section:
-            raise ScenarioError(f"{path}: [{section_name}] needs a date")
-        subsidy = section.get("subsidy", "none").strip().lower()
-        if subsidy not in ("none", "twss", "ewss", "auto"):
-            raise ScenarioError(f"{path}: [{section_name}] bad subsidy {subsidy!r}")
-        waves.append(WavePoint(
-            label=label,
-            date=parsed(section, "date", dt.date.fromisoformat, None),
-            pup_on=flag(section, "pup"),
-            ceib_on=flag(section, "ceib"),
-            subsidy=subsidy,
-            childcare_support=flag(section, "childcare_support"),
-            deferrals_on=flag(section, "deferrals"),
-            capital_on=flag(section, "capital_losses"),
-            home_working_on=flag(section, "home_working"),
-        ))
+        if section is None:
+            raise ScenarioError(f"{where}: a line before the first [section]")
+        known = SCENARIO_KEYS if section == "scenario" else WAVE_KEYS
+        if key not in known:
+            raise ScenarioError(f"{where}: [{section}] {key} is not a known key")
+        field_name, parse, expected = known[key]
+        fields = sections[section][1]
+        if field_name in fields:
+            raise ScenarioError(f"{where}: [{section}] {key} is given twice")
+        try:
+            fields[field_name] = parse(value)
+        except (KeyError, ValueError):
+            raise ScenarioError(f"{where}: [{section}] {key} must be {expected}, "
+                                f"got {value!r}") from None
+    if "scenario" not in sections:
+        raise ScenarioError(f"{name}: missing [scenario] section")
+    where, main = sections.pop("scenario")
+    if not main.get("controls_path"):
+        raise ScenarioError(f"{where}: [scenario] needs a controls file reference")
+    main["controls_path"] = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                         main["controls_path"])
+    waves = []
+    for section, (where, fields) in sections.items():
+        if "date" not in fields:
+            raise ScenarioError(f"{where}: [{section}] needs a date")
+        waves.append(WavePoint(label=section.split(":", 1)[1], **fields))
     if not waves:
-        raise ScenarioError(f"{path}: no [wave:...] sections")
-    labels = [w.label for w in waves]
-    if len(set(labels)) != len(labels):
-        raise ScenarioError(f"{path}: duplicate wave labels")
+        raise ScenarioError(f"{name}: no [wave:...] sections")
     waves.sort(key=lambda w: w.date)
-    employer_topup = parsed(main, "employer_topup", float, 0.30)
-    if not 0.0 <= employer_topup <= 1.0:  # also rejects nan
-        raise ScenarioError(f"{path}: [scenario] employer_topup must lie in [0, 1], "
-                            f"got {employer_topup}")
-    capital_booking = main.get("capital_booking", "amortized").strip()
-    if capital_booking not in ("amortized", "once"):
-        raise ScenarioError(
-            f"{path}: [scenario] capital_booking must be amortized or once, "
-            f"got {capital_booking!r}")
-    return Scenario(
-        waves=waves,
-        controls_path=controls,
-        seed=parsed(main, "seed", int, 0),
-        employer_topup=employer_topup,
-        capital_booking=capital_booking,
-    )
+    return Scenario(waves=waves, **main)
 
 
 def control_gaps(plan: Scenario, series: ControlSeries) -> list:

@@ -141,14 +141,15 @@ def load_schedule(path, scheme: str) -> Schedule:
         if lower < 0:  # amounts are banded at max(amount, 0)
             raise PolicyError(f"{where}: negative band_lower")
         band = _parse_band_value(rec["value"], lower, where)
-        by_date.setdefault(rec["effective_from"], []).append(band)
+        bands = by_date.setdefault(rec["effective_from"], [])
+        if any(b.lower_cents == lower for b in bands):
+            raise PolicyError(f"{where}: second row for band_lower {lower / 100:.2f} "
+                              f"from {rec['effective_from']}")
+        bands.append(band)
 
     regimes = []
     for eff in sorted(by_date):
         bands = sorted(by_date[eff], key=lambda b: b.lower_cents)
-        lowers = [b.lower_cents for b in bands]
-        if len(set(lowers)) != len(lowers):
-            raise PolicyError(f"{name}: duplicate band lower bound in regime {eff}")
         regimes.append(Regime(effective_from=eff, bands=tuple(bands)))
     if not regimes:
         raise PolicyError(f"{name}: no schedule rows")
@@ -188,11 +189,15 @@ def load_tax_system(path) -> TaxSystem:
         except ValueError:
             raise PolicyError(f"{where}: {key} is not a number: {text!r}") from None
 
-    for where, key, value in key_values(path, PolicyError):
+    for where, section, key, value in key_values(path, PolicyError):
+        if key is None:
+            raise PolicyError(f"{where}: [{section}]: this file has no sections")
         if key == "band":
             threshold, _, rate = value.partition(":")
             bands.append((cents(number("band threshold", threshold, where)),
                           number("band rate", rate, where)))
+        elif key in values:
+            raise PolicyError(f"{where}: {key} is given twice")
         elif key in TAX_KEYS:
             values[key] = number(key, value, where)
         else:

@@ -9,6 +9,7 @@ since level reproduction requires the confidential source microdata.
 import datetime as dt
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,8 +387,7 @@ def test_criterion_8_directional_pattern(pipeline_10k, tables, schedules,
 # -- criterion 9: determinism ------------------------------------------------------------
 
 def read_dir_bytes(path):
-    return {name: open(os.path.join(path, name), "rb").read()
-            for name in sorted(os.listdir(path))}
+    return {child.name: child.read_bytes() for child in sorted(Path(path).iterdir())}
 
 
 def test_criterion_9_byte_identical_runs(data_dir, tmp_path):

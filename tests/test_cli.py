@@ -182,7 +182,7 @@ class TestBadScenarioFields:
         ("seed = 1\nseed = 2\n", "date = 2020-05-05\n",
          "bad.cfg:4: [scenario] seed is given twice"),
         ("", "date = 2020-05-05\n[wave:w1]\npup = on\n", "bad.cfg:5: [wave:w1] is given twice"),
-        ("", "date = 2020-05-05\npup\n", "bad.cfg:5: not a [section] or key = value line"),
+        ("", "date = 2020-05-05\npup\n", "bad.cfg:5: expected key = value"),
     ]
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -430,6 +430,41 @@ def test_unknown_reference_key_exits_one(data_dir, tmp_path, capsys, name, old, 
                  "--policy-dir", str(tmp_path / "data" / "policy")])
     assert code == 1
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name, old, new, where", [
+    ("control_totals.csv", "pup:manufacturing,2020-05-05,37400\n",
+     "pup:manufacturing,2020-05-05,37400\npup:manufacturing,2020-05-05,1\n",
+     "control_totals.csv:10: second row for 'pup:manufacturing' on 2020-05-05"),
+    ("control_totals.csv", "mortgage_deferrals,2020-03-28,28000\n",
+     "mortgage_deferrals,2020-03-28,28000\nmortgage_deferrals,2020-03-28,1\n",
+     "control_totals.csv:412: second row for 'mortgage_deferrals' on 2020-03-28"),
+    ("national_reference.csv", "mortgage_count,", "mortgage_count,5\nmortgage_count,",
+     "national_reference.csv:21: second row for 'mortgage_count'"),
+    ("coefficients.csv", "transport_public,logit,1,ind_construction,0.362\n",
+     "transport_public,logit,1,ind_construction,0.362\n"
+     "transport_public,logit,1,ind_construction,0.5\n",
+     "coefficients.csv:4: second row for transport_public covariate 'ind_construction'"),
+    ("policy/pup.csv", "pup,2020-03-24,0,350\n", "pup,2020-03-24,0,350\npup,2020-03-24,0,1\n",
+     "pup.csv:4: second row for band_lower 0.00 from 2020-03-24"),
+    ("policy/tax_system.cfg", "si_rate = 0.04", "si_rate = 0.04\ncredit = 5000",
+     "tax_system.cfg:6: credit is given twice"),
+    ("policy/tax_system.cfg", "credit = 3300", "[tax]\ncredit = 3300",
+     "tax_system.cfg:4: [tax]: this file has no sections"),
+])
+def test_repeated_reference_key_exits_one(data_dir, tmp_path, capsys, command, name, old, new,
+                                          where):
+    """A second row for a key, which would replace the first, is a fault."""
+    data = tmp_path / "data"
+    edited_copy(data_dir, data, name, old, new)
+    args = [command, "--scenario", str(data / "scenario.cfg"), "--data-dir", str(data),
+            "--policy-dir", str(data / "policy")]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # (reference file, a required column, the column of the cell made unparseable)

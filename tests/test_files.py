@@ -64,8 +64,18 @@ class TestKeyValues:
         path = tmp_path / "a.cfg"
         path.write_text("# header\n\nband = 0:0.20  # first band\nname=x = y\n",
                         encoding="utf-8")
-        assert list(key_values(path, Bad)) == [("a.cfg:3", "band", "0:0.20"),
-                                               ("a.cfg:4", "name", "x = y")]
+        assert list(key_values(path, Bad)) == [("a.cfg:3", None, "band", "0:0.20"),
+                                               ("a.cfg:4", None, "name", "x = y")]
+
+    def test_section_headers_are_yielded_and_name_the_keys_below(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("top = 1\n[one]  # first\na = 1\n\n[two:x]\n  b = [2]\n",
+                        encoding="utf-8")
+        assert list(key_values(path, Bad)) == [("a.cfg:1", None, "top", "1"),
+                                               ("a.cfg:2", "one", None, None),
+                                               ("a.cfg:3", "one", "a", "1"),
+                                               ("a.cfg:5", "two:x", None, None),
+                                               ("a.cfg:6", "two:x", "b", "[2]")]
 
     def test_line_without_equals_is_located(self, tmp_path):
         path = tmp_path / "a.cfg"

@@ -335,6 +335,10 @@ class TestSynthConfigRejections:
         ("households = lots\n", "a.cfg:1: households has a bad value 'lots'"),
         ("sector_share[construction] = 0.7\nsector_share[education] = 0.6\n",
          "a.cfg: sector shares exceed 1"),
+        ("households = 5\nhouseholds = 6\n", "a.cfg:2: households is given twice"),
+        ("sector_share[construction] = 0.1\nsector_share[ construction ] = 0.2\n",
+         "a.cfg:2: sector_share[ construction ] is given twice"),
+        ("[synth]\nhouseholds = 5\n", "a.cfg:1: [synth]: this file has no sections"),
     ])
     def test_errors_name_the_file_given(self, tmp_path, lines, where):
         cfg_path = tmp_path / "a.cfg"

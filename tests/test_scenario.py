@@ -1,8 +1,12 @@
+import configparser
 import dataclasses
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
+
+import scenario_oracle
 
 from nowcastsim import metrics, taxben
 from nowcastsim.calibration import AlignmentError
@@ -31,7 +35,7 @@ BAD_FIELDS = [
     ("", "date=2020-13-01\n", r"\[wave:a\] date"),
     ("employer_top_up = 0.9\n", "date=2020-05-05\n", r"\[scenario\] employer_top_up"),
     ("", "date=2020-05-05\npupp = on\n", r"\[wave:a\] pupp"),
-    ("", "date=2020-05-05\n[DEFAULT]\npupp = on\n", r"\[scenario\] pupp"),
+    ("", "date=2020-05-05\n[DEFAULT]\npupp = on\n", r"s.cfg:5: unknown section \[DEFAULT\]"),
     ("", "date=2020-05-05\n[wave_b]\ndate=2020-06-06\n", r"unknown section \[wave_b\]"),
 ]
 
@@ -145,6 +149,74 @@ class TestScenarioFile:
                         "employer_topup = 1\n[wave:a]\ndate=2020-05-05\n")
         plan = parse_scenario(path)
         assert plan.capital_booking == "once" and plan.employer_topup == 1.0
+
+    @pytest.mark.parametrize("scenario_lines, wave_lines, message", [
+        ("seed = 1\nseed = 2\n", "date=2020-05-05\n", "s.cfg:4: [scenario] seed is given twice"),
+        ("", "date=2020-05-05\n[wave:a]\n", "s.cfg:5: [wave:a] is given twice"),
+        ("", "date=2020-05-05\npupp = on\n", "s.cfg:5: [wave:a] pupp is not a known key"),
+        ("", "date=2020-05-05\n[wave_b]\n", "s.cfg:5: unknown section [wave_b]"),
+        ("employer_topup = 1.5\n", "date=2020-05-05\n",
+         "s.cfg:3: [scenario] employer_topup must be a number in [0, 1], got '1.5'"),
+        ("", "date=2020-05-05\npup = maybe\n", "s.cfg:5: [wave:a] pup must be on or off, "
+                                               "got 'maybe'"),
+        ("", "date=2020-13-01\n", "s.cfg:4: [wave:a] date must be an ISO date, "
+                                  "got '2020-13-01'"),
+        ("", "pup = on\n", "s.cfg:3: [wave:a] needs a date"),
+    ])
+    def test_fault_names_file_and_line(self, tmp_path, scenario_lines, wave_lines, message):
+        path = tmp_path / "s.cfg"
+        path.write_text(f"[scenario]\ncontrols=c.csv\n{scenario_lines}[wave:a]\n{wave_lines}")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed: 42", "s.cfg:3: expected key = value"),
+        ("; a comment", "s.cfg:3: expected key = value"),
+        ("Seed = 42", "s.cfg:3: [scenario] Seed is not a known key"),
+    ])
+    def test_configparser_only_syntax_is_located(self, tmp_path, line, message):
+        """scenario.cfg has the syntax of the other configs: no `:`
+        delimiter, no `;` comments and case-sensitive keys."""
+        path = tmp_path / "s.cfg"
+        path.write_text(f"[scenario]\ncontrols=c.csv\n{line}\n[wave:a]\ndate=2020-05-05\n")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("wave_lines", ["pup = on  # the payment\nceib = on\n",
+                                            "pup = on\n  ceib = on\n"])
+    def test_inline_comment_and_indented_key_are_read(self, tmp_path, wave_lines):
+        path = tmp_path / "s.cfg"
+        path.write_text(f"[scenario]\ncontrols=c.csv\n[wave:a]\ndate=2020-05-05\n{wave_lines}")
+        wave = parse_scenario(path).waves[0]
+        assert wave.pup_on and wave.ceib_on and not wave.deferrals_on
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_matches_the_configparser_reading(self, data_dir, tmp_path, sweep):
+        """parse_scenario equals the configparser reading it replaced, on the
+        shipped scenario and on a 25-wave sweep written by ConfigParser.write
+        in which every wave key takes more than one value."""
+        path = os.path.join(data_dir, "scenario.cfg")
+        if sweep:
+            parser = configparser.ConfigParser()
+            parser["scenario"] = {"controls": os.path.join(data_dir, "control_totals.csv"),
+                                  "seed": "7", "employer_topup": "0.25",
+                                  "capital_booking": "once"}
+            switches = ("pup", "ceib", "childcare_support", "deferrals", "capital_losses",
+                        "home_working")
+            for i in range(25):
+                wave = {"date": (D(2021, 6, 1) - dt.timedelta(days=9 * i)).isoformat(),
+                        "subsidy": ("none", "twss", "EWSS", "auto")[i % 4]}
+                wave.update((key, "On" if i >> bit & 1 else "off")
+                            for bit, key in enumerate(switches) if i % 7 != bit)
+                parser[f"wave:w{i}"] = wave
+            path = tmp_path / "scenario.cfg"
+            with open(path, "w", encoding="utf-8") as fh:
+                parser.write(fh)
+        plan = parse_scenario(path)
+        assert len(plan.waves) == (25 if sweep else 7)
+        assert plan == scenario_oracle.parse_scenario(path)
 
 
 class TestControlGaps:
