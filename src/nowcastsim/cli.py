@@ -78,13 +78,14 @@ def _warn_control_gaps(plan, series) -> None:
 
 def cmd_run(args) -> int:
     plan = scenario.parse_scenario(args.scenario)
-    _warn_control_gaps(plan, scenario.load_control_totals(plan.controls_path))
+    series = scenario.load_control_totals(plan.controls_path)
+    _warn_control_gaps(plan, series)
     seed = args.seed if args.seed is not None else plan.seed
     tables = scenario.load_data_tables(args.data_dir)
     schedules = taxben.load_policy(args.policy_dir)
     args.seed = seed
     pop = _load_population(args)
-    _, _, summaries = scenario.run_scenario(pop, plan, tables, schedules, seed,
+    _, _, summaries = scenario.run_scenario(pop, plan, series, tables, schedules, seed,
                                             threads=args.threads)
     import numpy
 

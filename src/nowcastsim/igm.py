@@ -120,7 +120,7 @@ def anchored_draws(probs, observed, seed: int, label: str, ids) -> np.ndarray:
     return anchored_uniform(probs, observed, raw)
 
 
-def load_coefficients(path, continuous=CONTINUOUS_COVARIATES) -> dict:
+def load_coefficients(path) -> dict:
     """Load coefficient sets from a CSV of
     (model_name, kind, outcome, covariate, value); each model has one
     outcome label and one row per covariate."""
@@ -150,6 +150,6 @@ def load_coefficients(path, continuous=CONTINUOUS_COVARIATES) -> dict:
             covariates=tuple(covariates),
             coefficients=tuple(coeffs[c] for c in covariates),
             intercept=coeffs.get("_constant", 0.0),
-            continuous=frozenset(c for c in covariates if c in continuous),
+            continuous=CONTINUOUS_COVARIATES.intersection(covariates),
         )
     return models

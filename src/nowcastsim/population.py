@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import datetime as dt
 import math
 import os
 import warnings
@@ -147,7 +146,6 @@ class Table(SimpleNamespace):
 class Population:
     households: Table
     persons: Table
-    base_period: dt.date = dt.date(2019, 12, 1)
 
 
 def _repeats(ids) -> np.ndarray:
@@ -383,7 +381,7 @@ def _load_table(path, columns) -> tuple:
         raise PopulationError([not_utf8(path)]) from None
 
 
-def load_population(path, base_period: dt.date = dt.date(2019, 12, 1)) -> Population:
+def load_population(path) -> Population:
     """Load and validate households.csv + persons.csv from a directory."""
     households, unknown = _load_table(os.path.join(path, "households.csv"),
                                       _HOUSEHOLD_COLUMNS)
@@ -392,7 +390,7 @@ def load_population(path, base_period: dt.date = dt.date(2019, 12, 1)) -> Popula
     violations = validate(households, persons, unknown | unknown_persons)
     if violations:
         raise PopulationError(violations)
-    return Population(households=households, persons=persons, base_period=base_period)
+    return Population(households=households, persons=persons)
 
 
 def _texts(table: Table, column, kind) -> list:
@@ -433,7 +431,6 @@ class SynthConfig:
     income_offsets: dict = field(default_factory=dict)  # sector -> location shift
     essential_shares: dict = field(default_factory=lambda: dict(DEFAULT_ESSENTIAL_SHARES))
     weight_jitter: bool = False
-    base_period: dt.date = dt.date(2019, 12, 1)
 
 
 _SWITCH = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
@@ -444,15 +441,15 @@ def parse_synth_config(path) -> SynthConfig:
 
     Recognised keys: households (at least 1), income_location (finite),
     income_scale (finite, >= 0), weight_jitter (on/true/1 or off/false/0),
-    base_period (ISO date), sector_share[<sector>] (finite, >= 0),
-    income_offset[<sector>] (finite), essential_share[<sector>] (in
-    [0, 1]). Anything else, a `[section]` line, a key given twice, an
-    unknown sector or a bad or out-of-range value raises PopulationError
-    naming the file, the line and the key.
+    sector_share[<sector>] (finite, >= 0), income_offset[<sector>]
+    (finite), essential_share[<sector>] (in [0, 1]). Anything else, a
+    `[section]` line, a key given twice, an unknown sector or a bad or
+    out-of-range value raises PopulationError naming the file, the line
+    and the key.
     """
     cfg = SynthConfig()
     scalars = {"households": int, "income_location": float, "income_scale": float,
-               "weight_jitter": _SWITCH.__getitem__, "base_period": dt.date.fromisoformat}
+               "weight_jitter": _SWITCH.__getitem__}
     finite = (math.isfinite, "must be finite")
     finite_non_negative = (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
     ranges = {"households": (lambda v: v >= 1, "must be at least 1"),
@@ -721,5 +718,4 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
     violations = validate(household_table, person_table)
     if violations:  # would be a generator bug, not a data fault
         raise PopulationError(violations)
-    return Population(households=household_table, persons=person_table,
-                      base_period=config.base_period)
+    return Population(households=household_table, persons=person_table)

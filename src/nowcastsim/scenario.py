@@ -362,27 +362,19 @@ def load_data_tables(data_dir) -> DataTables:
 # -- baseline nowcast ------------------------------------------------------------
 
 
-def nowcast_baseline(pop: Population, controls: ControlTotals, seed: int) -> Population:
-    """Calibrate the population to the baseline control totals.
+def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int) -> None:
+    """Calibrate `persons` in place to the baseline control totals;
+    `weight` is each person's weight.
 
     Employment is aligned per age band to the target rates with scores
     built from anchored uniforms, so targets equal to the observed rates
     leave the population untouched and shifted targets flip the loosest
     attachments first. Employee earnings are then uprated to the wage
-    index. Returns a new Population holding copies of the changed columns;
-    the input is not modified.
+    index.
     """
-    p = pop.persons
-    changed = {}
-    order = np.argsort(pop.households.household_id)
-    weight = pop.households.weight[order[np.searchsorted(
-        pop.households.household_id, p.household_id, sorter=order)]]
+    p = persons
     employee = p.work_status == WORK_STATUSES.index("employee")
     if controls.employment_rate_by_age:
-        changed = {name: getattr(p, name).copy() for name in (
-            "work_status", "industry", "occupation", "employment_income",
-            "self_employment_income")}
-        status, emp = changed["work_status"], changed["employment_income"]
         bands = case_age_band(p.age)
         med = _weighted_median(p.employment_income[employee], weight[employee])
         worker = np.isin(p.work_status, WORKER_CODES)
@@ -399,22 +391,19 @@ def nowcast_baseline(pop: Population, controls: ControlTotals, seed: int) -> Pop
             selected = np.isin(pids, align_by_score(pids, -u, w, rate * float(np.sum(w))))
             hired, fired = idx[selected & ~observed], idx[~selected & observed]
             sector_u = keyed_uniform(seed, "employment:sector", p.person_id[hired])
-            changed["industry"][hired] = np.searchsorted(shares, sector_u * shares[-1])
+            p.industry[hired] = np.searchsorted(shares, sector_u * shares[-1])
             drawn = 1 + (keyed_uniform(seed, "employment:occ", p.person_id[hired]) * 9).astype(int)
-            changed["occupation"][hired] = np.where(p.occupation[hired], p.occupation[hired], drawn)
-            status[hired] = WORK_STATUSES.index("employee")
-            emp[hired] = med
-            status[fired] = WORK_STATUSES.index("unemployed")
-            emp[fired] = 0.0
-            changed["self_employment_income"][fired] = 0.0
-        employee = status == WORK_STATUSES.index("employee")
+            p.occupation[hired] = np.where(p.occupation[hired], p.occupation[hired], drawn)
+            p.work_status[hired] = WORK_STATUSES.index("employee")
+            p.employment_income[hired] = med
+            p.work_status[fired] = WORK_STATUSES.index("unemployed")
+            p.employment_income[fired] = 0.0
+            p.self_employment_income[fired] = 0.0
+        employee = p.work_status == WORK_STATUSES.index("employee")
     if controls.wage_index != 1.0:
-        emp = changed.setdefault("employment_income", p.employment_income.copy())
-        values, w = emp[employee], weight[employee]
+        values, w = p.employment_income[employee], weight[employee]
         current = float(np.sum(values * w) / np.sum(w))
-        emp[employee] = align_continuous(values, w, controls.wage_index * current)
-    return Population(households=pop.households, persons=Table(**{**vars(p), **changed}),
-                      base_period=pop.base_period)
+        p.employment_income[employee] = align_continuous(values, w, controls.wage_index * current)
 
 
 def _weighted_median(values, weights) -> float:
@@ -467,8 +456,11 @@ class BaselineState:
     sector_worker_weight: np.ndarray  # per SECTORS entry
 
 
-def build_baseline(pop: Population, tables: DataTables,
+def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
                    schedules: taxben.PolicySchedules, seed: int) -> BaselineState:
+    """The pre-shock state of `pop` nowcast to `controls`. Both tables are
+    sorted by id once, here, into copies, and `nowcast_baseline`
+    calibrates the sorted person columns in place; `pop` is not modified."""
     hh_order = np.argsort(pop.households.household_id, kind="stable")
     p_order = np.argsort(pop.persons.person_id, kind="stable")
     households = Table(**{name: column[hh_order] for name, column in vars(pop.households).items()
@@ -477,6 +469,8 @@ def build_baseline(pop: Population, tables: DataTables,
     hid, pid, age = households.household_id, persons.person_id, persons.age
     hh_row = np.searchsorted(hid, persons.household_id)
     hh_weight = households.weight
+    person_weight = hh_weight[hh_row]
+    nowcast_baseline(persons, person_weight, controls, seed)
     is_worker = np.isin(persons.work_status, WORKER_CODES)
     emp = cents(persons.employment_income)
     se = cents(persons.self_employment_income)
@@ -488,7 +482,7 @@ def build_baseline(pop: Population, tables: DataTables,
     n_hh = hid.size
     accounts = taxben.household_accounts(
         persons.work_status, np.zeros(pid.size, dtype=np.int64), weekly_earn, emp, se, cap, pens,
-        hh_row, n_hh, pop.base_period, taxben.PolicyState(), schedules)
+        hh_row, n_hh, controls.date, taxben.PolicyState(), schedules)
     take_home_weekly = round_div(np.maximum(emp - accounts.person_tax, 0), 52)
     disposable_hh = accounts.market + accounts.benefits - accounts.taxes
 
@@ -498,7 +492,6 @@ def build_baseline(pop: Population, tables: DataTables,
     scale = metrics.equivalence_scale(adults_14plus, children_u14)
     equiv_disposable = disposable_hh / 100.0 / scale
 
-    person_weight = hh_weight[hh_row]
     # household-level deciles/quintiles of equivalised disposable income,
     # person-weighted (household weight x size), so a household never
     # straddles a boundary
@@ -792,24 +785,24 @@ def household_equivalized(base: BaselineState, result: WaveResult) -> dict:
             for name, values in result.household_incomes().items()}
 
 
-def run_scenario(pop: Population, scenario: Scenario, tables: DataTables,
-                 schedules: taxben.PolicySchedules, seed: int,
+def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
+                 tables: DataTables, schedules: taxben.PolicySchedules, seed: int,
                  threads: int = 1):
-    """Run every wave; returns (BaselineState, [WaveResult], [DistributionSummary]).
+    """Nowcast `pop` to `series` at the first wave's date and run every
+    wave; returns (BaselineState, [WaveResult], [DistributionSummary]).
 
     The first wave (by date) anchors the decile ranking: persons are ranked
     by its equivalised adjusted disposable income, and that ranking is held
     fixed for every wave's decile table.
     """
-    series = load_control_totals(scenario.controls_path)
-    pop = nowcast_baseline(pop, series.at(scenario.waves[0].date), seed)
-    base = build_baseline(pop, tables, schedules, seed)
+    base = build_baseline(pop, series.at(scenario.waves[0].date), tables, schedules, seed)
 
     def run_wave(wave: WavePoint) -> WaveResult:
         return apply_wave(base, series.at(wave.date), wave, tables, schedules,
                           seed, employer_topup=scenario.employer_topup,
                           capital_booking=scenario.capital_booking)
 
+    # no pool at --threads 1: one there raised peak RSS by about 8 MB (8-9%) at 25k households
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_wave, scenario.waves))

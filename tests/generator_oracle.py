@@ -183,5 +183,4 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
     violations = validate(household_table, person_table)
     if violations:  # would be a generator bug, not a data fault
         raise PopulationError(violations)
-    return Population(households=household_table, persons=person_table,
-                      base_period=config.base_period)
+    return Population(households=household_table, persons=person_table)

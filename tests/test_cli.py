@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import nowcastsim
@@ -116,6 +117,30 @@ class TestRunCommand:
         assert {"average_income.csv", "gini.csv", "redistribution.csv",
                 "decile_means.csv", "manifest.json"} <= names
         assert any(n.startswith("summary_") for n in names)
+
+    def test_survey_row_order_does_not_change_output(self, data_dir, tmp_path):
+        """Shuffled households.csv and persons.csv rows give the same
+        tables, with controls that make the nowcast hire, fire and uprate."""
+        shutil.copy(os.path.join(data_dir, "scenario.cfg"), tmp_path)
+        shutil.copy(os.path.join(data_dir, "control_totals.csv"), tmp_path)
+        with open(tmp_path / "control_totals.csv", "a", encoding="utf-8") as fh:
+            fh.write("employment_rate:25-34,2019-12-01,0.55\n"
+                     "employment_rate:45-54,2019-12-01,0.9\nwage_index,2019-12-01,1.03\n")
+        save_population(generate_synthetic(SynthConfig(households=150, weight_jitter=True), 4),
+                        tmp_path / "sorted")
+        (tmp_path / "shuffled").mkdir()
+        for name in ("households.csv", "persons.csv"):
+            header, *rows = (tmp_path / "sorted" / name).read_text().splitlines(keepends=True)
+            rows = [rows[i] for i in np.random.default_rng(1).permutation(len(rows))]
+            (tmp_path / "shuffled" / name).write_text("".join([header, *rows]))
+        outputs = []
+        for population in ("sorted", "shuffled"):
+            out = tmp_path / f"out_{population}"
+            assert main(["run", "--scenario", str(tmp_path / "scenario.cfg"),
+                         "--population", str(tmp_path / population), "--out", str(out)]) == 0
+            outputs.append(read_dir(out))
+            del outputs[-1]["manifest.json"]
+        assert outputs[0] == outputs[1]
 
     def test_null_scenario_produces_zero_deltas(self, tmp_path, capsys):
         controls = tmp_path / "controls.csv"

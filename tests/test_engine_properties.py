@@ -16,6 +16,7 @@ from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, apply
 
 DATES = [dt.date(2020, 5, 5), dt.date(2020, 11, 15), dt.date(2021, 2, 23)]
 PUP = taxben.COVID_CODES["pup_recipient"]
+BASE_CONTROLS = ControlTotals(date=dt.date(2019, 12, 1))  # no targets: nowcast is the identity
 
 
 def column_population(seed: int, n_households: int) -> Population:
@@ -98,7 +99,8 @@ POPULATIONS = st.tuples(st.integers(0, 10 ** 6), st.integers(5, 40))
        shares=st.lists(st.floats(0.0, 0.3), min_size=4, max_size=4))
 def test_adjusted_identity_on_every_wave(tables, schedules, population, date, switches,
                                          subsidy, shares):
-    base = build_baseline(column_population(*population), tables, schedules, seed=5)
+    base = build_baseline(column_population(*population), BASE_CONTROLS, tables, schedules,
+                          seed=5)
     pup_on, ceib_on, childcare, deferrals_on, capital_on, home, booking = switches
     wave = WavePoint(label="w", date=date, pup_on=pup_on, ceib_on=ceib_on, subsidy=subsidy,
                      childcare_support=childcare, deferrals_on=deferrals_on,
@@ -120,10 +122,10 @@ def test_null_wave_is_a_fixed_point(tables, schedules, population, date):
     """With no instrument switched on, a wave at any date leaves every
     person's state and every income where the base date has them."""
     pop = column_population(*population)
-    base = build_baseline(pop, tables, schedules, seed=5)
+    base = build_baseline(pop, BASE_CONTROLS, tables, schedules, seed=5)
     controls = controls_at(date, tables, base, 0.0, 0.2, 0.2, 0.2)  # no job losses
-    at_base = apply_wave(base, ControlTotals(date=pop.base_period),
-                         WavePoint(label="base", date=pop.base_period), tables, schedules, 5)
+    at_base = apply_wave(base, BASE_CONTROLS,
+                         WavePoint(label="base", date=BASE_CONTROLS.date), tables, schedules, 5)
     later = apply_wave(base, controls, WavePoint(label="null", date=date), tables,
                        schedules, 5)
     assert np.all(later.covid_code == 0)
@@ -138,7 +140,8 @@ def test_null_wave_is_a_fixed_point(tables, schedules, population, date):
 @given(population=POPULATIONS, date=st.sampled_from(DATES),
        shares=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
 def test_pup_recipients_nested_as_targets_rise(tables, schedules, population, date, shares):
-    base = build_baseline(column_population(*population), tables, schedules, seed=5)
+    base = build_baseline(column_population(*population), BASE_CONTROLS, tables, schedules,
+                          seed=5)
     wave = WavePoint(label="pup", date=date, pup_on=True)
     recipients = [apply_wave(base, controls_at(date, tables, base, pup=share), wave, tables,
                              schedules, 5).covid_code == PUP for share in sorted(shares)]

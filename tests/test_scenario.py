@@ -10,8 +10,9 @@ import scenario_oracle
 
 from nowcastsim import metrics, taxben
 from nowcastsim.calibration import AlignmentError
-from nowcastsim.money import weekly_to_monthly
-from nowcastsim.population import SECTORS, WORK_STATUSES, WORKER_CODES
+from nowcastsim.money import cents, weekly_to_monthly
+from nowcastsim.population import (SECTORS, WORK_STATUSES, WORKER_CODES, Population,
+                                   SynthConfig, Table, generate_synthetic)
 from nowcastsim.scenario import (CASE_AGE_BANDS, ControlError, ControlTotals,
                                  ScenarioError, WavePoint, _align_rows, apply_wave,
                                  build_baseline, control_gaps, load_control_totals,
@@ -54,7 +55,8 @@ def crisis_wave(date=D(2020, 5, 5), **overrides):
 
 @pytest.fixture(scope="module")
 def base(small_pop, tables, schedules):
-    return build_baseline(small_pop, tables, schedules, seed=7)
+    return build_baseline(small_pop, ControlTotals(date=D(2019, 12, 1)), tables, schedules,
+                          seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -293,9 +295,16 @@ def is_worker(persons):
     return np.isin(persons.work_status, WORKER_CODES)
 
 
+def nowcast(pop, controls, seed):
+    """`pop` with copies of its person columns nowcast to `controls`."""
+    persons = Table(**{name: column.copy() for name, column in vars(pop.persons).items()})
+    nowcast_baseline(persons, person_weights(pop), controls, seed)
+    return Population(households=pop.households, persons=persons)
+
+
 class TestNowcastBaseline:
     def test_no_targets_is_identity(self, small_pop):
-        out = nowcast_baseline(small_pop, ControlTotals(date=D(2019, 12, 1)), seed=7)
+        out = nowcast(small_pop, ControlTotals(date=D(2019, 12, 1)), seed=7)
         assert same_columns(out.persons, small_pop.persons)
 
     def test_observed_rates_are_a_fixed_point(self, small_pop):
@@ -310,7 +319,7 @@ class TestNowcastBaseline:
             worker = is_worker(small_pop.persons)[idx]
             bands[band] = float(w[worker].sum() / w.sum())
         controls = ControlTotals(date=D(2019, 12, 1), employment_rate_by_age=bands)
-        out = nowcast_baseline(small_pop, controls, seed=7)
+        out = nowcast(small_pop, controls, seed=7)
         assert same_columns(out.persons, small_pop.persons)
 
     def test_higher_target_hits_rate_within_one_unit(self, small_pop):
@@ -326,7 +335,7 @@ class TestNowcastBaseline:
         target = min(rate0 + 0.05, 0.99)
         controls = ControlTotals(date=D(2019, 12, 1),
                                  employment_rate_by_age={band: target})
-        out = nowcast_baseline(small_pop, controls, seed=7)
+        out = nowcast(small_pop, controls, seed=7)
         worker_now = is_worker(out.persons)[idx]
         realized = float(w[worker_now].sum() / w.sum())
         assert abs(realized - target) <= w.max() / w.sum()
@@ -340,7 +349,7 @@ class TestNowcastBaseline:
         in_band = ((case_age_band(small_pop.persons.age) == CASE_AGE_BANDS.index(band))
                    & (small_pop.persons.age >= 16))
         controls = ControlTotals(date=D(2019, 12, 1), employment_rate_by_age={band: 0.3})
-        out = nowcast_baseline(small_pop, controls, seed=7)
+        out = nowcast(small_pop, controls, seed=7)
         fired = in_band & is_worker(small_pop.persons) & ~is_worker(out.persons)
         assert fired.any()
         assert np.all(out.persons.work_status[fired] == WORK_STATUSES.index("unemployed"))
@@ -350,7 +359,7 @@ class TestNowcastBaseline:
 
     def test_wage_index_scales_mean(self, small_pop):
         controls = ControlTotals(date=D(2019, 12, 1), wage_index=1.02)
-        out = nowcast_baseline(small_pop, controls, seed=7)
+        out = nowcast(small_pop, controls, seed=7)
         weights = person_weights(small_pop)
 
         def mean(pop):
@@ -360,6 +369,20 @@ class TestNowcastBaseline:
             return float((v * w).sum() / w.sum())
 
         assert mean(out) == pytest.approx(1.02 * mean(small_pop), rel=1e-9)
+
+    def test_build_baseline_leaves_its_input_unchanged(self, tables, schedules):
+        """build_baseline nowcasts sorted copies in place, never `pop` itself."""
+        pop = generate_synthetic(SynthConfig(households=400, weight_jitter=True), 7)
+        before = [Table(**{name: column.copy() for name, column in vars(table).items()})
+                  for table in (pop.households, pop.persons)]
+        controls = ControlTotals(date=D(2019, 12, 1), wage_index=1.02,
+                                 employment_rate_by_age={"25-34": 0.5, "45-54": 0.95})
+        base = build_baseline(pop, controls, tables, schedules, seed=7)
+        assert same_columns(pop.households, before[0])
+        assert same_columns(pop.persons, before[1])
+        order = np.argsort(pop.persons.person_id)
+        assert not np.array_equal(base.status, pop.persons.work_status[order])
+        assert not np.array_equal(base.emp_cents, cents(pop.persons.employment_income[order]))
 
 
 class TestApplyWave:
@@ -483,7 +506,7 @@ class TestApplyWave:
         # households where someone newly stays home (benefit recipients and
         # home workers, not the still-working subsidised) pay no childcare,
         # so their work expenses cannot exceed the largest commuting bill
-        from nowcastsim.money import weekly_to_monthly
+        from nowcastsim.money import cents, weekly_to_monthly
         recipients = np.isin(r.covid_code, [taxben.COVID_CODES["pup_recipient"],
                                             taxben.COVID_CODES["ceib_recipient"]])
         stays_home = recipients | r.home_working
@@ -529,11 +552,13 @@ class TestCompare:
 
 class TestRunScenario:
     def test_end_to_end_and_thread_determinism(self, small_pop, tables, schedules,
-                                               default_scenario):
+                                               default_scenario, shipped_controls):
         base1, results1, summaries1 = run_scenario(
-            small_pop, default_scenario, tables, schedules, seed=42, threads=1)
+            small_pop, default_scenario, shipped_controls, tables, schedules, seed=42,
+            threads=1)
         base3, results3, summaries3 = run_scenario(
-            small_pop, default_scenario, tables, schedules, seed=42, threads=3)
+            small_pop, default_scenario, shipped_controls, tables, schedules, seed=42,
+            threads=3)
         assert [r.label for r in results1] == [w.label for w in default_scenario.waves]
         for a, b in zip(results1, results3):
             assert np.array_equal(a.adjusted, b.adjusted)
@@ -556,14 +581,14 @@ class TestRunScenario:
             "[wave:later]\ndate = 2020-05-05\n"
         )
         plan = parse_scenario(cfg)
-        _, results, summaries = run_scenario(small_pop, plan, tables, schedules,
-                                             seed=1)
+        _, results, summaries = run_scenario(small_pop, plan, load_control_totals(controls),
+                                             tables, schedules, seed=1)
         assert np.array_equal(results[0].adjusted, results[1].adjusted)
         assert summaries[0].gini == summaries[1].gini
 
     def test_equivalised_values_positive(self, small_pop, tables, schedules,
-                                         default_scenario):
-        base, results, _ = run_scenario(small_pop, default_scenario, tables,
+                                         default_scenario, shipped_controls):
+        base, results, _ = run_scenario(small_pop, default_scenario, shipped_controls, tables,
                                         schedules, seed=3)
         values = household_equivalized(base, results[0])
         assert set(values) == {"market", "gross", "disposable", "adjusted"}
@@ -572,12 +597,12 @@ class TestRunScenario:
 
 class TestWeightedPopulation:
     def test_weighted_pipeline_contracts(self, tables, schedules, default_scenario):
-        from nowcastsim.population import SynthConfig, generate_synthetic
         pop = generate_synthetic(SynthConfig(households=1500, weight_jitter=True), 13)
-        _, results, summaries = run_scenario(pop, default_scenario, tables,
-                                             schedules, seed=13)
-        state = build_baseline(pop, tables, schedules, seed=13)
         series = load_control_totals(default_scenario.controls_path)
+        _, results, summaries = run_scenario(pop, default_scenario, series, tables,
+                                             schedules, seed=13)
+        state = build_baseline(pop, series.at(default_scenario.waves[0].date), tables,
+                               schedules, seed=13)
         wave = default_scenario.waves[1]
         controls = series.at(wave.date)
         r = apply_wave(state, controls, wave, tables, schedules, seed=13)

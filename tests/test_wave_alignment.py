@@ -150,7 +150,7 @@ def shuffled_ids(pop: Population, seed: int) -> Population:
     households.member_ids = np.array([i for m in members for i in m], dtype=np.int64)
     households.member_offsets = np.cumsum([0] + [len(m) for m in members], dtype=np.int64)
     assert validate(households, persons) == []
-    return Population(households=households, persons=persons, base_period=pop.base_period)
+    return Population(households=households, persons=persons)
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,8 @@ def base(tables, schedules):
                        seed=3)
     assert np.any(np.diff(pop.persons.person_id) < 0)
     assert np.any(np.diff(pop.households.household_id) < 0)
-    return build_baseline(pop, tables, schedules, seed=SEED)
+    return build_baseline(pop, ControlTotals(date=dt.date(2019, 12, 1)), tables, schedules,
+                          seed=SEED)
 
 
 def stratum_target(kind, available, i):
