@@ -6,7 +6,7 @@ weight and the household's equivalised income (modified OECD scale).
 A Gini sorts persons by income, ties by row. As a person's income is their
 household's, `summarize` takes that order from household ranks: household
 values are dense-ranked (equal values, 0.0 and -0.0 too, share a rank) and
-persons sorted by the integer key rank * n + row (`household_order`).
+persons sorted by the integer key rank << b | row (`household_order`).
 """
 from __future__ import annotations
 
@@ -63,45 +63,55 @@ def weighted_gini(values, weights, order=None) -> float:
     if np.all(x == x[0]):
         return 0.0
     total = float(np.sum(w))
-    mean = float(np.sum(w * x)) / total
+    terms = np.multiply(w, x)
+    mean = float(np.sum(terms)) / total
     if mean == 0.0:
         raise MetricsError("gini undefined: zero mean with nonzero dispersion")
     order = np.argsort(x, kind="stable") if order is None else order
-    xs = x[order]
+    # sum(ws * xs * (2 cum - ws - W)), term by term as written, in place
     ws = w[order]
     cum = np.cumsum(ws)
-    g = float(np.sum(ws * xs * (2.0 * cum - ws - total))) / (total * total * mean)
-    return g
+    cum *= 2.0
+    cum -= ws
+    cum -= total
+    np.take(x, order, out=terms, mode="clip")  # "raise" would gather into a hidden copy
+    terms *= ws
+    terms *= cum
+    return float(np.sum(terms)) / (total * total * mean)
 
 
 def household_order(hh_values, hh_row) -> np.ndarray:
-    """`np.argsort(hh_values[hh_row], kind="stable")`, formed by sorting the
-    household values and then integer (rank, row) keys."""
+    """`np.argsort(hh_values[hh_row], kind="stable")`, formed by dense-ranking
+    the household values and then sorting integer keys rank << b | row, b
+    the bits of the largest row."""
     v = np.asarray(hh_values, dtype=np.float64)
     by_value = np.argsort(v)
     rank = np.empty(v.size, dtype=np.int64)
     rank[by_value] = np.cumsum(np.r_[True, v[by_value[1:]] != v[by_value[:-1]]])
     n = len(hh_row)
-    return np.sort(rank[hh_row] * n + np.arange(n)) % n
+    b = (n - 1).bit_length()
+    key = rank[hh_row]
+    key <<= b
+    key |= np.arange(n)
+    key.sort()
+    key &= (1 << b) - 1
+    return key
 
 
-def weighted_quantile_groups(ranking, weights, n_groups: int, ids=None) -> np.ndarray:
+def weighted_quantile_groups(order, weights, n_groups: int) -> np.ndarray:
     """Assign each unit to one of n_groups weighted-equal groups (1-based).
 
-    Units are ranked by `ranking` (ties broken by ascending id); the group
-    boundary is a cumulative-weight cut at k/n of total weight, and the
-    unit spanning a boundary goes to the lower group.
+    `order` lists the units in ranking order (ascending, ties broken as the
+    caller ranks them). The group boundary is a cumulative-weight cut at
+    k/n of total weight, and the unit spanning a boundary goes to the lower
+    group.
     """
-    r = np.asarray(ranking, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if ids is None:
-        ids = np.arange(r.size)
-    order = np.lexsort((np.asarray(ids), r))
     cum = np.cumsum(w[order])
     total = cum[-1]
     g_sorted = np.ceil(cum * n_groups / total - 1e-9).astype(np.int64)
     g_sorted = np.clip(g_sorted, 1, n_groups)
-    groups = np.empty(r.size, dtype=np.int64)
+    groups = np.empty(w.size, dtype=np.int64)
     groups[order] = g_sorted
     return groups
 
@@ -111,12 +121,14 @@ def decile_means(values_by_definition: dict, weights, deciles) -> dict:
 
     `deciles` (1..10 per unit) are grouped once from a fixed ranking (the
     baseline equivalised adjusted disposable income), so a shock moves
-    people's incomes but not their decile membership.
+    people's incomes but not their decile membership. An empty decile's
+    mean is NaN.
     """
     w = np.asarray(weights, dtype=np.float64)
-    weight_sums = np.bincount(deciles, weights=w, minlength=11)[1:]  # 0/0 is NaN
-    return {name: np.bincount(deciles, weights=np.asarray(v, dtype=np.float64) * w,
-                              minlength=11)[1:] / weight_sums
+    weight_sums = np.bincount(deciles, weights=w, minlength=11)[1:]
+    return {name: np.divide(np.bincount(deciles, weights=np.asarray(v, dtype=np.float64) * w,
+                                        minlength=11)[1:], weight_sums,
+                            out=np.full(10, np.nan), where=weight_sums > 0)
             for name, v in values_by_definition.items()}
 
 

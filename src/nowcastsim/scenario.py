@@ -450,6 +450,9 @@ class BaselineState:
     rent_cents: np.ndarray
     equiv_scale: np.ndarray
     childcare_weekly_cents: np.ndarray
+    market: np.ndarray           # the baseline's taxben.HouseholdAccounts
+    taxes: np.ndarray
+    benefits: np.ndarray
     # alignment pools, fixed for the run: label -> (rows, rows in alignment order)
     strata: dict
     band_workers: list               # per CASE_AGE_BANDS entry: worker rows (CEIB)
@@ -494,10 +497,11 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
 
     # household-level deciles/quintiles of equivalised disposable income,
     # person-weighted (household weight x size), so a household never
-    # straddles a boundary
+    # straddles a boundary; ties go by household id, the row order
     group_weight = hh_weight * members
-    decile_hh = metrics.weighted_quantile_groups(equiv_disposable, group_weight, 10, ids=hid)
-    quintile_hh = metrics.weighted_quantile_groups(equiv_disposable, group_weight, 5, ids=hid)
+    by_income = np.argsort(equiv_disposable, kind="stable")
+    decile_hh = metrics.weighted_quantile_groups(by_income, group_weight, 10)
+    quintile_hh = metrics.weighted_quantile_groups(by_income, group_weight, 5)
     quintile_p = quintile_hh[hh_row]
 
     region_bmw = persons.region == REGIONS.index("border, midland and western")
@@ -557,6 +561,7 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
         rent_cents=cents(households.rent),
         equiv_scale=np.asarray(scale, dtype=np.float64),
         childcare_weekly_cents=childcare_weekly,
+        market=accounts.market, taxes=accounts.taxes, benefits=accounts.benefits,
         strata=strata,
         band_workers=[np.flatnonzero(is_worker & (bands == code))
                       for code in range(len(CASE_AGE_BANDS))],
@@ -734,11 +739,24 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         else:
             q_hh = annual_to_monthly(-change_hh)
 
-    # (g) taxes, benefits, and the four income definitions
-    accounts = taxben.household_accounts(
-        status_now, covid, base.weekly_earn_cents, emp_now, se_now, base.cap_cents,
-        base.pens_cents, base.hh_row, n_hh, wave.date,
-        taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on), schedules)
+    # (g) taxes, benefits, and the four income definitions. A person (a)-(c)
+    # did not move keeps the baseline's status, incomes and covid code 0, under
+    # which neither tax nor benefit depends on date or policy; so the baseline
+    # totals change, exactly, by the moved persons' accounts now minus before.
+    moved = np.flatnonzero(job_lost | ceib | subsidised)
+
+    def moved_accounts(status, covid_code, emp, se, policy):
+        return taxben.household_accounts(
+            status[moved], covid_code, base.weekly_earn_cents[moved], emp[moved], se[moved],
+            base.cap_cents[moved], base.pens_cents[moved], base.hh_row[moved], n_hh,
+            wave.date, policy, schedules)
+    now = moved_accounts(status_now, covid[moved], emp_now, se_now,
+                         taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on))
+    was = moved_accounts(base.status, np.zeros(moved.size, dtype=np.int64), base.emp_cents,
+                         base.se_cents, taxben.PolicyState())
+    market_hh = base.market + now.market - was.market
+    taxes_hh = base.taxes + now.taxes - was.taxes
+    benefits_hh = base.benefits + now.benefits - was.benefits
 
     h_hh = expenses.housing_cost_cents(base.tenure_code, base.mortgage_cents,
                                        base.rent_cents, deferred)
@@ -762,14 +780,14 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
 
     c_hh = weekly_to_monthly(commuting_weekly + childcare_weekly)
 
-    gross_hh = accounts.market + accounts.benefits
-    disposable_hh = gross_hh - accounts.taxes
+    gross_hh = market_hh + benefits_hh
+    disposable_hh = gross_hh - taxes_hh
     adjusted_hh = disposable_hh - h_hh - q_hh - c_hh
 
     return WaveResult(
         label=wave.label, date=wave.date,
-        market=accounts.market, gross=gross_hh, disposable=disposable_hh,
-        adjusted=adjusted_hh, taxes=accounts.taxes, benefits=accounts.benefits,
+        market=market_hh, gross=gross_hh, disposable=disposable_hh,
+        adjusted=adjusted_hh, taxes=taxes_hh, benefits=benefits_hh,
         housing=h_hh.astype(np.int64), capital_adjustment=q_hh,
         work_expenses=c_hh, covid_code=covid, employed_now=employed_now,
         home_working=home_working,
@@ -813,9 +831,10 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
     summaries = []
     for r in results:
         equivalized = household_equivalized(base, r)
-        if deciles is None:  # ranked once, by the first wave
-            deciles = metrics.weighted_quantile_groups(equivalized["adjusted"][base.hh_row],
-                                                       base.person_weight, 10, ids=base.pid)
+        if deciles is None:  # ranked once, by the first wave; ties by row, so by id
+            deciles = metrics.weighted_quantile_groups(
+                metrics.household_order(equivalized["adjusted"], base.hh_row),
+                base.person_weight, 10)
         summaries.append(metrics.summarize(r.label, equivalized, base.hh_row,
                                            base.person_weight, deciles))
     return base, results, summaries

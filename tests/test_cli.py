@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ class TestRunCommand:
         assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
         assert main(args + ["--out", str(out2), "--threads", "4"]) == 0
         assert read_dir(out1) == read_dir(out2)
+
+    def test_empty_deciles_print_nan_without_a_warning(self, data_dir, tmp_path):
+        """Four households leave deciles empty: their means print nan, and
+        the run raises no RuntimeWarning."""
+        synth = tmp_path / "synth.cfg"
+        synth.write_text("households = 4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                         "--synth-config", str(synth), "--out", str(tmp_path / "out")]) == 0
+        assert ",nan," in (tmp_path / "out" / "decile_means.csv").read_text()
 
     def test_expected_outputs_exist(self, data_dir, tmp_path):
         synth = tmp_path / "synth.cfg"

@@ -1,6 +1,7 @@
 """Engine-level properties on small random populations built directly as
 columns: the adjusted-income identity on every wave, the null wave as a
-fixed point, and nested PUP recipient sets as the sector targets rise."""
+fixed point, nested PUP recipient sets as the sector targets rise, and a
+wave's accounts equal to a whole-population evaluation of its state."""
 import datetime as dt
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from nowcastsim import taxben
 from nowcastsim.calibration import AlignmentError
+from nowcastsim.money import apply_rate, round_div
 from nowcastsim.population import (SECTORS, TENURES, WORK_STATUSES, Population, Table,
                                    validate)
 from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, apply_wave,
@@ -16,6 +18,8 @@ from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, apply
 
 DATES = [dt.date(2020, 5, 5), dt.date(2020, 11, 15), dt.date(2021, 2, 23)]
 PUP = taxben.COVID_CODES["pup_recipient"]
+CEIB = taxben.COVID_CODES["ceib_recipient"]
+SUBSIDISED = taxben.COVID_CODES["wage_subsidised"]
 BASE_CONTROLS = ControlTotals(date=dt.date(2019, 12, 1))  # no targets: nowcast is the identity
 
 
@@ -147,3 +151,57 @@ def test_pup_recipients_nested_as_targets_rise(tables, schedules, population, da
                              schedules, 5).covid_code == PUP for share in sorted(shares)]
     for smaller, larger in zip(recipients, recipients[1:]):
         assert np.all(larger[smaller])
+
+
+def whole_population_accounts(base, r, wave, schedules, employer_topup):
+    """taxben.household_accounts over every person in the state of wave
+    result `r`, rebuilt from its covid codes and employment flags by the
+    rules of apply_wave's steps (a)-(c)."""
+    ceib = r.covid_code == CEIB
+    subsidised = r.covid_code == SUBSIDISED
+    job_lost = base.is_worker & ~r.employed_now & ~ceib
+    status = base.status.copy()
+    if not wave.pup_on:
+        status[job_lost] = taxben.STATUS_CODES["unemployed"]
+    emp, se = base.emp_cents.copy(), base.se_cents.copy()
+    emp[job_lost | ceib] = 0
+    se[job_lost | ceib] = 0
+    if subsidised.any():
+        scheme = wave.subsidy if wave.subsidy != "auto" else \
+            "twss" if wave.date < taxben.EWSS_HANDOVER else "ewss"
+        gross_weekly = round_div(base.emp_cents[subsidised], 52)
+        amount = taxben.twss_subsidy_cents(schedules, base.take_home_weekly_cents[subsidised],
+                                           wave.date) if scheme == "twss" else \
+            taxben.ewss_subsidy_cents(schedules, gross_weekly, wave.date)
+        shortfall = np.maximum(gross_weekly - amount, 0)
+        emp[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
+    return taxben.household_accounts(
+        status, r.covid_code, base.weekly_earn_cents, emp, se, base.cap_cents, base.pens_cents,
+        base.hh_row, base.hid.size, wave.date,
+        taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on), schedules)
+
+
+@settings(max_examples=80, deadline=None)
+@given(population=POPULATIONS, date=st.dates(dt.date(2020, 3, 13), dt.date(2021, 6, 30)),
+       pup_on=st.booleans(), ceib_on=st.booleans(),
+       subsidy=st.sampled_from(["none", "twss", "ewss", "auto"]),
+       shares=st.lists(st.floats(0.0, 0.3), min_size=3, max_size=3),
+       employer_topup=st.floats(0.0, 1.0))
+def test_wave_accounts_equal_a_whole_population_evaluation(
+        tables, schedules, population, date, pup_on, ceib_on, subsidy, shares, employer_topup):
+    """apply_wave evaluates taxes and benefits only for the persons a wave
+    moves and adds the change to the baseline totals; that equals
+    evaluating every person."""
+    base = build_baseline(column_population(*population), BASE_CONTROLS, tables, schedules,
+                          seed=5)
+    wave = WavePoint(label="w", date=date, pup_on=pup_on, ceib_on=ceib_on, subsidy=subsidy)
+    try:
+        r = apply_wave(base, controls_at(date, tables, base, *shares), wave, tables, schedules,
+                       seed=5, employer_topup=employer_topup)
+    except (AlignmentError, taxben.PolicyError):  # too few candidates; scheme not in force
+        assume(False)
+    full = whole_population_accounts(base, r, wave, schedules, employer_topup)
+    for name in ("market", "taxes", "benefits"):
+        assert np.array_equal(getattr(r, name), getattr(full, name)), name
+    assert np.array_equal(r.gross, full.market + full.benefits)
+    assert np.array_equal(r.disposable, full.market + full.benefits - full.taxes)

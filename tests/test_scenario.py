@@ -595,6 +595,45 @@ class TestRunScenario:
         assert values["gross"].mean() > 0
 
 
+def lexsort_groups(ranking, weights, n_groups, ids):
+    """Weighted quantile groups ranked by value, ties by id, as they were
+    formed before the callers passed their own order."""
+    order = np.lexsort((ids, ranking))
+    cum = np.cumsum(np.asarray(weights, dtype=np.float64)[order])
+    groups = np.empty(order.size, dtype=np.int64)
+    groups[order] = np.clip(np.ceil(cum * n_groups / cum[-1] - 1e-9).astype(np.int64), 1,
+                            n_groups)
+    return groups
+
+
+class TestQuantileGroupsOfARun:
+    def test_groups_equal_the_lexsort_groups(self, tables, schedules, default_scenario,
+                                             shipped_controls, monkeypatch):
+        """build_baseline's deciles and quintiles and run_scenario's deciles
+        are ranked in lexsort((ids, values)) order, so they equal its groups."""
+        calls = []
+        inner = metrics.weighted_quantile_groups
+
+        def spy(order, weights, n_groups):
+            calls.append((order, n_groups, inner(order, weights, n_groups)))
+            return calls[-1][2]
+        monkeypatch.setattr(metrics, "weighted_quantile_groups", spy)
+        pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
+        base, results, _ = run_scenario(pop, default_scenario, shipped_controls, tables,
+                                        schedules, seed=5)
+        assert [n for _, n, _ in calls] == [10, 5, 10]
+        equiv = (base.market + base.benefits - base.taxes) / 100.0 / base.equiv_scale
+        assert np.unique(equiv).size < equiv.size  # tied households to break by id
+        group_weight = base.hh_weight * np.bincount(base.hh_row)
+        first = household_equivalized(base, results[0])["adjusted"][base.hh_row]
+        for (order, n_groups, groups), values, weight, ids in (
+                (calls[0], equiv, group_weight, base.hid),
+                (calls[1], equiv, group_weight, base.hid),
+                (calls[2], first, base.person_weight, base.pid)):
+            assert np.array_equal(order, np.lexsort((ids, values)))
+            assert np.array_equal(groups, lexsort_groups(values, weight, n_groups, ids))
+
+
 class TestWeightedPopulation:
     def test_weighted_pipeline_contracts(self, tables, schedules, default_scenario):
         pop = generate_synthetic(SynthConfig(households=1500, weight_jitter=True), 13)
