@@ -61,14 +61,14 @@ def write_outputs(out_dir, summaries, manifest):
         fh.write("\n")
 
 
-def _load_population(args):
+def _load_population(args, seed: int):
     if args.population:
         return population.load_population(args.population)
     if args.synth_config:
         cfg = population.parse_synth_config(args.synth_config)
     else:
         cfg = population.SynthConfig()
-    return population.generate_synthetic(cfg, args.seed)
+    return population.generate_synthetic(cfg, seed)
 
 
 def _warn_control_gaps(plan, series) -> None:
@@ -83,8 +83,7 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else plan.seed
     tables = scenario.load_data_tables(args.data_dir)
     schedules = taxben.load_policy(args.policy_dir)
-    args.seed = seed
-    pop = _load_population(args)
+    pop = _load_population(args, seed)
     _, _, summaries = scenario.run_scenario(pop, plan, series, tables, schedules, seed,
                                             threads=args.threads)
     import numpy
@@ -145,10 +144,10 @@ def cmd_schedules(args) -> int:
     schedules = taxben.load_policy(args.policy_dir)
     date = dt.date.fromisoformat(args.date)
     amount_cents = cents(args.earnings or 0.0)
-    if args.instrument == "pup":
-        value = taxben.pup_rate_cents(schedules, amount_cents, date)
-    elif args.instrument == "ceib":
+    if args.instrument == "ceib" and args.earnings is None:
         value = taxben.ceib_rate_cents(schedules, date)
+    elif args.instrument in ("pup", "ceib"):  # CEIB pays the PUP bands on known earnings
+        value = taxben.pup_rate_cents(schedules, amount_cents, date)
     elif args.instrument == "twss":
         value = taxben.twss_subsidy_cents(schedules, amount_cents, date)
     else:
@@ -171,8 +170,7 @@ def print_config(args) -> int:
     defaults = {
         "data_dir": DEFAULT_DATA_DIR,
         "policy_dir": DEFAULT_POLICY_DIR,
-        "scenario": os.path.join(DEFAULT_DATA_DIR, "scenario.cfg"),
-        "seed": 0,
+        "seed": {"run": "the scenario file's seed", "synth": 0},
         "threads": 1,
         "synth": population.SynthConfig().__dict__ | {
             "sector_shares": "per the national reference employment mix",
@@ -202,10 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print resolved defaults and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, scenario_required=True):
-        p.add_argument("--scenario", required=scenario_required,
-                       default=None if scenario_required else
-                       os.path.join(DEFAULT_DATA_DIR, "scenario.cfg"))
+    def add_common(p):
+        p.add_argument("--scenario", required=True)
         p.add_argument("--population", default=None,
                        help="directory with households.csv / persons.csv")
         p.add_argument("--synth-config", default=None,
@@ -227,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     sched_p = sub.add_parser("schedules", help="look up an instrument's rate")
     sched_p.add_argument("instrument", choices=["pup", "ceib", "twss", "ewss"])
     sched_p.add_argument("--earnings", type=finite, default=None,
-                         help="weekly earnings EUR (previous, take-home, or gross "
-                              "depending on the instrument)")
+                         help="weekly earnings EUR, >= 0 (previous, take-home, or "
+                              "gross depending on the instrument); for ceib, gives "
+                              "the earnings-banded rate instead of the top one")
     sched_p.add_argument("--date", required=True)
     sched_p.add_argument("--policy-dir", default=DEFAULT_POLICY_DIR)
     sched_p.set_defaults(fn=cmd_schedules)
@@ -246,13 +243,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "threads", 1) < 1:
         parser.error(f"argument --threads: must be at least 1, got {args.threads}")
+    if getattr(args, "earnings", None) is not None and args.earnings < 0:
+        parser.error(f"argument --earnings: must be >= 0, got {args.earnings:g}")
     if args.print_config:
         return print_config(args)
     if not getattr(args, "fn", None):
         parser.print_help()
         return EXIT_VALIDATION
-    if getattr(args, "seed", None) is None and args.fn is not cmd_run:
-        args.seed = 0
     try:
         return args.fn(args)
     except (AlignmentError, IpfError) as exc:

@@ -164,14 +164,13 @@ def assign_commute_modes(models, sector_groups, is_worker, sector_idx, region_bm
 
 
 def commuting_cost_cents(table: CommuteCostTable, n_private, n_public):
-    """Weekly household commuting cost for the active commuter mix; counts
-    are ints (returns an int) or per-household arrays (returns int64)."""
+    """Weekly household commuting cost (int64) for the active commuter mix:
+    the counts of private and public commuters per household."""
     n_private, n_public = np.asarray(n_private), np.asarray(n_public)
     if np.any(n_private < 0) or np.any(n_public < 0):
         raise ExpenseError("commuter counts must be >= 0")
-    cost = (np.array(table.motor_fuels_cents, dtype=np.int64)[np.minimum(n_private, 3)]
+    return (np.array(table.motor_fuels_cents, dtype=np.int64)[np.minimum(n_private, 3)]
             + np.array(table.public_transport_cents, dtype=np.int64)[np.minimum(n_public, 3)])
-    return int(cost) if cost.ndim == 0 else cost
 
 
 # -- childcare ---------------------------------------------------------------

@@ -81,7 +81,7 @@ def _index(model: CoefficientSet, covariates: dict):
     idx = np.asarray(total, dtype=np.float64)
     if not np.all(np.isfinite(idx)):
         raise ModelError(f"{model.name}: non-finite linear index")
-    return idx if idx.ndim else float(idx)
+    return idx
 
 
 def logit_prob(model: CoefficientSet, covariates: dict):
@@ -89,9 +89,8 @@ def logit_prob(model: CoefficientSet, covariates: dict):
     if model.kind != "logit":
         raise ModelError(f"{model.name}: logit_prob needs a logit model")
     idx = _index(model, covariates)
-    p = 1.0 / (1.0 + np.exp(-np.asarray(idx, dtype=np.float64)))
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    return float(p) if p.ndim == 0 else p
+    p = 1.0 / (1.0 + np.exp(-idx))
+    return np.clip(p, 1e-12, 1.0 - 1e-12)
 
 
 def linear_predict(model: CoefficientSet, covariates: dict):

@@ -34,10 +34,7 @@ def equivalence_scale(adults_14plus, children_under14):
     c = np.asarray(children_under14, dtype=np.float64)
     if np.any(a + c <= 0):
         raise MetricsError("equivalence scale undefined for an empty household")
-    scale = FIRST_ADULT + EXTRA_ADULT * (a - 1.0) + CHILD * c
-    if scale.ndim == 0:
-        return float(scale)
-    return scale
+    return FIRST_ADULT + EXTRA_ADULT * (a - 1.0) + CHILD * c
 
 
 def weighted_gini(values, weights, order=None) -> float:

@@ -2,47 +2,48 @@
 
 All engine-internal money values are integer cents so that schedule lookups
 and income identities are bit-exact. Euros appear only at the I/O boundary.
+Each function works element by element on numpy input of any shape.
 """
 import numpy as np
 
 WEEKS_PER_YEAR = 52
 MONTHS_PER_YEAR = 12
+# every whole number of cents below this magnitude is a float64; not every one past it
+MAX_CENTS = 2 ** 53
 
 
 def round_div(n, d: int):
-    """n / d rounded half away from zero. d must be positive.
-
-    Accepts an int (returns an int) or an int64 array (returns an int64
-    array, element by element the same as the scalar result)."""
+    """n / d rounded half away from zero, as int64. d must be positive."""
     if d <= 0:
         raise ValueError(f"divisor must be positive, got {d}")
-    if isinstance(n, np.ndarray):
-        n = np.asarray(n, dtype=np.int64)
-        q = (2 * np.abs(n) + d) // (2 * d)
-        return np.where(n >= 0, q, -q)
-    n = int(n)
-    if n >= 0:
-        return (2 * n + d) // (2 * d)
-    return -((-2 * n + d) // (2 * d))
+    n = np.asarray(n, dtype=np.int64)
+    q = (2 * np.abs(n) + d) // (2 * d)
+    return np.where(n >= 0, q, -q)
 
 
 def apply_rate(rate: float, c):
-    """rate x c cents, with the rate fixed to four decimal places; c is an
-    int or an int64 array, as for round_div."""
+    """rate x c cents, with the rate fixed to four decimal places."""
     return round_div(int(round(rate * 10000)) * c, 10000)
 
 
+def has_cents(euros):
+    """True where the float product euros x 100 is finite and under MAX_CENTS
+    in magnitude: the amounts that `cents` converts."""
+    with np.errstate(over="ignore"):
+        return np.abs(np.asarray(euros, dtype=np.float64) * 100.0) < MAX_CENTS
+
+
 def cents(euros):
-    """Euros to integer cents, half away from zero. Accepts a float (returns
-    an int) or a float array (returns an int64 array)."""
-    scaled = euros * 100.0
-    if isinstance(scaled, np.ndarray):
-        if not np.isfinite(scaled).all():
-            raise ValueError("cannot convert a non-finite amount to cents")
-        return np.copysign(np.floor(np.abs(scaled) + 0.5), scaled).astype(np.int64)
-    if scaled >= 0:
-        return int(scaled + 0.5)
-    return -int(-scaled + 0.5)
+    """Euros to int64 cents: the float product euros x 100 rounded half away
+    from zero. An amount outside `has_cents` raises ValueError."""
+    ok = has_cents(euros)
+    if not ok.all():
+        raise ValueError(f"cannot convert {np.extract(~ok, euros)[0]:g} euros to cents: "
+                         "an amount must be finite and under 2**53 cents in magnitude")
+    scaled = np.asarray(euros, dtype=np.float64) * 100.0
+    size = np.abs(scaled)
+    whole = np.floor(size)
+    return np.copysign(whole + (size - whole >= 0.5), scaled).astype(np.int64)
 
 
 def euros(c: int) -> float:

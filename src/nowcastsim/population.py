@@ -3,19 +3,21 @@ synthetic-population generator used when no survey file is supplied.
 
 Two delimiter-separated files describe a population: `households.csv` and
 `persons.csv`, UTF-8 with a mandatory header row, enums as lowercase
-strings, money as decimals with a '.' separator, booleans as true/false,
-and household member ids joined with ';'. Fields may be quoted as
-`save_population` (Python's csv module) writes them; blank rows are
+strings, money as decimals with a '.' separator (finite, and under 2**53
+cents in magnitude, past which a float64 holds no exact cent), booleans as
+true/false, and household member ids joined with ';'. Fields may be quoted
+as `save_population` (Python's csv module) writes them; blank rows are
 skipped. Every schema column must be present and no other; every row has
 the header's field count.
 
 Each file is read in one `np.loadtxt` pass: numpy's C parser reads the int
 and float columns, converters the others. Only when that pass fails is the
 file streamed row by row to locate the first bad row or cell, with the
-same messages and line numbers as a row-by-row `csv` reading (a line
-number counts the header and the non-blank rows). A number that numpy
-rejects but Python's int or float reads, such as `1_000`, loads as Python
-reads it.
+same messages as a row-by-row `csv` reading. A line number counts every
+physical line, blank ones too, as `files.csv_rows` and `files.not_utf8` do;
+a row whose quoted cell spans lines is named by its last line. A number
+that numpy rejects but Python's int or float reads, such as `1_000`, loads
+as Python reads it.
 
 Occupation is a code in 1..9 and is required for workers; non-workers may
 carry 0 (not applicable). Industry must be one of the seventeen sector
@@ -42,6 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .files import key_values, not_utf8
+from .money import has_cents
 
 SECTORS = (
     "agriculture, forestry and fishing; mining and quarrying",
@@ -176,11 +179,17 @@ def validate(households: Table, persons: Table, unknown=None) -> list:
     def bad_value(column, labels, codes):
         return lambda r: f"column '{column}': bad value {label(column, labels, codes[r])!r}"
 
-    def non_finite(table, columns):
-        columns = [column for column, kind in columns.items() if kind is float]
-        bad = {c: ~np.isfinite(getattr(table, c)) for c in columns}
+    def cells(table, columns, is_bad, fault):
+        bad = {c: is_bad(getattr(table, c)) for c in columns}
         return np.logical_or.reduce(list(bad.values())), lambda r: ", ".join(
-            f"column {c!r}" for c in columns if bad[c][r]) + ": must be finite"
+            f"column {c!r}" for c in columns if bad[c][r]) + ": " + fault
+
+    def float_checks(table, columns):
+        floats = [column for column, kind in columns.items() if kind is float]
+        money = [column for column in floats if column != "weight"]
+        return [cells(table, floats, lambda x: ~np.isfinite(x), "must be finite"),
+                cells(table, money, lambda x: np.isfinite(x) & ~has_cents(x),
+                      "must be under 2**53 cents in magnitude")]
 
     household_checks = [
         (_repeats(hid), lambda r: "duplicate household_id"),
@@ -197,7 +206,7 @@ def validate(households: Table, persons: Table, unknown=None) -> list:
         ((h.n_children_0_4 < 0) | (h.n_children_under14 < 0),
          lambda r: "negative child count"),
         (h.member_offsets[1:] == h.member_offsets[:-1], lambda r: "empty member_ids"),
-        non_finite(h, _HOUSEHOLD_COLUMNS),
+        *float_checks(h, _HOUSEHOLD_COLUMNS),
     ]
 
     # each person's listings in member_ids: how many, and the first household
@@ -235,7 +244,7 @@ def validate(households: Table, persons: Table, unknown=None) -> list:
         ((homes == 1) & (first_home != p.household_id),
          lambda r: f"household_id {p.household_id[r]} disagrees with member_ids of "
                    f"household {first_home[r]}"),
-        non_finite(p, _PERSON_COLUMNS),
+        *float_checks(p, _PERSON_COLUMNS),
     ]
 
     found = [(section, r, check, f"{tag} {ids[r]}: {message(r)}")
@@ -335,7 +344,8 @@ def _bad_cells(row, parsed):
 def _raise_first_bad(path, header, columns) -> None:
     """Raise the first row whose field count differs from the header's,
     else the first cell its Python kind rejects, in row order; return if
-    there is none. Rows are streamed; blank rows are skipped, not counted."""
+    there is none. Rows are streamed; blank rows are skipped but counted,
+    and a row is named by its last physical line."""
     name = os.path.basename(path)
     at = {column: i for i, column in enumerate(header)}
     parsed = sorted(((at[c], k) for c, k in columns.items() if not isinstance(k, tuple)),
@@ -344,11 +354,12 @@ def _raise_first_bad(path, header, columns) -> None:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
-        for r, row in enumerate(filter(None, reader)):
+        for row in filter(None, reader):
+            where = f"{name}:{reader.line_num}"
             if len(row) != len(header):
-                raise PopulationError([f"{name}:{r + 2}: {len(row)} fields where the "
+                raise PopulationError([f"{where}: {len(row)} fields where the "
                                        f"header has {len(header)}"])
-            bad = bad or next((f"{name}:{r + 2}: bad {what} {cell!r}"
+            bad = bad or next((f"{where}: bad {what} {cell!r}"
                                for what, cell in _bad_cells(row, parsed)), None)
     if bad:
         raise PopulationError([bad])

@@ -32,28 +32,22 @@ def _label_key(label: str) -> np.uint64:
     return np.uint64(int.from_bytes(digest, "little"))
 
 
-def keyed_uniform(seed: int, label: str, ids) -> np.ndarray | float:
+def keyed_uniform(seed: int, label: str, ids) -> np.ndarray:
     """Uniform draws in [0, 1), one per id, keyed by (seed, label, id)."""
-    scalar = np.isscalar(ids)
-    ids_arr = np.atleast_1d(np.asarray(ids, dtype=np.uint64))
     with np.errstate(over="ignore"):
         state = _mix(_mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)) ^ _label_key(label))
-        out = _mix(state ^ ids_arr)
-    u = (out >> np.uint64(11)).astype(np.float64) * _U53
-    return float(u[0]) if scalar else u
+        out = _mix(state ^ np.asarray(ids, dtype=np.uint64))
+    return (out >> np.uint64(11)).astype(np.float64) * _U53
 
 
-def keyed_normal(seed: int, label: str, ids) -> np.ndarray | float:
+def keyed_normal(seed: int, label: str, ids) -> np.ndarray:
     """Standard normal draws keyed like keyed_uniform (Box-Muller)."""
-    scalar = np.isscalar(ids)
-    ids_arr = np.atleast_1d(ids)
-    u1 = np.maximum(keyed_uniform(seed, label + "\x00bm1", ids_arr), 1e-300)
-    u2 = keyed_uniform(seed, label + "\x00bm2", ids_arr)
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return float(z[0]) if scalar else z
+    u1 = np.maximum(keyed_uniform(seed, label + "\x00bm1", ids), 1e-300)
+    u2 = keyed_uniform(seed, label + "\x00bm2", ids)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def logistic_noise(seed: int, label: str, ids) -> np.ndarray | float:
+def logistic_noise(seed: int, label: str, ids) -> np.ndarray:
     """Standard-logistic draws, used to perturb alignment rankings."""
     u = keyed_uniform(seed, label, ids)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
@@ -73,7 +67,4 @@ def anchored_uniform(prob, observed, raw):
         raise ValueError("anchored draws need probabilities strictly inside (0, 1)")
     observed = np.asarray(observed, dtype=bool)
     raw = np.asarray(raw, dtype=np.float64)
-    u = np.where(observed, prob * raw, prob + (1.0 - prob) * raw)
-    if u.ndim == 0:
-        return float(u)
-    return u
+    return np.where(observed, prob * raw, prob + (1.0 - prob) * raw)

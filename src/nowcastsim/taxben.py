@@ -8,8 +8,6 @@ with one row per (scheme, effective_from, band_lower, value), read by
 `files.key_values`; every number must be finite. Bands are inclusive of
 their lower bound and regimes partition the scheme life from their first
 date.
-Every schedule function takes an int (returning an int) or an int64 array
-(returning an int64 array); both are evaluated by `Regime.evaluate`.
 
 Interpretation notes (the published wording leaves gaps; every choice
 below ships as overridable data, see the README):
@@ -234,18 +232,11 @@ def load_policy(policy_dir) -> PolicySchedules:
     )
 
 
-def _evaluate(regime: Regime, amounts):
-    """Regime.evaluate for an int (returns an int) or an int64 array."""
-    if isinstance(amounts, np.ndarray):
-        return regime.evaluate(amounts)
-    return int(regime.evaluate(np.array([amounts], dtype=np.int64))[0])
-
-
 def pup_rate_cents(schedules: PolicySchedules, prev_weekly_cents, date: dt.date):
     """Weekly pandemic unemployment payment for previous earnings at date."""
     if np.any(np.asarray(prev_weekly_cents) < 0):
         raise PolicyError("previous earnings must be >= 0")
-    return _evaluate(schedules.pup.regime_at(date), prev_weekly_cents)
+    return schedules.pup.regime_at(date).evaluate(prev_weekly_cents)
 
 
 def ceib_rate_cents(schedules: PolicySchedules, date: dt.date) -> int:
@@ -262,7 +253,7 @@ def twss_subsidy_cents(schedules: PolicySchedules, avg_take_home_weekly_cents,
     """Temporary wage subsidy on average weekly take-home pay."""
     if not TWSS_START <= date < EWSS_HANDOVER:
         raise PolicyError(f"twss not in force on {date} (life {TWSS_START} to {EWSS_HANDOVER})")
-    return _evaluate(schedules.twss.regime_at(date), avg_take_home_weekly_cents)
+    return schedules.twss.regime_at(date).evaluate(avg_take_home_weekly_cents)
 
 
 def ewss_subsidy_cents(schedules: PolicySchedules, gross_weekly_cents, date: dt.date):
@@ -270,12 +261,12 @@ def ewss_subsidy_cents(schedules: PolicySchedules, gross_weekly_cents, date: dt.
     first = schedules.ewss.regimes[0].effective_from
     if date < first:
         raise PolicyError(f"ewss rates start {first}, got {date}")
-    return _evaluate(schedules.ewss.regime_at(date), gross_weekly_cents)
+    return schedules.ewss.regime_at(date).evaluate(gross_weekly_cents)
 
 
 def income_tax_cents(taxable_annual_cents, system: TaxSystem):
     """Band tax net of credits (floored at 0) plus social insurance on
-    income above the floor. Accepts an int or an int64 array."""
+    income above the floor."""
     taxable = np.asarray(taxable_annual_cents, dtype=np.int64)
     thresholds = list(system.band_thresholds_cents) + [None]
     band_tax = np.zeros(taxable.shape, dtype=np.float64)
@@ -287,10 +278,7 @@ def income_tax_cents(taxable_annual_cents, system: TaxSystem):
         band_tax += rate * span
     gross_tax = np.maximum(np.rint(band_tax).astype(np.int64) - system.credit_cents, 0)
     si = np.rint(system.si_rate * np.clip(taxable - system.si_floor_cents, 0, None))
-    total = gross_tax + si.astype(np.int64)
-    if total.ndim == 0:
-        return int(total)
-    return total
+    return gross_tax + si.astype(np.int64)
 
 
 # work_status / covid_state integer codes used on the vectorised path

@@ -1,8 +1,11 @@
 """The object-based population loader and validator that the columnar
 `nowcastsim.population` replaced, kept as the differential oracle:
 `load_population` returns (households, persons) as lists of
-`Household`/`Person`, or raises the same `PopulationError`. One rule was
-added after the replacement, in both: every float field must be finite.
+`Household`/`Person`, or raises the same `PopulationError`. Two rules were
+added after the replacement, in both: every float field must be finite, and
+every money field, finite, must be under 2**53 cents in magnitude. A line
+number counts every physical line, blank ones too, as the columnar loader
+came to do after the replacement.
 """
 import csv
 import math
@@ -59,6 +62,15 @@ def _check_finite(violations, tag, record, fields):
                           + ": must be finite")
 
 
+def _check_cents(violations, tag, record, fields):
+    values = {name: getattr(record, name) for name in fields}
+    bad = [name for name, value in values.items()
+           if math.isfinite(value) and abs(value * 100.0) >= 2 ** 53]
+    if bad:
+        violations.append(f"{tag}: " + ", ".join(f"column {name!r}" for name in bad)
+                          + ": must be under 2**53 cents in magnitude")
+
+
 def validate(households, persons) -> list:
     """Return every schema/invariant violation as a human-readable string."""
     violations = []
@@ -88,6 +100,8 @@ def validate(households, persons) -> list:
             violations.append(f"household {h.household_id}: empty member_ids")
         _check_finite(violations, f"household {h.household_id}", h,
                       ("weight", "mortgage_payment", "rent", "childcare_expenditure"))
+        _check_cents(violations, f"household {h.household_id}", h,
+                     ("mortgage_payment", "rent", "childcare_expenditure"))
 
     seen_person = {}
     membership = {}
@@ -146,8 +160,10 @@ def validate(households, persons) -> list:
                 f"{tag}: household_id {p.household_id} disagrees with "
                 f"member_ids of household {homes[0]}"
             )
-        _check_finite(violations, tag, p, ("employment_income", "self_employment_income",
-                                           "capital_income", "private_pension"))
+        money = ("employment_income", "self_employment_income", "capital_income",
+                 "private_pension")
+        _check_finite(violations, tag, p, money)
+        _check_cents(violations, tag, p, money)
 
     for pid, hhs in membership.items():
         if pid not in seen_person:
@@ -186,6 +202,7 @@ _HOUSEHOLD_COLUMNS = (
 
 
 def _read_rows(path, columns):
+    """(physical line, record) per row; a row spanning lines is named by its last."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         got = tuple(reader.fieldnames or ())
@@ -194,7 +211,7 @@ def _read_rows(path, columns):
             raise PopulationError(
                 [f"{os.path.basename(path)}: missing column {c!r}" for c in missing]
             )
-        return list(reader)
+        return [(reader.line_num, rec) for rec in reader]
 
 
 def load_population(path):
@@ -202,7 +219,7 @@ def load_population(path):
     hh_path = os.path.join(path, "households.csv")
     p_path = os.path.join(path, "persons.csv")
     households = []
-    for lineno, rec in enumerate(_read_rows(hh_path, _HOUSEHOLD_COLUMNS), start=2):
+    for lineno, rec in _read_rows(hh_path, _HOUSEHOLD_COLUMNS):
         where = f"households.csv:{lineno}"
         member_ids = tuple(
             _parse(int, tok, where) for tok in rec["member_ids"].split(";") if tok
@@ -222,7 +239,7 @@ def load_population(path):
             )
         )
     persons = []
-    for lineno, rec in enumerate(_read_rows(p_path, _PERSON_COLUMNS), start=2):
+    for lineno, rec in _read_rows(p_path, _PERSON_COLUMNS):
         where = f"persons.csv:{lineno}"
         persons.append(
             Person(

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import nowcastsim
+from nowcastsim import cli
 from nowcastsim.cli import main
 from nowcastsim.population import SynthConfig, generate_synthetic, save_population
 
@@ -56,6 +58,29 @@ class TestSchedulesCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "350.00"
 
+    def test_ceib_with_earnings_pays_the_banded_rate(self, capsys):
+        """A CEIB recipient's benefit is banded on previous earnings
+        (taxben.benefit_weekly_cents), so --earnings picks the band."""
+        code = main(["schedules", "ceib", "--earnings", "100", "--date", "2020-11-15"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "203.00"
+
+    def test_negative_earnings_is_a_usage_error(self, capsys):
+        """Not a negative subsidy: every instrument bands amounts >= 0."""
+        with pytest.raises(SystemExit) as exc:
+            main(["schedules", "twss", "--earnings", "-5", "--date", "2020-05-15"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "argument --earnings: must be >= 0, got -5" in captured.err
+        assert captured.out == ""
+
+    def test_earnings_past_exact_cents_exits_one(self, capsys):
+        code = main(["schedules", "pup", "--earnings", "1e17", "--date", "2020-11-15"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "cannot convert 1e+17 euros to cents" in err
+        assert "Traceback" not in err
+
 
 class TestValidateCommand:
     def test_valid_inputs(self, data_dir, capsys):
@@ -96,6 +121,20 @@ class TestRunCommand:
         files1, files2 = read_dir(out1), read_dir(out2)
         assert files1.keys() == files2.keys()
         assert files1 == files2
+
+    def test_seed_defaults_to_the_scenario_files(self, data_dir, tmp_path):
+        """Without --seed, run generates and simulates with the scenario
+        file's seed (42 in the shipped one)."""
+        synth = tmp_path / "synth.cfg"
+        synth.write_text("households = 60\n")
+        args = ["run", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                "--synth-config", str(synth)]
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        assert main(args + ["--seed", "42", "--out", str(tmp_path / "42")]) == 0
+        assert main(args + ["--seed", "41", "--out", str(tmp_path / "41")]) == 0
+        default = read_dir(tmp_path / "default")
+        assert default == read_dir(tmp_path / "42")
+        assert default != read_dir(tmp_path / "41")
 
     def test_threads_do_not_change_output(self, data_dir, tmp_path):
         synth = tmp_path / "synth.cfg"
@@ -308,9 +347,18 @@ class TestSynthCommand:
 
 
 def test_print_config(capsys):
+    """Only defaults the parser applies: --scenario has none, and run's seed
+    comes from the scenario file."""
     assert main(["--print-config"]) == 0
-    out = capsys.readouterr().out
-    assert "policy_dir" in out and "seed" in out
+    config = json.loads(capsys.readouterr().out)
+    assert config["policy_dir"] == cli.DEFAULT_POLICY_DIR
+    assert config["data_dir"] == cli.DEFAULT_DATA_DIR
+    assert "scenario" not in config
+    assert config["seed"] == {"run": "the scenario file's seed", "synth": 0}
+    assert config["threads"] == 1
+    for argv in (["run", "--out", "unused"], ["validate"]):
+        with pytest.raises(SystemExit):
+            main(argv)
 
 
 def test_missing_scenario_file_is_io_error(tmp_path, capsys):
@@ -435,8 +483,10 @@ def test_unknown_population_column_exits_one(data_dir, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_non_finite_population_values_exit_one(data_dir, tmp_path, capsys, command):
     save_population(generate_synthetic(SynthConfig(households=3), 1), tmp_path / "pop")
+    # 1e17 euros is 1e19 cents: no exact float64, and past int64
     for name, column, text in (("households.csv", "rent", "inf"),
-                               ("persons.csv", "private_pension", "nan")):
+                               ("persons.csv", "private_pension", "nan"),
+                               ("persons.csv", "employment_income", "1e17")):
         path = tmp_path / "pop" / name
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -451,6 +501,8 @@ def test_non_finite_population_values_exit_one(data_dir, tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert "household 1: column 'rent': must be finite" in err
     assert "person 1: column 'private_pension': must be finite" in err
+    assert ("person 1: column 'employment_income': must be under 2**53 cents "
+            "in magnitude") in err
     assert not (tmp_path / "out").exists()
 
 

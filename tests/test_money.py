@@ -1,10 +1,19 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nowcastsim.money import (annual_to_monthly, apply_rate, cents, euros, round_div,
-                              weekly_to_monthly)
+from nowcastsim.money import (MAX_CENTS, annual_to_monthly, apply_rate, cents, euros,
+                              round_div, weekly_to_monthly)
+
+
+def half_away(q: Fraction) -> int:
+    """The exact rational q rounded half away from zero."""
+    n = math.floor(abs(q) + Fraction(1, 2))
+    return n if q >= 0 else -n
 
 
 def test_round_div_halves_away_from_zero():
@@ -26,10 +35,10 @@ def test_round_div_rejects_nonpositive_divisor():
 
 @given(numerators=st.lists(st.integers(-10**12, 10**12), max_size=40),
        d=st.sampled_from([1, 7, 12, 52, 10000]))
-def test_round_div_array_matches_scalar(numerators, d):
+def test_round_div_matches_exact_rationals(numerators, d):
     out = round_div(np.array(numerators, dtype=np.int64), d)
     assert out.dtype == np.int64
-    assert out.tolist() == [round_div(n, d) for n in numerators]
+    assert out.tolist() == [half_away(Fraction(n, d)) for n in numerators]
 
 
 def test_apply_rate_fixes_rate_to_four_places():
@@ -69,10 +78,11 @@ def test_conversions_accept_arrays():
 
 @given(rate=st.floats(0.0, 1.5, allow_nan=False),
        amounts=st.lists(st.integers(-10**9, 10**9), max_size=40))
-def test_apply_rate_array_matches_scalar(rate, amounts):
+def test_apply_rate_matches_exact_rationals(rate, amounts):
     out = apply_rate(rate, np.array(amounts, dtype=np.int64))
     assert out.dtype == np.int64
-    assert out.tolist() == [apply_rate(rate, a) for a in amounts]
+    fixed = Fraction(round(rate * 10000), 10000)
+    assert out.tolist() == [half_away(fixed * a) for a in amounts]
 
 
 # exact half-cent amounts: n/8 euros is exact in binary, and so is its x100
@@ -80,12 +90,28 @@ HALF_CENTS = st.integers(-10**7, 10**7).map(lambda n: n / 8.0)
 
 
 @given(values=st.lists(st.floats(-1e9, 1e9, allow_nan=False) | HALF_CENTS, max_size=40))
-def test_cents_array_matches_scalar(values):
+# x 100 is the largest float below 0.5, which a float "+ 0.5" rounds up to 1
+@example(values=[0.49999999999999994 / 100, -0.49999999999999994 / 100])
+def test_cents_matches_exact_rationals(values):
+    """cents is the float product euros x 100 rounded, exactly, half away
+    from zero."""
     out = cents(np.array(values, dtype=np.float64))
     assert out.dtype == np.int64
-    assert out.tolist() == [cents(v) for v in values]
+    assert out.tolist() == [half_away(Fraction(v * 100.0)) for v in values]
 
 
 def test_cents_array_rejects_non_finite():
     with pytest.raises(ValueError):
         cents(np.array([1.0, np.nan]))
+
+
+def test_cents_rejects_amounts_past_exact_cents():
+    """Past 2**53 cents a float64 holds no exact cent: such an amount raises
+    instead of wrapping round int64."""
+    below = (MAX_CENTS - 1) / 100.0  # the largest whole cent count float64 holds
+    assert cents(np.array([below, -below])).tolist() == [MAX_CENTS - 1, -(MAX_CENTS - 1)]
+    for amount in (MAX_CENTS / 100.0, -MAX_CENTS / 100.0, 1e17):
+        with pytest.raises(ValueError, match="under 2\\*\\*53 cents"):
+            cents(np.array([0.0, amount]))
+        with pytest.raises(ValueError, match="under 2\\*\\*53 cents"):
+            cents(amount)

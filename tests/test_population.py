@@ -91,6 +91,18 @@ class TestValidation:
                                     [tiny_person()]))
         assert any("mortgage" in p for p in problems)
 
+    def test_money_past_exact_cents_named(self):
+        """Past 2**53 cents a float64 holds no exact cent: validate names the
+        row and column instead of the run wrapping the amount round int64."""
+        problems = validate(*tables([tiny_household(rent=-1e14)],
+                                    [tiny_person(employment_income=1e17)]))
+        assert "household 1: column 'rent': must be under 2**53 cents in magnitude" in problems
+        assert ("person 10: column 'employment_income': must be under 2**53 cents "
+                "in magnitude") in problems
+        # the largest whole cent count below 2**53 is accepted
+        assert validate(*tables([tiny_household()],
+                                [tiny_person(employment_income=(2 ** 53 - 1) / 100)])) == []
+
     def test_employment_income_requires_employee(self):
         problems = validate(*tables([tiny_household()],
                                     [tiny_person(work_status="unemployed",
@@ -411,7 +423,7 @@ CELLS = {
         "member_ids": ["", "1", "1;1", "2;1", "3;4", "999", "1;x", ";;3"],
         "tenure": ["mortgage", "renter", " owner_outright ", "castle", ""],
         "mortgage_payment": ["0.00", "12.50", "-1.00", "lots"],
-        "rent": ["-3.00", "0.00", "1e3", "x", "inf"],
+        "rent": ["-3.00", "0.00", "1e3", "x", "inf", "-1e14"],
         "childcare_user": ["true", "false", "yes", ""],
         "childcare_expenditure": ["0.00", "5.00", "-2.00"],
         "n_children_0_4": ["-1", "2", "x"],
@@ -427,7 +439,7 @@ CELLS = {
         "industry": ["", "construction", "space mining"],
         "region": ["southern and eastern", "mars"],
         "work_status": ["employee", "unemployed", "retired", "boss"],
-        "employment_income": ["0.00", "100.00", "-1.00", "x"],
+        "employment_income": ["0.00", "100.00", "-1.00", "x", "1e17"],
         "self_employment_income": ["-100.00", "x"],
         "capital_income": ["-1.00", "5.00", "-inf"],
         "private_pension": ["-1.00", "nan"],
@@ -478,6 +490,10 @@ def same_as_objects(table, objects, columns) -> bool:
 # the repeated id is the later row, after a violation on the row between
 @example(seed=0, households=2, edits=[(("persons.csv", "person_id", "1"), 2),
                                       (("persons.csv", "age", "-1"), 1)])
+# money past 2**53 cents, next to a non-finite cell in the same row
+@example(seed=4, households=2, edits=[(("persons.csv", "employment_income", "1e17"), 0),
+                                      (("persons.csv", "private_pension", "nan"), 0),
+                                      (("households.csv", "rent", "-1e14"), 1)])
 # non-finite money and weights, two in one row
 @example(seed=3, households=2, edits=[(("persons.csv", "private_pension", "nan"), 0),
                                       (("persons.csv", "capital_income", "-inf"), 0),
@@ -526,6 +542,8 @@ def with_cell(data: bytes, column, text, row=1) -> bytes:
 
 PERSONS_EDITS = {
     "blank line": lambda data: data.replace(b"\n", b"\n\n", 2),
+    "blank lines, then a bad cell":
+        lambda data: with_cell(data, "age", "abc", row=2).replace(b"\n", b"\n\n\n", 1),
     "row starts with #": lambda data: data.replace(b"\n1,", b"\n#1,", 1),
     "doubled quotes": lambda data: with_cell(data, "region", 'a "quoted" region'),
     "quoted comma": lambda data: with_cell(data, "sex", "ma,le"),
@@ -574,6 +592,14 @@ def test_syntax_edge_cases_match_oracle(tmp_path, edit, line_end):
      ["persons.csv:2: 1 fields where the header has 16"]),
     ("persons.csv", lambda data: with_cell(data, "age", "9223372036854775808"),
      ["persons.csv:2: bad int '9223372036854775808'"]),
+    # line 5 after two blank lines: physical lines count, as in files.csv_rows
+    ("persons.csv",
+     lambda data: with_cell(data, "age", "abc", row=2).replace(b"\n", b"\n\n\n", 1),
+     ["persons.csv:5: bad int 'abc'"]),
+    # a row whose quoted cell spans lines 2-3 is named by its last line
+    ("persons.csv",
+     lambda data: with_cell(data, "region", "south\nern").replace(b"\n1,", b"\nx,", 1),
+     ["persons.csv:3: bad int 'x'"]),
     ("households.csv", lambda data: with_cell(data, "member_ids", "1;9223372036854775808"),
      ["households.csv:2: bad int '9223372036854775808'"]),
     ("households.csv", lambda data: b"\xef\xbb\xbf" + data,

@@ -318,8 +318,8 @@ def test_evaluate_matches_oracle_on_shipped_regimes(schedules, amounts):
 @given(amounts=st.lists(st.integers(0, 10**9), max_size=30),
        date=st.dates(min_value=D(2020, 3, 13), max_value=D(2021, 6, 30)))
 def test_schedule_functions_match_oracle_at_any_date(schedules, amounts, date):
-    """The public functions, in int and array form, over dates drawn across
-    every regime of each scheme."""
+    """The public functions, on scalar and array amounts, over dates drawn
+    across every regime of each scheme."""
     cases = [(pup_rate_cents, schedules.pup)]
     if date < EWSS_HANDOVER:
         cases.append((twss_subsidy_cents, schedules.twss))
@@ -331,7 +331,7 @@ def test_schedule_functions_match_oracle_at_any_date(schedules, amounts, date):
         expected = oracle(regime, values)
         assert fn(schedules, np.array(values, dtype=np.int64), date).tolist() == expected
         scalars = [fn(schedules, v, date) for v in values]
-        assert scalars == expected and all(type(v) is int for v in scalars)
+        assert scalars == expected
     pup_regime = schedules.pup.regime_at(date)
     assert ceib_rate_cents(schedules, date) == max(
         oracle_eval_band(b, b.lower_cents) for b in pup_regime.bands)
