@@ -128,10 +128,10 @@ def cmd_validate(args) -> int:
             _warn_control_gaps(plan, series)
     check("data", lambda: scenario.load_data_tables(args.data_dir))
     check("policy", lambda: taxben.load_policy(args.policy_dir))
-    if args.population:
-        check("population", lambda: population.load_population(args.population))
-    elif args.synth_config:
-        check("synth-config", lambda: population.parse_synth_config(args.synth_config))
+    # run's seed; without a scenario there is none, and any seed checks the synth config
+    seed = args.seed if args.seed is not None else plan.seed if plan else 0
+    check("population" if args.population else "synth-config",
+          lambda: _load_population(args, seed))
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)

@@ -109,27 +109,32 @@ def load_sector_groups(path) -> dict:
 TRANSPORT_GROUPS = ("ind_manufacturing_utilities", "ind_construction", "ind_commerce",
                     "ind_transport_comms", "ind_public_admin", "ind_education_health",
                     "ind_other")
+# Occupations 1..8 and the age bins from 20; occupation 9 and ages under 20
+# are the reference categories.
+OCCUPATIONS = range(1, 9)
+AGE_BINS = ((20, 24), (25, 29), (30, 34), (35, 39), (40, 44), (45, 49),
+            (50, 54), (55, 59), (60, 64), (65, 69), (70, 74))
+# The names `transport_covariates` supplies, in its order.
+TRANSPORT_COVARIATES = (*TRANSPORT_GROUPS, "region_bmw", *(f"occ_{occ}" for occ in OCCUPATIONS),
+                        *(f"age_{lo}_{hi}" for lo, hi in AGE_BINS), "age_75p", "university")
 
 
 def transport_covariates(group, region_bmw, occupation, age, university) -> dict:
     """Dummy covariates for the transport-mode logits, as bool arrays (the
-    logit index reads each as float64 0/1).
+    logit index reads each as float64 0/1), keyed `TRANSPORT_COVARIATES`.
 
     `group` holds per person the code of the industry-group covariate in
-    `TRANSPORT_GROUPS` (any other code is the reference group); occupation
-    9 and ages under 20 are the reference categories. `region_bmw` and
-    `university` are 0/1 dummies, passed through.
+    `TRANSPORT_GROUPS` (any other code is the reference group). `region_bmw`
+    and `university` are 0/1 dummies, passed through.
     """
     group = np.asarray(group)
     occupation = np.asarray(occupation)
     age = np.asarray(age)
     cov = {name: group == code for code, name in enumerate(TRANSPORT_GROUPS)}
     cov["region_bmw"] = np.asarray(region_bmw)
-    for occ in range(1, 9):
+    for occ in OCCUPATIONS:
         cov[f"occ_{occ}"] = occupation == occ
-    edges = [(20, 24), (25, 29), (30, 34), (35, 39), (40, 44), (45, 49),
-             (50, 54), (55, 59), (60, 64), (65, 69), (70, 74)]
-    for lo, hi in edges:
+    for lo, hi in AGE_BINS:
         cov[f"age_{lo}_{hi}"] = (age >= lo) & (age <= hi)
     cov["age_75p"] = age >= 75
     cov["university"] = np.asarray(university)
@@ -205,6 +210,11 @@ def family_type(n_adults, n_children_under14) -> np.ndarray:
     return np.select([c <= 0, a <= 1, (a == 2) & (c <= 3)], [-1, 0, 1], default=2)
 
 
+# The covariates of the childcare participation logit and spend regression.
+CHILDCARE_COVARIATES = ("n_children_0_4", "n_children", "equiv_income_week",
+                        "equiv_income_week_sq", "two_workers_or_working_lone_parent")
+
+
 def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weights,
                           family_types, deciles, n_children_0_4, n_children_under14,
                           equiv_disposable_week_eur, two_workers_flag, observed_user,
@@ -221,25 +231,20 @@ def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weight
     w = np.asarray(weights, dtype=np.float64)
     ftypes = np.asarray(family_types)
     deciles = np.asarray(deciles)
-    cov = {
-        "n_children_0_4": np.asarray(n_children_0_4, dtype=np.float64),
-        "n_children": np.asarray(n_children_under14, dtype=np.float64),
-        "equiv_income_week": np.asarray(equiv_disposable_week_eur, dtype=np.float64),
-        "equiv_income_week_sq": np.asarray(equiv_disposable_week_eur, dtype=np.float64) ** 2,
-        "two_workers_or_working_lone_parent": np.asarray(two_workers_flag, dtype=np.float64),
-    }
+    equiv_income = np.asarray(equiv_disposable_week_eur, dtype=np.float64)
+    cov = dict(zip(CHILDCARE_COVARIATES, (
+        np.asarray(n_children_0_4, dtype=np.float64),
+        np.asarray(n_children_under14, dtype=np.float64),
+        equiv_income, equiv_income ** 2,
+        np.asarray(two_workers_flag, dtype=np.float64))))
     observed_user = np.asarray(observed_user, dtype=bool)
     observed_spend = np.asarray(observed_spend_eur, dtype=np.float64)
 
-    has_model = models["childcare_has"]
-    spend_model = models["childcare_spend"]
-    p = np.asarray(logit_prob(has_model, {k: v for k, v in cov.items()
-                                          if k in has_model.covariates}))
+    p = np.asarray(logit_prob(models["childcare_has"], cov))
     u = anchored_draws(p, observed_user, seed, "childcare_has", ids)
     users = (u < p) & (ftypes >= 0)
 
-    prediction = np.asarray(linear_predict(
-        spend_model, {k: v for k, v in cov.items() if k in spend_model.covariates}))
+    prediction = np.asarray(linear_predict(models["childcare_spend"], cov))
     # prediction + (observed - prediction) is not always bit-equal to observed
     eps_recovered = observed_spend - prediction
     level = np.where(users & observed_user, prediction + eps_recovered, prediction)

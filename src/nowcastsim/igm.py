@@ -7,13 +7,14 @@ CSV read by `files.csv_rows` (required columns model_name, kind, outcome,
 covariate, value; intercept rows use the covariate name "_constant"), so
 a bad row is reported as `<file>:<line>`.
 
-Covariates are dummy-coded unless registered as continuous: an absent
-dummy reads as 0, while an absent continuous covariate is an error, since
-a silent zero on a continuous field masks a data fault.
+A model the caller requires is checked once, at load, against its kind
+and the covariates the caller supplies: a row naming another covariate
+fails at its line, and a supplied covariate without a row has coefficient 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +22,6 @@ from .files import csv_rows, finite
 from .rng import anchored_uniform, keyed_normal, keyed_uniform
 
 KINDS = ("logit", "linear")
-
-# Continuous covariates of the shipped model set; everything else is a dummy.
-CONTINUOUS_COVARIATES = frozenset(
-    {
-        "n_children_0_4",
-        "n_children",
-        "equiv_income_week",
-        "equiv_income_week_sq",
-    }
-)
 
 
 class ModelError(ValueError):
@@ -48,36 +39,17 @@ class CoefficientSet:
     covariates: tuple
     coefficients: tuple  # floats, one per covariate
     intercept: float
-    continuous: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ModelError(f"{self.name}: unknown model kind {self.kind!r}")
-        if len(self.coefficients) != len(self.covariates):
-            raise ModelError(
-                f"{self.name}: coefficient count {len(self.coefficients)} != "
-                f"covariate count {len(self.covariates)}"
-            )
 
 
 def _index(model: CoefficientSet, covariates: dict):
-    """Linear index intercept + sum(beta * x).
+    """Linear index intercept + sum(beta * x) over the model's covariates.
 
     Accepts scalars or aligned numpy arrays as covariate values.
     """
-    known = set(model.covariates)
-    for name in covariates:
-        if name not in known:
-            raise ModelError(f"{model.name}: unknown covariate {name!r}")
     total = model.intercept
     for name, beta in zip(model.covariates, model.coefficients):
-        if name in covariates:
-            x = covariates[name]
-        elif name in model.continuous:
-            raise ModelError(f"{model.name}: continuous covariate {name!r} missing")
-        else:
-            continue  # absent dummy reads as 0
-        total = total + beta * np.asarray(x, dtype=np.float64)
+        if name in covariates:  # an absent covariate reads as 0
+            total = total + beta * np.asarray(covariates[name], dtype=np.float64)
     idx = np.asarray(total, dtype=np.float64)
     if not np.all(np.isfinite(idx)):
         raise ModelError(f"{model.name}: non-finite linear index")
@@ -86,16 +58,12 @@ def _index(model: CoefficientSet, covariates: dict):
 
 def logit_prob(model: CoefficientSet, covariates: dict):
     """Logistic probability sigma(intercept + sum beta*x), strictly in (0, 1)."""
-    if model.kind != "logit":
-        raise ModelError(f"{model.name}: logit_prob needs a logit model")
     idx = _index(model, covariates)
     p = 1.0 / (1.0 + np.exp(-idx))
     return np.clip(p, 1e-12, 1.0 - 1e-12)
 
 
 def linear_predict(model: CoefficientSet, covariates: dict):
-    if model.kind != "linear":
-        raise ModelError(f"{model.name}: linear_predict needs a linear model")
     return _index(model, covariates)
 
 
@@ -119,14 +87,16 @@ def anchored_draws(probs, observed, seed: int, label: str, ids) -> np.ndarray:
     return anchored_uniform(probs, observed, raw)
 
 
-def load_coefficients(path) -> dict:
+def load_coefficients(path, required: dict) -> dict:
     """Load coefficient sets from a CSV of
     (model_name, kind, outcome, covariate, value); each model has one
-    outcome label and one row per covariate."""
+    outcome label and one row per covariate. `required` maps each model the
+    caller evaluates to (kind, supplied covariate names); others load unchecked."""
     rows = {}
     for where, rec in csv_rows(path, {"model_name": str, "kind": str, "outcome": str,
                                       "covariate": str, "value": finite}, ModelError):
-        name, kind, outcome = rec["model_name"], rec["kind"], rec["outcome"]
+        name, kind, outcome, covariate = (rec["model_name"], rec["kind"], rec["outcome"],
+                                          rec["covariate"])
         if kind not in KINDS:
             raise ModelError(f"{where}: {name}: unknown model kind {kind!r}")
         model = rows.setdefault(name, {"kind": kind, "outcome": outcome, "coeffs": {}})
@@ -135,9 +105,15 @@ def load_coefficients(path) -> dict:
         if model["outcome"] != outcome:
             raise ModelError(f"{where}: {name} declared with a second outcome "
                              f"{outcome!r}; a {kind} model has one")
-        if rec["covariate"] in model["coeffs"]:
-            raise ModelError(f"{where}: second row for {name} covariate {rec['covariate']!r}")
-        model["coeffs"][rec["covariate"]] = rec["value"]
+        if name in required and covariate != "_constant" and covariate not in required[name][1]:
+            raise ModelError(f"{where}: {name} has no covariate {covariate!r}")
+        if covariate in model["coeffs"]:
+            raise ModelError(f"{where}: second row for {name} covariate {covariate!r}")
+        model["coeffs"][covariate] = rec["value"]
+    for name, (kind, _) in required.items():
+        if name not in rows or rows[name]["kind"] != kind:
+            raise ModelError(f"{os.path.basename(path)}: the engine needs a {kind} model "
+                             f"{name!r}")
 
     models = {}
     for name, entry in rows.items():
@@ -149,6 +125,5 @@ def load_coefficients(path) -> dict:
             covariates=tuple(covariates),
             coefficients=tuple(coeffs[c] for c in covariates),
             intercept=coeffs.get("_constant", 0.0),
-            continuous=CONTINUOUS_COVARIATES.intersection(covariates),
         )
     return models

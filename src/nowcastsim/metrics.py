@@ -153,12 +153,15 @@ class DistributionSummary:
     gini: dict = field(default_factory=dict)         # definition -> Gini
     decile_means: dict = field(default_factory=dict)  # definition -> 10-vector
     decomposition: tuple = (0.0, 0.0, 0.0)           # (benefits, taxes, expenses)
+    deciles: np.ndarray = None                       # each person's decile, 1..10
 
 
-def summarize(label: str, hh_equivalized: dict, hh_row, weights, deciles):
+def summarize(label: str, hh_equivalized: dict, hh_row, weights, deciles=None):
     """Build a DistributionSummary from household-level equivalised
     incomes, each carried by the household's persons (`hh_row` maps person
-    rows to household rows), and the fixed deciles (see decile_means)."""
+    rows to household rows), and the fixed deciles (see decile_means); with
+    none given, persons are ranked into deciles by this adjusted income, ties
+    by row, from the order its Gini sorts by."""
     w = np.asarray(weights, dtype=np.float64)
     equivalized = {name: v[hh_row] for name, v in hh_equivalized.items()}
     means = {}
@@ -166,14 +169,17 @@ def summarize(label: str, hh_equivalized: dict, hh_row, weights, deciles):
     for name in INCOME_DEFINITIONS:
         v = equivalized[name]
         means[name] = float(np.sum(v * w) / np.sum(w))
-        gini[name] = weighted_gini(v, w, household_order(hh_equivalized[name], hh_row))
+        order = household_order(hh_equivalized[name], hh_row)
+        gini[name] = weighted_gini(v, w, order)
+        if deciles is None and name == "adjusted":
+            deciles = weighted_quantile_groups(order, w, 10)
     decile_table = decile_means(equivalized, w, deciles)
     decomposition = redistribution_decomposition(
         gini["market"], gini["gross"], gini["disposable"], gini["adjusted"]
     )
     return DistributionSummary(
         label=label, means=means, gini=gini, decile_means=decile_table,
-        decomposition=decomposition,
+        decomposition=decomposition, deciles=deciles,
     )
 
 

@@ -336,19 +336,17 @@ class DataTables:
     national: dict
 
 
-# The coefficient models the engine evaluates, by kind.
-ENGINE_MODELS = {"transport_public": "logit", "transport_private": "logit",
-                 "childcare_has": "logit", "childcare_spend": "linear"}
+# The coefficient models the engine evaluates: (kind, the covariates it supplies).
+ENGINE_MODELS = {"transport_public": ("logit", expenses.TRANSPORT_COVARIATES),
+                 "transport_private": ("logit", expenses.TRANSPORT_COVARIATES),
+                 "childcare_has": ("logit", expenses.CHILDCARE_COVARIATES),
+                 "childcare_spend": ("linear", expenses.CHILDCARE_COVARIATES)}
 
 
 def load_data_tables(data_dir) -> DataTables:
     join = lambda name: os.path.join(data_dir, name)
-    models = igm.load_coefficients(join("coefficients.csv"))
-    for name, kind in ENGINE_MODELS.items():
-        if name not in models or models[name].kind != kind:
-            raise igm.ModelError(f"coefficients.csv: the engine needs a {kind} model {name!r}")
     return DataTables(
-        models=models,
+        models=igm.load_coefficients(join("coefficients.csv"), ENGINE_MODELS),
         sector_groups=expenses.load_sector_groups(join("sector_groups.csv")),
         commute=expenses.load_commute_costs(join("commuting_costs.csv")),
         childcare_grid=expenses.load_childcare_grid(join("childcare_cost_grid.csv")),
@@ -688,7 +686,6 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     # (c) wage subsidy among remaining employees, per sector
     subsidised = np.zeros(n, dtype=bool)
     if subsidy_scheme != "none" and controls.subsidy_by_sector:
-        gross_weekly = round_div(base.emp_cents, 52)
         targets = _scaled_sector_targets(base, controls.subsidy_by_sector, national_employment)
         rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(targets)])
         rows = rows[~job_lost[rows] & ~ceib[rows]]
@@ -699,8 +696,8 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                 amount[rows] = taxben.twss_subsidy_cents(
                     schedules, base.take_home_weekly_cents[rows], wave.date)
             else:
-                amount[rows] = taxben.ewss_subsidy_cents(schedules, gross_weekly[rows],
-                                                         wave.date)
+                amount[rows] = taxben.ewss_subsidy_cents(
+                    schedules, round_div(base.emp_cents[rows], 52), wave.date)
         for sector, target in sorted(targets.items()):
             # pay bands outside the scheme ("no subsidy applies") are ineligible;
             # a subset of the ranked rows keeps their order
@@ -708,7 +705,8 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
             subsidised[_align_rows(rows, ranked, base.person_weight, target, unit_weight,
                                    f"wage subsidy in {sector!r}")] = True
         covid[subsidised] = taxben.COVID_CODES["wage_subsidised"]
-        shortfall = np.maximum(gross_weekly[subsidised] - amount[subsidised], 0)
+        gross_weekly = round_div(base.emp_cents[subsidised], 52)
+        shortfall = np.maximum(gross_weekly - amount[subsidised], 0)
         emp_now[subsidised] = (amount[subsidised] + apply_rate(employer_topup, shortfall)) * 52
 
     # (d) home working for non-essential remaining workers
@@ -827,14 +825,9 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
     else:
         results = [run_wave(w) for w in scenario.waves]
 
-    deciles = None
     summaries = []
-    for r in results:
-        equivalized = household_equivalized(base, r)
-        if deciles is None:  # ranked once, by the first wave; ties by row, so by id
-            deciles = metrics.weighted_quantile_groups(
-                metrics.household_order(equivalized["adjusted"], base.hh_row),
-                base.person_weight, 10)
-        summaries.append(metrics.summarize(r.label, equivalized, base.hh_row,
-                                           base.person_weight, deciles))
+    for r in results:  # the first wave ranks the deciles; rows are in id order
+        summaries.append(metrics.summarize(
+            r.label, household_equivalized(base, r), base.hh_row, base.person_weight,
+            summaries[0].deciles if summaries else None))
     return base, results, summaries

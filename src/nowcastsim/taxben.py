@@ -159,26 +159,20 @@ class TaxSystem:
     """Simplified parametric baseline system: progressive bands, a credit,
     flat social insurance above a floor, and weekly benefit rates."""
 
-    band_thresholds_cents: tuple   # ascending, first must be 0 (annual)
-    band_rates: tuple
+    band_thresholds_cents: tuple   # ascending, the first 0 (annual)
+    band_rates: tuple              # one per threshold, each in [0, 1]
     credit_cents: int              # annual, non-refundable
     si_rate: float
     si_floor_cents: int            # annual
     unemployment_weekly_cents: int
     pension_weekly_cents: int
 
-    def __post_init__(self):
-        t = self.band_thresholds_cents
-        if not t or t[0] != 0 or list(t) != sorted(set(t)):
-            raise PolicyError("tax bands need ascending thresholds starting at 0")
-        if any(not 0.0 <= r <= 1.0 for r in self.band_rates):
-            raise PolicyError("tax rates must lie in [0, 1]")
-        if len(self.band_rates) != len(t):
-            raise PolicyError("one rate per band threshold required")
-
 
 def load_tax_system(path) -> TaxSystem:
-    bands = []
+    """Read `tax_system.cfg`. Each `band = <threshold EUR>:<rate>` line must
+    have a threshold >= 0 that no other band has and a rate in [0, 1], and
+    one band must start at 0."""
+    bands = {}  # threshold cents -> rate
     values = {}
 
     def number(key, text, where):
@@ -192,19 +186,27 @@ def load_tax_system(path) -> TaxSystem:
             raise PolicyError(f"{where}: [{section}]: this file has no sections")
         if key == "band":
             threshold, _, rate = value.partition(":")
-            bands.append((cents(number("band threshold", threshold, where)),
-                          number("band rate", rate, where)))
+            threshold = cents(number("band threshold", threshold, where))
+            rate = number("band rate", rate, where)
+            if threshold < 0:
+                raise PolicyError(f"{where}: band threshold must be >= 0, got {value}")
+            if not 0.0 <= rate <= 1.0:
+                raise PolicyError(f"{where}: band rate must lie in [0, 1], got {value}")
+            if threshold in bands:
+                raise PolicyError(f"{where}: second band at threshold {threshold / 100:.2f}")
+            bands[threshold] = rate
         elif key in values:
             raise PolicyError(f"{where}: {key} is given twice")
         elif key in TAX_KEYS:
             values[key] = number(key, value, where)
         else:
             raise PolicyError(f"{where}: unknown key {key!r}")
-    bands.sort()
+    if 0 not in bands:
+        raise PolicyError(f"{os.path.basename(path)}: no band starts at threshold 0")
     try:
         return TaxSystem(
-            band_thresholds_cents=tuple(b[0] for b in bands),
-            band_rates=tuple(b[1] for b in bands),
+            band_thresholds_cents=tuple(sorted(bands)),
+            band_rates=tuple(bands[t] for t in sorted(bands)),
             credit_cents=cents(values["credit"]),
             si_rate=values["si_rate"],
             si_floor_cents=cents(values["si_floor"]),

@@ -109,6 +109,23 @@ class TestValidateCommand:
         assert "99" in err
 
 
+    @pytest.mark.parametrize("seed_args, seed", [(["--seed", "5"], 5), ([], 42)])
+    def test_generated_population_uses_runs_seed(self, data_dir, tmp_path, capsys,
+                                                  monkeypatch, seed_args, seed):
+        """validate generates and checks the population run would: from
+        --seed, else from the scenario file's seed (42 in the shipped one)."""
+        seeds = []
+        generate = cli.population.generate_synthetic
+        monkeypatch.setattr(cli.population, "generate_synthetic",
+                            lambda cfg, s: seeds.append(s) or generate(cfg, s))
+        synth = tmp_path / "synth.cfg"
+        synth.write_text("households = 10\n")
+        code = main(["validate", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                     "--synth-config", str(synth), *seed_args])
+        assert code == 0 and seeds == [seed]
+        assert capsys.readouterr().out == "all inputs valid\n"
+
+
 class TestRunCommand:
     def test_run_twice_is_byte_identical(self, data_dir, tmp_path):
         args = ["run", "--scenario", os.path.join(data_dir, "scenario.cfg"),
@@ -449,6 +466,27 @@ def test_non_numeric_tax_system_is_located(policy_dir, data_dir, tmp_path, capsy
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("old, new, where", [
+    ("band = 0:0.20", "band = 100:0.20", "tax_system.cfg: no band starts at threshold 0"),
+    ("band = 35300:0.40", "band = 35300:1.5",
+     "tax_system.cfg:3: band rate must lie in [0, 1], got 35300:1.5"),
+    ("band = 35300:0.40", "band = 0:0.40", "tax_system.cfg:3: second band at threshold 0.00"),
+    ("band = 35300:0.40", "band = -5:0.40",
+     "tax_system.cfg:3: band threshold must be >= 0, got -5:0.40"),
+])
+def test_bad_tax_band_is_located(policy_dir, data_dir, tmp_path, capsys, command, old, new,
+                                 where):
+    edited_copy(policy_dir, tmp_path / "policy", "tax_system.cfg", old, new)
+    args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+            "--policy-dir", str(tmp_path / "policy")]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert f"{where}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "synth"])
 @pytest.mark.parametrize("line", ["weight_jitter = yes", "essential_share[not a sector] = 0.5",
                                   "income_offset[manufactoring] = 0.1", "households = lots",
@@ -606,6 +644,40 @@ def test_reference_file_faults_are_located(data_dir, tmp_path, capsys, command, 
     assert where in err and "Traceback" not in err
     assert (repr(column) if fault == "renamed column" else "'abc'") in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_coefficient_row_the_engine_does_not_supply_exits_one(data_dir, tmp_path, capsys,
+                                                              command):
+    """An occ_9 dummy would never be read: occupation 9 is the reference."""
+    shutil.copytree(data_dir, tmp_path / "data")
+    with open(tmp_path / "data" / "coefficients.csv", "a", encoding="utf-8") as fh:
+        fh.write("transport_public,logit,1,occ_9,5.0\n")
+    args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+            "--data-dir", str(tmp_path / "data")]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert ("coefficients.csv:73: transport_public has no covariate 'occ_9'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_supplied_covariate_without_a_row_runs(data_dir, tmp_path, capsys):
+    """A covariate the engine supplies but the model has no row for has
+    coefficient 0: here transport_public's university dummy."""
+    shutil.copytree(data_dir, tmp_path / "data")
+    path = tmp_path / "data" / "coefficients.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines
+                            if not line.startswith("transport_public,logit,1,university,")),
+                    encoding="utf-8")
+    synth = tmp_path / "synth.cfg"
+    synth.write_text("households = 40\n")
+    assert main(["run", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                 "--data-dir", str(tmp_path / "data"), "--synth-config", str(synth),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "gini.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nowcastsim.expenses import (AGE_BANDS, FAMILY_TYPES, MODE_NONE, MODE_PRIVATE, MODE_PUBLIC,
-                                 CapitalHoldingsGrid, ChildcareCostGrid, ExpenseError, age_band,
+                                 TRANSPORT_COVARIATES, CapitalHoldingsGrid, ChildcareCostGrid, ExpenseError, age_band,
                                  assign_commute_modes,
                                  capital_participants,
                                  capital_value_change_cents,
                                  childcare_costs_cents, commuting_cost_cents,
-                                 family_type, housing_cost_cents)
+                                 family_type, housing_cost_cents, transport_covariates)
 from nowcastsim.igm import anchored_draws, logit_prob
 from nowcastsim.money import cents
 from nowcastsim.population import SECTORS
@@ -52,6 +52,15 @@ class TestCommuteModes:
             age=np.array([age]), university=np.array([0.0]),
             person_ids=np.array([1]), seed=3,
         )[0]
+
+    def test_covariates_are_the_declared_names(self):
+        """The names the loader lets the transport logits use are the ones
+        `transport_covariates` supplies."""
+        n = 9
+        cov = transport_covariates(np.arange(n), np.zeros(n), np.arange(1, n + 1),
+                                   np.arange(n) * 10, np.zeros(n))
+        assert tuple(cov) == TRANSPORT_COVARIATES
+        assert len(TRANSPORT_COVARIATES) == 29
 
     def test_non_worker_gets_none(self, tables):
         assert self.assign(tables, is_worker=False) == MODE_NONE

@@ -8,11 +8,10 @@ from nowcastsim.igm import (CoefficientSet, ModelError, anchored_draws,
                             logit_prob)
 
 
-def make_logit(covariates, coefficients, intercept, continuous=()):
+def make_logit(covariates, coefficients, intercept):
     return CoefficientSet(
         name="m", kind="logit", covariates=tuple(covariates),
         coefficients=tuple(coefficients), intercept=intercept,
-        continuous=frozenset(continuous),
     )
 
 
@@ -42,26 +41,16 @@ class TestLogit:
         assert 0.0133 < logit_prob(model, {"region_bmw": 1.0}) < 0.0135
 
     def test_monotone_in_positive_coefficient(self):
-        model = make_logit(["x"], [0.8], -1.0, continuous=["x"])
+        model = make_logit(["x"], [0.8], -1.0)
         probs = [logit_prob(model, {"x": v}) for v in np.linspace(-3, 3, 13)]
         assert all(b > a for a, b in zip(probs, probs[1:]))
-
-    def test_unknown_covariate_in_input_rejected(self):
-        model = make_logit(["a"], [1.0], 0.0)
-        with pytest.raises(ModelError):
-            logit_prob(model, {"typo": 1.0})
-
-    def test_missing_continuous_covariate_rejected(self):
-        model = make_logit(["a", "inc"], [1.0, 0.5], 0.0, continuous=["inc"])
-        with pytest.raises(ModelError):
-            logit_prob(model, {"a": 1.0})
 
     def test_missing_dummy_reads_as_zero(self):
         model = make_logit(["a", "b"], [1.0, 5.0], 0.0)
         assert logit_prob(model, {"a": 0.0}) == logit_prob(model, {"a": 0.0, "b": 0.0})
 
     def test_result_strictly_inside_unit_interval(self):
-        model = make_logit(["x"], [1.0], 0.0, continuous=["x"])
+        model = make_logit(["x"], [1.0], 0.0)
         assert 0.0 < logit_prob(model, {"x": -500.0})
         assert logit_prob(model, {"x": 500.0}) < 1.0
 
@@ -161,7 +150,7 @@ class TestLoader:
         path.write_text("model_name,kind,outcome,covariate,value\n"
                         "mode,multinomial,bus,_constant,0.5\n")
         with pytest.raises(ModelError, match="coefficients.csv:2: mode: unknown model kind"):
-            load_coefficients(path)
+            load_coefficients(path, {})
 
     def test_second_outcome_rejected_with_location(self, tmp_path):
         path = tmp_path / "coefficients.csv"
@@ -170,10 +159,43 @@ class TestLoader:
                         "mode,logit,car,_constant,0.2\n")
         with pytest.raises(ModelError, match="coefficients.csv:3: mode declared with a "
                                              "second outcome 'car'"):
-            load_coefficients(path)
+            load_coefficients(path, {})
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("model_name,kind\nx,logit\n")
         with pytest.raises(ModelError):
-            load_coefficients(path)
+            load_coefficients(path, {})
+
+    def test_unsupplied_covariate_rejected_with_location(self, tmp_path):
+        path = tmp_path / "coefficients.csv"
+        path.write_text("model_name,kind,outcome,covariate,value\n"
+                        "mode,logit,bus,_constant,0.5\n"
+                        "mode,logit,bus,age,0.1\n"
+                        "mode,logit,bus,income,0.2\n")
+        with pytest.raises(ModelError, match="coefficients.csv:4: mode has no covariate "
+                                             "'income'"):
+            load_coefficients(path, {"mode": ("logit", ("age", "region"))})
+        # a model not required loads unchecked
+        assert load_coefficients(path, {})["mode"].covariates == ("age", "income")
+
+    def test_supplied_covariate_without_row_has_coefficient_zero(self, tmp_path):
+        path = tmp_path / "coefficients.csv"
+        path.write_text("model_name,kind,outcome,covariate,value\n"
+                        "mode,logit,bus,_constant,0.5\n"
+                        "mode,logit,bus,age,0.1\n")
+        model = load_coefficients(path, {"mode": ("logit", ("age", "region"))})["mode"]
+        assert model.covariates == ("age",)
+        assert logit_prob(model, {"age": 1.0, "region": 1.0}) == logit_prob(model, {"age": 1.0})
+
+    @pytest.mark.parametrize("required, message", [
+        ({"car": ("logit", ("age",))}, "coefficients.csv: the engine needs a logit model 'car'"),
+        ({"mode": ("linear", ("age",))},
+         "coefficients.csv: the engine needs a linear model 'mode'"),
+    ])
+    def test_missing_or_wrong_kind_required_model_rejected(self, tmp_path, required, message):
+        path = tmp_path / "coefficients.csv"
+        path.write_text("model_name,kind,outcome,covariate,value\n"
+                        "mode,logit,bus,_constant,0.5\n")
+        with pytest.raises(ModelError, match=message):
+            load_coefficients(path, required)

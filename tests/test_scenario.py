@@ -570,6 +570,20 @@ class TestRunScenario:
         before = summaries1[0].decile_means["adjusted"]
         assert np.all(np.diff(before) >= 0)
 
+    def test_each_wave_ranks_each_definition_once(self, small_pop, tables, schedules,
+                                                  default_scenario, shipped_controls,
+                                                  monkeypatch):
+        """The fixed deciles come from the order the first wave's adjusted
+        Gini sorts by, not from a fifth ranking of that wave."""
+        calls = []
+        inner = metrics.household_order
+        monkeypatch.setattr(metrics, "household_order",
+                            lambda values, rows: calls.append(1) or inner(values, rows))
+        _, _, summaries = run_scenario(small_pop, default_scenario, shipped_controls, tables,
+                                       schedules, seed=42)
+        assert len(calls) == 4 * len(default_scenario.waves) == 28
+        assert all(s.deciles is summaries[0].deciles for s in summaries)
+
     def test_null_scenario_constant_across_waves(self, small_pop, tables, schedules,
                                                  tmp_path, default_scenario):
         controls = tmp_path / "controls.csv"
