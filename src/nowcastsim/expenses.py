@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import align_continuous
-from .files import csv_rows, finite
+from .files import csv_rows, finite, money_cents
 from .igm import anchored_draws, linear_predict, logit_prob
 from .money import cents
 from .population import SECTORS, TENURES
@@ -65,8 +65,8 @@ def load_commute_costs(path) -> CommuteCostTable:
     mf = [0, 0, 0, 0]
     pt = [0, 0, 0, 0]
     seen = set()
-    columns = {"workers": int, "motor_fuels_eur": finite, "public_transport_eur": finite,
-               "total_eur": finite}
+    columns = {"workers": int, "motor_fuels_eur": money_cents,
+               "public_transport_eur": money_cents, "total_eur": money_cents}
     for where, rec in csv_rows(path, columns, ExpenseError):
         n = rec["workers"]
         if n not in (1, 2, 3):
@@ -74,9 +74,9 @@ def load_commute_costs(path) -> CommuteCostTable:
         if n in seen:
             raise ExpenseError(f"{where}: second row for workers {n}")
         seen.add(n)
-        mf[n] = cents(rec["motor_fuels_eur"])
-        pt[n] = cents(rec["public_transport_eur"])
-        total = cents(rec["total_eur"])
+        mf[n] = rec["motor_fuels_eur"]
+        pt[n] = rec["public_transport_eur"]
+        total = rec["total_eur"]
         if abs(total - mf[n] - pt[n]) > 1:  # components must add up to the total
             raise ExpenseError(f"{where}: total {total} != {mf[n]} + {pt[n]} within a cent")
     missing = [n for n in (1, 2, 3) if n not in seen]
@@ -189,7 +189,7 @@ class ChildcareCostGrid:
 
 def load_childcare_grid(path) -> ChildcareCostGrid:
     cells = {}
-    columns = {"family_type": str, "decile": int, "cost_eur_week": finite}
+    columns = {"family_type": str, "decile": int, "cost_eur_week": money_cents}
     for where, rec in csv_rows(path, columns, ExpenseError):
         ftype, decile = rec["family_type"], rec["decile"]
         if ftype not in FAMILY_TYPES:
@@ -199,7 +199,7 @@ def load_childcare_grid(path) -> ChildcareCostGrid:
         cell = (FAMILY_TYPES.index(ftype), decile)
         if cell in cells:
             raise ExpenseError(f"{where}: second row for cell {(ftype, decile)!r}")
-        cells[cell] = cents(rec["cost_eur_week"])
+        cells[cell] = rec["cost_eur_week"]
     return ChildcareCostGrid(cells=cells)
 
 
@@ -293,9 +293,9 @@ class CapitalHoldingsGrid:
 
 
 def load_holdings_grid(participation_path, values_path) -> CapitalHoldingsGrid:
-    def cells(path, column, valid, message):
+    def cells(path, column, parse, valid, message):
         grid = np.full((len(AGE_BANDS), 5), np.nan)
-        columns = {"age_band": str, "quintile": int, column: finite}
+        columns = {"age_band": str, "quintile": int, column: parse}
         for where, rec in csv_rows(path, columns, ExpenseError):
             band, quintile = rec["age_band"], rec["quintile"]
             if band not in AGE_BANDS:
@@ -314,10 +314,12 @@ def load_holdings_grid(participation_path, values_path) -> CapitalHoldingsGrid:
                                f"{(AGE_BANDS[band], int(quintile) + 1)!r}")
         return grid
 
-    participation = cells(participation_path, "participation",
+    participation = cells(participation_path, "participation", finite,
                           lambda rate: 0.0 <= rate <= 1.0, "rate outside [0, 1]")
-    values = cells(values_path, "value_eur_thousand", lambda v: v >= 0, "negative holding value")
-    return CapitalHoldingsGrid(participation=participation, value_cents=cents(values * 1000.0))
+    values = cells(values_path, "value_eur_thousand", lambda text: money_cents(text, 1000.0),
+                   lambda v: v >= 0, "negative holding value")
+    # cents under 2**53 are whole float64 values
+    return CapitalHoldingsGrid(participation=participation, value_cents=values.astype(np.int64))
 
 
 # Holding-grid age bands, labelled by decade: <35, 35-44, 45-54, 55-64, 65+.

@@ -8,6 +8,8 @@ import csv
 import math
 import os
 
+from .money import cents
+
 
 def csv_rows(path, columns: dict, error):
     """Yield (where, record) per data row of a header-first CSV. `columns`
@@ -92,3 +94,10 @@ def finite(text) -> float:
     if not math.isfinite(value):
         raise ValueError(f"not finite: {text!r}")
     return value
+
+
+def money_cents(text, unit: float = 1.0):
+    """Parse a money cell of `unit` euros into int64 cents: a `finite`
+    number, which `money.cents` rejects with ValueError outside
+    `money.has_cents`."""
+    return cents(finite(text) * unit)

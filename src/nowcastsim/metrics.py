@@ -3,10 +3,10 @@ and the benefits/taxes/expenses redistribution decomposition.
 
 Analysis is person-weighted: each person carries their household's survey
 weight and the household's equivalised income (modified OECD scale).
-A Gini sorts persons by income, ties by row. As a person's income is their
-household's, `summarize` takes that order from household ranks: household
-values are dense-ranked (equal values, 0.0 and -0.0 too, share a rank) and
-persons sorted by the integer key rank << b | row (`household_order`).
+As every person of a household has its income, `summarize` takes each mean
+and Gini over households weighted by their persons' summed weight (the
+grouped-data Gini, Lerman & Yitzhaki 1989): in exact arithmetic, the person
+figures. Deciles stay per person, ranked by `household_order`.
 """
 from __future__ import annotations
 
@@ -46,8 +46,8 @@ def weighted_gini(values, weights, order=None) -> float:
         G = sum_i w_i x_i (2 c_i - w_i - W) / (W^2 mu)
 
     with c_i the inclusive cumulative weight in ascending-x order, which
-    equals the double sum (tie order does not matter); `order` is the
-    stable argsort of the values when the caller has it.
+    equals the double sum (tie order does not matter); `order` is any
+    ascending argsort of the values when the caller has it.
     """
     x = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -159,21 +159,21 @@ class DistributionSummary:
 def summarize(label: str, hh_equivalized: dict, hh_row, weights, deciles=None):
     """Build a DistributionSummary from household-level equivalised
     incomes, each carried by the household's persons (`hh_row` maps person
-    rows to household rows), and the fixed deciles (see decile_means); with
-    none given, persons are ranked into deciles by this adjusted income, ties
-    by row, from the order its Gini sorts by."""
+    rows to household rows; every household has one), and the fixed deciles
+    (see decile_means); with none given, persons are ranked into deciles by
+    this adjusted income, ties by row. Means and Ginis are taken over
+    households weighted by their persons' summed weight."""
     w = np.asarray(weights, dtype=np.float64)
-    equivalized = {name: v[hh_row] for name, v in hh_equivalized.items()}
-    means = {}
-    gini = {}
-    for name in INCOME_DEFINITIONS:
-        v = equivalized[name]
-        means[name] = float(np.sum(v * w) / np.sum(w))
-        order = household_order(hh_equivalized[name], hh_row)
-        gini[name] = weighted_gini(v, w, order)
-        if deciles is None and name == "adjusted":
-            deciles = weighted_quantile_groups(order, w, 10)
-    decile_table = decile_means(equivalized, w, deciles)
+    hw = np.bincount(hh_row, weights=w, minlength=len(hh_equivalized["adjusted"]))
+    means = {name: float(np.sum(hh_equivalized[name] * hw) / np.sum(hw))
+             for name in INCOME_DEFINITIONS}
+    gini = {name: weighted_gini(hh_equivalized[name], hw, np.argsort(hh_equivalized[name]))
+            for name in INCOME_DEFINITIONS}
+    if deciles is None:
+        deciles = weighted_quantile_groups(
+            household_order(hh_equivalized["adjusted"], hh_row), w, 10)
+    decile_table = decile_means({name: v[hh_row] for name, v in hh_equivalized.items()},
+                                w, deciles)
     decomposition = redistribution_decomposition(
         gini["market"], gini["gross"], gini["disposable"], gini["adjusted"]
     )

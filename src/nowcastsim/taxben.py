@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import csv_rows, finite, key_values
-from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
+from .files import csv_rows, finite, key_values, money_cents
+from .money import annual_to_monthly, apply_rate, round_div, weekly_to_monthly
 from .population import COVID_STATES, WORK_STATUSES
 
 TWSS_START = dt.date(2020, 3, 13)
@@ -111,8 +111,8 @@ def _parse_band_value(text: str, lower_cents: int, where: str) -> Band:
     try:
         if text.startswith("taper:"):
             _, start, end = text.split(":")
-            return Band(lower_cents, "taper", value_cents=cents(finite(start)),
-                        taper_end_cents=cents(finite(end)))
+            return Band(lower_cents, "taper", value_cents=money_cents(start),
+                        taper_end_cents=money_cents(end))
         if "%" in text:
             rate_part, _, cap_part = text.partition("%")
             rate = finite(rate_part) / 100.0
@@ -120,9 +120,9 @@ def _parse_band_value(text: str, lower_cents: int, where: str) -> Band:
             if cap_part:
                 if not cap_part.startswith("max"):
                     raise ValueError(cap_part)
-                cap = cents(finite(cap_part[3:]))
+                cap = money_cents(cap_part[3:])
             return Band(lower_cents, "rate", rate=rate, cap_cents=cap)
-        return Band(lower_cents, "flat", value_cents=cents(finite(text)))
+        return Band(lower_cents, "flat", value_cents=money_cents(text))
     except ValueError as exc:
         raise PolicyError(f"{where}: bad band value {text!r}") from exc
 
@@ -132,10 +132,10 @@ def load_schedule(path, scheme: str) -> Schedule:
     by_date = {}
     name = os.path.basename(path)
     for where, rec in csv_rows(path, {"scheme": str, "effective_from": dt.date.fromisoformat,
-                                      "band_lower": finite, "value": str}, PolicyError):
+                                      "band_lower": money_cents, "value": str}, PolicyError):
         if rec["scheme"] != scheme:
             raise PolicyError(f"{where}: expected scheme {scheme!r}")
-        lower = cents(rec["band_lower"])
+        lower = rec["band_lower"]
         if lower < 0:  # amounts are banded at max(amount, 0)
             raise PolicyError(f"{where}: negative band_lower")
         band = _parse_band_value(rec["value"], lower, where)
@@ -175,18 +175,19 @@ def load_tax_system(path) -> TaxSystem:
     bands = {}  # threshold cents -> rate
     values = {}
 
-    def number(key, text, where):
+    def number(key, text, where, parse=finite):
         try:
-            return finite(text)
+            return parse(text)
         except ValueError:
-            raise PolicyError(f"{where}: {key} is not a number: {text!r}") from None
+            kind = "a number" if parse is finite else "an amount in euros under 2**53 cents"
+            raise PolicyError(f"{where}: {key} is not {kind}: {text!r}") from None
 
     for where, section, key, value in key_values(path, PolicyError):
         if key is None:
             raise PolicyError(f"{where}: [{section}]: this file has no sections")
         if key == "band":
             threshold, _, rate = value.partition(":")
-            threshold = cents(number("band threshold", threshold, where))
+            threshold = number("band threshold", threshold, where, money_cents)
             rate = number("band rate", rate, where)
             if threshold < 0:
                 raise PolicyError(f"{where}: band threshold must be >= 0, got {value}")
@@ -198,7 +199,7 @@ def load_tax_system(path) -> TaxSystem:
         elif key in values:
             raise PolicyError(f"{where}: {key} is given twice")
         elif key in TAX_KEYS:
-            values[key] = number(key, value, where)
+            values[key] = number(key, value, where, finite if key == "si_rate" else money_cents)
         else:
             raise PolicyError(f"{where}: unknown key {key!r}")
     if 0 not in bands:
@@ -207,11 +208,11 @@ def load_tax_system(path) -> TaxSystem:
         return TaxSystem(
             band_thresholds_cents=tuple(sorted(bands)),
             band_rates=tuple(bands[t] for t in sorted(bands)),
-            credit_cents=cents(values["credit"]),
+            credit_cents=values["credit"],
             si_rate=values["si_rate"],
-            si_floor_cents=cents(values["si_floor"]),
-            unemployment_weekly_cents=cents(values["unemployment_rate_weekly"]),
-            pension_weekly_cents=cents(values["pension_rate_weekly"]),
+            si_floor_cents=values["si_floor"],
+            unemployment_weekly_cents=values["unemployment_rate_weekly"],
+            pension_weekly_cents=values["pension_rate_weekly"],
         )
     except KeyError as exc:
         raise PolicyError(f"{os.path.basename(path)}: missing key {exc.args[0]!r}") from exc

@@ -487,6 +487,45 @@ def test_bad_tax_band_is_located(policy_dir, data_dir, tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+AMOUNT = "is not an amount in euros under 2**53 cents"
+
+
+@pytest.mark.parametrize("directory, name, old, new, where", [
+    ("policy", "tax_system.cfg", "band = 35300:0.40", "band = 1e17:0.40",
+     f"tax_system.cfg:3: band threshold {AMOUNT}: '1e17'"),
+    ("policy", "tax_system.cfg", "credit = 3300", "credit = 1e17",
+     f"tax_system.cfg:4: credit {AMOUNT}: '1e17'"),
+    ("policy", "tax_system.cfg", "si_floor = 18304", "si_floor = -1e17",
+     f"tax_system.cfg:6: si_floor {AMOUNT}: '-1e17'"),
+    ("policy", "tax_system.cfg", "unemployment_rate_weekly = 203",
+     "unemployment_rate_weekly = 1e17", f"tax_system.cfg:7: unemployment_rate_weekly {AMOUNT}"),
+    ("policy", "tax_system.cfg", "pension_rate_weekly = 248.30", "pension_rate_weekly = 1e17",
+     f"tax_system.cfg:8: pension_rate_weekly {AMOUNT}"),
+    ("policy", "pup.csv", "pup,2020-03-24,0,", "pup,2020-03-24,1e17,",
+     "pup.csv:3: bad band_lower '1e17'"),
+    ("policy", "twss.csv", "twss,2020-03-26,586,", "twss,2020-03-26,1e17,",
+     "twss.csv:4: bad band_lower '1e17'"),
+    ("policy", "ewss.csv", "ewss,2020-07-01,203,", "ewss,2020-07-01,1e17,",
+     "ewss.csv:4: bad band_lower '1e17'"),
+    ("data", "childcare_cost_grid.csv", "lone_parent,2,7.8", "lone_parent,2,1e17",
+     "childcare_cost_grid.csv:3: bad cost_eur_week '1e17'"),
+    ("data", "commuting_costs.csv", "0.83,14.42", "0.83,1e17",
+     "commuting_costs.csv:3: bad total_eur '1e17'"),
+    ("data", "shareholding_values.csv", "30,1,0.001", "30,1,1e14",
+     "shareholding_values.csv:2: bad value_eur_thousand '1e14'"),
+])
+def test_money_past_cents_in_a_reference_file_is_located(data_dir, tmp_path, capsys, directory,
+                                                         name, old, new, where):
+    """An amount of 2**53 cents or more cannot become int64 cents exactly;
+    every money cell of a reference file names its file and line."""
+    src = data_dir if directory == "data" else os.path.join(data_dir, "policy")
+    edited_copy(src, tmp_path / directory, name, old, new)
+    code = main(["validate", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                 f"--{directory}-dir", str(tmp_path / directory)])
+    assert code == 1
+    assert f"{directory}: {where}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "synth"])
 @pytest.mark.parametrize("line", ["weight_jitter = yes", "essential_share[not a sector] = 0.5",
                                   "income_offset[manufactoring] = 0.1", "households = lots",

@@ -2,7 +2,8 @@ import datetime as dt
 
 import pytest
 
-from nowcastsim.files import csv_rows, finite, key_values
+from nowcastsim.files import csv_rows, finite, key_values, money_cents
+from nowcastsim.money import MAX_CENTS
 
 
 class Bad(ValueError):
@@ -50,6 +51,11 @@ class TestCsvRows:
         with pytest.raises(Bad, match="^table.csv: column 'value' appears twice$"):
             rows(tmp_path, "key,value, value\na,1,2\n", {"key": str, "value": float})
 
+    @pytest.mark.parametrize("cell", ["1e17", "-1e17", "inf", "nan", "lots"])
+    def test_money_cell_past_cents_is_located(self, tmp_path, cell):
+        with pytest.raises(Bad, match=f"^table.csv:2: bad value '{cell}'$"):
+            rows(tmp_path, f"key,value\na,{cell}\n", {"key": str, "value": money_cents})
+
     def test_rows_are_read_lazily_up_to_the_first_fault(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("key\na\nb,c\n", encoding="utf-8")
@@ -92,3 +98,17 @@ def test_line_that_is_not_utf8_is_located(tmp_path, read):
     with pytest.raises(Bad, match=r"^table.csv:3: not UTF-8 text \(byte 0xe9: "
                                   r"invalid continuation byte\)$"):
         read(path)
+
+
+class TestMoneyCents:
+    @pytest.mark.parametrize("text, unit, expected", [
+        ("12.34", 1.0, 1234), ("-0.005", 1.0, -1), ("0.001", 1000.0, 100),
+        (str((MAX_CENTS - 1) / 100), 1.0, MAX_CENTS - 1)])
+    def test_converts_to_int64_cents(self, text, unit, expected):
+        assert money_cents(text, unit) == expected
+
+    @pytest.mark.parametrize("text, unit", [(str(MAX_CENTS / 100), 1.0), ("1e13", 1000.0),
+                                            ("1e305", 1000.0), ("-inf", 1.0), ("x", 1.0)])
+    def test_rejects_what_cannot_become_cents(self, text, unit):
+        with pytest.raises(ValueError):
+            money_cents(text, unit)

@@ -1,11 +1,13 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nowcastsim.metrics import (MetricsError, decile_means, equivalence_scale,
+from nowcastsim.metrics import (INCOME_DEFINITIONS, MetricsError, decile_means,
+                                equivalence_scale,
                                 household_order, redistribution_decomposition,
                                 summarize, weighted_gini, weighted_quantile_groups)
 
@@ -73,8 +75,9 @@ class TestWeightedGini:
 
 
 # household values with heavy ties, signed zeros and negatives
-HOUSEHOLD_VALUES = st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.25, 1e-300, -1e-300])
-                            | st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=12)
+HOUSEHOLD_VALUE = (st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.25, 1e-300, -1e-300])
+                   | st.floats(-1e6, 1e6, allow_nan=False))
+HOUSEHOLD_VALUES = st.lists(HOUSEHOLD_VALUE, min_size=1, max_size=12)
 
 
 def gini_or_error(values, weights, order=None):
@@ -82,6 +85,10 @@ def gini_or_error(values, weights, order=None):
         return weighted_gini(values, weights, order)
     except MetricsError as exc:
         return str(exc)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
 
 
 class TestHouseholdOrder:
@@ -114,14 +121,52 @@ class TestHouseholdOrder:
         assert np.array_equal(household_order(v, hh_row), np.argsort(v[hh_row], kind="stable"))
 
     def test_summarize_gini_matches_generic_path(self):
+        """On small integers every float sum is exact, so the household
+        Ginis and means are bit-equal to the person-level ones."""
         rng = np.random.default_rng(3)
-        hh = {name: rng.choice([0.0, 250.0, 1200.5, -40.0], 50) + rng.integers(0, 3, 50)
-              for name in ("market", "gross", "disposable", "adjusted")}
-        hh_row = rng.integers(0, 50, 140)
-        w = rng.uniform(0.5, 1.5, 50)[hh_row]
-        summary = summarize("w", hh, hh_row, w, rng.integers(1, 11, 140))
+        hh = {name: rng.choice([0.0, 250.0, 1200.0, -40.0], 50) + rng.integers(0, 3, 50)
+              for name in INCOME_DEFINITIONS}
+        hh_row = rng.permutation(np.r_[np.arange(50), rng.integers(0, 50, 90)])
+        w = rng.integers(1, 4, hh_row.size).astype(np.float64)
+        summary = summarize("w", hh, hh_row, w, rng.integers(1, 11, hh_row.size))
         for name, values in hh.items():
-            assert summary.gini[name] == weighted_gini(values[hh_row], w)
+            person = values[hh_row]
+            assert bits(summary.gini[name]) == bits(weighted_gini(person, w))
+            assert bits(summary.means[name]) == bits(np.sum(person * w) / np.sum(w))
+
+
+class TestSummarizeExact:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_hh=st.integers(1, 8))
+    def test_means_and_ginis_match_exact_person_double_sum(self, data, n_hh):
+        """Each household mean and Gini against exact arithmetic on the
+        persons, the Gini as sum_i sum_j w_i w_j |x_i - x_j| / (2 W^2 mu).
+        The tolerance is 1e-12 relative, times k = sum w|x| / |sum w x|, the
+        condition of a sum of mixed signs (k = 1 for incomes of one sign);
+        draws with k past 1e6, the exact mean 0 among them, are skipped."""
+        hh = {name: np.array(data.draw(st.lists(HOUSEHOLD_VALUE, min_size=n_hh,
+                                                max_size=n_hh)))
+              for name in INCOME_DEFINITIONS}
+        extra = data.draw(st.lists(st.integers(0, n_hh - 1), max_size=16))
+        hh_row = np.array(data.draw(st.permutations(list(range(n_hh)) + extra)))
+        w = np.array(data.draw(st.lists(st.sampled_from([0.25, 1.0, 1.5, 3.0])
+                                        | st.floats(0.25, 4.0),
+                                        min_size=hh_row.size, max_size=hh_row.size)))
+        pw = [Fraction(v) for v in w]
+        total = sum(pw)
+        exact = {}
+        for name in INCOME_DEFINITIONS:
+            x = [Fraction(v) for v in hh[name][hh_row]]
+            mean = sum(wi * xi for wi, xi in zip(pw, x)) / total
+            assume(mean != 0)
+            k = float(sum(wi * abs(xi) for wi, xi in zip(pw, x)) / abs(mean * total))
+            assume(k < 1e6)
+            spread = sum(wi * wj * abs(xi - xj) for wi, xi in zip(pw, x) for wj, xj in zip(pw, x))
+            exact[name] = float(mean), float(spread / (2 * total * total * mean)), k
+        summary = summarize("w", hh, hh_row, w)
+        for name, (mean, gini, k) in exact.items():
+            assert abs(summary.means[name] - mean) <= 1e-12 * k * abs(mean)
+            assert abs(summary.gini[name] - gini) <= 1e-12 * k * (1.0 + abs(gini))
 
 
 class TestQuantileGroups:

@@ -573,15 +573,19 @@ class TestRunScenario:
     def test_each_wave_ranks_each_definition_once(self, small_pop, tables, schedules,
                                                   default_scenario, shipped_controls,
                                                   monkeypatch):
-        """The fixed deciles come from the order the first wave's adjusted
-        Gini sorts by, not from a fifth ranking of that wave."""
-        calls = []
-        inner = metrics.household_order
+        """Persons are ranked once per run, into the first wave's fixed
+        deciles; each wave's four Ginis sort its households, not its persons."""
+        ranks, ginis = [], []
+        inner_order, inner_gini = metrics.household_order, metrics.weighted_gini
         monkeypatch.setattr(metrics, "household_order",
-                            lambda values, rows: calls.append(1) or inner(values, rows))
-        _, _, summaries = run_scenario(small_pop, default_scenario, shipped_controls, tables,
-                                       schedules, seed=42)
-        assert len(calls) == 4 * len(default_scenario.waves) == 28
+                            lambda values, rows: ranks.append(1) or inner_order(values, rows))
+        monkeypatch.setattr(metrics, "weighted_gini", lambda values, weights, order=None:
+                            ginis.append(len(values)) or inner_gini(values, weights, order))
+        base, _, summaries = run_scenario(small_pop, default_scenario, shipped_controls, tables,
+                                          schedules, seed=42)
+        assert len(ranks) == 1
+        assert ginis == [base.hid.size] * 4 * len(default_scenario.waves)
+        assert base.hid.size < base.pid.size
         assert all(s.deciles is summaries[0].deciles for s in summaries)
 
     def test_null_scenario_constant_across_waves(self, small_pop, tables, schedules,
