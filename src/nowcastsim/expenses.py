@@ -277,8 +277,7 @@ def housing_cost_cents(tenure_code, mortgage_cents, rent_cents, deferred) -> np.
     rent = np.asarray(rent_cents, dtype=np.int64)
     deferred = np.asarray(deferred, dtype=bool)
     cost = np.where(tenure == TENURE_CODES["renter"], rent, 0)
-    cost = np.where((tenure == TENURE_CODES["mortgage"]) & ~deferred, mortgage, cost)
-    return cost.astype(np.int64)
+    return np.where((tenure == TENURE_CODES["mortgage"]) & ~deferred, mortgage, cost)
 
 
 # -- capital losses ----------------------------------------------------------

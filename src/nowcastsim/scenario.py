@@ -360,9 +360,13 @@ def load_data_tables(data_dir) -> DataTables:
 # -- baseline nowcast ------------------------------------------------------------
 
 
+CALIBRATED_COLUMNS = ("industry", "occupation", "work_status", "employment_income",
+                      "self_employment_income")
+
+
 def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int) -> None:
     """Calibrate `persons` in place to the baseline control totals;
-    `weight` is each person's weight.
+    `weight` is each person's weight. It writes only `CALIBRATED_COLUMNS`.
 
     Employment is aligned per age band to the target rates with scores
     built from anchored uniforms, so targets equal to the observed rates
@@ -417,8 +421,9 @@ def _weighted_median(values, weights) -> float:
 
 @dataclass(frozen=True)
 class BaselineState:
-    """Pre-shock arrays shared by every wave computation; frozen, so no
-    field can be reassigned once build_baseline returns."""
+    """Pre-shock arrays shared by every wave computation. Frozen, and every
+    array it holds is read-only; on input in id order, those build_baseline
+    takes as read (ids, age, weights, ...) are views of the input columns."""
 
     # person arrays (sorted by person id)
     pid: np.ndarray
@@ -456,17 +461,33 @@ class BaselineState:
     band_workers: list               # per CASE_AGE_BANDS entry: worker rows (CEIB)
     sector_worker_weight: np.ndarray  # per SECTORS entry
 
+    def __post_init__(self):
+        pools = [rows for pair in self.strata.values() for rows in pair]
+        for array in [*vars(self).values(), *pools, *self.band_workers]:
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+
+def _by_id(table: Table, ids, copied=()) -> Table:
+    """`table` in ascending `ids` order: views of its columns if it is in
+    that order already (but copies of the `copied` ones), else sorted copies."""
+    if np.all(ids[1:] > ids[:-1]):
+        return Table(**{name: column.copy() if name in copied else column.view()
+                        for name, column in vars(table).items()})
+    order = np.argsort(ids, kind="stable")
+    return Table(**{name: column[order] for name, column in vars(table).items()})
+
 
 def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
                    schedules: taxben.PolicySchedules, seed: int) -> BaselineState:
-    """The pre-shock state of `pop` nowcast to `controls`. Both tables are
-    sorted by id once, here, into copies, and `nowcast_baseline`
-    calibrates the sorted person columns in place; `pop` is not modified."""
-    hh_order = np.argsort(pop.households.household_id, kind="stable")
-    p_order = np.argsort(pop.persons.person_id, kind="stable")
-    households = Table(**{name: column[hh_order] for name, column in vars(pop.households).items()
+    """The pre-shock state of `pop` nowcast to `controls`. A table not in
+    id order is sorted by id once, here, into copies; one in id order is
+    read in place, except the `CALIBRATED_COLUMNS`, which are copied for
+    `nowcast_baseline` to calibrate. `pop` is not modified."""
+    households = Table(**{name: column for name, column in vars(pop.households).items()
                           if name not in ("member_ids", "member_offsets")})  # not per row
-    persons = Table(**{name: column[p_order] for name, column in vars(pop.persons).items()})
+    households = _by_id(households, households.household_id)
+    persons = _by_id(pop.persons, pop.persons.person_id, CALIBRATED_COLUMNS)
     hid, pid, age = households.household_id, persons.person_id, persons.age
     hh_row = np.searchsorted(hid, persons.household_id)
     hh_weight = households.weight
@@ -642,7 +663,7 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                employer_topup: float = 0.30, capital_booking: str = "amortized") -> WaveResult:
     n = base.pid.size
     n_hh = base.hid.size
-    covid = np.zeros(n, dtype=np.int64)
+    covid = np.zeros(n, dtype=np.int8)  # taxben.COVID_CODES
     status_now = base.status.copy()
     emp_now = base.emp_cents.copy()
     se_now = base.se_cents.copy()
@@ -750,7 +771,7 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
             wave.date, policy, schedules)
     now = moved_accounts(status_now, covid[moved], emp_now, se_now,
                          taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on))
-    was = moved_accounts(base.status, np.zeros(moved.size, dtype=np.int64), base.emp_cents,
+    was = moved_accounts(base.status, np.zeros(moved.size, dtype=np.int8), base.emp_cents,
                          base.se_cents, taxben.PolicyState())
     market_hh = base.market + now.market - was.market
     taxes_hh = base.taxes + now.taxes - was.taxes
@@ -786,7 +807,7 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         label=wave.label, date=wave.date,
         market=market_hh, gross=gross_hh, disposable=disposable_hh,
         adjusted=adjusted_hh, taxes=taxes_hh, benefits=benefits_hh,
-        housing=h_hh.astype(np.int64), capital_adjustment=q_hh,
+        housing=h_hh, capital_adjustment=q_hh,
         work_expenses=c_hh, covid_code=covid, employed_now=employed_now,
         home_working=home_working,
     )

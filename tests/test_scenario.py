@@ -5,15 +5,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scenario_oracle
 
-from nowcastsim import metrics, taxben
+from nowcastsim import metrics, population, taxben
 from nowcastsim.calibration import AlignmentError
 from nowcastsim.money import cents, weekly_to_monthly
 from nowcastsim.population import (SECTORS, WORK_STATUSES, WORKER_CODES, Population,
                                    SynthConfig, Table, generate_synthetic)
-from nowcastsim.scenario import (CASE_AGE_BANDS, ControlError, ControlTotals,
+from nowcastsim.scenario import (CALIBRATED_COLUMNS, CASE_AGE_BANDS, ControlError, ControlTotals,
                                  ScenarioError, WavePoint, _align_rows, apply_wave,
                                  build_baseline, control_gaps, load_control_totals,
                                  nowcast_baseline, parse_scenario,
@@ -385,6 +387,105 @@ class TestNowcastBaseline:
         assert not np.array_equal(base.emp_cents, cents(pop.persons.employment_income[order]))
 
 
+CALIBRATING = ControlTotals(date=D(2019, 12, 1), wage_index=1.02,
+                           employment_rate_by_age={"25-34": 0.5, "45-54": 0.95})
+
+
+def assert_bit_equal(a, b):
+    """`a` and `b` hold the same values with the same bits and dtypes,
+    through dicts, lists and tuples."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_bit_equal(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_bit_equal(x, y)
+    elif isinstance(a, (np.ndarray, float, int)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    else:
+        assert a == b
+
+
+def shuffled(pop, rng) -> Population:
+    """`pop` with its person rows and its household rows (with their
+    member lists) each in a random order."""
+    h, p = pop.households, pop.persons
+    h_perm, p_perm = rng.permutation(len(h)), rng.permutation(len(p))
+    members = np.split(h.member_ids, h.member_offsets[1:-1])
+    households = Table(**{name: column[h_perm] for name, column in vars(h).items()})
+    households.member_ids = np.concatenate([members[i] for i in h_perm])
+    households.member_offsets = np.cumsum([0] + [members[i].size for i in h_perm])
+    persons = Table(**{name: column[p_perm] for name, column in vars(p).items()})
+    return Population(households=households, persons=persons)
+
+
+class TestBaselineInputOrder:
+    """On input in id order build_baseline reads the columns in place; any
+    other order is sorted into copies. Both give one baseline."""
+
+    @pytest.fixture(scope="class")
+    def pop(self):
+        return generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
+
+    @pytest.fixture(scope="class")
+    def ordered_base(self, pop, tables, schedules):
+        return build_baseline(pop, CALIBRATING, tables, schedules, seed=5)
+
+    def test_read_columns_are_read_only_views_of_the_input(self, pop, ordered_base):
+        for name, column in (("pid", pop.persons.person_id), ("age", pop.persons.age),
+                             ("hh_weight", pop.households.weight)):
+            assert np.shares_memory(getattr(ordered_base, name), column), name
+            assert not getattr(ordered_base, name).flags.writeable, name
+
+    def test_calibrated_columns_are_copies(self, pop, ordered_base):
+        for name in ("status", "sector_idx"):
+            for column in [*vars(pop.persons).values(), *vars(pop.households).values()]:
+                assert not np.shares_memory(getattr(ordered_base, name), column), name
+
+    def test_input_stays_writeable(self, pop, ordered_base):
+        for table in (pop.households, pop.persons):
+            assert all(column.flags.writeable for column in vars(table).values())
+
+    def test_every_baseline_array_is_read_only(self, ordered_base):
+        arrays = ([v for v in vars(ordered_base).values() if isinstance(v, np.ndarray)]
+                  + [rows for pair in ordered_base.strata.values() for rows in pair]
+                  + ordered_base.band_workers)
+        assert len(arrays) > 30 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            ordered_base.emp_cents[0] = 0
+
+    def test_nowcast_writes_only_the_calibrated_columns(self, pop):
+        persons = Table(**{name: column.copy() for name, column in vars(pop.persons).items()})
+        for name, column in vars(persons).items():
+            column.flags.writeable = name in CALIBRATED_COLUMNS
+        nowcast_baseline(persons, person_weights(pop), CALIBRATING, seed=5)
+        assert not np.array_equal(persons.work_status, pop.persons.work_status)
+        assert not np.array_equal(persons.employment_income, pop.persons.employment_income)
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    @settings(max_examples=4, deadline=None)
+    @given(order_seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_shuffled_input_gives_the_same_run(self, seed, order_seed, tables, schedules,
+                                               default_scenario):
+        pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), seed)
+        other = shuffled(pop, np.random.default_rng(order_seed))
+        assert population.validate(other.households, other.persons) == []
+        series = load_control_totals(default_scenario.controls_path)
+        first = default_scenario.waves[0].date
+        series.employment_rate[first] = CALIBRATING.employment_rate_by_age
+        series.wage_index[first] = CALIBRATING.wage_index
+        runs = [run_scenario(p, default_scenario, series, tables, schedules, seed)
+                for p in (pop, other)]
+        (base, results, summaries), (other_base, other_results, other_summaries) = runs
+        assert not np.shares_memory(other_base.pid, other.persons.person_id)
+        assert_bit_equal(vars(base), vars(other_base))
+        assert_bit_equal([vars(r) for r in results], [vars(r) for r in other_results])
+        assert_bit_equal([vars(s) for s in summaries], [vars(s) for s in other_summaries])
+
+
 class TestApplyWave:
     def test_baseline_is_frozen(self, base):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -399,6 +500,16 @@ class TestApplyWave:
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.all(a.covid_code == 0)
         assert np.all(a.capital_adjustment == 0)
+
+    def test_result_dtypes(self, base, tables, schedules, shipped_controls):
+        """One byte per person for the covid code; integer cents per household."""
+        wave = crisis_wave()
+        r = apply_wave(base, shipped_controls.at(wave.date), wave, tables, schedules, seed=7)
+        assert r.covid_code.dtype == np.int8
+        assert set(r.covid_code.tolist()) == set(taxben.COVID_CODES.values())
+        for name in ("market", "gross", "disposable", "adjusted", "taxes",
+                     "benefits", "housing", "capital_adjustment", "work_expenses"):
+            assert getattr(r, name).dtype == np.int64, name
 
     def test_identity_every_wave(self, base, tables, schedules, shipped_controls,
                                  default_scenario):
