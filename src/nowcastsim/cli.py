@@ -83,6 +83,9 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else plan.seed
     tables = scenario.load_data_tables(args.data_dir)
     schedules = taxben.load_policy(args.policy_dir)
+    faults = scenario.schedule_faults(plan, schedules, os.path.basename(args.scenario))
+    if faults:
+        raise scenario.ScenarioError("\n".join(faults))
     pop = _load_population(args, seed)
     _, _, summaries = scenario.run_scenario(pop, plan, series, tables, schedules, seed,
                                             threads=args.threads)
@@ -127,7 +130,10 @@ def cmd_validate(args) -> int:
         if series is not None:
             _warn_control_gaps(plan, series)
     check("data", lambda: scenario.load_data_tables(args.data_dir))
-    check("policy", lambda: taxben.load_policy(args.policy_dir))
+    schedules = check("policy", lambda: taxben.load_policy(args.policy_dir))
+    if plan is not None and schedules is not None:
+        problems.extend(f"scenario: {fault}" for fault in scenario.schedule_faults(
+            plan, schedules, os.path.basename(args.scenario)))
     # run's seed; without a scenario there is none, and any seed checks the synth config
     seed = args.seed if args.seed is not None else plan.seed if plan else 0
     check("population" if args.population else "synth-config",

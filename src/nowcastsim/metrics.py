@@ -6,7 +6,8 @@ weight and the household's equivalised income (modified OECD scale).
 As every person of a household has its income, `summarize` takes each mean
 and Gini over households weighted by their persons' summed weight (the
 grouped-data Gini, Lerman & Yitzhaki 1989): in exact arithmetic, the person
-figures. Deciles stay per person, ranked by `household_order`.
+figures. Deciles stay per person, ranked by the stable argsort of the
+persons' adjusted incomes.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ def equivalence_scale(adults_14plus, children_under14):
     return FIRST_ADULT + EXTRA_ADULT * (a - 1.0) + CHILD * c
 
 
-def weighted_gini(values, weights, order=None) -> float:
+def weighted_gini(values, weights) -> float:
     """Weighted Gini coefficient.
 
     Definition: sum_i sum_j w_i w_j |x_i - x_j| / (2 W^2 mu). Computed in
@@ -46,8 +47,7 @@ def weighted_gini(values, weights, order=None) -> float:
         G = sum_i w_i x_i (2 c_i - w_i - W) / (W^2 mu)
 
     with c_i the inclusive cumulative weight in ascending-x order, which
-    equals the double sum (tie order does not matter); `order` is any
-    ascending argsort of the values when the caller has it.
+    equals the double sum (tie order does not matter).
     """
     x = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -64,7 +64,7 @@ def weighted_gini(values, weights, order=None) -> float:
     mean = float(np.sum(terms)) / total
     if mean == 0.0:
         raise MetricsError("gini undefined: zero mean with nonzero dispersion")
-    order = np.argsort(x, kind="stable") if order is None else order
+    order = np.argsort(x)
     # sum(ws * xs * (2 cum - ws - W)), term by term as written, in place
     ws = w[order]
     cum = np.cumsum(ws)
@@ -75,24 +75,6 @@ def weighted_gini(values, weights, order=None) -> float:
     terms *= ws
     terms *= cum
     return float(np.sum(terms)) / (total * total * mean)
-
-
-def household_order(hh_values, hh_row) -> np.ndarray:
-    """`np.argsort(hh_values[hh_row], kind="stable")`, formed by dense-ranking
-    the household values and then sorting integer keys rank << b | row, b
-    the bits of the largest row."""
-    v = np.asarray(hh_values, dtype=np.float64)
-    by_value = np.argsort(v)
-    rank = np.empty(v.size, dtype=np.int64)
-    rank[by_value] = np.cumsum(np.r_[True, v[by_value[1:]] != v[by_value[:-1]]])
-    n = len(hh_row)
-    b = (n - 1).bit_length()
-    key = rank[hh_row]
-    key <<= b
-    key |= np.arange(n)
-    key.sort()
-    key &= (1 << b) - 1
-    return key
 
 
 def weighted_quantile_groups(order, weights, n_groups: int) -> np.ndarray:
@@ -152,7 +134,6 @@ class DistributionSummary:
     means: dict = field(default_factory=dict)        # definition -> EUR/month per AE
     gini: dict = field(default_factory=dict)         # definition -> Gini
     decile_means: dict = field(default_factory=dict)  # definition -> 10-vector
-    decomposition: tuple = (0.0, 0.0, 0.0)           # (benefits, taxes, expenses)
     deciles: np.ndarray = None                       # each person's decile, 1..10
 
 
@@ -167,20 +148,14 @@ def summarize(label: str, hh_equivalized: dict, hh_row, weights, deciles=None):
     hw = np.bincount(hh_row, weights=w, minlength=len(hh_equivalized["adjusted"]))
     means = {name: float(np.sum(hh_equivalized[name] * hw) / np.sum(hw))
              for name in INCOME_DEFINITIONS}
-    gini = {name: weighted_gini(hh_equivalized[name], hw, np.argsort(hh_equivalized[name]))
-            for name in INCOME_DEFINITIONS}
+    gini = {name: weighted_gini(hh_equivalized[name], hw) for name in INCOME_DEFINITIONS}
     if deciles is None:
         deciles = weighted_quantile_groups(
-            household_order(hh_equivalized["adjusted"], hh_row), w, 10)
+            np.argsort(hh_equivalized["adjusted"][hh_row], kind="stable"), w, 10)
     decile_table = decile_means({name: v[hh_row] for name, v in hh_equivalized.items()},
                                 w, deciles)
-    decomposition = redistribution_decomposition(
-        gini["market"], gini["gross"], gini["disposable"], gini["adjusted"]
-    )
-    return DistributionSummary(
-        label=label, means=means, gini=gini, decile_means=decile_table,
-        decomposition=decomposition, deciles=deciles,
-    )
+    return DistributionSummary(label=label, means=means, gini=gini,
+                               decile_means=decile_table, deciles=deciles)
 
 
 DEFINITION_LABELS = {
@@ -189,15 +164,8 @@ DEFINITION_LABELS = {
 }
 
 
-def _fmt(value: float, places: int = 2) -> str:
-    return f"{value:.{places}f}"
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(tok) for tok in row) + "\n")
+def _fmt(values, places: int = 2) -> list:
+    return [f"{value:.{places}f}" for value in values]
 
 
 def write_summary_tables(out_dir, summaries) -> None:
@@ -205,46 +173,32 @@ def write_summary_tables(out_dir, summaries) -> None:
     means per definition x wave, Gini with a change block, the
     redistribution decomposition, and per-decile means. Formatting is
     fixed-width decimal so output is byte-stable."""
-    labels = [s.label for s in summaries]
     defs = INCOME_DEFINITIONS
-    _write_csv(
-        os.path.join(out_dir, "average_income.csv"),
-        ["Income Definition"] + labels,
-        [[DEFINITION_LABELS[d]] + [_fmt(s.means[d]) for s in summaries] for d in defs],
-    )
-    base = summaries[0]
-    gini_rows = [[s.label] + [_fmt(s.gini[d], 6) for d in defs] for s in summaries]
-    gini_rows += [
-        [f"change:{s.label}"] + [_fmt(s.gini[d] - base.gini[d], 6) for d in defs]
-        for s in summaries[1:]
-    ]
-    _write_csv(
-        os.path.join(out_dir, "gini.csv"),
-        ["Wave"] + [DEFINITION_LABELS[d] for d in defs],
-        gini_rows,
-    )
-    _write_csv(
-        os.path.join(out_dir, "redistribution.csv"),
-        ["Wave", "Benefits", "Taxes", "Work Expenses and Housing Costs"],
-        [[s.label] + [_fmt(x, 6) for x in s.decomposition] for s in summaries],
-    )
-    decile_rows = []
+    names = [DEFINITION_LABELS[d] for d in defs]
+
+    def write(name, header, rows):
+        with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
+            for row in [header, *rows]:
+                fh.write(",".join(str(tok) for tok in row) + "\n")
+
+    def ginis(s):
+        return [s.gini[d] for d in defs]
+
+    def decile_rows(s):
+        return [_fmt(s.decile_means[k][d] for k in defs) for d in range(10)]
+
+    write("average_income.csv", ["Income Definition"] + [s.label for s in summaries],
+          [[DEFINITION_LABELS[d]] + _fmt(s.means[d] for s in summaries) for d in defs])
+    base = ginis(summaries[0])
+    write("gini.csv", ["Wave"] + names,
+          [[s.label] + _fmt(ginis(s), 6) for s in summaries]
+          + [[f"change:{s.label}"] + _fmt((g - g0 for g, g0 in zip(ginis(s), base)), 6)
+             for s in summaries[1:]])
+    write("redistribution.csv", ["Wave", "Benefits", "Taxes", "Work Expenses and Housing Costs"],
+          [[s.label] + _fmt(redistribution_decomposition(*ginis(s)), 6) for s in summaries])
+    write("decile_means.csv", ["Wave", "Decile"] + names,
+          [[s.label, d + 1] + row for s in summaries for d, row in enumerate(decile_rows(s))])
     for s in summaries:
-        for d in range(10):
-            decile_rows.append([s.label, d + 1]
-                               + [_fmt(s.decile_means[k][d]) for k in defs])
-    _write_csv(
-        os.path.join(out_dir, "decile_means.csv"),
-        ["Wave", "Decile"] + [DEFINITION_LABELS[d] for d in defs],
-        decile_rows,
-    )
-    for s in summaries:
-        rows = [["mean"] + [_fmt(s.means[d]) for d in defs],
-                ["gini"] + [_fmt(s.gini[d], 6) for d in defs]]
-        for d in range(10):
-            rows.append([f"decile_{d + 1}"] + [_fmt(s.decile_means[k][d]) for k in defs])
-        _write_csv(
-            os.path.join(out_dir, f"summary_{s.label}.csv"),
-            ["Statistic"] + [DEFINITION_LABELS[d] for d in defs],
-            rows,
-        )
+        write(f"summary_{s.label}.csv", ["Statistic"] + names,
+              [["mean"] + _fmt(s.means[d] for d in defs), ["gini"] + _fmt(ginis(s), 6)]
+              + [[f"decile_{d + 1}"] + row for d, row in enumerate(decile_rows(s))])

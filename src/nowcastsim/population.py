@@ -172,6 +172,7 @@ def validate(households: Table, persons: Table, unknown=None) -> list:
     unknown = unknown or {}
     h, p = households, persons
     hid, pid = h.household_id, p.person_id
+    members = np.diff(h.member_offsets)
 
     def label(column, labels, code):
         return "" if code == -1 else (labels + tuple(unknown.get(column, ())))[code]
@@ -205,12 +206,15 @@ def validate(households: Table, persons: Table, unknown=None) -> list:
          lambda r: "childcare_expenditure > 0 without childcare_user"),
         ((h.n_children_0_4 < 0) | (h.n_children_under14 < 0),
          lambda r: "negative child count"),
-        (h.member_offsets[1:] == h.member_offsets[:-1], lambda r: "empty member_ids"),
+        (members == 0, lambda r: "empty member_ids"),
         *float_checks(h, _HOUSEHOLD_COLUMNS),
+        ((h.n_children_0_4 > h.n_children_under14) | (h.n_children_under14 > members),
+         lambda r: "child counts need n_children_0_4 <= n_children_under14 <= members, "
+                   f"got {h.n_children_0_4[r]}, {h.n_children_under14[r]} and {members[r]}"),
     ]
 
     # each person's listings in member_ids: how many, and the first household
-    owner = np.repeat(hid, np.diff(h.member_offsets))
+    owner = np.repeat(hid, members)
     order = np.argsort(h.member_ids, kind="stable")
     listed = h.member_ids[order]
     first = np.searchsorted(listed, pid, side="left")

@@ -213,6 +213,13 @@ class WavePoint:
     capital_on: bool = False
     home_working_on: bool = False
 
+    @property
+    def subsidy_scheme(self) -> str:
+        """The scheme the wave pays: `auto` is twss before the EWSS handover, ewss from it."""
+        if self.subsidy == "auto":
+            return "twss" if self.date < taxben.EWSS_HANDOVER else "ewss"
+        return self.subsidy
+
 
 @dataclass
 class Scenario:
@@ -230,6 +237,7 @@ def _share(text) -> float:
     return share
 
 
+LABEL_FORBIDDEN = ',"/\\'  # a label is a CSV cell and part of a file name
 ON_OFF = {"on": True, "off": False}
 SUBSIDIES = {name: name for name in ("none", "twss", "ewss", "auto")}
 # key -> (the Scenario or WavePoint field it sets, its parser, what it must be)
@@ -256,7 +264,8 @@ def parse_scenario(path) -> Scenario:
     `key = value` lines of `SCENARIO_KEYS` or `WAVE_KEYS`. Values are taken
     as written (`%` is literal) and checked on their line, so a repeated key
     or section, an unknown key or section, a key before the first section
-    and a bad value each fail with `<file basename>:<line>`. A relative
+    and a bad value each fail with `<file basename>:<line>`, as does a wave
+    label that is empty or holds one of `LABEL_FORBIDDEN`. A relative
     `controls` is resolved against the file's directory."""
     name = os.path.basename(path)
     sections = {}  # section name -> (where its header is, {field: value})
@@ -266,6 +275,9 @@ def parse_scenario(path) -> Scenario:
                 raise ScenarioError(f"{where}: [{section}] is given twice")
             if section != "scenario" and not section.startswith("wave:"):
                 raise ScenarioError(f"{where}: unknown section [{section}]")
+            if section == "wave:" or any(c in section for c in LABEL_FORBIDDEN):
+                raise ScenarioError(f"{where}: [{section}] a wave label must be non-empty "
+                                    f"and hold none of {' '.join(LABEL_FORBIDDEN)}")
             sections[section] = (where, {})
             continue
         if section is None:
@@ -321,6 +333,26 @@ def control_gaps(plan: Scenario, series: ControlSeries) -> list:
         f"the in-work ceib_cases rows to {in_work.get(date, 0.0):g}"
         for date, by_sector in sorted(series.ceib_sector.items())
         if abs(sum(by_sector.values()) - in_work.get(date, 0.0)) > 1.0]
+
+
+def schedule_faults(plan: Scenario, schedules: taxben.PolicySchedules, name: str) -> list:
+    """One `<name>: [wave:<label>] <PolicyError>` message per instrument a
+    wave switches on whose schedule is not in force at the wave's date; the
+    date rules are those of the taxben calls apply_wave makes, here on no
+    persons."""
+    nobody = np.zeros(0, dtype=np.int64)
+    faults = []
+    for w in plan.waves:
+        for on, rate in ((w.pup_on or w.ceib_on, taxben.pup_rate_cents),
+                         (w.subsidy_scheme == "twss", taxben.twss_subsidy_cents),
+                         (w.subsidy_scheme == "ewss", taxben.ewss_subsidy_cents)):
+            if not on:
+                continue
+            try:
+                rate(schedules, nobody, w.date)
+            except taxben.PolicyError as exc:
+                faults.append(f"{name}: [wave:{w.label}] {exc}")
+    return faults
 
 
 # -- reference data bundle -------------------------------------------------------
@@ -613,10 +645,6 @@ class WaveResult:
     employed_now: np.ndarray
     home_working: np.ndarray
 
-    def household_incomes(self) -> dict:
-        return {"market": self.market, "gross": self.gross,
-                "disposable": self.disposable, "adjusted": self.adjusted}
-
 
 def _scaled_sector_targets(base: BaselineState, national_counts: dict,
                            national_employment: dict) -> dict:
@@ -668,10 +696,6 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     emp_now = base.emp_cents.copy()
     se_now = base.se_cents.copy()
 
-    subsidy_scheme = wave.subsidy
-    if subsidy_scheme == "auto":
-        subsidy_scheme = "twss" if wave.date < taxben.EWSS_HANDOVER else "ewss"
-
     unit_weight = float(np.max(base.person_weight))
     national_employment = tables.national["sector_employment"]
 
@@ -706,14 +730,14 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
 
     # (c) wage subsidy among remaining employees, per sector
     subsidised = np.zeros(n, dtype=bool)
-    if subsidy_scheme != "none" and controls.subsidy_by_sector:
+    if wave.subsidy_scheme != "none" and controls.subsidy_by_sector:
         targets = _scaled_sector_targets(base, controls.subsidy_by_sector, national_employment)
         rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(targets)])
         rows = rows[~job_lost[rows] & ~ceib[rows]]
         # every remaining employee's scheme amount in one call, 0 for the rest
         amount = np.zeros(n, dtype=np.int64)
         if rows.size:
-            if subsidy_scheme == "twss":
+            if wave.subsidy_scheme == "twss":
                 amount[rows] = taxben.twss_subsidy_cents(
                     schedules, base.take_home_weekly_cents[rows], wave.date)
             else:
@@ -818,8 +842,8 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
 
 def household_equivalized(base: BaselineState, result: WaveResult) -> dict:
     """Household-level equivalised EUR/month for the four definitions."""
-    return {name: values / 100.0 / base.equiv_scale
-            for name, values in result.household_incomes().items()}
+    return {name: getattr(result, name) / 100.0 / base.equiv_scale
+            for name in metrics.INCOME_DEFINITIONS}
 
 
 def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,

@@ -1,9 +1,11 @@
 """The object-based population loader and validator that the columnar
 `nowcastsim.population` replaced, kept as the differential oracle:
 `load_population` returns (households, persons) as lists of
-`Household`/`Person`, or raises the same `PopulationError`. Two rules were
-added after the replacement, in both: every float field must be finite, and
-every money field, finite, must be under 2**53 cents in magnitude. A line
+`Household`/`Person`, or raises the same `PopulationError`. Three rules were
+added after the replacement, in both: every float field must be finite,
+every money field, finite, must be under 2**53 cents in magnitude, and a
+household's child counts must satisfy n_children_0_4 <= n_children_under14
+<= its member count. A line
 number counts every physical line, blank ones too, as the columnar loader
 came to do after the replacement.
 """
@@ -102,6 +104,11 @@ def validate(households, persons) -> list:
                       ("weight", "mortgage_payment", "rent", "childcare_expenditure"))
         _check_cents(violations, f"household {h.household_id}", h,
                      ("mortgage_payment", "rent", "childcare_expenditure"))
+        if not h.n_children_0_4 <= h.n_children_under14 <= len(h.member_ids):
+            violations.append(
+                f"household {h.household_id}: child counts need n_children_0_4 <= "
+                f"n_children_under14 <= members, got {h.n_children_0_4}, "
+                f"{h.n_children_under14} and {len(h.member_ids)}")
 
     seen_person = {}
     membership = {}

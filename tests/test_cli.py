@@ -276,6 +276,8 @@ class TestBadScenarioFields:
          "bad.cfg:4: [scenario] seed is given twice"),
         ("", "date = 2020-05-05\n[wave:w1]\npup = on\n", "bad.cfg:5: [wave:w1] is given twice"),
         ("", "date = 2020-05-05\npup\n", "bad.cfg:5: expected key = value"),
+        ("", "date = 2020-05-05\n[wave:05/05]\ndate = 2020-06-06\n",
+         "bad.cfg:5: [wave:05/05] a wave label must be non-empty"),
     ]
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -391,7 +393,7 @@ def test_instrument_without_control_rows_warns(tmp_path, capsys, command):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("[scenario]\ncontrols = controls.csv\n"
                    "[wave:before]\ndate = 2019-12-01\n"
-                   "[wave:w1]\ndate = 2020-05-05\nsubsidy = ewss\n")
+                   "[wave:w1]\ndate = 2020-05-05\nsubsidy = twss\n")
     synth = tmp_path / "synth.cfg"
     synth.write_text("households = 40\n")
     args = [command, "--scenario", str(cfg), "--synth-config", str(synth)]
@@ -440,6 +442,61 @@ def test_ceib_margins_are_cross_checked(data_dir, tmp_path, capsys, count, warns
     a, b = read_dir(tmp_path / "a"), read_dir(tmp_path / "b")
     assert a.pop("manifest.json") != b.pop("manifest.json")  # the controls digest
     assert a == b
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_instrument_out_of_schedule_exits_one_before_the_population(
+        data_dir, tmp_path, capsys, monkeypatch, command):
+    """TWSS switched on after its life, and EWSS before its first rates: both
+    named with the wave, and run stops before it reads the population."""
+    shutil.copytree(data_dir, tmp_path / "data")
+    path = tmp_path / "data" / "scenario.cfg"
+    text = path.read_text()
+    for date, scheme in (("2020-05-05", "ewss"), ("2020-11-15", "twss")):
+        wave = f"[wave:{date}]\ndate = {date}\npup = on\nceib = on\nsubsidy = "
+        assert wave + "auto" in text
+        text = text.replace(wave + "auto", wave + scheme)
+    path.write_text(text)
+    synth = tmp_path / "synth.cfg"
+    synth.write_text("households = 40\n")
+    args = [command, "--scenario", str(path), "--synth-config", str(synth)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+        monkeypatch.setattr(cli, "_load_population",
+                            lambda *_: pytest.fail("the population was loaded"))
+    assert main(args) == 1
+    prefix = "scenario: " if command == "validate" else ""
+    assert capsys.readouterr().err == (
+        f"{prefix}scenario.cfg: [wave:2020-05-05] ewss rates start 2020-07-01, got 2020-05-05\n"
+        f"{prefix}scenario.cfg: [wave:2020-11-15] twss not in force on 2020-11-15 "
+        "(life 2020-03-13 to 2020-09-01)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_more_children_than_members_exits_one(data_dir, tmp_path, capsys, command):
+    """A single-person household with five children under 14 is named by
+    validate and by run, which raises no RuntimeWarning on the way."""
+    save_population(generate_synthetic(SynthConfig(households=30), 1), tmp_path / "pop")
+    path = tmp_path / "pop" / "households.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    row = next(r for r in rows[1:] if ";" not in r[header.index("member_ids")])
+    row[header.index("n_children_under14")] = "5"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+            "--population", str(tmp_path / "pop")]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    n_0_4 = row[header.index("n_children_0_4")]
+    assert (f"household {row[0]}: child counts need n_children_0_4 <= n_children_under14 "
+            f"<= members, got {n_0_4}, 5 and 1") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_numeric_national_reference_is_located(data_dir, tmp_path, capsys):

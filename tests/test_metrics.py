@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nowcastsim.metrics import (INCOME_DEFINITIONS, MetricsError, decile_means,
-                                equivalence_scale,
-                                household_order, redistribution_decomposition,
-                                summarize, weighted_gini, weighted_quantile_groups)
+                                equivalence_scale, redistribution_decomposition,
+                                summarize, weighted_gini, weighted_quantile_groups,
+                                write_summary_tables)
 
 
 def gini_double_sum(values, weights):
@@ -77,49 +77,13 @@ class TestWeightedGini:
 # household values with heavy ties, signed zeros and negatives
 HOUSEHOLD_VALUE = (st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.25, 1e-300, -1e-300])
                    | st.floats(-1e6, 1e6, allow_nan=False))
-HOUSEHOLD_VALUES = st.lists(HOUSEHOLD_VALUE, min_size=1, max_size=12)
-
-
-def gini_or_error(values, weights, order=None):
-    try:
-        return weighted_gini(values, weights, order)
-    except MetricsError as exc:
-        return str(exc)
 
 
 def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
-class TestHouseholdOrder:
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), hh_values=HOUSEHOLD_VALUES)
-    def test_matches_stable_argsort_and_gini_bits(self, data, hh_values):
-        """Any household map, monotone or not: the integer-key order is the
-        stable argsort of the person values, so the Gini is bit-equal."""
-        v = np.array(hh_values)
-        hh_row = np.array(data.draw(st.lists(st.integers(0, v.size - 1), min_size=1,
-                                             max_size=40)))
-        w = np.array(data.draw(st.lists(st.floats(0.25, 4.0), min_size=hh_row.size,
-                                        max_size=hh_row.size)))
-        order = household_order(v, hh_row)
-        assert np.array_equal(order, np.argsort(v[hh_row], kind="stable"))
-        generic, keyed = gini_or_error(v[hh_row], w), gini_or_error(v[hh_row], w, order)
-        assert type(generic) is type(keyed)
-        assert generic == keyed if isinstance(generic, str) else \
-            np.float64(generic).tobytes() == np.float64(keyed).tobytes()
-
-    @pytest.mark.parametrize("n", [2 ** k + d for k in (1, 2, 5, 10) for d in (-1, 0, 1)])
-    @pytest.mark.parametrize("distinct", [True, False])
-    def test_row_field_wide_enough_at_powers_of_two(self, n, distinct):
-        """At 2**k - 1, 2**k and 2**k + 1 persons the row bits neither
-        overlap the rank bits nor drop a row's top bit."""
-        rng = np.random.default_rng(n)
-        n_hh = n if distinct else max(n // 3, 1)
-        v = rng.permutation(n_hh) - n_hh / 2.0 if distinct else rng.choice([-0.0, 0.0, 2.5], n_hh)
-        hh_row = rng.permutation(n) if distinct else rng.integers(0, n_hh, n)
-        assert np.array_equal(household_order(v, hh_row), np.argsort(v[hh_row], kind="stable"))
-
+class TestSummarizeExact:
     def test_summarize_gini_matches_generic_path(self):
         """On small integers every float sum is exact, so the household
         Ginis and means are bit-equal to the person-level ones."""
@@ -134,8 +98,6 @@ class TestHouseholdOrder:
             assert bits(summary.gini[name]) == bits(weighted_gini(person, w))
             assert bits(summary.means[name]) == bits(np.sum(person * w) / np.sum(w))
 
-
-class TestSummarizeExact:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n_hh=st.integers(1, 8))
     def test_means_and_ginis_match_exact_person_double_sum(self, data, n_hh):
@@ -167,6 +129,19 @@ class TestSummarizeExact:
         for name, (mean, gini, k) in exact.items():
             assert abs(summary.means[name] - mean) <= 1e-12 * k * abs(mean)
             assert abs(summary.gini[name] - gini) <= 1e-12 * k * (1.0 + abs(gini))
+
+
+class TestSummaryTables:
+    def test_redistribution_row_is_the_decomposition_of_the_gini_row(self, tmp_path):
+        rng = np.random.default_rng(8)
+        hh_row = np.repeat(np.arange(30), 2)
+        summaries = [summarize(label, {name: rng.uniform(-100, 3000, 30)
+                                       for name in INCOME_DEFINITIONS}, hh_row, np.ones(60))
+                     for label in ("a", "b")]
+        write_summary_tables(tmp_path, summaries)
+        rows = (tmp_path / "redistribution.csv").read_text().splitlines()[1:]
+        assert rows == [",".join([s.label] + [f"{x:.6f}" for x in redistribution_decomposition(
+            *(s.gini[name] for name in INCOME_DEFINITIONS))]) for s in summaries]
 
 
 class TestQuantileGroups:

@@ -103,6 +103,27 @@ class TestValidation:
         assert validate(*tables([tiny_household()],
                                 [tiny_person(employment_income=(2 ** 53 - 1) / 100)])) == []
 
+    @pytest.mark.parametrize("n_0_4, n_u14, members, valid", [
+        (0, 0, 1, True), (1, 1, 1, True), (1, 2, 2, True), (0, 2, 3, True),
+        (0, 5, 1, False), (2, 1, 3, False), (0, 3, 2, False)])
+    def test_child_counts_bounded_by_members(self, n_0_4, n_u14, members, valid):
+        """n_children_0_4 <= n_children_under14 <= members keeps the OECD
+        scale at 0.5 or more; a household outside it is named."""
+        ids = tuple(range(10, 10 + members))
+        problems = validate(*tables(
+            [tiny_household(member_ids=ids, n_children_0_4=n_0_4, n_children_under14=n_u14)],
+            [tiny_person(pid) for pid in ids]))
+        assert problems == ([] if valid else [
+            "household 1: child counts need n_children_0_4 <= n_children_under14 <= members, "
+            f"got {n_0_4}, {n_u14} and {members}"])
+
+    def test_child_count_fault_follows_the_other_household_checks(self):
+        problems = validate(*tables([tiny_household(n_children_under14=2, rent=float("inf"))],
+                                    [tiny_person()]))
+        assert problems == ["household 1: column 'rent': must be finite",
+                            "household 1: child counts need n_children_0_4 <= "
+                            "n_children_under14 <= members, got 0, 2 and 1"]
+
     def test_employment_income_requires_employee(self):
         problems = validate(*tables([tiny_household()],
                                     [tiny_person(work_status="unemployed",
@@ -427,7 +448,7 @@ CELLS = {
         "childcare_user": ["true", "false", "yes", ""],
         "childcare_expenditure": ["0.00", "5.00", "-2.00"],
         "n_children_0_4": ["-1", "2", "x"],
-        "n_children_under14": ["-1", "0", "1.5"],
+        "n_children_under14": ["-1", "0", "1.5", "5"],
     },
     "persons.csv": {
         "person_id": ["1", "3", "999", "x", ""],

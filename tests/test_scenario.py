@@ -18,7 +18,7 @@ from nowcastsim.population import (SECTORS, WORK_STATUSES, WORKER_CODES, Populat
 from nowcastsim.scenario import (CALIBRATED_COLUMNS, CASE_AGE_BANDS, ControlError, ControlTotals,
                                  ScenarioError, WavePoint, _align_rows, apply_wave,
                                  build_baseline, control_gaps, load_control_totals,
-                                 nowcast_baseline, parse_scenario,
+                                 nowcast_baseline, parse_scenario, schedule_faults,
                                  household_equivalized, run_scenario)
 
 D = dt.date
@@ -166,6 +166,10 @@ class TestScenarioFile:
         ("", "date=2020-13-01\n", "s.cfg:4: [wave:a] date must be an ISO date, "
                                   "got '2020-13-01'"),
         ("", "pup = on\n", "s.cfg:3: [wave:a] needs a date"),
+        # a label is a CSV cell and part of summary_<label>.csv
+        *[("", f"date=2020-05-05\n[wave:{label}]\ndate=2020-06-06\n",
+           f"s.cfg:5: [wave:{label}] a wave label must be non-empty and hold none of "
+           ', " / \\') for label in ("", "May 5, 2020", "05/05", 'a"b', "a\\b")],
     ])
     def test_fault_names_file_and_line(self, tmp_path, scenario_lines, wave_lines, message):
         path = tmp_path / "s.cfg"
@@ -262,6 +266,40 @@ class TestControlGaps:
     def test_shipped_ceib_margins_agree_within_one_case(self, default_scenario,
                                                         shipped_controls):
         assert control_gaps(default_scenario, shipped_controls) == []
+
+
+class TestScheduleFaults:
+    def test_shipped_scenario_has_none(self, default_scenario, schedules):
+        assert schedule_faults(default_scenario, schedules, "scenario.cfg") == []
+
+    @pytest.mark.parametrize("wave_lines, faults", [
+        ("date=2020-11-15\nsubsidy=twss\n",
+         ["twss not in force on 2020-11-15 (life 2020-03-13 to 2020-09-01)"]),
+        ("date=2020-05-05\nsubsidy=ewss\n", ["ewss rates start 2020-07-01, got 2020-05-05"]),
+        ("date=2019-12-01\nceib=on\nsubsidy=auto\n",
+         ["pup: no regime in force on 2019-12-01 (scheme starts 2020-03-13)",
+          "twss not in force on 2019-12-01 (life 2020-03-13 to 2020-09-01)"]),
+        ("date=2019-12-01\npup=on\n",
+         ["pup: no regime in force on 2019-12-01 (scheme starts 2020-03-13)"]),
+        ("date=2019-12-01\npup=off\nsubsidy=none\ndeferrals=on\n", []),
+        ("date=2020-08-31\npup=on\nsubsidy=auto\n", []),
+        ("date=2020-09-01\nceib=on\nsubsidy=auto\n", []),
+    ])
+    def test_instrument_out_of_schedule_is_named(self, tmp_path, schedules, wave_lines,
+                                                 faults):
+        """The taxben calls apply_wave makes, at the wave's date: pup_rate_cents
+        for pup or ceib, and the subsidy the wave pays, `auto` resolved."""
+        path = tmp_path / "s.cfg"
+        path.write_text(f"[scenario]\ncontrols=c.csv\n[wave:a]\n{wave_lines}")
+        assert schedule_faults(parse_scenario(path), schedules, "s.cfg") == [
+            f"s.cfg: [wave:a] {fault}" for fault in faults]
+
+    @pytest.mark.parametrize("subsidy, date, scheme", [
+        ("auto", D(2020, 8, 31), "twss"), ("auto", D(2020, 9, 1), "ewss"),
+        ("twss", D(2021, 1, 1), "twss"), ("ewss", D(2020, 5, 5), "ewss"),
+        ("none", D(2020, 5, 5), "none")])
+    def test_subsidy_scheme_resolves_auto_at_the_handover(self, subsidy, date, scheme):
+        assert WavePoint(label="a", date=date, subsidy=subsidy).subsidy_scheme == scheme
 
 
 class TestAlignUnitsEmptyStratum:
@@ -686,15 +724,15 @@ class TestRunScenario:
                                                   monkeypatch):
         """Persons are ranked once per run, into the first wave's fixed
         deciles; each wave's four Ginis sort its households, not its persons."""
-        ranks, ginis = [], []
-        inner_order, inner_gini = metrics.household_order, metrics.weighted_gini
-        monkeypatch.setattr(metrics, "household_order",
-                            lambda values, rows: ranks.append(1) or inner_order(values, rows))
-        monkeypatch.setattr(metrics, "weighted_gini", lambda values, weights, order=None:
-                            ginis.append(len(values)) or inner_gini(values, weights, order))
+        grouped, ginis = [], []
+        inner_groups, inner_gini = metrics.weighted_quantile_groups, metrics.weighted_gini
+        monkeypatch.setattr(metrics, "weighted_quantile_groups", lambda order, weights, n:
+                            grouped.append(len(weights)) or inner_groups(order, weights, n))
+        monkeypatch.setattr(metrics, "weighted_gini", lambda values, weights:
+                            ginis.append(len(values)) or inner_gini(values, weights))
         base, _, summaries = run_scenario(small_pop, default_scenario, shipped_controls, tables,
                                           schedules, seed=42)
-        assert len(ranks) == 1
+        assert grouped.count(base.pid.size) == 1
         assert ginis == [base.hid.size] * 4 * len(default_scenario.waves)
         assert base.hid.size < base.pid.size
         assert all(s.deciles is summaries[0].deciles for s in summaries)
