@@ -43,8 +43,15 @@ def align_by_score(ids, scores, weights, target: float) -> np.ndarray:
 
 
 def score_order(ids, scores) -> np.ndarray:
-    """Rank step: units in descending score order, ties by ascending id."""
-    return np.lexsort((np.asarray(ids), -np.asarray(scores, dtype=np.float64)))
+    """Rank step: units in descending score order, ties by ascending id.
+    Without ties or NaNs the order is unique, so numpy's default argsort
+    gives it; otherwise it is the stable lexsort's."""
+    keys = -np.asarray(scores, dtype=np.float64)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.all(ranked[1:] > ranked[:-1]):
+        return order
+    return np.lexsort((np.asarray(ids), keys))
 
 
 def take_by_score(ranked, ranked_weights, target: float, total: float) -> np.ndarray:

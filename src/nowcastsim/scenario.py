@@ -26,6 +26,10 @@ move, and build_baseline ranks each of their pools once per run; sickness
 draws are keyed per wave, so CEIB is ranked per wave. All draws are keyed by
 unit id, making results independent of iteration order and thread count.
 
+Waves that share a date share its draws (a)-(c) and (f): run_scenario runs
+each date's waves as one unit with one dict of draws, dropped when the unit
+ends (see apply_wave). At `threads` > 1 dates, not waves, run in parallel.
+
 Age bands are computed as integer codes into `CASE_AGE_BANDS` (sickness
 cases, employment rates) and `expenses.AGE_BANDS` (holdings); the control
 totals keep the band labels of the control file, which also name each CEIB
@@ -34,6 +38,7 @@ stratum's draw stream `ceib:<band>:<date>`.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,13 +46,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expenses, igm, metrics, taxben
-from .calibration import (AlignmentError, align_by_score, align_continuous, binary_scores,
-                          score_order, take_by_score)
+from .calibration import (AlignmentError, align_by_score, align_continuous, score_order,
+                          take_by_score)
 from .files import csv_rows, finite, key_values
 from .money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
 from .population import (EDUCATIONS, REGIONS, SECTORS, WORK_STATUSES, WORKER_CODES,
                          Population, Table)
-from .rng import anchored_uniform, keyed_uniform
+from .rng import anchored_uniform, keyed_uniform, logistic_noise
 
 CASE_AGE_BANDS = ("0", "1-4", "5-14", "15-24", "25-34", "35-44", "45-54", "55-64", "65+")
 NATIONAL_KEYS = ("population_total", "mortgage_count")  # plus sector_employment:<sector>
@@ -397,8 +402,9 @@ CALIBRATED_COLUMNS = ("industry", "occupation", "work_status", "employment_incom
 
 
 def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int) -> None:
-    """Calibrate `persons` in place to the baseline control totals;
-    `weight` is each person's weight. It writes only `CALIBRATED_COLUMNS`.
+    """Calibrate `persons`, in ascending person id order, in place to the
+    baseline control totals; `weight` is each person's weight. It writes
+    only `CALIBRATED_COLUMNS`.
 
     Employment is aligned per age band to the target rates with scores
     built from anchored uniforms, so targets equal to the observed rates
@@ -422,7 +428,9 @@ def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int)
             p0 = float(np.sum(w[observed]) / np.sum(w))
             p0 = min(max(p0, 1e-9), 1.0 - 1e-9)
             u = anchored_uniform(p0, observed, keyed_uniform(seed, "employment", pids))
-            selected = np.isin(pids, align_by_score(pids, -u, w, rate * float(np.sum(w))))
+            chosen = align_by_score(pids, -u, w, rate * float(np.sum(w)))
+            selected = np.zeros(idx.size, dtype=bool)
+            selected[np.searchsorted(pids, chosen)] = True  # pids ascend; np.isin loads numpy.ma
             hired, fired = idx[selected & ~observed], idx[~selected & observed]
             sector_u = keyed_uniform(seed, "employment:sector", p.person_id[hired])
             p.industry[hired] = np.searchsorted(shares, sector_u * shares[-1])
@@ -655,8 +663,9 @@ def _scaled_sector_targets(base: BaselineState, national_counts: dict,
 
 
 def _rank(ids, seed: int, label: str) -> np.ndarray:
-    """Alignment order of uniform-odds units (see calibration.align_binary)."""
-    return score_order(ids, binary_scores(ids, np.full(len(ids), 0.5), seed, label))
+    """Alignment order of uniform-odds units (see calibration.align_binary,
+    whose logit(0.5) is exactly 0)."""
+    return score_order(ids, logistic_noise(seed, "align:" + label, ids))
 
 
 def _align_rows(pool, ranked, weight, target: float, unit_weight: float,
@@ -688,7 +697,12 @@ def _align_rows(pool, ranked, weight, target: float, unit_weight: float,
 
 def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                tables: DataTables, schedules: taxben.PolicySchedules, seed: int,
-               employer_topup: float = 0.30, capital_booking: str = "amortized") -> WaveResult:
+               employer_topup: float = 0.30, capital_booking: str = "amortized",
+               draws: dict | None = None) -> WaveResult:
+    """The wave's household incomes. Its draws (a)-(c) and (f) are kept in
+    `draws`, each under its date and the switches it depends on, so the
+    waves of one date that pass the same dict draw each only once."""
+    draws = {} if draws is None else draws
     n = base.pid.size
     n_hh = base.hid.size
     covid = np.zeros(n, dtype=np.int8)  # taxben.COVID_CODES
@@ -699,12 +713,16 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     unit_weight = float(np.max(base.person_weight))
     national_employment = tables.national["sector_employment"]
 
-    # (a) pandemic job losses per sector
-    job_lost = np.zeros(n, dtype=bool)
-    targets = _scaled_sector_targets(base, controls.pup_by_sector, national_employment)
-    for sector, target in sorted(targets.items()):
-        job_lost[_align_rows(*base.strata[f"pup:{sector}"], base.person_weight, target,
-                             unit_weight, f"job losses in {sector!r}")] = True
+    # (a) pandemic job losses per sector; `pup` only decides how they are booked
+    key = (wave.date, "job losses")
+    if key not in draws:
+        job_lost = np.zeros(n, dtype=bool)
+        targets = _scaled_sector_targets(base, controls.pup_by_sector, national_employment)
+        for sector, target in sorted(targets.items()):
+            job_lost[_align_rows(*base.strata[f"pup:{sector}"], base.person_weight, target,
+                                 unit_weight, f"job losses in {sector!r}")] = True
+        draws[key] = job_lost
+    job_lost = draws[key]
     if wave.pup_on:
         covid[job_lost] = taxben.COVID_CODES["pup_recipient"]
     else:
@@ -713,46 +731,56 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     se_now[job_lost] = 0
 
     # (b) sickness-benefit cases among remaining workers, per age band
-    ceib = np.zeros(n, dtype=bool)
-    if wave.ceib_on and controls.ceib_cases:
-        pop_share = float(np.sum(base.person_weight)) / tables.national["population_total"]
-        for (band, in_work), count in sorted(controls.ceib_cases.items()):
-            if not in_work:
-                continue  # out-of-work cases carry no income change
-            workers = base.band_workers[CASE_AGE_BANDS.index(band)]
-            rows = workers[~job_lost[workers]]
-            ranked = rows[_rank(base.pid[rows], seed, f"ceib:{band}:{wave.date.isoformat()}")]
-            ceib[_align_rows(rows, ranked, base.person_weight, count * pop_share,
-                             unit_weight, f"sickness cases in age band {band}")] = True
+    key = (wave.date, "sickness cases", wave.ceib_on)
+    if key not in draws:
+        ceib = np.zeros(n, dtype=bool)
+        if wave.ceib_on and controls.ceib_cases:
+            pop_share = float(np.sum(base.person_weight)) / tables.national["population_total"]
+            for (band, in_work), count in sorted(controls.ceib_cases.items()):
+                if not in_work:
+                    continue  # out-of-work cases carry no income change
+                workers = base.band_workers[CASE_AGE_BANDS.index(band)]
+                rows = workers[~job_lost[workers]]
+                ranked = rows[_rank(base.pid[rows], seed,
+                                    f"ceib:{band}:{wave.date.isoformat()}")]
+                ceib[_align_rows(rows, ranked, base.person_weight, count * pop_share,
+                                 unit_weight, f"sickness cases in age band {band}")] = True
+        draws[key] = ceib
+    ceib = draws[key]
     covid[ceib] = taxben.COVID_CODES["ceib_recipient"]
     emp_now[ceib] = 0
     se_now[ceib] = 0
 
-    # (c) wage subsidy among remaining employees, per sector
+    # (c) wage subsidy among remaining employees, per sector: who, and their scheme amounts
     subsidised = np.zeros(n, dtype=bool)
     if wave.subsidy_scheme != "none" and controls.subsidy_by_sector:
-        targets = _scaled_sector_targets(base, controls.subsidy_by_sector, national_employment)
-        rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(targets)])
-        rows = rows[~job_lost[rows] & ~ceib[rows]]
-        # every remaining employee's scheme amount in one call, 0 for the rest
-        amount = np.zeros(n, dtype=np.int64)
-        if rows.size:
-            if wave.subsidy_scheme == "twss":
-                amount[rows] = taxben.twss_subsidy_cents(
-                    schedules, base.take_home_weekly_cents[rows], wave.date)
-            else:
-                amount[rows] = taxben.ewss_subsidy_cents(
-                    schedules, round_div(base.emp_cents[rows], 52), wave.date)
-        for sector, target in sorted(targets.items()):
-            # pay bands outside the scheme ("no subsidy applies") are ineligible;
-            # a subset of the ranked rows keeps their order
-            rows, ranked = (r[amount[r] > 0] for r in base.strata[f"subsidy:{sector}"])
-            subsidised[_align_rows(rows, ranked, base.person_weight, target, unit_weight,
-                                   f"wage subsidy in {sector!r}")] = True
+        key = (wave.date, "wage subsidy", wave.ceib_on, wave.subsidy_scheme)
+        if key not in draws:
+            targets = _scaled_sector_targets(base, controls.subsidy_by_sector,
+                                             national_employment)
+            rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(targets)])
+            rows = rows[~job_lost[rows] & ~ceib[rows]]
+            # every remaining employee's scheme amount in one call, 0 for the rest
+            amount = np.zeros(n, dtype=np.int64)
+            if rows.size:
+                if wave.subsidy_scheme == "twss":
+                    amount[rows] = taxben.twss_subsidy_cents(
+                        schedules, base.take_home_weekly_cents[rows], wave.date)
+                else:
+                    amount[rows] = taxben.ewss_subsidy_cents(
+                        schedules, round_div(base.emp_cents[rows], 52), wave.date)
+            for sector, target in sorted(targets.items()):
+                # pay bands outside the scheme ("no subsidy applies") are ineligible;
+                # a subset of the ranked rows keeps their order
+                rows, ranked = (r[amount[r] > 0] for r in base.strata[f"subsidy:{sector}"])
+                subsidised[_align_rows(rows, ranked, base.person_weight, target, unit_weight,
+                                       f"wage subsidy in {sector!r}")] = True
+            draws[key] = subsidised, amount[subsidised]
+        subsidised, amount = draws[key]
         covid[subsidised] = taxben.COVID_CODES["wage_subsidised"]
         gross_weekly = round_div(base.emp_cents[subsidised], 52)
-        shortfall = np.maximum(gross_weekly - amount[subsidised], 0)
-        emp_now[subsidised] = (amount[subsidised] + apply_rate(employer_topup, shortfall)) * 52
+        shortfall = np.maximum(gross_weekly - amount, 0)
+        emp_now[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
 
     # (d) home working for non-essential remaining workers
     employed_now = base.is_worker & ~job_lost & ~ceib
@@ -772,11 +800,14 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     # (f) capital value changes
     q_hh = np.zeros(n_hh, dtype=np.int64)
     if wave.capital_on and controls.index_change_factor != 0.0:
-        change = expenses.capital_value_change_cents(
-            tables.holdings, base.cap_band, base.cap_quintile,
-            base.cap_participant, controls.index_change_factor)
-        change_hh = np.bincount(base.hh_row, weights=change,
-                                minlength=n_hh).astype(np.int64)
+        key = (wave.date, "capital value change")
+        if key not in draws:
+            change = expenses.capital_value_change_cents(
+                tables.holdings, base.cap_band, base.cap_quintile,
+                base.cap_participant, controls.index_change_factor)
+            draws[key] = np.bincount(base.hh_row, weights=change,
+                                     minlength=n_hh).astype(np.int64)
+        change_hh = draws[key]
         if capital_booking == "once":
             q_hh = -change_hh
         else:
@@ -854,21 +885,26 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
 
     The first wave (by date) anchors the decile ranking: persons are ranked
     by its equivalised adjusted disposable income, and that ranking is held
-    fixed for every wave's decile table.
+    fixed for every wave's decile table. Consecutive waves of one date
+    share its draws; results and summaries keep the scenario's order.
     """
     base = build_baseline(pop, series.at(scenario.waves[0].date), tables, schedules, seed)
 
-    def run_wave(wave: WavePoint) -> WaveResult:
-        return apply_wave(base, series.at(wave.date), wave, tables, schedules,
-                          seed, employer_topup=scenario.employer_topup,
-                          capital_booking=scenario.capital_booking)
+    def run_date(waves: list) -> list:
+        # one dict per date: kept for the whole run, it would hold every date's draws
+        controls, draws = series.at(waves[0].date), {}
+        return [apply_wave(base, controls, wave, tables, schedules, seed,
+                           employer_topup=scenario.employer_topup,
+                           capital_booking=scenario.capital_booking, draws=draws)
+                for wave in waves]
 
+    dates = [list(waves) for _, waves in itertools.groupby(scenario.waves, lambda w: w.date)]
     # no pool at --threads 1: one there raised peak RSS by about 8 MB (8-9%) at 25k households
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_wave, scenario.waves))
+            results = [r for rs in pool.map(run_date, dates) for r in rs]
     else:
-        results = [run_wave(w) for w in scenario.waves]
+        results = [r for waves in dates for r in run_date(waves)]
 
     summaries = []
     for r in results:  # the first wave ranks the deciles; rows are in id order

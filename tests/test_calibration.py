@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nowcastsim.calibration import (AlignmentError, IpfError, align_binary,
-                                    align_continuous, ipf)
+                                    align_continuous, ipf, score_order)
 from nowcastsim.metrics import weighted_gini
+from nowcastsim.rng import logistic_noise
 
 
 def spearman(a, b):
@@ -67,6 +70,33 @@ class TestAlignBinary:
     def test_degenerate_probs_rejected(self):
         with pytest.raises(AlignmentError):
             align_binary(np.array([1]), np.array([1.0]), np.array([1.0]), 1.0, 1, "t")
+
+
+# scores drawn often from a few values, so that ties (0.0 and -0.0 among
+# them) and NaNs are common, and otherwise from every float
+SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.nan, np.inf]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestScoreOrder:
+    """score_order keeps numpy's default argsort only when the sorted keys
+    strictly increase; every other input takes the stable lexsort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(-2**40, 2**40), SCORES), max_size=40))
+    def test_matches_lexsort(self, pairs):
+        ids = np.array([i for i, _ in pairs], dtype=np.int64)  # in any order, repeats allowed
+        scores = np.array([s for _, s in pairs], dtype=np.float64)
+        expected = np.lexsort((ids, -scores))
+        assert np.array_equal(score_order(ids, scores), expected)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_lexsort_on_alignment_noise(self, seed):
+        ids = np.random.default_rng(seed).permutation(26000) * 3 + 1
+        scores = logistic_noise(seed, "align:pup:construction", ids)
+        assert np.array_equal(score_order(ids, scores), np.lexsort((ids, -scores)))
+        tied = np.round(scores, 1)
+        assert np.array_equal(score_order(ids, tied), np.lexsort((ids, -tied)))
 
 
 class TestAlignContinuous:

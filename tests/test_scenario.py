@@ -2,6 +2,9 @@ import configparser
 import dataclasses
 import datetime as dt
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import scenario_oracle
 
+import nowcastsim
 from nowcastsim import metrics, population, taxben
 from nowcastsim.calibration import AlignmentError
 from nowcastsim.money import cents, weekly_to_monthly
@@ -424,6 +428,30 @@ class TestNowcastBaseline:
         assert not np.array_equal(base.status, pop.persons.work_status[order])
         assert not np.array_equal(base.emp_cents, cents(pop.persons.employment_income[order]))
 
+    def test_nowcast_imports_no_module(self):
+        """Once its imports are done, an employment nowcast loads no module:
+        np.isin on the selected ids took numpy's unique path, which imported
+        numpy.ma in the middle of the run."""
+        code = textwrap.dedent("""
+            import datetime as dt, sys
+            from nowcastsim import population, scenario
+            pop = population.generate_synthetic(population.SynthConfig(households=300), 5)
+            h, p = pop.households, pop.persons
+            weight = h.weight[h.household_id.searchsorted(p.household_id)]
+            p.person_id = p.person_id * 1000  # np.isin takes a table, not unique, on dense ids
+            controls = scenario.ControlTotals(date=dt.date(2019, 12, 1), wage_index=1.02,
+                                              employment_rate_by_age={"25-34": 0.5, "45-54": 0.95})
+            status = p.work_status.copy()
+            loaded = set(sys.modules)
+            scenario.nowcast_baseline(p, weight, controls, 5)
+            assert (p.work_status != status).any()
+            assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)
+        """)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nowcastsim.__file__))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, encoding="utf-8")
+        assert done.returncode == 0, done.stderr
+
 
 CALIBRATING = ControlTotals(date=D(2019, 12, 1), wage_index=1.02,
                            employment_rate_by_age={"25-34": 0.5, "45-54": 0.95})
@@ -760,6 +788,73 @@ class TestRunScenario:
         values = household_equivalized(base, results[0])
         assert set(values) == {"market", "gross", "disposable", "adjusted"}
         assert values["gross"].mean() > 0
+
+
+# the instrument variants of every crisis date in a policy sweep
+SWEEP_VARIANTS = {"full": {}, "nopup": {"pup_on": False, "ceib_on": False},
+                  "nosub": {"subsidy": "none"},
+                  "care": {"childcare_support": True, "deferrals_on": False, "capital_on": False,
+                           "home_working_on": False}}
+
+
+class TestSharedDraws:
+    """run_scenario runs the waves of one date with one dict of draws;
+    each wave's result must still be that of a standalone apply_wave."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, default_scenario):
+        first, *crisis = default_scenario.waves
+        waves = [first]
+        for w in crisis:
+            waves += [dataclasses.replace(w, label=f"{w.label}-{name}", **fields)
+                      for name, fields in SWEEP_VARIANTS.items()]
+            if w.date == D(2020, 8, 28):  # both schemes are in force; `auto` pays twss
+                waves.append(dataclasses.replace(w, label=f"{w.label}-ewss", subsidy="ewss"))
+        return dataclasses.replace(default_scenario, waves=waves, employer_topup=0.25,
+                                   capital_booking="once")
+
+    @pytest.fixture(scope="class")
+    def jittered(self):
+        return generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
+
+    def standalone(self, pop, plan, series, tables, schedules, seed):
+        base = build_baseline(pop, series.at(plan.waves[0].date), tables, schedules, seed)
+        return [apply_wave(base, series.at(w.date), w, tables, schedules, seed,
+                           employer_topup=plan.employer_topup,
+                           capital_booking=plan.capital_booking) for w in plan.waves]
+
+    def test_sweep_shares_dates(self, sweep):
+        """Each crisis date holds the four variants (plus ewss on one date),
+        in date order as parse_scenario gives them."""
+        dates = [w.date for w in sweep.waves]
+        assert dates == sorted(dates)
+        assert len(set(dates)) == 7 and len(dates) == 1 + 6 * 4 + 1
+        schemes = {w.subsidy_scheme for w in sweep.waves if w.date == D(2020, 8, 28)}
+        assert schemes == {"none", "twss", "ewss"}
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_waves_equal_standalone_waves(self, jittered, sweep, shipped_controls, tables,
+                                          schedules, threads):
+        _, results, _ = run_scenario(jittered, sweep, shipped_controls, tables, schedules,
+                                     seed=11, threads=threads)
+        expected = self.standalone(jittered, sweep, shipped_controls, tables, schedules, 11)
+        assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected])
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_unsorted_waves_give_the_same_results(self, jittered, sweep, shipped_controls,
+                                                  tables, schedules, threads):
+        first, *rest = sweep.waves
+        order = np.random.default_rng(4).permutation(len(rest))
+        plan = dataclasses.replace(sweep, waves=[first] + [rest[i] for i in order])
+        assert [w.date for w in plan.waves] != sorted(w.date for w in plan.waves)
+        _, results, summaries = run_scenario(jittered, plan, shipped_controls, tables,
+                                             schedules, seed=11, threads=threads)
+        expected = self.standalone(jittered, plan, shipped_controls, tables, schedules, 11)
+        assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected])
+        _, _, sorted_summaries = run_scenario(
+            jittered, sweep, shipped_controls, tables, schedules, seed=11)
+        by_label = {s.label: vars(s) for s in sorted_summaries}
+        assert_bit_equal([vars(s) for s in summaries], [by_label[s.label] for s in summaries])
 
 
 def lexsort_groups(ranking, weights, n_groups, ids):
