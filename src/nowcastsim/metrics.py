@@ -137,25 +137,34 @@ class DistributionSummary:
     deciles: np.ndarray = None                       # each person's decile, 1..10
 
 
-def summarize(label: str, hh_equivalized: dict, hh_row, weights, deciles=None):
+def summarize(label: str, hh_equivalized: dict, hh_row, weights, deciles=None, hw=None,
+              known=None):
     """Build a DistributionSummary from household-level equivalised
     incomes, each carried by the household's persons (`hh_row` maps person
     rows to household rows; every household has one), and the fixed deciles
     (see decile_means); with none given, persons are ranked into deciles by
     this adjusted income, ties by row. Means and Ginis are taken over
-    households weighted by their persons' summed weight."""
+    households weighted by their persons' summed weight, `hw` (computed
+    here when not given). `known` maps a definition to the (mean, Gini,
+    decile means) of an earlier summary of the same incomes under the same
+    deciles; those are taken as they are, not computed again."""
     w = np.asarray(weights, dtype=np.float64)
-    hw = np.bincount(hh_row, weights=w, minlength=len(hh_equivalized["adjusted"]))
-    means = {name: float(np.sum(hh_equivalized[name] * hw) / np.sum(hw))
-             for name in INCOME_DEFINITIONS}
-    gini = {name: weighted_gini(hh_equivalized[name], hw) for name in INCOME_DEFINITIONS}
+    if hw is None:
+        hw = np.bincount(hh_row, weights=w, minlength=len(hh_equivalized["adjusted"]))
     if deciles is None:
         deciles = weighted_quantile_groups(
             np.argsort(hh_equivalized["adjusted"][hh_row], kind="stable"), w, 10)
-    decile_table = decile_means({name: v[hh_row] for name, v in hh_equivalized.items()},
-                                w, deciles)
-    return DistributionSummary(label=label, means=means, gini=gini,
-                               decile_means=decile_table, deciles=deciles)
+    stats = dict(known or {})
+    todo = [name for name in INCOME_DEFINITIONS if name not in stats]
+    table = decile_means({name: hh_equivalized[name][hh_row] for name in todo}, w, deciles)
+    for name in todo:
+        values = hh_equivalized[name]
+        stats[name] = (float(np.sum(values * hw) / np.sum(hw)), weighted_gini(values, hw),
+                       table[name])
+    means, gini, table = ({name: stats[name][k] for name in INCOME_DEFINITIONS}
+                          for k in range(3))
+    return DistributionSummary(label=label, means=means, gini=gini, decile_means=table,
+                               deciles=deciles)
 
 
 DEFINITION_LABELS = {

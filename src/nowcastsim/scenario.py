@@ -26,9 +26,16 @@ move, and build_baseline ranks each of their pools once per run; sickness
 draws are keyed per wave, so CEIB is ranked per wave. All draws are keyed by
 unit id, making results independent of iteration order and thread count.
 
-Waves that share a date share its draws (a)-(c) and (f): run_scenario runs
-each date's waves as one unit with one dict of draws, dropped when the unit
-ends (see apply_wave). At `threads` > 1 dates, not waves, run in parallel.
+Waves that share a date share every result their switches agree on:
+run_scenario runs each date's waves as one unit with one dict, dropped when
+the unit ends, in which apply_wave keeps each step's result under the date
+and only the switches that step reads: the draws (a)-(c), the housing cost
+after (e), the booked capital adjustment of (f), the household market
+income, taxes, benefits, gross and disposable income of (g), and the work
+expenses. Those arrays are read-only and are the same objects in every wave
+whose switches agree; adjusted income and the person arrays are each wave's
+own. A definition's mean, Gini and decile means are taken once per distinct
+array. At `threads` > 1 dates, not waves, run in parallel.
 
 Age bands are computed as integer codes into `CASE_AGE_BANDS` (sickness
 cases, employment rates) and `expenses.AGE_BANDS` (holdings); the control
@@ -699,40 +706,39 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                tables: DataTables, schedules: taxben.PolicySchedules, seed: int,
                employer_topup: float = 0.30, capital_booking: str = "amortized",
                draws: dict | None = None) -> WaveResult:
-    """The wave's household incomes. Its draws (a)-(c) and (f) are kept in
-    `draws`, each under its date and the switches it depends on, so the
-    waves of one date that pass the same dict draw each only once."""
+    """The wave's household incomes. Every step but `adjusted` and the
+    person arrays goes through `once`, which keeps its result in `draws`
+    under the date, the step's name and only the switches the step reads,
+    with its arrays read-only; so the waves of one date that pass the same
+    dict compute each such result once and hold the same arrays."""
     draws = {} if draws is None else draws
+
+    def once(compute, *switches):
+        key = (wave.date, compute.__name__, *switches)
+        if key not in draws:
+            result = compute()
+            for array in result if isinstance(result, tuple) else (result,):
+                array.flags.writeable = False
+            draws[key] = result
+        return draws[key]
+
     n = base.pid.size
     n_hh = base.hid.size
-    covid = np.zeros(n, dtype=np.int8)  # taxben.COVID_CODES
-    status_now = base.status.copy()
-    emp_now = base.emp_cents.copy()
-    se_now = base.se_cents.copy()
-
     unit_weight = float(np.max(base.person_weight))
     national_employment = tables.national["sector_employment"]
 
     # (a) pandemic job losses per sector; `pup` only decides how they are booked
-    key = (wave.date, "job losses")
-    if key not in draws:
+    def job_losses():
         job_lost = np.zeros(n, dtype=bool)
         targets = _scaled_sector_targets(base, controls.pup_by_sector, national_employment)
         for sector, target in sorted(targets.items()):
             job_lost[_align_rows(*base.strata[f"pup:{sector}"], base.person_weight, target,
                                  unit_weight, f"job losses in {sector!r}")] = True
-        draws[key] = job_lost
-    job_lost = draws[key]
-    if wave.pup_on:
-        covid[job_lost] = taxben.COVID_CODES["pup_recipient"]
-    else:
-        status_now[job_lost] = taxben.STATUS_CODES["unemployed"]
-    emp_now[job_lost] = 0
-    se_now[job_lost] = 0
+        return job_lost
+    job_lost = once(job_losses)
 
     # (b) sickness-benefit cases among remaining workers, per age band
-    key = (wave.date, "sickness cases", wave.ceib_on)
-    if key not in draws:
+    def sickness_cases():
         ceib = np.zeros(n, dtype=bool)
         if wave.ceib_on and controls.ceib_cases:
             pop_share = float(np.sum(base.person_weight)) / tables.national["population_total"]
@@ -745,23 +751,19 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                                     f"ceib:{band}:{wave.date.isoformat()}")]
                 ceib[_align_rows(rows, ranked, base.person_weight, count * pop_share,
                                  unit_weight, f"sickness cases in age band {band}")] = True
-        draws[key] = ceib
-    ceib = draws[key]
-    covid[ceib] = taxben.COVID_CODES["ceib_recipient"]
-    emp_now[ceib] = 0
-    se_now[ceib] = 0
+        return ceib
+    ceib = once(sickness_cases, wave.ceib_on)
 
     # (c) wage subsidy among remaining employees, per sector: who, and their scheme amounts
-    subsidised = np.zeros(n, dtype=bool)
-    if wave.subsidy_scheme != "none" and controls.subsidy_by_sector:
-        key = (wave.date, "wage subsidy", wave.ceib_on, wave.subsidy_scheme)
-        if key not in draws:
+    def wage_subsidy():
+        subsidised = np.zeros(n, dtype=bool)
+        amount = np.zeros(n, dtype=np.int64)
+        if wave.subsidy_scheme != "none" and controls.subsidy_by_sector:
             targets = _scaled_sector_targets(base, controls.subsidy_by_sector,
                                              national_employment)
             rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(targets)])
             rows = rows[~job_lost[rows] & ~ceib[rows]]
             # every remaining employee's scheme amount in one call, 0 for the rest
-            amount = np.zeros(n, dtype=np.int64)
             if rows.size:
                 if wave.subsidy_scheme == "twss":
                     amount[rows] = taxben.twss_subsidy_cents(
@@ -775,12 +777,14 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                 rows, ranked = (r[amount[r] > 0] for r in base.strata[f"subsidy:{sector}"])
                 subsidised[_align_rows(rows, ranked, base.person_weight, target, unit_weight,
                                        f"wage subsidy in {sector!r}")] = True
-            draws[key] = subsidised, amount[subsidised]
-        subsidised, amount = draws[key]
-        covid[subsidised] = taxben.COVID_CODES["wage_subsidised"]
-        gross_weekly = round_div(base.emp_cents[subsidised], 52)
-        shortfall = np.maximum(gross_weekly - amount, 0)
-        emp_now[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
+        return subsidised, amount[subsidised]
+    subsidised, amount = once(wage_subsidy, wave.ceib_on, wave.subsidy_scheme)
+
+    covid = np.zeros(n, dtype=np.int8)  # taxben.COVID_CODES
+    if wave.pup_on:
+        covid[job_lost] = taxben.COVID_CODES["pup_recipient"]
+    covid[ceib] = taxben.COVID_CODES["ceib_recipient"]
+    covid[subsidised] = taxben.COVID_CODES["wage_subsidised"]
 
     # (d) home working for non-essential remaining workers
     employed_now = base.is_worker & ~job_lost & ~ceib
@@ -788,80 +792,89 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     if wave.home_working_on:
         home_working = employed_now & ~base.essential & base.home_capable
 
-    # (e) mortgage deferrals
-    deferred = np.zeros(n_hh, dtype=bool)
-    if wave.deferrals_on and controls.deferral_count > 0:
-        holders, ranked = base.strata["deferral"]
-        holder_weight = float(np.sum(base.hh_weight[holders]))
-        target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
-        deferred[_align_rows(holders, ranked, base.hh_weight, target,
-                             float(np.max(base.hh_weight)), "mortgage deferrals")] = True
+    # (e) mortgage deferrals, and the housing cost H they leave
+    def housing_cost():
+        deferred = np.zeros(n_hh, dtype=bool)
+        if wave.deferrals_on and controls.deferral_count > 0:
+            holders, ranked = base.strata["deferral"]
+            holder_weight = float(np.sum(base.hh_weight[holders]))
+            target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
+            deferred[_align_rows(holders, ranked, base.hh_weight, target,
+                                 float(np.max(base.hh_weight)), "mortgage deferrals")] = True
+        return expenses.housing_cost_cents(base.tenure_code, base.mortgage_cents,
+                                           base.rent_cents, deferred)
+    h_hh = once(housing_cost, wave.deferrals_on)
 
-    # (f) capital value changes
-    q_hh = np.zeros(n_hh, dtype=np.int64)
-    if wave.capital_on and controls.index_change_factor != 0.0:
-        key = (wave.date, "capital value change")
-        if key not in draws:
-            change = expenses.capital_value_change_cents(
-                tables.holdings, base.cap_band, base.cap_quintile,
-                base.cap_participant, controls.index_change_factor)
-            draws[key] = np.bincount(base.hh_row, weights=change,
-                                     minlength=n_hh).astype(np.int64)
-        change_hh = draws[key]
-        if capital_booking == "once":
-            q_hh = -change_hh
-        else:
-            q_hh = annual_to_monthly(-change_hh)
+    # (f) capital value changes, booked as the adjustment Q
+    def capital_adjustment():
+        if not (wave.capital_on and controls.index_change_factor != 0.0):
+            return np.zeros(n_hh, dtype=np.int64)
+        change = expenses.capital_value_change_cents(
+            tables.holdings, base.cap_band, base.cap_quintile,
+            base.cap_participant, controls.index_change_factor)
+        change_hh = np.bincount(base.hh_row, weights=change, minlength=n_hh).astype(np.int64)
+        return -change_hh if capital_booking == "once" else annual_to_monthly(-change_hh)
+    q_hh = once(capital_adjustment, wave.capital_on, capital_booking)
 
     # (g) taxes, benefits, and the four income definitions. A person (a)-(c)
     # did not move keeps the baseline's status, incomes and covid code 0, under
     # which neither tax nor benefit depends on date or policy; so the baseline
     # totals change, exactly, by the moved persons' accounts now minus before.
-    moved = np.flatnonzero(job_lost | ceib | subsidised)
+    def household_accounts():
+        status_now = base.status.copy()
+        emp_now = base.emp_cents.copy()
+        se_now = base.se_cents.copy()
+        if not wave.pup_on:
+            status_now[job_lost] = taxben.STATUS_CODES["unemployed"]
+        stopped = job_lost | ceib
+        emp_now[stopped] = 0
+        se_now[stopped] = 0
+        gross_weekly = round_div(base.emp_cents[subsidised], 52)
+        shortfall = np.maximum(gross_weekly - amount, 0)
+        emp_now[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
+        moved = np.flatnonzero(stopped | subsidised)
 
-    def moved_accounts(status, covid_code, emp, se, policy):
-        return taxben.household_accounts(
-            status[moved], covid_code, base.weekly_earn_cents[moved], emp[moved], se[moved],
-            base.cap_cents[moved], base.pens_cents[moved], base.hh_row[moved], n_hh,
-            wave.date, policy, schedules)
-    now = moved_accounts(status_now, covid[moved], emp_now, se_now,
-                         taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on))
-    was = moved_accounts(base.status, np.zeros(moved.size, dtype=np.int8), base.emp_cents,
-                         base.se_cents, taxben.PolicyState())
-    market_hh = base.market + now.market - was.market
-    taxes_hh = base.taxes + now.taxes - was.taxes
-    benefits_hh = base.benefits + now.benefits - was.benefits
+        def moved_accounts(status, covid_code, emp, se, policy):
+            return taxben.household_accounts(
+                status[moved], covid_code, base.weekly_earn_cents[moved], emp[moved],
+                se[moved], base.cap_cents[moved], base.pens_cents[moved], base.hh_row[moved],
+                n_hh, wave.date, policy, schedules)
+        now = moved_accounts(status_now, covid[moved], emp_now, se_now,
+                             taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on))
+        was = moved_accounts(base.status, np.zeros(moved.size, dtype=np.int8),
+                             base.emp_cents, base.se_cents, taxben.PolicyState())
+        market = base.market + now.market - was.market
+        taxes = base.taxes + now.taxes - was.taxes
+        benefits = base.benefits + now.benefits - was.benefits
+        gross = market + benefits
+        return market, taxes, benefits, gross, gross - taxes
+    market_hh, taxes_hh, benefits_hh, gross_hh, disposable_hh = once(
+        household_accounts, wave.pup_on, wave.ceib_on, wave.subsidy_scheme, employer_topup)
 
-    h_hh = expenses.housing_cost_cents(base.tenure_code, base.mortgage_cents,
-                                       base.rent_cents, deferred)
-
-    commuting_active = employed_now & ~home_working
-    n_private = np.bincount(base.hh_row[commuting_active
-                                        & (base.commute_mode == expenses.MODE_PRIVATE)],
-                            minlength=n_hh)
-    n_public = np.bincount(base.hh_row[commuting_active
-                                       & (base.commute_mode == expenses.MODE_PUBLIC)],
-                           minlength=n_hh)
-    commuting_weekly = expenses.commuting_cost_cents(tables.commute, n_private, n_public)
-
-    childcare_weekly = base.childcare_weekly_cents.copy()
-    if wave.childcare_support:
-        childcare_weekly[:] = 0
-    else:
-        someone_home = (job_lost | ceib | home_working)
-        home_hh = np.bincount(base.hh_row[someone_home], minlength=n_hh) > 0
-        childcare_weekly[home_hh] = 0
-
-    c_hh = weekly_to_monthly(commuting_weekly + childcare_weekly)
-
-    gross_hh = market_hh + benefits_hh
-    disposable_hh = gross_hh - taxes_hh
-    adjusted_hh = disposable_hh - h_hh - q_hh - c_hh
+    # work expenses C: commuting plus childcare
+    def work_expenses():
+        commuting_active = employed_now & ~home_working
+        n_private = np.bincount(base.hh_row[commuting_active
+                                            & (base.commute_mode == expenses.MODE_PRIVATE)],
+                                minlength=n_hh)
+        n_public = np.bincount(base.hh_row[commuting_active
+                                           & (base.commute_mode == expenses.MODE_PUBLIC)],
+                               minlength=n_hh)
+        commuting_weekly = expenses.commuting_cost_cents(tables.commute, n_private, n_public)
+        childcare_weekly = base.childcare_weekly_cents.copy()
+        if wave.childcare_support:
+            childcare_weekly[:] = 0
+        else:
+            someone_home = (job_lost | ceib | home_working)
+            home_hh = np.bincount(base.hh_row[someone_home], minlength=n_hh) > 0
+            childcare_weekly[home_hh] = 0
+        return weekly_to_monthly(commuting_weekly + childcare_weekly)
+    c_hh = once(work_expenses, wave.ceib_on, wave.home_working_on, wave.childcare_support)
 
     return WaveResult(
         label=wave.label, date=wave.date,
         market=market_hh, gross=gross_hh, disposable=disposable_hh,
-        adjusted=adjusted_hh, taxes=taxes_hh, benefits=benefits_hh,
+        adjusted=disposable_hh - h_hh - q_hh - c_hh, taxes=taxes_hh, benefits=benefits_hh,
         housing=h_hh, capital_adjustment=q_hh,
         work_expenses=c_hh, covid_code=covid, employed_now=employed_now,
         home_working=home_working,
@@ -886,12 +899,13 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
     The first wave (by date) anchors the decile ranking: persons are ranked
     by its equivalised adjusted disposable income, and that ranking is held
     fixed for every wave's decile table. Consecutive waves of one date
-    share its draws; results and summaries keep the scenario's order.
+    share every result their switches agree on, and each shared array is
+    summarized once; results and summaries keep the scenario's order.
     """
     base = build_baseline(pop, series.at(scenario.waves[0].date), tables, schedules, seed)
 
     def run_date(waves: list) -> list:
-        # one dict per date: kept for the whole run, it would hold every date's draws
+        # one dict per date: kept for the whole run, it would hold every date's results
         controls, draws = series.at(waves[0].date), {}
         return [apply_wave(base, controls, wave, tables, schedules, seed,
                            employer_topup=scenario.employer_topup,
@@ -906,9 +920,17 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
     else:
         results = [r for waves in dates for r in run_date(waves)]
 
-    summaries = []
+    # a definition's statistics are taken once per distinct cents array: waves
+    # of one date share arrays, and `results` keeps each alive, so no id recurs
+    hw = np.bincount(base.hh_row, weights=base.person_weight, minlength=base.hid.size)
+    stats, summaries = {}, []  # id of a summarized cents array -> (mean, Gini, decile means)
     for r in results:  # the first wave ranks the deciles; rows are in id order
-        summaries.append(metrics.summarize(
+        ids = {name: id(getattr(r, name)) for name in metrics.INCOME_DEFINITIONS}
+        s = metrics.summarize(
             r.label, household_equivalized(base, r), base.hh_row, base.person_weight,
-            summaries[0].deciles if summaries else None))
+            summaries[0].deciles if summaries else None, hw=hw,
+            known={name: stats[i] for name, i in ids.items() if i in stats})
+        stats.update((i, (s.means[name], s.gini[name], s.decile_means[name]))
+                     for name, i in ids.items())
+        summaries.append(s)
     return base, results, summaries

@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import datetime as dt
+import itertools
 import os
 import subprocess
 import sys
@@ -796,22 +797,47 @@ SWEEP_VARIANTS = {"full": {}, "nopup": {"pup_on": False, "ceib_on": False},
                   "care": {"childcare_support": True, "deferrals_on": False, "capital_on": False,
                            "home_working_on": False}}
 
+# one wave per switch of the shipped 2020-08-28 wave (childcare support off) flipped
+SWITCH_FLIPS = {"full": {}, "nopup": {"pup_on": False}, "noceib": {"ceib_on": False},
+                "nosub": {"subsidy": "none"}, "twss": {"subsidy": "twss"},
+                "ewss": {"subsidy": "ewss"}, "nodeferrals": {"deferrals_on": False},
+                "nocapital": {"capital_on": False}, "nohome": {"home_working_on": False},
+                "care": {"childcare_support": True}}
+# the WaveResult fields a date's waves share, and the wave switches each is
+# keyed by (besides the date and the run's employer_topup and capital_booking)
+SHARED_FIELDS = {"housing": ("deferrals_on",), "capital_adjustment": ("capital_on",),
+                 **dict.fromkeys(("market", "taxes", "benefits", "gross", "disposable"),
+                                 ("pup_on", "ceib_on", "subsidy_scheme")),
+                 "work_expenses": ("ceib_on", "home_working_on", "childcare_support")}
+
 
 class TestSharedDraws:
-    """run_scenario runs the waves of one date with one dict of draws;
+    """run_scenario runs the waves of one date with one dict of results;
     each wave's result must still be that of a standalone apply_wave."""
 
-    @pytest.fixture(scope="class")
-    def sweep(self, default_scenario):
+    @pytest.fixture(scope="class", params=["sweep", "flips", "flips-once"])
+    def plan(self, default_scenario, request):
+        """The policy sweep: the 6 crisis dates x SWEEP_VARIANTS, plus ewss
+        on 2020-08-28, where `auto` pays twss. Or one date's waves, each
+        flipping one switch of the shipped 2020-08-28 wave, at the default
+        top-up and booking or at others."""
         first, *crisis = default_scenario.waves
-        waves = [first]
-        for w in crisis:
-            waves += [dataclasses.replace(w, label=f"{w.label}-{name}", **fields)
-                      for name, fields in SWEEP_VARIANTS.items()]
-            if w.date == D(2020, 8, 28):  # both schemes are in force; `auto` pays twss
-                waves.append(dataclasses.replace(w, label=f"{w.label}-ewss", subsidy="ewss"))
-        return dataclasses.replace(default_scenario, waves=waves, employer_topup=0.25,
-                                   capital_booking="once")
+        if request.param == "sweep":
+            waves = [first]
+            for w in crisis:
+                waves += [dataclasses.replace(w, label=f"{w.label}-{name}", **fields)
+                          for name, fields in SWEEP_VARIANTS.items()]
+                if w.date == D(2020, 8, 28):  # both schemes are in force; `auto` pays twss
+                    waves.append(dataclasses.replace(w, label=f"{w.label}-ewss",
+                                                     subsidy="ewss"))
+            return dataclasses.replace(default_scenario, waves=waves, employer_topup=0.25,
+                                       capital_booking="once")
+        [w] = [w for w in crisis if w.date == D(2020, 8, 28)]
+        waves = [first] + [dataclasses.replace(w, label=f"{w.label}-{name}", **fields)
+                           for name, fields in SWITCH_FLIPS.items()]
+        settings = {"flips": {}, "flips-once": dict(employer_topup=0.6,
+                                                    capital_booking="once")}[request.param]
+        return dataclasses.replace(default_scenario, waves=waves, **settings)
 
     @pytest.fixture(scope="class")
     def jittered(self):
@@ -823,39 +849,131 @@ class TestSharedDraws:
                            employer_topup=plan.employer_topup,
                            capital_booking=plan.capital_booking) for w in plan.waves]
 
-    def test_sweep_shares_dates(self, sweep):
-        """Each crisis date holds the four variants (plus ewss on one date),
-        in date order as parse_scenario gives them."""
-        dates = [w.date for w in sweep.waves]
+    def test_sweep_shares_dates(self, plan):
+        """Each plan is in date order as parse_scenario gives it, and its
+        2020-08-28 waves pay no subsidy, twss and ewss."""
+        dates = [w.date for w in plan.waves]
         assert dates == sorted(dates)
-        assert len(set(dates)) == 7 and len(dates) == 1 + 6 * 4 + 1
-        schemes = {w.subsidy_scheme for w in sweep.waves if w.date == D(2020, 8, 28)}
+        assert (len(set(dates)), len(dates)) in ((7, 1 + 6 * 4 + 1), (2, 1 + len(SWITCH_FLIPS)))
+        schemes = {w.subsidy_scheme for w in plan.waves if w.date == D(2020, 8, 28)}
         assert schemes == {"none", "twss", "ewss"}
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_waves_equal_standalone_waves(self, jittered, sweep, shipped_controls, tables,
+    def test_waves_equal_standalone_waves(self, jittered, plan, shipped_controls, tables,
                                           schedules, threads):
-        _, results, _ = run_scenario(jittered, sweep, shipped_controls, tables, schedules,
+        _, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
                                      seed=11, threads=threads)
-        expected = self.standalone(jittered, sweep, shipped_controls, tables, schedules, 11)
+        expected = self.standalone(jittered, plan, shipped_controls, tables, schedules, 11)
         assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected])
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_unsorted_waves_give_the_same_results(self, jittered, sweep, shipped_controls,
+    def test_unsorted_waves_give_the_same_results(self, jittered, plan, shipped_controls,
                                                   tables, schedules, threads):
-        first, *rest = sweep.waves
+        """Shuffled, a date's waves fill their dict in another order (or, in
+        the sweep, split into several runs of one date)."""
+        first, *rest = plan.waves
         order = np.random.default_rng(4).permutation(len(rest))
-        plan = dataclasses.replace(sweep, waves=[first] + [rest[i] for i in order])
-        assert [w.date for w in plan.waves] != sorted(w.date for w in plan.waves)
-        _, results, summaries = run_scenario(jittered, plan, shipped_controls, tables,
+        shuffled = dataclasses.replace(plan, waves=[first] + [rest[i] for i in order])
+        assert [w.label for w in shuffled.waves] != [w.label for w in plan.waves]
+        dates = [w.date for w in shuffled.waves]
+        if len(set(dates)) > 2:
+            assert dates != sorted(dates)
+        _, results, summaries = run_scenario(jittered, shuffled, shipped_controls, tables,
                                              schedules, seed=11, threads=threads)
-        expected = self.standalone(jittered, plan, shipped_controls, tables, schedules, 11)
+        expected = self.standalone(jittered, shuffled, shipped_controls, tables, schedules, 11)
         assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected])
         _, _, sorted_summaries = run_scenario(
-            jittered, sweep, shipped_controls, tables, schedules, seed=11)
+            jittered, plan, shipped_controls, tables, schedules, seed=11)
         by_label = {s.label: vars(s) for s in sorted_summaries}
         assert_bit_equal([vars(s) for s in summaries], [by_label[s.label] for s in summaries])
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_waves_whose_keys_agree_hold_the_same_arrays(self, jittered, plan,
+                                                         shipped_controls, tables, schedules,
+                                                         threads):
+        _, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
+                                     seed=11, threads=threads)
+        waves = {w.label: w for w in plan.waves}
+        for a, b in itertools.combinations(results, 2):
+            for name, switches in SHARED_FIELDS.items():
+                agree = a.date == b.date and all(
+                    getattr(waves[a.label], s) == getattr(waves[b.label], s) for s in switches)
+                assert (getattr(a, name) is getattr(b, name)) == agree, (a.label, b.label, name)
+            for name in ("adjusted", "covid_code", "employed_now", "home_working"):
+                assert getattr(a, name) is not getattr(b, name)
+        for r in results:
+            assert not any(getattr(r, name).flags.writeable for name in SHARED_FIELDS)
+
+    def test_one_dict_serves_every_setting(self, jittered, plan, shipped_controls, tables,
+                                           schedules):
+        """The booking and the employer top-up are part of the keys too: a
+        dict shared by waves run under both settings gives each wave its
+        standalone result."""
+        other = "amortized" if plan.capital_booking == "once" else "once"
+        settings = [dict(employer_topup=plan.employer_topup,
+                         capital_booking=plan.capital_booking),
+                    dict(employer_topup=0.55, capital_booking=other)]
+        base = build_baseline(jittered, shipped_controls.at(plan.waves[0].date), tables,
+                              schedules, 11)
+        draws = {}
+        for w in plan.waves:
+            controls = shipped_controls.at(w.date)
+            for kwargs in settings:
+                shared = apply_wave(base, controls, w, tables, schedules, 11, draws=draws,
+                                    **kwargs)
+                alone = apply_wave(base, controls, w, tables, schedules, 11, **kwargs)
+                assert_bit_equal(vars(shared), vars(alone))
+
+    @pytest.mark.parametrize("households", [300, 4])
+    def test_summaries_equal_summarize_of_each_wave(self, plan, shipped_controls, tables,
+                                                    schedules, households):
+        """Each reused statistic is the one summarize gives the wave's own
+        incomes, bit for bit; 4 households leave deciles empty (NaN)."""
+        pop = generate_synthetic(SynthConfig(households=households, weight_jitter=True), 5)
+        base, results, summaries = run_scenario(pop, plan, shipped_controls, tables,
+                                                schedules, seed=11)
+        for r, s in zip(results, summaries):
+            expected = metrics.summarize(r.label, household_equivalized(base, r), base.hh_row,
+                                         base.person_weight,
+                                         None if s is summaries[0] else summaries[0].deciles)
+            assert_bit_equal(vars(s), vars(expected))
+        nans = np.isnan(summaries[-1].decile_means["market"]).sum()
+        assert (nans > 0) == (households == 4)
+
+    def test_each_distinct_array_is_ranked_once(self, jittered, plan, shipped_controls,
+                                                tables, schedules, monkeypatch):
+        """A wave's summary sorts only the definitions whose cents array no
+        earlier wave summarized; one whose four arrays are all known sorts
+        none and is the earlier summary."""
+        ginis, per_wave = [], []
+        inner_gini, inner_summarize = metrics.weighted_gini, metrics.summarize
+
+        def summarize(*args, **kwargs):
+            before = len(ginis)
+            summary = inner_summarize(*args, **kwargs)
+            per_wave.append(len(ginis) - before)
+            return summary
+        monkeypatch.setattr(metrics, "weighted_gini", lambda values, weights:
+                            ginis.append(1) or inner_gini(values, weights))
+        monkeypatch.setattr(metrics, "summarize", summarize)
+        base, results, summaries = run_scenario(jittered, plan, shipped_controls, tables,
+                                                schedules, seed=11)
+        seen, expected = set(), []
+        for r in results:
+            ids = {id(getattr(r, name)) for name in metrics.INCOME_DEFINITIONS}
+            expected.append(len(ids - seen))
+            seen |= ids
+        assert per_wave == expected and 1 in expected
+        assert len(ginis) == len(seen) < 4 * len(results)
+
+        ginis.clear()
+        s = summaries[-1]
+        known = {name: (s.means[name], s.gini[name], s.decile_means[name])
+                 for name in metrics.INCOME_DEFINITIONS}
+        again = inner_summarize(s.label, household_equivalized(base, results[-1]),
+                                base.hh_row, base.person_weight, s.deciles, known=known)
+        assert ginis == []
+        assert_bit_equal(vars(again), vars(s))
 
 def lexsort_groups(ranking, weights, n_groups, ids):
     """Weighted quantile groups ranked by value, ties by id, as they were
