@@ -146,18 +146,24 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _iso_date(text) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"must be an ISO date, got {text!r} ({exc})") from None
+
+
 def cmd_schedules(args) -> int:
     schedules = taxben.load_policy(args.policy_dir)
-    date = dt.date.fromisoformat(args.date)
     amount_cents = cents(args.earnings or 0.0)
     if args.instrument == "ceib" and args.earnings is None:
-        value = taxben.ceib_rate_cents(schedules, date)
+        value = taxben.ceib_rate_cents(schedules, args.date)
     elif args.instrument in ("pup", "ceib"):  # CEIB pays the PUP bands on known earnings
-        value = taxben.pup_rate_cents(schedules, amount_cents, date)
+        value = taxben.pup_rate_cents(schedules, amount_cents, args.date)
     elif args.instrument == "twss":
-        value = taxben.twss_subsidy_cents(schedules, amount_cents, date)
+        value = taxben.twss_subsidy_cents(schedules, amount_cents, args.date)
     else:
-        value = taxben.ewss_subsidy_cents(schedules, amount_cents, date)
+        value = taxben.ewss_subsidy_cents(schedules, amount_cents, args.date)
     print(f"{euros(value):.2f}")
     return EXIT_OK
 
@@ -232,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="weekly earnings EUR, >= 0 (previous, take-home, or "
                               "gross depending on the instrument); for ceib, gives "
                               "the earnings-banded rate instead of the top one")
-    sched_p.add_argument("--date", required=True)
+    sched_p.add_argument("--date", type=_iso_date, required=True)
     sched_p.add_argument("--policy-dir", default=DEFAULT_POLICY_DIR)
     sched_p.set_defaults(fn=cmd_schedules)
 

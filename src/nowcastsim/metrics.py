@@ -3,16 +3,16 @@ and the benefits/taxes/expenses redistribution decomposition.
 
 Analysis is person-weighted: each person carries their household's survey
 weight and the household's equivalised income (modified OECD scale).
-As every person of a household has its income, `summarize` takes each mean
-and Gini over households weighted by their persons' summed weight (the
-grouped-data Gini, Lerman & Yitzhaki 1989): in exact arithmetic, the person
-figures. Deciles stay per person, ranked by the stable argsort of the
-persons' adjusted incomes.
+As every person of a household has its income, `summarize` reads household
+arrays only: means and Ginis over households weighted by their persons'
+summed weight (the grouped-data Gini, Lerman & Yitzhaki 1989), decile means
+over the (household, decile) pairs of `decile_groups`; in exact arithmetic,
+the person figures.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,20 +95,25 @@ def weighted_quantile_groups(order, weights, n_groups: int) -> np.ndarray:
     return groups
 
 
-def decile_means(values_by_definition: dict, weights, deciles) -> dict:
-    """Per-decile weighted means of each income definition.
-
-    `deciles` (1..10 per unit) are grouped once from a fixed ranking (the
-    baseline equivalised adjusted disposable income), so a shock moves
-    people's incomes but not their decile membership. An empty decile's
-    mean is NaN.
-    """
+def decile_groups(hh_row, weights, deciles):
+    """The (household, decile) pairs of persons in households `hh_row`,
+    with `weights` and `deciles` (1..10): a household can straddle a decile
+    boundary. Returns the pairs' household rows, deciles and summed person
+    weights, in household order, and the 10 deciles' summed weights."""
     w = np.asarray(weights, dtype=np.float64)
-    weight_sums = np.bincount(deciles, weights=w, minlength=11)[1:]
-    return {name: np.divide(np.bincount(deciles, weights=np.asarray(v, dtype=np.float64) * w,
-                                        minlength=11)[1:], weight_sums,
-                            out=np.full(10, np.nan), where=weight_sums > 0)
-            for name, v in values_by_definition.items()}
+    pair_weight = np.bincount(np.asarray(hh_row) * 10 + np.asarray(deciles) - 1, weights=w)
+    pairs = np.flatnonzero(pair_weight)
+    return (pairs // 10, pairs % 10 + 1, pair_weight[pairs],
+            np.bincount(deciles, weights=w, minlength=11)[1:])
+
+
+def decile_means(values, groups) -> np.ndarray:
+    """Weighted means of household-level `values` per decile of `groups`
+    (see decile_groups), ranked once, so a shock moves incomes but not
+    decile membership. An empty decile's mean is NaN."""
+    hh, decile, pair_weight, weight_sums = groups
+    sums = np.bincount(decile, weights=values[hh] * pair_weight, minlength=11)[1:]
+    return np.divide(sums, weight_sums, out=np.full(10, np.nan), where=weight_sums > 0)
 
 
 def redistribution_decomposition(
@@ -131,40 +136,17 @@ class DistributionSummary:
     """Per-wave distributional statistics over the four income definitions."""
 
     label: str
-    means: dict = field(default_factory=dict)        # definition -> EUR/month per AE
-    gini: dict = field(default_factory=dict)         # definition -> Gini
-    decile_means: dict = field(default_factory=dict)  # definition -> 10-vector
-    deciles: np.ndarray = None                       # each person's decile, 1..10
+    means: dict         # definition -> EUR/month per AE
+    gini: dict          # definition -> Gini
+    decile_means: dict  # definition -> 10-vector
 
 
-def summarize(label: str, hh_equivalized: dict, hh_row, weights, deciles=None, hw=None,
-              known=None):
-    """Build a DistributionSummary from household-level equivalised
-    incomes, each carried by the household's persons (`hh_row` maps person
-    rows to household rows; every household has one), and the fixed deciles
-    (see decile_means); with none given, persons are ranked into deciles by
-    this adjusted income, ties by row. Means and Ginis are taken over
-    households weighted by their persons' summed weight, `hw` (computed
-    here when not given). `known` maps a definition to the (mean, Gini,
-    decile means) of an earlier summary of the same incomes under the same
-    deciles; those are taken as they are, not computed again."""
-    w = np.asarray(weights, dtype=np.float64)
-    if hw is None:
-        hw = np.bincount(hh_row, weights=w, minlength=len(hh_equivalized["adjusted"]))
-    if deciles is None:
-        deciles = weighted_quantile_groups(
-            np.argsort(hh_equivalized["adjusted"][hh_row], kind="stable"), w, 10)
-    stats = dict(known or {})
-    todo = [name for name in INCOME_DEFINITIONS if name not in stats]
-    table = decile_means({name: hh_equivalized[name][hh_row] for name in todo}, w, deciles)
-    for name in todo:
-        values = hh_equivalized[name]
-        stats[name] = (float(np.sum(values * hw) / np.sum(hw)), weighted_gini(values, hw),
-                       table[name])
-    means, gini, table = ({name: stats[name][k] for name in INCOME_DEFINITIONS}
-                          for k in range(3))
-    return DistributionSummary(label=label, means=means, gini=gini, decile_means=table,
-                               deciles=deciles)
+def summarize(values, hw, groups) -> tuple:
+    """The weighted mean, Gini and decile means of household-level
+    `values`: each household weighs `hw`, its persons' summed weight, and
+    `groups` are its (household, decile) pairs (see decile_groups)."""
+    return (float(np.sum(values * hw) / np.sum(hw)), weighted_gini(values, hw),
+            decile_means(values, groups))
 
 
 DEFINITION_LABELS = {

@@ -34,8 +34,9 @@ after (e), the booked capital adjustment of (f), the household market
 income, taxes, benefits, gross and disposable income of (g), and the work
 expenses. Those arrays are read-only and are the same objects in every wave
 whose switches agree; adjusted income and the person arrays are each wave's
-own. A definition's mean, Gini and decile means are taken once per distinct
-array. At `threads` > 1 dates, not waves, run in parallel.
+own. Each distinct cents array is equivalised and summarized once, over
+households and (household, decile) pairs. At `threads` > 1 dates, not
+waves, run in parallel.
 
 Age bands are computed as integer codes into `CASE_AGE_BANDS` (sickness
 cases, employment rates) and `expenses.AGE_BANDS` (holdings); the control
@@ -884,22 +885,16 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
 # -- summaries ------------------------------------------------------------------
 
 
-def household_equivalized(base: BaselineState, result: WaveResult) -> dict:
-    """Household-level equivalised EUR/month for the four definitions."""
-    return {name: getattr(result, name) / 100.0 / base.equiv_scale
-            for name in metrics.INCOME_DEFINITIONS}
-
-
 def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
                  tables: DataTables, schedules: taxben.PolicySchedules, seed: int,
                  threads: int = 1):
     """Nowcast `pop` to `series` at the first wave's date and run every
     wave; returns (BaselineState, [WaveResult], [DistributionSummary]).
 
-    The first wave (by date) anchors the decile ranking: persons are ranked
-    by its equivalised adjusted disposable income, and that ranking is held
-    fixed for every wave's decile table. Consecutive waves of one date
-    share every result their switches agree on, and each shared array is
+    The first wave (the earliest, in parse_scenario's order) anchors the
+    decile ranking: persons are ranked once, by its equivalised adjusted
+    income, for every wave's decile table. Consecutive waves of one date
+    share every result their switches agree on, and each distinct array is
     summarized once; results and summaries keep the scenario's order.
     """
     base = build_baseline(pop, series.at(scenario.waves[0].date), tables, schedules, seed)
@@ -920,17 +915,19 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
     else:
         results = [r for waves in dates for r in run_date(waves)]
 
-    # a definition's statistics are taken once per distinct cents array: waves
-    # of one date share arrays, and `results` keeps each alive, so no id recurs
-    hw = np.bincount(base.hh_row, weights=base.person_weight, minlength=base.hid.size)
-    stats, summaries = {}, []  # id of a summarized cents array -> (mean, Gini, decile means)
-    for r in results:  # the first wave ranks the deciles; rows are in id order
-        ids = {name: id(getattr(r, name)) for name in metrics.INCOME_DEFINITIONS}
-        s = metrics.summarize(
-            r.label, household_equivalized(base, r), base.hh_row, base.person_weight,
-            summaries[0].deciles if summaries else None, hw=hw,
-            known={name: stats[i] for name, i in ids.items() if i in stats})
-        stats.update((i, (s.means[name], s.gini[name], s.decile_means[name]))
-                     for name, i in ids.items())
-        summaries.append(s)
+    # persons are ranked into deciles once, by the first wave; statistics are taken
+    # once per distinct cents array (`results` keeps each alive, so no id recurs)
+    def equivalised(cents_hh):
+        return cents_hh / 100.0 / base.equiv_scale
+    w = base.person_weight
+    groups = metrics.decile_groups(base.hh_row, w, metrics.weighted_quantile_groups(
+        np.argsort(equivalised(results[0].adjusted)[base.hh_row], kind="stable"), w, 10))
+    hw = np.bincount(base.hh_row, weights=w, minlength=base.hid.size)
+    stats = {}  # id of a cents array -> (mean, Gini, decile means)
+    for array in (getattr(r, name) for r in results for name in metrics.INCOME_DEFINITIONS):
+        if id(array) not in stats:
+            stats[id(array)] = metrics.summarize(equivalised(array), hw, groups)
+    summaries = [metrics.DistributionSummary(r.label, *(
+        {name: stats[id(getattr(r, name))][k] for name in metrics.INCOME_DEFINITIONS}
+        for k in range(3))) for r in results]
     return base, results, summaries

@@ -369,9 +369,8 @@ def test_criterion_8_directional_pattern(pipeline_10k, tables, schedules,
                                   home_working_on=w1.home_working_on)
     off = scenario.apply_wave(base, series.at(w1.date), off_wave, tables,
                               schedules, seed=42)
-    equiv_off = scenario.household_equivalized(base, off)
-    gini_disp_off = metrics.weighted_gini(equiv_off["disposable"][base.hh_row],
-                                          base.person_weight)
+    equiv_off = off.disposable / 100.0 / base.equiv_scale
+    gini_disp_off = metrics.weighted_gini(equiv_off[base.hh_row], base.person_weight)
     d_on = wave1.gini["disposable"] - before.gini["disposable"]
     d_off = gini_disp_off - before.gini["disposable"]
     assert d_on < d_off

@@ -53,6 +53,16 @@ class TestSchedulesCommand:
         assert f"argument --earnings: invalid finite value: '{earnings}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("date, reason", [("2020-13-01", "month must be in 1..12"),
+                                              ("15/11/2020", "Invalid isoformat string")])
+    def test_bad_date_is_a_usage_error_naming_the_argument(self, capsys, date, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedules", "pup", "--earnings", "450", "--date", date])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert f"argument --date: must be an ISO date, got '{date}' ({reason}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_ceib_lookup(self, capsys):
         code = main(["schedules", "ceib", "--date", "2020-05-05"])
         assert code == 0

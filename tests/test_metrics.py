@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nowcastsim.metrics import (INCOME_DEFINITIONS, MetricsError, decile_means,
-                                equivalence_scale, redistribution_decomposition,
-                                summarize, weighted_gini, weighted_quantile_groups,
-                                write_summary_tables)
+from nowcastsim.metrics import (INCOME_DEFINITIONS, DistributionSummary, MetricsError,
+                                decile_groups, decile_means, equivalence_scale,
+                                redistribution_decomposition, summarize, weighted_gini,
+                                weighted_quantile_groups, write_summary_tables)
 
 
 def gini_double_sum(values, weights):
@@ -83,20 +84,50 @@ def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
+def summarize_households(hh: dict, hh_row, w, deciles=None) -> dict:
+    """`summarize` of each household-level array in `hh`, whose persons
+    (`hh_row`, weights `w`) are ranked into `deciles`; with none given, by
+    their adjusted income, ties by row, as a run ranks its first wave."""
+    if deciles is None:
+        deciles = weighted_quantile_groups(np.argsort(hh["adjusted"][hh_row], kind="stable"),
+                                           w, 10)
+    hw = np.bincount(hh_row, weights=w, minlength=len(hh["adjusted"]))
+    groups = decile_groups(hh_row, w, deciles)
+    return {name: summarize(values, hw, groups) for name, values in hh.items()}
+
+
+def person_decile_means(values, weights, deciles):
+    """The per-person decile means that pairs replaced: one bincount over
+    every person's value times weight."""
+    w = np.asarray(weights, dtype=np.float64)
+    weight_sums = np.bincount(deciles, weights=w, minlength=11)[1:]
+    return np.divide(np.bincount(deciles, weights=np.asarray(values, dtype=np.float64) * w,
+                                 minlength=11)[1:], weight_sums,
+                     out=np.full(10, np.nan), where=weight_sums > 0)
+
+
+def person_groups(weights, deciles):
+    """decile_groups with every person a household of their own."""
+    return decile_groups(np.arange(len(deciles)), weights, np.asarray(deciles))
+
+
 class TestSummarizeExact:
     def test_summarize_gini_matches_generic_path(self):
         """On small integers every float sum is exact, so the household
-        Ginis and means are bit-equal to the person-level ones."""
+        Ginis, means and decile means are bit-equal to the person-level ones."""
         rng = np.random.default_rng(3)
         hh = {name: rng.choice([0.0, 250.0, 1200.0, -40.0], 50) + rng.integers(0, 3, 50)
               for name in INCOME_DEFINITIONS}
         hh_row = rng.permutation(np.r_[np.arange(50), rng.integers(0, 50, 90)])
         w = rng.integers(1, 4, hh_row.size).astype(np.float64)
-        summary = summarize("w", hh, hh_row, w, rng.integers(1, 11, hh_row.size))
+        deciles = rng.integers(1, 11, hh_row.size)
+        stats = summarize_households(hh, hh_row, w, deciles)
         for name, values in hh.items():
             person = values[hh_row]
-            assert bits(summary.gini[name]) == bits(weighted_gini(person, w))
-            assert bits(summary.means[name]) == bits(np.sum(person * w) / np.sum(w))
+            mean, gini, table = stats[name]
+            assert bits(gini) == bits(weighted_gini(person, w))
+            assert bits(mean) == bits(np.sum(person * w) / np.sum(w))
+            assert table.tobytes() == person_decile_means(person, w, deciles).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n_hh=st.integers(1, 8))
@@ -125,19 +156,22 @@ class TestSummarizeExact:
             assume(k < 1e6)
             spread = sum(wi * wj * abs(xi - xj) for wi, xi in zip(pw, x) for wj, xj in zip(pw, x))
             exact[name] = float(mean), float(spread / (2 * total * total * mean)), k
-        summary = summarize("w", hh, hh_row, w)
+        stats = summarize_households(hh, hh_row, w)
         for name, (mean, gini, k) in exact.items():
-            assert abs(summary.means[name] - mean) <= 1e-12 * k * abs(mean)
-            assert abs(summary.gini[name] - gini) <= 1e-12 * k * (1.0 + abs(gini))
+            assert abs(stats[name][0] - mean) <= 1e-12 * k * abs(mean)
+            assert abs(stats[name][1] - gini) <= 1e-12 * k * (1.0 + abs(gini))
 
 
 class TestSummaryTables:
     def test_redistribution_row_is_the_decomposition_of_the_gini_row(self, tmp_path):
         rng = np.random.default_rng(8)
         hh_row = np.repeat(np.arange(30), 2)
-        summaries = [summarize(label, {name: rng.uniform(-100, 3000, 30)
-                                       for name in INCOME_DEFINITIONS}, hh_row, np.ones(60))
-                     for label in ("a", "b")]
+        summaries = []
+        for label in ("a", "b"):
+            stats = summarize_households({name: rng.uniform(-100, 3000, 30)
+                                          for name in INCOME_DEFINITIONS}, hh_row, np.ones(60))
+            summaries.append(DistributionSummary(label, *(
+                {name: stats[name][k] for name in INCOME_DEFINITIONS} for k in range(3))))
         write_summary_tables(tmp_path, summaries)
         rows = (tmp_path / "redistribution.csv").read_text().splitlines()[1:]
         assert rows == [",".join([s.label] + [f"{x:.6f}" for x in redistribution_decomposition(
@@ -167,12 +201,21 @@ class TestQuantileGroups:
         assert np.all(np.abs(totals - weights.sum() / 10) <= weights.max())
 
 
+# a population: each household's size, its non-negative income and its
+# weight, carried by every person (unit weights, or jittered as in a survey)
+POPULATIONS = st.integers(1, 40).flatmap(lambda n_hh: st.tuples(
+    st.lists(st.integers(1, 6), min_size=n_hh, max_size=n_hh),
+    st.lists(st.sampled_from([0.0, 125.5, 900.0]) | st.floats(0.0, 1e5), min_size=n_hh,
+             max_size=n_hh),
+    st.just([1.0] * n_hh) | st.lists(st.floats(0.5, 1.5), min_size=n_hh, max_size=n_hh),
+    st.randoms(use_true_random=False)))
+
+
 class TestDecileMeans:
     def test_uniform_population_equals_grand_mean(self):
-        values = {"market": np.full(100, 42.0)}
-        out = decile_means(values, np.ones(100),
-                           weighted_quantile_groups(np.arange(100), np.ones(100), 10))
-        assert np.allclose(out["market"], 42.0)
+        out = decile_means(np.full(100, 42.0), person_groups(
+            np.ones(100), weighted_quantile_groups(np.arange(100), np.ones(100), 10)))
+        assert np.allclose(out, 42.0)
 
     def test_shock_to_top_decile_leaves_lower_deciles_fixed(self):
         rng = np.random.default_rng(9)
@@ -182,8 +225,8 @@ class TestDecileMeans:
         deciles = weighted_quantile_groups(np.argsort(ranking, kind="stable"), w, 10)
         shocked = base.copy()
         shocked[deciles == 10] *= 0.5
-        before = decile_means({"x": base}, w, deciles)["x"]
-        after = decile_means({"x": shocked}, w, deciles)["x"]
+        before = decile_means(base, person_groups(w, deciles))
+        after = decile_means(shocked, person_groups(w, deciles))
         assert np.allclose(after[:9], before[:9])
         assert after[9] < before[9]
 
@@ -192,7 +235,7 @@ class TestDecileMeans:
         deciles = np.array([1, 1, 3, 10])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = decile_means({"x": np.array([1.0, 3.0, 5.0, 7.0])}, np.ones(4), deciles)["x"]
+            out = decile_means(np.array([1.0, 3.0, 5.0, 7.0]), person_groups(np.ones(4), deciles))
         assert out[0] == 2.0 and out[2] == 5.0 and out[9] == 7.0
         assert np.isnan(out[[1, 3, 4, 5, 6, 7, 8]]).all()
 
@@ -203,8 +246,46 @@ class TestDecileMeans:
         deciles = weighted_quantile_groups(np.argsort(rng.uniform(size=2000)), w, 10)
         expected = [np.sum(v[deciles == d] * w[deciles == d]) / np.sum(w[deciles == d])
                     for d in range(1, 11)]
-        assert np.allclose(decile_means({"x": v}, w, deciles)["x"], expected,
+        assert np.allclose(decile_means(v, person_groups(w, deciles)), expected,
                            rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def population(sizes, values, weights, rand):
+        """Persons in a shuffled order, ranked into deciles by their
+        household's value, ties by row, as a run ranks its first wave."""
+        hh_row = np.repeat(np.arange(len(sizes)), sizes)
+        rand.shuffle(hh_row)
+        values, w = np.array(values), np.array(weights)[hh_row]
+        deciles = weighted_quantile_groups(np.argsort(values[hh_row], kind="stable"), w, 10)
+        return hh_row, values, w, deciles
+
+    @settings(max_examples=100, deadline=None)
+    @given(POPULATIONS)
+    def test_pairs_match_the_person_bincount(self, population):
+        """Summed over (household, decile) pairs, the decile means are the
+        per-person ones to 1e-12 relative (all terms are of one sign); a
+        decile no person is in gives NaN in both."""
+        hh_row, values, w, deciles = self.population(*population)
+        groups = decile_groups(hh_row, w, deciles)
+        assert np.unique(groups[0] * 10 + groups[1]).size == groups[0].size
+        np.testing.assert_allclose(decile_means(values, groups),
+                                   person_decile_means(values[hh_row], w, deciles),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_households_straddle_decile_boundaries(self):
+        """The population strategy does put one household in two deciles:
+        pairs outnumber households, and each decile weighs its persons."""
+        hh_row, values, w, deciles = self.population(
+            [5, 6, 4, 6, 5, 3], [10.0, 20.0, 30.0, 40.0, 50.0, 60.0],
+            [1.0, 1.3, 0.7, 1.1, 0.9, 1.2], random.Random(1))
+        hh, decile, pair_weight, weight_sums = decile_groups(hh_row, w, deciles)
+        assert hh.size > 6 and np.array_equal(hh, np.sort(hh))
+        assert np.allclose(np.bincount(hh, weights=pair_weight), np.bincount(hh_row, weights=w))
+        assert np.allclose(np.bincount(decile, weights=pair_weight, minlength=11)[1:],
+                           weight_sums)
+        np.testing.assert_allclose(decile_means(values, (hh, decile, pair_weight, weight_sums)),
+                                   person_decile_means(values[hh_row], w, deciles),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestRedistribution:

@@ -23,8 +23,8 @@ from nowcastsim.population import (SECTORS, WORK_STATUSES, WORKER_CODES, Populat
 from nowcastsim.scenario import (CALIBRATED_COLUMNS, CASE_AGE_BANDS, ControlError, ControlTotals,
                                  ScenarioError, WavePoint, _align_rows, apply_wave,
                                  build_baseline, control_gaps, load_control_totals,
-                                 nowcast_baseline, parse_scenario, schedule_faults,
-                                 household_equivalized, run_scenario)
+                                 nowcast_baseline, parse_scenario, run_scenario,
+                                 schedule_faults)
 
 D = dt.date
 ACCOM = "accommodation and food service activities"
@@ -46,6 +46,11 @@ BAD_FIELDS = [
     ("", "date=2020-05-05\n[DEFAULT]\npupp = on\n", r"s.cfg:5: unknown section \[DEFAULT\]"),
     ("", "date=2020-05-05\n[wave_b]\ndate=2020-06-06\n", r"unknown section \[wave_b\]"),
 ]
+
+
+def equivalised(base, result, name):
+    """A wave's household equivalised EUR/month of one income definition."""
+    return getattr(result, name) / 100.0 / base.equiv_scale
 
 
 def null_wave(label="before", date=D(2019, 12, 1)):
@@ -719,9 +724,9 @@ class TestCompare:
                          crisis_wave(pup_on=False, ceib_on=False, subsidy="none"),
                          tables, schedules, seed=7)
         def gini_delta(result, name):
-            return (metrics.weighted_gini(household_equivalized(base, result)[name][base.hh_row],
+            return (metrics.weighted_gini(equivalised(base, result, name)[base.hh_row],
                                           base.person_weight)
-                    - metrics.weighted_gini(household_equivalized(base, before)[name][base.hh_row],
+                    - metrics.weighted_gini(equivalised(base, before, name)[base.hh_row],
                                             base.person_weight))
 
         assert gini_delta(on, "market") > 0
@@ -752,19 +757,30 @@ class TestRunScenario:
                                                   default_scenario, shipped_controls,
                                                   monkeypatch):
         """Persons are ranked once per run, into the first wave's fixed
-        deciles; each wave's four Ginis sort its households, not its persons."""
-        grouped, ginis = [], []
+        deciles; each wave's four Ginis sort its households, not its persons,
+        and every summary reads the one set of (household, decile) pairs."""
+        grouped, ginis, paired, summarized = [], [], [], []
         inner_groups, inner_gini = metrics.weighted_quantile_groups, metrics.weighted_gini
+        inner_pairs, inner_summarize = metrics.decile_groups, metrics.summarize
         monkeypatch.setattr(metrics, "weighted_quantile_groups", lambda order, weights, n:
-                            grouped.append(len(weights)) or inner_groups(order, weights, n))
+                            grouped.append(inner_groups(order, weights, n)) or grouped[-1])
         monkeypatch.setattr(metrics, "weighted_gini", lambda values, weights:
                             ginis.append(len(values)) or inner_gini(values, weights))
+        monkeypatch.setattr(metrics, "decile_groups", lambda hh_row, weights, deciles:
+                            paired.append((deciles, inner_pairs(hh_row, weights, deciles)))
+                            or paired[-1][1])
+        monkeypatch.setattr(metrics, "summarize", lambda values, hw, groups:
+                            summarized.append((len(values), groups))
+                            or inner_summarize(values, hw, groups))
         base, _, summaries = run_scenario(small_pop, default_scenario, shipped_controls, tables,
                                           schedules, seed=42)
-        assert grouped.count(base.pid.size) == 1
+        assert [g.size for g in grouped].count(base.pid.size) == 1
         assert ginis == [base.hid.size] * 4 * len(default_scenario.waves)
         assert base.hid.size < base.pid.size
-        assert all(s.deciles is summaries[0].deciles for s in summaries)
+        [(deciles, groups)] = paired
+        assert deciles is grouped[-1] and deciles.size == base.pid.size
+        assert [n for n, _ in summarized] == [base.hid.size] * 4 * len(summaries)
+        assert all(g is groups for _, g in summarized)
 
     def test_null_scenario_constant_across_waves(self, small_pop, tables, schedules,
                                                  tmp_path, default_scenario):
@@ -784,11 +800,13 @@ class TestRunScenario:
 
     def test_equivalised_values_positive(self, small_pop, tables, schedules,
                                          default_scenario, shipped_controls):
-        base, results, _ = run_scenario(small_pop, default_scenario, shipped_controls, tables,
-                                        schedules, seed=3)
-        values = household_equivalized(base, results[0])
-        assert set(values) == {"market", "gross", "disposable", "adjusted"}
-        assert values["gross"].mean() > 0
+        base, results, summaries = run_scenario(small_pop, default_scenario, shipped_controls,
+                                                tables, schedules, seed=3)
+        values = {name: equivalised(base, results[0], name)
+                  for name in metrics.INCOME_DEFINITIONS}
+        assert set(values) == set(summaries[0].means) == {"market", "gross", "disposable",
+                                                           "adjusted"}
+        assert values["gross"].mean() > 0 and summaries[0].means["gross"] > 0
 
 
 # the instrument variants of every crisis date in a policy sweep
@@ -928,52 +946,134 @@ class TestSharedDraws:
     def test_summaries_equal_summarize_of_each_wave(self, plan, shipped_controls, tables,
                                                     schedules, households):
         """Each reused statistic is the one summarize gives the wave's own
-        incomes, bit for bit; 4 households leave deciles empty (NaN)."""
+        incomes, under the first wave's deciles, bit for bit; 4 households
+        leave deciles empty (NaN)."""
         pop = generate_synthetic(SynthConfig(households=households, weight_jitter=True), 5)
         base, results, summaries = run_scenario(pop, plan, shipped_controls, tables,
                                                 schedules, seed=11)
+        w = base.person_weight
+        deciles = metrics.weighted_quantile_groups(np.argsort(
+            equivalised(base, results[0], "adjusted")[base.hh_row], kind="stable"), w, 10)
+        groups = metrics.decile_groups(base.hh_row, w, deciles)
+        hw = np.bincount(base.hh_row, weights=w)
         for r, s in zip(results, summaries):
-            expected = metrics.summarize(r.label, household_equivalized(base, r), base.hh_row,
-                                         base.person_weight,
-                                         None if s is summaries[0] else summaries[0].deciles)
-            assert_bit_equal(vars(s), vars(expected))
+            for name in metrics.INCOME_DEFINITIONS:
+                expected = metrics.summarize(equivalised(base, r, name), hw, groups)
+                assert_bit_equal((s.means[name], s.gini[name], s.decile_means[name]), expected)
         nans = np.isnan(summaries[-1].decile_means["market"]).sum()
         assert (nans > 0) == (households == 4)
 
     def test_each_distinct_array_is_ranked_once(self, jittered, plan, shipped_controls,
                                                 tables, schedules, monkeypatch):
-        """A wave's summary sorts only the definitions whose cents array no
-        earlier wave summarized; one whose four arrays are all known sorts
-        none and is the earlier summary."""
-        ginis, per_wave = [], []
+        """Only the cents arrays no earlier wave summarized are equivalised
+        and sorted, each once, in the waves' order; a definition whose array
+        an earlier wave summarized takes that wave's very statistics."""
+        ginis, summarized = [], []
         inner_gini, inner_summarize = metrics.weighted_gini, metrics.summarize
-
-        def summarize(*args, **kwargs):
-            before = len(ginis)
-            summary = inner_summarize(*args, **kwargs)
-            per_wave.append(len(ginis) - before)
-            return summary
         monkeypatch.setattr(metrics, "weighted_gini", lambda values, weights:
                             ginis.append(1) or inner_gini(values, weights))
-        monkeypatch.setattr(metrics, "summarize", summarize)
+        monkeypatch.setattr(metrics, "summarize", lambda values, hw, groups:
+                            summarized.append(values) or inner_summarize(values, hw, groups))
         base, results, summaries = run_scenario(jittered, plan, shipped_controls, tables,
                                                 schedules, seed=11)
-        seen, expected = set(), []
-        for r in results:
-            ids = {id(getattr(r, name)) for name in metrics.INCOME_DEFINITIONS}
-            expected.append(len(ids - seen))
-            seen |= ids
-        assert per_wave == expected and 1 in expected
-        assert len(ginis) == len(seen) < 4 * len(results)
+        seen, distinct, expected, first = set(), [], [], {}
+        for r, s in zip(results, summaries):
+            new = 0
+            for name in metrics.INCOME_DEFINITIONS:
+                array = getattr(r, name)
+                if id(array) not in seen:
+                    seen.add(id(array))
+                    distinct.append(array)
+                    first[id(array)] = s.decile_means[name]
+                    new += 1
+                assert s.decile_means[name] is first[id(array)]
+            expected.append(new)
+        assert 1 in expected
+        assert len(ginis) == len(summarized) == len(seen) < 4 * len(results)
+        for values, array in zip(summarized, distinct):
+            assert_bit_equal(values, array / 100.0 / base.equiv_scale)
 
-        ginis.clear()
-        s = summaries[-1]
-        known = {name: (s.means[name], s.gini[name], s.decile_means[name])
-                 for name in metrics.INCOME_DEFINITIONS}
-        again = inner_summarize(s.label, household_equivalized(base, results[-1]),
-                                base.hh_row, base.person_weight, s.deciles, known=known)
-        assert ginis == []
-        assert_bit_equal(vars(again), vars(s))
+def wave_cells(out_dir) -> dict:
+    """Each wave's cells in the written tables: its column of
+    average_income.csv, its rows of the other three (label cell dropped,
+    a gini change row marked) and the body of its summary file."""
+    def read(name):
+        return (out_dir / name).read_text(encoding="utf-8").splitlines()
+    average = [line.split(",") for line in read("average_income.csv")]
+    cells = {label: [[row[k] for row in average[1:]]] for k, label in enumerate(average[0])
+             if k}
+    for name in ("gini.csv", "redistribution.csv", "decile_means.csv"):
+        for line in read(name)[1:]:
+            label, *row = line.split(",")
+            cells[label.removeprefix("change:")].append((name, label.startswith("change:"), row))
+    for label, rows in cells.items():
+        rows.append(read(f"summary_{label}.csv"))
+    return cells
+
+
+class TestRunRelations:
+    """Metamorphic relations between whole runs that pin the summaries: the
+    first wave alone ranks the deciles, and a wave's statistics are those
+    of its own arrays, however many waves share them."""
+
+    @pytest.fixture(scope="class")
+    def jittered(self):
+        return generate_synthetic(SynthConfig(households=3000, weight_jitter=True), 5)
+
+    @pytest.fixture(scope="class", params=["shipped", "sweep"])
+    def plan(self, default_scenario, request):
+        """The shipped waves, or the baseline plus each crisis date x SWEEP_VARIANTS."""
+        if request.param == "shipped":
+            return default_scenario
+        first, *crisis = default_scenario.waves
+        return dataclasses.replace(default_scenario, waves=[first] + [
+            dataclasses.replace(w, label=f"{w.label}-{name}", **fields)
+            for w in crisis for name, fields in SWEEP_VARIANTS.items()])
+
+    @staticmethod
+    def run(pop, plan, waves, series, tables, schedules, threads=1):
+        return run_scenario(pop, dataclasses.replace(plan, waves=waves), series, tables,
+                            schedules, seed=11, threads=threads)
+
+    def test_dropping_or_appending_a_wave_leaves_the_others(self, jittered, plan,
+                                                            shipped_controls, tables, schedules):
+        """Dropping any wave but the first, or appending one at a later date,
+        leaves every other wave's result and summary bit for bit."""
+        def by_label(waves):
+            _, results, summaries = self.run(jittered, plan, waves, shipped_controls, tables,
+                                             schedules)
+            return {r.label: (vars(r), vars(s)) for r, s in zip(results, summaries)}
+        waves = plan.waves
+        full = by_label(waves)
+        later = dataclasses.replace(waves[-1], label="later",
+                                    date=waves[-1].date + dt.timedelta(days=30))
+        for kept in [waves[:i] + waves[i + 1:] for i in range(1, len(waves))] + [waves + [later]]:
+            got = by_label(kept)
+            common = [w.label for w in kept if w.label in full]
+            assert_bit_equal([got[label] for label in common], [full[label] for label in common])
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_wave_and_its_twin_give_identical_columns(self, jittered, plan, shipped_controls,
+                                                        tables, schedules, threads, tmp_path):
+        """A wave duplicated under a second label at its date, next to it or
+        last, gives the same cells in all four tables and the same summary
+        file body; the first wave's twin adds a gini change row of zeros."""
+        waves = plan.waves
+        for i in sorted({0, 1, len(waves) // 2, len(waves) - 1}):
+            twin = dataclasses.replace(waves[i], label=f"{waves[i].label}-twin")
+            for where, with_twin in (("next", waves[:i + 1] + [twin] + waves[i + 1:]),
+                                     ("last", waves + [twin])):
+                _, _, summaries = self.run(jittered, plan, with_twin, shipped_controls, tables,
+                                           schedules, threads)
+                out = tmp_path / f"{i}-{where}"
+                out.mkdir()
+                metrics.write_summary_tables(out, summaries)
+                cells = wave_cells(out)
+                original, copy = cells[waves[i].label], cells[twin.label]
+                if i == 0:  # the first wave has no change row
+                    copy.remove(("gini.csv", True, ["0.000000"] * 4))
+                assert original == copy, (waves[i].label, where)
+
 
 def lexsort_groups(ranking, weights, n_groups, ids):
     """Weighted quantile groups ranked by value, ties by id, as they were
@@ -1005,7 +1105,7 @@ class TestQuantileGroupsOfARun:
         equiv = (base.market + base.benefits - base.taxes) / 100.0 / base.equiv_scale
         assert np.unique(equiv).size < equiv.size  # tied households to break by id
         group_weight = base.hh_weight * np.bincount(base.hh_row)
-        first = household_equivalized(base, results[0])["adjusted"][base.hh_row]
+        first = equivalised(base, results[0], "adjusted")[base.hh_row]
         for (order, n_groups, groups), values, weight, ids in (
                 (calls[0], equiv, group_weight, base.hid),
                 (calls[1], equiv, group_weight, base.hid),
