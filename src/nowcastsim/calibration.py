@@ -13,6 +13,8 @@ clamping hides ingestion bugs.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .rng import logistic_noise
@@ -56,8 +58,13 @@ def score_order(ids, scores) -> np.ndarray:
 
 def take_by_score(ranked, ranked_weights, target: float, total: float) -> np.ndarray:
     """Take step: the leading units of `ranked` (alignment order, weights
-    summing to `total`) whose cumulative weight first reaches `target`, ascending."""
-    tol = 1e-9 * max(1.0, abs(target))
+    summing to `total`) whose cumulative weight first reaches `target`, ascending.
+
+    The tolerance is 1e-9 of the target, but at least 1e-9 of the largest
+    weight's power of two (1 for weights in [1, 2)), so scaling every weight
+    and the target by a power of two selects the same units."""
+    unit = math.ldexp(1.0, math.frexp(ranked_weights.max())[1] - 1) if ranked.size else 1.0
+    tol = 1e-9 * max(unit, abs(target))
     if target < -tol:
         raise AlignmentError(f"negative target {target}")
     if target <= tol:

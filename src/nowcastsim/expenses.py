@@ -272,7 +272,7 @@ TENURE_CODES = {tenure: code for code, tenure in enumerate(TENURES)}
 def housing_cost_cents(tenure_code, mortgage_cents, rent_cents, deferred) -> np.ndarray:
     """Monthly housing cost: rent for renters, the mortgage payment for
     mortgage holders unless deferred, nothing for outright owners."""
-    tenure = np.asarray(tenure_code, dtype=np.int64)
+    tenure = np.asarray(tenure_code)  # codes are compared, never summed
     mortgage = np.asarray(mortgage_cents, dtype=np.int64)
     rent = np.asarray(rent_cents, dtype=np.int64)
     deferred = np.asarray(deferred, dtype=bool)

@@ -25,10 +25,13 @@ labels below whenever the person works, and may be empty otherwise.
 
 In memory a population is two column tables (`Table`), persons and
 households, with one numpy array per schema column and rows in file or
-generation order: int64 ids, counts and enum codes, float64 money and
-weights, bool flags. An enum code indexes the column's label tuple below
-(industry -1 is none); household i's member ids are
-`member_ids[member_offsets[i]:member_offsets[i + 1]]`.
+generation order: int64 ids, ages and counts, int8 enum and occupation
+codes, float64 money and weights, bool flags. Both the loader and the
+generator write that layout directly. An enum code indexes the column's
+label tuple below (industry -1 is none); household i's member ids are
+`member_ids[member_offsets[i]:member_offsets[i + 1]]`. Code columns are
+only compared and indexed: arithmetic on an int8 code wraps silently, so
+widen it first.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ import csv
 import math
 import os
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
@@ -137,9 +141,18 @@ _HOUSEHOLD_COLUMNS = {
 _DTYPES = {int: np.int64, float: np.float64, _boolean: bool, _occupation: np.int64}
 
 
+def _dtype(kind, codes=np.int8):
+    """The in-memory dtype of a column kind: `codes` for enum and occupation
+    codes (all fit int8), int64 for "ids", else the Python kind's dtype."""
+    if isinstance(kind, tuple) or kind is _occupation:
+        return codes
+    return np.int64 if kind == "ids" else _DTYPES[kind]
+
+
 class Table(SimpleNamespace):
     """One numpy array per schema column, as attributes; `len()` is the row
-    count (the length of the first column, the id)."""
+    count (the length of the first column, the id). Columns have the dtypes
+    of `_dtype`; a hand-built table may hold wider codes."""
 
     def __len__(self):
         return len(next(iter(vars(self).values())))
@@ -298,25 +311,23 @@ def _split_ids(ids: list, text) -> int:
     return len(ids) - count
 
 
-def _read(path, header, columns, native: bool) -> tuple:
+def _read(path, header, columns, native: bool, codes=np.int8) -> tuple:
     """One np.loadtxt pass over the rows of a CSV file whose header has every
     column of `columns`: int and float cells parsed by numpy's C parser if
-    `native`, else by Python's int and float; other cells by their kind."""
+    `native`, else by Python's int and float; other cells by their kind.
+    Enum and occupation codes are read as `codes`."""
     unknown, ids, types, converters = {}, [], [], {}
     for i, column in enumerate(header):
         kind = columns[column]
+        types.append(_dtype(kind, codes))
         if kind == "ids":  # the cell's count of ids
-            types.append(np.int64)
             converters[i] = partial(_split_ids, ids)
         elif isinstance(kind, tuple):
-            types.append(np.int64)
             converters[i] = _Memo(_coder(kind, unknown.setdefault(column, []))).__getitem__
-        else:
-            types.append(_DTYPES[kind])
-            if kind not in (int, float):
-                converters[i] = _Memo(kind).__getitem__
-            elif not native:
-                converters[i] = kind
+        elif kind not in (int, float):
+            converters[i] = _Memo(kind).__getitem__
+        elif not native:
+            converters[i] = kind
     with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # header only
         records = np.loadtxt(fh, dtype=[(f"f{i}", t) for i, t in enumerate(types)],
@@ -375,7 +386,9 @@ def _load_table(path, columns) -> tuple:
     A missing or unknown column, or a row whose field count differs from the
     header's, raises; so does a repeated column, a line that is not UTF-8, or
     the first unparseable cell, in row order and, within a row, member_ids
-    first and then column order."""
+    first and then column order. A file with a code past int8 (an occupation
+    outside -128..127, or more unknown texts in one enum column than int8
+    codes index) is read with int64 codes, for validate to report it."""
     name = os.path.basename(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -391,7 +404,10 @@ def _load_table(path, columns) -> tuple:
         except (KeyError, OverflowError, ValueError):
             _raise_first_bad(path, header, columns)
         # numpy rejects a number that Python's int or float reads, such as 1_000
-        return _read(path, header, columns, native=False)
+        try:
+            return _read(path, header, columns, native=False)
+        except ValueError:  # a code past int8, which validate reports: read them wide
+            return _read(path, header, columns, native=False, codes=np.int64)
     except UnicodeDecodeError:
         raise PopulationError([not_utf8(path)]) from None
 
@@ -524,17 +540,26 @@ def _quota_counts(shares: dict, n: int) -> dict:
     return counts
 
 
+_TYPECODES = {np.int8: "b", np.int64: "q", np.float64: "d", bool: "b"}  # a bool is one 0/1 byte
+
+
+def _buffers(columns) -> dict:
+    """One empty typed buffer per column, of the column's `_dtype`."""
+    return {column: array(_TYPECODES[_dtype(kind)]) for column, kind in columns.items()}
+
+
 def _generated_table(values: dict, columns) -> Table:
-    """Table of generated column values, enums as codes; the member_ids
-    column holds household sizes, as persons are numbered from 1 in
-    household order."""
+    """Table of generated columns, each a view of its typed buffer (or
+    array) in `_dtype`; the member_ids buffer holds household sizes, as
+    persons are numbered from 1 in household order."""
     table = {}
     for column, kind in columns.items():
+        column_values = np.frombuffer(values[column], dtype=_dtype(kind))
         if kind == "ids":
-            table["member_offsets"] = np.cumsum([0, *values[column]], dtype=np.int64)
+            table["member_offsets"] = np.cumsum(np.append(0, column_values), dtype=np.int64)
             table[column] = np.arange(1, table["member_offsets"][-1] + 1, dtype=np.int64)
         else:
-            table[column] = np.array(values[column], dtype=_DTYPES.get(kind, np.int64))
+            table[column] = column_values
     return Table(**table)
 
 
@@ -604,14 +629,14 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
     employee, self_employed, unemployed, retired, inactive, student, child = range(7)
     owner_outright, mortgage, renter = range(3)  # TENURES codes
     primary, secondary, university = range(3)  # EDUCATIONS codes
-    # one list per column, enums as codes; the person columns that only the
-    # sector assignment below sets are filled once the persons are drawn
-    values = {column: [] for column in _PERSON_COLUMNS}
+    # one typed buffer per column, enums as codes; the person columns that only
+    # the sector assignment below sets are filled once the persons are drawn
+    values = _buffers(_PERSON_COLUMNS)
     (add_household_id, add_age, add_sex, add_education, add_occupation, add_region,
      add_status, add_capital, add_pension, add_home) = (values[column].append for column in (
         "household_id", "age", "sex", "education", "occupation", "region", "work_status",
         "capital_income", "private_pension", "home_work_capable"))
-    households = {column: [] for column in _HOUSEHOLD_COLUMNS}
+    households = _buffers(_HOUSEHOLD_COLUMNS)
     (add_weight, add_size, add_tenure, add_mortgage, add_rent, add_childcare_user,
      add_childcare_spend, add_kids_0_4, add_kids_u14) = (households[column].append for column in (
         "weight", "member_ids", "tenure", "mortgage_payment", "rent", "childcare_user",
@@ -705,9 +730,11 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
         add_size(len(values["age"]) - first)
 
     n = len(values["age"])
-    values.update(person_id=range(1, n + 1), industry=[-1] * n, employment_income=[0.0] * n,
-                  self_employment_income=[0.0] * n, essential_worker=[False] * n,
-                  covid_state=[0] * n)  # covid_state "none"
+    values.update(person_id=np.arange(1, n + 1), industry=array("b", [-1]) * n,
+                  employment_income=array("d", [0.0]) * n,
+                  self_employment_income=array("d", [0.0]) * n,
+                  essential_worker=array("b", [False]) * n,
+                  covid_state=array("b", [0]) * n)  # covid_state "none"
     # sector assignment by quota keeps realized shares within one worker
     status = values["work_status"]
     workers = [i for i, s in enumerate(status) if s <= self_employed]
@@ -727,7 +754,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
         else:
             values["self_employment_income"][i] = round(amount * 0.9, 2)
 
-    households["household_id"] = range(1, config.households + 1)
+    households["household_id"] = np.arange(1, config.households + 1)
     person_table = _generated_table(values, _PERSON_COLUMNS)
     household_table = _generated_table(households, _HOUSEHOLD_COLUMNS)
     violations = validate(household_table, person_table)

@@ -409,10 +409,12 @@ CALIBRATED_COLUMNS = ("industry", "occupation", "work_status", "employment_incom
                       "self_employment_income")
 
 
-def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int) -> None:
-    """Calibrate `persons`, in ascending person id order, in place to the
-    baseline control totals; `weight` is each person's weight. It writes
-    only `CALIBRATED_COLUMNS`.
+def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int) -> dict:
+    """The columns of `persons`, in ascending person id order, that
+    calibrating to the baseline control totals changes, as new arrays by
+    name; `weight` is each person's weight and `persons` is not modified.
+    Employment rates change all of `CALIBRATED_COLUMNS`, a wage index other
+    than 1 alone changes `employment_income`, and other controls change none.
 
     Employment is aligned per age band to the target rates with scores
     built from anchored uniforms, so targets equal to the observed rates
@@ -420,9 +422,12 @@ def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int)
     attachments first. Employee earnings are then uprated to the wage
     index.
     """
+    changed = {}
     p = persons
     employee = p.work_status == WORK_STATUSES.index("employee")
     if controls.employment_rate_by_age:
+        changed = {name: getattr(persons, name).copy() for name in CALIBRATED_COLUMNS}
+        p = Table(**(vars(persons) | changed))
         bands = case_age_band(p.age)
         med = _weighted_median(p.employment_income[employee], weight[employee])
         worker = np.isin(p.work_status, WORKER_CODES)
@@ -453,7 +458,9 @@ def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int)
     if controls.wage_index != 1.0:
         values, w = p.employment_income[employee], weight[employee]
         current = float(np.sum(values * w) / np.sum(w))
-        p.employment_income[employee] = align_continuous(values, w, controls.wage_index * current)
+        income = changed.setdefault("employment_income", p.employment_income.copy())
+        income[employee] = align_continuous(values, w, controls.wage_index * current)
+    return changed
 
 
 def _weighted_median(values, weights) -> float:
@@ -516,12 +523,11 @@ class BaselineState:
                 array.flags.writeable = False
 
 
-def _by_id(table: Table, ids, copied=()) -> Table:
+def _by_id(table: Table, ids) -> Table:
     """`table` in ascending `ids` order: views of its columns if it is in
-    that order already (but copies of the `copied` ones), else sorted copies."""
+    that order already, else sorted copies."""
     if np.all(ids[1:] > ids[:-1]):
-        return Table(**{name: column.copy() if name in copied else column.view()
-                        for name, column in vars(table).items()})
+        return Table(**{name: column.view() for name, column in vars(table).items()})
     order = np.argsort(ids, kind="stable")
     return Table(**{name: column[order] for name, column in vars(table).items()})
 
@@ -530,17 +536,17 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
                    schedules: taxben.PolicySchedules, seed: int) -> BaselineState:
     """The pre-shock state of `pop` nowcast to `controls`. A table not in
     id order is sorted by id once, here, into copies; one in id order is
-    read in place, except the `CALIBRATED_COLUMNS`, which are copied for
-    `nowcast_baseline` to calibrate. `pop` is not modified."""
+    read in place. Only the columns `nowcast_baseline` changes are new
+    arrays. `pop` is not modified."""
     households = Table(**{name: column for name, column in vars(pop.households).items()
                           if name not in ("member_ids", "member_offsets")})  # not per row
     households = _by_id(households, households.household_id)
-    persons = _by_id(pop.persons, pop.persons.person_id, CALIBRATED_COLUMNS)
+    persons = _by_id(pop.persons, pop.persons.person_id)
     hid, pid, age = households.household_id, persons.person_id, persons.age
     hh_row = np.searchsorted(hid, persons.household_id)
     hh_weight = households.weight
     person_weight = hh_weight[hh_row]
-    nowcast_baseline(persons, person_weight, controls, seed)
+    persons = Table(**(vars(persons) | nowcast_baseline(persons, person_weight, controls, seed)))
     is_worker = np.isin(persons.work_status, WORKER_CODES)
     emp = cents(persons.employment_income)
     se = cents(persons.self_employment_income)
@@ -551,7 +557,7 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
     # baseline taxes/benefits -> household disposable, for deciles and childcare
     n_hh = hid.size
     accounts = taxben.household_accounts(
-        persons.work_status, np.zeros(pid.size, dtype=np.int64), weekly_earn, emp, se, cap, pens,
+        persons.work_status, np.zeros(pid.size, dtype=np.int8), weekly_earn, emp, se, cap, pens,
         hh_row, n_hh, controls.date, taxben.PolicyState(), schedules)
     take_home_weekly = round_div(np.maximum(emp - accounts.person_tax, 0), 52)
     disposable_hh = accounts.market + accounts.benefits - accounts.taxes

@@ -308,8 +308,8 @@ def benefit_weekly_cents(status_code, covid_code, prev_weekly_cents,
     rules. Unemployed persons get the baseline unemployment rate; retired
     persons the baseline pension.
     """
-    status = np.asarray(status_code, dtype=np.int64)
-    covid = np.asarray(covid_code, dtype=np.int64)
+    status = np.asarray(status_code)  # codes are compared, never summed
+    covid = np.asarray(covid_code)
     prev = np.asarray(prev_weekly_cents, dtype=np.int64)
     out = np.zeros(status.shape, dtype=np.int64)
     out[status == STATUS_CODES["unemployed"]] = schedules.tax.unemployment_weekly_cents

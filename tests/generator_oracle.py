@@ -12,8 +12,7 @@ import numpy as np
 
 from nowcastsim.population import (_HOUSEHOLD_COLUMNS, _PERSON_COLUMNS, SECTORS, TENURES,
                                    WORK_STATUSES, WORKER_CODES, WORKER_STATUSES, Population,
-                                   PopulationError, _generated_table, _quota_counts,
-                                   validate)
+                                   PopulationError, Table, _dtype, _quota_counts, validate)
 
 # The generator's categorical draws: a worker's occupation code (1..9), and
 # a household type's number of children (1..3 and 1..2).
@@ -28,6 +27,20 @@ def _choice(name, rng) -> int:
     as choice bisects the same normalised cumulative table, at under a
     tenth of its cost."""
     return bisect.bisect_right(_CDFS[name], rng.random())
+
+
+def _table(values: dict, columns) -> Table:
+    """Lists of column values as arrays of the layout's dtypes (`_dtype`);
+    the member_ids list holds household sizes, as persons are numbered from
+    1 in household order."""
+    table = {}
+    for column, kind in columns.items():
+        if kind == "ids":
+            table["member_offsets"] = np.cumsum([0, *values[column]], dtype=np.int64)
+            table[column] = np.arange(1, table["member_offsets"][-1] + 1, dtype=np.int64)
+        else:
+            table[column] = np.array(values[column], dtype=_dtype(kind))
+    return Table(**table)
 
 
 def generate_synthetic(config: SynthConfig, seed: int) -> Population:
@@ -177,9 +190,8 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
         else:
             values["self_employment_income"][i] = round(amount * 0.9, 2)
 
-    person_table = _generated_table(values, _PERSON_COLUMNS)
-    household_table = _generated_table(dict(zip(_HOUSEHOLD_COLUMNS, zip(*households))),
-                                       _HOUSEHOLD_COLUMNS)
+    person_table = _table(values, _PERSON_COLUMNS)
+    household_table = _table(dict(zip(_HOUSEHOLD_COLUMNS, zip(*households))), _HOUSEHOLD_COLUMNS)
     violations = validate(household_table, person_table)
     if violations:  # would be a generator bug, not a data fault
         raise PopulationError(violations)

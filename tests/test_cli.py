@@ -119,6 +119,25 @@ class TestValidateCommand:
         assert "99" in err
 
 
+    def test_more_unknown_texts_than_int8_codes_are_all_reported(self, data_dir, tmp_path,
+                                                                 capsys):
+        """468 persons, each with its own unknown sex text: more texts than
+        an int8 code indexes, so the loader reads them with wide codes and
+        every one is reported, not numpy's `could not convert string
+        'bad126' to int8`."""
+        save_population(generate_synthetic(SynthConfig(households=200), 1), tmp_path)
+        rows = list(csv.reader((tmp_path / "persons.csv").read_text().splitlines()))
+        for i, row in enumerate(rows[1:]):
+            row[rows[0].index("sex")] = f"bad{i}"
+        with open(tmp_path / "persons.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        code = main(["validate", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                     "--population", str(tmp_path)])
+        assert code == 1
+        assert len(rows) == 469
+        assert capsys.readouterr().err.splitlines() == [
+            f"population: person {i + 1}: column 'sex': bad value 'bad{i}'" for i in range(468)]
+
     @pytest.mark.parametrize("seed_args, seed", [(["--seed", "5"], 5), ([], 42)])
     def test_generated_population_uses_runs_seed(self, data_dir, tmp_path, capsys,
                                                   monkeypatch, seed_args, seed):

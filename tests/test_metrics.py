@@ -136,7 +136,18 @@ class TestSummarizeExact:
         persons, the Gini as sum_i sum_j w_i w_j |x_i - x_j| / (2 W^2 mu).
         The tolerance is 1e-12 relative, times k = sum w|x| / |sum w x|, the
         condition of a sum of mixed signs (k = 1 for incomes of one sign);
-        draws with k past 1e6, the exact mean 0 among them, are skipped."""
+        draws with k past 1e6, the exact mean 0 among them, are skipped.
+
+        Subnormal values keep being drawn, but gradual underflow has no
+        relative precision: each product, sum or quotient that lands below
+        2**-1022 may be off by up to half a subnormal ulp (2**-1074), far
+        more than 1e-12 of a subnormal mean. So the weighted sum W mu also
+        gets an absolute floor of 4 subnormal ulps per term, `floor`, which
+        covers the products w x, their weights' sums and the Gini's terms
+        w x (2 c - w - W) at weights of at least 0.25; the Gini, a ratio to
+        W mu, gets the same floor relative to |W mu|. A draw whose exact
+        W mu lies within the floor of 0 may have a float mean of 0, which
+        `weighted_gini` rejects, so it is skipped like an exact mean of 0."""
         hh = {name: np.array(data.draw(st.lists(HOUSEHOLD_VALUE, min_size=n_hh,
                                                 max_size=n_hh)))
               for name in INCOME_DEFINITIONS}
@@ -147,19 +158,21 @@ class TestSummarizeExact:
                                         min_size=hh_row.size, max_size=hh_row.size)))
         pw = [Fraction(v) for v in w]
         total = sum(pw)
+        floor = Fraction(4 * hh_row.size, 2**1074)
         exact = {}
         for name in INCOME_DEFINITIONS:
             x = [Fraction(v) for v in hh[name][hh_row]]
             mean = sum(wi * xi for wi, xi in zip(pw, x)) / total
-            assume(mean != 0)
+            assume(abs(mean * total) > floor)
             k = float(sum(wi * abs(xi) for wi, xi in zip(pw, x)) / abs(mean * total))
             assume(k < 1e6)
             spread = sum(wi * wj * abs(xi - xj) for wi, xi in zip(pw, x) for wj, xj in zip(pw, x))
-            exact[name] = float(mean), float(spread / (2 * total * total * mean)), k
+            rel = 1e-12 * k + float(floor / abs(mean * total))
+            exact[name] = float(mean), float(spread / (2 * total * total * mean)), k, rel
         stats = summarize_households(hh, hh_row, w)
-        for name, (mean, gini, k) in exact.items():
-            assert abs(stats[name][0] - mean) <= 1e-12 * k * abs(mean)
-            assert abs(stats[name][1] - gini) <= 1e-12 * k * (1.0 + abs(gini))
+        for name, (mean, gini, k, rel) in exact.items():
+            assert abs(stats[name][0] - mean) <= 1e-12 * k * abs(mean) + float(floor / total)
+            assert abs(stats[name][1] - gini) <= rel * (1.0 + abs(gini))
 
 
 class TestSummaryTables:

@@ -570,6 +570,8 @@ PERSONS_EDITS = {
     "quoted comma": lambda data: with_cell(data, "sex", "ma,le"),
     "quoted newline": lambda data: with_cell(data, "region", "southern and\neastern"),
     "unknown enum text": lambda data: with_cell(data, "covid_state", "zombie", row=2),
+    "occupation past int8": lambda data: with_cell(data, "occupation", "300"),
+    "occupation below int8": lambda data: with_cell(data, "occupation", "-129", row=2),
     "1_000 in an int column": lambda data: with_cell(data, "age", "1_000"),
     "1_000 in a float column": lambda data: with_cell(data, "capital_income", "1_000"),
     "arabic digits in an int column": lambda data: with_cell(data, "age", "١٢"),

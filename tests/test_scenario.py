@@ -9,7 +9,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenario_oracle
@@ -346,10 +346,9 @@ def is_worker(persons):
 
 
 def nowcast(pop, controls, seed):
-    """`pop` with copies of its person columns nowcast to `controls`."""
-    persons = Table(**{name: column.copy() for name, column in vars(pop.persons).items()})
-    nowcast_baseline(persons, person_weights(pop), controls, seed)
-    return Population(households=pop.households, persons=persons)
+    """`pop` with the person columns that the nowcast to `controls` changes."""
+    changed = nowcast_baseline(pop.persons, person_weights(pop), controls, seed)
+    return Population(households=pop.households, persons=Table(**(vars(pop.persons) | changed)))
 
 
 class TestNowcastBaseline:
@@ -421,7 +420,7 @@ class TestNowcastBaseline:
         assert mean(out) == pytest.approx(1.02 * mean(small_pop), rel=1e-9)
 
     def test_build_baseline_leaves_its_input_unchanged(self, tables, schedules):
-        """build_baseline nowcasts sorted copies in place, never `pop` itself."""
+        """build_baseline calibrates new arrays, never `pop` itself."""
         pop = generate_synthetic(SynthConfig(households=400, weight_jitter=True), 7)
         before = [Table(**{name: column.copy() for name, column in vars(table).items()})
                   for table in (pop.households, pop.persons)]
@@ -447,10 +446,9 @@ class TestNowcastBaseline:
             p.person_id = p.person_id * 1000  # np.isin takes a table, not unique, on dense ids
             controls = scenario.ControlTotals(date=dt.date(2019, 12, 1), wage_index=1.02,
                                               employment_rate_by_age={"25-34": 0.5, "45-54": 0.95})
-            status = p.work_status.copy()
             loaded = set(sys.modules)
-            scenario.nowcast_baseline(p, weight, controls, 5)
-            assert (p.work_status != status).any()
+            changed = scenario.nowcast_baseline(p, weight, controls, 5)
+            assert (changed["work_status"] != p.work_status).any()
             assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)
         """)
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nowcastsim.__file__))}
@@ -461,6 +459,16 @@ class TestNowcastBaseline:
 
 CALIBRATING = ControlTotals(date=D(2019, 12, 1), wage_index=1.02,
                            employment_rate_by_age={"25-34": 0.5, "45-54": 0.95})
+
+
+def calibrating_series(plan):
+    """The controls of `plan`, with CALIBRATING's employment rates and wage
+    index at its first date, so that the nowcast aligns too."""
+    series = load_control_totals(plan.controls_path)
+    first = plan.waves[0].date
+    series.employment_rate[first] = CALIBRATING.employment_rate_by_age
+    series.wage_index[first] = CALIBRATING.wage_index
+    return series
 
 
 def assert_bit_equal(a, b):
@@ -492,6 +500,48 @@ def shuffled(pop, rng) -> Population:
     households.member_offsets = np.cumsum([0] + [members[i].size for i in h_perm])
     persons = Table(**{name: column[p_perm] for name, column in vars(p).items()})
     return Population(households=households, persons=persons)
+
+
+# the dtype of every column of the one in-memory layout
+LAYOUT = {
+    "persons": {"person_id": np.int64, "household_id": np.int64, "age": np.int64,
+                **dict.fromkeys(("sex", "education", "occupation", "industry", "region",
+                                 "work_status", "covid_state"), np.int8),
+                **dict.fromkeys(("employment_income", "self_employment_income", "capital_income",
+                                 "private_pension"), np.float64),
+                "essential_worker": bool, "home_work_capable": bool},
+    "households": {"household_id": np.int64, "weight": np.float64, "member_offsets": np.int64,
+                   "member_ids": np.int64, "tenure": np.int8, "mortgage_payment": np.float64,
+                   "rent": np.float64, "childcare_user": bool, "childcare_expenditure": np.float64,
+                   "n_children_0_4": np.int64, "n_children_under14": np.int64},
+}
+
+
+class TestLayout:
+    """The generator and the loader both hold category codes in one byte;
+    the engine gives the same run on the int64 codes of hand-built tables."""
+
+    def test_generated_and_loaded_tables_hold_int8_codes(self, tmp_path):
+        generated = generate_synthetic(SynthConfig(households=50, weight_jitter=True), 3)
+        population.save_population(generated, tmp_path)
+        for pop in (generated, population.load_population(tmp_path)):
+            for name, dtypes in LAYOUT.items():
+                table = getattr(pop, name)
+                assert {c: a.dtype for c, a in vars(table).items()} == {
+                    c: np.dtype(d) for c, d in dtypes.items()}, name
+
+    def test_int64_codes_give_the_same_run(self, tables, schedules, default_scenario):
+        pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
+        wide = Population(*(Table(**{c: a.astype(np.int64) if a.dtype == np.int8 else a
+                                     for c, a in vars(table).items()})
+                            for table in (pop.households, pop.persons)))
+        assert wide.persons.work_status.dtype == wide.households.tenure.dtype == np.int64
+        series = calibrating_series(default_scenario)
+        (_, results, summaries), (_, wide_results, wide_summaries) = (
+            run_scenario(p, default_scenario, series, tables, schedules, seed=5)
+            for p in (pop, wide))
+        assert_bit_equal([vars(r) for r in results], [vars(r) for r in wide_results])
+        assert_bit_equal([vars(s) for s in summaries], [vars(s) for s in wide_summaries])
 
 
 class TestBaselineInputOrder:
@@ -530,12 +580,28 @@ class TestBaselineInputOrder:
             ordered_base.emp_cents[0] = 0
 
     def test_nowcast_writes_only_the_calibrated_columns(self, pop):
+        """The nowcast writes none of its input's columns: it returns new
+        arrays for the calibrated columns it changes, and none when its
+        controls change nothing."""
         persons = Table(**{name: column.copy() for name, column in vars(pop.persons).items()})
-        for name, column in vars(persons).items():
-            column.flags.writeable = name in CALIBRATED_COLUMNS
-        nowcast_baseline(persons, person_weights(pop), CALIBRATING, seed=5)
-        assert not np.array_equal(persons.work_status, pop.persons.work_status)
-        assert not np.array_equal(persons.employment_income, pop.persons.employment_income)
+        for column in vars(persons).values():
+            column.flags.writeable = False
+        weight = person_weights(pop)
+        changed = nowcast_baseline(persons, weight, CALIBRATING, seed=5)
+        assert list(changed) == list(CALIBRATED_COLUMNS)
+        assert not np.array_equal(changed["work_status"], pop.persons.work_status)
+        assert not np.array_equal(changed["employment_income"], pop.persons.employment_income)
+        assert same_columns(persons, pop.persons)
+        wage_only = ControlTotals(date=CALIBRATING.date, wage_index=1.02)
+        assert list(nowcast_baseline(persons, weight, wage_only, seed=5)) == ["employment_income"]
+        assert nowcast_baseline(persons, weight, ControlTotals(date=CALIBRATING.date), 5) == {}
+
+    def test_nothing_is_copied_when_the_nowcast_changes_nothing(self, pop, tables, schedules):
+        base = build_baseline(pop, ControlTotals(date=CALIBRATING.date), tables, schedules, 5)
+        for name, column in (("status", pop.persons.work_status),
+                             ("sector_idx", pop.persons.industry),
+                             ("home_capable", pop.persons.home_work_capable)):
+            assert np.shares_memory(getattr(base, name), column), name
 
     @pytest.mark.parametrize("seed", [5, 11])
     @settings(max_examples=4, deadline=None)
@@ -545,10 +611,7 @@ class TestBaselineInputOrder:
         pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), seed)
         other = shuffled(pop, np.random.default_rng(order_seed))
         assert population.validate(other.households, other.persons) == []
-        series = load_control_totals(default_scenario.controls_path)
-        first = default_scenario.waves[0].date
-        series.employment_rate[first] = CALIBRATING.employment_rate_by_age
-        series.wage_index[first] = CALIBRATING.wage_index
+        series = calibrating_series(default_scenario)
         runs = [run_scenario(p, default_scenario, series, tables, schedules, seed)
                 for p in (pop, other)]
         (base, results, summaries), (other_base, other_results, other_summaries) = runs
@@ -1013,8 +1076,9 @@ def wave_cells(out_dir) -> dict:
 
 class TestRunRelations:
     """Metamorphic relations between whole runs that pin the summaries: the
-    first wave alone ranks the deciles, and a wave's statistics are those
-    of its own arrays, however many waves share them."""
+    first wave alone ranks the deciles, a wave's statistics are those of its
+    own arrays, however many waves share them, and weights enter only as
+    ratios."""
 
     @pytest.fixture(scope="class")
     def jittered(self):
@@ -1051,6 +1115,41 @@ class TestRunRelations:
             got = by_label(kept)
             common = [w.label for w in kept if w.label in full]
             assert_bit_equal([got[label] for label in common], [full[label] for label in common])
+
+    @pytest.fixture(scope="class")
+    def by_jitter(self, jittered):
+        return {True: jittered, False: generate_synthetic(SynthConfig(households=3000), 5)}
+
+    @pytest.fixture(scope="class")
+    def calibrating(self, default_scenario):
+        return calibrating_series(default_scenario)
+
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        return {}  # (plan labels, weight_jitter) -> (results, summaries)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(-30, 30), jitter=st.booleans())
+    @example(k=-30, jitter=False)
+    @example(k=-30, jitter=True)
+    @example(k=30, jitter=False)
+    @example(k=30, jitter=True)
+    def test_scaling_every_weight_by_a_power_of_two_changes_nothing(
+            self, by_jitter, plan, calibrating, unscaled, tables, schedules, k, jitter):
+        """Multiplying every household weight by 2**k is exact, and every
+        target, pool weight, tolerance and group cut the engine takes is a
+        ratio of weights; so every WaveResult and summary is bit for bit
+        the same, through the nowcast's alignment too."""
+        pop = by_jitter[jitter]
+        key = (tuple(w.label for w in plan.waves), jitter)
+        if key not in unscaled:
+            unscaled[key] = self.run(pop, plan, plan.waves, calibrating, tables, schedules)[1:]
+        households = Table(**(vars(pop.households) | {"weight": pop.households.weight * 2.0**k}))
+        _, results, summaries = self.run(Population(households=households, persons=pop.persons),
+                                         plan, plan.waves, calibrating, tables, schedules)
+        expected_results, expected_summaries = unscaled[key]
+        assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected_results])
+        assert_bit_equal([vars(s) for s in summaries], [vars(s) for s in expected_summaries])
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_a_wave_and_its_twin_give_identical_columns(self, jittered, plan, shipped_controls,
