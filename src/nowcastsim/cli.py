@@ -17,8 +17,11 @@ import hashlib
 import json
 import os
 import sys
-from importlib.resources import files
 
+# The engine makes no BLAS or LAPACK call, so OpenBLAS's thread pool, which
+# numpy starts on import, only costs start-up time. This runs before the first
+# import below that loads numpy; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, metrics, population, scenario, taxben
 from .calibration import AlignmentError, IpfError
@@ -31,7 +34,7 @@ EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 
-DEFAULT_DATA_DIR = str(files("nowcastsim") / "data")
+DEFAULT_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DEFAULT_POLICY_DIR = os.path.join(DEFAULT_DATA_DIR, "policy")
 
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -916,6 +915,9 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
     dates = [list(waves) for _, waves in itertools.groupby(scenario.waves, lambda w: w.date)]
     # no pool at --threads 1: one there raised peak RSS by about 8 MB (8-9%) at 25k households
     if threads > 1:
+        # imported here: a one-thread run needs neither it nor the logging it loads
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = [r for rs in pool.map(run_date, dates) for r in rs]
     else:

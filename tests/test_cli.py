@@ -369,6 +369,41 @@ def test_commands_read_no_file_in_the_locale_encoding(data_dir, tmp_path):
         assert done.returncode == 0, done.stderr
 
 
+class TestStartUp:
+    """A fresh process that imports nowcastsim.cli: OpenBLAS, which numpy
+    loads, starts its thread pool unless told one thread, and the engine
+    makes no BLAS call."""
+
+    @staticmethod
+    def child(code, *args, openblas_threads=None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nowcastsim.__file__))
+        if openblas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas_threads
+        done = subprocess.run([sys.executable, "-c", "import os, sys\nimport nowcastsim.cli\n"
+                               + code, *args], env=env, capture_output=True, encoding="utf-8")
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_openblas_threads_default_to_one(self, preset, expected):
+        value = self.child('print(os.environ["OPENBLAS_NUM_THREADS"])', openblas_threads=preset)
+        assert value == expected
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+    def test_import_starts_no_thread(self):
+        assert self.child('print(len(os.listdir("/proc/self/task")))') == "1"
+
+    def test_a_one_thread_run_imports_no_executor(self, data_dir, tmp_path):
+        synth = tmp_path / "synth.cfg"
+        synth.write_text("households = 30\n", encoding="utf-8")
+        code = ("assert nowcastsim.cli.main(['run', '--threads', '1', *sys.argv[1:]]) == 0\n"
+                "print('concurrent.futures' in sys.modules)")
+        assert self.child(code, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                          "--synth-config", str(synth), "--out", str(tmp_path / "out")
+                          ).splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_rejected(data_dir, tmp_path, capsys, threads):
     with pytest.raises(SystemExit) as exc:

@@ -1074,11 +1074,36 @@ def wave_cells(out_dir) -> dict:
     return cells
 
 
+def read_tables(out_dir, rename=lambda label: label) -> dict:
+    """Every written file as rows of cells, by file name, with each label
+    cell and summary file name passed through `rename`: the header cells of
+    average_income.csv, the first cell of the other three tables' rows
+    (after any "change:" prefix) and the label in summary_<label>.csv."""
+    tables = {}
+    for path in sorted(out_dir.iterdir()):
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        name = path.name
+        if name == "average_income.csv":
+            rows[0][1:] = map(rename, rows[0][1:])
+        elif name in ("gini.csv", "redistribution.csv", "decile_means.csv"):
+            for row in rows[1:]:
+                change = "change:" if row[0].startswith("change:") else ""
+                row[0] = change + rename(row[0].removeprefix(change))
+        else:
+            name = f"summary_{rename(name.removeprefix('summary_').removesuffix('.csv'))}.csv"
+        tables[name] = rows
+    return tables
+
+
 class TestRunRelations:
     """Metamorphic relations between whole runs that pin the summaries: the
     first wave alone ranks the deciles, a wave's statistics are those of its
-    own arrays, however many waves share them, and weights enter only as
-    ratios."""
+    own arrays, however many waves share them, weights enter only as ratios,
+    and a wave's label names its output without entering any result.
+
+    Relabelling household or person ids is not a relation: every draw is
+    keyed by id (`rng.keyed_uniform`) and ties in each ranking fall to the
+    lower id, so new ids give other draws and, in general, other results."""
 
     @pytest.fixture(scope="class")
     def jittered(self):
@@ -1099,13 +1124,15 @@ class TestRunRelations:
         return run_scenario(pop, dataclasses.replace(plan, waves=waves), series, tables,
                             schedules, seed=11, threads=threads)
 
+    @pytest.mark.parametrize("threads", [1, 3])
     def test_dropping_or_appending_a_wave_leaves_the_others(self, jittered, plan,
-                                                            shipped_controls, tables, schedules):
+                                                            shipped_controls, tables, schedules,
+                                                            threads):
         """Dropping any wave but the first, or appending one at a later date,
         leaves every other wave's result and summary bit for bit."""
         def by_label(waves):
             _, results, summaries = self.run(jittered, plan, waves, shipped_controls, tables,
-                                             schedules)
+                                             schedules, threads)
             return {r.label: (vars(r), vars(s)) for r, s in zip(results, summaries)}
         waves = plan.waves
         full = by_label(waves)
@@ -1172,6 +1199,28 @@ class TestRunRelations:
                 if i == 0:  # the first wave has no change row
                     copy.remove(("gini.csv", True, ["0.000000"] * 4))
                 assert original == copy, (waves[i].label, where)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_relabelling_the_waves_changes_only_their_labels(self, jittered, plan,
+                                                             shipped_controls, tables,
+                                                             schedules, threads, tmp_path):
+        """Renaming every wave, in the reverse of the scenario's order,
+        changes only the label cells of the four tables and the names of the
+        summary files; every WaveResult but its label is bit for bit the same."""
+        waves = plan.waves
+        names = {w.label: f"w{len(waves) - k:02d}" for k, w in enumerate(waves)}
+        renamed = [dataclasses.replace(w, label=names[w.label]) for w in waves]
+        runs = []
+        for run_waves in (waves, renamed):
+            _, results, summaries = self.run(jittered, plan, run_waves, shipped_controls, tables,
+                                             schedules, threads)
+            out = tmp_path / run_waves[0].label
+            out.mkdir()
+            metrics.write_summary_tables(out, summaries)
+            runs.append((out, [vars(r) | {"label": None} for r in results]))
+        (original, original_results), (relabelled, relabelled_results) = runs
+        assert read_tables(relabelled) == read_tables(original, names.__getitem__)
+        assert_bit_equal(relabelled_results, original_results)
 
 
 def lexsort_groups(ranking, weights, n_groups, ids):
