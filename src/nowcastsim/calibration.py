@@ -38,8 +38,6 @@ def align_by_score(ids, scores, weights, target: float) -> np.ndarray:
     """Greedy core: take units in descending score order (ties by ascending
     id) until cumulative weight first reaches `target`. Returns selected
     ids, ascending."""
-    ids = np.asarray(ids)
-    weights = np.asarray(weights, dtype=np.float64)
     order = score_order(ids, scores)
     return take_by_score(ids[order], weights[order], target, float(np.sum(weights)))
 
@@ -48,12 +46,12 @@ def score_order(ids, scores) -> np.ndarray:
     """Rank step: units in descending score order, ties by ascending id.
     Without ties or NaNs the order is unique, so numpy's default argsort
     gives it; otherwise it is the stable lexsort's."""
-    keys = -np.asarray(scores, dtype=np.float64)
+    keys = -scores
     order = np.argsort(keys)
     ranked = keys[order]
     if np.all(ranked[1:] > ranked[:-1]):
         return order
-    return np.lexsort((np.asarray(ids), keys))
+    return np.lexsort((ids, keys))
 
 
 def take_by_score(ranked, ranked_weights, target: float, total: float) -> np.ndarray:
@@ -106,14 +104,12 @@ def align_binary(ids, probs, weights, target: float, seed: int, label: str) -> n
 def align_continuous(values, weights, target_mean: float) -> np.ndarray:
     """Scale every value by a single factor so the weighted mean hits
     target_mean; ratios (and hence every inequality index) are preserved."""
-    v = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    current = float(np.sum(v * w)) / float(np.sum(w))
+    current = float(np.sum(values * weights)) / float(np.sum(weights))
     if current == 0.0:
         if target_mean == 0.0:
-            return v.copy()
+            return values.copy()
         raise AlignmentError("cannot rescale a zero-mean vector to a nonzero mean")
-    return v * (target_mean / current)
+    return values * (target_mean / current)
 
 
 def ipf(seed_matrix, row_targets, col_targets, tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:

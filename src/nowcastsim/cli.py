@@ -66,7 +66,12 @@ def write_outputs(out_dir, summaries, manifest):
 
 def _load_population(args, seed: int):
     if args.population:
-        return population.load_population(args.population)
+        pop = population.load_population(args.population)
+        held = int((pop.persons.covid_state != 0).sum())
+        if held:  # build_baseline starts every person at code 0
+            print(f"warning: persons.csv: covid_state is not 'none' for {held} person(s); the "
+                  "engine ignores it and starts every person at 'none'", file=sys.stderr)
+        return pop
     if args.synth_config:
         cfg = population.parse_synth_config(args.synth_config)
     else:

@@ -127,17 +127,14 @@ def transport_covariates(group, region_bmw, occupation, age, university) -> dict
     `TRANSPORT_GROUPS` (any other code is the reference group). `region_bmw`
     and `university` are 0/1 dummies, passed through.
     """
-    group = np.asarray(group)
-    occupation = np.asarray(occupation)
-    age = np.asarray(age)
     cov = {name: group == code for code, name in enumerate(TRANSPORT_GROUPS)}
-    cov["region_bmw"] = np.asarray(region_bmw)
+    cov["region_bmw"] = region_bmw
     for occ in OCCUPATIONS:
         cov[f"occ_{occ}"] = occupation == occ
     for lo, hi in AGE_BINS:
         cov[f"age_{lo}_{hi}"] = (age >= lo) & (age <= hi)
     cov["age_75p"] = age >= 75
-    cov["university"] = np.asarray(university)
+    cov["university"] = university
     return cov
 
 
@@ -150,18 +147,16 @@ def assign_commute_modes(models, sector_groups, is_worker, sector_idx, region_bm
     fixed across scenarios. Public transport wins when both fire;
     non-workers always get none.
     """
-    is_worker = np.asarray(is_worker, dtype=bool)
     codes = {name: code for code, name in enumerate(TRANSPORT_GROUPS)}
     reference = len(TRANSPORT_GROUPS)
     group = np.array([codes.get(sector_groups.get(s), reference) for s in SECTORS]
                      + [reference], dtype=np.int8)[sector_idx]
     cov = transport_covariates(group, region_bmw, occupation, age, university)
-    p_public = np.asarray(logit_prob(models["transport_public"], cov))
-    p_private = np.asarray(logit_prob(models["transport_private"], cov))
-    ids = np.asarray(person_ids)
-    u_public = keyed_uniform(seed, "transport_public", ids)
-    u_private = keyed_uniform(seed, "transport_private", ids)
-    modes = np.full(ids.shape, MODE_NONE, dtype=np.int64)
+    p_public = logit_prob(models["transport_public"], cov)
+    p_private = logit_prob(models["transport_private"], cov)
+    u_public = keyed_uniform(seed, "transport_public", person_ids)
+    u_private = keyed_uniform(seed, "transport_private", person_ids)
+    modes = np.full(person_ids.shape, MODE_NONE, dtype=np.int64)
     modes[is_worker & (u_public < p_public)] = MODE_PUBLIC
     private = is_worker & (modes == MODE_NONE) & (u_private < p_private)
     modes[private] = MODE_PRIVATE
@@ -171,7 +166,6 @@ def assign_commute_modes(models, sector_groups, is_worker, sector_idx, region_bm
 def commuting_cost_cents(table: CommuteCostTable, n_private, n_public):
     """Weekly household commuting cost (int64) for the active commuter mix:
     the counts of private and public commuters per household."""
-    n_private, n_public = np.asarray(n_private), np.asarray(n_public)
     if np.any(n_private < 0) or np.any(n_public < 0):
         raise ExpenseError("commuter counts must be >= 0")
     return (np.array(table.motor_fuels_cents, dtype=np.int64)[np.minimum(n_private, 3)]
@@ -206,8 +200,8 @@ def load_childcare_grid(path) -> ChildcareCostGrid:
 def family_type(n_adults, n_children_under14) -> np.ndarray:
     """Each household's code into `FAMILY_TYPES`, -1 for no children;
     adults counted from 18."""
-    a, c = np.asarray(n_adults), np.asarray(n_children_under14)
-    return np.select([c <= 0, a <= 1, (a == 2) & (c <= 3)], [-1, 0, 1], default=2)
+    return np.select([n_children_under14 <= 0, n_adults <= 1,
+                      (n_adults == 2) & (n_children_under14 <= 3)], [-1, 0, 1], default=2)
 
 
 # The covariates of the childcare participation logit and spend regression.
@@ -227,40 +221,31 @@ def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weight
     recovered from it, then users' costs in each populated family-type x
     decile cell are mean-calibrated to the cost grid.
     """
-    ids = np.asarray(household_ids)
-    w = np.asarray(weights, dtype=np.float64)
-    ftypes = np.asarray(family_types)
-    deciles = np.asarray(deciles)
-    equiv_income = np.asarray(equiv_disposable_week_eur, dtype=np.float64)
-    cov = dict(zip(CHILDCARE_COVARIATES, (
-        np.asarray(n_children_0_4, dtype=np.float64),
-        np.asarray(n_children_under14, dtype=np.float64),
-        equiv_income, equiv_income ** 2,
-        np.asarray(two_workers_flag, dtype=np.float64))))
-    observed_user = np.asarray(observed_user, dtype=bool)
-    observed_spend = np.asarray(observed_spend_eur, dtype=np.float64)
+    cov = dict(zip(CHILDCARE_COVARIATES, (n_children_0_4, n_children_under14,
+                                          equiv_disposable_week_eur,
+                                          equiv_disposable_week_eur ** 2, two_workers_flag)))
 
-    p = np.asarray(logit_prob(models["childcare_has"], cov))
-    u = anchored_draws(p, observed_user, seed, "childcare_has", ids)
-    users = (u < p) & (ftypes >= 0)
+    p = logit_prob(models["childcare_has"], cov)
+    u = anchored_draws(p, observed_user, seed, "childcare_has", household_ids)
+    users = (u < p) & (family_types >= 0)
 
-    prediction = np.asarray(linear_predict(models["childcare_spend"], cov))
+    prediction = linear_predict(models["childcare_spend"], cov)
     # prediction + (observed - prediction) is not always bit-equal to observed
-    eps_recovered = observed_spend - prediction
+    eps_recovered = observed_spend_eur - prediction
     level = np.where(users & observed_user, prediction + eps_recovered, prediction)
     level = np.maximum(level, 0.0)
     level[~users] = 0.0
 
     for (ftype, decile), target_cents in grid.cells.items():
-        cell = users & (ftypes == ftype) & (deciles == decile)
+        cell = users & (family_types == ftype) & (deciles == decile)
         if not np.any(cell):
             continue
         target = target_cents / 100.0
-        current = float(np.sum(level[cell] * w[cell]) / np.sum(w[cell]))
+        current = float(np.sum(level[cell] * weights[cell]) / np.sum(weights[cell]))
         if current == 0.0:
             level[cell] = target
         else:
-            level[cell] = align_continuous(level[cell], w[cell], target)
+            level[cell] = align_continuous(level[cell], weights[cell], target)
     return cents(level)
 
 
@@ -272,12 +257,8 @@ TENURE_CODES = {tenure: code for code, tenure in enumerate(TENURES)}
 def housing_cost_cents(tenure_code, mortgage_cents, rent_cents, deferred) -> np.ndarray:
     """Monthly housing cost: rent for renters, the mortgage payment for
     mortgage holders unless deferred, nothing for outright owners."""
-    tenure = np.asarray(tenure_code)  # codes are compared, never summed
-    mortgage = np.asarray(mortgage_cents, dtype=np.int64)
-    rent = np.asarray(rent_cents, dtype=np.int64)
-    deferred = np.asarray(deferred, dtype=bool)
-    cost = np.where(tenure == TENURE_CODES["renter"], rent, 0)
-    return np.where((tenure == TENURE_CODES["mortgage"]) & ~deferred, mortgage, cost)
+    cost = np.where(tenure_code == TENURE_CODES["renter"], rent_cents, 0)
+    return np.where((tenure_code == TENURE_CODES["mortgage"]) & ~deferred, mortgage_cents, cost)
 
 
 # -- capital losses ----------------------------------------------------------
@@ -335,9 +316,8 @@ def capital_participants(grid: CapitalHoldingsGrid, bands, quintiles, observed_h
     """Participation gate: anchored draw at the grid rate against the
     observed holder state (capital income present). `bands` are codes into
     `AGE_BANDS`, `quintiles` run 1..5."""
-    rates = np.clip(grid.participation[bands, np.asarray(quintiles) - 1], 1e-9, 1.0 - 1e-9)
-    u = anchored_draws(rates, np.asarray(observed_holder, dtype=bool), seed,
-                       "shareholding", np.asarray(person_ids))
+    rates = np.clip(grid.participation[bands, quintiles - 1], 1e-9, 1.0 - 1e-9)
+    u = anchored_draws(rates, observed_holder, seed, "shareholding", person_ids)
     return u < rates
 
 
@@ -345,10 +325,8 @@ def capital_value_change_cents(grid: CapitalHoldingsGrid, bands, quintiles,
                                participant, index_change_factor: float) -> np.ndarray:
     """Signed change in share value per person: holding x index factor for
     participants, 0 otherwise. Negative when markets fall."""
-    participant = np.asarray(participant, dtype=bool)
     out = np.zeros(participant.shape, dtype=np.int64)
-    holding = grid.value_cents[np.asarray(bands)[participant],
-                               np.asarray(quintiles)[participant] - 1]
+    holding = grid.value_cents[bands[participant], quintiles[participant] - 1]
     # np.rint rounds half to even, as round() does on a float
     out[participant] = np.rint(holding * index_change_factor)
     return out

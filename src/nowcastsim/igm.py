@@ -42,18 +42,17 @@ class CoefficientSet:
 
 
 def _index(model: CoefficientSet, covariates: dict):
-    """Linear index intercept + sum(beta * x) over the model's covariates.
-
-    Accepts scalars or aligned numpy arrays as covariate values.
+    """Linear index intercept + sum(beta * x) over the model's covariates,
+    whose values are aligned numpy arrays (bool, int or float, each read as
+    float64); a float64 array.
     """
     total = model.intercept
     for name, beta in zip(model.covariates, model.coefficients):
         if name in covariates:  # an absent covariate reads as 0
-            total = total + beta * np.asarray(covariates[name], dtype=np.float64)
-    idx = np.asarray(total, dtype=np.float64)
-    if not np.all(np.isfinite(idx)):
+            total = total + beta * covariates[name]
+    if not np.all(np.isfinite(total)):
         raise ModelError(f"{model.name}: non-finite linear index")
-    return idx
+    return total
 
 
 def logit_prob(model: CoefficientSet, covariates: dict):

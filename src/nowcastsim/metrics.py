@@ -31,11 +31,9 @@ class MetricsError(ValueError):
 def equivalence_scale(adults_14plus, children_under14):
     """Modified OECD scale: 1 + 0.5 per additional 14+ member + 0.3 per
     under-14 child. Positive even for an (unusual) all-child household."""
-    a = np.asarray(adults_14plus, dtype=np.float64)
-    c = np.asarray(children_under14, dtype=np.float64)
-    if np.any(a + c <= 0):
+    if np.any(adults_14plus + children_under14 <= 0):
         raise MetricsError("equivalence scale undefined for an empty household")
-    return FIRST_ADULT + EXTRA_ADULT * (a - 1.0) + CHILD * c
+    return FIRST_ADULT + EXTRA_ADULT * (adults_14plus - 1.0) + CHILD * children_under14
 
 
 def weighted_gini(values, weights) -> float:
@@ -85,12 +83,11 @@ def weighted_quantile_groups(order, weights, n_groups: int) -> np.ndarray:
     k/n of total weight, and the unit spanning a boundary goes to the lower
     group.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    cum = np.cumsum(w[order])
+    cum = np.cumsum(weights[order])
     total = cum[-1]
     g_sorted = np.ceil(cum * n_groups / total - 1e-9).astype(np.int64)
     g_sorted = np.clip(g_sorted, 1, n_groups)
-    groups = np.empty(w.size, dtype=np.int64)
+    groups = np.empty(weights.size, dtype=np.int64)
     groups[order] = g_sorted
     return groups
 
@@ -100,11 +97,10 @@ def decile_groups(hh_row, weights, deciles):
     with `weights` and `deciles` (1..10): a household can straddle a decile
     boundary. Returns the pairs' household rows, deciles and summed person
     weights, in household order, and the 10 deciles' summed weights."""
-    w = np.asarray(weights, dtype=np.float64)
-    pair_weight = np.bincount(np.asarray(hh_row) * 10 + np.asarray(deciles) - 1, weights=w)
+    pair_weight = np.bincount(hh_row * 10 + deciles - 1, weights=weights)
     pairs = np.flatnonzero(pair_weight)
     return (pairs // 10, pairs % 10 + 1, pair_weight[pairs],
-            np.bincount(deciles, weights=w, minlength=11)[1:])
+            np.bincount(deciles, weights=weights, minlength=11)[1:])
 
 
 def decile_means(values, groups) -> np.ndarray:

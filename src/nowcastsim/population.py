@@ -11,13 +11,14 @@ skipped. Every schema column must be present and no other; every row has
 the header's field count.
 
 Each file is read in one `np.loadtxt` pass: numpy's C parser reads the int
-and float columns, converters the others. Only when that pass fails is the
-file streamed row by row to locate the first bad row or cell, with the
-same messages as a row-by-row `csv` reading. A line number counts every
-physical line, blank ones too, as `files.csv_rows` and `files.not_utf8` do;
-a row whose quoted cell spans lines is named by its last line. A number
-that numpy rejects but Python's int or float reads, such as `1_000`, loads
-as Python reads it.
+and float columns, converters the others. A file that pass rejects is read
+in one more pass, row by row with `csv` and Python's parsers, which raises
+the first bad row or cell or else loads the file: a number that numpy
+rejects but Python's int or float reads, such as `1_000`, loads as Python
+reads it, and a code past int8 loads in int64 for validate to report. A
+line number counts every physical line, blank ones too, as
+`files.csv_rows` and `files.not_utf8` do; a row whose quoted cell spans
+lines is named by its last line.
 
 Occupation is a code in 1..9 and is required for workers; non-workers may
 carry 0 (not applicable). Industry must be one of the seventeen sector
@@ -26,9 +27,10 @@ labels below whenever the person works, and may be empty otherwise.
 In memory a population is two column tables (`Table`), persons and
 households, with one numpy array per schema column and rows in file or
 generation order: int64 ids, ages and counts, int8 enum and occupation
-codes, float64 money and weights, bool flags. Both the loader and the
-generator write that layout directly. An enum code indexes the column's
-label tuple below (industry -1 is none); household i's member ids are
+codes (int64 for a column with a code past int8), float64 money and
+weights, bool flags. Both the loader and the generator write that layout
+directly. An enum code indexes the column's label tuple below (industry -1
+is none); household i's member ids are
 `member_ids[member_offsets[i]:member_offsets[i + 1]]`. Code columns are
 only compared and indexed: arithmetic on an int8 code wraps silently, so
 widen it first.
@@ -152,7 +154,8 @@ def _dtype(kind, codes=np.int8):
 class Table(SimpleNamespace):
     """One numpy array per schema column, as attributes; `len()` is the row
     count (the length of the first column, the id). Columns have the dtypes
-    of `_dtype`; a hand-built table may hold wider codes."""
+    of `_dtype`; a file `np.loadtxt` rejects holds a code column with a code
+    past int8 in int64, and a hand-built table may hold wider codes too."""
 
     def __len__(self):
         return len(next(iter(vars(self).values())))
@@ -311,23 +314,20 @@ def _split_ids(ids: list, text) -> int:
     return len(ids) - count
 
 
-def _read(path, header, columns, native: bool, codes=np.int8) -> tuple:
+def _read(path, header, columns) -> tuple:
     """One np.loadtxt pass over the rows of a CSV file whose header has every
-    column of `columns`: int and float cells parsed by numpy's C parser if
-    `native`, else by Python's int and float; other cells by their kind.
-    Enum and occupation codes are read as `codes`."""
+    column of `columns`: int and float cells parsed by numpy's C parser,
+    other cells by their kind; enum and occupation codes read as int8."""
     unknown, ids, types, converters = {}, [], [], {}
     for i, column in enumerate(header):
         kind = columns[column]
-        types.append(_dtype(kind, codes))
+        types.append(_dtype(kind))
         if kind == "ids":  # the cell's count of ids
             converters[i] = partial(_split_ids, ids)
         elif isinstance(kind, tuple):
             converters[i] = _Memo(_coder(kind, unknown.setdefault(column, []))).__getitem__
         elif kind not in (int, float):
             converters[i] = _Memo(kind).__getitem__
-        elif not native:
-            converters[i] = kind
     with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # header only
         records = np.loadtxt(fh, dtype=[(f"f{i}", t) for i, t in enumerate(types)],
@@ -344,40 +344,51 @@ def _read(path, header, columns, native: bool, codes=np.int8) -> tuple:
     return Table(**table), unknown
 
 
-def _bad_cells(row, parsed):
-    """(type name, text) of each cell of `row` that its Python kind rejects,
-    member ids first and then column order; `parsed` is (index, kind) pairs."""
-    for i, kind in parsed:
-        for cell in filter(None, row[i].split(";")) if kind == "ids" else [row[i]]:
-            parse = int if kind == "ids" else kind
-            try:
-                _DTYPES[parse](parse(cell))
-            except (KeyError, OverflowError, ValueError):
-                yield {float: "float", _boolean: "boolean"}.get(parse, "int"), cell
+def _read_rows(path, header, columns) -> tuple:
+    """`_read` for a file np.loadtxt rejects, in one streamed csv.reader pass
+    that parses every cell with its Python kind, code columns in int8 where they fit.
 
-
-def _raise_first_bad(path, header, columns) -> None:
-    """Raise the first row whose field count differs from the header's,
-    else the first cell its Python kind rejects, in row order; return if
-    there is none. Rows are streamed; blank rows are skipped but counted,
-    and a row is named by its last physical line."""
+    Raises the first row whose field count differs from the header's, else
+    the first cell its kind rejects, in row order and, within a row,
+    member_ids first and then schema order. Blank rows are skipped but
+    counted, and a row is named by its last physical line."""
     name = os.path.basename(path)
-    at = {column: i for i, column in enumerate(header)}
-    parsed = sorted(((at[c], k) for c, k in columns.items() if not isinstance(k, tuple)),
-                    key=lambda ik: ik[1] != "ids")  # member ids are read first
+    unknown, values, ids = {}, _buffers(columns, np.int64), array("q")
+    parsers = []  # (field index, kind, parser, where its values go), member ids first
+    for column, kind in sorted(columns.items(), key=lambda item: item[1] != "ids"):
+        parse = (_coder(kind, unknown.setdefault(column, [])) if isinstance(kind, tuple)
+                 else int if kind == "ids" else kind)
+        parsers.append((header.index(column), kind, parse,
+                        (ids if kind == "ids" else values[column]).append))
     bad = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in filter(None, reader):
-            where = f"{name}:{reader.line_num}"
             if len(row) != len(header):
-                raise PopulationError([f"{where}: {len(row)} fields where the "
-                                       f"header has {len(header)}"])
-            bad = bad or next((f"{where}: bad {what} {cell!r}"
-                               for what, cell in _bad_cells(row, parsed)), None)
+                raise PopulationError([f"{name}:{reader.line_num}: {len(row)} fields where "
+                                       f"the header has {len(header)}"])
+            if bad:
+                continue  # a field-count fault further on still wins
+            try:
+                for i, kind, parse, append in parsers:
+                    cells = [text for text in row[i].split(";") if text] if kind == "ids" \
+                        else [row[i]]
+                    for cell in cells:
+                        append(parse(cell))  # an int past int64 overflows its buffer
+                    if kind == "ids":
+                        values["member_ids"].append(len(cells))
+            except (KeyError, OverflowError, ValueError):
+                what = {float: "float", _boolean: "boolean"}.get(kind, "int")
+                bad = f"{name}:{reader.line_num}: bad {what} {cell!r}"
     if bad:
         raise PopulationError([bad])
+    table = _table(values, columns, np.frombuffer(ids, dtype=np.int64), np.int64)
+    for column, kind in columns.items():  # the code columns `_read` holds in int8
+        codes = getattr(table, column)
+        if _dtype(kind) is np.int8 and np.array_equal(codes, codes.astype(np.int8)):
+            setattr(table, column, codes.astype(np.int8))
+    return table, unknown
 
 
 def _load_table(path, columns) -> tuple:
@@ -385,10 +396,9 @@ def _load_table(path, columns) -> tuple:
 
     A missing or unknown column, or a row whose field count differs from the
     header's, raises; so does a repeated column, a line that is not UTF-8, or
-    the first unparseable cell, in row order and, within a row, member_ids
-    first and then column order. A file with a code past int8 (an occupation
-    outside -128..127, or more unknown texts in one enum column than int8
-    codes index) is read with int64 codes, for validate to report it."""
+    the first unparseable cell (see `_read_rows`). A file that `np.loadtxt`
+    rejects, such as one with an occupation outside -128..127 or more unknown
+    texts in one enum column than int8 codes index, is read by `_read_rows`."""
     name = os.path.basename(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -400,14 +410,11 @@ def _load_table(path, columns) -> tuple:
         if problems:
             raise PopulationError(problems)
         try:
-            return _read(path, header, columns, native=True)
+            return _read(path, header, columns)
         except (KeyError, OverflowError, ValueError):
-            _raise_first_bad(path, header, columns)
-        # numpy rejects a number that Python's int or float reads, such as 1_000
-        try:
-            return _read(path, header, columns, native=False)
-        except ValueError:  # a code past int8, which validate reports: read them wide
-            return _read(path, header, columns, native=False, codes=np.int64)
+            # a bad cell or row, a code past int8, or a number that numpy
+            # rejects but Python's int or float reads, such as 1_000
+            return _read_rows(path, header, columns)
     except UnicodeDecodeError:
         raise PopulationError([not_utf8(path)]) from None
 
@@ -543,21 +550,20 @@ def _quota_counts(shares: dict, n: int) -> dict:
 _TYPECODES = {np.int8: "b", np.int64: "q", np.float64: "d", bool: "b"}  # a bool is one 0/1 byte
 
 
-def _buffers(columns) -> dict:
+def _buffers(columns, codes=np.int8) -> dict:
     """One empty typed buffer per column, of the column's `_dtype`."""
-    return {column: array(_TYPECODES[_dtype(kind)]) for column, kind in columns.items()}
+    return {column: array(_TYPECODES[_dtype(kind, codes)]) for column, kind in columns.items()}
 
 
-def _generated_table(values: dict, columns) -> Table:
-    """Table of generated columns, each a view of its typed buffer (or
-    array) in `_dtype`; the member_ids buffer holds household sizes, as
-    persons are numbered from 1 in household order."""
+def _table(values: dict, columns, member_ids, codes=np.int8) -> Table:
+    """Table of columns, each a view of its typed buffer (or array) in `_dtype`,
+    but member_ids: its buffer holds household sizes, `member_ids` (None for persons) the ids."""
     table = {}
     for column, kind in columns.items():
-        column_values = np.frombuffer(values[column], dtype=_dtype(kind))
+        column_values = np.frombuffer(values[column], dtype=_dtype(kind, codes))
         if kind == "ids":
             table["member_offsets"] = np.cumsum(np.append(0, column_values), dtype=np.int64)
-            table[column] = np.arange(1, table["member_offsets"][-1] + 1, dtype=np.int64)
+            table[column] = member_ids
         else:
             table[column] = column_values
     return Table(**table)
@@ -755,8 +761,9 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
             values["self_employment_income"][i] = round(amount * 0.9, 2)
 
     households["household_id"] = np.arange(1, config.households + 1)
-    person_table = _generated_table(values, _PERSON_COLUMNS)
-    household_table = _generated_table(households, _HOUSEHOLD_COLUMNS)
+    person_table = _table(values, _PERSON_COLUMNS, None)
+    # persons are numbered from 1 in household order
+    household_table = _table(households, _HOUSEHOLD_COLUMNS, np.arange(1, n + 1))
     violations = validate(household_table, person_table)
     if violations:  # would be a generator bug, not a data fault
         raise PopulationError(violations)

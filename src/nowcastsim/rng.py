@@ -62,9 +62,6 @@ def anchored_uniform(prob, observed, raw):
     state exactly, and a counterfactual probability flips the outcome only
     when it crosses u.
     """
-    prob = np.asarray(prob, dtype=np.float64)
     if np.any(prob <= 0.0) or np.any(prob >= 1.0):
         raise ValueError("anchored draws need probabilities strictly inside (0, 1)")
-    observed = np.asarray(observed, dtype=bool)
-    raw = np.asarray(raw, dtype=np.float64)
     return np.where(observed, prob * raw, prob + (1.0 - prob) * raw)

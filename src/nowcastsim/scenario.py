@@ -110,18 +110,17 @@ class ControlSeries:
 
     def deferrals_at(self, date: dt.date) -> float:
         """Piecewise-linear interpolation of the deferral request series."""
-        if not self.deferrals:
+        points = self.deferrals
+        if not points:
             return 0.0
-        points = sorted(self.deferrals)
         if date <= points[0][0]:
             return float(points[0][1]) if date == points[0][0] else 0.0
         if date >= points[-1][0]:
             return float(points[-1][1])
         for (d0, v0), (d1, v1) in zip(points, points[1:]):
-            if d0 <= date <= d1:
+            if date <= d1:  # the first segment reaching date; d0 < date
                 frac = (date - d0).days / (d1 - d0).days
                 return v0 + frac * (v1 - v0)
-        return 0.0
 
     def at(self, date: dt.date) -> ControlTotals:
         return ControlTotals(
@@ -174,6 +173,7 @@ def load_control_totals(path) -> ControlSeries:
             series.wage_index[date] = target
         else:
             raise ControlError(f"{where}: unknown stratum_key {key!r}")
+    series.deferrals.sort()
     return series
 
 
@@ -631,7 +631,7 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
         tenure_code=households.tenure,
         mortgage_cents=cents(households.mortgage_payment),
         rent_cents=cents(households.rent),
-        equiv_scale=np.asarray(scale, dtype=np.float64),
+        equiv_scale=scale,
         childcare_weekly_cents=childcare_weekly,
         market=accounts.market, taxes=accounts.taxes, benefits=accounts.benefits,
         strata=strata,
@@ -689,14 +689,16 @@ def _align_rows(pool, ranked, weight, target: float, unit_weight: float,
     A shortfall within one unit-weight is satisfiable by construction
     (|realized - target| <= one unit-weight), so thin strata may legally
     absorb a sub-unit remainder by selecting nobody; anything beyond that
-    is an infeasible control total and fails loudly.
+    is an infeasible control total and fails loudly. The slack is relative,
+    so scaling every weight and the target by a power of two keeps the
+    outcome.
     """
     if target <= 0:
         return np.empty(0, dtype=np.int64)
     pool_weight = weight[pool]
     available = float(np.sum(pool_weight))
     w_max = float(np.max(pool_weight)) if pool.size else unit_weight
-    if target > available + w_max + 1e-9:
+    if target > (available + w_max) * (1 + 1e-9):
         raise AlignmentError(
             f"{context}: target {target:.2f} exceeds the available weight "
             f"{available:.2f} by more than one unit-weight"

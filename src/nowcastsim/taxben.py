@@ -79,12 +79,10 @@ class Regime:
             elif band.kind == "rate":
                 pay = apply_rate(band.rate, x)
                 out[rows] = np.minimum(pay, band.cap_cents) if band.cap_cents else pay
-            elif band.kind == "taper":
+            else:  # taper, the only other kind _parse_band_value builds
                 remaining = np.maximum(band.taper_end_cents - x, 0)
                 out[rows] = round_div(band.value_cents * remaining,
                                       band.taper_end_cents - band.lower_cents)
-            else:
-                raise PolicyError(f"unknown band kind {band.kind!r}")
         return out
 
 
@@ -237,7 +235,7 @@ def load_policy(policy_dir) -> PolicySchedules:
 
 def pup_rate_cents(schedules: PolicySchedules, prev_weekly_cents, date: dt.date):
     """Weekly pandemic unemployment payment for previous earnings at date."""
-    if np.any(np.asarray(prev_weekly_cents) < 0):
+    if np.any(prev_weekly_cents < 0):
         raise PolicyError("previous earnings must be >= 0")
     return schedules.pup.regime_at(date).evaluate(prev_weekly_cents)
 
@@ -308,19 +306,16 @@ def benefit_weekly_cents(status_code, covid_code, prev_weekly_cents,
     rules. Unemployed persons get the baseline unemployment rate; retired
     persons the baseline pension.
     """
-    status = np.asarray(status_code)  # codes are compared, never summed
-    covid = np.asarray(covid_code)
-    prev = np.asarray(prev_weekly_cents, dtype=np.int64)
-    out = np.zeros(status.shape, dtype=np.int64)
-    out[status == STATUS_CODES["unemployed"]] = schedules.tax.unemployment_weekly_cents
-    out[status == STATUS_CODES["retired"]] = schedules.tax.pension_weekly_cents
+    out = np.zeros(status_code.shape, dtype=np.int64)
+    out[status_code == STATUS_CODES["unemployed"]] = schedules.tax.unemployment_weekly_cents
+    out[status_code == STATUS_CODES["retired"]] = schedules.tax.pension_weekly_cents
 
-    pup_mask = covid == COVID_CODES["pup_recipient"]
-    ceib_mask = covid == COVID_CODES["ceib_recipient"]
+    pup_mask = covid_code == COVID_CODES["pup_recipient"]
+    ceib_mask = covid_code == COVID_CODES["ceib_recipient"]
     out[pup_mask | ceib_mask] = schedules.tax.unemployment_weekly_cents
     banded = (pup_mask & policy.pup_on) | (ceib_mask & policy.ceib_on)
     if np.any(banded):
-        out[banded] = pup_rate_cents(schedules, prev[banded], date)
+        out[banded] = pup_rate_cents(schedules, prev_weekly_cents[banded], date)
     return out
 
 

@@ -106,7 +106,7 @@ class TestAlignContinuous:
         assert np.allclose(out, values)
 
     def test_simple_doubling(self):
-        out = align_continuous([10.0, 30.0], [1.0, 1.0], 40.0)
+        out = align_continuous(np.array([10.0, 30.0]), np.array([1.0, 1.0]), 40.0)
         assert out.tolist() == [20.0, 60.0]
 
     def test_weighted_mean_hits_target(self):
@@ -127,7 +127,7 @@ class TestAlignContinuous:
 
     def test_zero_mean_rejected(self):
         with pytest.raises(AlignmentError):
-            align_continuous([0.0, 0.0], [1.0, 1.0], 5.0)
+            align_continuous(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 5.0)
 
 
 class TestIpf:

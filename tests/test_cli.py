@@ -509,6 +509,33 @@ def test_ceib_margins_are_cross_checked(data_dir, tmp_path, capsys, count, warns
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_covid_state_read_but_ignored_warns(data_dir, tmp_path, capsys, command):
+    """persons.csv's covid_state is validated, but the engine starts every
+    person at 'none': validate and run say so once on stderr when a person
+    holds another state, and the tables run writes stay the same."""
+    save_population(generate_synthetic(SynthConfig(households=80), 4), tmp_path / "none")
+    shutil.copytree(tmp_path / "none", tmp_path / "held")
+    path = tmp_path / "held" / "persons.csv"
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    column = rows[0].index("covid_state")
+    rows[1][column], rows[2][column] = "ceib_recipient", "wage_subsidised"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    message = ("warning: persons.csv: covid_state is not 'none' for 2 person(s); the engine "
+               "ignores it and starts every person at 'none'\n")
+    for name, err in (("none", ""), ("held", message)):
+        args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                "--population", str(tmp_path / name), "--seed", "4"]
+        assert main(args + (["--out", str(tmp_path / f"out-{name}")] if command == "run"
+                            else [])) == 0
+        assert capsys.readouterr().err == err
+    if command == "run":
+        a, b = read_dir(tmp_path / "out-none"), read_dir(tmp_path / "out-held")
+        assert a.pop("manifest.json") != b.pop("manifest.json")  # the population digest
+        assert a == b
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_instrument_out_of_schedule_exits_one_before_the_population(
         data_dir, tmp_path, capsys, monkeypatch, command):
     """TWSS switched on after its life, and EWSS before its first rates: both

@@ -106,7 +106,7 @@ class TestFamilyType:
         assert FAMILY_TYPES[family_type(2, 4)] == "other_with_children"
         assert FAMILY_TYPES[family_type(3, 1)] == "other_with_children"
         assert family_type(2, 0) == -1  # no children
-        assert family_type([1, 2, 3], [2, 0, 1]).tolist() == [0, -1, 2]
+        assert family_type(np.array([1, 2, 3]), np.array([2, 0, 1])).tolist() == [0, -1, 2]
 
 
 class TestChildcare:
@@ -189,19 +189,22 @@ class TestCapital:
 
     def test_zero_factor_means_zero_loss(self, tables):
         change = capital_value_change_cents(
-            tables.holdings, [AGE_BANDS.index("60")], [5], [True], 0.0)
+            tables.holdings, np.array([AGE_BANDS.index("60")]), np.array([5]), np.array([True]),
+            0.0)
         assert change.tolist() == [0]
 
     def test_top_cell_change_matches_reference(self, tables):
         # holding 1763.00 x factor -0.3532 ~ -622.69 -> about -0.623 thousand
         change = capital_value_change_cents(
-            tables.holdings, [AGE_BANDS.index("60")], [5], [True], -0.3532)
+            tables.holdings, np.array([AGE_BANDS.index("60")]), np.array([5]), np.array([True]),
+            -0.3532)
         assert change[0] == round(176300 * -0.3532)
         assert change[0] / 100000.0 == pytest.approx(-0.623, abs=0.002)
 
     def test_non_participants_lose_nothing(self, tables):
         change = capital_value_change_cents(
-            tables.holdings, [AGE_BANDS.index("60")], [5], [False], -0.3532)
+            tables.holdings, np.array([AGE_BANDS.index("60")]), np.array([5]),
+            np.array([False]), -0.3532)
         assert change.tolist() == [0]
 
     def test_participation_gate_replays_observed(self, tables):

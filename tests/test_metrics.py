@@ -202,7 +202,7 @@ class TestQuantileGroups:
     def test_boundary_unit_goes_to_lower_group(self):
         # weights 1,1,2: cumulative 1,2,4 -> halves cut at 2; the second unit
         # exactly reaches the boundary and stays in group 1
-        groups = weighted_quantile_groups(np.arange(3), [1.0, 1.0, 2.0], 2)
+        groups = weighted_quantile_groups(np.arange(3), np.array([1.0, 1.0, 2.0]), 2)
         assert groups.tolist() == [1, 1, 2]
 
     def test_group_weights_within_one_unit(self):

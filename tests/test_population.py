@@ -608,6 +608,43 @@ def test_syntax_edge_cases_match_oracle(tmp_path, edit, line_end):
         assert same_as_objects(pop.persons, objects[1], CELLS["persons.csv"])
 
 
+def with_column(data: bytes, column, texts) -> bytes:
+    """`data` with the cells of `column` in rows 1.. replaced by `texts`."""
+    for row, text in enumerate(texts, 1):
+        data = with_cell(data, column, text, row)
+    return data
+
+
+@pytest.mark.parametrize("edit, wide", [
+    (lambda data: with_cell(data, "age", "1_000"), set()),
+    (lambda data: with_cell(data, "occupation", "300"), {"occupation"}),
+    (lambda data: with_column(data, "sex", [f"sex {k}" for k in range(130)]), {"sex"}),
+], ids=["1_000", "occupation 300", "130 unknown sex texts"])
+def test_each_file_reaches_loadtxt_at_most_once(tmp_path, monkeypatch, edit, wide):
+    """A file np.loadtxt rejects is read in one more pass, by csv, and loads
+    (or fails) as the object-based loader reads it; only a code column with
+    a code past int8 is held wider than the generator holds it."""
+    generated = generate_synthetic(SynthConfig(households=80), 1)
+    save_population(generated, tmp_path)
+    path = tmp_path / "persons.csv"
+    path.write_bytes(edit(path.read_bytes()))
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(fh, *args, **kwargs):
+        calls.append(os.path.basename(fh.name))
+        return loadtxt(fh, *args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", counted)
+    pop, violations = outcome(load_population, tmp_path)
+    assert sorted(calls) == ["households.csv", "persons.csv"]
+    objects, expected = outcome(population_oracle.load_population, tmp_path)
+    assert violations == expected
+    if objects is not None:
+        assert same_as_objects(pop.persons, objects[1], CELLS["persons.csv"])
+    table, _ = population._load_table(str(path), population._PERSON_COLUMNS)
+    assert {name for name, column in vars(table).items()
+            if column.dtype != getattr(generated.persons, name).dtype} == wide
+
+
 @pytest.mark.parametrize("name, edit, violations", [
     # the oracle reads past these: a whitespace-only row is one field, an
     # int64 overflow is its int, and it ignores unknown columns

@@ -113,6 +113,14 @@ class TestControlLoading:
         assert series.deferrals_at(D(2021, 1, 26)) == 90539
         assert series.deferrals_at(D(2020, 1, 1)) == 0.0
 
+    def test_deferral_rows_load_in_date_order(self, tmp_path):
+        path = tmp_path / "controls.csv"
+        path.write_text("stratum_key,date,target\nmortgage_deferrals,2020-04-12,45000\n"
+                        "mortgage_deferrals,2020-03-28,28000\n")
+        series = load_control_totals(path)
+        assert series.deferrals == [(D(2020, 3, 28), 28000.0), (D(2020, 4, 12), 45000.0)]
+        assert series.deferrals_at(D(2020, 4, 4)) == 28000 + 7 / 15 * (45000 - 28000)
+
     def test_missing_date_yields_null_controls(self, shipped_controls):
         empty = shipped_controls.at(D(2019, 12, 1))
         assert empty.pup_by_sector == {}

@@ -10,14 +10,16 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nowcastsim import expenses, taxben
 from nowcastsim.calibration import AlignmentError, align_binary
 from nowcastsim.money import round_div
 from nowcastsim.population import (SECTORS, Population, SynthConfig, Table,
                                    generate_synthetic, validate)
-from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, apply_wave,
-                                 build_baseline, case_age_band)
+from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, _align_rows,
+                                 apply_wave, build_baseline, case_age_band)
 
 SEED = 11
 BEFORE_EWSS, AFTER_EWSS = dt.date(2020, 6, 6), dt.date(2020, 11, 15)
@@ -30,7 +32,7 @@ def oracle_align_units(ids, weights, target, seed, label, unit_weight, context):
         return np.empty(0, dtype=np.int64)
     available = float(np.sum(weights))
     w_max = float(np.max(weights)) if len(weights) else unit_weight
-    if target > available + w_max + 1e-9:
+    if target > (available + w_max) * (1 + 1e-9):  # a slack relative to the pool
         raise AlignmentError(
             f"{context}: target {target:.2f} exceeds the available weight "
             f"{available:.2f} by more than one unit-weight"
@@ -250,3 +252,24 @@ def test_infeasible_targets_raise(base, tables, schedules):
         with pytest.raises(AlignmentError, match="exceeds the available weight"):
             apply_wave(base, controls_for(base, tables, schedules, wave, kinds), wave, tables,
                        schedules, SEED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.floats(0.5, 1.5), max_size=30), target=st.floats(0.0, 50.0),
+       k=st.integers(-30, 30))
+@example(weights=[1.0] * 10, target=11.5, k=-30)  # once clamped to all 10 rows at 2**-30
+def test_scaling_weights_and_target_keeps_the_outcome(weights, target, k):
+    """Scaling every weight, the unit weight and the target by 2**k, which
+    is exact in floating point, keeps whether a stratum's alignment raises
+    and, if it does not, the rows it takes."""
+    weight = np.array(weights)
+    pool = np.arange(weight.size)
+    ranked = pool[::-1].copy()
+
+    def outcome(scale):
+        try:
+            return _align_rows(pool, ranked, weight * scale, target * scale, scale,
+                               "stratum").tolist()
+        except AlignmentError:
+            return "raises"
+    assert outcome(2.0 ** k) == outcome(1.0)
