@@ -420,12 +420,15 @@ def _load_table(path, columns) -> tuple:
 
 
 def load_population(path) -> Population:
-    """Load and validate households.csv + persons.csv from a directory."""
+    """Load and validate households.csv + persons.csv from a directory; a
+    population needs at least one household."""
     households, unknown = _load_table(os.path.join(path, "households.csv"),
                                       _HOUSEHOLD_COLUMNS)
     persons, unknown_persons = _load_table(os.path.join(path, "persons.csv"),
                                            _PERSON_COLUMNS)
     violations = validate(households, persons, unknown | unknown_persons)
+    if not len(households):  # nothing to rank into deciles or summarize
+        violations.insert(0, "households.csv: no households")
     if violations:
         raise PopulationError(violations)
     return Population(households=households, persons=persons)

@@ -28,15 +28,13 @@ unit id, making results independent of iteration order and thread count.
 
 Waves that share a date share every result their switches agree on:
 run_scenario runs each date's waves as one unit with one dict, dropped when
-the unit ends, in which apply_wave keeps each step's result under the date
-and only the switches that step reads: the draws (a)-(c), the housing cost
-after (e), the booked capital adjustment of (f), the household market
-income, taxes, benefits, gross and disposable income of (g), and the work
-expenses. Those arrays are read-only and are the same objects in every wave
-whose switches agree; adjusted income and the person arrays are each wave's
-own. Each distinct cents array is equivalised and summarized once, over
-households and (household, decile) pairs. At `threads` > 1 dates, not
-waves, run in parallel.
+the unit ends, in which apply_wave keeps each step's result under the date,
+the step's name and the switches that `STEP_SWITCHES`, the one declaration
+of this rule, names for it. Those arrays are read-only and are the same
+objects in every wave whose switches agree; adjusted income and the person
+arrays are each wave's own. Each distinct cents array is equivalised and
+summarized once, over households and (household, decile) pairs. At
+`threads` > 1 dates, not waves, run in parallel.
 
 Age bands are computed as integer codes into `CASE_AGE_BANDS` (sickness
 cases, employment rates) and `expenses.AGE_BANDS` (holdings); the control
@@ -668,11 +666,12 @@ class WaveResult:
 
 
 def _scaled_sector_targets(base: BaselineState, national_counts: dict,
-                           national_employment: dict) -> dict:
+                           tables: DataTables) -> dict:
     """Rescale national recipient stocks to the loaded population by the
     sector worker-weight share of national sector employment."""
+    employment = tables.national["sector_employment"]
     return {sector: count * float(base.sector_worker_weight[SECTORS.index(sector)])
-            / national_employment[sector] for sector, count in national_counts.items()}
+            / employment[sector] for sector, count in national_counts.items()}
 
 
 def _rank(ids, seed: int, label: str) -> np.ndarray:
@@ -681,23 +680,21 @@ def _rank(ids, seed: int, label: str) -> np.ndarray:
     return score_order(ids, logistic_noise(seed, "align:" + label, ids))
 
 
-def _align_rows(pool, ranked, weight, target: float, unit_weight: float,
-                context: str) -> np.ndarray:
+def _align_rows(pool, ranked, weight, target: float, context: str) -> np.ndarray:
     """Rows chosen from `pool` (rows of `weight`; `ranked` is the pool in
     alignment order) for a rescaled (fractional) target.
 
-    A shortfall within one unit-weight is satisfiable by construction
-    (|realized - target| <= one unit-weight), so thin strata may legally
-    absorb a sub-unit remainder by selecting nobody; anything beyond that
-    is an infeasible control total and fails loudly. The slack is relative,
-    so scaling every weight and the target by a power of two keeps the
-    outcome.
-    """
+    A shortfall within one unit-weight (the largest weight in the pool, or
+    in all of `weight` for an empty pool) is satisfiable by construction,
+    so thin strata may legally absorb a sub-unit remainder by selecting
+    nobody; anything beyond that is an infeasible control total and fails
+    loudly. The slack is relative, so scaling every weight and the target
+    by a power of two keeps the outcome."""
     if target <= 0:
         return np.empty(0, dtype=np.int64)
     pool_weight = weight[pool]
     available = float(np.sum(pool_weight))
-    w_max = float(np.max(pool_weight)) if pool.size else unit_weight
+    w_max = float(np.max(pool_weight if pool.size else weight))
     if target > (available + w_max) * (1 + 1e-9):
         raise AlignmentError(
             f"{context}: target {target:.2f} exceeds the available weight "
@@ -710,85 +707,180 @@ def _align_rows(pool, ranked, weight, target: float, unit_weight: float,
     return take_by_score(ranked, weight[ranked], min(target, available), available)
 
 
+# The switches each shared wave step reads, directly or through an earlier
+# step's result: WavePoint fields, and the run's employer_topup and
+# capital_booking. Keyed by name, as a traced run wraps each step.
+STEP_SWITCHES = {
+    "job_losses": (),
+    "sickness_cases": ("ceib_on",),
+    "wage_subsidy": ("ceib_on", "subsidy_scheme"),
+    "housing_cost": ("deferrals_on",),
+    "capital_adjustment": ("capital_on", "capital_booking"),
+    "household_accounts": ("pup_on", "ceib_on", "subsidy_scheme", "employer_topup"),
+    "work_expenses": ("ceib_on", "home_working_on", "childcare_support"),
+}
+
+
+def job_losses(base: BaselineState, controls: ControlTotals, tables: DataTables) -> np.ndarray:
+    """(a) Pandemic job losses per sector; `pup` only decides how they are booked."""
+    job_lost = np.zeros(base.pid.size, dtype=bool)
+    targets = _scaled_sector_targets(base, controls.pup_by_sector, tables)
+    for sector, target in sorted(targets.items()):
+        job_lost[_align_rows(*base.strata[f"pup:{sector}"], base.person_weight, target,
+                             f"job losses in {sector!r}")] = True
+    return job_lost
+
+
+def sickness_cases(base: BaselineState, controls: ControlTotals, wave: WavePoint,
+                   tables: DataTables, seed: int, job_lost) -> np.ndarray:
+    """(b) Sickness-benefit cases among the remaining workers, per age band."""
+    ceib = np.zeros(base.pid.size, dtype=bool)
+    if wave.ceib_on and controls.ceib_cases:
+        pop_share = float(np.sum(base.person_weight)) / tables.national["population_total"]
+        for (band, in_work), count in sorted(controls.ceib_cases.items()):
+            if not in_work:
+                continue  # out-of-work cases carry no income change
+            workers = base.band_workers[CASE_AGE_BANDS.index(band)]
+            rows = workers[~job_lost[workers]]
+            ranked = rows[_rank(base.pid[rows], seed, f"ceib:{band}:{wave.date.isoformat()}")]
+            ceib[_align_rows(rows, ranked, base.person_weight, count * pop_share,
+                             f"sickness cases in age band {band}")] = True
+    return ceib
+
+
+def wage_subsidy(base: BaselineState, controls: ControlTotals, wave: WavePoint,
+                 tables: DataTables, schedules: taxben.PolicySchedules, job_lost, ceib):
+    """(c) Wage subsidy among remaining employees, per sector: who, and their scheme amounts."""
+    subsidised = np.zeros(base.pid.size, dtype=bool)
+    amount = np.zeros(base.pid.size, dtype=np.int64)
+    if wave.subsidy_scheme != "none" and controls.subsidy_by_sector:
+        targets = _scaled_sector_targets(base, controls.subsidy_by_sector, tables)
+        rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(targets)])
+        rows = rows[~job_lost[rows] & ~ceib[rows]]
+        # every remaining employee's scheme amount in one call, 0 for the rest
+        if rows.size:
+            if wave.subsidy_scheme == "twss":
+                amount[rows] = taxben.twss_subsidy_cents(
+                    schedules, base.take_home_weekly_cents[rows], wave.date)
+            else:
+                amount[rows] = taxben.ewss_subsidy_cents(
+                    schedules, round_div(base.emp_cents[rows], 52), wave.date)
+        for sector, target in sorted(targets.items()):
+            # pay bands outside the scheme ("no subsidy applies") are ineligible;
+            # a subset of the ranked rows keeps their order
+            rows, ranked = (r[amount[r] > 0] for r in base.strata[f"subsidy:{sector}"])
+            subsidised[_align_rows(rows, ranked, base.person_weight, target,
+                                   f"wage subsidy in {sector!r}")] = True
+    return subsidised, amount[subsidised]
+
+
+def housing_cost(base: BaselineState, controls: ControlTotals, wave: WavePoint,
+                 tables: DataTables) -> np.ndarray:
+    """(e) Mortgage deferrals, and the housing cost H they leave."""
+    deferred = np.zeros(base.hid.size, dtype=bool)
+    if wave.deferrals_on and controls.deferral_count > 0:
+        holders, ranked = base.strata["deferral"]
+        holder_weight = float(np.sum(base.hh_weight[holders]))
+        target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
+        deferred[_align_rows(holders, ranked, base.hh_weight, target, "mortgage deferrals")] = True
+    return expenses.housing_cost_cents(base.tenure_code, base.mortgage_cents, base.rent_cents,
+                                       deferred)
+
+
+def capital_adjustment(base: BaselineState, controls: ControlTotals, wave: WavePoint,
+                       tables: DataTables, capital_booking: str) -> np.ndarray:
+    """(f) Capital value changes, booked as the adjustment Q."""
+    n_hh = base.hid.size
+    if not (wave.capital_on and controls.index_change_factor != 0.0):
+        return np.zeros(n_hh, dtype=np.int64)
+    change = expenses.capital_value_change_cents(
+        tables.holdings, base.cap_band, base.cap_quintile,
+        base.cap_participant, controls.index_change_factor)
+    change_hh = np.bincount(base.hh_row, weights=change, minlength=n_hh).astype(np.int64)
+    return -change_hh if capital_booking == "once" else annual_to_monthly(-change_hh)
+
+
+def household_accounts(base: BaselineState, wave: WavePoint, schedules: taxben.PolicySchedules,
+                       employer_topup: float, job_lost, ceib, subsidised, amount, covid):
+    """(g) Household market income, taxes, benefits, gross and disposable income.
+    A person (a)-(c) did not move keeps the baseline's status, incomes and covid
+    code 0, under which neither tax nor benefit depends on date or policy; so the
+    baseline totals change, exactly, by the moved persons' accounts now minus before."""
+    status_now = base.status.copy()
+    emp_now = base.emp_cents.copy()
+    se_now = base.se_cents.copy()
+    if not wave.pup_on:
+        status_now[job_lost] = taxben.STATUS_CODES["unemployed"]
+    stopped = job_lost | ceib
+    emp_now[stopped] = 0
+    se_now[stopped] = 0
+    gross_weekly = round_div(base.emp_cents[subsidised], 52)
+    shortfall = np.maximum(gross_weekly - amount, 0)
+    emp_now[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
+    moved = np.flatnonzero(stopped | subsidised)
+
+    def moved_accounts(status, covid_code, emp, se, policy):
+        return taxben.household_accounts(
+            status[moved], covid_code, base.weekly_earn_cents[moved], emp[moved],
+            se[moved], base.cap_cents[moved], base.pens_cents[moved], base.hh_row[moved],
+            base.hid.size, wave.date, policy, schedules)
+    now = moved_accounts(status_now, covid[moved], emp_now, se_now,
+                         taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on))
+    was = moved_accounts(base.status, np.zeros(moved.size, dtype=np.int8),
+                         base.emp_cents, base.se_cents, taxben.PolicyState())
+    market = base.market + now.market - was.market
+    taxes = base.taxes + now.taxes - was.taxes
+    benefits = base.benefits + now.benefits - was.benefits
+    gross = market + benefits
+    return market, taxes, benefits, gross, gross - taxes
+
+
+def work_expenses(base: BaselineState, wave: WavePoint, tables: DataTables, job_lost, ceib,
+                  employed_now, home_working) -> np.ndarray:
+    """Work expenses C: commuting plus childcare."""
+    n_hh = base.hid.size
+    commuting = employed_now & ~home_working
+    n_private, n_public = (np.bincount(base.hh_row[commuting & (base.commute_mode == mode)],
+                                       minlength=n_hh)
+                           for mode in (expenses.MODE_PRIVATE, expenses.MODE_PUBLIC))
+    commuting_weekly = expenses.commuting_cost_cents(tables.commute, n_private, n_public)
+    childcare_weekly = base.childcare_weekly_cents.copy()
+    if wave.childcare_support:
+        childcare_weekly[:] = 0
+    else:
+        someone_home = (job_lost | ceib | home_working)
+        home_hh = np.bincount(base.hh_row[someone_home], minlength=n_hh) > 0
+        childcare_weekly[home_hh] = 0
+    return weekly_to_monthly(commuting_weekly + childcare_weekly)
+
+
 def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                tables: DataTables, schedules: taxben.PolicySchedules, seed: int,
                employer_topup: float = 0.30, capital_booking: str = "amortized",
                draws: dict | None = None) -> WaveResult:
-    """The wave's household incomes. Every step but `adjusted` and the
+    """The wave's household incomes. Every step but (d), `adjusted` and the
     person arrays goes through `once`, which keeps its result in `draws`
-    under the date, the step's name and only the switches the step reads,
+    under the date, the step's name and the values of its `STEP_SWITCHES`,
     with its arrays read-only; so the waves of one date that pass the same
     dict compute each such result once and hold the same arrays."""
     draws = {} if draws is None else draws
+    switches = vars(wave) | {"subsidy_scheme": wave.subsidy_scheme,
+                             "employer_topup": employer_topup, "capital_booking": capital_booking}
 
-    def once(compute, *switches):
-        key = (wave.date, compute.__name__, *switches)
+    def once(step, *args):
+        key = (wave.date, step.__name__, tuple(switches[s] for s in STEP_SWITCHES[step.__name__]))
         if key not in draws:
-            result = compute()
+            result = step(*args)
             for array in result if isinstance(result, tuple) else (result,):
                 array.flags.writeable = False
             draws[key] = result
         return draws[key]
 
-    n = base.pid.size
-    n_hh = base.hid.size
-    unit_weight = float(np.max(base.person_weight))
-    national_employment = tables.national["sector_employment"]
-
-    # (a) pandemic job losses per sector; `pup` only decides how they are booked
-    def job_losses():
-        job_lost = np.zeros(n, dtype=bool)
-        targets = _scaled_sector_targets(base, controls.pup_by_sector, national_employment)
-        for sector, target in sorted(targets.items()):
-            job_lost[_align_rows(*base.strata[f"pup:{sector}"], base.person_weight, target,
-                                 unit_weight, f"job losses in {sector!r}")] = True
-        return job_lost
-    job_lost = once(job_losses)
-
-    # (b) sickness-benefit cases among remaining workers, per age band
-    def sickness_cases():
-        ceib = np.zeros(n, dtype=bool)
-        if wave.ceib_on and controls.ceib_cases:
-            pop_share = float(np.sum(base.person_weight)) / tables.national["population_total"]
-            for (band, in_work), count in sorted(controls.ceib_cases.items()):
-                if not in_work:
-                    continue  # out-of-work cases carry no income change
-                workers = base.band_workers[CASE_AGE_BANDS.index(band)]
-                rows = workers[~job_lost[workers]]
-                ranked = rows[_rank(base.pid[rows], seed,
-                                    f"ceib:{band}:{wave.date.isoformat()}")]
-                ceib[_align_rows(rows, ranked, base.person_weight, count * pop_share,
-                                 unit_weight, f"sickness cases in age band {band}")] = True
-        return ceib
-    ceib = once(sickness_cases, wave.ceib_on)
-
-    # (c) wage subsidy among remaining employees, per sector: who, and their scheme amounts
-    def wage_subsidy():
-        subsidised = np.zeros(n, dtype=bool)
-        amount = np.zeros(n, dtype=np.int64)
-        if wave.subsidy_scheme != "none" and controls.subsidy_by_sector:
-            targets = _scaled_sector_targets(base, controls.subsidy_by_sector,
-                                             national_employment)
-            rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(targets)])
-            rows = rows[~job_lost[rows] & ~ceib[rows]]
-            # every remaining employee's scheme amount in one call, 0 for the rest
-            if rows.size:
-                if wave.subsidy_scheme == "twss":
-                    amount[rows] = taxben.twss_subsidy_cents(
-                        schedules, base.take_home_weekly_cents[rows], wave.date)
-                else:
-                    amount[rows] = taxben.ewss_subsidy_cents(
-                        schedules, round_div(base.emp_cents[rows], 52), wave.date)
-            for sector, target in sorted(targets.items()):
-                # pay bands outside the scheme ("no subsidy applies") are ineligible;
-                # a subset of the ranked rows keeps their order
-                rows, ranked = (r[amount[r] > 0] for r in base.strata[f"subsidy:{sector}"])
-                subsidised[_align_rows(rows, ranked, base.person_weight, target, unit_weight,
-                                       f"wage subsidy in {sector!r}")] = True
-        return subsidised, amount[subsidised]
-    subsidised, amount = once(wage_subsidy, wave.ceib_on, wave.subsidy_scheme)
-
-    covid = np.zeros(n, dtype=np.int8)  # taxben.COVID_CODES
+    job_lost = once(job_losses, base, controls, tables)
+    ceib = once(sickness_cases, base, controls, wave, tables, seed, job_lost)
+    subsidised, amount = once(wage_subsidy, base, controls, wave, tables, schedules, job_lost,
+                              ceib)
+    covid = np.zeros(base.pid.size, dtype=np.int8)  # taxben.COVID_CODES
     if wave.pup_on:
         covid[job_lost] = taxben.COVID_CODES["pup_recipient"]
     covid[ceib] = taxben.COVID_CODES["ceib_recipient"]
@@ -796,88 +888,14 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
 
     # (d) home working for non-essential remaining workers
     employed_now = base.is_worker & ~job_lost & ~ceib
-    home_working = np.zeros(n, dtype=bool)
-    if wave.home_working_on:
-        home_working = employed_now & ~base.essential & base.home_capable
+    home_working = employed_now & ~base.essential & base.home_capable & wave.home_working_on
 
-    # (e) mortgage deferrals, and the housing cost H they leave
-    def housing_cost():
-        deferred = np.zeros(n_hh, dtype=bool)
-        if wave.deferrals_on and controls.deferral_count > 0:
-            holders, ranked = base.strata["deferral"]
-            holder_weight = float(np.sum(base.hh_weight[holders]))
-            target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
-            deferred[_align_rows(holders, ranked, base.hh_weight, target,
-                                 float(np.max(base.hh_weight)), "mortgage deferrals")] = True
-        return expenses.housing_cost_cents(base.tenure_code, base.mortgage_cents,
-                                           base.rent_cents, deferred)
-    h_hh = once(housing_cost, wave.deferrals_on)
-
-    # (f) capital value changes, booked as the adjustment Q
-    def capital_adjustment():
-        if not (wave.capital_on and controls.index_change_factor != 0.0):
-            return np.zeros(n_hh, dtype=np.int64)
-        change = expenses.capital_value_change_cents(
-            tables.holdings, base.cap_band, base.cap_quintile,
-            base.cap_participant, controls.index_change_factor)
-        change_hh = np.bincount(base.hh_row, weights=change, minlength=n_hh).astype(np.int64)
-        return -change_hh if capital_booking == "once" else annual_to_monthly(-change_hh)
-    q_hh = once(capital_adjustment, wave.capital_on, capital_booking)
-
-    # (g) taxes, benefits, and the four income definitions. A person (a)-(c)
-    # did not move keeps the baseline's status, incomes and covid code 0, under
-    # which neither tax nor benefit depends on date or policy; so the baseline
-    # totals change, exactly, by the moved persons' accounts now minus before.
-    def household_accounts():
-        status_now = base.status.copy()
-        emp_now = base.emp_cents.copy()
-        se_now = base.se_cents.copy()
-        if not wave.pup_on:
-            status_now[job_lost] = taxben.STATUS_CODES["unemployed"]
-        stopped = job_lost | ceib
-        emp_now[stopped] = 0
-        se_now[stopped] = 0
-        gross_weekly = round_div(base.emp_cents[subsidised], 52)
-        shortfall = np.maximum(gross_weekly - amount, 0)
-        emp_now[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
-        moved = np.flatnonzero(stopped | subsidised)
-
-        def moved_accounts(status, covid_code, emp, se, policy):
-            return taxben.household_accounts(
-                status[moved], covid_code, base.weekly_earn_cents[moved], emp[moved],
-                se[moved], base.cap_cents[moved], base.pens_cents[moved], base.hh_row[moved],
-                n_hh, wave.date, policy, schedules)
-        now = moved_accounts(status_now, covid[moved], emp_now, se_now,
-                             taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on))
-        was = moved_accounts(base.status, np.zeros(moved.size, dtype=np.int8),
-                             base.emp_cents, base.se_cents, taxben.PolicyState())
-        market = base.market + now.market - was.market
-        taxes = base.taxes + now.taxes - was.taxes
-        benefits = base.benefits + now.benefits - was.benefits
-        gross = market + benefits
-        return market, taxes, benefits, gross, gross - taxes
+    h_hh = once(housing_cost, base, controls, wave, tables)
+    q_hh = once(capital_adjustment, base, controls, wave, tables, capital_booking)
     market_hh, taxes_hh, benefits_hh, gross_hh, disposable_hh = once(
-        household_accounts, wave.pup_on, wave.ceib_on, wave.subsidy_scheme, employer_topup)
-
-    # work expenses C: commuting plus childcare
-    def work_expenses():
-        commuting_active = employed_now & ~home_working
-        n_private = np.bincount(base.hh_row[commuting_active
-                                            & (base.commute_mode == expenses.MODE_PRIVATE)],
-                                minlength=n_hh)
-        n_public = np.bincount(base.hh_row[commuting_active
-                                           & (base.commute_mode == expenses.MODE_PUBLIC)],
-                               minlength=n_hh)
-        commuting_weekly = expenses.commuting_cost_cents(tables.commute, n_private, n_public)
-        childcare_weekly = base.childcare_weekly_cents.copy()
-        if wave.childcare_support:
-            childcare_weekly[:] = 0
-        else:
-            someone_home = (job_lost | ceib | home_working)
-            home_hh = np.bincount(base.hh_row[someone_home], minlength=n_hh) > 0
-            childcare_weekly[home_hh] = 0
-        return weekly_to_monthly(commuting_weekly + childcare_weekly)
-    c_hh = once(work_expenses, wave.ceib_on, wave.home_working_on, wave.childcare_support)
+        household_accounts, base, wave, schedules, employer_topup, job_lost, ceib, subsidised,
+        amount, covid)
+    c_hh = once(work_expenses, base, wave, tables, job_lost, ceib, employed_now, home_working)
 
     return WaveResult(
         label=wave.label, date=wave.date,

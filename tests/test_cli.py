@@ -119,6 +119,23 @@ class TestValidateCommand:
         assert "99" in err
 
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_population_without_households_exits_one(self, data_dir, tmp_path, capsys,
+                                                      command):
+        """Header-only files parse to empty tables; both commands reject them
+        the same way, before run ranks anyone into deciles."""
+        save_population(generate_synthetic(SynthConfig(households=2), 1), tmp_path)
+        for name in ("households.csv", "persons.csv"):
+            path = tmp_path / name
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        code = main([command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                     "--population", str(tmp_path), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.endswith("households.csv: no households\n")
+        assert not (tmp_path / "out").exists()
+
     def test_more_unknown_texts_than_int8_codes_are_all_reported(self, data_dir, tmp_path,
                                                                  capsys):
         """468 persons, each with its own unknown sex text: more texts than

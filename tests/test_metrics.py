@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nowcastsim.metrics import (INCOME_DEFINITIONS, DistributionSummary, MetricsError,
@@ -104,6 +104,16 @@ def person_decile_means(values, weights, deciles):
     return np.divide(np.bincount(deciles, weights=np.asarray(values, dtype=np.float64) * w,
                                  minlength=11)[1:], weight_sums,
                      out=np.full(10, np.nan), where=weight_sums > 0)
+
+
+def exact_decile_means(values, weights, deciles):
+    """Each decile's weighted mean of per-person `values` in exact
+    arithmetic, rounded once; NaN for a decile no person is in."""
+    sums, totals = [Fraction(0)] * 11, [Fraction(0)] * 11
+    for v, w, d in zip(values, weights, deciles):
+        sums[d] += Fraction(v) * Fraction(w)
+        totals[d] += Fraction(w)
+    return np.array([float(s / t) if t else np.nan for s, t in zip(sums[1:], totals[1:])])
 
 
 def person_groups(weights, deciles):
@@ -274,16 +284,25 @@ class TestDecileMeans:
 
     @settings(max_examples=100, deadline=None)
     @given(POPULATIONS)
+    # 5e-324 x 0.5 rounds to 0 per person, but the pair of weight 1 keeps it
+    @example(([6, 2], [0.0, 5e-324], [1.0, 0.5], random.Random(0)))
     def test_pairs_match_the_person_bincount(self, population):
         """Summed over (household, decile) pairs, the decile means are the
-        per-person ones to 1e-12 relative (all terms are of one sign); a
-        decile no person is in gives NaN in both."""
+        exact per-person ones to 1e-12 relative (all terms are of one sign);
+        a decile no person is in gives NaN in both. As in TestSummarizeExact,
+        gradual underflow has no relative precision: each product below
+        2**-1022 may be off by half a subnormal ulp (2**-1074), so a decile
+        also gets an absolute floor of 4 ulps per person over its weight."""
         hh_row, values, w, deciles = self.population(*population)
         groups = decile_groups(hh_row, w, deciles)
         assert np.unique(groups[0] * 10 + groups[1]).size == groups[0].size
-        np.testing.assert_allclose(decile_means(values, groups),
-                                   person_decile_means(values[hh_row], w, deciles),
-                                   rtol=1e-12, atol=0.0)
+        got, exact = decile_means(values, groups), exact_decile_means(values[hh_row], w, deciles)
+        persons = np.bincount(deciles, minlength=11)[1:]
+        held = persons > 0
+        assert np.array_equal(np.isnan(got), ~held) and np.array_equal(np.isnan(exact), ~held)
+        floor = 4 * persons[held] * 2.0**-1074 / groups[3][held]
+        assert np.all(np.abs(got - exact)[held] <= 1e-12 * np.abs(exact[held]) + floor), (
+            got, exact)
 
     def test_households_straddle_decile_boundaries(self):
         """The population strategy does put one household in two deciles:

@@ -674,13 +674,19 @@ def test_syntax_errors_located(tmp_path, name, edit, violations):
     assert err.value.violations == violations
 
 
-def test_header_only_files_load_silently(tmp_path, capfd):
+def test_header_only_files_parse_silently_and_are_rejected(tmp_path, capfd):
+    """Each header-only file parses to an empty table without numpy's "no
+    data" warning; a population without households is rejected."""
     for name, data in saved_bytes(tmp_path).items():
         (tmp_path / name).write_bytes(data.split(b"\n")[0] + b"\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # nothing printed on stderr either
-        pop = load_population(tmp_path)
-    assert len(pop.households) == len(pop.persons) == 0
+        for name, columns in (("households.csv", population._HOUSEHOLD_COLUMNS),
+                              ("persons.csv", population._PERSON_COLUMNS)):
+            assert len(population._load_table(str(tmp_path / name), columns)[0]) == 0
+        with pytest.raises(PopulationError) as err:
+            load_population(tmp_path)
+    assert err.value.violations == ["households.csv: no households"]
     assert capfd.readouterr() == ("", "")
 
 

@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import datetime as dt
+import functools
 import itertools
 import os
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import scenario_oracle
 
 import nowcastsim
-from nowcastsim import metrics, population, taxben
+from nowcastsim import metrics, population, scenario, taxben
 from nowcastsim.calibration import AlignmentError
 from nowcastsim.money import cents, weekly_to_monthly
 from nowcastsim.population import (SECTORS, WORK_STATUSES, WORKER_CODES, Population,
@@ -322,12 +323,13 @@ class TestScheduleFaults:
 
 class TestAlignUnitsEmptyStratum:
     """A stratum with no eligible units absorbs a target of at most one
-    unit-weight by selecting nobody; a larger target is infeasible."""
+    unit-weight, the largest weight of all units, by selecting nobody; a
+    larger target is infeasible."""
 
     def test_target_within_unit_weight_selects_nobody(self):
         for target in (0.5, 1.0):
             empty = np.empty(0, dtype=np.int64)
-            chosen = _align_rows(empty, empty, np.empty(0), target, 1.0,
+            chosen = _align_rows(empty, empty, np.array([0.5, 1.0]), target,
                                  "sickness cases in age band 0")
             assert chosen.size == 0
 
@@ -335,7 +337,7 @@ class TestAlignUnitsEmptyStratum:
         for unit_weight, target in ((0.0, 0.5), (1.0, 1.5)):
             with pytest.raises(AlignmentError, match="sickness cases in age band 0"):
                 empty = np.empty(0, dtype=np.int64)
-                _align_rows(empty, empty, np.empty(0), target, unit_weight,
+                _align_rows(empty, empty, np.array([unit_weight, 0.0]), target,
                             "sickness cases in age band 0")
 
 
@@ -992,6 +994,30 @@ class TestSharedDraws:
                 assert getattr(a, name) is not getattr(b, name)
         for r in results:
             assert not any(getattr(r, name).flags.writeable for name in SHARED_FIELDS)
+
+    def test_steps_wrapped_as_the_tracer_wraps_them_give_the_same_run(
+            self, jittered, plan, shipped_controls, tables, schedules, monkeypatch):
+        """Each wave step replaced by a `functools.wraps` wrapper that counts
+        its calls, as the tracer replaces every public function: the results
+        are bit for bit the unwrapped run's, every step runs, and
+        `job_losses`, which reads no switch, runs once per date."""
+        _, expected, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
+                                      seed=11)
+        calls = dict.fromkeys(scenario.STEP_SWITCHES, 0)
+
+        def counted(step):
+            @functools.wraps(step)
+            def wrapper(*args, **kwargs):
+                calls[step.__name__] += 1
+                return step(*args, **kwargs)
+            return wrapper
+        for name in scenario.STEP_SWITCHES:
+            monkeypatch.setattr(scenario, name, counted(getattr(scenario, name)))
+        _, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
+                                     seed=11)
+        assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected])
+        assert all(calls.values()), calls
+        assert calls["job_losses"] == len({w.date for w in plan.waves})
 
     def test_one_dict_serves_every_setting(self, jittered, plan, shipped_controls, tables,
                                            schedules):

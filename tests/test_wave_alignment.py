@@ -259,17 +259,17 @@ def test_infeasible_targets_raise(base, tables, schedules):
        k=st.integers(-30, 30))
 @example(weights=[1.0] * 10, target=11.5, k=-30)  # once clamped to all 10 rows at 2**-30
 def test_scaling_weights_and_target_keeps_the_outcome(weights, target, k):
-    """Scaling every weight, the unit weight and the target by 2**k, which
-    is exact in floating point, keeps whether a stratum's alignment raises
-    and, if it does not, the rows it takes."""
-    weight = np.array(weights)
-    pool = np.arange(weight.size)
+    """Scaling every weight and the target by 2**k, which is exact in
+    floating point, keeps whether a stratum's alignment raises and, if it
+    does not, the rows it takes. The one row outside the pool weighs 1, the
+    unit weight of an empty pool."""
+    weight = np.array(weights + [1.0])
+    pool = np.arange(len(weights))
     ranked = pool[::-1].copy()
 
     def outcome(scale):
         try:
-            return _align_rows(pool, ranked, weight * scale, target * scale, scale,
-                               "stratum").tolist()
+            return _align_rows(pool, ranked, weight * scale, target * scale, "stratum").tolist()
         except AlignmentError:
             return "raises"
     assert outcome(2.0 ** k) == outcome(1.0)
