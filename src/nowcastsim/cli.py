@@ -222,10 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--scenario", required=True)
-        p.add_argument("--population", default=None,
-                       help="directory with households.csv / persons.csv")
-        p.add_argument("--synth-config", default=None,
-                       help="synth.cfg for a generated population")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--population", default=None,
+                            help="directory with households.csv / persons.csv")
+        source.add_argument("--synth-config", default=None,
+                            help="synth.cfg for a generated population")
         p.add_argument("--data-dir", default=DEFAULT_DATA_DIR)
         p.add_argument("--policy-dir", default=DEFAULT_POLICY_DIR)
         p.add_argument("--seed", type=int, default=None)

@@ -275,8 +275,9 @@ def parse_scenario(path) -> Scenario:
     as written (`%` is literal) and checked on their line, so a repeated key
     or section, an unknown key or section, a key before the first section
     and a bad value each fail with `<file basename>:<line>`, as does a wave
-    label that is empty or holds one of `LABEL_FORBIDDEN`. A relative
-    `controls` is resolved against the file's directory."""
+    label that is empty, holds one of `LABEL_FORBIDDEN` or starts with
+    `change:`. A relative `controls` is resolved against the file's
+    directory."""
     name = os.path.basename(path)
     sections = {}  # section name -> (where its header is, {field: value})
     for where, section, key, value in key_values(path, ScenarioError):
@@ -288,6 +289,9 @@ def parse_scenario(path) -> Scenario:
             if section == "wave:" or any(c in section for c in LABEL_FORBIDDEN):
                 raise ScenarioError(f"{where}: [{section}] a wave label must be non-empty "
                                     f"and hold none of {' '.join(LABEL_FORBIDDEN)}")
+            if section.startswith("wave:change:"):
+                raise ScenarioError(f"{where}: [{section}] a wave label must not start with "
+                                    "'change:', which marks the change rows of gini.csv")
             sections[section] = (where, {})
             continue
         if section is None:
@@ -555,7 +559,7 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
     n_hh = hid.size
     accounts = taxben.household_accounts(
         persons.work_status, np.zeros(pid.size, dtype=np.int8), weekly_earn, emp, se, cap, pens,
-        hh_row, n_hh, controls.date, taxben.PolicyState(), schedules)
+        hh_row, n_hh, controls.date, schedules)
     take_home_weekly = round_div(np.maximum(emp - accounts.person_tax, 0), 52)
     disposable_hh = accounts.market + accounts.benefits - accounts.taxes
 
@@ -819,15 +823,14 @@ def household_accounts(base: BaselineState, wave: WavePoint, schedules: taxben.P
     emp_now[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
     moved = np.flatnonzero(stopped | subsidised)
 
-    def moved_accounts(status, covid_code, emp, se, policy):
+    def moved_accounts(status, covid_code, emp, se):
         return taxben.household_accounts(
             status[moved], covid_code, base.weekly_earn_cents[moved], emp[moved],
             se[moved], base.cap_cents[moved], base.pens_cents[moved], base.hh_row[moved],
-            base.hid.size, wave.date, policy, schedules)
-    now = moved_accounts(status_now, covid[moved], emp_now, se_now,
-                         taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on))
+            base.hid.size, wave.date, schedules)
+    now = moved_accounts(status_now, covid[moved], emp_now, se_now)
     was = moved_accounts(base.status, np.zeros(moved.size, dtype=np.int8),
-                         base.emp_cents, base.se_cents, taxben.PolicyState())
+                         base.emp_cents, base.se_cents)
     market = base.market + now.market - was.market
     taxes = base.taxes + now.taxes - was.taxes
     benefits = base.benefits + now.benefits - was.benefits
@@ -856,7 +859,8 @@ def work_expenses(base: BaselineState, wave: WavePoint, tables: DataTables, job_
 
 def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                tables: DataTables, schedules: taxben.PolicySchedules, seed: int,
-               employer_topup: float = 0.30, capital_booking: str = "amortized",
+               employer_topup: float = Scenario.employer_topup,
+               capital_booking: str = Scenario.capital_booking,
                draws: dict | None = None) -> WaveResult:
     """The wave's household incomes. Every step but (d), `adjusted` and the
     person arrays goes through `once`, which keeps its result in `draws`

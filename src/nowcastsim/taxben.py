@@ -22,6 +22,9 @@ below ships as overridable data, see the README):
   taper to 0 at 1,462.
 * TWSS/EWSS amounts are part of taxable pay; PUP/CEIB are untaxed
   within-year.
+
+The module prices person states and reads no wave switch: `scenario`'s
+waves decide who is coded a PUP or CEIB recipient.
 """
 from __future__ import annotations
 
@@ -287,33 +290,17 @@ STATUS_CODES = {status: code for code, status in enumerate(WORK_STATUSES)}
 COVID_CODES = {state: code for code, state in enumerate(COVID_STATES)}
 
 
-@dataclass(frozen=True)
-class PolicyState:
-    """Which pandemic instruments are switched on for a wave."""
-
-    pup_on: bool = False
-    ceib_on: bool = False
-
-
 def benefit_weekly_cents(status_code, covid_code, prev_weekly_cents,
-                         date: dt.date, policy: PolicyState,
-                         schedules: PolicySchedules) -> np.ndarray:
-    """Per-person weekly benefit under a policy state (vectorised).
-
-    PUP and CEIB recipients get the earnings-banded pandemic rate; with the
-    instrument switched off they fall back to the ordinary unemployment
-    rate, so disabling every instrument reproduces the baseline benefit
-    rules. Unemployed persons get the baseline unemployment rate; retired
-    persons the baseline pension.
-    """
+                         date: dt.date, schedules: PolicySchedules) -> np.ndarray:
+    """Per-person weekly benefit (vectorised): the earnings-banded pandemic
+    rate for PUP and CEIB recipients, with no instrument-off fallback, as the
+    wave decides who is coded one; the baseline unemployment rate for the
+    unemployed, and the baseline pension for the retired."""
     out = np.zeros(status_code.shape, dtype=np.int64)
     out[status_code == STATUS_CODES["unemployed"]] = schedules.tax.unemployment_weekly_cents
     out[status_code == STATUS_CODES["retired"]] = schedules.tax.pension_weekly_cents
-
-    pup_mask = covid_code == COVID_CODES["pup_recipient"]
-    ceib_mask = covid_code == COVID_CODES["ceib_recipient"]
-    out[pup_mask | ceib_mask] = schedules.tax.unemployment_weekly_cents
-    banded = (pup_mask & policy.pup_on) | (ceib_mask & policy.ceib_on)
+    banded = (covid_code == COVID_CODES["pup_recipient"]) | \
+        (covid_code == COVID_CODES["ceib_recipient"])
     if np.any(banded):
         out[banded] = pup_rate_cents(schedules, prev_weekly_cents[banded], date)
     return out
@@ -331,7 +318,7 @@ class HouseholdAccounts:
 
 
 def household_accounts(status_code, covid_code, prev_weekly_cents, emp, se, cap, pens,
-                       hh_row, n_households: int, date: dt.date, policy: PolicyState,
+                       hh_row, n_households: int, date: dt.date,
                        schedules: PolicySchedules) -> HouseholdAccounts:
     """Household market income, taxes and benefits from person arrays.
 
@@ -342,8 +329,7 @@ def household_accounts(status_code, covid_code, prev_weekly_cents, emp, se, cap,
     the pandemic rates, and `hh_row` maps each person to its household row.
     Each person's monthly amount is rounded before the household sum.
     """
-    weekly_b = benefit_weekly_cents(status_code, covid_code, prev_weekly_cents,
-                                    date, policy, schedules)
+    weekly_b = benefit_weekly_cents(status_code, covid_code, prev_weekly_cents, date, schedules)
     person_tax = income_tax_cents(emp + np.maximum(se, 0) + cap + pens, schedules.tax)
 
     def per_household(monthly):

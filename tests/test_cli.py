@@ -711,6 +711,25 @@ def test_bad_synth_config_exits_one(data_dir, tmp_path, capsys, command, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_population_and_synth_config_together_is_a_usage_error(data_dir, tmp_path, capsys,
+                                                               command):
+    save_population(generate_synthetic(SynthConfig(households=3), 1), tmp_path / "pop")
+    synth = tmp_path / "bad.cfg"
+    synth.write_text("households = lots\n")
+    args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+            "--population", str(tmp_path / "pop"), "--synth-config", str(synth)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "argument --synth-config: not allowed with argument --population" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_population_column_exits_one(data_dir, tmp_path, capsys):
     save_population(generate_synthetic(SynthConfig(households=3), 1), tmp_path)
     lines = (tmp_path / "households.csv").read_text().splitlines()

@@ -177,8 +177,7 @@ def whole_population_accounts(base, r, wave, schedules, employer_topup):
         emp[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
     return taxben.household_accounts(
         status, r.covid_code, base.weekly_earn_cents, emp, se, base.cap_cents, base.pens_cents,
-        base.hh_row, base.hid.size, wave.date,
-        taxben.PolicyState(pup_on=wave.pup_on, ceib_on=wave.ceib_on), schedules)
+        base.hh_row, base.hid.size, wave.date, schedules)
 
 
 @settings(max_examples=80, deadline=None)

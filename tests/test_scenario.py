@@ -189,6 +189,10 @@ class TestScenarioFile:
         *[("", f"date=2020-05-05\n[wave:{label}]\ndate=2020-06-06\n",
            f"s.cfg:5: [wave:{label}] a wave label must be non-empty and hold none of "
            ', " / \\') for label in ("", "May 5, 2020", "05/05", 'a"b', "a\\b")],
+        # gini.csv's change row of wave x is labelled change:x
+        *[("", f"date=2020-05-05\n[wave:{label}]\ndate=2020-06-06\n",
+           f"s.cfg:5: [wave:{label}] a wave label must not start with 'change:', which marks "
+           "the change rows of gini.csv") for label in ("change:a", "change:")],
     ])
     def test_fault_names_file_and_line(self, tmp_path, scenario_lines, wave_lines, message):
         path = tmp_path / "s.cfg"
@@ -718,12 +722,13 @@ class TestApplyWave:
                        schedules, seed=7)
         assert np.all(r.covid_code == 0)
         assert np.array_equal(r.disposable, r.market - r.taxes + r.benefits)
-        # benefits reduce to the baseline rules: job losers draw the ordinary
-        # unemployment rate
+        # benefits reduce to the baseline rules: each job loser adds exactly the
+        # ordinary unemployment rate to the baseline benefits
         job_lost = ~r.employed_now & base.is_worker
         assert job_lost.any()
-        lost_rows = base.hh_row[job_lost]
-        assert np.all(r.benefits[lost_rows] > 0)
+        losers = np.bincount(base.hh_row[job_lost], minlength=base.hid.size)
+        rate = weekly_to_monthly(schedules.tax.unemployment_weekly_cents)
+        assert np.array_equal(r.benefits, base.benefits + losers * rate)
         assert np.all(r.capital_adjustment == 0)
         baseline = apply_wave(base, ControlTotals(date=wave.date), null_wave(
             label="null", date=wave.date), tables, schedules, seed=7)

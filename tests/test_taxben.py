@@ -1,6 +1,5 @@
 import bisect
 import datetime as dt
-import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from nowcastsim.money import apply_rate, cents, round_div, weekly_to_monthly
 from nowcastsim.taxben import (COVID_CODES, EWSS_HANDOVER, STATUS_CODES, Band, PolicyError,
-                               PolicyState, Regime, TaxSystem, ceib_rate_cents, ewss_subsidy_cents,
+                               Regime, TaxSystem, ceib_rate_cents, ewss_subsidy_cents,
                                household_accounts, income_tax_cents, load_schedule,
                                pup_rate_cents, twss_subsidy_cents)
 
@@ -169,7 +168,7 @@ class TestIncomeTax:
         assert income_tax_cents(100000, system) == 0
 
 
-def one_person_tb(schedules, date, policy, covid_state, employment_income=0.0,
+def one_person_tb(schedules, date, covid_state, employment_income=0.0,
                   work_status="employee", prev_weekly_cents=None):
     """(T, B) of a one-person household through the household accounts;
     previous weekly earnings default to the current ones."""
@@ -179,39 +178,23 @@ def one_person_tb(schedules, date, policy, covid_state, employment_income=0.0,
     accounts = household_accounts(
         np.array([STATUS_CODES[work_status]]), np.array([COVID_CODES[covid_state]]),
         np.array([prev]), np.array([emp]), zero, zero, zero, zero, 1,
-        date, policy, schedules)
+        date, schedules)
     return int(accounts.taxes[0]), int(accounts.benefits[0])
 
 
 class TestHouseholdTB:
     def test_pup_recipient_monthly_benefit(self, schedules):
-        policy = PolicyState(pup_on=True)
-        t, b = one_person_tb(schedules, D(2020, 5, 5), policy, "pup_recipient",
+        t, b = one_person_tb(schedules, D(2020, 5, 5), "pup_recipient",
                              prev_weekly_cents=50000)
         assert b == weekly_to_monthly(35000)
         assert t == 0
 
     def test_no_income_no_recipients_no_tax(self, schedules):
-        t, b = one_person_tb(schedules, D(2020, 5, 5), PolicyState(), "none",
-                             work_status="inactive")
+        t, b = one_person_tb(schedules, D(2020, 5, 5), "none", work_status="inactive")
         assert t == 0 and b == 0
 
-    def test_disabling_instruments_reproduces_baseline(self, schedules):
-        date = D(2020, 5, 5)
-        on = one_person_tb(schedules, date, PolicyState(pup_on=True, ceib_on=True),
-                           "none", employment_income=40000.0)
-        off = one_person_tb(schedules, date, PolicyState(), "none",
-                            employment_income=40000.0)
-        assert on == off
-
     def test_unemployed_gets_baseline_rate(self, schedules):
-        _, b = one_person_tb(schedules, D(2020, 5, 5), PolicyState(), "none",
-                             work_status="unemployed")
-        assert b == weekly_to_monthly(schedules.tax.unemployment_weekly_cents)
-
-    def test_pup_recipient_with_instrument_off_gets_unemployment_rate(self, schedules):
-        _, b = one_person_tb(schedules, D(2020, 5, 5), PolicyState(), "pup_recipient",
-                             prev_weekly_cents=50000)
+        _, b = one_person_tb(schedules, D(2020, 5, 5), "none", work_status="unemployed")
         assert b == weekly_to_monthly(schedules.tax.unemployment_weekly_cents)
 
 
@@ -232,35 +215,31 @@ PERSON = st.tuples(
 @given(persons=st.lists(PERSON, min_size=1, max_size=12),
        date=st.dates(min_value=D(2020, 3, 13), max_value=D(2021, 6, 30)))
 def test_household_accounts_match_scalar_oracle(schedules, persons, date):
-    """Vector accounts equal a per-person sum of scalar rules, under every
-    on/off combination of the PUP and CEIB switches."""
+    """Vector accounts equal a per-person sum of scalar rules."""
     tax = schedules.tax
     pup, ceib = COVID_CODES["pup_recipient"], COVID_CODES["ceib_recipient"]
     columns = [np.array(c, dtype=np.int64) for c in zip(*persons)]
-    for pup_on, ceib_on in itertools.product((False, True), repeat=2):
-        market, taxes, benefits = ([0] * N_HOUSEHOLDS for _ in range(3))
-        person_tax = []
-        for status, covid, prev, emp, se, cap, pens, row in persons:
-            if (covid == pup and pup_on) or (covid == ceib and ceib_on):
-                weekly = pup_rate_cents(schedules, prev, date)
-            elif covid in (pup, ceib) or status == STATUS_CODES["unemployed"]:
-                weekly = tax.unemployment_weekly_cents
-            elif status == STATUS_CODES["retired"]:
-                weekly = tax.pension_weekly_cents
-            else:
-                weekly = 0
-            annual_tax = income_tax_cents(emp + max(se, 0) + cap + pens, tax)
-            person_tax.append(annual_tax)
-            market[row] += round_div(emp + se + cap + pens, 12)
-            taxes[row] += round_div(annual_tax, 12)
-            benefits[row] += round_div(weekly * 52, 12)
-        accounts = household_accounts(
-            *columns, N_HOUSEHOLDS, date, PolicyState(pup_on=pup_on, ceib_on=ceib_on),
-            schedules)
-        assert accounts.market.tolist() == market
-        assert accounts.taxes.tolist() == taxes
-        assert accounts.benefits.tolist() == benefits
-        assert accounts.person_tax.tolist() == person_tax
+    market, taxes, benefits = ([0] * N_HOUSEHOLDS for _ in range(3))
+    person_tax = []
+    for status, covid, prev, emp, se, cap, pens, row in persons:
+        if covid in (pup, ceib):
+            weekly = pup_rate_cents(schedules, prev, date)
+        elif status == STATUS_CODES["unemployed"]:
+            weekly = tax.unemployment_weekly_cents
+        elif status == STATUS_CODES["retired"]:
+            weekly = tax.pension_weekly_cents
+        else:
+            weekly = 0
+        annual_tax = income_tax_cents(emp + max(se, 0) + cap + pens, tax)
+        person_tax.append(annual_tax)
+        market[row] += round_div(emp + se + cap + pens, 12)
+        taxes[row] += round_div(annual_tax, 12)
+        benefits[row] += round_div(weekly * 52, 12)
+    accounts = household_accounts(*columns, N_HOUSEHOLDS, date, schedules)
+    assert accounts.market.tolist() == market
+    assert accounts.taxes.tolist() == taxes
+    assert accounts.benefits.tolist() == benefits
+    assert accounts.person_tax.tolist() == person_tax
 
 
 # -- Regime.evaluate against the scalar band rules it replaced -----------------
