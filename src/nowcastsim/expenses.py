@@ -21,15 +21,14 @@ a code into `FAMILY_TYPES` (-1 for no children), `age_band` one into
 `AGE_BANDS`. The childcare grid is keyed by (family-type code, decile); each
 holdings grid is an array indexed by [age-band code, quintile - 1].
 
-The reference tables are read by `files.csv_rows`. A row with an unknown
-or repeated key (sector, worker count, family type x decile, age band x
-quintile) fails with its `<file>:<line>`; the sector groups must list
-every sector, the commuting table every count 1..3, and each holdings grid
-all 25 cells.
+The reference tables are read by `files.csv_rows`, keyed by sector, worker
+count, family type x decile and age band x quintile; a row with an unknown
+key fails with its `<file>:<line>`. The sector groups must list every
+sector, the commuting table every count 1..3, and each holdings grid all
+25 cells.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,24 +63,17 @@ def load_commute_costs(path) -> CommuteCostTable:
     """Weekly costs for 1, 2 and 3+ commuters: one row for each count."""
     mf = [0, 0, 0, 0]
     pt = [0, 0, 0, 0]
-    seen = set()
     columns = {"workers": int, "motor_fuels_eur": money_cents,
                "public_transport_eur": money_cents, "total_eur": money_cents}
-    for where, rec in csv_rows(path, columns, ExpenseError):
+    for where, rec in csv_rows(path, columns, ExpenseError, ("workers",), ((1,), (2,), (3,))):
         n = rec["workers"]
         if n not in (1, 2, 3):
             raise ExpenseError(f"{where}: workers column must be 1, 2 or 3")
-        if n in seen:
-            raise ExpenseError(f"{where}: second row for workers {n}")
-        seen.add(n)
         mf[n] = rec["motor_fuels_eur"]
         pt[n] = rec["public_transport_eur"]
         total = rec["total_eur"]
         if abs(total - mf[n] - pt[n]) > 1:  # components must add up to the total
             raise ExpenseError(f"{where}: total {total} != {mf[n]} + {pt[n]} within a cent")
-    missing = [n for n in (1, 2, 3) if n not in seen]
-    if missing:
-        raise ExpenseError(f"{os.path.basename(path)}: no row for workers {missing[0]}")
     return CommuteCostTable(motor_fuels_cents=tuple(mf), public_transport_cents=tuple(pt))
 
 
@@ -89,18 +81,14 @@ def load_sector_groups(path) -> dict:
     """Each sector's transport-model industry group: one of
     `TRANSPORT_GROUPS` or `reference`, one row for every sector."""
     groups = {}
-    for where, rec in csv_rows(path, {"sector": str, "transport_group": str}, ExpenseError):
+    for where, rec in csv_rows(path, {"sector": str, "transport_group": str}, ExpenseError,
+                               ("sector",), [(sector,) for sector in SECTORS]):
         sector, group = rec["sector"], rec["transport_group"]
         if sector not in SECTORS:
             raise ExpenseError(f"{where}: unknown sector {sector!r}")
         if group not in TRANSPORT_GROUPS and group != "reference":
             raise ExpenseError(f"{where}: unknown transport group {group!r}")
-        if sector in groups:
-            raise ExpenseError(f"{where}: second row for sector {sector!r}")
         groups[sector] = group
-    missing = [s for s in SECTORS if s not in groups]
-    if missing:
-        raise ExpenseError(f"{os.path.basename(path)}: no row for sector {missing[0]!r}")
     return groups
 
 
@@ -184,16 +172,13 @@ class ChildcareCostGrid:
 def load_childcare_grid(path) -> ChildcareCostGrid:
     cells = {}
     columns = {"family_type": str, "decile": int, "cost_eur_week": money_cents}
-    for where, rec in csv_rows(path, columns, ExpenseError):
+    for where, rec in csv_rows(path, columns, ExpenseError, ("family_type", "decile")):
         ftype, decile = rec["family_type"], rec["decile"]
         if ftype not in FAMILY_TYPES:
             raise ExpenseError(f"{where}: unknown family type {ftype!r}")
         if not 1 <= decile <= 10:
             raise ExpenseError(f"{where}: decile {decile} outside 1..10")
-        cell = (FAMILY_TYPES.index(ftype), decile)
-        if cell in cells:
-            raise ExpenseError(f"{where}: second row for cell {(ftype, decile)!r}")
-        cells[cell] = rec["cost_eur_week"]
+        cells[FAMILY_TYPES.index(ftype), decile] = rec["cost_eur_week"]
     return ChildcareCostGrid(cells=cells)
 
 
@@ -274,24 +259,19 @@ class CapitalHoldingsGrid:
 
 def load_holdings_grid(participation_path, values_path) -> CapitalHoldingsGrid:
     def cells(path, column, parse, valid, message):
-        grid = np.full((len(AGE_BANDS), 5), np.nan)
+        grid = np.zeros((len(AGE_BANDS), 5))
         columns = {"age_band": str, "quintile": int, column: parse}
-        for where, rec in csv_rows(path, columns, ExpenseError):
+        for where, rec in csv_rows(path, columns, ExpenseError, ("age_band", "quintile"),
+                                   [(band, q) for band in AGE_BANDS for q in range(1, 6)]):
             band, quintile = rec["age_band"], rec["quintile"]
             if band not in AGE_BANDS:
                 raise ExpenseError(f"{where}: age_band {band!r} is not one of "
                                    f"{', '.join(AGE_BANDS)}")
             if not 1 <= quintile <= 5:
                 raise ExpenseError(f"{where}: quintile {quintile} outside 1..5")
-            cell = (AGE_BANDS.index(band), quintile - 1)
-            if not np.isnan(grid[cell]):
-                raise ExpenseError(f"{where}: second row for cell {(band, quintile)!r}")
             if not valid(rec[column]):
                 raise ExpenseError(f"{where}: {message}")
-            grid[cell] = rec[column]
-        for band, quintile in np.argwhere(np.isnan(grid)):
-            raise ExpenseError(f"{os.path.basename(path)}: no row for cell "
-                               f"{(AGE_BANDS[band], int(quintile) + 1)!r}")
+            grid[AGE_BANDS.index(band), quintile - 1] = rec[column]
         return grid
 
     participation = cells(participation_path, "participation", finite,

@@ -3,7 +3,8 @@ of the data and policy directories, and the `key = value` configs
 (`scenario.cfg`, `tax_system.cfg`, `synth.cfg`). Both read UTF-8, skip
 blank lines and `#` comments, name a row `<file basename>:<line>` counting
 every physical line, and raise the caller's error class built from one
-message."""
+message. Every CSV table has key columns, and `csv_rows` alone enforces
+that no key repeats and that each required key has a row."""
 import csv
 import math
 import os
@@ -11,12 +12,18 @@ import os
 from .money import cents
 
 
-def csv_rows(path, columns: dict, error):
+def csv_rows(path, columns: dict, error, key, required=()):
     """Yield (where, record) per data row of a header-first CSV. `columns`
     maps each required column to the parser of its stripped cells, and the
     record holds their parsed values; other columns are not read. A missing
     or repeated column, a row of another field count than the header's, or a
-    cell its parser rejects with ValueError raises `error(message)`."""
+    cell its parser rejects with ValueError raises `error(message)`.
+
+    `key` names the columns whose parsed values identify a row. A row whose
+    key repeats an earlier row's raises `<where>: second row for <column>
+    '<cell>', ...` before the row is yielded; after the last row, the first
+    tuple of key values in `required` that no row had raises `<file>: no
+    row for <column> <value!r>, ...`."""
     name = os.path.basename(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -32,6 +39,7 @@ def csv_rows(path, columns: dict, error):
     for i, column in enumerate(header):
         if column in header[:i]:
             raise error(f"{name}: column {column!r} appears twice")
+    seen = set()
     for row in rows:
         where = f"{name}:{lines[rows.line_num - 1][0]}"
         if len(row) != len(header):
@@ -43,7 +51,16 @@ def csv_rows(path, columns: dict, error):
                 record[column] = parse(cell.strip())
             except ValueError:
                 raise error(f"{where}: bad {column} {cell!r}") from None
+        values = tuple(record[column] for column in key)
+        if values in seen:
+            cells = (f"{column} {row[header.index(column)].strip()!r}" for column in key)
+            raise error(f"{where}: second row for {', '.join(cells)}")
+        seen.add(values)
         yield where, record
+    for values in required:
+        if values not in seen:
+            cells = (f"{column} {value!r}" for column, value in zip(key, values))
+            raise error(f"{name}: no row for {', '.join(cells)}")
 
 
 def key_values(path, error):

@@ -93,7 +93,8 @@ def load_coefficients(path, required: dict) -> dict:
     caller evaluates to (kind, supplied covariate names); others load unchecked."""
     rows = {}
     for where, rec in csv_rows(path, {"model_name": str, "kind": str, "outcome": str,
-                                      "covariate": str, "value": finite}, ModelError):
+                                      "covariate": str, "value": finite}, ModelError,
+                               ("model_name", "covariate")):
         name, kind, outcome, covariate = (rec["model_name"], rec["kind"], rec["outcome"],
                                           rec["covariate"])
         if kind not in KINDS:
@@ -106,8 +107,6 @@ def load_coefficients(path, required: dict) -> dict:
                              f"{outcome!r}; a {kind} model has one")
         if name in required and covariate != "_constant" and covariate not in required[name][1]:
             raise ModelError(f"{where}: {name} has no covariate {covariate!r}")
-        if covariate in model["coeffs"]:
-            raise ModelError(f"{where}: second row for {name} covariate {covariate!r}")
         model["coeffs"][covariate] = rec["value"]
     for name, (kind, _) in required.items():
         if name not in rows or rows[name]["kind"] != kind:

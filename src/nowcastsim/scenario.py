@@ -136,13 +136,9 @@ class ControlSeries:
 def load_control_totals(path) -> ControlSeries:
     """Load (stratum_key, date, target) rows, one per key and date."""
     series = ControlSeries()
-    seen = set()
     for where, rec in csv_rows(path, {"stratum_key": str, "date": dt.date.fromisoformat,
-                                      "target": finite}, ControlError):
+                                      "target": finite}, ControlError, ("stratum_key", "date")):
         key, date, target = rec["stratum_key"], rec["date"], rec["target"]
-        if (key, date) in seen:
-            raise ControlError(f"{where}: second row for {key!r} on {date}")
-        seen.add((key, date))
         if target < 0 and not key == "index_change_factor":
             raise ControlError(f"{where}: negative target for {key!r}")
         head, _, rest = key.partition(":")
@@ -177,17 +173,10 @@ def load_control_totals(path) -> ControlSeries:
 
 def load_national_reference(path) -> dict:
     ref = {"sector_employment": {}}
-    name = os.path.basename(path)
-    seen = set()
-    for where, rec in csv_rows(path, {"key": str, "value": str}, ControlError):
-        key = rec["key"]
-        if key in seen:
-            raise ControlError(f"{where}: second row for {key!r}")
-        seen.add(key)
-        try:
-            value = finite(rec["value"])
-        except ValueError:
-            raise ControlError(f"{where}: {key} is not a number: {rec['value']!r}") from None
+    required = [(key,) for key in NATIONAL_KEYS] + [(f"sector_employment:{s}",) for s in SECTORS]
+    for where, rec in csv_rows(path, {"key": str, "value": finite}, ControlError, ("key",),
+                               required):
+        key, value = rec["key"], rec["value"]
         if key.startswith("sector_employment:"):
             sector = key.split(":", 1)[1]
             if sector not in SECTORS:
@@ -197,12 +186,8 @@ def load_national_reference(path) -> dict:
             ref[key] = value
         else:
             raise ControlError(f"{where}: unknown key {key!r}")
-    for required in NATIONAL_KEYS:
-        if required not in ref:
-            raise ControlError(f"{name}: missing key {required!r}")
-    missing = [s for s in SECTORS if s not in ref["sector_employment"]]
-    if missing:
-        raise ControlError(f"{name}: missing sector employment for {missing[0]!r}")
+        if value <= 0:  # each divides national totals to rescale them to the population
+            raise ControlError(f"{where}: {key} must be > 0")
     return ref
 
 
@@ -331,8 +316,11 @@ def control_gaps(plan: Scenario, series: ControlSeries) -> list:
     controls have no rows for it at the wave's date, which makes that
     instrument a null shock (deferrals are interpolated, so never missing);
     then one per date whose ceib:<sector> rows and in-work ceib_cases rows,
-    two margins of the same sickness cases, differ by more than one case."""
+    two margins of the same sickness cases, differ by more than one case;
+    then one per date of employment_rate or wage_index rows other than the
+    first wave's, the only date the nowcast reads them at."""
     name = os.path.basename(plan.controls_path)
+    first = plan.waves[0].date
     in_work = {date: sum(count for (_, working), count in cases.items() if working)
                for date, cases in series.ceib_cases.items()}
     return [f"wave {w.label} switches {instrument} on, but {name} has no {key} rows at {w.date}"
@@ -346,7 +334,12 @@ def control_gaps(plan: Scenario, series: ControlSeries) -> list:
         f"{name}: the ceib:<sector> rows at {date} sum to {sum(by_sector.values()):g} cases, "
         f"the in-work ceib_cases rows to {in_work.get(date, 0.0):g}"
         for date, by_sector in sorted(series.ceib_sector.items())
-        if abs(sum(by_sector.values()) - in_work.get(date, 0.0)) > 1.0]
+        if abs(sum(by_sector.values()) - in_work.get(date, 0.0)) > 1.0] + [
+        f"{name}: the {key} rows at {date} are never read; the nowcast reads them only "
+        f"at the first wave's date, {first}"
+        for key, rows in (("employment_rate:<band>", series.employment_rate),
+                          ("wage_index", series.wage_index))
+        for date in sorted(rows) if date != first]
 
 
 def schedule_faults(plan: Scenario, schedules: taxben.PolicySchedules, name: str) -> list:
@@ -457,6 +450,8 @@ def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int)
             p.self_employment_income[fired] = 0.0
         employee = p.work_status == WORK_STATUSES.index("employee")
     if controls.wage_index != 1.0:
+        if not np.any(employee):
+            raise AlignmentError(f"wage_index at {controls.date}: the population has no employee")
         values, w = p.employment_income[employee], weight[employee]
         current = float(np.sum(values * w) / np.sum(w))
         income = changed.setdefault("employment_income", p.employment_income.copy())

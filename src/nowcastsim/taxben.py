@@ -133,18 +133,15 @@ def load_schedule(path, scheme: str) -> Schedule:
     by_date = {}
     name = os.path.basename(path)
     for where, rec in csv_rows(path, {"scheme": str, "effective_from": dt.date.fromisoformat,
-                                      "band_lower": money_cents, "value": str}, PolicyError):
+                                      "band_lower": money_cents, "value": str}, PolicyError,
+                               ("effective_from", "band_lower")):
         if rec["scheme"] != scheme:
             raise PolicyError(f"{where}: expected scheme {scheme!r}")
         lower = rec["band_lower"]
         if lower < 0:  # amounts are banded at max(amount, 0)
             raise PolicyError(f"{where}: negative band_lower")
         band = _parse_band_value(rec["value"], lower, where)
-        bands = by_date.setdefault(rec["effective_from"], [])
-        if any(b.lower_cents == lower for b in bands):
-            raise PolicyError(f"{where}: second row for band_lower {lower / 100:.2f} "
-                              f"from {rec['effective_from']}")
-        bands.append(band)
+        by_date.setdefault(rec["effective_from"], []).append(band)
 
     regimes = []
     for eff in sorted(by_date):

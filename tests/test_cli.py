@@ -14,7 +14,8 @@ import pytest
 import nowcastsim
 from nowcastsim import cli
 from nowcastsim.cli import main
-from nowcastsim.population import SynthConfig, generate_synthetic, save_population
+from nowcastsim.population import (WORK_STATUSES, SynthConfig, generate_synthetic,
+                                   save_population)
 
 
 def read_dir(path):
@@ -526,6 +527,55 @@ def test_ceib_margins_are_cross_checked(data_dir, tmp_path, capsys, count, warns
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_nowcast_rows_past_the_first_wave_date_warn(data_dir, tmp_path, capsys, command):
+    """The nowcast reads employment_rate and wage_index rows only at the
+    first wave's date: validate and run warn once per kind and other date,
+    and the tables run writes stay the same."""
+    shutil.copytree(data_dir, tmp_path / "data")
+    with open(tmp_path / "data" / "control_totals.csv", "a", encoding="utf-8") as fh:
+        fh.write("employment_rate:25-34,2020-05-05,0.5\nemployment_rate:35-44,2020-05-05,0.6\n"
+                 "wage_index,2020-06-06,1.10\nwage_index,2019-12-01,1.0\n")
+    message = ("warning: control_totals.csv: the {} rows at {} are never read; the nowcast "
+               "reads them only at the first wave's date, 2019-12-01\n")
+    synth = tmp_path / "synth.cfg"
+    synth.write_text("households = 80\n")
+    for name, err in (("shipped", ""), ("edited", message.format("employment_rate:<band>",
+                                                                  "2020-05-05")
+                                        + message.format("wage_index", "2020-06-06"))):
+        scenario = os.path.join(data_dir if name == "shipped" else tmp_path / "data",
+                                "scenario.cfg")
+        args = [command, "--scenario", scenario, "--synth-config", str(synth), "--seed", "4"]
+        assert main(args + (["--out", str(tmp_path / name)] if command == "run" else [])) == 0
+        assert capsys.readouterr().err == err
+    if command == "run":
+        a, b = read_dir(tmp_path / "shipped"), read_dir(tmp_path / "edited")
+        assert a.pop("manifest.json") != b.pop("manifest.json")  # the controls digest
+        assert a == b
+
+
+def test_wage_index_without_an_employee_exits_two(data_dir, tmp_path, capsys):
+    """A wage index has no employee to uprate in a population of one
+    inactive person: run exits 2 as an infeasible calibration, with neither
+    a warning nor a traceback."""
+    shutil.copytree(data_dir, tmp_path / "data")
+    with open(tmp_path / "data" / "control_totals.csv", "a", encoding="utf-8") as fh:
+        fh.write("wage_index,2019-12-01,1.05\n")
+    persons = generate_synthetic(SynthConfig(households=1), 1).persons
+    assert persons.work_status.tolist() == [WORK_STATUSES.index("inactive")]
+    synth = tmp_path / "synth.cfg"
+    synth.write_text("households = 1\n")
+    args = ["--scenario", str(tmp_path / "data" / "scenario.cfg"),
+            "--synth-config", str(synth), "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", *args]) == 0
+        assert main(["run", *args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("infeasible calibration: wage_index at 2019-12-01: "
+                                       "the population has no employee\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_covid_state_read_but_ignored_warns(data_dir, tmp_path, capsys, command):
     """persons.csv's covid_state is validated, but the engine starts every
     person at 'none': validate and run say so once on stderr when a person
@@ -607,6 +657,40 @@ def test_more_children_than_members_exits_one(data_dir, tmp_path, capsys, comman
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("old, new, where", [
+    ("population_total,4900000", "population_total,0",
+     "national_reference.csv:19: population_total must be > 0"),
+    ("mortgage_count,730000", "mortgage_count,-5",
+     "national_reference.csv:20: mortgage_count must be > 0"),
+    ("sector_employment:education,195000", "sector_employment:education,-0.0",
+     "national_reference.csv:15: sector_employment:education must be > 0"),
+])
+def test_national_reference_count_not_above_zero_exits_one(data_dir, tmp_path, capsys,
+                                                           command, old, new, where):
+    """Each national count divides or sets a target: one <= 0 is a fault."""
+    edited_copy(data_dir, tmp_path / "data", "national_reference.csv", old, new)
+    args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+            "--data-dir", str(tmp_path / "data")]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("mortgage_count,730000\n", "mortgage_count"),
+    ("sector_employment:education,195000\n", "sector_employment:education"),
+])
+def test_national_reference_without_a_key_is_named(data_dir, tmp_path, capsys, line, key):
+    edited_copy(data_dir, tmp_path / "data", "national_reference.csv", line, "")
+    assert main(["validate", "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                 "--data-dir", str(tmp_path / "data")]) == 1
+    assert f"national_reference.csv: no row for key {key!r}" in capsys.readouterr().err
+
+
 def test_non_numeric_national_reference_is_located(data_dir, tmp_path, capsys):
     edited_copy(data_dir, tmp_path / "data", "national_reference.csv",
                 "sector_employment:construction,145000", "sector_employment:construction,lots")
@@ -614,8 +698,7 @@ def test_non_numeric_national_reference_is_located(data_dir, tmp_path, capsys):
                  "--data-dir", str(tmp_path / "data")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "national_reference.csv:5" in err and "sector_employment:construction" in err
-    assert "'lots'" in err
+    assert "national_reference.csv:5: bad value 'lots'" in err
 
 
 @pytest.mark.parametrize("old, new, where", [
@@ -786,18 +869,20 @@ def test_unknown_reference_key_exits_one(data_dir, tmp_path, capsys, name, old, 
 @pytest.mark.parametrize("name, old, new, where", [
     ("control_totals.csv", "pup:manufacturing,2020-05-05,37400\n",
      "pup:manufacturing,2020-05-05,37400\npup:manufacturing,2020-05-05,1\n",
-     "control_totals.csv:10: second row for 'pup:manufacturing' on 2020-05-05"),
+     "control_totals.csv:10: second row for stratum_key 'pup:manufacturing', date '2020-05-05'"),
     ("control_totals.csv", "mortgage_deferrals,2020-03-28,28000\n",
      "mortgage_deferrals,2020-03-28,28000\nmortgage_deferrals,2020-03-28,1\n",
-     "control_totals.csv:412: second row for 'mortgage_deferrals' on 2020-03-28"),
+     "control_totals.csv:412: second row for stratum_key 'mortgage_deferrals', "
+     "date '2020-03-28'"),
     ("national_reference.csv", "mortgage_count,", "mortgage_count,5\nmortgage_count,",
-     "national_reference.csv:21: second row for 'mortgage_count'"),
+     "national_reference.csv:21: second row for key 'mortgage_count'"),
     ("coefficients.csv", "transport_public,logit,1,ind_construction,0.362\n",
      "transport_public,logit,1,ind_construction,0.362\n"
      "transport_public,logit,1,ind_construction,0.5\n",
-     "coefficients.csv:4: second row for transport_public covariate 'ind_construction'"),
+     "coefficients.csv:4: second row for model_name 'transport_public', "
+     "covariate 'ind_construction'"),
     ("policy/pup.csv", "pup,2020-03-24,0,350\n", "pup,2020-03-24,0,350\npup,2020-03-24,0,1\n",
-     "pup.csv:4: second row for band_lower 0.00 from 2020-03-24"),
+     "pup.csv:4: second row for effective_from '2020-03-24', band_lower '0'"),
     ("policy/tax_system.cfg", "si_rate = 0.04", "si_rate = 0.04\ncredit = 5000",
      "tax_system.cfg:6: credit is given twice"),
     ("policy/tax_system.cfg", "credit = 3300", "[tax]\ncredit = 3300",

@@ -320,7 +320,7 @@ def test_holdings_grid_without_a_cell_is_rejected(data_dir, tmp_path, name):
     path.write_text("".join(lines[:-1]), encoding="utf-8")
     with pytest.raises(ExpenseError) as err:
         load_data_tables(str(tmp_path / "data"))
-    assert str(err.value) == f"{name}: no row for cell ('70', 5)"
+    assert str(err.value) == f"{name}: no row for age_band '70', quintile 5"
 
 
 @pytest.mark.parametrize("name, old, new, message", [
@@ -337,17 +337,17 @@ def test_holdings_grid_without_a_cell_is_rejected(data_dir, tmp_path, name):
     ("childcare_cost_grid.csv", "lone_parent,2,7.8", "lone_parent,12,7.8",
      "childcare_cost_grid.csv:3: decile 12 outside 1..10"),
     ("childcare_cost_grid.csv", "lone_parent,2,7.8", "lone_parent,1,7.8",
-     "childcare_cost_grid.csv:3: second row for cell ('lone_parent', 1)"),
+     "childcare_cost_grid.csv:3: second row for family_type 'lone_parent', decile '1'"),
     ("shareholding_participation.csv", "30,2,", "35,2,",
      "shareholding_participation.csv:3: age_band '35' is not one of 30, 40, 50, 60, 70"),
     ("shareholding_values.csv", "30,2,", "30,6,",
      "shareholding_values.csv:3: quintile 6 outside 1..5"),
     ("shareholding_values.csv", "30,2,", "30,1,",
-     "shareholding_values.csv:3: second row for cell ('30', 1)"),
+     "shareholding_values.csv:3: second row for age_band '30', quintile '1'"),
     ("shareholding_values.csv", "30,1,0.001", "30,1,nan",
      "shareholding_values.csv:2: bad value_eur_thousand 'nan'"),
     ("commuting_costs.csv", "\n2,0.482", "\n1,0.482",
-     "commuting_costs.csv:3: second row for workers 1"),
+     "commuting_costs.csv:3: second row for workers '1'"),
     ("commuting_costs.csv", "\n3,0.721,0.595,20.33,3.49,23.82", "",
      "commuting_costs.csv: no row for workers 3"),
     ("commuting_costs.csv", "9.17", "inf", "commuting_costs.csv:2: bad total_eur 'inf'"),

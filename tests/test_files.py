@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 
 import pytest
 
@@ -13,7 +14,7 @@ class Bad(ValueError):
 def rows(tmp_path, text, columns):
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8")
-    return list(csv_rows(path, columns, Bad))
+    return list(csv_rows(path, columns, Bad, ("key",)))
 
 
 class TestCsvRows:
@@ -59,9 +60,30 @@ class TestCsvRows:
     def test_rows_are_read_lazily_up_to_the_first_fault(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("key\na\nb,c\n", encoding="utf-8")
-        reader = csv_rows(path, {"key": str}, Bad)
+        reader = csv_rows(path, {"key": str}, Bad, ("key",))
         assert next(reader) == ("table.csv:2", {"key": "a"})
         with pytest.raises(Bad, match="table.csv:3"):
+            next(reader)
+
+    def test_second_row_for_a_key_is_named_by_its_physical_line(self, tmp_path):
+        # the key compares parsed values, and the message quotes the cells as written
+        path = tmp_path / "table.csv"
+        path.write_text('key,n,value\n"b, c",1,x\n# a comment\n\na,1,y\n"b, c",01,z\n',
+                        encoding="utf-8")
+        reader = csv_rows(path, {"key": str, "n": int}, Bad, ("key", "n"))
+        assert [where for where, _ in itertools.islice(reader, 2)] == ["table.csv:2",
+                                                                       "table.csv:5"]
+        with pytest.raises(Bad, match="^table.csv:6: second row for key 'b, c', n '01'$"):
+            next(reader)
+
+    def test_missing_required_key_is_raised_after_the_last_row(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("key,n\nb,2\n\na,1\n", encoding="utf-8")
+        reader = csv_rows(path, {"key": str, "n": int}, Bad, ("key", "n"),
+                          [("a", 1), ("c", 3), ("b", 2), ("d", 4)])
+        assert next(reader) == ("table.csv:2", {"key": "b", "n": 2})
+        assert next(reader) == ("table.csv:4", {"key": "a", "n": 1})
+        with pytest.raises(Bad, match="^table.csv: no row for key 'c', n 3$"):
             next(reader)
 
 
@@ -90,7 +112,7 @@ class TestKeyValues:
             list(key_values(path, Bad))
 
 
-@pytest.mark.parametrize("read", [lambda path: list(csv_rows(path, {"key": str}, Bad)),
+@pytest.mark.parametrize("read", [lambda path: list(csv_rows(path, {"key": str}, Bad, ("key",))),
                                   lambda path: list(key_values(path, Bad))])
 def test_line_that_is_not_utf8_is_located(tmp_path, read):
     path = tmp_path / "table.csv"

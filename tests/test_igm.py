@@ -156,7 +156,7 @@ class TestLoader:
         path = tmp_path / "coefficients.csv"
         path.write_text("model_name,kind,outcome,covariate,value\n"
                         "mode,logit,bus,_constant,0.5\n"
-                        "mode,logit,car,_constant,0.2\n")
+                        "mode,logit,car,age,0.2\n")
         with pytest.raises(ModelError, match="coefficients.csv:3: mode declared with a "
                                              "second outcome 'car'"):
             load_coefficients(path, {})

@@ -286,6 +286,22 @@ class TestControlGaps:
             "c.csv: the ceib:<sector> rows at 2020-08-28 sum to 4 cases, "
             "the in-work ceib_cases rows to 0"]
 
+    def test_nowcast_rows_off_the_first_wave_date_are_named(self, tmp_path):
+        (tmp_path / "c.csv").write_text(
+            "stratum_key,date,target\nemployment_rate:25-34,2020-05-05,0.5\n"
+            "employment_rate:35-44,2020-05-05,0.6\nemployment_rate:35-44,2019-12-01,0.7\n"
+            "wage_index,2019-12-01,1.02\nwage_index,2020-08-28,1.1\n"
+            "employment_rate:65+,2019-11-30,0.1\n")
+        path = tmp_path / "s.cfg"
+        path.write_text("[scenario]\ncontrols=c.csv\n[wave:b]\ndate=2020-05-05\n"
+                        "[wave:a]\ndate=2019-12-01\n")
+        plan = parse_scenario(path)
+        never = "are never read; the nowcast reads them only at the first wave's date, 2019-12-01"
+        assert control_gaps(plan, load_control_totals(plan.controls_path)) == [
+            f"c.csv: the employment_rate:<band> rows at 2019-11-30 {never}",
+            f"c.csv: the employment_rate:<band> rows at 2020-05-05 {never}",
+            f"c.csv: the wage_index rows at 2020-08-28 {never}"]
+
     def test_shipped_ceib_margins_agree_within_one_case(self, default_scenario,
                                                         shipped_controls):
         assert control_gaps(default_scenario, shipped_controls) == []
