@@ -24,8 +24,8 @@ holdings grid is an array indexed by [age-band code, quintile - 1].
 The reference tables are read by `files.csv_rows`, keyed by sector, worker
 count, family type x decile and age band x quintile; a row with an unknown
 key fails with its `<file>:<line>`. The sector groups must list every
-sector, the commuting table every count 1..3, and each holdings grid all
-25 cells.
+sector, the commuting table every count 1..3, the childcare grid all 30
+cells and each holdings grid all 25.
 """
 from __future__ import annotations
 
@@ -172,7 +172,8 @@ class ChildcareCostGrid:
 def load_childcare_grid(path) -> ChildcareCostGrid:
     cells = {}
     columns = {"family_type": str, "decile": int, "cost_eur_week": money_cents}
-    for where, rec in csv_rows(path, columns, ExpenseError, ("family_type", "decile")):
+    for where, rec in csv_rows(path, columns, ExpenseError, ("family_type", "decile"),
+                               [(ftype, d) for ftype in FAMILY_TYPES for d in range(1, 11)]):
         ftype, decile = rec["family_type"], rec["decile"]
         if ftype not in FAMILY_TYPES:
             raise ExpenseError(f"{where}: unknown family type {ftype!r}")

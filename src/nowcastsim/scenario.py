@@ -644,7 +644,7 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
 @dataclass
 class WaveResult:
     """Per-wave incomes in integer cents per month, household level, plus
-    the person-level states behind them."""
+    each person's covid code."""
 
     label: str
     date: dt.date
@@ -658,10 +658,7 @@ class WaveResult:
     housing: np.ndarray          # H
     capital_adjustment: np.ndarray  # Q (positive = loss)
     work_expenses: np.ndarray    # C
-    # person arrays
-    covid_code: np.ndarray
-    employed_now: np.ndarray
-    home_working: np.ndarray
+    covid_code: np.ndarray       # person array
 
 
 def _scaled_sector_targets(base: BaselineState, national_counts: dict,
@@ -857,8 +854,8 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                employer_topup: float = Scenario.employer_topup,
                capital_booking: str = Scenario.capital_booking,
                draws: dict | None = None) -> WaveResult:
-    """The wave's household incomes. Every step but (d), `adjusted` and the
-    person arrays goes through `once`, which keeps its result in `draws`
+    """The wave's household incomes. Every step but (d), the covid codes and
+    `adjusted` goes through `once`, which keeps its result in `draws`
     under the date, the step's name and the values of its `STEP_SWITCHES`,
     with its arrays read-only; so the waves of one date that pass the same
     dict compute each such result once and hold the same arrays."""
@@ -900,10 +897,7 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         label=wave.label, date=wave.date,
         market=market_hh, gross=gross_hh, disposable=disposable_hh,
         adjusted=disposable_hh - h_hh - q_hh - c_hh, taxes=taxes_hh, benefits=benefits_hh,
-        housing=h_hh, capital_adjustment=q_hh,
-        work_expenses=c_hh, covid_code=covid, employed_now=employed_now,
-        home_working=home_working,
-    )
+        housing=h_hh, capital_adjustment=q_hh, work_expenses=c_hh, covid_code=covid)
 
 
 # -- summaries ------------------------------------------------------------------
@@ -916,45 +910,55 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
     wave; returns (BaselineState, [WaveResult], [DistributionSummary]).
 
     The first wave (the earliest, in parse_scenario's order) anchors the
-    decile ranking: persons are ranked once, by its equivalised adjusted
-    income, for every wave's decile table. Consecutive waves of one date
-    share every result their switches agree on, and each distinct array is
-    summarized once; results and summaries keep the scenario's order.
+    decile ranking: its date runs first, and persons are ranked once, by its
+    equivalised adjusted income, for every wave's decile table. The other
+    dates run in rounds of up to `threads`, the calling thread among them.
+    Consecutive waves of one date share every result their switches agree
+    on, and the thread that runs a date summarizes it, each distinct array
+    once; results and summaries keep the scenario's order.
     """
     base = build_baseline(pop, series.at(scenario.waves[0].date), tables, schedules, seed)
 
+    def equivalised(cents_hh):
+        return cents_hh / 100.0 / base.equiv_scale
+
     def run_date(waves: list) -> list:
-        # one dict per date: kept for the whole run, it would hold every date's results
         controls, draws = series.at(waves[0].date), {}
         return [apply_wave(base, controls, wave, tables, schedules, seed,
                            employer_topup=scenario.employer_topup,
                            capital_booking=scenario.capital_booking, draws=draws)
                 for wave in waves]
 
+    def summarized(results: list) -> tuple:
+        stats = {}  # id of a cents array -> (mean, Gini, decile means); `results` holds each
+        for array in (getattr(r, name) for r in results for name in metrics.INCOME_DEFINITIONS):
+            if id(array) not in stats:
+                stats[id(array)] = metrics.summarize(equivalised(array), hw, groups)
+        return results, [metrics.DistributionSummary(r.label, *(
+            {name: stats[id(getattr(r, name))][k] for name in metrics.INCOME_DEFINITIONS}
+            for k in range(3))) for r in results]
+
     dates = [list(waves) for _, waves in itertools.groupby(scenario.waves, lambda w: w.date)]
-    # no pool at --threads 1: one there raised peak RSS by about 8 MB (8-9%) at 25k households
+    first = run_date(dates.pop(0))
+    w = base.person_weight
+    hw = np.bincount(base.hh_row, weights=w, minlength=base.hid.size)
+    groups = metrics.decile_groups(base.hh_row, w, metrics.weighted_quantile_groups(
+        np.argsort(equivalised(first[0].adjusted)[base.hh_row], kind="stable"), w, 10))
+    done = [summarized(first)]
+
+    def run_and_summarize(waves: list) -> tuple:
+        return summarized(run_date(waves))
     if threads > 1:
         # imported here: a one-thread run needs neither it nor the logging it loads
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = [r for rs in pool.map(run_date, dates) for r in rs]
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            for i in range(0, len(dates), threads):
+                head, *rest = dates[i:i + threads]
+                futures = [pool.submit(run_and_summarize, waves) for waves in rest]
+                done.append(run_and_summarize(head))
+                done.extend(future.result() for future in futures)
     else:
-        results = [r for waves in dates for r in run_date(waves)]
-
-    # persons are ranked into deciles once, by the first wave; statistics are taken
-    # once per distinct cents array (`results` keeps each alive, so no id recurs)
-    def equivalised(cents_hh):
-        return cents_hh / 100.0 / base.equiv_scale
-    w = base.person_weight
-    groups = metrics.decile_groups(base.hh_row, w, metrics.weighted_quantile_groups(
-        np.argsort(equivalised(results[0].adjusted)[base.hh_row], kind="stable"), w, 10))
-    hw = np.bincount(base.hh_row, weights=w, minlength=base.hid.size)
-    stats = {}  # id of a cents array -> (mean, Gini, decile means)
-    for array in (getattr(r, name) for r in results for name in metrics.INCOME_DEFINITIONS):
-        if id(array) not in stats:
-            stats[id(array)] = metrics.summarize(equivalised(array), hw, groups)
-    summaries = [metrics.DistributionSummary(r.label, *(
-        {name: stats[id(getattr(r, name))][k] for name in metrics.INCOME_DEFINITIONS}
-        for k in range(3))) for r in results]
-    return base, results, summaries
+        done.extend(map(run_and_summarize, dates))
+    return (base, [r for results, _ in done for r in results],
+            [s for _, summaries in done for s in summaries])

@@ -691,6 +691,21 @@ def test_national_reference_without_a_key_is_named(data_dir, tmp_path, capsys, l
     assert f"national_reference.csv: no row for key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_childcare_grid_without_a_cell_exits_one(data_dir, tmp_path, capsys, command):
+    """Each (family type, decile) cell calibrates its users' costs: a grid
+    without one would leave them at their uncalibrated cost."""
+    edited_copy(data_dir, tmp_path / "data", "childcare_cost_grid.csv", "lone_parent,3,3.3\n", "")
+    args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+            "--data-dir", str(tmp_path / "data")]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "childcare_cost_grid.csv: no row for family_type 'lone_parent', decile 3" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_non_numeric_national_reference_is_located(data_dir, tmp_path, capsys):
     edited_copy(data_dir, tmp_path / "data", "national_reference.csv",
                 "sector_employment:construction,145000", "sector_employment:construction,lots")

@@ -14,7 +14,7 @@ from nowcastsim.money import apply_rate, round_div
 from nowcastsim.population import (SECTORS, TENURES, WORK_STATUSES, Population, Table,
                                    validate)
 from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, apply_wave,
-                                 build_baseline, case_age_band)
+                                 build_baseline, case_age_band, job_losses, sickness_cases)
 
 DATES = [dt.date(2020, 5, 5), dt.date(2020, 11, 15), dt.date(2021, 2, 23)]
 PUP = taxben.COVID_CODES["pup_recipient"]
@@ -120,6 +120,15 @@ def test_adjusted_identity_on_every_wave(tables, schedules, population, date, sw
     assert np.array_equal(r.disposable, r.gross - r.taxes)
 
 
+def person_states(base, controls, wave, tables, seed):
+    """Who works, and who works from home, in a wave: step (d) of apply_wave
+    on the public steps' job losses and sickness cases."""
+    job_lost = job_losses(base, controls, tables)
+    ceib = sickness_cases(base, controls, wave, tables, seed, job_lost)
+    employed_now = base.is_worker & ~job_lost & ~ceib
+    return employed_now, employed_now & ~base.essential & base.home_capable & wave.home_working_on
+
+
 @settings(max_examples=25, deadline=None)
 @given(population=POPULATIONS, date=st.sampled_from(DATES))
 def test_null_wave_is_a_fixed_point(tables, schedules, population, date):
@@ -130,11 +139,12 @@ def test_null_wave_is_a_fixed_point(tables, schedules, population, date):
     controls = controls_at(date, tables, base, 0.0, 0.2, 0.2, 0.2)  # no job losses
     at_base = apply_wave(base, BASE_CONTROLS,
                          WavePoint(label="base", date=BASE_CONTROLS.date), tables, schedules, 5)
-    later = apply_wave(base, controls, WavePoint(label="null", date=date), tables,
-                       schedules, 5)
+    wave = WavePoint(label="null", date=date)
+    later = apply_wave(base, controls, wave, tables, schedules, 5)
     assert np.all(later.covid_code == 0)
-    assert np.array_equal(later.employed_now, base.is_worker)
-    assert not later.home_working.any()
+    employed_now, home_working = person_states(base, controls, wave, tables, 5)
+    assert np.array_equal(employed_now, base.is_worker)
+    assert not home_working.any()
     for name in ("market", "gross", "disposable", "adjusted", "taxes", "benefits",
                  "housing", "capital_adjustment", "work_expenses"):
         assert np.array_equal(getattr(later, name), getattr(at_base, name)), name
@@ -153,13 +163,12 @@ def test_pup_recipients_nested_as_targets_rise(tables, schedules, population, da
         assert np.all(larger[smaller])
 
 
-def whole_population_accounts(base, r, wave, schedules, employer_topup):
+def whole_population_accounts(base, r, wave, schedules, employer_topup, job_lost):
     """taxben.household_accounts over every person in the state of wave
-    result `r`, rebuilt from its covid codes and employment flags by the
-    rules of apply_wave's steps (a)-(c)."""
+    result `r`, rebuilt from its covid codes and the wave's job losses by
+    the rules of apply_wave's steps (a)-(c)."""
     ceib = r.covid_code == CEIB
     subsidised = r.covid_code == SUBSIDISED
-    job_lost = base.is_worker & ~r.employed_now & ~ceib
     status = base.status.copy()
     if not wave.pup_on:
         status[job_lost] = taxben.STATUS_CODES["unemployed"]
@@ -194,12 +203,14 @@ def test_wave_accounts_equal_a_whole_population_evaluation(
     base = build_baseline(column_population(*population), BASE_CONTROLS, tables, schedules,
                           seed=5)
     wave = WavePoint(label="w", date=date, pup_on=pup_on, ceib_on=ceib_on, subsidy=subsidy)
+    controls = controls_at(date, tables, base, *shares)
     try:
-        r = apply_wave(base, controls_at(date, tables, base, *shares), wave, tables, schedules,
-                       seed=5, employer_topup=employer_topup)
+        r = apply_wave(base, controls, wave, tables, schedules, seed=5,
+                       employer_topup=employer_topup)
     except (AlignmentError, taxben.PolicyError):  # too few candidates; scheme not in force
         assume(False)
-    full = whole_population_accounts(base, r, wave, schedules, employer_topup)
+    full = whole_population_accounts(base, r, wave, schedules, employer_topup,
+                                     job_losses(base, controls, tables))
     for name in ("market", "taxes", "benefits"):
         assert np.array_equal(getattr(r, name), getattr(full, name)), name
     assert np.array_equal(r.gross, full.market + full.benefits)

@@ -734,13 +734,13 @@ class TestApplyWave:
         wave = crisis_wave(pup_on=False, ceib_on=False, subsidy="none",
                            childcare_support=False, deferrals_on=False,
                            capital_on=False, home_working_on=False)
-        r = apply_wave(base, shipped_controls.at(wave.date), wave, tables,
-                       schedules, seed=7)
+        controls = shipped_controls.at(wave.date)
+        r = apply_wave(base, controls, wave, tables, schedules, seed=7)
         assert np.all(r.covid_code == 0)
         assert np.array_equal(r.disposable, r.market - r.taxes + r.benefits)
         # benefits reduce to the baseline rules: each job loser adds exactly the
         # ordinary unemployment rate to the baseline benefits
-        job_lost = ~r.employed_now & base.is_worker
+        job_lost = scenario.job_losses(base, controls, tables)
         assert job_lost.any()
         losers = np.bincount(base.hh_row[job_lost], minlength=base.hid.size)
         rate = weekly_to_monthly(schedules.tax.unemployment_weekly_cents)
@@ -774,8 +774,8 @@ class TestApplyWave:
     def test_home_working_and_support_zero_expenses(self, base, tables, schedules,
                                                     shipped_controls):
         wave = crisis_wave(childcare_support=False)
-        r = apply_wave(base, shipped_controls.at(wave.date), wave, tables,
-                       schedules, seed=7)
+        controls = shipped_controls.at(wave.date)
+        r = apply_wave(base, controls, wave, tables, schedules, seed=7)
         null = apply_wave(base, ControlTotals(date=wave.date),
                           null_wave(label="n", date=wave.date), tables,
                           schedules, seed=7)
@@ -786,7 +786,12 @@ class TestApplyWave:
         from nowcastsim.money import cents, weekly_to_monthly
         recipients = np.isin(r.covid_code, [taxben.COVID_CODES["pup_recipient"],
                                             taxben.COVID_CODES["ceib_recipient"]])
-        stays_home = recipients | r.home_working
+        # step (d)'s home workers, from the public steps (a) and (b)
+        job_lost = scenario.job_losses(base, controls, tables)
+        employed_now = base.is_worker & ~job_lost & ~scenario.sickness_cases(
+            base, controls, wave, tables, 7, job_lost)
+        stays_home = recipients | (employed_now & ~base.essential & base.home_capable)
+        assert stays_home.sum() > recipients.sum()
         home_hh = np.unique(base.hh_row[stays_home])
         max_commuting = weekly_to_monthly(
             tables.commute.motor_fuels_cents[3] + tables.commute.public_transport_cents[3])
@@ -1002,7 +1007,17 @@ class TestSharedDraws:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_waves_whose_keys_agree_hold_the_same_arrays(self, jittered, plan,
                                                          shipped_controls, tables, schedules,
-                                                         threads):
+                                                         threads, monkeypatch):
+        """Shared results are the same arrays exactly where the keys agree;
+        the covid codes, adjusted income and the person states (d) that the
+        step `work_expenses` reads are each wave's own."""
+        states, expenses_step = [], scenario.work_expenses
+
+        @functools.wraps(expenses_step)
+        def work_expenses(base, wave, tables, job_lost, ceib, employed_now, home_working):
+            states.append((employed_now, home_working))
+            return expenses_step(base, wave, tables, job_lost, ceib, employed_now, home_working)
+        monkeypatch.setattr(scenario, "work_expenses", work_expenses)
         _, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
                                      seed=11, threads=threads)
         waves = {w.label: w for w in plan.waves}
@@ -1011,8 +1026,11 @@ class TestSharedDraws:
                 agree = a.date == b.date and all(
                     getattr(waves[a.label], s) == getattr(waves[b.label], s) for s in switches)
                 assert (getattr(a, name) is getattr(b, name)) == agree, (a.label, b.label, name)
-            for name in ("adjusted", "covid_code", "employed_now", "home_working"):
+            for name in ("adjusted", "covid_code"):
                 assert getattr(a, name) is not getattr(b, name)
+        assert len(states) > len({w.date for w in plan.waves})
+        for a, b in itertools.combinations(states, 2):
+            assert a[0] is not b[0] and a[1] is not b[1]
         for r in results:
             assert not any(getattr(r, name).flags.writeable for name in SHARED_FIELDS)
 
@@ -1110,6 +1128,81 @@ class TestSharedDraws:
         assert len(ginis) == len(summarized) == len(seen) < 4 * len(results)
         for values, array in zip(summarized, distinct):
             assert_bit_equal(values, array / 100.0 / base.equiv_scale)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_each_distinct_array_is_summarized_once_at_any_thread_count(
+            self, jittered, plan, shipped_controls, tables, schedules, threads, monkeypatch):
+        """The thread that runs a date summarizes it, each distinct cents
+        array once, however the dates are spread over threads."""
+        summarized, inner = [], metrics.summarize
+        monkeypatch.setattr(metrics, "summarize", lambda values, hw, groups:
+                            summarized.append(1) or inner(values, hw, groups))
+        _, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
+                                     seed=11, threads=threads)
+        distinct = {id(getattr(r, name)) for r in results for name in metrics.INCOME_DEFINITIONS}
+        assert len(summarized) == len(distinct) < 4 * len(results)
+
+
+class TestDateLoop:
+    """run_scenario runs the first date in the calling thread and ranks the
+    deciles by it; then rounds of up to `threads` dates, the calling thread
+    taking each round's first, and a pool of `threads - 1` the others."""
+
+    @pytest.fixture(scope="class")
+    def plan(self, default_scenario):
+        """3 dates: the first wave, then SWEEP_VARIANTS at two crisis dates."""
+        first, *crisis = default_scenario.waves
+        return dataclasses.replace(default_scenario, waves=[first] + [
+            dataclasses.replace(w, label=f"{w.label}-{name}", **fields)
+            for w in crisis[:2] for name, fields in SWEEP_VARIANTS.items()])
+
+    @pytest.fixture(scope="class")
+    def pop(self):
+        return generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
+
+    def test_plan_has_three_dates(self, plan):
+        assert len({w.date for w in plan.waves}) == 3 < len(plan.waves)
+
+    @pytest.mark.parametrize("threads, workers", [(1, []), (2, [1]), (3, [2])])
+    def test_the_calling_thread_is_one_of_the_threads(self, pop, plan, shipped_controls,
+                                                      tables, schedules, monkeypatch,
+                                                      threads, workers):
+        import concurrent.futures
+
+        pools = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        run_scenario(pop, plan, shipped_controls, tables, schedules, seed=11, threads=threads)
+        assert pools == workers
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_deciles_are_ranked_before_the_second_date_runs(
+            self, pop, plan, shipped_controls, tables, schedules, monkeypatch, threads):
+        events, inner_groups, inner_wave = [], metrics.decile_groups, scenario.apply_wave
+        monkeypatch.setattr(metrics, "decile_groups", lambda *args:
+                            events.append("groups") or inner_groups(*args))
+        monkeypatch.setattr(scenario, "apply_wave", lambda base, controls, wave, *args, **kw:
+                            events.append(wave.date) or inner_wave(base, controls, wave, *args,
+                                                                   **kw))
+        run_scenario(pop, plan, shipped_controls, tables, schedules, seed=11, threads=threads)
+        second = sorted({w.date for w in plan.waves})[1]
+        assert events.count("groups") == 1
+        assert events.index("groups") < events.index(second)
+        assert set(events[:events.index("groups")]) == {plan.waves[0].date}
+
+    def test_any_thread_count_gives_the_same_run(self, pop, plan, shipped_controls, tables,
+                                                 schedules):
+        runs = [run_scenario(pop, plan, shipped_controls, tables, schedules, seed=11,
+                             threads=threads)[1:] for threads in (1, 2, 3, 8)]
+        assert [r.label for r in runs[0][0]] == [w.label for w in plan.waves]
+        for results, summaries in runs[1:]:
+            assert_bit_equal([vars(r) for r in results], [vars(r) for r in runs[0][0]])
+            assert_bit_equal([vars(s) for s in summaries], [vars(s) for s in runs[0][1]])
+
 
 def wave_cells(out_dir) -> dict:
     """Each wave's cells in the written tables: its column of

@@ -7,13 +7,14 @@ The population's person and household ids are shuffled, so they do not
 ascend with its rows, and the targets cover zero, a fraction of one
 unit-weight, ordinary shares, the available weight and infeasible totals."""
 import datetime as dt
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nowcastsim import expenses, taxben
+from nowcastsim import expenses, scenario, taxben
 from nowcastsim.calibration import AlignmentError, align_binary
 from nowcastsim.money import round_div
 from nowcastsim.population import (SECTORS, Population, SynthConfig, Table,
@@ -115,19 +116,26 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
 
 
 def wave_states(base, controls, wave, tables, schedules, seed, monkeypatch):
-    """(job_lost, ceib, subsidised, deferred) as apply_wave chose them."""
+    """(job_lost, ceib, subsidised, deferred) as apply_wave chose them: the
+    job losses as its step `job_losses` returned them to it."""
     seen = {}
-    housing = expenses.housing_cost_cents
+    housing, losses = expenses.housing_cost_cents, scenario.job_losses
 
     def spy(tenure, mortgage, rent, deferred):
         seen["deferred"] = np.asarray(deferred, dtype=bool).copy()
         return housing(tenure, mortgage, rent, deferred)
 
+    @functools.wraps(losses)
+    def job_losses(*args):
+        seen["job_lost"] = losses(*args)
+        return seen["job_lost"]
+
     monkeypatch.setattr(expenses, "housing_cost_cents", spy)
+    monkeypatch.setattr(scenario, "job_losses", job_losses)
     r = apply_wave(base, controls, wave, tables, schedules, seed)
     ceib = r.covid_code == taxben.COVID_CODES["ceib_recipient"]
     subsidised = r.covid_code == taxben.COVID_CODES["wage_subsidised"]
-    return base.is_worker & ~r.employed_now & ~ceib, ceib, subsidised, seen["deferred"]
+    return seen["job_lost"], ceib, subsidised, seen["deferred"]
 
 
 def shuffled_ids(pop: Population, seed: int) -> Population:
