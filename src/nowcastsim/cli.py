@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: run (simulate a scenario and write per-wave summary tables plus
-a reproducibility manifest), validate (check every input and report every
-violation), schedules (look up what an instrument pays at a date), and
+a reproducibility manifest), validate (run's input checks alone: both call
+load_inputs), schedules (look up what an instrument pays at a date), and
 synth (write a synthetic population).
 
 Exit codes: 0 success, 1 validation error, 2 infeasible calibration,
@@ -79,22 +79,48 @@ def _load_population(args, seed: int):
     return population.generate_synthetic(cfg, seed)
 
 
-def _warn_control_gaps(plan, series) -> None:
-    for gap in scenario.control_gaps(plan, series):
-        print(f"warning: {gap}", file=sys.stderr)
+def load_inputs(args):
+    """Load and check run's and validate's inputs: the scenario, the controls
+    (warning of their gaps), the data, the policy, the schedule faults and,
+    only when all of those are valid, the population. Prints each problem as
+    `<input>: <problem>`; returns (plan, series, tables, schedules, seed,
+    pop), None for each input not loaded, and the problems."""
+    problems = []
+
+    def check(label, fn, *fn_args):
+        try:
+            return fn(*fn_args)
+        except PopulationError as exc:
+            problems.extend(f"{label}: {v}" for v in exc.violations)
+        except ValueError as exc:
+            problems.append(f"{label}: {exc}")
+
+    plan = check("scenario", scenario.parse_scenario, args.scenario)
+    series = seed = pop = None
+    if plan is not None:
+        series = check("controls", scenario.load_control_totals, plan.controls_path)
+        if series is not None:
+            for gap in scenario.control_gaps(plan, series):
+                print(f"warning: {gap}", file=sys.stderr)
+        seed = args.seed if args.seed is not None else plan.seed
+    tables = check("data", scenario.load_data_tables, args.data_dir)
+    schedules = check("policy", taxben.load_policy, args.policy_dir)
+    if plan is not None and schedules is not None:
+        problems.extend(f"scenario: {fault}" for fault in scenario.schedule_faults(
+            plan, schedules, os.path.basename(args.scenario)))
+    if not problems:
+        pop = check("population" if args.population else "synth-config",
+                    _load_population, args, seed)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return (plan, series, tables, schedules, seed, pop), problems
 
 
 def cmd_run(args) -> int:
-    plan = scenario.parse_scenario(args.scenario)
-    series = scenario.load_control_totals(plan.controls_path)
-    _warn_control_gaps(plan, series)
-    seed = args.seed if args.seed is not None else plan.seed
-    tables = scenario.load_data_tables(args.data_dir)
-    schedules = taxben.load_policy(args.policy_dir)
-    faults = scenario.schedule_faults(plan, schedules, os.path.basename(args.scenario))
-    if faults:
-        raise scenario.ScenarioError("\n".join(faults))
-    pop = _load_population(args, seed)
+    inputs, problems = load_inputs(args)
+    if problems:
+        return EXIT_VALIDATION
+    plan, series, tables, schedules, seed, pop = inputs
     _, _, summaries = scenario.run_scenario(pop, plan, series, tables, schedules, seed,
                                             threads=args.threads)
     import numpy
@@ -121,34 +147,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    problems = []
-
-    def check(label, fn):
-        try:
-            return fn()
-        except PopulationError as exc:
-            problems.extend(f"{label}: {v}" for v in exc.violations)
-        except ValueError as exc:
-            problems.append(f"{label}: {exc}")
-        return None
-
-    plan = check("scenario", lambda: scenario.parse_scenario(args.scenario))
-    if plan is not None:
-        series = check("controls", lambda: scenario.load_control_totals(plan.controls_path))
-        if series is not None:
-            _warn_control_gaps(plan, series)
-    check("data", lambda: scenario.load_data_tables(args.data_dir))
-    schedules = check("policy", lambda: taxben.load_policy(args.policy_dir))
-    if plan is not None and schedules is not None:
-        problems.extend(f"scenario: {fault}" for fault in scenario.schedule_faults(
-            plan, schedules, os.path.basename(args.scenario)))
-    # run's seed; without a scenario there is none, and any seed checks the synth config
-    seed = args.seed if args.seed is not None else plan.seed if plan else 0
-    check("population" if args.population else "synth-config",
-          lambda: _load_population(args, seed))
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
+    if load_inputs(args)[1]:
         return EXIT_VALIDATION
     print("all inputs valid")
     return EXIT_OK

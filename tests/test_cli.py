@@ -308,6 +308,14 @@ class TestRunCommand:
         assert "infeasible" in capsys.readouterr().err
 
 
+def write_bad_scenario(tmp_path, scenario_lines, wave_lines):
+    (tmp_path / "controls.csv").write_text("stratum_key,date,target\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[scenario]\ncontrols = controls.csv\n{scenario_lines}"
+                   f"[wave:w1]\n{wave_lines}")
+    return cfg
+
+
 class TestBadScenarioFields:
     """A bad scenario field exits 1 from run and validate, naming the file
     and the [section] key."""
@@ -331,10 +339,7 @@ class TestBadScenarioFields:
     @pytest.mark.parametrize("scenario_lines, wave_lines, where", CASES)
     def test_exits_one_with_location(self, tmp_path, capsys, command, scenario_lines,
                                      wave_lines, where):
-        (tmp_path / "controls.csv").write_text("stratum_key,date,target\n")
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"[scenario]\ncontrols = controls.csv\n{scenario_lines}"
-                       f"[wave:w1]\n{wave_lines}")
+        cfg = write_bad_scenario(tmp_path, scenario_lines, wave_lines)
         args = [command, "--scenario", str(cfg)]
         if command == "run":
             args += ["--out", str(tmp_path / "out")]
@@ -489,14 +494,15 @@ def test_instrument_without_control_rows_warns(tmp_path, capsys, command):
                        for name in os.listdir(tmp_path / "out"))
 
 
+def edit_in_place(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
 def edited_copy(src, dst, name, old, new):
     shutil.copytree(src, dst)
-    path = os.path.join(dst, name)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    assert old in text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text.replace(old, new, 1))
+    edit_in_place(dst / name, old, new)
 
 
 @pytest.mark.parametrize("count, warns", [("5101", False), ("5102", True)])
@@ -602,31 +608,30 @@ def test_covid_state_read_but_ignored_warns(data_dir, tmp_path, capsys, command)
         assert a == b
 
 
+def subsidy_edit(date, scheme):
+    wave = f"[wave:{date}]\ndate = {date}\npup = on\nceib = on\nsubsidy = "
+    return "scenario.cfg", wave + "auto", wave + scheme
+
+
+# EWSS switched on before its first rates, TWSS after its life
+OUT_OF_SCHEDULE = [subsidy_edit("2020-05-05", "ewss"), subsidy_edit("2020-11-15", "twss")]
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_instrument_out_of_schedule_exits_one_before_the_population(
         data_dir, tmp_path, capsys, monkeypatch, command):
     """TWSS switched on after its life, and EWSS before its first rates: both
-    named with the wave, and run stops before it reads the population."""
-    shutil.copytree(data_dir, tmp_path / "data")
-    path = tmp_path / "data" / "scenario.cfg"
-    text = path.read_text()
-    for date, scheme in (("2020-05-05", "ewss"), ("2020-11-15", "twss")):
-        wave = f"[wave:{date}]\ndate = {date}\npup = on\nceib = on\nsubsidy = "
-        assert wave + "auto" in text
-        text = text.replace(wave + "auto", wave + scheme)
-    path.write_text(text)
-    synth = tmp_path / "synth.cfg"
-    synth.write_text("households = 40\n")
-    args = [command, "--scenario", str(path), "--synth-config", str(synth)]
+    named with the wave, and neither command reads the population."""
+    setup = shipped_inputs_with(*OUT_OF_SCHEDULE, synth="households = 40\n")
+    args = [command, *setup(data_dir, tmp_path)]
     if command == "run":
         args += ["--out", str(tmp_path / "out")]
-        monkeypatch.setattr(cli, "_load_population",
-                            lambda *_: pytest.fail("the population was loaded"))
+    monkeypatch.setattr(cli, "_load_population",
+                        lambda *_: pytest.fail("the population was loaded"))
     assert main(args) == 1
-    prefix = "scenario: " if command == "validate" else ""
     assert capsys.readouterr().err == (
-        f"{prefix}scenario.cfg: [wave:2020-05-05] ewss rates start 2020-07-01, got 2020-05-05\n"
-        f"{prefix}scenario.cfg: [wave:2020-11-15] twss not in force on 2020-11-15 "
+        "scenario: scenario.cfg: [wave:2020-05-05] ewss rates start 2020-07-01, got 2020-05-05\n"
+        "scenario: scenario.cfg: [wave:2020-11-15] twss not in force on 2020-11-15 "
         "(life 2020-03-13 to 2020-09-01)\n")
     assert not (tmp_path / "out").exists()
 
@@ -839,21 +844,24 @@ def test_unknown_population_column_exits_one(data_dir, tmp_path, capsys):
     assert "households.csv: unknown column 'rooms'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_non_finite_population_values_exit_one(data_dir, tmp_path, capsys, command):
-    save_population(generate_synthetic(SynthConfig(households=3), 1), tmp_path / "pop")
+def write_non_finite_population(path):
+    save_population(generate_synthetic(SynthConfig(households=3), 1), path)
     # 1e17 euros is 1e19 cents: no exact float64, and past int64
     for name, column, text in (("households.csv", "rent", "inf"),
                                ("persons.csv", "private_pension", "nan"),
                                ("persons.csv", "employment_income", "1e17")):
-        path = tmp_path / "pop" / name
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path / name, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         rows[1][rows[0].index(column)] = text
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open(path / name, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_population_values_exit_one(data_dir, tmp_path, capsys, command):
     args = [command, "--scenario", os.path.join(data_dir, "scenario.cfg"),
-            "--population", str(tmp_path / "pop")]
+            "--population", str(write_non_finite_population(tmp_path / "pop"))]
     if command == "run":
         args += ["--out", str(tmp_path / "out")]
     assert main(args) == 1
@@ -1020,4 +1028,79 @@ def test_missing_engine_model_exits_one(data_dir, tmp_path, capsys, command, edi
     if command == "run":
         args += ["--synth-config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")]
     assert main(args) == 1
-    assert capsys.readouterr().err == f"{'data: ' if command == 'validate' else ''}{message}\n"
+    assert capsys.readouterr().err == f"data: {message}\n"
+
+
+def shipped_inputs_with(*edits, synth=None):
+    """A fault case: the shipped data and policy with each (file, old, new)
+    edit, and a synth.cfg holding `synth` when it is given."""
+    def setup(data_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        for name, old, new in edits:
+            edit_in_place(data / name, old, new)
+        args = ["--scenario", str(data / "scenario.cfg"), "--data-dir", str(data),
+                "--policy-dir", str(data / "policy")]
+        if synth is not None:
+            (tmp_path / "synth.cfg").write_text(synth)
+            args += ["--synth-config", str(tmp_path / "synth.cfg")]
+        return args
+    return setup
+
+
+def bad_scenario(scenario_lines, wave_lines):
+    return lambda data_dir, tmp_path: [
+        "--scenario", str(write_bad_scenario(tmp_path, scenario_lines, wave_lines))]
+
+
+def non_finite_population(data_dir, tmp_path):
+    return ["--scenario", os.path.join(data_dir, "scenario.cfg"),
+            "--population", str(write_non_finite_population(tmp_path / "pop"))]
+
+
+TWO_FAULTS = shipped_inputs_with(
+    ("scenario.cfg", "seed = 42", "seed = abc"),
+    ("coefficients.csv", "childcare_spend,linear", "childcare_spend,logit"))
+
+INPUT_FAULTS = [
+    *(pytest.param(bad_scenario(scenario_lines, wave_lines), id=f"scenario {where}")
+      for scenario_lines, wave_lines, where in TestBadScenarioFields.CASES),
+    pytest.param(shipped_inputs_with(("policy/tax_system.cfg", "band = 35300:0.40",
+                                      "band = 35300:1.5")), id="tax band"),
+    pytest.param(shipped_inputs_with(("national_reference.csv", "population_total,4900000",
+                                      "population_total,0")), id="national reference"),
+    pytest.param(shipped_inputs_with(("childcare_cost_grid.csv", "lone_parent,3,3.3\n", "")),
+                 id="childcare grid"),
+    pytest.param(shipped_inputs_with(("coefficients.csv", "childcare_spend,linear",
+                                      "childcare_spend,logit")), id="engine model"),
+    pytest.param(shipped_inputs_with(synth="households = 40\nincome_scale = nan\n"),
+                 id="synth config"),
+    pytest.param(non_finite_population, id="population values"),
+    pytest.param(shipped_inputs_with(*OUT_OF_SCHEDULE), id="out of schedule"),
+    pytest.param(shipped_inputs_with(*OUT_OF_SCHEDULE, synth="households = 0\n"),
+                 id="out of schedule and synth config"),
+    pytest.param(TWO_FAULTS, id="scenario value and engine model"),
+]
+
+
+@pytest.mark.parametrize("setup", INPUT_FAULTS)
+def test_run_reports_input_faults_as_validate_does(data_dir, tmp_path, capsys, setup):
+    """run checks its inputs with validate's loader: on each input fault both
+    exit with the same code and print the same stderr, and run writes no
+    --out."""
+    args = setup(data_dir, tmp_path)
+    code = main(["validate", *args])
+    err = capsys.readouterr().err
+    assert code == 1 and err
+    assert main(["run", *args, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_reports_every_input_fault(data_dir, tmp_path, capsys):
+    """A bad scenario value does not hide a fault in the data tables."""
+    args = TWO_FAULTS(data_dir, tmp_path)
+    assert main(["run", *args, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "scenario: scenario.cfg:7: [scenario] seed must be an integer, got 'abc'\n"
+        "data: coefficients.csv: the engine needs a linear model 'childcare_spend'\n")
