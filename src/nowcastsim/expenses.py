@@ -128,7 +128,7 @@ def transport_covariates(group, region_bmw, occupation, age, university) -> dict
 
 def assign_commute_modes(models, sector_groups, is_worker, sector_idx, region_bmw,
                          occupation, age, university, person_ids, seed: int) -> np.ndarray:
-    """Commute mode per person: 1 public, 2 private, 0 none. `sector_idx`
+    """Commute mode per person, as int8: 1 public, 2 private, 0 none. `sector_idx`
     indexes `SECTORS`, -1 for no industry.
 
     Both logits are evaluated; the draws are keyed per person so modes stay
@@ -144,7 +144,7 @@ def assign_commute_modes(models, sector_groups, is_worker, sector_idx, region_bm
     p_private = logit_prob(models["transport_private"], cov)
     u_public = keyed_uniform(seed, "transport_public", person_ids)
     u_private = keyed_uniform(seed, "transport_private", person_ids)
-    modes = np.full(person_ids.shape, MODE_NONE, dtype=np.int64)
+    modes = np.full(person_ids.shape, MODE_NONE, dtype=np.int8)
     modes[is_worker & (u_public < p_public)] = MODE_PUBLIC
     private = is_worker & (modes == MODE_NONE) & (u_private < p_private)
     modes[private] = MODE_PRIVATE
@@ -247,6 +247,16 @@ def housing_cost_cents(tenure_code, mortgage_cents, rent_cents, deferred) -> np.
     return np.where((tenure_code == TENURE_CODES["mortgage"]) & ~deferred, mortgage_cents, cost)
 
 
+def deferred_housing_cents(housing_cents, rows) -> np.ndarray:
+    """`housing_cents`, the cost with nothing deferred, once the mortgage
+    holders at `rows` defer and so pay nothing; itself when `rows` is empty."""
+    if not rows.size:
+        return housing_cents
+    cost = housing_cents.copy()
+    cost[rows] = 0
+    return cost
+
+
 # -- capital losses ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -288,8 +298,8 @@ AGE_BANDS = ("30", "40", "50", "60", "70")
 
 
 def age_band(age) -> np.ndarray:
-    """Each age's code into the holding-grid bands `AGE_BANDS`."""
-    return np.searchsorted((35, 45, 55, 65), age, side="right")
+    """Each age's int8 code into the holding-grid bands `AGE_BANDS`."""
+    return np.searchsorted((35, 45, 55, 65), age, side="right").astype(np.int8)
 
 
 def capital_participants(grid: CapitalHoldingsGrid, bands, quintiles, observed_holder,

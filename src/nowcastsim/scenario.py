@@ -31,7 +31,8 @@ run_scenario runs each date's waves as one unit with one dict, dropped when
 the unit ends, in which apply_wave keeps each step's result under the date,
 the step's name and the switches that `STEP_SWITCHES`, the one declaration
 of this rule, names for it. Those arrays are read-only and are the same
-objects in every wave whose switches agree; adjusted income and the person
+objects in every wave whose switches agree, and a wave that defers nobody
+holds the baseline's housing cost itself; adjusted income and the person
 arrays are each wave's own. Each distinct cents array is equivalised and
 summarized once, over households and (household, decile) pairs. At
 `threads` > 1 dates, not waves, run in parallel.
@@ -474,7 +475,8 @@ def _weighted_median(values, weights) -> float:
 class BaselineState:
     """Pre-shock arrays shared by every wave computation. Frozen, and every
     array it holds is read-only; on input in id order, those build_baseline
-    takes as read (ids, age, weights, ...) are views of the input columns."""
+    takes as read (ids, age, weights, ...) are views of the input columns.
+    Its own arrays hold 53 bytes per person, plus the alignment pools."""
 
     # person arrays (sorted by person id)
     pid: np.ndarray
@@ -488,20 +490,17 @@ class BaselineState:
     home_capable: np.ndarray
     emp_cents: np.ndarray        # annual
     se_cents: np.ndarray
-    cap_cents: np.ndarray
-    pens_cents: np.ndarray
-    weekly_earn_cents: np.ndarray
+    cap_pens_cents: np.ndarray   # capital plus private pension income
     take_home_weekly_cents: np.ndarray
-    commute_mode: np.ndarray
-    cap_band: np.ndarray         # index into expenses.AGE_BANDS
-    cap_quintile: np.ndarray
+    commute_mode: np.ndarray     # int8, expenses.MODE_*
+    cap_band: np.ndarray         # int8 index into expenses.AGE_BANDS
+    cap_quintile: np.ndarray     # int8, 1..5
     cap_participant: np.ndarray
     # household arrays (sorted by household id)
     hid: np.ndarray
     hh_weight: np.ndarray
     tenure_code: np.ndarray
-    mortgage_cents: np.ndarray
-    rent_cents: np.ndarray
+    housing_cents: np.ndarray    # H with nothing deferred
     equiv_scale: np.ndarray
     childcare_weekly_cents: np.ndarray
     market: np.ndarray           # the baseline's taxben.HouseholdAccounts
@@ -547,13 +546,13 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
     emp = cents(persons.employment_income)
     se = cents(persons.self_employment_income)
     cap = cents(persons.capital_income)
-    pens = cents(persons.private_pension)
+    cap_pens = cap + cents(persons.private_pension)
     weekly_earn = round_div(emp + np.maximum(se, 0), 52)
 
     # baseline taxes/benefits -> household disposable, for deciles and childcare
     n_hh = hid.size
     accounts = taxben.household_accounts(
-        persons.work_status, np.zeros(pid.size, dtype=np.int8), weekly_earn, emp, se, cap, pens,
+        persons.work_status, np.zeros(pid.size, dtype=np.int8), weekly_earn, emp, se, cap_pens,
         hh_row, n_hh, controls.date, schedules)
     take_home_weekly = round_div(np.maximum(emp - accounts.person_tax, 0), 52)
     disposable_hh = accounts.market + accounts.benefits - accounts.taxes
@@ -571,7 +570,7 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
     by_income = np.argsort(equiv_disposable, kind="stable")
     decile_hh = metrics.weighted_quantile_groups(by_income, group_weight, 10)
     quintile_hh = metrics.weighted_quantile_groups(by_income, group_weight, 5)
-    quintile_p = quintile_hh[hh_row]
+    quintile_p = quintile_hh.astype(np.int8)[hh_row]
 
     region_bmw = persons.region == REGIONS.index("border, midland and western")
     university = persons.education == EDUCATIONS.index("university")
@@ -579,10 +578,8 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
         tables.models, tables.sector_groups, is_worker, persons.industry, region_bmw,
         persons.occupation, age, university, pid, seed)
 
-    n_workers_hh = np.bincount(hh_row, weights=is_worker.astype(float),
-                               minlength=n_hh).astype(np.int64)
-    adults_18 = np.bincount(hh_row, weights=(age >= 18).astype(float),
-                            minlength=n_hh).astype(np.int64)
+    n_workers_hh = np.bincount(hh_row[is_worker], minlength=n_hh)
+    adults_18 = np.bincount(hh_row[age >= 18], minlength=n_hh)
     ftypes = expenses.family_type(adults_18, children_u14)
     lone_working = (adults_18 == 1) & (n_workers_hh >= 1)
     two_workers = (n_workers_hh == 2) | lone_working
@@ -620,14 +617,14 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
         pid=pid, hh_row=hh_row, age=age, person_weight=person_weight,
         status=persons.work_status, sector_idx=persons.industry, is_worker=is_worker,
         essential=persons.essential_worker, home_capable=persons.home_work_capable,
-        emp_cents=emp, se_cents=se, cap_cents=cap, pens_cents=pens,
-        weekly_earn_cents=weekly_earn, take_home_weekly_cents=take_home_weekly,
-        commute_mode=commute_mode,
+        emp_cents=emp, se_cents=se, cap_pens_cents=cap_pens,
+        take_home_weekly_cents=take_home_weekly, commute_mode=commute_mode,
         cap_band=cap_band, cap_quintile=quintile_p, cap_participant=cap_participant,
         hid=hid, hh_weight=hh_weight,
         tenure_code=households.tenure,
-        mortgage_cents=cents(households.mortgage_payment),
-        rent_cents=cents(households.rent),
+        housing_cents=expenses.housing_cost_cents(
+            households.tenure, cents(households.mortgage_payment), cents(households.rent),
+            np.zeros(n_hh, dtype=bool)),
         equiv_scale=scale,
         childcare_weekly_cents=childcare_weekly,
         market=accounts.market, taxes=accounts.taxes, benefits=accounts.benefits,
@@ -772,27 +769,25 @@ def wage_subsidy(base: BaselineState, controls: ControlTotals, wave: WavePoint,
 
 def housing_cost(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                  tables: DataTables) -> np.ndarray:
-    """(e) Mortgage deferrals, and the housing cost H they leave."""
-    deferred = np.zeros(base.hid.size, dtype=bool)
-    if wave.deferrals_on and controls.deferral_count > 0:
-        holders, ranked = base.strata["deferral"]
-        holder_weight = float(np.sum(base.hh_weight[holders]))
-        target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
-        deferred[_align_rows(holders, ranked, base.hh_weight, target, "mortgage deferrals")] = True
-    return expenses.housing_cost_cents(base.tenure_code, base.mortgage_cents, base.rent_cents,
-                                       deferred)
+    """(e) Mortgage deferrals, and the housing cost H they leave (the baseline's if none)."""
+    if not (wave.deferrals_on and controls.deferral_count > 0):
+        return base.housing_cents
+    holders, ranked = base.strata["deferral"]
+    holder_weight = float(np.sum(base.hh_weight[holders]))
+    target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
+    rows = _align_rows(holders, ranked, base.hh_weight, target, "mortgage deferrals")
+    return expenses.deferred_housing_cents(base.housing_cents, rows)
 
 
 def capital_adjustment(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                        tables: DataTables, capital_booking: str) -> np.ndarray:
-    """(f) Capital value changes, booked as the adjustment Q."""
-    n_hh = base.hid.size
+    """(f) Capital value changes, booked as the adjustment Q (a zero-stride 0 if none)."""
     if not (wave.capital_on and controls.index_change_factor != 0.0):
-        return np.zeros(n_hh, dtype=np.int64)
+        return np.broadcast_to(np.int64(0), base.hid.shape)
     change = expenses.capital_value_change_cents(
         tables.holdings, base.cap_band, base.cap_quintile,
         base.cap_participant, controls.index_change_factor)
-    change_hh = np.bincount(base.hh_row, weights=change, minlength=n_hh).astype(np.int64)
+    change_hh = np.bincount(base.hh_row, weights=change, minlength=base.hid.size).astype(np.int64)
     return -change_hh if capital_booking == "once" else annual_to_monthly(-change_hh)
 
 
@@ -802,27 +797,25 @@ def household_accounts(base: BaselineState, wave: WavePoint, schedules: taxben.P
     A person (a)-(c) did not move keeps the baseline's status, incomes and covid
     code 0, under which neither tax nor benefit depends on date or policy; so the
     baseline totals change, exactly, by the moved persons' accounts now minus before."""
-    status_now = base.status.copy()
-    emp_now = base.emp_cents.copy()
-    se_now = base.se_cents.copy()
-    if not wave.pup_on:
-        status_now[job_lost] = taxben.STATUS_CODES["unemployed"]
     stopped = job_lost | ceib
-    emp_now[stopped] = 0
-    se_now[stopped] = 0
+    moved = np.flatnonzero(stopped | subsidised)
+    status, emp, se = base.status[moved], base.emp_cents[moved], base.se_cents[moved]
+    status_now = status.copy()
+    if not wave.pup_on:
+        status_now[job_lost[moved]] = taxben.STATUS_CODES["unemployed"]
+    emp_now = np.where(stopped[moved], 0, emp)
+    se_now = np.where(stopped[moved], 0, se)
     gross_weekly = round_div(base.emp_cents[subsidised], 52)
     shortfall = np.maximum(gross_weekly - amount, 0)
-    emp_now[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
-    moved = np.flatnonzero(stopped | subsidised)
+    emp_now[subsidised[moved]] = (amount + apply_rate(employer_topup, shortfall)) * 52
+    weekly_earn = round_div(emp + np.maximum(se, 0), 52)  # the pre-shock earnings
 
     def moved_accounts(status, covid_code, emp, se):
-        return taxben.household_accounts(
-            status[moved], covid_code, base.weekly_earn_cents[moved], emp[moved],
-            se[moved], base.cap_cents[moved], base.pens_cents[moved], base.hh_row[moved],
-            base.hid.size, wave.date, schedules)
+        return taxben.household_accounts(status, covid_code, weekly_earn, emp, se,
+                                         base.cap_pens_cents[moved], base.hh_row[moved],
+                                         base.hid.size, wave.date, schedules)
     now = moved_accounts(status_now, covid[moved], emp_now, se_now)
-    was = moved_accounts(base.status, np.zeros(moved.size, dtype=np.int8),
-                         base.emp_cents, base.se_cents)
+    was = moved_accounts(status, np.zeros(moved.size, dtype=np.int8), emp, se)
     market = base.market + now.market - was.market
     taxes = base.taxes + now.taxes - was.taxes
     benefits = base.benefits + now.benefits - was.benefits
@@ -839,14 +832,10 @@ def work_expenses(base: BaselineState, wave: WavePoint, tables: DataTables, job_
                                        minlength=n_hh)
                            for mode in (expenses.MODE_PRIVATE, expenses.MODE_PUBLIC))
     commuting_weekly = expenses.commuting_cost_cents(tables.commute, n_private, n_public)
-    childcare_weekly = base.childcare_weekly_cents.copy()
     if wave.childcare_support:
-        childcare_weekly[:] = 0
-    else:
-        someone_home = (job_lost | ceib | home_working)
-        home_hh = np.bincount(base.hh_row[someone_home], minlength=n_hh) > 0
-        childcare_weekly[home_hh] = 0
-    return weekly_to_monthly(commuting_weekly + childcare_weekly)
+        return weekly_to_monthly(commuting_weekly)
+    home_hh = np.bincount(base.hh_row[job_lost | ceib | home_working], minlength=n_hh) > 0
+    return weekly_to_monthly(commuting_weekly + np.where(home_hh, 0, base.childcare_weekly_cents))
 
 
 def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,

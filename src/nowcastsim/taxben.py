@@ -314,27 +314,27 @@ class HouseholdAccounts:
     person_tax: np.ndarray
 
 
-def household_accounts(status_code, covid_code, prev_weekly_cents, emp, se, cap, pens,
+def household_accounts(status_code, covid_code, prev_weekly_cents, emp, se, cap_pens,
                        hh_row, n_households: int, date: dt.date,
                        schedules: PolicySchedules) -> HouseholdAccounts:
     """Household market income, taxes and benefits from person arrays.
 
-    `emp`, `se`, `cap` and `pens` are each person's annual employment,
-    self-employment, capital and pension income in cents; negative
-    self-employment income counts in market income but not in taxable
-    income. `prev_weekly_cents` are the pre-shock weekly earnings that band
-    the pandemic rates, and `hh_row` maps each person to its household row.
-    Each person's monthly amount is rounded before the household sum.
+    `emp`, `se` and `cap_pens` are each person's annual employment,
+    self-employment, and capital plus private pension income in cents;
+    negative self-employment income counts in market income but not in
+    taxable income. `prev_weekly_cents` are the pre-shock weekly earnings that
+    band the pandemic rates, and `hh_row` maps each person to its household
+    row. Each person's monthly amount is rounded before the household sum.
     """
     weekly_b = benefit_weekly_cents(status_code, covid_code, prev_weekly_cents, date, schedules)
-    person_tax = income_tax_cents(emp + np.maximum(se, 0) + cap + pens, schedules.tax)
+    person_tax = income_tax_cents(emp + np.maximum(se, 0) + cap_pens, schedules.tax)
 
     def per_household(monthly):
         return np.bincount(hh_row, weights=monthly,
                            minlength=n_households).astype(np.int64)
 
     return HouseholdAccounts(
-        market=per_household(annual_to_monthly(emp + se + cap + pens)),
+        market=per_household(annual_to_monthly(emp + se + cap_pens)),
         taxes=per_household(annual_to_monthly(person_tax)),
         benefits=per_household(weekly_to_monthly(weekly_b)),
         person_tax=person_tax,

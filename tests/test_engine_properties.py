@@ -1,16 +1,19 @@
 """Engine-level properties on small random populations built directly as
 columns: the adjusted-income identity on every wave, the null wave as a
-fixed point, nested PUP recipient sets as the sector targets rise, and a
-wave's accounts equal to a whole-population evaluation of its state."""
+fixed point, nested PUP recipient sets as the sector targets rise, a
+wave's accounts equal to a whole-population evaluation of its state, and
+the values a wave derives from the baseline equal to those computed from the
+input columns: housing under any deferrals, and weekly earnings."""
 import datetime as dt
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nowcastsim import taxben
+from nowcastsim import expenses, taxben
 from nowcastsim.calibration import AlignmentError
-from nowcastsim.money import apply_rate, round_div
+from nowcastsim.money import apply_rate, cents, round_div
 from nowcastsim.population import (SECTORS, TENURES, WORK_STATUSES, Population, Table,
                                    validate)
 from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, apply_wave,
@@ -184,9 +187,10 @@ def whole_population_accounts(base, r, wave, schedules, employer_topup, job_lost
             taxben.ewss_subsidy_cents(schedules, gross_weekly, wave.date)
         shortfall = np.maximum(gross_weekly - amount, 0)
         emp[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
+    weekly_earn = round_div(base.emp_cents + np.maximum(base.se_cents, 0), 52)
     return taxben.household_accounts(
-        status, r.covid_code, base.weekly_earn_cents, emp, se, base.cap_cents, base.pens_cents,
-        base.hh_row, base.hid.size, wave.date, schedules)
+        status, r.covid_code, weekly_earn, emp, se, base.cap_pens_cents, base.hh_row,
+        base.hid.size, wave.date, schedules)
 
 
 @settings(max_examples=80, deadline=None)
@@ -215,3 +219,59 @@ def test_wave_accounts_equal_a_whole_population_evaluation(
         assert np.array_equal(getattr(r, name), getattr(full, name)), name
     assert np.array_equal(r.gross, full.market + full.benefits)
     assert np.array_equal(r.disposable, full.market + full.benefits - full.taxes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=POPULATIONS, data=st.data())
+def test_wave_housing_equals_the_cost_under_its_deferrals(tables, schedules, population,
+                                                          data):
+    """The baseline's one housing array, with a deferral mask drawn over the
+    mortgage holders applied as the step `housing_cost` applies it, equals
+    housing_cost_cents on the input's tenures, mortgages and rents: itself
+    when nobody defers."""
+    pop = column_population(*population)
+    base = build_baseline(pop, BASE_CONTROLS, tables, schedules, seed=5)
+    h = pop.households
+    holders = np.flatnonzero(h.tenure == expenses.TENURE_CODES["mortgage"])
+    deferred = np.zeros(h.tenure.size, dtype=bool)
+    deferred[holders] = data.draw(st.lists(st.booleans(), min_size=holders.size,
+                                           max_size=holders.size))
+    housing = expenses.deferred_housing_cents(base.housing_cents, np.flatnonzero(deferred))
+    expected = expenses.housing_cost_cents(h.tenure, cents(h.mortgage_payment), cents(h.rent),
+                                           deferred)
+    assert housing.dtype == expected.dtype and np.array_equal(housing, expected)
+    assert (housing is base.housing_cents) == (not deferred.any())
+    r = apply_wave(base, BASE_CONTROLS, WavePoint(label="w", date=BASE_CONTROLS.date), tables,
+                   schedules, 5)
+    assert r.housing is base.housing_cents
+
+
+@settings(max_examples=40, deadline=None)
+@given(population=POPULATIONS, date=st.sampled_from(DATES),
+       shares=st.lists(st.floats(0.0, 0.3), min_size=3, max_size=3))
+def test_weekly_earnings_the_accounts_read_are_derived_exactly(tables, schedules, population,
+                                                               date, shares):
+    """The pre-shock weekly earnings passed to taxben.household_accounts,
+    for every person at the baseline and for the moved persons in a wave,
+    equal round_div(emp + max(se, 0), 52) of the input columns."""
+    pop = column_population(*population)  # in id order, as the baseline's rows
+    p = pop.persons
+    expected = round_div(cents(p.employment_income)
+                         + np.maximum(cents(p.self_employment_income), 0), 52)
+    accounts, calls = taxben.household_accounts, []
+
+    def spy(status, covid, prev_weekly_cents, *args):
+        calls.append(prev_weekly_cents)
+        return accounts(status, covid, prev_weekly_cents, *args)
+    wave = WavePoint(label="w", date=date, pup_on=True, ceib_on=True, subsidy="auto")
+    with mock.patch.object(taxben, "household_accounts", spy):
+        base = build_baseline(pop, BASE_CONTROLS, tables, schedules, seed=5)
+        try:
+            r = apply_wave(base, controls_at(date, tables, base, *shares), wave, tables,
+                           schedules, seed=5)
+        except AlignmentError:  # CEIB and job losses left too few subsidy candidates
+            assume(False)
+    baseline, now, was = calls
+    assert np.array_equal(baseline, expected)
+    moved = r.covid_code != 0  # with pup on, every moved person has a covid code
+    assert np.array_equal(now, expected[moved]) and np.array_equal(was, expected[moved])

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nowcastsim.money import apply_rate, cents, round_div, weekly_to_monthly
+from nowcastsim.money import annual_to_monthly, apply_rate, cents, round_div, weekly_to_monthly
 from nowcastsim.taxben import (COVID_CODES, EWSS_HANDOVER, STATUS_CODES, Band, PolicyError,
-                               Regime, TaxSystem, ceib_rate_cents, ewss_subsidy_cents,
-                               household_accounts, income_tax_cents, load_schedule,
-                               pup_rate_cents, twss_subsidy_cents)
+                               Regime, TaxSystem, benefit_weekly_cents, ceib_rate_cents,
+                               ewss_subsidy_cents, household_accounts, income_tax_cents,
+                               load_schedule, pup_rate_cents, twss_subsidy_cents)
 
 D = dt.date
 
@@ -177,7 +178,7 @@ def one_person_tb(schedules, date, covid_state, employment_income=0.0,
     zero = np.zeros(1, dtype=np.int64)
     accounts = household_accounts(
         np.array([STATUS_CODES[work_status]]), np.array([COVID_CODES[covid_state]]),
-        np.array([prev]), np.array([emp]), zero, zero, zero, zero, 1,
+        np.array([prev]), np.array([emp]), zero, zero, zero, 1,
         date, schedules)
     return int(accounts.taxes[0]), int(accounts.benefits[0])
 
@@ -235,11 +236,51 @@ def test_household_accounts_match_scalar_oracle(schedules, persons, date):
         market[row] += round_div(emp + se + cap + pens, 12)
         taxes[row] += round_div(annual_tax, 12)
         benefits[row] += round_div(weekly * 52, 12)
-    accounts = household_accounts(*columns, N_HOUSEHOLDS, date, schedules)
+    status, covid, prev, emp, se, cap, pens, row = columns
+    accounts = household_accounts(status, covid, prev, emp, se, cap + pens, row, N_HOUSEHOLDS,
+                                  date, schedules)
     assert accounts.market.tolist() == market
     assert accounts.taxes.tolist() == taxes
     assert accounts.benefits.tolist() == benefits
     assert accounts.person_tax.tolist() == person_tax
+
+
+def two_argument_accounts(status, covid, prev, emp, se, cap, pens, hh_row, n_households, date,
+                          schedules):
+    """(market, taxes, benefits, person_tax) as household_accounts computed
+    them when capital and pension income were two arguments."""
+    weekly_b = benefit_weekly_cents(status, covid, prev, date, schedules)
+    person_tax = income_tax_cents(emp + np.maximum(se, 0) + cap + pens, schedules.tax)
+
+    def per_household(monthly):
+        return np.bincount(hh_row, weights=monthly, minlength=n_households).astype(np.int64)
+    return (per_household(annual_to_monthly(emp + se + cap + pens)),
+            per_household(annual_to_monthly(person_tax)),
+            per_household(weekly_to_monthly(weekly_b)), person_tax)
+
+
+def int64s(n, low, high):
+    return arrays(np.int64, n, elements=st.integers(low, high))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40),
+       date=st.dates(min_value=D(2020, 3, 13), max_value=D(2021, 6, 30)))
+def test_one_capital_and_pension_argument_equals_two(schedules, data, n, date):
+    """Summing capital and pension income before the call changes no
+    account: int64 sums of these amounts are exact in any order."""
+    status = data.draw(int64s(n, 0, len(STATUS_CODES) - 1))
+    covid = data.draw(int64s(n, 0, len(COVID_CODES) - 1))
+    prev = data.draw(int64s(n, 0, 2 ** 40))
+    emp, se, cap, pens = (data.draw(int64s(n, low, 2 ** 48))
+                          for low in (0, -2 ** 48, -2 ** 48, 0))
+    hh_row = data.draw(int64s(n, 0, N_HOUSEHOLDS - 1))
+    one = household_accounts(status, covid, prev, emp, se, cap + pens, hh_row, N_HOUSEHOLDS,
+                             date, schedules)
+    two = two_argument_accounts(status, covid, prev, emp, se, cap, pens, hh_row, N_HOUSEHOLDS,
+                                date, schedules)
+    for got, expected in zip((one.market, one.taxes, one.benefits, one.person_tax), two):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 # -- Regime.evaluate against the scalar band rules it replaced -----------------

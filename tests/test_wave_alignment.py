@@ -118,19 +118,19 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
 def wave_states(base, controls, wave, tables, schedules, seed, monkeypatch):
     """(job_lost, ceib, subsidised, deferred) as apply_wave chose them: the
     job losses as its step `job_losses` returned them to it."""
-    seen = {}
-    housing, losses = expenses.housing_cost_cents, scenario.job_losses
+    seen = {"deferred": np.zeros(base.hid.size, dtype=bool)}
+    housing, losses = expenses.deferred_housing_cents, scenario.job_losses
 
-    def spy(tenure, mortgage, rent, deferred):
-        seen["deferred"] = np.asarray(deferred, dtype=bool).copy()
-        return housing(tenure, mortgage, rent, deferred)
+    def spy(housing_cents, rows):
+        seen["deferred"][rows] = True
+        return housing(housing_cents, rows)
 
     @functools.wraps(losses)
     def job_losses(*args):
         seen["job_lost"] = losses(*args)
         return seen["job_lost"]
 
-    monkeypatch.setattr(expenses, "housing_cost_cents", spy)
+    monkeypatch.setattr(expenses, "deferred_housing_cents", spy)
     monkeypatch.setattr(scenario, "job_losses", job_losses)
     r = apply_wave(base, controls, wave, tables, schedules, seed)
     ceib = r.covid_code == taxben.COVID_CODES["ceib_recipient"]
