@@ -765,8 +765,8 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
 
     households["household_id"] = np.arange(1, config.households + 1)
     person_table = _table(values, _PERSON_COLUMNS, None)
-    # persons are numbered from 1 in household order
-    household_table = _table(households, _HOUSEHOLD_COLUMNS, np.arange(1, n + 1))
+    # persons are numbered from 1 in household order: one array lists and names them
+    household_table = _table(households, _HOUSEHOLD_COLUMNS, person_table.person_id)
     violations = validate(household_table, person_table)
     if violations:  # would be a generator bug, not a data fault
         raise PopulationError(violations)

@@ -31,9 +31,10 @@ run_scenario runs each date's waves as one unit with one dict, dropped when
 the unit ends, in which apply_wave keeps each step's result under the date,
 the step's name and the switches that `STEP_SWITCHES`, the one declaration
 of this rule, names for it. Those arrays are read-only and are the same
-objects in every wave whose switches agree, and a wave that defers nobody
-holds the baseline's housing cost itself; adjusted income and the person
-arrays are each wave's own. Each distinct cents array is equivalised and
+objects in every wave whose switches agree; a wave that defers nobody
+holds the baseline's housing cost itself, and one that moves nobody its
+market income, taxes and benefits. Adjusted income and the person arrays
+are each wave's own. Each distinct cents array is equivalised and
 summarized once, over households and (household, decile) pairs. At
 `threads` > 1 dates, not waves, run in parallel.
 
@@ -47,6 +48,7 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -475,8 +477,8 @@ def _weighted_median(values, weights) -> float:
 class BaselineState:
     """Pre-shock arrays shared by every wave computation. Frozen, and every
     array it holds is read-only; on input in id order, those build_baseline
-    takes as read (ids, age, weights, ...) are views of the input columns.
-    Its own arrays hold 53 bytes per person, plus the alignment pools."""
+    takes as read (ids, age, weights, money, ...) are views of the input
+    columns. Its own arrays hold 29 bytes per person, plus the alignment pools."""
 
     # person arrays (sorted by person id)
     pid: np.ndarray
@@ -488,9 +490,11 @@ class BaselineState:
     is_worker: np.ndarray
     essential: np.ndarray
     home_capable: np.ndarray
-    emp_cents: np.ndarray        # annual
-    se_cents: np.ndarray
-    cap_pens_cents: np.ndarray   # capital plus private pension income
+    employment_income: np.ndarray  # annual euros: build_baseline and each step take
+                                   # the cents of the rows they read
+    self_employment_income: np.ndarray
+    capital_income: np.ndarray
+    private_pension: np.ndarray
     take_home_weekly_cents: np.ndarray
     commute_mode: np.ndarray     # int8, expenses.MODE_*
     cap_band: np.ndarray         # int8 index into expenses.AGE_BANDS
@@ -543,6 +547,7 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
     person_weight = hh_weight[hh_row]
     persons = Table(**(vars(persons) | nowcast_baseline(persons, person_weight, controls, seed)))
     is_worker = np.isin(persons.work_status, WORKER_CODES)
+    # every amount in cents once, for the accounts: a bad one fails before any wave runs
     emp = cents(persons.employment_income)
     se = cents(persons.self_employment_income)
     cap = cents(persons.capital_income)
@@ -617,7 +622,9 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
         pid=pid, hh_row=hh_row, age=age, person_weight=person_weight,
         status=persons.work_status, sector_idx=persons.industry, is_worker=is_worker,
         essential=persons.essential_worker, home_capable=persons.home_work_capable,
-        emp_cents=emp, se_cents=se, cap_pens_cents=cap_pens,
+        employment_income=persons.employment_income,
+        self_employment_income=persons.self_employment_income,
+        capital_income=persons.capital_income, private_pension=persons.private_pension,
         take_home_weekly_cents=take_home_weekly, commute_mode=commute_mode,
         cap_band=cap_band, cap_quintile=quintile_p, cap_participant=cap_participant,
         hid=hid, hh_weight=hh_weight,
@@ -757,7 +764,7 @@ def wage_subsidy(base: BaselineState, controls: ControlTotals, wave: WavePoint,
                     schedules, base.take_home_weekly_cents[rows], wave.date)
             else:
                 amount[rows] = taxben.ewss_subsidy_cents(
-                    schedules, round_div(base.emp_cents[rows], 52), wave.date)
+                    schedules, round_div(cents(base.employment_income[rows]), 52), wave.date)
         for sector, target in sorted(targets.items()):
             # pay bands outside the scheme ("no subsidy applies") are ineligible;
             # a subset of the ranked rows keeps their order
@@ -796,24 +803,30 @@ def household_accounts(base: BaselineState, wave: WavePoint, schedules: taxben.P
     """(g) Household market income, taxes, benefits, gross and disposable income.
     A person (a)-(c) did not move keeps the baseline's status, incomes and covid
     code 0, under which neither tax nor benefit depends on date or policy; so the
-    baseline totals change, exactly, by the moved persons' accounts now minus before."""
+    baseline totals change, exactly, by the moved persons' accounts now minus before,
+    and a wave that moves nobody holds the baseline's market, taxes and benefits
+    themselves. Only the moved persons' money is converted to cents."""
     stopped = job_lost | ceib
     moved = np.flatnonzero(stopped | subsidised)
-    status, emp, se = base.status[moved], base.emp_cents[moved], base.se_cents[moved]
+    if not moved.size:
+        gross = base.market + base.benefits
+        return base.market, base.taxes, base.benefits, gross, gross - base.taxes
+    status, emp, se = (base.status[moved], cents(base.employment_income[moved]),
+                       cents(base.self_employment_income[moved]))
     status_now = status.copy()
     if not wave.pup_on:
         status_now[job_lost[moved]] = taxben.STATUS_CODES["unemployed"]
     emp_now = np.where(stopped[moved], 0, emp)
     se_now = np.where(stopped[moved], 0, se)
-    gross_weekly = round_div(base.emp_cents[subsidised], 52)
+    gross_weekly = round_div(emp[subsidised[moved]], 52)
     shortfall = np.maximum(gross_weekly - amount, 0)
     emp_now[subsidised[moved]] = (amount + apply_rate(employer_topup, shortfall)) * 52
     weekly_earn = round_div(emp + np.maximum(se, 0), 52)  # the pre-shock earnings
+    cap_pens = cents(base.capital_income[moved]) + cents(base.private_pension[moved])
 
     def moved_accounts(status, covid_code, emp, se):
-        return taxben.household_accounts(status, covid_code, weekly_earn, emp, se,
-                                         base.cap_pens_cents[moved], base.hh_row[moved],
-                                         base.hid.size, wave.date, schedules)
+        return taxben.household_accounts(status, covid_code, weekly_earn, emp, se, cap_pens,
+                                         base.hh_row[moved], base.hid.size, wave.date, schedules)
     now = moved_accounts(status_now, covid[moved], emp_now, se_now)
     was = moved_accounts(status, np.zeros(moved.size, dtype=np.int8), emp, se)
     market = base.market + now.market - was.market
@@ -937,17 +950,38 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
 
     def run_and_summarize(waves: list) -> tuple:
         return summarized(run_date(waves))
-    if threads > 1:
-        # imported here: a one-thread run needs neither it nor the logging it loads
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            for i in range(0, len(dates), threads):
-                head, *rest = dates[i:i + threads]
-                futures = [pool.submit(run_and_summarize, waves) for waves in rest]
-                done.append(run_and_summarize(head))
-                done.extend(future.result() for future in futures)
-    else:
-        done.extend(map(run_and_summarize, dates))
+    done.extend(_in_rounds(run_and_summarize, dates, threads))
     return (base, [r for results, _ in done for r in results],
             [s for _, summaries in done for s in summaries])
+
+
+def _in_rounds(fn, items: list, threads: int) -> list:
+    """`fn` of each item, in order, in rounds of `threads` items. The
+    calling thread takes the first item of each round, and up to threads - 1
+    threads, started once (one per round at times peaked 40 MB higher at 1M
+    persons), take the others. A round ends when all its items have; none
+    starts after one that raised. Every thread has ended when this returns
+    or raises; the first exception, in item order, is raised."""
+    outcomes = [None] * len(items)
+    barrier = threading.Barrier(max(1, min(threads, len(items))))
+
+    def run(j):
+        for start in range(0, len(items), threads):
+            if start + j < len(items):
+                try:
+                    outcomes[start + j] = fn(items[start + j])
+                except BaseException as exc:  # raised in the caller, as Future.result() would
+                    outcomes[start + j] = exc
+            barrier.wait()  # then every thread sees the same outcomes up to this round
+            if any(isinstance(outcome, BaseException) for outcome in outcomes[:start + threads]):
+                return
+    started = [threading.Thread(target=run, args=(j,)) for j in range(1, barrier.parties)]
+    for thread in started:
+        thread.start()
+    run(0)
+    for thread in started:
+        thread.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -308,6 +309,35 @@ class TestRunCommand:
         assert "infeasible" in capsys.readouterr().err
 
 
+    def test_infeasible_date_in_a_worker_thread_exits_as_at_one_thread(self, tmp_path, capsys):
+        """Two later dates are infeasible. At --threads 2 and 3 a worker
+        thread runs the first of them; the run reports that date's
+        AlignmentError as the one-thread run does, and every thread it
+        started has ended."""
+        (tmp_path / "controls.csv").write_text(
+            "stratum_key,date,target\npup:construction,2020-06-06,10000000\n"
+            "pup:construction,2020-08-28,20000000\n")
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("[scenario]\ncontrols = controls.csv\n[wave:before]\ndate = 2019-12-01\n"
+                       "[wave:w1]\ndate = 2020-05-05\n[wave:w2]\ndate = 2020-06-06\npup = on\n"
+                       "[wave:w3]\ndate = 2020-08-28\npup = on\n")
+        synth = tmp_path / "synth.cfg"
+        synth.write_text("households = 40\n")
+        alive, outcomes = threading.enumerate(), []
+        for threads in ("1", "2", "3"):
+            code = main(["run", "--scenario", str(cfg), "--synth-config", str(synth),
+                         "--out", str(tmp_path / f"out{threads}"), "--threads", threads])
+            outcomes.append((code, capsys.readouterr().err))
+            assert threading.enumerate() == alive
+        assert outcomes[0][0] == 2 and "infeasible calibration" in outcomes[0][1]
+        assert outcomes[1:] == outcomes[:1] * 2
+        (tmp_path / "controls.csv").write_text(
+            "stratum_key,date,target\npup:construction,2020-08-28,20000000\n")
+        assert main(["run", "--scenario", str(cfg), "--synth-config", str(synth),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err != outcomes[0][1]  # the later date's message differs
+
+
 def write_bad_scenario(tmp_path, scenario_lines, wave_lines):
     (tmp_path / "controls.csv").write_text("stratum_key,date,target\n")
     cfg = tmp_path / "bad.cfg"
@@ -418,13 +448,17 @@ class TestStartUp:
         assert self.child('print(len(os.listdir("/proc/self/task")))') == "1"
 
     def test_a_one_thread_run_imports_no_executor(self, data_dir, tmp_path):
+        """Nor does a two-thread run, which starts its threads with `threading`:
+        neither imports concurrent.futures nor the logging it loads."""
         synth = tmp_path / "synth.cfg"
         synth.write_text("households = 30\n", encoding="utf-8")
-        code = ("assert nowcastsim.cli.main(['run', '--threads', '1', *sys.argv[1:]]) == 0\n"
-                "print('concurrent.futures' in sys.modules)")
-        assert self.child(code, "--scenario", os.path.join(data_dir, "scenario.cfg"),
-                          "--synth-config", str(synth), "--out", str(tmp_path / "out")
-                          ).splitlines()[-1] == "False"
+        code = ("for threads in ('1', '2'):\n"
+                "    assert nowcastsim.cli.main(['run', '--threads', threads, *sys.argv[1:]]) == 0\n"
+                "    print({'concurrent.futures', 'logging'} & set(sys.modules))")
+        printed = self.child(code, "--scenario", os.path.join(data_dir, "scenario.cfg"),
+                             "--synth-config", str(synth), "--out", str(tmp_path / "out"))
+        assert [line for line in printed.splitlines() if not line.startswith("wrote")] == \
+            ["set()", "set()"]
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nowcastsim import expenses, taxben
+from nowcastsim import expenses, scenario, taxben
 from nowcastsim.calibration import AlignmentError
 from nowcastsim.money import apply_rate, cents, round_div
 from nowcastsim.population import (SECTORS, TENURES, WORK_STATUSES, Population, Table,
@@ -175,22 +175,23 @@ def whole_population_accounts(base, r, wave, schedules, employer_topup, job_lost
     status = base.status.copy()
     if not wave.pup_on:
         status[job_lost] = taxben.STATUS_CODES["unemployed"]
-    emp, se = base.emp_cents.copy(), base.se_cents.copy()
+    emp, se = cents(base.employment_income), cents(base.self_employment_income)
+    weekly_earn = round_div(emp + np.maximum(se, 0), 52)
+    gross_weekly = round_div(emp[subsidised], 52)
     emp[job_lost | ceib] = 0
     se[job_lost | ceib] = 0
     if subsidised.any():
         scheme = wave.subsidy if wave.subsidy != "auto" else \
             "twss" if wave.date < taxben.EWSS_HANDOVER else "ewss"
-        gross_weekly = round_div(base.emp_cents[subsidised], 52)
         amount = taxben.twss_subsidy_cents(schedules, base.take_home_weekly_cents[subsidised],
                                            wave.date) if scheme == "twss" else \
             taxben.ewss_subsidy_cents(schedules, gross_weekly, wave.date)
         shortfall = np.maximum(gross_weekly - amount, 0)
         emp[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
-    weekly_earn = round_div(base.emp_cents + np.maximum(base.se_cents, 0), 52)
+    cap_pens = cents(base.capital_income) + cents(base.private_pension)
     return taxben.household_accounts(
-        status, r.covid_code, weekly_earn, emp, se, base.cap_pens_cents, base.hh_row,
-        base.hid.size, wave.date, schedules)
+        status, r.covid_code, weekly_earn, emp, se, cap_pens, base.hh_row, base.hid.size,
+        wave.date, schedules)
 
 
 @settings(max_examples=80, deadline=None)
@@ -271,7 +272,84 @@ def test_weekly_earnings_the_accounts_read_are_derived_exactly(tables, schedules
                            schedules, seed=5)
         except AlignmentError:  # CEIB and job losses left too few subsidy candidates
             assume(False)
-    baseline, now, was = calls
+    baseline, *wave_calls = calls
     assert np.array_equal(baseline, expected)
     moved = r.covid_code != 0  # with pup on, every moved person has a covid code
+    if not moved.any():  # the wave holds the baseline's accounts and evaluates nobody
+        assert wave_calls == [] and r.market is base.market
+        return
+    now, was = wave_calls
     assert np.array_equal(now, expected[moved]) and np.array_equal(was, expected[moved])
+
+
+def assert_same_arrays(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+# euro amounts: whole cents, half-cent edges (k + 0.5) / 100, and any float
+EUROS = st.one_of(st.integers(-10 ** 8, 10 ** 8).map(lambda k: k / 100),
+                  st.integers(-10 ** 8, 10 ** 8).map(lambda k: (k + 0.5) / 100),
+                  st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=POPULATIONS, pup_on=st.booleans(), data=st.data())
+def test_steps_read_the_cents_of_the_whole_columns(tables, schedules, population, pup_on, data):
+    """The cents that the steps household_accounts (for its moved rows) and
+    wage_subsidy (for its EWSS candidates) convert from the baseline's euros
+    equal, at those rows, the cents of the whole columns: on drawn amounts,
+    negative self-employment income among them, and drawn moved rows."""
+    pop = column_population(*population)
+    n = pop.persons.person_id.size
+
+    def column(values):
+        return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    money = {"employment_income": column(EUROS.map(abs)),
+             "self_employment_income": column(EUROS),
+             "capital_income": column(EUROS.map(abs)), "private_pension": column(EUROS.map(abs))}
+    pop = Population(households=pop.households, persons=Table(**(vars(pop.persons) | money)))
+    base = build_baseline(pop, BASE_CONTROLS, tables, schedules, seed=5)
+    emp, se = cents(money["employment_income"]), cents(money["self_employment_income"])
+    cap_pens = cents(money["capital_income"]) + cents(money["private_pension"])
+
+    state = column(st.sampled_from([0, 1, 2, 3]))  # stays, loses the job, CEIB, subsidised
+    job_lost, ceib, subsidised = state == 1, state == 2, state == 3
+    k = int(subsidised.sum())
+    amount = np.array(data.draw(st.lists(st.integers(0, 10 ** 5), min_size=k, max_size=k)),
+                      dtype=np.int64)
+    covid = np.zeros(n, dtype=np.int8)
+    covid[job_lost & pup_on], covid[ceib], covid[subsidised] = PUP, CEIB, SUBSIDISED
+    wave = WavePoint(label="w", date=dt.date(2020, 11, 15), pup_on=pup_on, subsidy="ewss")
+    accounts, calls = taxben.household_accounts, []
+
+    def spy(*args):
+        calls.append(args)
+        return accounts(*args)
+    with mock.patch.object(taxben, "household_accounts", spy):
+        scenario.household_accounts(base, wave, schedules, 0.3, job_lost, ceib, subsidised,
+                                    amount, covid)
+    moved = np.flatnonzero(state > 0)
+    if not moved.size:
+        assert calls == []
+    else:
+        (_, _, *now), (_, _, *was) = (call[:6] for call in calls)
+        assert_same_arrays(was, [round_div(emp + np.maximum(se, 0), 52)[moved], emp[moved],
+                               se[moved], cap_pens[moved]])
+        stopped = (job_lost | ceib)[moved]
+        gross_weekly = round_div(emp[subsidised], 52)
+        emp_now = np.where(stopped, 0, emp[moved])
+        emp_now[subsidised[moved]] = (amount + apply_rate(
+            0.3, np.maximum(gross_weekly - amount, 0))) * 52
+        assert_same_arrays(now, [was[0], emp_now, np.where(stopped, 0, se[moved]), cap_pens[moved]])
+
+    ewss, weekly = taxben.ewss_subsidy_cents, []
+    with mock.patch.object(taxben, "ewss_subsidy_cents",
+                           lambda schedules, pay, date: weekly.append(pay) or ewss(schedules, pay,
+                                                                                   date)):
+        scenario.wage_subsidy(base, controls_at(wave.date, tables, base), wave, tables,
+                              schedules, job_lost, ceib)
+    rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(SECTORS)])
+    rows = rows[~job_lost[rows] & ~ceib[rows]]
+    assert_same_arrays(weekly, [round_div(emp, 52)[rows]] if rows.size else [])

@@ -214,6 +214,13 @@ class TestGenerator:
         assert np.all((p.industry[employee] >= 0) & (p.industry[employee] < len(SECTORS)))
         assert np.all((p.occupation[employee] >= 1) & (p.occupation[employee] <= 9))
 
+    def test_one_array_lists_and_names_the_persons(self, small_pop):
+        """Persons are numbered 1..n in household order, so the households'
+        member lists and the persons' ids are one array."""
+        ids = small_pop.persons.person_id
+        assert small_pop.households.member_ids is ids
+        assert np.array_equal(ids, np.arange(1, ids.size + 1))
+
     def test_weights_default_to_one(self, small_pop):
         assert np.all(small_pop.households.weight == 1.0)
 

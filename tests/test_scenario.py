@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -461,7 +462,7 @@ class TestNowcastBaseline:
         assert same_columns(pop.persons, before[1])
         order = np.argsort(pop.persons.person_id)
         assert not np.array_equal(base.status, pop.persons.work_status[order])
-        assert not np.array_equal(base.emp_cents, cents(pop.persons.employment_income[order]))
+        assert not np.array_equal(base.employment_income, pop.persons.employment_income[order])
 
     def test_nowcast_imports_no_module(self):
         """Once its imports are done, an employment nowcast loads no module:
@@ -588,12 +589,14 @@ class TestBaselineInputOrder:
 
     def test_read_columns_are_read_only_views_of_the_input(self, pop, ordered_base):
         for name, column in (("pid", pop.persons.person_id), ("age", pop.persons.age),
-                             ("hh_weight", pop.households.weight)):
+                             ("hh_weight", pop.households.weight),
+                             ("capital_income", pop.persons.capital_income),
+                             ("private_pension", pop.persons.private_pension)):
             assert np.shares_memory(getattr(ordered_base, name), column), name
             assert not getattr(ordered_base, name).flags.writeable, name
 
     def test_calibrated_columns_are_copies(self, pop, ordered_base):
-        for name in ("status", "sector_idx"):
+        for name in ("status", "sector_idx", "employment_income", "self_employment_income"):
             for column in [*vars(pop.persons).values(), *vars(pop.households).values()]:
                 assert not np.shares_memory(getattr(ordered_base, name), column), name
 
@@ -607,7 +610,7 @@ class TestBaselineInputOrder:
                   + ordered_base.band_workers)
         assert len(arrays) > 30 and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
-            ordered_base.emp_cents[0] = 0
+            ordered_base.employment_income[0] = 0
 
     def test_nowcast_writes_only_the_calibrated_columns(self, pop):
         """The nowcast writes none of its input's columns: it returns new
@@ -630,7 +633,9 @@ class TestBaselineInputOrder:
         base = build_baseline(pop, ControlTotals(date=CALIBRATING.date), tables, schedules, 5)
         for name, column in (("status", pop.persons.work_status),
                              ("sector_idx", pop.persons.industry),
-                             ("home_capable", pop.persons.home_work_capable)):
+                             ("home_capable", pop.persons.home_work_capable),
+                             ("employment_income", pop.persons.employment_income),
+                             ("self_employment_income", pop.persons.self_employment_income)):
             assert np.shares_memory(getattr(base, name), column), name
 
     @pytest.mark.parametrize("seed", [5, 11])
@@ -654,7 +659,7 @@ class TestBaselineInputOrder:
 class TestApplyWave:
     def test_baseline_is_frozen(self, base):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            base.emp_cents = base.emp_cents.copy()
+            base.employment_income = base.employment_income.copy()
 
     def test_null_wave_is_fixed_point(self, base, tables, schedules):
         controls = ControlTotals(date=D(2019, 12, 1))
@@ -665,6 +670,21 @@ class TestApplyWave:
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.all(a.covid_code == 0)
         assert np.all(a.capital_adjustment == 0)
+
+    def test_a_wave_that_moves_nobody_holds_the_baseline_accounts(self, base, tables,
+                                                                   schedules, shipped_controls):
+        """With nobody moved, the step household_accounts returns the
+        baseline's market, taxes and benefits themselves; a wave that moves
+        someone holds arrays of its own."""
+        still = apply_wave(base, ControlTotals(date=D(2019, 12, 1)), null_wave(), tables,
+                           schedules, seed=7)
+        wave = crisis_wave()
+        moved = apply_wave(base, shipped_controls.at(wave.date), wave, tables, schedules, seed=7)
+        for name in ("market", "taxes", "benefits"):
+            assert getattr(still, name) is getattr(base, name), name
+            assert not np.shares_memory(getattr(moved, name), getattr(base, name)), name
+        assert np.array_equal(still.gross, base.market + base.benefits)
+        assert np.array_equal(still.disposable, still.gross - base.taxes)
 
     def test_result_dtypes(self, base, tables, schedules, shipped_controls):
         """One byte per person for the covid code; integer cents per household."""
@@ -707,7 +727,8 @@ class TestApplyWave:
                        schedules, seed=7)
         recipients = r.covid_code == taxben.COVID_CODES["pup_recipient"]
         assert recipients.any()
-        weekly_earn = round_div(base.emp_cents + np.maximum(base.se_cents, 0), 52)
+        weekly_earn = round_div(cents(base.employment_income)
+                                + np.maximum(cents(base.self_employment_income), 0), 52)
         rates = np.array([
             taxben.pup_rate_cents(schedules, int(c), wave.date)
             for c in weekly_earn[recipients]
@@ -952,6 +973,7 @@ SHARED_FIELDS = {"housing": ("deferrals_on",), "capital_adjustment": ("capital_o
                  **dict.fromkeys(("market", "taxes", "benefits", "gross", "disposable"),
                                  ("pup_on", "ceib_on", "subsidy_scheme")),
                  "work_expenses": ("ceib_on", "home_working_on", "childcare_support")}
+ACCOUNTS = ("market", "taxes", "benefits")  # the baseline's own, in a wave that moves nobody
 
 
 class TestSharedDraws:
@@ -1035,11 +1057,13 @@ class TestSharedDraws:
                                                          shipped_controls, tables, schedules,
                                                          threads, monkeypatch):
         """Shared results are the same arrays exactly where the keys agree,
-        except the housing cost of a wave that defers nobody: that is the
-        baseline's `housing_cents`, in every such wave of the run. With no
-        capital change, Q is a zero-stride view of 0. The covid codes,
-        adjusted income and the person states (d) that the step
-        `work_expenses` reads are each wave's own."""
+        except the housing cost of a wave that defers nobody, and the market
+        income, taxes and benefits of a wave that moves nobody: those are the
+        baseline's `housing_cents`, and its `market`, `taxes` and `benefits`,
+        in every such wave of the run. With no capital change, Q is a
+        zero-stride view of 0. The covid codes, adjusted income and the
+        person states (d) that the step `work_expenses` reads are each
+        wave's own."""
         states, expenses_step = [], scenario.work_expenses
 
         @functools.wraps(expenses_step)
@@ -1050,9 +1074,13 @@ class TestSharedDraws:
         base, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
                                         seed=11, threads=threads)
         waves = {w.label: w for w in plan.waves}
-        defers, books = set(), set()
+        defers, books, still = set(), set(), set()
         for r in results:
             wave, controls = waves[r.label], shipped_controls.at(r.date)
+            if not (r.covid_code.any() or scenario.job_losses(base, controls, tables).any()):
+                still.add(r.label)
+            for name in ACCOUNTS:
+                assert (getattr(r, name) is getattr(base, name)) == (r.label in still), r.label
             if wave.deferrals_on and controls.deferral_count > 0:
                 defers.add(r.label)
                 assert not np.array_equal(r.housing, base.housing_cents), r.label
@@ -1062,12 +1090,15 @@ class TestSharedDraws:
             assert (r.capital_adjustment.strides == (0,)) == (r.label not in books), r.label
             assert r.capital_adjustment.any() == (r.label in books), r.label
         assert 0 < len(defers) < len(results) and 0 < len(books) < len(results)
+        assert 0 < len(still) < len(results)
         for a, b in itertools.combinations(results, 2):
             for name, switches in SHARED_FIELDS.items():
                 agree = a.date == b.date and all(
                     getattr(waves[a.label], s) == getattr(waves[b.label], s) for s in switches)
                 if name == "housing" and not {a.label, b.label} & defers:
                     agree = True  # both hold the baseline's array
+                if name in ACCOUNTS and {a.label, b.label} <= still:
+                    agree = True  # both hold the baseline's accounts
                 assert (getattr(a, name) is getattr(b, name)) == agree, (a.label, b.label, name)
             for name in ("adjusted", "covid_code"):
                 assert getattr(a, name) is not getattr(b, name)
@@ -1206,21 +1237,47 @@ class TestDateLoop:
     def test_plan_has_three_dates(self, plan):
         assert len({w.date for w in plan.waves}) == 3 < len(plan.waves)
 
-    @pytest.mark.parametrize("threads, workers", [(1, []), (2, [1]), (3, [2])])
-    def test_the_calling_thread_is_one_of_the_threads(self, pop, plan, shipped_controls,
-                                                      tables, schedules, monkeypatch,
-                                                      threads, workers):
-        import concurrent.futures
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_the_calling_thread_is_one_of_the_threads(self, pop, default_scenario,
+                                                      shipped_controls, tables, schedules,
+                                                      monkeypatch, threads):
+        """The 6 dates after the first run in rounds of `threads`: the caller
+        runs the first date of each, and each of threads - 1 threads, started
+        once, the same place in every round; every started thread has ended
+        when the run returns."""
+        caller, starts, ran_in, inner = threading.current_thread(), [], {}, scenario.apply_wave
 
-        pools = []
+        class Recorded(threading.Thread):
+            def start(self):
+                starts.append(self)
+                super().start()
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        monkeypatch.setattr(scenario, "apply_wave", lambda base, controls, wave, *args, **kw:
+                            ran_in.setdefault(wave.date, threading.current_thread())
+                            and inner(base, controls, wave, *args, **kw))
+        run_scenario(pop, default_scenario, shipped_controls, tables, schedules, seed=11,
+                     threads=threads)
+        first, *dates = sorted(ran_in)
+        assert len(dates) == 6 and len(starts) == threads - 1 and ran_in[first] is caller
+        assert [ran_in[date] for date in dates] == [
+            starts[k % threads - 1] if k % threads else caller for k in range(6)]
+        assert not any(thread.is_alive() for thread in starts)
 
-        class Recorded(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
-        run_scenario(pop, plan, shipped_controls, tables, schedules, seed=11, threads=threads)
-        assert pools == workers
+    @pytest.mark.parametrize("threads", [1, 2, 3, 9])
+    def test_no_round_starts_after_one_that_raised(self, threads):
+        """Items 2 and 4 raise: item 2's exception is raised once every
+        thread has ended, and only the rounds up to the one holding item 2
+        have run."""
+        alive, ran = threading.enumerate(), []
+
+        def fn(k):
+            ran.append(k)
+            if k in (2, 4):
+                raise ValueError(k)
+        with pytest.raises(ValueError, match="^2$"):
+            scenario._in_rounds(fn, list(range(8)), threads)
+        assert sorted(ran) == list(range(min(8, threads * (2 // threads + 1))))
+        assert threading.enumerate() == alive
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_deciles_are_ranked_before_the_second_date_runs(

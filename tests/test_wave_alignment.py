@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from nowcastsim import expenses, scenario, taxben
 from nowcastsim.calibration import AlignmentError, align_binary
-from nowcastsim.money import round_div
+from nowcastsim.money import cents, round_div
 from nowcastsim.population import (SECTORS, Population, SynthConfig, Table,
                                    generate_synthetic, validate)
 from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, _align_rows,
@@ -98,7 +98,7 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
                     schedules, base.take_home_weekly_cents[rows], wave.date)
             else:
                 amount[rows] = taxben.ewss_subsidy_cents(
-                    schedules, round_div(base.emp_cents, 52)[rows], wave.date)
+                    schedules, round_div(cents(base.employment_income), 52)[rows], wave.date)
         for sector, target in sorted(targets.items()):
             rows = sector_rows[sector]
             rows = rows[amount[rows] > 0]
@@ -195,7 +195,8 @@ def controls_for(base, tables, schedules, wave, kinds):
     if wave.subsidy == "twss" or (wave.subsidy == "auto" and wave.date < taxben.EWSS_HANDOVER):
         amount = taxben.twss_subsidy_cents(schedules, base.take_home_weekly_cents, wave.date)
     else:
-        amount = taxben.ewss_subsidy_cents(schedules, round_div(base.emp_cents, 52), wave.date)
+        amount = taxben.ewss_subsidy_cents(schedules, round_div(cents(base.employment_income), 52),
+                                           wave.date)
     employee &= amount > 0  # pay bands outside the scheme are ineligible
     for i, s in enumerate(SECTORS):
         if sector_weight[s] == 0:
