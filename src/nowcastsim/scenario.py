@@ -75,8 +75,13 @@ class ControlError(ValueError):
 
 
 def case_age_band(age) -> np.ndarray:
-    """Each age's code into `CASE_AGE_BANDS`."""
-    return np.searchsorted((1, 5, 15, 25, 35, 45, 55, 65), age, side="right")
+    """Each age's int8 code into `CASE_AGE_BANDS`: the number of later bands
+    starting at or below it (a comparison per band beats a binary search)."""
+    age = np.asarray(age)
+    code = np.zeros(age.shape, dtype=np.int8)
+    for start in (1, 5, 15, 25, 35, 45, 55, 65):
+        code += age >= start
+    return code
 
 
 # -- control totals ------------------------------------------------------------
@@ -478,13 +483,17 @@ class BaselineState:
     """Pre-shock arrays shared by every wave computation. Frozen, and every
     array it holds is read-only; on input in id order, those build_baseline
     takes as read (ids, age, weights, money, ...) are views of the input
-    columns. Its own arrays hold 29 bytes per person, plus the alignment pools."""
+    columns. Its own arrays hold 13 bytes per person and 48 per household,
+    plus the alignment pools (about 11 bytes per person). It keeps only what
+    a wave cannot rebuild where it reads it: a person's weight is
+    `hh_weight[hh_row]`, a TWSS candidate's take-home pay is taxed from the
+    money columns by `wage_subsidy`, and the CEIB step selects each age
+    band's workers from `is_worker` and `age`."""
 
     # person arrays (sorted by person id)
     pid: np.ndarray
     hh_row: np.ndarray           # index into the household arrays
     age: np.ndarray
-    person_weight: np.ndarray
     status: np.ndarray           # taxben.STATUS_CODES
     sector_idx: np.ndarray       # index into SECTORS, -1 when none
     is_worker: np.ndarray
@@ -495,7 +504,6 @@ class BaselineState:
     self_employment_income: np.ndarray
     capital_income: np.ndarray
     private_pension: np.ndarray
-    take_home_weekly_cents: np.ndarray
     commute_mode: np.ndarray     # int8, expenses.MODE_*
     cap_band: np.ndarray         # int8 index into expenses.AGE_BANDS
     cap_quintile: np.ndarray     # int8, 1..5
@@ -510,14 +518,16 @@ class BaselineState:
     market: np.ndarray           # the baseline's taxben.HouseholdAccounts
     taxes: np.ndarray
     benefits: np.ndarray
-    # alignment pools, fixed for the run: label -> (rows, rows in alignment order)
+    # alignment pools, fixed for the run: `pup:<sector>` and `deferral` -> (rows
+    # in alignment order, *_pool_weight); `subsidy:<sector>`, which a wave filters
+    # before it sums the weights, -> (rows, rows in alignment order)
     strata: dict
-    band_workers: list               # per CASE_AGE_BANDS entry: worker rows (CEIB)
     sector_worker_weight: np.ndarray  # per SECTORS entry
+    population_weight: float          # the persons' summed weight, in person order
 
     def __post_init__(self):
-        pools = [rows for pair in self.strata.values() for rows in pair]
-        for array in [*vars(self).values(), *pools, *self.band_workers]:
+        pools = [item for pool in self.strata.values() for item in pool]
+        for array in [*vars(self).values(), *pools]:
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
 
@@ -559,7 +569,6 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
     accounts = taxben.household_accounts(
         persons.work_status, np.zeros(pid.size, dtype=np.int8), weekly_earn, emp, se, cap_pens,
         hh_row, n_hh, controls.date, schedules)
-    take_home_weekly = round_div(np.maximum(emp - accounts.person_tax, 0), 52)
     disposable_hh = accounts.market + accounts.benefits - accounts.taxes
 
     children_u14 = households.n_children_under14
@@ -605,27 +614,29 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
     cap_participant = expenses.capital_participants(
         tables.holdings, cap_band, quintile_p, cap > 0, pid, seed)
 
-    def stratum(label, rows, ids):
-        return rows, rows[_rank(ids[rows], seed, label)]
+    def ranked(label, rows, ids):
+        return rows[_rank(ids[rows], seed, label)]
     holders = np.flatnonzero(households.tenure == expenses.TENURE_CODES["mortgage"])
-    strata = {"deferral": stratum("deferral", holders, hid)}
+    strata = {"deferral": (ranked("deferral", holders, hid),
+                           *_pool_weight(hh_weight[holders], hh_weight))}
     employee = persons.work_status == taxben.STATUS_CODES["employee"]
     sector_workers = [np.flatnonzero(is_worker & (persons.industry == s))
                       for s in range(len(SECTORS))]
     for sector, rows in zip(SECTORS, sector_workers):
-        strata[f"pup:{sector}"] = stratum(f"pup:{sector}",
-                                          rows[(age[rows] >= 18) & (age[rows] <= 66)], pid)
-        strata[f"subsidy:{sector}"] = stratum(f"subsidy:{sector}", rows[employee[rows]], pid)
-    bands = case_age_band(age)
+        pup = rows[(age[rows] >= 18) & (age[rows] <= 66)]
+        strata[f"pup:{sector}"] = (ranked(f"pup:{sector}", pup, pid),
+                                   *_pool_weight(person_weight[pup], hh_weight))
+        subsidy = rows[employee[rows]]
+        strata[f"subsidy:{sector}"] = subsidy, ranked(f"subsidy:{sector}", subsidy, pid)
 
     return BaselineState(
-        pid=pid, hh_row=hh_row, age=age, person_weight=person_weight,
+        pid=pid, hh_row=hh_row, age=age,
         status=persons.work_status, sector_idx=persons.industry, is_worker=is_worker,
         essential=persons.essential_worker, home_capable=persons.home_work_capable,
         employment_income=persons.employment_income,
         self_employment_income=persons.self_employment_income,
         capital_income=persons.capital_income, private_pension=persons.private_pension,
-        take_home_weekly_cents=take_home_weekly, commute_mode=commute_mode,
+        commute_mode=commute_mode,
         cap_band=cap_band, cap_quintile=quintile_p, cap_participant=cap_participant,
         hid=hid, hh_weight=hh_weight,
         tenure_code=households.tenure,
@@ -636,9 +647,8 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
         childcare_weekly_cents=childcare_weekly,
         market=accounts.market, taxes=accounts.taxes, benefits=accounts.benefits,
         strata=strata,
-        band_workers=[np.flatnonzero(is_worker & (bands == code))
-                      for code in range(len(CASE_AGE_BANDS))],
         sector_worker_weight=np.array([np.sum(person_weight[rows]) for rows in sector_workers]),
+        population_weight=float(np.sum(person_weight)),
     )
 
 
@@ -680,21 +690,29 @@ def _rank(ids, seed: int, label: str) -> np.ndarray:
     return score_order(ids, logistic_noise(seed, "align:" + label, ids))
 
 
-def _align_rows(pool, ranked, weight, target: float, context: str) -> np.ndarray:
-    """Rows chosen from `pool` (rows of `weight`; `ranked` is the pool in
-    alignment order) for a rescaled (fractional) target.
+def _pool_weight(weight, hh_weight) -> tuple:
+    """(sum, largest) of a pool's `weight`s in ascending row order (another
+    order may sum to another float); for an empty pool, the largest household
+    weight, which is the largest person weight as every household has a member."""
+    if not weight.size:
+        return 0.0, float(np.max(hh_weight))
+    return float(np.sum(weight)), float(np.max(weight))
+
+
+def _align_rows(ranked, weight, available: float, w_max: float, target: float,
+                context: str) -> np.ndarray:
+    """Rows chosen from a pool for a rescaled (fractional) target: `ranked`
+    is the pool in alignment order, `weight` their weights, and `available`
+    and `w_max` its `_pool_weight`.
 
     A shortfall within one unit-weight (the largest weight in the pool, or
-    in all of `weight` for an empty pool) is satisfiable by construction,
-    so thin strata may legally absorb a sub-unit remainder by selecting
-    nobody; anything beyond that is an infeasible control total and fails
-    loudly. The slack is relative, so scaling every weight and the target
-    by a power of two keeps the outcome."""
+    the largest household weight for an empty pool) is satisfiable by
+    construction, so thin strata may legally absorb a sub-unit remainder by
+    selecting nobody; anything beyond that is an infeasible control total
+    and fails loudly. The slack is relative, so scaling every weight and the
+    target by a power of two keeps the outcome."""
     if target <= 0:
         return np.empty(0, dtype=np.int64)
-    pool_weight = weight[pool]
-    available = float(np.sum(pool_weight))
-    w_max = float(np.max(pool_weight if pool.size else weight))
     if target > (available + w_max) * (1 + 1e-9):
         raise AlignmentError(
             f"{context}: target {target:.2f} exceeds the available weight "
@@ -702,9 +720,16 @@ def _align_rows(pool, ranked, weight, target: float, context: str) -> np.ndarray
         )
     if available == 0.0:
         return np.empty(0, dtype=np.int64)
-    if np.any(pool_weight <= 0.0):
+    if np.any(weight <= 0.0):
         raise AlignmentError("alignment weights must be positive")
-    return take_by_score(ranked, weight[ranked], min(target, available), available)
+    return take_by_score(ranked, weight, min(target, available), available)
+
+
+def _align_pool(base: BaselineState, rows, ranked, target: float, context: str) -> np.ndarray:
+    """Persons chosen from a pool a wave filtered, its `rows` ascending and `ranked`."""
+    return _align_rows(ranked, base.hh_weight[base.hh_row[ranked]],
+                       *_pool_weight(base.hh_weight[base.hh_row[rows]], base.hh_weight),
+                       target, context)
 
 
 # The switches each shared wave step reads, directly or through an earlier
@@ -726,8 +751,9 @@ def job_losses(base: BaselineState, controls: ControlTotals, tables: DataTables)
     job_lost = np.zeros(base.pid.size, dtype=bool)
     targets = _scaled_sector_targets(base, controls.pup_by_sector, tables)
     for sector, target in sorted(targets.items()):
-        job_lost[_align_rows(*base.strata[f"pup:{sector}"], base.person_weight, target,
-                             f"job losses in {sector!r}")] = True
+        ranked, available, w_max = base.strata[f"pup:{sector}"]
+        job_lost[_align_rows(ranked, base.hh_weight[base.hh_row[ranked]], available, w_max,
+                             target, f"job losses in {sector!r}")] = True
     return job_lost
 
 
@@ -736,14 +762,17 @@ def sickness_cases(base: BaselineState, controls: ControlTotals, wave: WavePoint
     """(b) Sickness-benefit cases among the remaining workers, per age band."""
     ceib = np.zeros(base.pid.size, dtype=bool)
     if wave.ceib_on and controls.ceib_cases:
-        pop_share = float(np.sum(base.person_weight)) / tables.national["population_total"]
+        pop_share = base.population_weight / tables.national["population_total"]
+        workers = np.flatnonzero(base.is_worker & ~job_lost)
+        bands = case_age_band(base.age[workers])
+        by_band = np.split(workers[np.argsort(bands, kind="stable")],  # each ascending
+                           np.cumsum(np.bincount(bands, minlength=len(CASE_AGE_BANDS)))[:-1])
         for (band, in_work), count in sorted(controls.ceib_cases.items()):
             if not in_work:
                 continue  # out-of-work cases carry no income change
-            workers = base.band_workers[CASE_AGE_BANDS.index(band)]
-            rows = workers[~job_lost[workers]]
+            rows = by_band[CASE_AGE_BANDS.index(band)]
             ranked = rows[_rank(base.pid[rows], seed, f"ceib:{band}:{wave.date.isoformat()}")]
-            ceib[_align_rows(rows, ranked, base.person_weight, count * pop_share,
+            ceib[_align_pool(base, rows, ranked, count * pop_share,
                              f"sickness cases in age band {band}")] = True
     return ceib
 
@@ -759,17 +788,20 @@ def wage_subsidy(base: BaselineState, controls: ControlTotals, wave: WavePoint,
         rows = rows[~job_lost[rows] & ~ceib[rows]]
         # every remaining employee's scheme amount in one call, 0 for the rest
         if rows.size:
-            if wave.subsidy_scheme == "twss":
-                amount[rows] = taxben.twss_subsidy_cents(
-                    schedules, base.take_home_weekly_cents[rows], wave.date)
+            emp = cents(base.employment_income[rows])
+            if wave.subsidy_scheme == "twss":  # on the baseline's weekly take-home pay
+                taxable = (emp + np.maximum(cents(base.self_employment_income[rows]), 0)
+                           + cents(base.capital_income[rows]) + cents(base.private_pension[rows]))
+                take_home = round_div(np.maximum(
+                    emp - taxben.income_tax_cents(taxable, schedules.tax), 0), 52)
+                amount[rows] = taxben.twss_subsidy_cents(schedules, take_home, wave.date)
             else:
-                amount[rows] = taxben.ewss_subsidy_cents(
-                    schedules, round_div(cents(base.employment_income[rows]), 52), wave.date)
+                amount[rows] = taxben.ewss_subsidy_cents(schedules, round_div(emp, 52), wave.date)
         for sector, target in sorted(targets.items()):
             # pay bands outside the scheme ("no subsidy applies") are ineligible;
             # a subset of the ranked rows keeps their order
             rows, ranked = (r[amount[r] > 0] for r in base.strata[f"subsidy:{sector}"])
-            subsidised[_align_rows(rows, ranked, base.person_weight, target,
+            subsidised[_align_pool(base, rows, ranked, target,
                                    f"wage subsidy in {sector!r}")] = True
     return subsidised, amount[subsidised]
 
@@ -779,10 +811,10 @@ def housing_cost(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     """(e) Mortgage deferrals, and the housing cost H they leave (the baseline's if none)."""
     if not (wave.deferrals_on and controls.deferral_count > 0):
         return base.housing_cents
-    holders, ranked = base.strata["deferral"]
-    holder_weight = float(np.sum(base.hh_weight[holders]))
+    ranked, holder_weight, w_max = base.strata["deferral"]
     target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
-    rows = _align_rows(holders, ranked, base.hh_weight, target, "mortgage deferrals")
+    rows = _align_rows(ranked, base.hh_weight[ranked], holder_weight, w_max, target,
+                       "mortgage deferrals")
     return expenses.deferred_housing_cents(base.housing_cents, rows)
 
 
@@ -942,10 +974,11 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
 
     dates = [list(waves) for _, waves in itertools.groupby(scenario.waves, lambda w: w.date)]
     first = run_date(dates.pop(0))
-    w = base.person_weight
+    w = base.hh_weight[base.hh_row]  # each person's weight, not kept past the ranking
     hw = np.bincount(base.hh_row, weights=w, minlength=base.hid.size)
     groups = metrics.decile_groups(base.hh_row, w, metrics.weighted_quantile_groups(
         np.argsort(equivalised(first[0].adjusted)[base.hh_row], kind="stable"), w, 10))
+    del w
     done = [summarized(first)]
 
     def run_and_summarize(waves: list) -> tuple:

@@ -1,7 +1,12 @@
-"""The `configparser` reading of `scenario.cfg` that `files.key_values`
-replaced, kept as the differential oracle: on a file that both accept,
-`parse_scenario` must return an equal `Scenario`. It reads valid files only
-and checks nothing.
+"""Two differential oracles for `scenario`.
+
+* The `configparser` reading of `scenario.cfg` that `files.key_values`
+  replaced: on a file that both accept, `parse_scenario` must return an
+  equal `Scenario`. It reads valid files only and checks nothing.
+* `baseline_take_home`: each person's weekly take-home pay as
+  `build_baseline` once computed and kept it for every person, from the
+  annual tax of its whole-population `taxben.household_accounts` call; the
+  TWSS step now derives it for its candidates only.
 """
 from __future__ import annotations
 
@@ -9,7 +14,22 @@ import configparser
 import datetime as dt
 import os
 
+import numpy as np
+
+from nowcastsim import taxben
+from nowcastsim.money import cents, round_div
 from nowcastsim.scenario import Scenario, WavePoint
+
+
+def baseline_take_home(base, schedules) -> np.ndarray:
+    """round_div(max(emp - person_tax, 0), 52) per person of `base`, in cents."""
+    emp, se = cents(base.employment_income), cents(base.self_employment_income)
+    cap_pens = cents(base.capital_income) + cents(base.private_pension)
+    weekly_earn = round_div(emp + np.maximum(se, 0), 52)
+    accounts = taxben.household_accounts(
+        base.status, np.zeros(base.pid.size, dtype=np.int8), weekly_earn, emp, se, cap_pens,
+        base.hh_row, base.hid.size, taxben.TWSS_START, schedules)
+    return round_div(np.maximum(emp - accounts.person_tax, 0), 52)
 
 
 def parse_scenario(path) -> Scenario:

@@ -370,7 +370,7 @@ def test_criterion_8_directional_pattern(pipeline_10k, tables, schedules,
     off = scenario.apply_wave(base, series.at(w1.date), off_wave, tables,
                               schedules, seed=42)
     equiv_off = off.disposable / 100.0 / base.equiv_scale
-    gini_disp_off = metrics.weighted_gini(equiv_off[base.hh_row], base.person_weight)
+    gini_disp_off = metrics.weighted_gini(equiv_off[base.hh_row], base.hh_weight[base.hh_row])
     d_on = wave1.gini["disposable"] - before.gini["disposable"]
     d_off = gini_disp_off - before.gini["disposable"]
     assert d_on < d_off

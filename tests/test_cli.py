@@ -34,6 +34,12 @@ class TestSchedulesCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "350.00"
 
+    def test_twss_lookup(self, capsys):
+        code = main(["schedules", "twss", "--earnings", "500",
+                     "--date", "2020-05-15"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "350.00"  # 70% in the 500-586 band
+
     def test_ewss_lookup(self, capsys):
         code = main(["schedules", "ewss", "--earnings", "180",
                      "--date", "2020-11-01"])
@@ -484,6 +490,13 @@ class TestSynthCommand:
         main(["synth", "--seed", "3", "--out", str(a)])
         main(["synth", "--seed", "3", "--out", str(b)])
         assert filecmp.cmp(a / "persons.csv", b / "persons.csv", shallow=False)
+
+
+def test_no_command_prints_help_and_exits_one(capsys):
+    assert main([]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ") and all(
+        command in out for command in ("run", "validate", "schedules", "synth"))
 
 
 def test_print_config(capsys):
@@ -1138,3 +1151,55 @@ def test_run_reports_every_input_fault(data_dir, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "scenario: scenario.cfg:7: [scenario] seed must be an integer, got 'abc'\n"
         "data: coefficients.csv: the engine needs a linear model 'childcare_spend'\n")
+
+
+def shipped_inputs_but(name, text):
+    """A fault case: the shipped data and policy with the file `name` holding `text`."""
+    def setup(data_dir, tmp_path):
+        args = shipped_inputs_with()(data_dir, tmp_path)
+        (tmp_path / "data" / name).write_text(text, encoding="utf-8")
+        return args
+    return setup
+
+
+CONTROL_ROW = "pup:manufacturing,2020-05-05,37400\n"
+LAST_CONTROL_ROW = "mortgage_deferrals,2020-09-01,90539\n"
+LAST_COEFFICIENT_ROW = "childcare_spend,linear,1,_constant,-15.5\n"
+
+
+@pytest.mark.parametrize("setup, message", [
+    (shipped_inputs_with(("control_totals.csv", CONTROL_ROW, CONTROL_ROW.replace(",3", ",-3"))),
+     "controls: control_totals.csv:9: negative target for 'pup:manufacturing'"),
+    (shipped_inputs_with(("control_totals.csv", "ceib_cases:in_work:25-34,",
+                          "ceib_cases:at_work:25-34,")),
+     "controls: control_totals.csv:47: bad case stratum 'ceib_cases:at_work:25-34'"),
+    (shipped_inputs_with(("control_totals.csv", LAST_CONTROL_ROW,
+                          LAST_CONTROL_ROW + "employment_rate:25-34,2019-12-01,1.5\n")),
+     "controls: control_totals.csv:415: employment rate outside [0, 1]"),
+    (shipped_inputs_with(("national_reference.csv", "mortgage_count,",
+                          "sector_employment:mining,5\nmortgage_count,")),
+     "data: national_reference.csv:20: unknown sector 'mining'"),
+    (shipped_inputs_with(("scenario.cfg", "[scenario]\ncontrols = control_totals.csv\nseed = 42\n",
+                          "")),
+     "scenario: scenario.cfg: missing [scenario] section"),
+    (shipped_inputs_but("scenario.cfg", "[scenario]\ncontrols = control_totals.csv\n"),
+     "scenario: scenario.cfg: no [wave:...] sections"),
+    (shipped_inputs_but("policy/pup.csv", "scheme,effective_from,band_lower,value\n"),
+     "policy: pup.csv: no schedule rows"),
+    (shipped_inputs_with(("policy/pup.csv", "pup,2020-03-13,", "twss,2020-03-13,")),
+     "policy: pup.csv:2: expected scheme 'pup'"),
+    (shipped_inputs_with(("policy/pup.csv", "pup,2020-03-24,0,350", "pup,2020-03-24,0,10%cap5")),
+     "policy: pup.csv:3: bad band value '10%cap5'"),
+    (shipped_inputs_with(("policy/tax_system.cfg", "credit = 3300\n", "")),
+     "policy: tax_system.cfg: missing key 'credit'"),
+    (shipped_inputs_with(("commuting_costs.csv", "1.76,9.17", "1.76,9.20")),
+     "data: commuting_costs.csv:2: total 920 != 741 + 176 within a cent"),
+    (shipped_inputs_with(("coefficients.csv", LAST_COEFFICIENT_ROW,
+                          LAST_COEFFICIENT_ROW + "transport_public,linear,1,occ_9,5.0\n")),
+     "data: coefficients.csv:73: transport_public declared with two kinds"),
+])
+def test_input_faults_are_named(data_dir, tmp_path, capsys, setup, message):
+    """Faults of the control, reference, scenario and policy files that no
+    other test reaches exit 1 from validate, each with its labelled line."""
+    assert main(["validate", *setup(data_dir, tmp_path)]) == 1
+    assert f"{message}\n" in capsys.readouterr().err

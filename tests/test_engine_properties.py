@@ -3,7 +3,9 @@ columns: the adjusted-income identity on every wave, the null wave as a
 fixed point, nested PUP recipient sets as the sector targets rise, a
 wave's accounts equal to a whole-population evaluation of its state, and
 the values a wave derives from the baseline equal to those computed from the
-input columns: housing under any deferrals, and weekly earnings."""
+input columns: housing under any deferrals, weekly earnings, and the TWSS
+candidates' take-home pay; and each fixed alignment pool's stored weight
+sum and maximum."""
 import datetime as dt
 from unittest import mock
 
@@ -18,6 +20,7 @@ from nowcastsim.population import (SECTORS, TENURES, WORK_STATUSES, Population, 
                                    validate)
 from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, apply_wave,
                                  build_baseline, case_age_band, job_losses, sickness_cases)
+from scenario_oracle import baseline_take_home
 
 DATES = [dt.date(2020, 5, 5), dt.date(2020, 11, 15), dt.date(2021, 2, 23)]
 PUP = taxben.COVID_CODES["pup_recipient"]
@@ -84,9 +87,10 @@ def controls_at(date, tables, base, pup=0.0, ceib=0.0, subsidy=0.0, deferrals=0.
     weight (CEIB) and of the mortgage holders' weight (deferrals)."""
     national = tables.national
     bands = case_age_band(base.age)
-    band_weight = {band: float(base.person_weight[base.is_worker & (bands == code)].sum())
+    weight = base.hh_weight[base.hh_row]
+    band_weight = {band: float(weight[base.is_worker & (bands == code)].sum())
                    for code, band in enumerate(CASE_AGE_BANDS)}
-    pop_share = float(base.person_weight.sum()) / national["population_total"]
+    pop_share = float(weight.sum()) / national["population_total"]
     return ControlTotals(
         date=date,
         pup_by_sector={s: pup * national["sector_employment"][s] for s in SECTORS},
@@ -183,8 +187,9 @@ def whole_population_accounts(base, r, wave, schedules, employer_topup, job_lost
     if subsidised.any():
         scheme = wave.subsidy if wave.subsidy != "auto" else \
             "twss" if wave.date < taxben.EWSS_HANDOVER else "ewss"
-        amount = taxben.twss_subsidy_cents(schedules, base.take_home_weekly_cents[subsidised],
-                                           wave.date) if scheme == "twss" else \
+        amount = taxben.twss_subsidy_cents(
+            schedules, baseline_take_home(base, schedules)[subsidised], wave.date) \
+            if scheme == "twss" else \
             taxben.ewss_subsidy_cents(schedules, gross_weekly, wave.date)
         shortfall = np.maximum(gross_weekly - amount, 0)
         emp[subsidised] = (amount + apply_rate(employer_topup, shortfall)) * 52
@@ -294,13 +299,9 @@ EUROS = st.one_of(st.integers(-10 ** 8, 10 ** 8).map(lambda k: k / 100),
                   st.floats(-1e6, 1e6))
 
 
-@settings(max_examples=60, deadline=None)
-@given(population=POPULATIONS, pup_on=st.booleans(), data=st.data())
-def test_steps_read_the_cents_of_the_whole_columns(tables, schedules, population, pup_on, data):
-    """The cents that the steps household_accounts (for its moved rows) and
-    wage_subsidy (for its EWSS candidates) convert from the baseline's euros
-    equal, at those rows, the cents of the whole columns: on drawn amounts,
-    negative self-employment income among them, and drawn moved rows."""
+def drawn_money(population, data):
+    """A column population with drawn euro amounts, negative self-employment
+    income among them, and a function drawing one more column of it."""
     pop = column_population(*population)
     n = pop.persons.person_id.size
 
@@ -309,7 +310,27 @@ def test_steps_read_the_cents_of_the_whole_columns(tables, schedules, population
     money = {"employment_income": column(EUROS.map(abs)),
              "self_employment_income": column(EUROS),
              "capital_income": column(EUROS.map(abs)), "private_pension": column(EUROS.map(abs))}
-    pop = Population(households=pop.households, persons=Table(**(vars(pop.persons) | money)))
+    return Population(households=pop.households,
+                      persons=Table(**(vars(pop.persons) | money))), column
+
+
+def subsidy_candidates(base, job_lost, ceib):
+    """The rows wage_subsidy prices: every subsidy pool's employees that
+    neither lost their job nor are CEIB cases, sector by sector."""
+    rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(SECTORS)])
+    return rows[~job_lost[rows] & ~ceib[rows]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=POPULATIONS, pup_on=st.booleans(), data=st.data())
+def test_steps_read_the_cents_of_the_whole_columns(tables, schedules, population, pup_on, data):
+    """The cents that the steps household_accounts (for its moved rows) and
+    wage_subsidy (for its EWSS candidates) convert from the baseline's euros
+    equal, at those rows, the cents of the whole columns: on drawn amounts,
+    negative self-employment income among them, and drawn moved rows."""
+    pop, column = drawn_money(population, data)
+    n = pop.persons.person_id.size
+    money = vars(pop.persons)
     base = build_baseline(pop, BASE_CONTROLS, tables, schedules, seed=5)
     emp, se = cents(money["employment_income"]), cents(money["self_employment_income"])
     cap_pens = cents(money["capital_income"]) + cents(money["private_pension"])
@@ -350,6 +371,55 @@ def test_steps_read_the_cents_of_the_whole_columns(tables, schedules, population
                                                                                    date)):
         scenario.wage_subsidy(base, controls_at(wave.date, tables, base), wave, tables,
                               schedules, job_lost, ceib)
-    rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(SECTORS)])
-    rows = rows[~job_lost[rows] & ~ceib[rows]]
+    rows = subsidy_candidates(base, job_lost, ceib)
     assert_same_arrays(weekly, [round_div(emp, 52)[rows]] if rows.size else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=POPULATIONS, data=st.data())
+def test_twss_prices_the_take_home_pay_build_baseline_computed(tables, schedules, population,
+                                                               data):
+    """The weekly take-home pay that wage_subsidy derives for its TWSS
+    candidates equals, at their rows, round_div(max(emp - tax, 0), 52) with
+    the annual tax of the whole population's baseline accounts, as
+    build_baseline once kept it for everyone: on drawn amounts and drawn job
+    losses and CEIB cases."""
+    pop, column = drawn_money(population, data)
+    base = build_baseline(pop, BASE_CONTROLS, tables, schedules, seed=5)
+    state = column(st.sampled_from([0, 1, 2]))  # stays, loses the job, CEIB
+    job_lost, ceib = state == 1, state == 2
+    wave = WavePoint(label="w", date=dt.date(2020, 5, 5), subsidy="twss")
+    twss, weekly = taxben.twss_subsidy_cents, []
+    with mock.patch.object(taxben, "twss_subsidy_cents",
+                           lambda schedules, pay, date: weekly.append(pay) or twss(schedules, pay,
+                                                                                   date)):
+        scenario.wage_subsidy(base, controls_at(wave.date, tables, base), wave, tables,
+                              schedules, job_lost, ceib)
+    rows = subsidy_candidates(base, job_lost, ceib)
+    assert_same_arrays(weekly, [baseline_take_home(base, schedules)[rows]] if rows.size else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=POPULATIONS)
+def test_fixed_pools_hold_the_weight_sum_and_maximum_of_their_ascending_rows(
+        tables, schedules, population):
+    """Each fixed pool (`pup:<sector>`, `deferral`) keeps its members in
+    alignment order, and the sum and largest of their weights as np.sum and
+    np.max give them over the ascending rows, bit for bit; an empty pool's
+    largest weight is the largest household weight."""
+    base = build_baseline(column_population(*population), BASE_CONTROLS, tables, schedules,
+                          seed=5)
+    person_weight = base.hh_weight[base.hh_row]
+    pup = base.is_worker & (base.age >= 18) & (base.age <= 66)
+    members = {f"pup:{s}": (np.flatnonzero(pup & (base.sector_idx == i)), person_weight)
+               for i, s in enumerate(SECTORS)}
+    members["deferral"] = (np.flatnonzero(base.tenure_code == expenses.TENURE_CODES["mortgage"]),
+                           base.hh_weight)
+    assert {label for label in base.strata if not label.startswith("subsidy:")} == set(members)
+    for label, (rows, weight) in members.items():
+        ranked, available, w_max = base.strata[label]
+        assert np.array_equal(np.sort(ranked), rows), label
+        expected = (np.sum(weight[rows]),
+                    np.max(weight[rows]) if rows.size else np.max(base.hh_weight))
+        assert [np.float64(x).tobytes() for x in (available, w_max)] == \
+            [x.tobytes() for x in expected], label

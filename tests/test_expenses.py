@@ -283,6 +283,15 @@ def test_band_codes_index_the_band_labels():
     assert CASE_AGE_BANDS[case_age_band(40)] == "35-44" and AGE_BANDS[age_band(40)] == "40"
 
 
+@given(ages=st.lists(st.integers(0, 2 ** 62), max_size=60))
+def test_case_band_codes_equal_a_binary_search_over_the_band_starts(ages):
+    """case_age_band counts the band starts at or below each age, which is
+    the binary search over them that it replaced, at any valid age."""
+    ages = np.array(ages, dtype=np.int64)
+    assert np.array_equal(case_age_band(ages), np.searchsorted(
+        (1, 5, 15, 25, 35, 45, 55, 65), ages, side="right"))
+
+
 def _grid_rows(data_dir, name, column) -> dict:
     with open(os.path.join(data_dir, name), newline="", encoding="utf-8") as fh:
         return {(row["age_band"], int(row["quintile"])): float(row[column])

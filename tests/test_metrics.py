@@ -74,6 +74,16 @@ class TestWeightedGini:
     def test_all_zero_convention(self):
         assert weighted_gini([0.0, 0.0], [1.0, 1.0]) == 0.0
 
+    @pytest.mark.parametrize("values, weights, message", [
+        ([], [], "gini of an empty vector"),
+        ([1.0, 2.0], [1.0], "values and weights differ in length"),
+        ([1.0, 2.0], [1.0, 0.0], "weights must be positive"),
+        ([1.0, 2.0], [1.0, -1.0], "weights must be positive"),
+    ])
+    def test_argument_faults_are_named(self, values, weights, message):
+        with pytest.raises(MetricsError, match=f"^{message}$"):
+            weighted_gini(values, weights)
+
 
 # household values with heavy ties, signed zeros and negatives
 HOUSEHOLD_VALUE = (st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.25, 1e-300, -1e-300])

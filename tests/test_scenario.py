@@ -23,7 +23,7 @@ from nowcastsim.money import cents, round_div, weekly_to_monthly
 from nowcastsim.population import (SECTORS, WORK_STATUSES, WORKER_CODES, Population,
                                    SynthConfig, Table, generate_synthetic)
 from nowcastsim.scenario import (CALIBRATED_COLUMNS, CASE_AGE_BANDS, ControlError, ControlTotals,
-                                 ScenarioError, WavePoint, _align_rows, apply_wave,
+                                 ScenarioError, WavePoint, _align_rows, _pool_weight, apply_wave,
                                  build_baseline, control_gaps, load_control_totals,
                                  nowcast_baseline, parse_scenario, run_scenario,
                                  schedule_faults)
@@ -344,22 +344,24 @@ class TestScheduleFaults:
 
 class TestAlignUnitsEmptyStratum:
     """A stratum with no eligible units absorbs a target of at most one
-    unit-weight, the largest weight of all units, by selecting nobody; a
+    unit-weight, the largest household weight, by selecting nobody; a
     larger target is infeasible."""
 
     def test_target_within_unit_weight_selects_nobody(self):
         for target in (0.5, 1.0):
             empty = np.empty(0, dtype=np.int64)
-            chosen = _align_rows(empty, empty, np.array([0.5, 1.0]), target,
-                                 "sickness cases in age band 0")
+            chosen = _align_rows(empty, np.empty(0), *_pool_weight(np.empty(0),
+                                                                   np.array([0.5, 1.0])),
+                                 target, "sickness cases in age band 0")
             assert chosen.size == 0
 
     def test_target_above_unit_weight_raises_with_context(self):
         for unit_weight, target in ((0.0, 0.5), (1.0, 1.5)):
             with pytest.raises(AlignmentError, match="sickness cases in age band 0"):
                 empty = np.empty(0, dtype=np.int64)
-                _align_rows(empty, empty, np.array([unit_weight, 0.0]), target,
-                            "sickness cases in age band 0")
+                _align_rows(empty, np.empty(0), *_pool_weight(np.empty(0),
+                                                              np.array([unit_weight, 0.0])),
+                            target, "sickness cases in age band 0")
 
 
 def same_columns(a, b) -> bool:
@@ -370,6 +372,11 @@ def same_columns(a, b) -> bool:
 def person_weights(pop):
     h = pop.households
     return h.weight[np.searchsorted(h.household_id, pop.persons.household_id)]
+
+
+def base_weights(base):
+    """Each person's weight in a baseline: their household's."""
+    return base.hh_weight[base.hh_row]
 
 
 def is_worker(persons):
@@ -575,6 +582,30 @@ class TestLayout:
         assert_bit_equal([vars(s) for s in summaries], [vars(s) for s in wide_summaries])
 
 
+def test_baseline_owns_13_bytes_per_person_48_per_household_and_its_pools(tables, schedules):
+    """The arrays a baseline owns, those that are no view of its input,
+    hold 13 bytes per person (hh_row, and is_worker, commute_mode, cap_band,
+    cap_quintile and cap_participant at 1 byte each), 48 per household
+    (housing, equivalence scale, childcare, market income, taxes, benefits),
+    8 per sector (its worker weight) and the alignment pools: 8 per member
+    of a fixed pool, its ranked rows, and 16 per member of a subsidy pool,
+    its rows ascending and ranked. Growing the baseline changes this test."""
+    pop = generate_synthetic(SynthConfig(households=2000, weight_jitter=True), 9)
+    base = build_baseline(pop, ControlTotals(date=D(2019, 12, 1)), tables, schedules, seed=9)
+    inputs = [*vars(pop.persons).values(), *vars(pop.households).values()]
+    arrays = [a for a in [*vars(base).values(),
+                          *(item for pool in base.strata.values() for item in pool)]
+              if isinstance(a, np.ndarray)]
+    owned = [a for a in arrays if not any(np.shares_memory(a, column) for column in inputs)]
+    in_sector = base.is_worker & (base.sector_idx >= 0)
+    fixed_members = (np.sum(in_sector & (base.age >= 18) & (base.age <= 66))
+                     + np.sum(base.tenure_code == population.TENURES.index("mortgage")))
+    subsidy_members = np.sum(in_sector & (base.status == taxben.STATUS_CODES["employee"]))
+    assert sum(a.nbytes for a in owned) == (13 * base.pid.size + 48 * base.hid.size
+                                            + 8 * len(SECTORS) + 8 * fixed_members
+                                            + 16 * subsidy_members)
+
+
 class TestBaselineInputOrder:
     """On input in id order build_baseline reads the columns in place; any
     other order is sorted into copies. Both give one baseline."""
@@ -605,9 +636,9 @@ class TestBaselineInputOrder:
             assert all(column.flags.writeable for column in vars(table).values())
 
     def test_every_baseline_array_is_read_only(self, ordered_base):
-        arrays = ([v for v in vars(ordered_base).values() if isinstance(v, np.ndarray)]
-                  + [rows for pair in ordered_base.strata.values() for rows in pair]
-                  + ordered_base.band_workers)
+        arrays = [v for v in [*vars(ordered_base).values(),
+                              *(item for pool in ordered_base.strata.values() for item in pool)]
+                  if isinstance(v, np.ndarray)]
         assert len(arrays) > 30 and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             ordered_base.employment_income[0] = 0
@@ -711,14 +742,14 @@ class TestApplyWave:
         controls = shipped_controls.at(wave.date)
         r = apply_wave(base, controls, wave, tables, schedules, seed=7)
         pup_code = taxben.COVID_CODES["pup_recipient"]
+        weight = base_weights(base)
         for sector, count in controls.pup_by_sector.items():
             s = SECTORS.index(sector)
             mask = base.is_worker & (base.sector_idx == s)
-            pop_weight = float(base.person_weight[mask].sum())
+            pop_weight = float(weight[mask].sum())
             target = count * pop_weight / tables.national["sector_employment"][sector]
-            realized = float(base.person_weight[(r.covid_code == pup_code)
-                                                & (base.sector_idx == s)].sum())
-            assert abs(realized - target) <= base.person_weight.max() + 1e-9
+            realized = float(weight[(r.covid_code == pup_code) & (base.sector_idx == s)].sum())
+            assert abs(realized - target) <= weight.max() + 1e-9
 
     def test_recipients_lose_earnings_and_gain_banded_rate(self, base, tables,
                                                            schedules, shipped_controls):
@@ -846,9 +877,9 @@ class TestCompare:
                          tables, schedules, seed=7)
         def gini_delta(result, name):
             return (metrics.weighted_gini(equivalised(base, result, name)[base.hh_row],
-                                          base.person_weight)
+                                          base_weights(base))
                     - metrics.weighted_gini(equivalised(base, before, name)[base.hh_row],
-                                            base.person_weight))
+                                            base_weights(base)))
 
         assert gini_delta(on, "market") > 0
         assert gini_delta(on, "disposable") < gini_delta(off, "disposable")
@@ -936,7 +967,7 @@ def benefit_change_per_recipient(base, result):
     codes = [taxben.COVID_CODES[state] for state in ("pup_recipient", "ceib_recipient")]
     recipients = np.isin(result.covid_code, codes)
     change = np.sum(base.hh_weight * (result.benefits - base.benefits)) / 100.0
-    return change / base.person_weight[recipients].sum()
+    return change / base_weights(base)[recipients].sum()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1161,7 +1192,7 @@ class TestSharedDraws:
         pop = generate_synthetic(SynthConfig(households=households, weight_jitter=True), 5)
         base, results, summaries = run_scenario(pop, plan, shipped_controls, tables,
                                                 schedules, seed=11)
-        w = base.person_weight
+        w = base_weights(base)
         deciles = metrics.weighted_quantile_groups(np.argsort(
             equivalised(base, results[0], "adjusted")[base.hh_row], kind="stable"), w, 10)
         groups = metrics.decile_groups(base.hh_row, w, deciles)
@@ -1505,7 +1536,7 @@ class TestQuantileGroupsOfARun:
         for (order, n_groups, groups), values, weight, ids in (
                 (calls[0], equiv, group_weight, base.hid),
                 (calls[1], equiv, group_weight, base.hid),
-                (calls[2], first, base.person_weight, base.pid)):
+                (calls[2], first, base_weights(base), base.pid)):
             assert np.array_equal(order, np.lexsort((ids, values)))
             assert np.array_equal(groups, lexsort_groups(values, weight, n_groups, ids))
 
@@ -1525,13 +1556,13 @@ class TestWeightedPopulation:
             r.adjusted, r.disposable - r.housing - r.capital_adjustment
             - r.work_expenses)
         pup = r.covid_code == taxben.COVID_CODES["pup_recipient"]
-        w_max = state.person_weight.max()
+        weight = base_weights(state)
+        w_max = weight.max()
         for sector, count in controls.pup_by_sector.items():
             s = SECTORS.index(sector)
             mask = state.is_worker & (state.sector_idx == s)
-            scale = state.person_weight[mask].sum() \
-                / tables.national["sector_employment"][sector]
-            realized = state.person_weight[pup & (state.sector_idx == s)].sum()
+            scale = weight[mask].sum() / tables.national["sector_employment"][sector]
+            realized = weight[pup & (state.sector_idx == s)].sum()
             assert abs(realized - count * scale) <= w_max + 1e-9
         for s in summaries:
             assert 0.0 < s.gini["disposable"] < 1.0

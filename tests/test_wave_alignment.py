@@ -20,7 +20,8 @@ from nowcastsim.money import cents, round_div
 from nowcastsim.population import (SECTORS, Population, SynthConfig, Table,
                                    generate_synthetic, validate)
 from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, _align_rows,
-                                 apply_wave, build_baseline, case_age_band)
+                                 _pool_weight, apply_wave, build_baseline, case_age_band)
+from scenario_oracle import baseline_take_home
 
 SEED = 11
 BEFORE_EWSS, AFTER_EWSS = dt.date(2020, 6, 6), dt.date(2020, 11, 15)
@@ -47,14 +48,15 @@ def oracle_align_units(ids, weights, target, seed, label, unit_weight, context):
 def oracle_states(base, controls, wave, tables, schedules, seed):
     """(job_lost, ceib, subsidised, deferred) as the per-wave path chose them."""
     n = base.pid.size
-    unit_weight = float(np.max(base.person_weight))
+    person_weight = base.hh_weight[base.hh_row]
+    unit_weight = float(np.max(person_weight))
     national = tables.national["sector_employment"]
 
     def scaled(counts):
         targets = {}
         for sector, count in counts.items():
             mask = base.is_worker & (base.sector_idx == SECTORS.index(sector))
-            targets[sector] = count * float(np.sum(base.person_weight[mask])) / national[sector]
+            targets[sector] = count * float(np.sum(person_weight[mask])) / national[sector]
         return targets
 
     def pick(rows, ids, weights, target, label, unit, context):
@@ -66,18 +68,18 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
     eligible = base.is_worker & (base.age >= 18) & (base.age <= 66)
     for sector, target in sorted(scaled(controls.pup_by_sector).items()):
         rows = np.flatnonzero(eligible & (base.sector_idx == SECTORS.index(sector)))
-        job_lost[pick(rows, base.pid, base.person_weight, target, f"pup:{sector}",
+        job_lost[pick(rows, base.pid, person_weight, target, f"pup:{sector}",
                       unit_weight, f"job losses in {sector!r}")] = True
 
     ceib = np.zeros(n, dtype=bool)
     if wave.ceib_on and controls.ceib_cases:
-        pop_share = float(np.sum(base.person_weight)) / tables.national["population_total"]
+        pop_share = float(np.sum(person_weight)) / tables.national["population_total"]
         bands = case_age_band(base.age)
         for (band, in_work), count in sorted(controls.ceib_cases.items()):
             if in_work:
                 rows = np.flatnonzero(base.is_worker & ~job_lost
                                       & (bands == CASE_AGE_BANDS.index(band)))
-                ceib[pick(rows, base.pid, base.person_weight, count * pop_share,
+                ceib[pick(rows, base.pid, person_weight, count * pop_share,
                           f"ceib:{band}:{wave.date.isoformat()}", unit_weight,
                           f"sickness cases in age band {band}")] = True
 
@@ -95,14 +97,14 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
         if rows.size:
             if scheme == "twss":
                 amount[rows] = taxben.twss_subsidy_cents(
-                    schedules, base.take_home_weekly_cents[rows], wave.date)
+                    schedules, baseline_take_home(base, schedules)[rows], wave.date)
             else:
                 amount[rows] = taxben.ewss_subsidy_cents(
                     schedules, round_div(cents(base.employment_income), 52)[rows], wave.date)
         for sector, target in sorted(targets.items()):
             rows = sector_rows[sector]
             rows = rows[amount[rows] > 0]
-            subsidised[pick(rows, base.pid, base.person_weight, target, f"subsidy:{sector}",
+            subsidised[pick(rows, base.pid, person_weight, target, f"subsidy:{sector}",
                             unit_weight, f"wage subsidy in {sector!r}")] = True
 
     deferred = np.zeros(base.hid.size, dtype=bool)
@@ -186,14 +188,15 @@ def controls_for(base, tables, schedules, wave, kinds):
     """Control totals whose rescaled targets take the given kind per stratum,
     measured against each pool as it is before any person is moved."""
     national = tables.national
-    weight = base.person_weight
+    weight = base.hh_weight[base.hh_row]
     sector_weight = {s: float(np.sum(weight[base.is_worker & (base.sector_idx == i)]))
                      for i, s in enumerate(SECTORS)}
     pup, subsidy = {}, {}
     eligible = base.is_worker & (base.age >= 18) & (base.age <= 66)
     employee = base.status == taxben.STATUS_CODES["employee"]
     if wave.subsidy == "twss" or (wave.subsidy == "auto" and wave.date < taxben.EWSS_HANDOVER):
-        amount = taxben.twss_subsidy_cents(schedules, base.take_home_weekly_cents, wave.date)
+        amount = taxben.twss_subsidy_cents(schedules, baseline_take_home(base, schedules),
+                                           wave.date)
     else:
         amount = taxben.ewss_subsidy_cents(schedules, round_div(cents(base.employment_income), 52),
                                            wave.date)
@@ -271,14 +274,16 @@ def test_scaling_weights_and_target_keeps_the_outcome(weights, target, k):
     """Scaling every weight and the target by 2**k, which is exact in
     floating point, keeps whether a stratum's alignment raises and, if it
     does not, the rows it takes. The one row outside the pool weighs 1, the
-    unit weight of an empty pool."""
+    unit weight of an empty pool, as the largest of all weights."""
     weight = np.array(weights + [1.0])
     pool = np.arange(len(weights))
     ranked = pool[::-1].copy()
 
     def outcome(scale):
+        scaled = weight * scale
         try:
-            return _align_rows(pool, ranked, weight * scale, target * scale, "stratum").tolist()
+            return _align_rows(ranked, scaled[ranked], *_pool_weight(scaled[pool], scaled),
+                               target * scale, "stratum").tolist()
         except AlignmentError:
             return "raises"
     assert outcome(2.0 ** k) == outcome(1.0)
