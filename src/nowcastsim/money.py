@@ -36,12 +36,13 @@ def has_cents(euros):
 def cents(euros):
     """Euros to int64 cents: the float product euros x 100 rounded half away
     from zero. An amount outside `has_cents` raises ValueError."""
-    ok = has_cents(euros)
-    if not ok.all():
-        raise ValueError(f"cannot convert {np.extract(~ok, euros)[0]:g} euros to cents: "
-                         "an amount must be finite and under 2**53 cents in magnitude")
-    scaled = np.asarray(euros, dtype=np.float64) * 100.0
+    with np.errstate(over="ignore"):
+        scaled = np.asarray(euros, dtype=np.float64) * 100.0
     size = np.abs(scaled)
+    if not (size < MAX_CENTS).all():  # has_cents, on the one product
+        bad = np.extract(~(size < MAX_CENTS), euros)[0]
+        raise ValueError(f"cannot convert {bad:g} euros to cents: "
+                         "an amount must be finite and under 2**53 cents in magnitude")
     whole = np.floor(size)
     return np.copysign(whole + (size - whole >= 0.5), scaled).astype(np.int64)
 

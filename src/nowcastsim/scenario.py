@@ -35,8 +35,8 @@ objects in every wave whose switches agree; a wave that defers nobody
 holds the baseline's housing cost itself, and one that moves nobody its
 market income, taxes and benefits. Adjusted income and the person arrays
 are each wave's own. Each distinct cents array is equivalised and
-summarized once, over households and (household, decile) pairs. At
-`threads` > 1 dates, not waves, run in parallel.
+summarized once, over households and (household, decile) pairs. Dates,
+not waves, run in parallel at `threads` > 1, each thread taking the next.
 
 Age bands are computed as integer codes into `CASE_AGE_BANDS` (sickness
 cases, employment rates) and `expenses.AGE_BANDS` (holdings); the control
@@ -945,11 +945,11 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
 
     The first wave (the earliest, in parse_scenario's order) anchors the
     decile ranking: its date runs first, and persons are ranked once, by its
-    equivalised adjusted income, for every wave's decile table. The other
-    dates run in rounds of up to `threads`, the calling thread among them.
-    Consecutive waves of one date share every result their switches agree
-    on, and the thread that runs a date summarizes it, each distinct array
-    once; results and summaries keep the scenario's order.
+    equivalised adjusted income, for every wave's decile table. Up to
+    `threads` threads, the calling thread among them, take the other dates
+    one at a time. Consecutive waves of one date share every result their
+    switches agree on, and the thread that runs a date summarizes it, each
+    distinct array once; results and summaries keep the scenario's order.
     """
     base = build_baseline(pop, series.at(scenario.waves[0].date), tables, schedules, seed)
 
@@ -980,40 +980,38 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
         np.argsort(equivalised(first[0].adjusted)[base.hh_row], kind="stable"), w, 10))
     del w
     done = [summarized(first)]
-
-    def run_and_summarize(waves: list) -> tuple:
-        return summarized(run_date(waves))
-    done.extend(_in_rounds(run_and_summarize, dates, threads))
+    done.extend(_in_threads(lambda waves: summarized(run_date(waves)), dates, threads))
     return (base, [r for results, _ in done for r in results],
             [s for _, summaries in done for s in summaries])
 
 
-def _in_rounds(fn, items: list, threads: int) -> list:
-    """`fn` of each item, in order, in rounds of `threads` items. The
-    calling thread takes the first item of each round, and up to threads - 1
-    threads, started once (one per round at times peaked 40 MB higher at 1M
-    persons), take the others. A round ends when all its items have; none
-    starts after one that raised. Every thread has ended when this returns
-    or raises; the first exception, in item order, is raised."""
+def _in_threads(fn, items: list, threads: int) -> list:
+    """`fn` of each item. The calling thread, taking the first, and up to
+    threads - 1 threads started once each take the next item not yet taken,
+    none after an item raised or an exception left the caller (a Ctrl-C
+    while it joins). Every thread has ended on return or raise, unless a
+    signal breaks the join; the first exception in item order is raised."""
     outcomes = [None] * len(items)
-    barrier = threading.Barrier(max(1, min(threads, len(items))))
+    cursor = iter(range(len(items)))  # its next() is one C call, atomic under the GIL
 
-    def run(j):
-        for start in range(0, len(items), threads):
-            if start + j < len(items):
-                try:
-                    outcomes[start + j] = fn(items[start + j])
-                except BaseException as exc:  # raised in the caller, as Future.result() would
-                    outcomes[start + j] = exc
-            barrier.wait()  # then every thread sees the same outcomes up to this round
-            if any(isinstance(outcome, BaseException) for outcome in outcomes[:start + threads]):
-                return
-    started = [threading.Thread(target=run, args=(j,)) for j in range(1, barrier.parties)]
-    for thread in started:
-        thread.start()
-    run(0)
-    for thread in started:
-        thread.join()
+    def run(taken):
+        for k in taken:
+            try:
+                outcomes[k] = fn(items[k])
+            except BaseException as exc:  # raised in the caller, as Future.result() would
+                outcomes[k] = exc
+                list(cursor)  # drained: no thread takes another item
+    first = list(itertools.islice(cursor, 1))  # taken before any other thread starts
+    started = [threading.Thread(target=run, args=(cursor,))
+               for _ in range(min(threads, len(items)) - 1)]
+    try:
+        for thread in started:
+            thread.start()
+        run(itertools.chain(first, cursor))
+    finally:
+        list(cursor)  # also when an exception leaves the calling thread outside fn
+        for thread in started:
+            thread.join()
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome

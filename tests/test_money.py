@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nowcastsim.money import (MAX_CENTS, annual_to_monthly, apply_rate, cents, euros,
+from nowcastsim.money import (MAX_CENTS, annual_to_monthly, apply_rate, cents, euros, has_cents,
                               round_div, weekly_to_monthly)
 
 
@@ -115,3 +115,40 @@ def test_cents_rejects_amounts_past_exact_cents():
             cents(np.array([0.0, amount]))
         with pytest.raises(ValueError, match="under 2\\*\\*53 cents"):
             cents(amount)
+
+
+def two_pass_cents(euros):
+    """`cents` as first written, the reference for its one-pass form:
+    `has_cents` takes the product euros x 100 and its magnitude, and the
+    conversion takes both again."""
+    ok = has_cents(euros)
+    if not ok.all():
+        raise ValueError(f"cannot convert {np.extract(~ok, euros)[0]:g} euros to cents: "
+                         "an amount must be finite and under 2**53 cents in magnitude")
+    scaled = np.asarray(euros, dtype=np.float64) * 100.0
+    size = np.abs(scaled)
+    whole = np.floor(size)
+    return np.copysign(whole + (size - whole >= 0.5), scaled).astype(np.int64)
+
+
+# a few cents either side of +-2**53 cents, and single amounts at the edges
+NEAR_MAX = st.builds(lambda sign, d: sign * (MAX_CENTS + d) / 100.0, st.sampled_from([1, -1]),
+                     st.integers(-4, 4))
+EDGES = st.sampled_from([0.005, -0.005, 0.015, -0.015, 0.49999999999999994 / 100,
+                         math.nextafter(MAX_CENTS / 100.0, 0), -MAX_CENTS / 100.0,
+                         math.inf, -math.inf, math.nan, 1e308, -1e308, -0.0])
+AMOUNTS = st.floats() | HALF_CENTS | NEAR_MAX | EDGES
+
+
+@given(values=st.lists(AMOUNTS, max_size=12), scalar=st.booleans())
+def test_cents_in_one_pass_matches_the_two_pass_formula(values, scalar):
+    """The same int64 cents, or the same ValueError, for arrays and scalars."""
+    amounts = values[0] if scalar and values else np.array(values, dtype=np.float64)
+    outcomes = []
+    for convert in (cents, two_pass_cents):
+        try:
+            out = convert(amounts)
+            outcomes.append((out.dtype, out.tolist()))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

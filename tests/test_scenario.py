@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -1250,8 +1251,8 @@ class TestSharedDraws:
 
 class TestDateLoop:
     """run_scenario runs the first date in the calling thread and ranks the
-    deciles by it; then rounds of up to `threads` dates, the calling thread
-    taking each round's first, and a pool of `threads - 1` the others."""
+    deciles by it; then the calling thread, which takes the second date, and
+    `threads - 1` threads each take the next date not yet taken."""
 
     @pytest.fixture(scope="class")
     def plan(self, default_scenario):
@@ -1272,10 +1273,10 @@ class TestDateLoop:
     def test_the_calling_thread_is_one_of_the_threads(self, pop, default_scenario,
                                                       shipped_controls, tables, schedules,
                                                       monkeypatch, threads):
-        """The 6 dates after the first run in rounds of `threads`: the caller
-        runs the first date of each, and each of threads - 1 threads, started
-        once, the same place in every round; every started thread has ended
-        when the run returns."""
+        """The caller runs the first date and the second; each of the 6
+        dates after the first runs in the caller or in one of threads - 1
+        threads, started once, and every started thread has ended when the
+        run returns."""
         caller, starts, ran_in, inner = threading.current_thread(), [], {}, scenario.apply_wave
 
         class Recorded(threading.Thread):
@@ -1290,25 +1291,83 @@ class TestDateLoop:
                      threads=threads)
         first, *dates = sorted(ran_in)
         assert len(dates) == 6 and len(starts) == threads - 1 and ran_in[first] is caller
-        assert [ran_in[date] for date in dates] == [
-            starts[k % threads - 1] if k % threads else caller for k in range(6)]
+        assert ran_in[dates[0]] is caller and {ran_in[date] for date in dates} <= {caller, *starts}
         assert not any(thread.is_alive() for thread in starts)
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 9])
-    def test_no_round_starts_after_one_that_raised(self, threads):
-        """Items 2 and 4 raise: item 2's exception is raised once every
-        thread has ended, and only the rounds up to the one holding item 2
-        have run."""
-        alive, ran = threading.enumerate(), []
+    def test_no_item_starts_after_one_raised(self, threads):
+        """Items 2 and 4 raise, and an item after item 2 ends only once item
+        2 has raised. Item 2's exception is raised once every thread has
+        ended; items 0-2 have run, each item at most once, and none past
+        2 + threads - 1, the last the other threads can hold when 2 raises."""
+        alive, ran, raised = threading.enumerate(), [], threading.Event()
 
         def fn(k):
             ran.append(k)
+            if k > 2:
+                raised.wait(10)
+                time.sleep(0.01)  # past the instructions that record item 2's exception
             if k in (2, 4):
+                raised.set()
                 raise ValueError(k)
         with pytest.raises(ValueError, match="^2$"):
-            scenario._in_rounds(fn, list(range(8)), threads)
-        assert sorted(ran) == list(range(min(8, threads * (2 // threads + 1))))
+            scenario._in_threads(fn, list(range(8)), threads)
+        assert {0, 1, 2} <= set(ran) and len(set(ran)) == len(ran)
+        assert max(ran) <= 2 + threads - 1
         assert threading.enumerate() == alive
+
+    def test_a_slow_item_holds_no_other_thread(self):
+        """Items [slow, fast x 5] at 2 threads: the other thread runs items
+        1-5 while the calling thread runs item 0, which ends once item 5 has
+        run."""
+        caller, ran_in, rest, waited = threading.current_thread(), {}, threading.Event(), []
+
+        def fn(k):
+            ran_in[k] = threading.current_thread()
+            if k == 0:
+                waited.append(rest.wait(10))
+            if k == 5:
+                rest.set()
+        scenario._in_threads(fn, list(range(6)), 2)
+        other = ran_in[1]
+        assert waited == [True] and other is not caller
+        assert ran_in == {0: caller, 1: other, 2: other, 3: other, 4: other, 5: other}
+
+    def test_every_item_runs_once_under_frequent_thread_switches(self):
+        """8 threads take 2,000 items from the one cursor with a thread
+        switch requested every microsecond: no item is taken twice or lost."""
+        ran, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = scenario._in_threads(lambda k: ran.append(k) or -k, list(range(2000)), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [-k for k in range(2000)] and sorted(ran) == list(range(2000))
+
+    def test_an_interrupt_while_the_caller_joins_leaves_no_thread(self):
+        """A Ctrl-C that reaches the calling thread while the other thread
+        runs a slow item: the KeyboardInterrupt is raised, and the process
+        exits with no thread left. A child process runs it, so that a thread
+        left waiting cannot stall this one's exit."""
+        code = textwrap.dedent("""
+            import _thread, threading, time
+            from nowcastsim.scenario import _in_threads
+
+            def fn(k):  # the calling thread's items are quick, the other thread's slow
+                time.sleep(0.05 if threading.current_thread() is threading.main_thread() else 1)
+            timer = threading.Timer(0.3, _thread.interrupt_main)
+            timer.start()
+            try:
+                _in_threads(fn, list(range(4)), 2)
+            except KeyboardInterrupt:
+                timer.join()
+                print("KeyboardInterrupt", len(threading.enumerate()))
+            """)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nowcastsim.__file__))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              encoding="utf-8", timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["KeyboardInterrupt", "1"]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_deciles_are_ranked_before_the_second_date_runs(
