@@ -24,7 +24,7 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, metrics, population, scenario, taxben
-from .calibration import AlignmentError, IpfError
+from .calibration import AlignmentError
 from .files import finite
 from .money import cents, euros
 from .population import PopulationError
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.fn(args)
-    except (AlignmentError, IpfError) as exc:
+    except AlignmentError as exc:
         print(f"infeasible calibration: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except PopulationError as exc:

@@ -240,11 +240,12 @@ def childcare_costs_cents(models, grid: ChildcareCostGrid, household_ids, weight
 TENURE_CODES = {tenure: code for code, tenure in enumerate(TENURES)}
 
 
-def housing_cost_cents(tenure_code, mortgage_cents, rent_cents, deferred) -> np.ndarray:
-    """Monthly housing cost: rent for renters, the mortgage payment for
-    mortgage holders unless deferred, nothing for outright owners."""
+def housing_cost_cents(tenure_code, mortgage_cents, rent_cents) -> np.ndarray:
+    """Monthly housing cost with nothing deferred: rent for renters, the
+    mortgage payment for mortgage holders, nothing for outright owners.
+    `deferred_housing_cents` applies a wave's deferrals to it."""
     cost = np.where(tenure_code == TENURE_CODES["renter"], rent_cents, 0)
-    return np.where((tenure_code == TENURE_CODES["mortgage"]) & ~deferred, mortgage_cents, cost)
+    return np.where(tenure_code == TENURE_CODES["mortgage"], mortgage_cents, cost)
 
 
 def deferred_housing_cents(housing_cents, rows) -> np.ndarray:

@@ -21,7 +21,7 @@ _U53 = 1.0 / (1 << 53)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z + _GAMMA) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    z = z + _GAMMA  # uint64 arithmetic wraps modulo 2**64
     z = (z ^ (z >> np.uint64(30))) * _M1
     z = (z ^ (z >> np.uint64(27))) * _M2
     return z ^ (z >> np.uint64(31))

@@ -470,7 +470,7 @@ def nowcast_baseline(persons: Table, weight, controls: ControlTotals, seed: int)
 def _weighted_median(values, weights) -> float:
     if not len(values):
         return 0.0
-    order = np.argsort(values)
+    order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
     return float(values[order][np.searchsorted(cum, 0.5 * cum[-1])])
 
@@ -485,17 +485,18 @@ class BaselineState:
     takes as read (ids, age, weights, money, ...) are views of the input
     columns. Its own arrays hold 13 bytes per person and 48 per household,
     plus the alignment pools (about 11 bytes per person). It keeps only what
-    a wave cannot rebuild where it reads it: a person's weight is
+    a wave reads and cannot rebuild where it reads it: a person's weight is
     `hh_weight[hh_row]`, a TWSS candidate's take-home pay is taxed from the
     money columns by `wage_subsidy`, and the CEIB step selects each age
-    band's workers from `is_worker` and `age`."""
+    band's workers from `is_worker` and `age`. No wave reads a person's
+    sector or a household's tenure: build_baseline reads them into the
+    pools, the commute modes and the housing cost, and keeps neither."""
 
     # person arrays (sorted by person id)
     pid: np.ndarray
     hh_row: np.ndarray           # index into the household arrays
     age: np.ndarray
     status: np.ndarray           # taxben.STATUS_CODES
-    sector_idx: np.ndarray       # index into SECTORS, -1 when none
     is_worker: np.ndarray
     essential: np.ndarray
     home_capable: np.ndarray
@@ -511,7 +512,6 @@ class BaselineState:
     # household arrays (sorted by household id)
     hid: np.ndarray
     hh_weight: np.ndarray
-    tenure_code: np.ndarray
     housing_cents: np.ndarray    # H with nothing deferred
     equiv_scale: np.ndarray
     childcare_weekly_cents: np.ndarray
@@ -631,7 +631,7 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
 
     return BaselineState(
         pid=pid, hh_row=hh_row, age=age,
-        status=persons.work_status, sector_idx=persons.industry, is_worker=is_worker,
+        status=persons.work_status, is_worker=is_worker,
         essential=persons.essential_worker, home_capable=persons.home_work_capable,
         employment_income=persons.employment_income,
         self_employment_income=persons.self_employment_income,
@@ -639,10 +639,8 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
         commute_mode=commute_mode,
         cap_band=cap_band, cap_quintile=quintile_p, cap_participant=cap_participant,
         hid=hid, hh_weight=hh_weight,
-        tenure_code=households.tenure,
         housing_cents=expenses.housing_cost_cents(
-            households.tenure, cents(households.mortgage_payment), cents(households.rent),
-            np.zeros(n_hh, dtype=bool)),
+            households.tenure, cents(households.mortgage_payment), cents(households.rent)),
         equiv_scale=scale,
         childcare_weekly_cents=childcare_weekly,
         market=accounts.market, taxes=accounts.taxes, benefits=accounts.benefits,

@@ -1,3 +1,4 @@
+import functools
 import os
 from importlib.resources import files
 
@@ -34,3 +35,33 @@ def small_pop():
 @pytest.fixture(scope="session")
 def default_scenario(data_dir):
     return scenario.parse_scenario(os.path.join(data_dir, "scenario.cfg"))
+
+
+def run_spied(pop, plan, *args, **kwargs) -> tuple:
+    """`scenario.run_scenario(pop, plan, ...)` with `scenario.apply_wave`
+    spied on, as (BaselineState, the WaveResults in `plan`'s order,
+    summaries). The spy keeps each result under its wave's label; the date
+    threads of a run at threads > 1 store concurrently, one dict store each,
+    which the GIL makes atomic. A wave applied twice, or not at all, fails."""
+    results, inner = {}, scenario.apply_wave
+
+    @functools.wraps(inner)
+    def apply_wave(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        if results.setdefault(result.label, result) is not result:
+            raise AssertionError(f"wave {result.label!r} was applied twice")
+        return result
+    scenario.apply_wave = apply_wave
+    try:
+        base, _, summaries = scenario.run_scenario(pop, plan, *args, **kwargs)
+    finally:
+        scenario.apply_wave = inner
+    assert sorted(results) == sorted(w.label for w in plan.waves)
+    return base, [results[w.label] for w in plan.waves], summaries
+
+
+@pytest.fixture(scope="session")
+def wave_spy():
+    """`run_spied`, the one way tests read a run's WaveResults:
+    `run_scenario` returns them only for the benchmark's launcher."""
+    return run_spied

@@ -28,11 +28,11 @@ def report(criterion, text):
 
 
 @pytest.fixture(scope="module")
-def pipeline_10k(tables, schedules, default_scenario):
+def pipeline_10k(tables, schedules, default_scenario, wave_spy):
     pop = population.generate_synthetic(population.SynthConfig(households=10_000), 42)
     series = scenario.load_control_totals(default_scenario.controls_path)
     start = time.perf_counter()
-    base, results, summaries = scenario.run_scenario(
+    base, results, summaries = wave_spy(
         pop, default_scenario, series, tables, schedules, seed=42, threads=1)
     elapsed = time.perf_counter() - start
     return pop, base, results, summaries, elapsed

@@ -180,6 +180,17 @@ class TestValidateCommand:
         assert capsys.readouterr().out == "all inputs valid\n"
 
 
+def calibrating_scenario(data_dir, tmp_path) -> str:
+    """The shipped scenario, written to `tmp_path` with controls that make
+    the nowcast hire, fire and uprate."""
+    shutil.copy(os.path.join(data_dir, "scenario.cfg"), tmp_path)
+    shutil.copy(os.path.join(data_dir, "control_totals.csv"), tmp_path)
+    with open(tmp_path / "control_totals.csv", "a", encoding="utf-8") as fh:
+        fh.write("employment_rate:25-34,2019-12-01,0.55\n"
+                 "employment_rate:45-54,2019-12-01,0.9\nwage_index,2019-12-01,1.03\n")
+    return str(tmp_path / "scenario.cfg")
+
+
 class TestRunCommand:
     def test_run_twice_is_byte_identical(self, data_dir, tmp_path):
         args = ["run", "--scenario", os.path.join(data_dir, "scenario.cfg"),
@@ -243,11 +254,7 @@ class TestRunCommand:
     def test_survey_row_order_does_not_change_output(self, data_dir, tmp_path):
         """Shuffled households.csv and persons.csv rows give the same
         tables, with controls that make the nowcast hire, fire and uprate."""
-        shutil.copy(os.path.join(data_dir, "scenario.cfg"), tmp_path)
-        shutil.copy(os.path.join(data_dir, "control_totals.csv"), tmp_path)
-        with open(tmp_path / "control_totals.csv", "a", encoding="utf-8") as fh:
-            fh.write("employment_rate:25-34,2019-12-01,0.55\n"
-                     "employment_rate:45-54,2019-12-01,0.9\nwage_index,2019-12-01,1.03\n")
+        calibrating_scenario(data_dir, tmp_path)
         save_population(generate_synthetic(SynthConfig(households=150, weight_jitter=True), 4),
                         tmp_path / "sorted")
         (tmp_path / "shuffled").mkdir()
@@ -263,6 +270,36 @@ class TestRunCommand:
             outputs.append(read_dir(out))
             del outputs[-1]["manifest.json"]
         assert outputs[0] == outputs[1]
+
+    def test_numpys_simd_level_does_not_change_output(self, data_dir, tmp_path):
+        """A run in a child process with numpy's SIMD levels above its x86
+        baseline disabled writes the bytes a native run writes, with controls
+        that make the nowcast align and take the employees' weighted median.
+        numpy accepts names it does not know, so the child must show the
+        levels the native process has as off."""
+        levels = {"X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"}
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(sorted(levels)),
+               "PYTHONPATH": os.path.dirname(os.path.dirname(nowcastsim.__file__))}
+        probe = [sys.executable, "-c", "from numpy._core._multiarray_umath import "
+                 "__cpu_features__ as f; print(*(name for name, on in f.items() if on))"]
+        native, reduced = (subprocess.run(probe, env=e, capture_output=True, encoding="utf-8")
+                           for e in (None, env))
+        if native.returncode or reduced.returncode:
+            pytest.skip("this numpy's CPU features cannot be read, or rejects "
+                        f"NPY_DISABLE_CPU_FEATURES: {(native.stderr + reduced.stderr).strip()}")
+        if not levels & set(native.stdout.split()):
+            pytest.skip("this CPU has none of the levels to disable")
+        assert not levels & set(reduced.stdout.split())
+        save_population(generate_synthetic(SynthConfig(households=300, weight_jitter=True), 4),
+                        tmp_path / "pop")
+        args = ["run", "--scenario", calibrating_scenario(data_dir, tmp_path),
+                "--population", str(tmp_path / "pop")]
+        assert main(args + ["--out", str(tmp_path / "native")]) == 0
+        done = subprocess.run([sys.executable, "-m", "nowcastsim.cli", *args,
+                               "--out", str(tmp_path / "reduced")], env=env,
+                              capture_output=True, encoding="utf-8")
+        assert done.returncode == 0, done.stderr
+        assert read_dir(tmp_path / "reduced") == read_dir(tmp_path / "native")
 
     def test_null_scenario_produces_zero_deltas(self, tmp_path, capsys):
         controls = tmp_path / "controls.csv"

@@ -233,8 +233,8 @@ def test_wave_housing_equals_the_cost_under_its_deferrals(tables, schedules, pop
                                                           data):
     """The baseline's one housing array, with a deferral mask drawn over the
     mortgage holders applied as the step `housing_cost` applies it, equals
-    housing_cost_cents on the input's tenures, mortgages and rents: itself
-    when nobody defers."""
+    housing_cost_cents on the input's tenures, mortgages and rents with the
+    deferring holders' cost zeroed: itself when nobody defers."""
     pop = column_population(*population)
     base = build_baseline(pop, BASE_CONTROLS, tables, schedules, seed=5)
     h = pop.households
@@ -243,8 +243,8 @@ def test_wave_housing_equals_the_cost_under_its_deferrals(tables, schedules, pop
     deferred[holders] = data.draw(st.lists(st.booleans(), min_size=holders.size,
                                            max_size=holders.size))
     housing = expenses.deferred_housing_cents(base.housing_cents, np.flatnonzero(deferred))
-    expected = expenses.housing_cost_cents(h.tenure, cents(h.mortgage_payment), cents(h.rent),
-                                           deferred)
+    expected = np.where(deferred, 0, expenses.housing_cost_cents(
+        h.tenure, cents(h.mortgage_payment), cents(h.rent)))
     assert housing.dtype == expected.dtype and np.array_equal(housing, expected)
     assert (housing is base.housing_cents) == (not deferred.any())
     r = apply_wave(base, BASE_CONTROLS, WavePoint(label="w", date=BASE_CONTROLS.date), tables,
@@ -407,14 +407,15 @@ def test_fixed_pools_hold_the_weight_sum_and_maximum_of_their_ascending_rows(
     alignment order, and the sum and largest of their weights as np.sum and
     np.max give them over the ascending rows, bit for bit; an empty pool's
     largest weight is the largest household weight."""
-    base = build_baseline(column_population(*population), BASE_CONTROLS, tables, schedules,
-                          seed=5)
+    pop = column_population(*population)  # in id order
+    base = build_baseline(pop, BASE_CONTROLS, tables, schedules, seed=5)
     person_weight = base.hh_weight[base.hh_row]
     pup = base.is_worker & (base.age >= 18) & (base.age <= 66)
-    members = {f"pup:{s}": (np.flatnonzero(pup & (base.sector_idx == i)), person_weight)
+    members = {f"pup:{s}": (np.flatnonzero(pup & (pop.persons.industry == i)), person_weight)
                for i, s in enumerate(SECTORS)}
-    members["deferral"] = (np.flatnonzero(base.tenure_code == expenses.TENURE_CODES["mortgage"]),
-                           base.hh_weight)
+    members["deferral"] = (
+        np.flatnonzero(pop.households.tenure == expenses.TENURE_CODES["mortgage"]),
+        base.hh_weight)
     assert {label for label in base.strata if not label.startswith("subsidy:")} == set(members)
     for label, (rows, weight) in members.items():
         ranked, available, w_max = base.strata[label]

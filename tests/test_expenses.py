@@ -13,7 +13,8 @@ from nowcastsim.expenses import (AGE_BANDS, FAMILY_TYPES, MODE_NONE, MODE_PRIVAT
                                  capital_participants,
                                  capital_value_change_cents,
                                  childcare_costs_cents, commuting_cost_cents,
-                                 family_type, housing_cost_cents, transport_covariates)
+                                 deferred_housing_cents, family_type, housing_cost_cents,
+                                 transport_covariates)
 from nowcastsim.igm import anchored_draws, logit_prob
 from nowcastsim.money import cents
 from nowcastsim.population import SECTORS
@@ -173,12 +174,11 @@ class TestChildcare:
 
 class TestHousing:
     def test_tenure_rules(self):
-        cost = housing_cost_cents(
+        cost = deferred_housing_cents(housing_cost_cents(
             tenure_code=np.array([0, 1, 1, 2]),
             mortgage_cents=np.array([0, 100000, 100000, 0]),
             rent_cents=np.array([0, 0, 0, 90000]),
-            deferred=np.array([False, False, True, False]),
-        )
+        ), rows=np.array([2]))
         assert cost.tolist() == [0, 100000, 0, 90000]
 
 

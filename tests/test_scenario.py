@@ -9,6 +9,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,7 +570,7 @@ class TestLayout:
                 assert {c: a.dtype for c, a in vars(table).items()} == {
                     c: np.dtype(d) for c, d in dtypes.items()}, name
 
-    def test_int64_codes_give_the_same_run(self, tables, schedules, default_scenario):
+    def test_int64_codes_give_the_same_run(self, tables, schedules, default_scenario, wave_spy):
         pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
         wide = Population(*(Table(**{c: a.astype(np.int64) if a.dtype == np.int8 else a
                                      for c, a in vars(table).items()})
@@ -577,7 +578,7 @@ class TestLayout:
         assert wide.persons.work_status.dtype == wide.households.tenure.dtype == np.int64
         series = calibrating_series(default_scenario)
         (_, results, summaries), (_, wide_results, wide_summaries) = (
-            run_scenario(p, default_scenario, series, tables, schedules, seed=5)
+            wave_spy(p, default_scenario, series, tables, schedules, seed=5)
             for p in (pop, wide))
         assert_bit_equal([vars(r) for r in results], [vars(r) for r in wide_results])
         assert_bit_equal([vars(s) for s in summaries], [vars(s) for s in wide_summaries])
@@ -598,13 +599,52 @@ def test_baseline_owns_13_bytes_per_person_48_per_household_and_its_pools(tables
                           *(item for pool in base.strata.values() for item in pool)]
               if isinstance(a, np.ndarray)]
     owned = [a for a in arrays if not any(np.shares_memory(a, column) for column in inputs)]
-    in_sector = base.is_worker & (base.sector_idx >= 0)
+    in_sector = base.is_worker & (pop.persons.industry >= 0)  # generated in id order
     fixed_members = (np.sum(in_sector & (base.age >= 18) & (base.age <= 66))
-                     + np.sum(base.tenure_code == population.TENURES.index("mortgage")))
+                     + np.sum(pop.households.tenure == population.TENURES.index("mortgage")))
     subsidy_members = np.sum(in_sector & (base.status == taxben.STATUS_CODES["employee"]))
     assert sum(a.nbytes for a in owned) == (13 * base.pid.size + 48 * base.hid.size
                                             + 8 * len(SECTORS) + 8 * fixed_members
                                             + 16 * subsidy_members)
+
+
+# Traced bytes per person that each phase may allocate above its live input,
+# measured on the population of the test below (4,575 persons); the peaks
+# repeat to 0.3% across processes.
+PHASE_BUDGETS = {"load_population": 233.1, "build_baseline": 190.0, "run_scenario": 310.7}
+
+
+def test_each_phase_peaks_within_its_traced_budget_per_person(tables, schedules, tmp_path,
+                                                               default_scenario,
+                                                               shipped_controls):
+    """Under tracemalloc, which counts numpy's buffers, the peak each phase
+    reaches above the memory live at its entry stays within its per-person
+    budget plus 1%: loading 2,000 saved households, building their baseline
+    and running the shipped scenario on them. A change that lowers a peak
+    lowers its budget too."""
+    population.save_population(
+        generate_synthetic(SynthConfig(households=2000, weight_jitter=True), 9), tmp_path)
+    peaks = {}
+
+    def traced(phase, *args):
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        out = phase(*args)
+        peaks[phase.__name__] = tracemalloc.get_traced_memory()[1] - live
+        return out
+    tracemalloc.start()
+    try:
+        pop = traced(population.load_population, tmp_path)
+        traced(build_baseline, pop, shipped_controls.at(default_scenario.waves[0].date), tables,
+               schedules, 9)
+        traced(run_scenario, pop, default_scenario, shipped_controls, tables, schedules, 9)
+    finally:
+        tracemalloc.stop()
+    persons = pop.persons.person_id.size
+    assert list(peaks) == list(PHASE_BUDGETS)
+    over = {name: peak / persons for name, peak in peaks.items()
+            if peak > 1.01 * PHASE_BUDGETS[name] * persons}
+    assert not over, over
 
 
 class TestBaselineInputOrder:
@@ -628,7 +668,7 @@ class TestBaselineInputOrder:
             assert not getattr(ordered_base, name).flags.writeable, name
 
     def test_calibrated_columns_are_copies(self, pop, ordered_base):
-        for name in ("status", "sector_idx", "employment_income", "self_employment_income"):
+        for name in ("status", "employment_income", "self_employment_income"):
             for column in [*vars(pop.persons).values(), *vars(pop.households).values()]:
                 assert not np.shares_memory(getattr(ordered_base, name), column), name
 
@@ -664,7 +704,6 @@ class TestBaselineInputOrder:
     def test_nothing_is_copied_when_the_nowcast_changes_nothing(self, pop, tables, schedules):
         base = build_baseline(pop, ControlTotals(date=CALIBRATING.date), tables, schedules, 5)
         for name, column in (("status", pop.persons.work_status),
-                             ("sector_idx", pop.persons.industry),
                              ("home_capable", pop.persons.home_work_capable),
                              ("employment_income", pop.persons.employment_income),
                              ("self_employment_income", pop.persons.self_employment_income)):
@@ -674,12 +713,12 @@ class TestBaselineInputOrder:
     @settings(max_examples=4, deadline=None)
     @given(order_seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_shuffled_input_gives_the_same_run(self, seed, order_seed, tables, schedules,
-                                               default_scenario):
+                                               default_scenario, wave_spy):
         pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), seed)
         other = shuffled(pop, np.random.default_rng(order_seed))
         assert population.validate(other.households, other.persons) == []
         series = calibrating_series(default_scenario)
-        runs = [run_scenario(p, default_scenario, series, tables, schedules, seed)
+        runs = [wave_spy(p, default_scenario, series, tables, schedules, seed)
                 for p in (pop, other)]
         (base, results, summaries), (other_base, other_results, other_summaries) = runs
         assert not np.shares_memory(other_base.pid, other.persons.person_id)
@@ -737,7 +776,7 @@ class TestApplyWave:
                 r.adjusted, r.disposable - r.housing - r.capital_adjustment
                 - r.work_expenses)
 
-    def test_pup_counts_match_scaled_targets(self, base, tables, schedules,
+    def test_pup_counts_match_scaled_targets(self, small_pop, base, tables, schedules,
                                              shipped_controls):
         wave = crisis_wave()
         controls = shipped_controls.at(wave.date)
@@ -746,10 +785,10 @@ class TestApplyWave:
         weight = base_weights(base)
         for sector, count in controls.pup_by_sector.items():
             s = SECTORS.index(sector)
-            mask = base.is_worker & (base.sector_idx == s)
-            pop_weight = float(weight[mask].sum())
+            in_sector = small_pop.persons.industry == s  # generated in id order
+            pop_weight = float(weight[base.is_worker & in_sector].sum())
             target = count * pop_weight / tables.national["sector_employment"][sector]
-            realized = float(weight[(r.covid_code == pup_code) & (base.sector_idx == s)].sum())
+            realized = float(weight[(r.covid_code == pup_code) & in_sector].sum())
             assert abs(realized - target) <= weight.max() + 1e-9
 
     def test_recipients_lose_earnings_and_gain_banded_rate(self, base, tables,
@@ -888,14 +927,14 @@ class TestCompare:
 
 class TestRunScenario:
     def test_end_to_end_and_thread_determinism(self, small_pop, tables, schedules,
-                                               default_scenario, shipped_controls):
-        base1, results1, summaries1 = run_scenario(
+                                               default_scenario, shipped_controls, wave_spy):
+        base1, results1, summaries1 = wave_spy(
             small_pop, default_scenario, shipped_controls, tables, schedules, seed=42,
             threads=1)
-        base3, results3, summaries3 = run_scenario(
+        base3, results3, summaries3 = wave_spy(
             small_pop, default_scenario, shipped_controls, tables, schedules, seed=42,
             threads=3)
-        assert [r.label for r in results1] == [w.label for w in default_scenario.waves]
+        assert [s.label for s in summaries1] == [w.label for w in default_scenario.waves]
         for a, b in zip(results1, results3):
             assert np.array_equal(a.adjusted, b.adjusted)
             assert np.array_equal(a.market, b.market)
@@ -936,7 +975,7 @@ class TestRunScenario:
         assert all(g is groups for _, g in summarized)
 
     def test_null_scenario_constant_across_waves(self, small_pop, tables, schedules,
-                                                 tmp_path, default_scenario):
+                                                 tmp_path, default_scenario, wave_spy):
         controls = tmp_path / "controls.csv"
         controls.write_text("stratum_key,date,target\n")
         cfg = tmp_path / "scenario.cfg"
@@ -946,14 +985,14 @@ class TestRunScenario:
             "[wave:later]\ndate = 2020-05-05\n"
         )
         plan = parse_scenario(cfg)
-        _, results, summaries = run_scenario(small_pop, plan, load_control_totals(controls),
+        _, results, summaries = wave_spy(small_pop, plan, load_control_totals(controls),
                                              tables, schedules, seed=1)
         assert np.array_equal(results[0].adjusted, results[1].adjusted)
         assert summaries[0].gini == summaries[1].gini
 
     def test_equivalised_values_positive(self, small_pop, tables, schedules,
-                                         default_scenario, shipped_controls):
-        base, results, summaries = run_scenario(small_pop, default_scenario, shipped_controls,
+                                         default_scenario, shipped_controls, wave_spy):
+        base, results, summaries = wave_spy(small_pop, default_scenario, shipped_controls,
                                                 tables, schedules, seed=3)
         values = {name: equivalised(base, results[0], name)
                   for name in metrics.INCOME_DEFINITIONS}
@@ -973,13 +1012,13 @@ def benefit_change_per_recipient(base, result):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_generosity_falls_as_benefits_become_targeted(tables, schedules, default_scenario,
-                                                      shipped_controls, seed):
+                                                      shipped_controls, wave_spy, seed):
     """The paper's second finding: the flat PUP of the first crisis wave gave
     way to earnings-banded rates, so a recipient gains less by the last wave.
     At 2,000 households the first crisis date gives 1,517 EUR at each seed,
     and the last 1,468, 1,448 and 1,454 EUR at seeds 1, 2 and 3."""
     pop = generate_synthetic(SynthConfig(households=2000), seed)
-    base, results, _ = run_scenario(pop, default_scenario, shipped_controls, tables, schedules,
+    base, results, _ = wave_spy(pop, default_scenario, shipped_controls, tables, schedules,
                                     seed=seed)
     by_date = {r.date: r for r in results}
     first, last = (benefit_change_per_recipient(base, by_date[date])
@@ -1057,15 +1096,15 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_waves_equal_standalone_waves(self, jittered, plan, shipped_controls, tables,
-                                          schedules, threads):
-        _, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
+                                          schedules, wave_spy, threads):
+        _, results, _ = wave_spy(jittered, plan, shipped_controls, tables, schedules,
                                      seed=11, threads=threads)
         expected = self.standalone(jittered, plan, shipped_controls, tables, schedules, 11)
         assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected])
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_unsorted_waves_give_the_same_results(self, jittered, plan, shipped_controls,
-                                                  tables, schedules, threads):
+                                                  tables, schedules, wave_spy, threads):
         """Shuffled, a date's waves fill their dict in another order (or, in
         the sweep, split into several runs of one date)."""
         first, *rest = plan.waves
@@ -1075,7 +1114,7 @@ class TestSharedDraws:
         dates = [w.date for w in shuffled.waves]
         if len(set(dates)) > 2:
             assert dates != sorted(dates)
-        _, results, summaries = run_scenario(jittered, shuffled, shipped_controls, tables,
+        _, results, summaries = wave_spy(jittered, shuffled, shipped_controls, tables,
                                              schedules, seed=11, threads=threads)
         expected = self.standalone(jittered, shuffled, shipped_controls, tables, schedules, 11)
         assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected])
@@ -1087,7 +1126,7 @@ class TestSharedDraws:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_waves_whose_keys_agree_hold_the_same_arrays(self, jittered, plan,
                                                          shipped_controls, tables, schedules,
-                                                         threads, monkeypatch):
+                                                         wave_spy, threads, monkeypatch):
         """Shared results are the same arrays exactly where the keys agree,
         except the housing cost of a wave that defers nobody, and the market
         income, taxes and benefits of a wave that moves nobody: those are the
@@ -1103,7 +1142,7 @@ class TestSharedDraws:
             states.append((employed_now, home_working))
             return expenses_step(base, wave, tables, job_lost, ceib, employed_now, home_working)
         monkeypatch.setattr(scenario, "work_expenses", work_expenses)
-        base, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
+        base, results, _ = wave_spy(jittered, plan, shipped_controls, tables, schedules,
                                         seed=11, threads=threads)
         waves = {w.label: w for w in plan.waves}
         defers, books, still = set(), set(), set()
@@ -1141,12 +1180,12 @@ class TestSharedDraws:
             assert not any(getattr(r, name).flags.writeable for name in SHARED_FIELDS)
 
     def test_steps_wrapped_as_the_tracer_wraps_them_give_the_same_run(
-            self, jittered, plan, shipped_controls, tables, schedules, monkeypatch):
+            self, jittered, plan, shipped_controls, tables, schedules, wave_spy, monkeypatch):
         """Each wave step replaced by a `functools.wraps` wrapper that counts
         its calls, as the tracer replaces every public function: the results
         are bit for bit the unwrapped run's, every step runs, and
         `job_losses`, which reads no switch, runs once per date."""
-        _, expected, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
+        _, expected, _ = wave_spy(jittered, plan, shipped_controls, tables, schedules,
                                       seed=11)
         calls = dict.fromkeys(scenario.STEP_SWITCHES, 0)
 
@@ -1158,7 +1197,7 @@ class TestSharedDraws:
             return wrapper
         for name in scenario.STEP_SWITCHES:
             monkeypatch.setattr(scenario, name, counted(getattr(scenario, name)))
-        _, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
+        _, results, _ = wave_spy(jittered, plan, shipped_controls, tables, schedules,
                                      seed=11)
         assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected])
         assert all(calls.values()), calls
@@ -1186,12 +1225,12 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("households", [300, 4])
     def test_summaries_equal_summarize_of_each_wave(self, plan, shipped_controls, tables,
-                                                    schedules, households):
+                                                    schedules, wave_spy, households):
         """Each reused statistic is the one summarize gives the wave's own
         incomes, under the first wave's deciles, bit for bit; 4 households
         leave deciles empty (NaN)."""
         pop = generate_synthetic(SynthConfig(households=households, weight_jitter=True), 5)
-        base, results, summaries = run_scenario(pop, plan, shipped_controls, tables,
+        base, results, summaries = wave_spy(pop, plan, shipped_controls, tables,
                                                 schedules, seed=11)
         w = base_weights(base)
         deciles = metrics.weighted_quantile_groups(np.argsort(
@@ -1206,7 +1245,7 @@ class TestSharedDraws:
         assert (nans > 0) == (households == 4)
 
     def test_each_distinct_array_is_ranked_once(self, jittered, plan, shipped_controls,
-                                                tables, schedules, monkeypatch):
+                                                tables, schedules, wave_spy, monkeypatch):
         """Only the cents arrays no earlier wave summarized are equivalised
         and sorted, each once, in the waves' order; a definition whose array
         an earlier wave summarized takes that wave's very statistics."""
@@ -1216,7 +1255,7 @@ class TestSharedDraws:
                             ginis.append(1) or inner_gini(values, weights))
         monkeypatch.setattr(metrics, "summarize", lambda values, hw, groups:
                             summarized.append(values) or inner_summarize(values, hw, groups))
-        base, results, summaries = run_scenario(jittered, plan, shipped_controls, tables,
+        base, results, summaries = wave_spy(jittered, plan, shipped_controls, tables,
                                                 schedules, seed=11)
         seen, distinct, expected, first = set(), [], [], {}
         for r, s in zip(results, summaries):
@@ -1237,13 +1276,14 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_each_distinct_array_is_summarized_once_at_any_thread_count(
-            self, jittered, plan, shipped_controls, tables, schedules, threads, monkeypatch):
+            self, jittered, plan, shipped_controls, tables, schedules, wave_spy, threads,
+            monkeypatch):
         """The thread that runs a date summarizes it, each distinct cents
         array once, however the dates are spread over threads."""
         summarized, inner = [], metrics.summarize
         monkeypatch.setattr(metrics, "summarize", lambda values, hw, groups:
                             summarized.append(1) or inner(values, hw, groups))
-        _, results, _ = run_scenario(jittered, plan, shipped_controls, tables, schedules,
+        _, results, _ = wave_spy(jittered, plan, shipped_controls, tables, schedules,
                                      seed=11, threads=threads)
         distinct = {id(getattr(r, name)) for r in results for name in metrics.INCOME_DEFINITIONS}
         assert len(summarized) == len(distinct) < 4 * len(results)
@@ -1385,10 +1425,10 @@ class TestDateLoop:
         assert set(events[:events.index("groups")]) == {plan.waves[0].date}
 
     def test_any_thread_count_gives_the_same_run(self, pop, plan, shipped_controls, tables,
-                                                 schedules):
-        runs = [run_scenario(pop, plan, shipped_controls, tables, schedules, seed=11,
+                                                 schedules, wave_spy):
+        runs = [wave_spy(pop, plan, shipped_controls, tables, schedules, seed=11,
                              threads=threads)[1:] for threads in (1, 2, 3, 8)]
-        assert [r.label for r in runs[0][0]] == [w.label for w in plan.waves]
+        assert [s.label for s in runs[0][1]] == [w.label for w in plan.waves]
         for results, summaries in runs[1:]:
             assert_bit_equal([vars(r) for r in results], [vars(r) for r in runs[0][0]])
             assert_bit_equal([vars(s) for s in summaries], [vars(s) for s in runs[0][1]])
@@ -1458,25 +1498,35 @@ class TestRunRelations:
             for w in crisis for name, fields in SWEEP_VARIANTS.items()])
 
     @staticmethod
-    def run(pop, plan, waves, series, tables, schedules, threads=1):
-        return run_scenario(pop, dataclasses.replace(plan, waves=waves), series, tables,
+    def run(wave_spy, pop, plan, waves, series, tables, schedules, threads=1):
+        return wave_spy(pop, dataclasses.replace(plan, waves=waves), series, tables,
                             schedules, seed=11, threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_dropping_or_appending_a_wave_leaves_the_others(self, jittered, plan,
                                                             shipped_controls, tables, schedules,
-                                                            threads):
-        """Dropping any wave but the first, or appending one at a later date,
-        leaves every other wave's result and summary bit for bit."""
+                                                            wave_spy, threads):
+        """Dropping waves other than the first, or appending a later date,
+        leaves every other wave's result and summary bit for bit. Run g drops
+        each wave whose position at its date, less the date's index after the
+        first, is g mod 4: in the sweep, one instrument variant per crisis
+        date, another at the next date. So every wave is dropped in a run that
+        keeps each other wave of its date and the same variant at the next
+        date. The appended date repeats every wave of the last."""
         def by_label(waves):
-            _, results, summaries = self.run(jittered, plan, waves, shipped_controls, tables,
-                                             schedules, threads)
+            _, results, summaries = self.run(wave_spy, jittered, plan, waves, shipped_controls,
+                                             tables, schedules, threads)
             return {r.label: (vars(r), vars(s)) for r, s in zip(results, summaries)}
         waves = plan.waves
         full = by_label(waves)
-        later = dataclasses.replace(waves[-1], label="later",
-                                    date=waves[-1].date + dt.timedelta(days=30))
-        for kept in [waves[:i] + waves[i + 1:] for i in range(1, len(waves))] + [waves + [later]]:
+        later = [dataclasses.replace(w, label=f"{w.label}-later",
+                                     date=w.date + dt.timedelta(days=30))
+                 for w in waves if w.date == waves[-1].date]
+        dates = itertools.groupby(waves[1:], lambda w: w.date)
+        group = {w.label: (k - i) % 4
+                 for i, (_, at_date) in enumerate(dates) for k, w in enumerate(at_date)}
+        dropped = [[w for w in waves if group.get(w.label) != g] for g in range(4)]
+        for kept in dropped + [waves + later]:
             got = by_label(kept)
             common = [w.label for w in kept if w.label in full]
             assert_bit_equal([got[label] for label in common], [full[label] for label in common])
@@ -1500,7 +1550,8 @@ class TestRunRelations:
     @example(k=30, jitter=False)
     @example(k=30, jitter=True)
     def test_scaling_every_weight_by_a_power_of_two_changes_nothing(
-            self, by_jitter, plan, calibrating, unscaled, tables, schedules, k, jitter):
+            self, by_jitter, plan, calibrating, unscaled, tables, schedules, wave_spy, k,
+            jitter):
         """Multiplying every household weight by 2**k is exact, and every
         target, pool weight, tolerance and group cut the engine takes is a
         ratio of weights; so every WaveResult and summary is bit for bit
@@ -1508,9 +1559,11 @@ class TestRunRelations:
         pop = by_jitter[jitter]
         key = (tuple(w.label for w in plan.waves), jitter)
         if key not in unscaled:
-            unscaled[key] = self.run(pop, plan, plan.waves, calibrating, tables, schedules)[1:]
+            unscaled[key] = self.run(wave_spy, pop, plan, plan.waves, calibrating, tables,
+                                     schedules)[1:]
         households = Table(**(vars(pop.households) | {"weight": pop.households.weight * 2.0**k}))
-        _, results, summaries = self.run(Population(households=households, persons=pop.persons),
+        _, results, summaries = self.run(wave_spy,
+                                         Population(households=households, persons=pop.persons),
                                          plan, plan.waves, calibrating, tables, schedules)
         expected_results, expected_summaries = unscaled[key]
         assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected_results])
@@ -1518,7 +1571,8 @@ class TestRunRelations:
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_a_wave_and_its_twin_give_identical_columns(self, jittered, plan, shipped_controls,
-                                                        tables, schedules, threads, tmp_path):
+                                                        tables, schedules, wave_spy, threads,
+                                                        tmp_path):
         """A wave duplicated under a second label at its date, next to it or
         last, gives the same cells in all four tables and the same summary
         file body; the first wave's twin adds a gini change row of zeros."""
@@ -1527,8 +1581,8 @@ class TestRunRelations:
             twin = dataclasses.replace(waves[i], label=f"{waves[i].label}-twin")
             for where, with_twin in (("next", waves[:i + 1] + [twin] + waves[i + 1:]),
                                      ("last", waves + [twin])):
-                _, _, summaries = self.run(jittered, plan, with_twin, shipped_controls, tables,
-                                           schedules, threads)
+                _, _, summaries = self.run(wave_spy, jittered, plan, with_twin,
+                                           shipped_controls, tables, schedules, threads)
                 out = tmp_path / f"{i}-{where}"
                 out.mkdir()
                 metrics.write_summary_tables(out, summaries)
@@ -1541,7 +1595,8 @@ class TestRunRelations:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_relabelling_the_waves_changes_only_their_labels(self, jittered, plan,
                                                              shipped_controls, tables,
-                                                             schedules, threads, tmp_path):
+                                                             schedules, wave_spy, threads,
+                                                             tmp_path):
         """Renaming every wave, in the reverse of the scenario's order,
         changes only the label cells of the four tables and the names of the
         summary files; every WaveResult but its label is bit for bit the same."""
@@ -1550,8 +1605,8 @@ class TestRunRelations:
         renamed = [dataclasses.replace(w, label=names[w.label]) for w in waves]
         runs = []
         for run_waves in (waves, renamed):
-            _, results, summaries = self.run(jittered, plan, run_waves, shipped_controls, tables,
-                                             schedules, threads)
+            _, results, summaries = self.run(wave_spy, jittered, plan, run_waves,
+                                             shipped_controls, tables, schedules, threads)
             out = tmp_path / run_waves[0].label
             out.mkdir()
             metrics.write_summary_tables(out, summaries)
@@ -1574,7 +1629,7 @@ def lexsort_groups(ranking, weights, n_groups, ids):
 
 class TestQuantileGroupsOfARun:
     def test_groups_equal_the_lexsort_groups(self, tables, schedules, default_scenario,
-                                             shipped_controls, monkeypatch):
+                                             shipped_controls, wave_spy, monkeypatch):
         """build_baseline's deciles and quintiles and run_scenario's deciles
         are ranked in lexsort((ids, values)) order, so they equal its groups."""
         calls = []
@@ -1585,7 +1640,7 @@ class TestQuantileGroupsOfARun:
             return calls[-1][2]
         monkeypatch.setattr(metrics, "weighted_quantile_groups", spy)
         pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
-        base, results, _ = run_scenario(pop, default_scenario, shipped_controls, tables,
+        base, results, _ = wave_spy(pop, default_scenario, shipped_controls, tables,
                                         schedules, seed=5)
         assert [n for _, n, _ in calls] == [10, 5, 10]
         equiv = (base.market + base.benefits - base.taxes) / 100.0 / base.equiv_scale
@@ -1604,8 +1659,8 @@ class TestWeightedPopulation:
     def test_weighted_pipeline_contracts(self, tables, schedules, default_scenario):
         pop = generate_synthetic(SynthConfig(households=1500, weight_jitter=True), 13)
         series = load_control_totals(default_scenario.controls_path)
-        _, results, summaries = run_scenario(pop, default_scenario, series, tables,
-                                             schedules, seed=13)
+        _, _, summaries = run_scenario(pop, default_scenario, series, tables, schedules,
+                                       seed=13)
         state = build_baseline(pop, series.at(default_scenario.waves[0].date), tables,
                                schedules, seed=13)
         wave = default_scenario.waves[1]
@@ -1619,9 +1674,10 @@ class TestWeightedPopulation:
         w_max = weight.max()
         for sector, count in controls.pup_by_sector.items():
             s = SECTORS.index(sector)
-            mask = state.is_worker & (state.sector_idx == s)
-            scale = weight[mask].sum() / tables.national["sector_employment"][sector]
-            realized = weight[pup & (state.sector_idx == s)].sum()
+            in_sector = pop.persons.industry == s  # generated in id order
+            scale = (weight[state.is_worker & in_sector].sum()
+                     / tables.national["sector_employment"][sector])
+            realized = weight[pup & in_sector].sum()
             assert abs(realized - count * scale) <= w_max + 1e-9
         for s in summaries:
             assert 0.0 < s.gini["disposable"] < 1.0

@@ -45,8 +45,10 @@ def oracle_align_units(ids, weights, target, seed, label, unit_weight, context):
     return align_binary(ids, probs, weights, min(target, available), seed, label)
 
 
-def oracle_states(base, controls, wave, tables, schedules, seed):
-    """(job_lost, ceib, subsidised, deferred) as the per-wave path chose them."""
+def oracle_states(base, by_id, controls, wave, tables, schedules, seed):
+    """(job_lost, ceib, subsidised, deferred) as the per-wave path chose them;
+    `by_id` holds the population's sectors and tenures."""
+    industry, tenure = by_id
     n = base.pid.size
     person_weight = base.hh_weight[base.hh_row]
     unit_weight = float(np.max(person_weight))
@@ -55,7 +57,7 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
     def scaled(counts):
         targets = {}
         for sector, count in counts.items():
-            mask = base.is_worker & (base.sector_idx == SECTORS.index(sector))
+            mask = base.is_worker & (industry == SECTORS.index(sector))
             targets[sector] = count * float(np.sum(person_weight[mask])) / national[sector]
         return targets
 
@@ -67,7 +69,7 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
     job_lost = np.zeros(n, dtype=bool)
     eligible = base.is_worker & (base.age >= 18) & (base.age <= 66)
     for sector, target in sorted(scaled(controls.pup_by_sector).items()):
-        rows = np.flatnonzero(eligible & (base.sector_idx == SECTORS.index(sector)))
+        rows = np.flatnonzero(eligible & (industry == SECTORS.index(sector)))
         job_lost[pick(rows, base.pid, person_weight, target, f"pup:{sector}",
                       unit_weight, f"job losses in {sector!r}")] = True
 
@@ -90,7 +92,7 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
     if scheme != "none" and controls.subsidy_by_sector:
         targets = scaled(controls.subsidy_by_sector)
         candidate = (base.status == taxben.STATUS_CODES["employee"]) & ~job_lost & ~ceib
-        sector_rows = {s: np.flatnonzero(candidate & (base.sector_idx == SECTORS.index(s)))
+        sector_rows = {s: np.flatnonzero(candidate & (industry == SECTORS.index(s)))
                        for s in sorted(targets)}
         rows = np.concatenate(list(sector_rows.values()))
         amount = np.zeros(n, dtype=np.int64)
@@ -109,7 +111,7 @@ def oracle_states(base, controls, wave, tables, schedules, seed):
 
     deferred = np.zeros(base.hid.size, dtype=bool)
     if wave.deferrals_on and controls.deferral_count > 0:
-        holders = base.tenure_code == expenses.TENURE_CODES["mortgage"]
+        holders = tenure == expenses.TENURE_CODES["mortgage"]
         holder_weight = float(np.sum(base.hh_weight[holders]))
         target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
         deferred[pick(np.flatnonzero(holders), base.hid, base.hh_weight, target, "deferral",
@@ -166,13 +168,26 @@ def shuffled_ids(pop: Population, seed: int) -> Population:
 
 
 @pytest.fixture(scope="module")
-def base(tables, schedules):
+def pop():
     pop = shuffled_ids(generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5),
                        seed=3)
     assert np.any(np.diff(pop.persons.person_id) < 0)
     assert np.any(np.diff(pop.households.household_id) < 0)
+    return pop
+
+
+@pytest.fixture(scope="module")
+def base(pop, tables, schedules):
     return build_baseline(pop, ControlTotals(date=dt.date(2019, 12, 1)), tables, schedules,
                           seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def by_id(pop):
+    """The persons' sectors and the households' tenures, in id order, the
+    order of the baseline's rows."""
+    return (pop.persons.industry[np.argsort(pop.persons.person_id)],
+            pop.households.tenure[np.argsort(pop.households.household_id)])
 
 
 def stratum_target(kind, available, i):
@@ -184,12 +199,13 @@ def stratum_target(kind, available, i):
             "infeasible": available + 2.0 + i}[kind]
 
 
-def controls_for(base, tables, schedules, wave, kinds):
+def controls_for(base, by_id, tables, schedules, wave, kinds):
     """Control totals whose rescaled targets take the given kind per stratum,
     measured against each pool as it is before any person is moved."""
+    industry, tenure = by_id
     national = tables.national
     weight = base.hh_weight[base.hh_row]
-    sector_weight = {s: float(np.sum(weight[base.is_worker & (base.sector_idx == i)]))
+    sector_weight = {s: float(np.sum(weight[base.is_worker & (industry == i)]))
                      for i, s in enumerate(SECTORS)}
     pup, subsidy = {}, {}
     eligible = base.is_worker & (base.age >= 18) & (base.age <= 66)
@@ -205,7 +221,7 @@ def controls_for(base, tables, schedules, wave, kinds):
         if sector_weight[s] == 0:
             continue
         per_target = national["sector_employment"][s] / sector_weight[s]
-        in_sector = base.sector_idx == i
+        in_sector = industry == i
         pup[s] = per_target * stratum_target(
             kinds["pup"], float(np.sum(weight[eligible & in_sector])), i)
         subsidy[s] = per_target * stratum_target(
@@ -216,7 +232,7 @@ def controls_for(base, tables, schedules, wave, kinds):
                 kinds["ceib"], float(np.sum(weight[base.is_worker & (bands == i)])), i)
             / pop_share for i, band in enumerate(CASE_AGE_BANDS)}
     ceib[("25-34", False)] = 50.0  # out-of-work cases move nobody
-    holders = base.tenure_code == expenses.TENURE_CODES["mortgage"]
+    holders = tenure == expenses.TENURE_CODES["mortgage"]
     holder_weight = float(np.sum(base.hh_weight[holders]))
     deferrals = stratum_target(kinds["deferral"], holder_weight, 0) \
         * national["mortgage_count"] / holder_weight
@@ -230,7 +246,7 @@ WAVES = [(True, "twss", BEFORE_EWSS), (False, "ewss", AFTER_EWSS),
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("stratum", STRATA)
-def test_wave_step_selects_what_the_per_wave_oracle_selects(base, tables, schedules,
+def test_wave_step_selects_what_the_per_wave_oracle_selects(base, by_id, tables, schedules,
                                                              monkeypatch, stratum, kind):
     # a person stratum taken whole leaves the later ones nobody to select
     others = "zero" if kind == "available" and stratum != "deferral" else "ordinary"
@@ -238,9 +254,9 @@ def test_wave_step_selects_what_the_per_wave_oracle_selects(base, tables, schedu
     for pup_on, subsidy, date in WAVES:
         wave = WavePoint(label="w", date=date, pup_on=pup_on, ceib_on=True, subsidy=subsidy,
                          deferrals_on=True)
-        controls = controls_for(base, tables, schedules, wave, kinds)
+        controls = controls_for(base, by_id, tables, schedules, wave, kinds)
         try:
-            expected = oracle_states(base, controls, wave, tables, schedules, SEED)
+            expected = oracle_states(base, by_id, controls, wave, tables, schedules, SEED)
         except AlignmentError as exc:
             with pytest.raises(AlignmentError) as raised:
                 wave_states(base, controls, wave, tables, schedules, SEED, monkeypatch)
@@ -255,15 +271,15 @@ def test_wave_step_selects_what_the_per_wave_oracle_selects(base, tables, schedu
             assert all(states.any() for states in expected)
 
 
-def test_infeasible_targets_raise(base, tables, schedules):
+def test_infeasible_targets_raise(base, by_id, tables, schedules):
     """Every stratum's infeasible case reaches the error path at least once."""
     for stratum in STRATA:
         kinds = dict.fromkeys(STRATA, "ordinary") | {stratum: "infeasible"}
         wave = WavePoint(label="w", date=BEFORE_EWSS, pup_on=True, ceib_on=True,
                          subsidy="twss", deferrals_on=True)
         with pytest.raises(AlignmentError, match="exceeds the available weight"):
-            apply_wave(base, controls_for(base, tables, schedules, wave, kinds), wave, tables,
-                       schedules, SEED)
+            apply_wave(base, controls_for(base, by_id, tables, schedules, wave, kinds), wave,
+                       tables, schedules, SEED)
 
 
 @settings(max_examples=300, deadline=None)
