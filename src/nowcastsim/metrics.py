@@ -45,7 +45,9 @@ def weighted_gini(values, weights) -> float:
         G = sum_i w_i x_i (2 c_i - w_i - W) / (W^2 mu)
 
     with c_i the inclusive cumulative weight in ascending-x order, which
-    equals the double sum (tie order does not matter).
+    equals the double sum. In exact arithmetic the order of tied values
+    does not matter; in float64 the result follows the order numpy's
+    default argsort gives them, which depends on the CPU's SIMD level.
     """
     x = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)

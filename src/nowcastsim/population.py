@@ -15,10 +15,10 @@ and float columns, converters the others. A file that pass rejects is read
 in one more pass, row by row with `csv` and Python's parsers, which raises
 the first bad row or cell or else loads the file: a number that numpy
 rejects but Python's int or float reads, such as `1_000`, loads as Python
-reads it, and a code past int8 loads in int64 for validate to report. A
-line number counts every physical line, blank ones too, as
-`files.csv_rows` and `files.not_utf8` do; a row whose quoted cell spans
-lines is named by its last line.
+reads it, and a column with an integer past its dtype loads in int64 for
+validate to report. A line number counts every physical line, blank ones
+too, as `files.csv_rows` and `files.not_utf8` do; a row whose quoted cell
+spans lines is named by its last line.
 
 Occupation is a code in 1..9 and is required for workers; non-workers may
 carry 0 (not applicable). Industry must be one of the seventeen sector
@@ -26,14 +26,13 @@ labels below whenever the person works, and may be empty otherwise.
 
 In memory a population is two column tables (`Table`), persons and
 households, with one numpy array per schema column and rows in file or
-generation order: int64 ids, ages and counts, int8 enum and occupation
-codes (int64 for a column with a code past int8), float64 money and
-weights, bool flags. Both the loader and the generator write that layout
-directly. An enum code indexes the column's label tuple below (industry -1
-is none); household i's member ids are
-`member_ids[member_offsets[i]:member_offsets[i + 1]]`. Code columns are
-only compared and indexed: arithmetic on an int8 code wraps silently, so
-widen it first.
+generation order: int32 ids, int16 ages and child counts, int8 enum and
+occupation codes, float64 money and weights, bool flags. Both the loader
+and the generator write that layout directly. An enum code indexes the
+column's label tuple below (industry -1 is none); household i's member ids
+are `member_ids[member_offsets[i]:member_offsets[i + 1]]`. Integer columns
+are only compared, sorted and indexed: arithmetic on them wraps silently
+at their width, so widen them first.
 """
 from __future__ import annotations
 
@@ -125,37 +124,40 @@ def _occupation(text) -> int:
     return int(text or "0")  # empty means 0, not applicable
 
 
-# Column -> kind: the Python parser of its cells (int, float, _boolean or
-# _occupation), "ids" (';'-joined person ids), or the label tuple that an
-# enum column's codes index.
+# Column -> kind: an integer column's numpy type (its cells parsed by int),
+# the Python parser of its cells (float, _boolean or _occupation), "ids"
+# (';'-joined person ids), or the label tuple that an enum column's codes index.
 _PERSON_COLUMNS = {
-    "person_id": int, "household_id": int, "age": int, "sex": SEXES,
+    "person_id": np.int32, "household_id": np.int32, "age": np.int16, "sex": SEXES,
     "education": EDUCATIONS, "occupation": _occupation, "industry": SECTORS,
     "region": REGIONS, "work_status": WORK_STATUSES, "employment_income": float,
     "self_employment_income": float, "capital_income": float, "private_pension": float,
     "essential_worker": _boolean, "home_work_capable": _boolean, "covid_state": COVID_STATES,
 }
 _HOUSEHOLD_COLUMNS = {
-    "household_id": int, "weight": float, "member_ids": "ids", "tenure": TENURES,
+    "household_id": np.int32, "weight": float, "member_ids": "ids", "tenure": TENURES,
     "mortgage_payment": float, "rent": float, "childcare_user": _boolean,
-    "childcare_expenditure": float, "n_children_0_4": int, "n_children_under14": int,
+    "childcare_expenditure": float, "n_children_0_4": np.int16, "n_children_under14": np.int16,
 }
-_DTYPES = {int: np.int64, float: np.float64, _boolean: bool, _occupation: np.int64}
+_DTYPES = {float: np.float64, _boolean: bool, _occupation: np.int8, "ids": np.int32}
+_TYPECODES = {np.int8: "b", np.int16: "h", np.int32: "i", np.int64: "q", np.float64: "d",
+              bool: "b"}  # `array` typecodes; a bool is one 0/1 byte
 
 
-def _dtype(kind, codes=np.int8):
-    """The in-memory dtype of a column kind: `codes` for enum and occupation
-    codes (all fit int8), int64 for "ids", else the Python kind's dtype."""
-    if isinstance(kind, tuple) or kind is _occupation:
-        return codes
-    return np.int64 if kind == "ids" else _DTYPES[kind]
+def _dtype(kind, wide=False):
+    """The in-memory dtype of a column kind: an integer column's own type,
+    int8 for codes, int32 for "ids", else the Python kind's; int64 for
+    every integer kind if `wide`."""
+    dtype = np.int8 if isinstance(kind, tuple) else _DTYPES.get(kind, kind)
+    return np.int64 if wide and np.issubdtype(dtype, np.integer) else dtype
 
 
 class Table(SimpleNamespace):
     """One numpy array per schema column, as attributes; `len()` is the row
     count (the length of the first column, the id). Columns have the dtypes
-    of `_dtype`; a file `np.loadtxt` rejects holds a code column with a code
-    past int8 in int64, and a hand-built table may hold wider codes too."""
+    of `_dtype` (`member_offsets` is intp); a file `np.loadtxt` rejects holds
+    a column with an integer past its dtype in int64, and a hand-built table
+    may hold any integer column wider."""
 
     def __len__(self):
         return len(next(iter(vars(self).values())))
@@ -307,18 +309,20 @@ class _Memo(dict):
         return self[text]
 
 
-def _split_ids(ids: list, text) -> int:
-    """Append the ';'-separated ids of one cell to `ids`; return their count."""
+def _split_ids(ids: array, text) -> int:
+    """Append one cell's ';'-separated ids to the int array `ids`; return their count."""
     count = len(ids)
-    ids.extend(filter(None, text.split(";")))
+    ids.extend(map(int, filter(None, text.split(";"))))
     return len(ids) - count
 
 
 def _read(path, header, columns) -> tuple:
     """One np.loadtxt pass over the rows of a CSV file whose header has every
-    column of `columns`: int and float cells parsed by numpy's C parser,
-    other cells by their kind; enum and occupation codes read as int8."""
-    unknown, ids, types, converters = {}, [], [], {}
+    column of `columns`: integer and float cells parsed by numpy's C parser,
+    other cells by their kind. The parser rejects an integer past its `_dtype`
+    or written as a float: older numpy casts such a cell through a float with
+    only a DeprecationWarning, so that warning is made an error here."""
+    unknown, ids, types, converters = {}, array(_TYPECODES[_dtype("ids")]), [], {}
     for i, column in enumerate(header):
         kind = columns[column]
         types.append(_dtype(kind))
@@ -326,10 +330,11 @@ def _read(path, header, columns) -> tuple:
             converters[i] = partial(_split_ids, ids)
         elif isinstance(kind, tuple):
             converters[i] = _Memo(_coder(kind, unknown.setdefault(column, []))).__getitem__
-        elif kind not in (int, float):
+        elif kind in (_boolean, _occupation):
             converters[i] = _Memo(kind).__getitem__
     with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # header only
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         records = np.loadtxt(fh, dtype=[(f"f{i}", t) for i, t in enumerate(types)],
                              delimiter=",", quotechar='"', skiprows=1, comments=None,
                              ndmin=1, encoding="utf-8", converters=converters)
@@ -337,7 +342,7 @@ def _read(path, header, columns) -> tuple:
     for column, kind in columns.items():
         values = records[f"f{header.index(column)}"]
         if kind == "ids":
-            table[column] = np.fromiter(map(int, ids), np.int64, len(ids))
+            table[column] = np.frombuffer(ids, dtype=_dtype(kind))
             table["member_offsets"] = np.cumsum(np.append(0, values), dtype=np.int64)
         else:
             table[column] = values.copy()
@@ -345,19 +350,20 @@ def _read(path, header, columns) -> tuple:
 
 
 def _read_rows(path, header, columns) -> tuple:
-    """`_read` for a file np.loadtxt rejects, in one streamed csv.reader pass
-    that parses every cell with its Python kind, code columns in int8 where they fit.
+    """`_read` for a file np.loadtxt rejects, in one streamed csv.reader pass that
+    parses every cell with its Python kind, integer columns in their `_dtype` where all fit.
 
     Raises the first row whose field count differs from the header's, else
     the first cell its kind rejects, in row order and, within a row,
     member_ids first and then schema order. Blank rows are skipped but
     counted, and a row is named by its last physical line."""
     name = os.path.basename(path)
-    unknown, values, ids = {}, _buffers(columns, np.int64), array("q")
+    unknown, values, ids = {}, _buffers(columns, wide=True), array("q")
     parsers = []  # (field index, kind, parser, where its values go), member ids first
     for column, kind in sorted(columns.items(), key=lambda item: item[1] != "ids"):
+        integer = kind == "ids" or isinstance(kind, type) and issubclass(kind, np.integer)
         parse = (_coder(kind, unknown.setdefault(column, [])) if isinstance(kind, tuple)
-                 else int if kind == "ids" else kind)
+                 else int if integer else kind)
         parsers.append((header.index(column), kind, parse,
                         (ids if kind == "ids" else values[column]).append))
     bad = None
@@ -383,11 +389,11 @@ def _read_rows(path, header, columns) -> tuple:
                 bad = f"{name}:{reader.line_num}: bad {what} {cell!r}"
     if bad:
         raise PopulationError([bad])
-    table = _table(values, columns, np.frombuffer(ids, dtype=np.int64), np.int64)
-    for column, kind in columns.items():  # the code columns `_read` holds in int8
-        codes = getattr(table, column)
-        if _dtype(kind) is np.int8 and np.array_equal(codes, codes.astype(np.int8)):
-            setattr(table, column, codes.astype(np.int8))
+    table = _table(values, columns, np.frombuffer(ids, dtype=np.int64), wide=True)
+    for column, kind in columns.items():
+        wide, narrow = getattr(table, column), _dtype(kind)
+        if wide.dtype != narrow and np.array_equal(wide, wide.astype(narrow)):
+            setattr(table, column, wide.astype(narrow))
     return table, unknown
 
 
@@ -397,8 +403,9 @@ def _load_table(path, columns) -> tuple:
     A missing or unknown column, or a row whose field count differs from the
     header's, raises; so does a repeated column, a line that is not UTF-8, or
     the first unparseable cell (see `_read_rows`). A file that `np.loadtxt`
-    rejects, such as one with an occupation outside -128..127 or more unknown
-    texts in one enum column than int8 codes index, is read by `_read_rows`."""
+    rejects, such as one with an occupation outside -128..127, an age of
+    40000, an id of 2**31 or more unknown texts in one enum column than int8
+    codes index, is read by `_read_rows`."""
     name = os.path.basename(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -550,20 +557,17 @@ def _quota_counts(shares: dict, n: int) -> dict:
     return counts
 
 
-_TYPECODES = {np.int8: "b", np.int64: "q", np.float64: "d", bool: "b"}  # a bool is one 0/1 byte
-
-
-def _buffers(columns, codes=np.int8) -> dict:
+def _buffers(columns, wide=False) -> dict:
     """One empty typed buffer per column, of the column's `_dtype`."""
-    return {column: array(_TYPECODES[_dtype(kind, codes)]) for column, kind in columns.items()}
+    return {column: array(_TYPECODES[_dtype(kind, wide)]) for column, kind in columns.items()}
 
 
-def _table(values: dict, columns, member_ids, codes=np.int8) -> Table:
+def _table(values: dict, columns, member_ids, wide=False) -> Table:
     """Table of columns, each a view of its typed buffer (or array) in `_dtype`,
     but member_ids: its buffer holds household sizes, `member_ids` (None for persons) the ids."""
     table = {}
     for column, kind in columns.items():
-        column_values = np.frombuffer(values[column], dtype=_dtype(kind, codes))
+        column_values = np.frombuffer(values[column], dtype=_dtype(kind, wide))
         if kind == "ids":
             table["member_offsets"] = np.cumsum(np.append(0, column_values), dtype=np.int64)
             table[column] = member_ids
@@ -739,7 +743,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
         add_size(len(values["age"]) - first)
 
     n = len(values["age"])
-    values.update(person_id=np.arange(1, n + 1), industry=array("b", [-1]) * n,
+    values.update(person_id=np.arange(1, n + 1, dtype=np.int32), industry=array("b", [-1]) * n,
                   employment_income=array("d", [0.0]) * n,
                   self_employment_income=array("d", [0.0]) * n,
                   essential_worker=array("b", [False]) * n,
@@ -763,7 +767,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Population:
         else:
             values["self_employment_income"][i] = round(amount * 0.9, 2)
 
-    households["household_id"] = np.arange(1, config.households + 1)
+    households["household_id"] = np.arange(1, config.households + 1, dtype=np.int32)
     person_table = _table(values, _PERSON_COLUMNS, None)
     # persons are numbered from 1 in household order: one array lists and names them
     household_table = _table(households, _HOUSEHOLD_COLUMNS, person_table.person_id)

@@ -306,12 +306,11 @@ def benefit_weekly_cents(status_code, covid_code, prev_weekly_cents,
 @dataclass(frozen=True)
 class HouseholdAccounts:
     """Monthly household market income, taxes T and benefits B in cents
-    (aligned to the household rows), plus the annual tax per person."""
+    (aligned to the household rows)."""
 
     market: np.ndarray
     taxes: np.ndarray
     benefits: np.ndarray
-    person_tax: np.ndarray
 
 
 def household_accounts(status_code, covid_code, prev_weekly_cents, emp, se, cap_pens,
@@ -337,5 +336,4 @@ def household_accounts(status_code, covid_code, prev_weekly_cents, emp, se, cap_
         market=per_household(annual_to_monthly(emp + se + cap_pens)),
         taxes=per_household(annual_to_monthly(person_tax)),
         benefits=per_household(weekly_to_monthly(weekly_b)),
-        person_tax=person_tax,
     )

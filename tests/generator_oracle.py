@@ -2,7 +2,9 @@
 directly, kept as the differential oracle: one numpy `Generator` call per
 draw (`rng.random()`, `rng.integers(lo, hi)`, `rng.lognormal`), string
 work statuses and tenures, and per-household tuples transposed at the end.
-`generate_synthetic` must return tables array- and dtype-identical to it.
+`generate_synthetic` must return tables array- and dtype-identical to it:
+both take each column's dtype from `population._dtype` (int32 ids and
+member ids, int16 ages and child counts, int8 codes).
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ def _table(values: dict, columns) -> Table:
     for column, kind in columns.items():
         if kind == "ids":
             table["member_offsets"] = np.cumsum([0, *values[column]], dtype=np.int64)
-            table[column] = np.arange(1, table["member_offsets"][-1] + 1, dtype=np.int64)
+            table[column] = np.arange(1, table["member_offsets"][-1] + 1, dtype=_dtype(kind))
         else:
             table[column] = np.array(values[column], dtype=_dtype(kind))
     return Table(**table)

@@ -5,8 +5,8 @@
   equal `Scenario`. It reads valid files only and checks nothing.
 * `baseline_take_home`: each person's weekly take-home pay as
   `build_baseline` once computed and kept it for every person, from the
-  annual tax of its whole-population `taxben.household_accounts` call; the
-  TWSS step now derives it for its candidates only.
+  annual tax that `taxben.income_tax_cents` gives each person's taxable
+  income; the TWSS step now derives it for its candidates only.
 """
 from __future__ import annotations
 
@@ -22,14 +22,11 @@ from nowcastsim.scenario import Scenario, WavePoint
 
 
 def baseline_take_home(base, schedules) -> np.ndarray:
-    """round_div(max(emp - person_tax, 0), 52) per person of `base`, in cents."""
+    """round_div(max(emp - annual tax, 0), 52) per person of `base`, in cents."""
     emp, se = cents(base.employment_income), cents(base.self_employment_income)
     cap_pens = cents(base.capital_income) + cents(base.private_pension)
-    weekly_earn = round_div(emp + np.maximum(se, 0), 52)
-    accounts = taxben.household_accounts(
-        base.status, np.zeros(base.pid.size, dtype=np.int8), weekly_earn, emp, se, cap_pens,
-        base.hh_row, base.hid.size, taxben.TWSS_START, schedules)
-    return round_div(np.maximum(emp - accounts.person_tax, 0), 52)
+    person_tax = taxben.income_tax_cents(emp + np.maximum(se, 0) + cap_pens, schedules.tax)
+    return round_div(np.maximum(emp - person_tax, 0), 52)
 
 
 def parse_scenario(path) -> Scenario:

@@ -2,6 +2,7 @@ import bisect
 import csv
 import filecmp
 import io
+import math
 import os
 import tempfile
 import warnings
@@ -216,9 +217,10 @@ class TestGenerator:
 
     def test_one_array_lists_and_names_the_persons(self, small_pop):
         """Persons are numbered 1..n in household order, so the households'
-        member lists and the persons' ids are one array."""
+        member lists and the persons' ids are one int32 array."""
         ids = small_pop.persons.person_id
         assert small_pop.households.member_ids is ids
+        assert ids.dtype == np.int32
         assert np.array_equal(ids, np.arange(1, ids.size + 1))
 
     def test_weights_default_to_one(self, small_pop):
@@ -622,19 +624,46 @@ def with_column(data: bytes, column, texts) -> bytes:
     return data
 
 
+def on_persons(edit):
+    """An edit of persons.csv as an edit of both files' bytes."""
+    return lambda files: {**files, "persons.csv": edit(files["persons.csv"])}
+
+
+def first_household_renumbered(files: dict) -> dict:
+    """Household 1 and its first person, who is person 1, numbered 2**31."""
+    households, persons, big = files["households.csv"], files["persons.csv"], str(2**31)
+    members = next(csv.DictReader(io.StringIO(households.decode())))["member_ids"].split(";")
+    households = with_cell(households, "member_ids", ";".join([big, *members[1:]]))
+    persons = with_column(persons, "household_id", [big] * len(members))  # in household order
+    return {"households.csv": with_cell(households, "household_id", big),
+            "persons.csv": with_cell(persons, "person_id", big)}
+
+
 @pytest.mark.parametrize("edit, wide", [
-    (lambda data: with_cell(data, "age", "1_000"), set()),
-    (lambda data: with_cell(data, "occupation", "300"), {"occupation"}),
-    (lambda data: with_column(data, "sex", [f"sex {k}" for k in range(130)]), {"sex"}),
-], ids=["1_000", "occupation 300", "130 unknown sex texts"])
+    (on_persons(lambda data: with_cell(data, "age", "1_000")), {}),
+    (on_persons(lambda data: with_cell(data, "occupation", "300")),
+     {"persons.csv": {"occupation"}}),
+    (on_persons(lambda data: with_column(data, "sex", [f"sex {k}" for k in range(130)])),
+     {"persons.csv": {"sex"}}),
+    (on_persons(lambda data: with_cell(with_cell(data, "household_id", str(2**31)), "age",
+                                       "40000", row=2)),
+     {"persons.csv": {"household_id", "age"}}),
+    (first_household_renumbered,
+     {"households.csv": {"household_id", "member_ids"},
+      "persons.csv": {"person_id", "household_id"}}),
+], ids=["1_000", "occupation 300", "130 unknown sex texts", "household_id 2**31, age 40000",
+        "household 1 and person 1 numbered 2**31"])
 def test_each_file_reaches_loadtxt_at_most_once(tmp_path, monkeypatch, edit, wide):
     """A file np.loadtxt rejects is read in one more pass, by csv, and loads
-    (or fails) as the object-based loader reads it; only a code column with
-    a code past int8 is held wider than the generator holds it."""
+    (or fails) as the object-based loader reads it, its violations naming
+    the values alike; only an integer column with a value past its type (a
+    code past int8, an id or member id past int32, an age past int16) is
+    held wider, in int64, than the generator holds it."""
     generated = generate_synthetic(SynthConfig(households=80), 1)
     save_population(generated, tmp_path)
-    path = tmp_path / "persons.csv"
-    path.write_bytes(edit(path.read_bytes()))
+    files = edit({name: (tmp_path / name).read_bytes() for name in CELLS})
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
     calls, loadtxt = [], np.loadtxt
 
     def counted(fh, *args, **kwargs):
@@ -646,10 +675,41 @@ def test_each_file_reaches_loadtxt_at_most_once(tmp_path, monkeypatch, edit, wid
     objects, expected = outcome(population_oracle.load_population, tmp_path)
     assert violations == expected
     if objects is not None:
+        assert same_as_objects(pop.households, objects[0], CELLS["households.csv"])
         assert same_as_objects(pop.persons, objects[1], CELLS["persons.csv"])
-    table, _ = population._load_table(str(path), population._PERSON_COLUMNS)
-    assert {name for name, column in vars(table).items()
-            if column.dtype != getattr(generated.persons, name).dtype} == wide
+    for name, columns, narrow in (
+            ("households.csv", population._HOUSEHOLD_COLUMNS, generated.households),
+            ("persons.csv", population._PERSON_COLUMNS, generated.persons)):
+        table, _ = population._load_table(str(tmp_path / name), columns)
+        assert {column for column, values in vars(table).items()
+                if values.dtype != getattr(narrow, column).dtype} == wide.get(name, set())
+
+
+def test_an_integer_numpy_casts_through_a_float_is_rescanned(tmp_path, monkeypatch):
+    """Older numpy reads an integer cell past its type, such as an age of
+    40000 in int16, as a float and casts it, with only a DeprecationWarning
+    that Python hides by default: the loader makes that warning an error, so
+    the file is rescanned and the age kept, in int64."""
+    save_population(generate_synthetic(SynthConfig(households=3), 1), tmp_path)
+    path = tmp_path / "persons.csv"
+    path.write_bytes(with_cell(path.read_bytes(), "age", "40000"))
+    loadtxt = np.loadtxt
+
+    def through_float(fh, *args, **kwargs):  # numpy's parser before the deprecation expired
+        text = fh.read()
+        if ",40000," in text:
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as error:
+                raise ValueError("could not convert string '40000' to int16") from error
+            text = text.replace(",40000,", f",{np.array(40000).astype(np.int16)},")
+        return loadtxt(io.StringIO(text), *args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", through_float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # Python's default
+        table, _ = population._load_table(str(path), population._PERSON_COLUMNS)
+    assert table.age.dtype == np.int64 and table.age[0] == 40000
 
 
 @pytest.mark.parametrize("name, edit, violations", [
@@ -742,17 +802,28 @@ NUMBER_TEXTS = st.lists(st.sampled_from([*"0123456789.eE+-_ ", "nan", "inf"]),
 @example(text="1_000")
 @example(text="9223372036854775808")
 @example(text=" -1e5 ")
+@example(text="2147483647")
+@example(text="2147483648")
+@example(text="-2147483648")
+@example(text="-2147483649")
+@example(text="32767")
+@example(text="32768")
+@example(text="-32768")
+@example(text="-32769")
 def test_native_numbers_are_pythons(text):
-    """numpy's C parser reads an int64 or float64 cell to exactly the value
-    Python's int or float reads, or rejects it: so a file it accepts loads
-    as before, and one it rejects is rescanned with Python's parsers."""
-    for kind, dtype in ((int, np.int64), (float, np.float64)):
+    """numpy's C parser reads an int64, int32, int16 or float64 cell to
+    exactly the value Python's int or float reads, or rejects it, a value
+    past the integer type too: so a file it accepts loads as before, and one
+    it rejects is rescanned with Python's parsers."""
+    for kind, dtype in ((int, np.int64), (int, np.int32), (int, np.int16), (float, np.float64)):
         try:
-            native = np.loadtxt([f'"{text}"'], dtype=dtype, delimiter=",", quotechar='"',
-                                comments=None, ndmin=1)
+            with warnings.catch_warnings():  # as in `population._read`, on any numpy
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+                native = np.loadtxt([f'"{text}"'], dtype=dtype, delimiter=",", quotechar='"',
+                                    comments=None, ndmin=1)
         except ValueError:
             continue
         assert native.shape == (1,)
         python = kind(text)
-        assert np.array_equal(native, np.array([python], dtype=dtype), equal_nan=True)
+        assert native[0].item() == python or math.isnan(python) and np.isnan(native[0])
         assert np.signbit(native[0]) == np.signbit(python)

@@ -544,22 +544,23 @@ def shuffled(pop, rng) -> Population:
 
 # the dtype of every column of the one in-memory layout
 LAYOUT = {
-    "persons": {"person_id": np.int64, "household_id": np.int64, "age": np.int64,
+    "persons": {"person_id": np.int32, "household_id": np.int32, "age": np.int16,
                 **dict.fromkeys(("sex", "education", "occupation", "industry", "region",
                                  "work_status", "covid_state"), np.int8),
                 **dict.fromkeys(("employment_income", "self_employment_income", "capital_income",
                                  "private_pension"), np.float64),
                 "essential_worker": bool, "home_work_capable": bool},
-    "households": {"household_id": np.int64, "weight": np.float64, "member_offsets": np.int64,
-                   "member_ids": np.int64, "tenure": np.int8, "mortgage_payment": np.float64,
+    "households": {"household_id": np.int32, "weight": np.float64, "member_offsets": np.intp,
+                   "member_ids": np.int32, "tenure": np.int8, "mortgage_payment": np.float64,
                    "rent": np.float64, "childcare_user": bool, "childcare_expenditure": np.float64,
-                   "n_children_0_4": np.int64, "n_children_under14": np.int64},
+                   "n_children_0_4": np.int16, "n_children_under14": np.int16},
 }
 
 
 class TestLayout:
-    """The generator and the loader both hold category codes in one byte;
-    the engine gives the same run on the int64 codes of hand-built tables."""
+    """The generator and the loader both hold category codes in one byte,
+    ids in four and ages and child counts in two; the engine gives the same
+    run on the int64 columns of hand-built tables."""
 
     def test_generated_and_loaded_tables_hold_int8_codes(self, tmp_path):
         generated = generate_synthetic(SynthConfig(households=50, weight_jitter=True), 3)
@@ -571,11 +572,15 @@ class TestLayout:
                     c: np.dtype(d) for c, d in dtypes.items()}, name
 
     def test_int64_codes_give_the_same_run(self, tables, schedules, default_scenario, wave_spy):
+        """Every narrowed column, codes, ids, ages and child counts, widened to int64."""
         pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
-        wide = Population(*(Table(**{c: a.astype(np.int64) if a.dtype == np.int8 else a
+        wide = Population(*(Table(**{c: a.astype(np.int64) if a.dtype.kind == "i" else a
                                      for c, a in vars(table).items()})
                             for table in (pop.households, pop.persons)))
-        assert wide.persons.work_status.dtype == wide.households.tenure.dtype == np.int64
+        for name, dtypes in LAYOUT.items():
+            assert {c: a.dtype for c, a in vars(getattr(wide, name)).items()} == {
+                c: np.dtype(np.int64 if np.dtype(d).kind == "i" else d)
+                for c, d in dtypes.items()}, name
         series = calibrating_series(default_scenario)
         (_, results, summaries), (_, wide_results, wide_summaries) = (
             wave_spy(p, default_scenario, series, tables, schedules, seed=5)
@@ -611,7 +616,7 @@ def test_baseline_owns_13_bytes_per_person_48_per_household_and_its_pools(tables
 # Traced bytes per person that each phase may allocate above its live input,
 # measured on the population of the test below (4,575 persons); the peaks
 # repeat to 0.3% across processes.
-PHASE_BUDGETS = {"load_population": 233.1, "build_baseline": 190.0, "run_scenario": 310.7}
+PHASE_BUDGETS = {"load_population": 194.4, "build_baseline": 182.3, "run_scenario": 310.7}
 
 
 def test_each_phase_peaks_within_its_traced_budget_per_person(tables, schedules, tmp_path,
@@ -1481,11 +1486,14 @@ class TestRunRelations:
 
     Relabelling household or person ids is not a relation: every draw is
     keyed by id (`rng.keyed_uniform`) and ties in each ranking fall to the
-    lower id, so new ids give other draws and, in general, other results."""
+    lower id, so new ids give other draws and, in general, other results.
+    Each relation holds on jittered and on unit weights."""
 
     @pytest.fixture(scope="class")
-    def jittered(self):
-        return generate_synthetic(SynthConfig(households=3000, weight_jitter=True), 5)
+    def by_jitter(self):
+        """The jittered-weight population, and the unit-weight one."""
+        return {jitter: generate_synthetic(SynthConfig(households=3000, weight_jitter=jitter), 5)
+                for jitter in (True, False)}
 
     @pytest.fixture(scope="class", params=["shipped", "sweep"])
     def plan(self, default_scenario, request):
@@ -1502,10 +1510,11 @@ class TestRunRelations:
         return wave_spy(pop, dataclasses.replace(plan, waves=waves), series, tables,
                             schedules, seed=11, threads=threads)
 
+    @pytest.mark.parametrize("jitter", [True, False], ids=["jittered", "unit"])
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_dropping_or_appending_a_wave_leaves_the_others(self, jittered, plan,
+    def test_dropping_or_appending_a_wave_leaves_the_others(self, by_jitter, plan,
                                                             shipped_controls, tables, schedules,
-                                                            wave_spy, threads):
+                                                            wave_spy, threads, jitter):
         """Dropping waves other than the first, or appending a later date,
         leaves every other wave's result and summary bit for bit. Run g drops
         each wave whose position at its date, less the date's index after the
@@ -1514,8 +1523,8 @@ class TestRunRelations:
         keeps each other wave of its date and the same variant at the next
         date. The appended date repeats every wave of the last."""
         def by_label(waves):
-            _, results, summaries = self.run(wave_spy, jittered, plan, waves, shipped_controls,
-                                             tables, schedules, threads)
+            _, results, summaries = self.run(wave_spy, by_jitter[jitter], plan, waves,
+                                             shipped_controls, tables, schedules, threads)
             return {r.label: (vars(r), vars(s)) for r, s in zip(results, summaries)}
         waves = plan.waves
         full = by_label(waves)
@@ -1530,10 +1539,6 @@ class TestRunRelations:
             got = by_label(kept)
             common = [w.label for w in kept if w.label in full]
             assert_bit_equal([got[label] for label in common], [full[label] for label in common])
-
-    @pytest.fixture(scope="class")
-    def by_jitter(self, jittered):
-        return {True: jittered, False: generate_synthetic(SynthConfig(households=3000), 5)}
 
     @pytest.fixture(scope="class")
     def calibrating(self, default_scenario):
@@ -1569,10 +1574,11 @@ class TestRunRelations:
         assert_bit_equal([vars(r) for r in results], [vars(r) for r in expected_results])
         assert_bit_equal([vars(s) for s in summaries], [vars(s) for s in expected_summaries])
 
+    @pytest.mark.parametrize("jitter", [True, False], ids=["jittered", "unit"])
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_a_wave_and_its_twin_give_identical_columns(self, jittered, plan, shipped_controls,
+    def test_a_wave_and_its_twin_give_identical_columns(self, by_jitter, plan, shipped_controls,
                                                         tables, schedules, wave_spy, threads,
-                                                        tmp_path):
+                                                        jitter, tmp_path):
         """A wave duplicated under a second label at its date, next to it or
         last, gives the same cells in all four tables and the same summary
         file body; the first wave's twin adds a gini change row of zeros."""
@@ -1581,7 +1587,7 @@ class TestRunRelations:
             twin = dataclasses.replace(waves[i], label=f"{waves[i].label}-twin")
             for where, with_twin in (("next", waves[:i + 1] + [twin] + waves[i + 1:]),
                                      ("last", waves + [twin])):
-                _, _, summaries = self.run(wave_spy, jittered, plan, with_twin,
+                _, _, summaries = self.run(wave_spy, by_jitter[jitter], plan, with_twin,
                                            shipped_controls, tables, schedules, threads)
                 out = tmp_path / f"{i}-{where}"
                 out.mkdir()
@@ -1592,11 +1598,12 @@ class TestRunRelations:
                     copy.remove(("gini.csv", True, ["0.000000"] * 4))
                 assert original == copy, (waves[i].label, where)
 
+    @pytest.mark.parametrize("jitter", [True, False], ids=["jittered", "unit"])
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_relabelling_the_waves_changes_only_their_labels(self, jittered, plan,
+    def test_relabelling_the_waves_changes_only_their_labels(self, by_jitter, plan,
                                                              shipped_controls, tables,
                                                              schedules, wave_spy, threads,
-                                                             tmp_path):
+                                                             jitter, tmp_path):
         """Renaming every wave, in the reverse of the scenario's order,
         changes only the label cells of the four tables and the names of the
         summary files; every WaveResult but its label is bit for bit the same."""
@@ -1605,7 +1612,7 @@ class TestRunRelations:
         renamed = [dataclasses.replace(w, label=names[w.label]) for w in waves]
         runs = []
         for run_waves in (waves, renamed):
-            _, results, summaries = self.run(wave_spy, jittered, plan, run_waves,
+            _, results, summaries = self.run(wave_spy, by_jitter[jitter], plan, run_waves,
                                              shipped_controls, tables, schedules, threads)
             out = tmp_path / run_waves[0].label
             out.mkdir()

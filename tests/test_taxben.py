@@ -242,12 +242,12 @@ def test_household_accounts_match_scalar_oracle(schedules, persons, date):
     assert accounts.market.tolist() == market
     assert accounts.taxes.tolist() == taxes
     assert accounts.benefits.tolist() == benefits
-    assert accounts.person_tax.tolist() == person_tax
+    assert income_tax_cents(emp + np.maximum(se, 0) + cap + pens, tax).tolist() == person_tax
 
 
 def two_argument_accounts(status, covid, prev, emp, se, cap, pens, hh_row, n_households, date,
                           schedules):
-    """(market, taxes, benefits, person_tax) as household_accounts computed
+    """(market, taxes, benefits) as household_accounts computed
     them when capital and pension income were two arguments."""
     weekly_b = benefit_weekly_cents(status, covid, prev, date, schedules)
     person_tax = income_tax_cents(emp + np.maximum(se, 0) + cap + pens, schedules.tax)
@@ -256,7 +256,7 @@ def two_argument_accounts(status, covid, prev, emp, se, cap, pens, hh_row, n_hou
         return np.bincount(hh_row, weights=monthly, minlength=n_households).astype(np.int64)
     return (per_household(annual_to_monthly(emp + se + cap + pens)),
             per_household(annual_to_monthly(person_tax)),
-            per_household(weekly_to_monthly(weekly_b)), person_tax)
+            per_household(weekly_to_monthly(weekly_b)))
 
 
 def int64s(n, low, high):
@@ -279,7 +279,7 @@ def test_one_capital_and_pension_argument_equals_two(schedules, data, n, date):
                              date, schedules)
     two = two_argument_accounts(status, covid, prev, emp, se, cap, pens, hh_row, N_HOUSEHOLDS,
                                 date, schedules)
-    for got, expected in zip((one.market, one.taxes, one.benefits, one.person_tax), two):
+    for got, expected in zip((one.market, one.taxes, one.benefits), two):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
