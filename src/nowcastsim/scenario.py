@@ -49,7 +49,7 @@ import datetime as dt
 import itertools
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -656,7 +656,14 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
 @dataclass
 class WaveResult:
     """Per-wave incomes in integer cents per month, household level, plus
-    each person's covid code."""
+    each person's covid code. `apply_wave` computes in int64; `run_scenario`
+    returns a date's cents arrays in int32 if every value of all of them
+    fits, else all in int64. So each income identity (gross = market +
+    benefits, disposable = gross - taxes, adjusted = disposable - H - Q - C)
+    holds exactly in the arrays' own dtypes: every term, the left side too,
+    fits int32, so int32 wrap-around on the right cancels modulo 2**32. Narrowing
+    only the arrays that fit would break it: market + benefits could wrap
+    in int32 where gross, past int32, stays int64."""
 
     label: str
     date: dt.date
@@ -671,6 +678,10 @@ class WaveResult:
     capital_adjustment: np.ndarray  # Q (positive = loss)
     work_expenses: np.ndarray    # C
     covid_code: np.ndarray       # person array
+
+
+CENTS_FIELDS = ("market", "gross", "disposable", "adjusted", "taxes", "benefits", "housing",
+                "capital_adjustment", "work_expenses")
 
 
 def _scaled_sector_targets(base: BaselineState, national_counts: dict,
@@ -935,6 +946,26 @@ def apply_wave(base: BaselineState, controls: ControlTotals, wave: WavePoint,
 # -- summaries ------------------------------------------------------------------
 
 
+def _narrowed(results: list, kept: tuple) -> list:
+    """One date's `results` with every cents array as an int32 copy, one per
+    distinct array, so waves still share what they shared; or, if a value
+    of any of them is past int32, the results as they are (see WaveResult).
+    The arrays in `kept`, which the baseline holds for the whole run, and
+    zero-stride views stay as they are: a copy of either would add bytes."""
+    arrays = {id(a): a for r in results for a in (getattr(r, name) for name in CENTS_FIELDS)}
+    bounds = np.iinfo(np.int32)
+    if any(a.min(initial=0) < bounds.min or a.max(initial=0) > bounds.max
+           for a in arrays.values()):  # checked first: astype wraps without a word
+        return results
+    kept = {id(a) for a in kept}
+    for key, array in arrays.items():
+        if key not in kept and 0 not in array.strides:
+            arrays[key] = array.astype(np.int32)
+            arrays[key].flags.writeable = array.flags.writeable
+    return [replace(r, **{name: arrays[id(getattr(r, name))] for name in CENTS_FIELDS})
+            for r in results]
+
+
 def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
                  tables: DataTables, schedules: taxben.PolicySchedules, seed: int,
                  threads: int = 1):
@@ -948,6 +979,9 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
     one at a time. Consecutive waves of one date share every result their
     switches agree on, and the thread that runs a date summarizes it, each
     distinct array once; results and summaries keep the scenario's order.
+    A date's cents arrays come back in int32 if all of them fit, else in
+    int64, so each income identity stays exact (see WaveResult); the
+    baseline's own arrays and zero-stride views as those same objects.
     """
     base = build_baseline(pop, series.at(scenario.waves[0].date), tables, schedules, seed)
 
@@ -956,10 +990,11 @@ def run_scenario(pop: Population, scenario: Scenario, series: ControlSeries,
 
     def run_date(waves: list) -> list:
         controls, draws = series.at(waves[0].date), {}
-        return [apply_wave(base, controls, wave, tables, schedules, seed,
-                           employer_topup=scenario.employer_topup,
-                           capital_booking=scenario.capital_booking, draws=draws)
-                for wave in waves]
+        results = [apply_wave(base, controls, wave, tables, schedules, seed,
+                              employer_topup=scenario.employer_topup,
+                              capital_booking=scenario.capital_booking, draws=draws)
+                   for wave in waves]
+        return _narrowed(results, (base.market, base.taxes, base.benefits, base.housing_cents))
 
     def summarized(results: list) -> tuple:
         stats = {}  # id of a cents array -> (mean, Gini, decile means); `results` holds each

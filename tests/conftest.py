@@ -62,6 +62,8 @@ def run_spied(pop, plan, *args, **kwargs) -> tuple:
 
 @pytest.fixture(scope="session")
 def wave_spy():
-    """`run_spied`, the one way tests read a run's WaveResults:
-    `run_scenario` returns them only for the benchmark's launcher."""
+    """`run_spied`, the one way tests read a run's WaveResults: as
+    `apply_wave` computed them, every cents array in int64. `run_scenario`
+    returns them only for the benchmark's launcher, as the int32 copies it
+    keeps of each date whose values all fit."""
     return run_spied

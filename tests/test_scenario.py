@@ -616,7 +616,7 @@ def test_baseline_owns_13_bytes_per_person_48_per_household_and_its_pools(tables
 # Traced bytes per person that each phase may allocate above its live input,
 # measured on the population of the test below (4,575 persons); the peaks
 # repeat to 0.3% across processes.
-PHASE_BUDGETS = {"load_population": 194.4, "build_baseline": 182.3, "run_scenario": 310.7}
+PHASE_BUDGETS = {"load_population": 194.4, "build_baseline": 182.3, "run_scenario": 224.9}
 
 
 def test_each_phase_peaks_within_its_traced_budget_per_person(tables, schedules, tmp_path,
@@ -1052,27 +1052,31 @@ SHARED_FIELDS = {"housing": ("deferrals_on",), "capital_adjustment": ("capital_o
 ACCOUNTS = ("market", "taxes", "benefits")  # the baseline's own, in a wave that moves nobody
 
 
+def policy_sweep(plan):
+    """`plan`'s first wave, then each crisis date x SWEEP_VARIANTS, plus ewss
+    on 2020-08-28, where `auto` pays twss; at another top-up and booking."""
+    first, *crisis = plan.waves
+    waves = [first]
+    for w in crisis:
+        waves += [dataclasses.replace(w, label=f"{w.label}-{name}", **fields)
+                  for name, fields in SWEEP_VARIANTS.items()]
+        if w.date == D(2020, 8, 28):  # both schemes are in force; `auto` pays twss
+            waves.append(dataclasses.replace(w, label=f"{w.label}-ewss", subsidy="ewss"))
+    return dataclasses.replace(plan, waves=waves, employer_topup=0.25, capital_booking="once")
+
+
 class TestSharedDraws:
     """run_scenario runs the waves of one date with one dict of results;
     each wave's result must still be that of a standalone apply_wave."""
 
     @pytest.fixture(scope="class", params=["sweep", "flips", "flips-once"])
     def plan(self, default_scenario, request):
-        """The policy sweep: the 6 crisis dates x SWEEP_VARIANTS, plus ewss
-        on 2020-08-28, where `auto` pays twss. Or one date's waves, each
+        """The policy sweep (`policy_sweep`), or one date's waves, each
         flipping one switch of the shipped 2020-08-28 wave, at the default
         top-up and booking or at others."""
-        first, *crisis = default_scenario.waves
         if request.param == "sweep":
-            waves = [first]
-            for w in crisis:
-                waves += [dataclasses.replace(w, label=f"{w.label}-{name}", **fields)
-                          for name, fields in SWEEP_VARIANTS.items()]
-                if w.date == D(2020, 8, 28):  # both schemes are in force; `auto` pays twss
-                    waves.append(dataclasses.replace(w, label=f"{w.label}-ewss",
-                                                     subsidy="ewss"))
-            return dataclasses.replace(default_scenario, waves=waves, employer_topup=0.25,
-                                       capital_booking="once")
+            return policy_sweep(default_scenario)
+        first, *crisis = default_scenario.waves
         [w] = [w for w in crisis if w.date == D(2020, 8, 28)]
         waves = [first] + [dataclasses.replace(w, label=f"{w.label}-{name}", **fields)
                            for name, fields in SWITCH_FLIPS.items()]
@@ -1292,6 +1296,149 @@ class TestSharedDraws:
                                      seed=11, threads=threads)
         distinct = {id(getattr(r, name)) for r in results for name in metrics.INCOME_DEFINITIONS}
         assert len(summarized) == len(distinct) < 4 * len(results)
+
+
+INT32 = np.iinfo(np.int32)
+
+
+def assert_identities(results):
+    """Each WaveResult's income identities hold exactly, in its own dtypes."""
+    for r in results:
+        for lhs, rhs in ((r.gross, r.market + r.benefits), (r.disposable, r.gross - r.taxes),
+                         (r.adjusted, r.disposable - r.housing - r.capital_adjustment
+                          - r.work_expenses)):
+            assert (lhs == rhs).all(), r.label
+
+
+def assert_narrowed(returned, spied, kept, narrow):
+    """`returned` holds `spied`'s values. If `narrow`, each cents array is
+    int32 but the arrays in `kept` and zero-stride views; those, and every
+    array if not `narrow`, are the spied objects themselves. Arrays shared
+    within a date stay shared, and no others become shared."""
+    assert [r.label for r in returned] == [s.label for s in spied]
+    for r, s in zip(returned, spied):
+        assert r.covid_code is s.covid_code
+        for name in scenario.CENTS_FIELDS:
+            got, was = getattr(r, name), getattr(s, name)
+            assert np.array_equal(got, was), (r.label, name)
+            if narrow and not (0 in was.strides or any(was is a for a in kept)):
+                assert got.dtype == np.int32 and got.flags.writeable == was.flags.writeable
+            else:
+                assert got is was, (r.label, name)
+    for _, date in itertools.groupby(zip(returned, spied), lambda pair: pair[0].date):
+        pairs = [(getattr(r, name), getattr(s, name))
+                 for r, s in date for name in scenario.CENTS_FIELDS]
+        for (a, b), (c, d) in itertools.combinations(pairs, 2):
+            assert (a is c) == (b is d)
+
+
+class TestNarrowedResults:
+    """run_scenario returns a date's cents arrays in int32 when every value of
+    all of them fits, and otherwise as apply_wave computed them, in int64."""
+
+    @staticmethod
+    def run(wave_spy, monkeypatch, pop, plan, *args, **kwargs):
+        """The baseline, run_scenario's own results and the spy's."""
+        returned, inner = [], scenario.run_scenario
+        monkeypatch.setattr(scenario, "run_scenario", lambda *a, **k:
+                            returned.append(inner(*a, **k)) or returned[-1])
+        base, spied, _ = wave_spy(pop, plan, *args, **kwargs)
+        [(_, results, _)] = returned
+        return base, results, spied
+
+    @staticmethod
+    def kept(base) -> tuple:
+        return base.market, base.taxes, base.benefits, base.housing_cents
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("sweep", [False, True], ids=["shipped", "sweep"])
+    def test_every_date_comes_back_in_int32(self, default_scenario, shipped_controls, tables,
+                                            schedules, wave_spy, monkeypatch, sweep, threads):
+        pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
+        plan = policy_sweep(default_scenario) if sweep else default_scenario
+        base, results, spied = self.run(wave_spy, monkeypatch, pop, plan, shipped_controls,
+                                        tables, schedules, seed=11, threads=threads)
+        assert_narrowed(results, spied, self.kept(base), narrow=True)
+        assert_identities(results)
+        arrays = [getattr(r, name) for r in results for name in scenario.CENTS_FIELDS]
+        assert any(a is base.market for a in arrays)  # the first wave moves nobody
+        assert any(a.dtype == np.int32 for a in arrays)
+        if sweep:  # "care" defers nothing and books no capital change
+            assert any(a is base.housing_cents for a in arrays)
+            assert any(0 in a.strides for a in arrays)
+
+    def test_a_household_past_int32_keeps_its_dates_in_int64(
+            self, default_scenario, shipped_controls, tables, schedules, wave_spy,
+            monkeypatch):
+        """A pension of 12 x 2**31 cents a year keeps its household's market
+        income at 2**31 cents a month or more at every date."""
+        pop = generate_synthetic(SynthConfig(households=300, weight_jitter=True), 5)
+        pension = pop.persons.private_pension.copy()
+        pension[np.flatnonzero(pop.persons.work_status == WORK_STATUSES.index("retired"))[0]] = (
+            12 * 2 ** 31 / 100)
+        rich = Population(households=pop.households,
+                          persons=Table(**(vars(pop.persons) | {"private_pension": pension})))
+        base, results, spied = self.run(wave_spy, monkeypatch, rich, default_scenario,
+                                        shipped_controls, tables, schedules, seed=11, threads=3)
+        assert all(r.market.max() > INT32.max for r in spied)
+        assert_narrowed(results, spied, self.kept(base), narrow=False)
+        assert_identities(results)
+
+    @staticmethod
+    def date(top, bottom) -> list:
+        """Two waves of one date whose values reach `top` and `bottom`, sharing
+        all but adjusted income; the second household's adjusted income
+        passes below -2**31 on the way, which wraps in int32."""
+        def cents(*values):
+            array = np.array(values, dtype=np.int64)
+            array.flags.writeable = False
+            return array
+        market, benefits, taxes = cents(top, 0), cents(0, 0), cents(0, INT32.max)
+        housing, capital, work = cents(top, 6), cents(0, -5), cents(0, INT32.min - bottom)
+        gross = cents(*(market + benefits))
+        disposable = cents(*(gross - taxes))
+        first = scenario.WaveResult(
+            "a", D(2020, 5, 5), market=market, gross=gross, disposable=disposable,
+            adjusted=disposable - housing - capital - work, taxes=taxes, benefits=benefits,
+            housing=housing, capital_adjustment=capital, work_expenses=work,
+            covid_code=np.zeros(2, dtype=np.int8))
+        return [first, dataclasses.replace(first, label="b", adjusted=first.adjusted.copy())]
+
+    @pytest.mark.parametrize("top, bottom, narrow", [
+        (INT32.max, INT32.min, True), (INT32.max + 1, INT32.min, False),
+        (INT32.max, INT32.min - 1, False)])
+    def test_a_date_narrows_only_within_int32(self, top, bottom, narrow):
+        results = self.date(top, bottom)
+        assert max(r.housing.max() for r in results) == top
+        assert min(r.adjusted.min() for r in results) == bottom
+        narrowed = scenario._narrowed(results, ())
+        assert_narrowed(narrowed, results, (), narrow)
+        assert_identities(narrowed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(INT32.min - 2, INT32.min + 1) | st.integers(-2, 2)
+                           | st.integers(INT32.max - 1, INT32.max + 2),
+                           min_size=2 * len(scenario.CENTS_FIELDS) * 2,
+                           max_size=2 * len(scenario.CENTS_FIELDS) * 2),
+           shared=st.sets(st.sampled_from(scenario.CENTS_FIELDS)),
+           kept=st.sampled_from(scenario.CENTS_FIELDS), zero=st.booleans())
+    def test_a_date_narrows_exactly_when_every_value_fits(self, values, shared, kept, zero):
+        """Two waves of one date, sharing the arrays named in `shared`; the
+        first's `kept` array is a baseline's own, and with `zero` its capital
+        adjustment is a zero-stride 0."""
+        arrays = iter(np.array(values, dtype=np.int64).reshape(-1, 2))
+        first = {name: next(arrays) for name in scenario.CENTS_FIELDS}
+        if zero:
+            first["capital_adjustment"] = np.broadcast_to(np.int64(0), (2,))
+        second = {name: first[name] if name in shared else next(arrays)
+                  for name in scenario.CENTS_FIELDS}
+        results = [scenario.WaveResult(label, D(2020, 5, 5), **cents,
+                                       covid_code=np.zeros(2, dtype=np.int8))
+                   for label, cents in (("a", first), ("b", second))]
+        fits = all(INT32.min <= v <= INT32.max
+                   for cents in (first, second) for a in cents.values() for v in a.tolist())
+        assert_narrowed(scenario._narrowed(results, (first[kept],)), results, (first[kept],),
+                        narrow=fits)
 
 
 class TestDateLoop:
