@@ -41,7 +41,7 @@ class CoefficientSet:
     intercept: float
 
 
-def _index(model: CoefficientSet, covariates: dict):
+def linear_predict(model: CoefficientSet, covariates: dict):
     """Linear index intercept + sum(beta * x) over the model's covariates,
     whose values are aligned numpy arrays (bool, int or float, each read as
     float64); a float64 array.
@@ -57,13 +57,9 @@ def _index(model: CoefficientSet, covariates: dict):
 
 def logit_prob(model: CoefficientSet, covariates: dict):
     """Logistic probability sigma(intercept + sum beta*x), strictly in (0, 1)."""
-    idx = _index(model, covariates)
+    idx = linear_predict(model, covariates)
     p = 1.0 / (1.0 + np.exp(-idx))
     return np.clip(p, 1e-12, 1.0 - 1e-12)
-
-
-def linear_predict(model: CoefficientSet, covariates: dict):
-    return _index(model, covariates)
 
 
 def draw_residual(model_name: str, scale: float, seed: int, ids):

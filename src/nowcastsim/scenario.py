@@ -484,7 +484,7 @@ class BaselineState:
     array it holds is read-only; on input in id order, those build_baseline
     takes as read (ids, age, weights, money, ...) are views of the input
     columns. Its own arrays hold 13 bytes per person and 48 per household,
-    plus the alignment pools (about 11 bytes per person). It keeps only what
+    plus the alignment pools (about 8 bytes per person). It keeps only what
     a wave reads and cannot rebuild where it reads it: a person's weight is
     `hh_weight[hh_row]`, a TWSS candidate's take-home pay is taxed from the
     money columns by `wage_subsidy`, and the CEIB step selects each age
@@ -518,16 +518,14 @@ class BaselineState:
     market: np.ndarray           # the baseline's taxben.HouseholdAccounts
     taxes: np.ndarray
     benefits: np.ndarray
-    # alignment pools, fixed for the run: `pup:<sector>` and `deferral` -> (rows
-    # in alignment order, *_pool_weight); `subsidy:<sector>`, which a wave filters
-    # before it sums the weights, -> (rows, rows in alignment order)
+    # alignment pools, fixed for the run: `pup:<sector>`, `subsidy:<sector>` and
+    # `deferral` -> the pool's rows in alignment order
     strata: dict
     sector_worker_weight: np.ndarray  # per SECTORS entry
     population_weight: float          # the persons' summed weight, in person order
 
     def __post_init__(self):
-        pools = [item for pool in self.strata.values() for item in pool]
-        for array in [*vars(self).values(), *pools]:
+        for array in [*vars(self).values(), *self.strata.values()]:
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
 
@@ -617,17 +615,14 @@ def build_baseline(pop: Population, controls: ControlTotals, tables: DataTables,
     def ranked(label, rows, ids):
         return rows[_rank(ids[rows], seed, label)]
     holders = np.flatnonzero(households.tenure == expenses.TENURE_CODES["mortgage"])
-    strata = {"deferral": (ranked("deferral", holders, hid),
-                           *_pool_weight(hh_weight[holders], hh_weight))}
+    strata = {"deferral": ranked("deferral", holders, hid)}
     employee = persons.work_status == taxben.STATUS_CODES["employee"]
     sector_workers = [np.flatnonzero(is_worker & (persons.industry == s))
                       for s in range(len(SECTORS))]
     for sector, rows in zip(SECTORS, sector_workers):
         pup = rows[(age[rows] >= 18) & (age[rows] <= 66)]
-        strata[f"pup:{sector}"] = (ranked(f"pup:{sector}", pup, pid),
-                                   *_pool_weight(person_weight[pup], hh_weight))
-        subsidy = rows[employee[rows]]
-        strata[f"subsidy:{sector}"] = subsidy, ranked(f"subsidy:{sector}", subsidy, pid)
+        strata[f"pup:{sector}"] = ranked(f"pup:{sector}", pup, pid)
+        strata[f"subsidy:{sector}"] = ranked(f"subsidy:{sector}", rows[employee[rows]], pid)
 
     return BaselineState(
         pid=pid, hh_row=hh_row, age=age,
@@ -699,29 +694,22 @@ def _rank(ids, seed: int, label: str) -> np.ndarray:
     return score_order(ids, logistic_noise(seed, "align:" + label, ids))
 
 
-def _pool_weight(weight, hh_weight) -> tuple:
-    """(sum, largest) of a pool's `weight`s in ascending row order (another
-    order may sum to another float); for an empty pool, the largest household
-    weight, which is the largest person weight as every household has a member."""
-    if not weight.size:
-        return 0.0, float(np.max(hh_weight))
-    return float(np.sum(weight)), float(np.max(weight))
-
-
-def _align_rows(ranked, weight, available: float, w_max: float, target: float,
-                context: str) -> np.ndarray:
+def _align_rows(base: BaselineState, ranked, weight, target: float, context: str) -> np.ndarray:
     """Rows chosen from a pool for a rescaled (fractional) target: `ranked`
-    is the pool in alignment order, `weight` their weights, and `available`
-    and `w_max` its `_pool_weight`.
+    is the pool in alignment order and `weight` their weights, summed in
+    that order, which is fixed by ids, seed and label alone.
 
     A shortfall within one unit-weight (the largest weight in the pool, or
-    the largest household weight for an empty pool) is satisfiable by
+    for an empty pool the largest household weight, which is the largest
+    person weight as every household has a member) is satisfiable by
     construction, so thin strata may legally absorb a sub-unit remainder by
     selecting nobody; anything beyond that is an infeasible control total
     and fails loudly. The slack is relative, so scaling every weight and the
     target by a power of two keeps the outcome."""
     if target <= 0:
         return np.empty(0, dtype=np.int64)
+    available = float(np.sum(weight))
+    w_max = float(np.max(weight if weight.size else base.hh_weight))
     if target > (available + w_max) * (1 + 1e-9):
         raise AlignmentError(
             f"{context}: target {target:.2f} exceeds the available weight "
@@ -732,13 +720,6 @@ def _align_rows(ranked, weight, available: float, w_max: float, target: float,
     if np.any(weight <= 0.0):
         raise AlignmentError("alignment weights must be positive")
     return take_by_score(ranked, weight, min(target, available), available)
-
-
-def _align_pool(base: BaselineState, rows, ranked, target: float, context: str) -> np.ndarray:
-    """Persons chosen from a pool a wave filtered, its `rows` ascending and `ranked`."""
-    return _align_rows(ranked, base.hh_weight[base.hh_row[ranked]],
-                       *_pool_weight(base.hh_weight[base.hh_row[rows]], base.hh_weight),
-                       target, context)
 
 
 # The switches each shared wave step reads, directly or through an earlier
@@ -760,9 +741,9 @@ def job_losses(base: BaselineState, controls: ControlTotals, tables: DataTables)
     job_lost = np.zeros(base.pid.size, dtype=bool)
     targets = _scaled_sector_targets(base, controls.pup_by_sector, tables)
     for sector, target in sorted(targets.items()):
-        ranked, available, w_max = base.strata[f"pup:{sector}"]
-        job_lost[_align_rows(ranked, base.hh_weight[base.hh_row[ranked]], available, w_max,
-                             target, f"job losses in {sector!r}")] = True
+        ranked = base.strata[f"pup:{sector}"]
+        job_lost[_align_rows(base, ranked, base.hh_weight[base.hh_row[ranked]], target,
+                             f"job losses in {sector!r}")] = True
     return job_lost
 
 
@@ -774,14 +755,12 @@ def sickness_cases(base: BaselineState, controls: ControlTotals, wave: WavePoint
         pop_share = base.population_weight / tables.national["population_total"]
         workers = np.flatnonzero(base.is_worker & ~job_lost)
         bands = case_age_band(base.age[workers])
-        by_band = np.split(workers[np.argsort(bands, kind="stable")],  # each ascending
-                           np.cumsum(np.bincount(bands, minlength=len(CASE_AGE_BANDS)))[:-1])
         for (band, in_work), count in sorted(controls.ceib_cases.items()):
             if not in_work:
                 continue  # out-of-work cases carry no income change
-            rows = by_band[CASE_AGE_BANDS.index(band)]
+            rows = workers[bands == CASE_AGE_BANDS.index(band)]
             ranked = rows[_rank(base.pid[rows], seed, f"ceib:{band}:{wave.date.isoformat()}")]
-            ceib[_align_pool(base, rows, ranked, count * pop_share,
+            ceib[_align_rows(base, ranked, base.hh_weight[base.hh_row[ranked]], count * pop_share,
                              f"sickness cases in age band {band}")] = True
     return ceib
 
@@ -793,24 +772,25 @@ def wage_subsidy(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     amount = np.zeros(base.pid.size, dtype=np.int64)
     if wave.subsidy_scheme != "none" and controls.subsidy_by_sector:
         targets = _scaled_sector_targets(base, controls.subsidy_by_sector, tables)
-        rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(targets)])
+        rows = np.concatenate([base.strata[f"subsidy:{s}"] for s in sorted(targets)])
         rows = rows[~job_lost[rows] & ~ceib[rows]]
         # every remaining employee's scheme amount in one call, 0 for the rest
         if rows.size:
             emp = cents(base.employment_income[rows])
             if wave.subsidy_scheme == "twss":  # on the baseline's weekly take-home pay
-                taxable = (emp + np.maximum(cents(base.self_employment_income[rows]), 0)
-                           + cents(base.capital_income[rows]) + cents(base.private_pension[rows]))
-                take_home = round_div(np.maximum(
-                    emp - taxben.income_tax_cents(taxable, schedules.tax), 0), 52)
+                cap_pens = cents(base.capital_income[rows]) + cents(base.private_pension[rows])
+                tax = taxben.person_tax_cents(emp, cents(base.self_employment_income[rows]),
+                                              cap_pens, schedules.tax)
+                take_home = round_div(np.maximum(emp - tax, 0), 52)
                 amount[rows] = taxben.twss_subsidy_cents(schedules, take_home, wave.date)
             else:
                 amount[rows] = taxben.ewss_subsidy_cents(schedules, round_div(emp, 52), wave.date)
         for sector, target in sorted(targets.items()):
             # pay bands outside the scheme ("no subsidy applies") are ineligible;
             # a subset of the ranked rows keeps their order
-            rows, ranked = (r[amount[r] > 0] for r in base.strata[f"subsidy:{sector}"])
-            subsidised[_align_pool(base, rows, ranked, target,
+            ranked = base.strata[f"subsidy:{sector}"]
+            ranked = ranked[amount[ranked] > 0]
+            subsidised[_align_rows(base, ranked, base.hh_weight[base.hh_row[ranked]], target,
                                    f"wage subsidy in {sector!r}")] = True
     return subsidised, amount[subsidised]
 
@@ -820,10 +800,10 @@ def housing_cost(base: BaselineState, controls: ControlTotals, wave: WavePoint,
     """(e) Mortgage deferrals, and the housing cost H they leave (the baseline's if none)."""
     if not (wave.deferrals_on and controls.deferral_count > 0):
         return base.housing_cents
-    ranked, holder_weight, w_max = base.strata["deferral"]
-    target = controls.deferral_count * holder_weight / tables.national["mortgage_count"]
-    rows = _align_rows(ranked, base.hh_weight[ranked], holder_weight, w_max, target,
-                       "mortgage deferrals")
+    ranked = base.strata["deferral"]
+    weight = base.hh_weight[ranked]
+    target = controls.deferral_count * float(np.sum(weight)) / tables.national["mortgage_count"]
+    rows = _align_rows(base, ranked, weight, target, "mortgage deferrals")
     return expenses.deferred_housing_cents(base.housing_cents, rows)
 
 

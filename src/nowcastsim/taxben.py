@@ -282,6 +282,12 @@ def income_tax_cents(taxable_annual_cents, system: TaxSystem):
     return gross_tax + si.astype(np.int64)
 
 
+def person_tax_cents(emp, se, cap_pens, system: TaxSystem):
+    """Each person's annual tax on their annual employment, self-employment (a
+    loss is not deducted), and capital plus pension income, all in cents."""
+    return income_tax_cents(emp + np.maximum(se, 0) + cap_pens, system)
+
+
 # work_status / covid_state integer codes used on the vectorised path
 STATUS_CODES = {status: code for code, status in enumerate(WORK_STATUSES)}
 COVID_CODES = {state: code for code, state in enumerate(COVID_STATES)}
@@ -326,7 +332,7 @@ def household_accounts(status_code, covid_code, prev_weekly_cents, emp, se, cap_
     row. Each person's monthly amount is rounded before the household sum.
     """
     weekly_b = benefit_weekly_cents(status_code, covid_code, prev_weekly_cents, date, schedules)
-    person_tax = income_tax_cents(emp + np.maximum(se, 0) + cap_pens, schedules.tax)
+    person_tax = person_tax_cents(emp, se, cap_pens, schedules.tax)
 
     def per_household(monthly):
         return np.bincount(hh_row, weights=monthly,

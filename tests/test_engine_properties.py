@@ -316,8 +316,9 @@ def drawn_money(population, data):
 
 def subsidy_candidates(base, job_lost, ceib):
     """The rows wage_subsidy prices: every subsidy pool's employees that
-    neither lost their job nor are CEIB cases, sector by sector."""
-    rows = np.concatenate([base.strata[f"subsidy:{s}"][0] for s in sorted(SECTORS)])
+    neither lost their job nor are CEIB cases, sector by sector, each in
+    alignment order."""
+    rows = np.concatenate([base.strata[f"subsidy:{s}"] for s in sorted(SECTORS)])
     return rows[~job_lost[rows] & ~ceib[rows]]
 
 
@@ -401,26 +402,18 @@ def test_twss_prices_the_take_home_pay_build_baseline_computed(tables, schedules
 
 @settings(max_examples=60, deadline=None)
 @given(population=POPULATIONS)
-def test_fixed_pools_hold_the_weight_sum_and_maximum_of_their_ascending_rows(
-        tables, schedules, population):
-    """Each fixed pool (`pup:<sector>`, `deferral`) keeps its members in
-    alignment order, and the sum and largest of their weights as np.sum and
-    np.max give them over the ascending rows, bit for bit; an empty pool's
-    largest weight is the largest household weight."""
+def test_every_pool_holds_exactly_its_members(tables, schedules, population):
+    """Each pool (`pup:<sector>`, `subsidy:<sector>`, `deferral`) holds its
+    members, each once: the workers of the sector aged 18 to 66, the
+    employees of the sector, and the mortgage holders."""
     pop = column_population(*population)  # in id order
     base = build_baseline(pop, BASE_CONTROLS, tables, schedules, seed=5)
-    person_weight = base.hh_weight[base.hh_row]
     pup = base.is_worker & (base.age >= 18) & (base.age <= 66)
-    members = {f"pup:{s}": (np.flatnonzero(pup & (pop.persons.industry == i)), person_weight)
+    employee = base.is_worker & (base.status == taxben.STATUS_CODES["employee"])
+    members = {f"{kind}:{s}": np.flatnonzero(eligible & (pop.persons.industry == i))
+               for kind, eligible in (("pup", pup), ("subsidy", employee))
                for i, s in enumerate(SECTORS)}
-    members["deferral"] = (
-        np.flatnonzero(pop.households.tenure == expenses.TENURE_CODES["mortgage"]),
-        base.hh_weight)
-    assert {label for label in base.strata if not label.startswith("subsidy:")} == set(members)
-    for label, (rows, weight) in members.items():
-        ranked, available, w_max = base.strata[label]
-        assert np.array_equal(np.sort(ranked), rows), label
-        expected = (np.sum(weight[rows]),
-                    np.max(weight[rows]) if rows.size else np.max(base.hh_weight))
-        assert [np.float64(x).tobytes() for x in (available, w_max)] == \
-            [x.tobytes() for x in expected], label
+    members["deferral"] = np.flatnonzero(pop.households.tenure == expenses.TENURE_CODES["mortgage"])
+    assert set(base.strata) == set(members)
+    for label, rows in members.items():
+        assert np.array_equal(np.sort(base.strata[label]), rows), label

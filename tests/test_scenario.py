@@ -10,6 +10,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from nowcastsim.money import cents, round_div, weekly_to_monthly
 from nowcastsim.population import (SECTORS, WORK_STATUSES, WORKER_CODES, Population,
                                    SynthConfig, Table, generate_synthetic)
 from nowcastsim.scenario import (CALIBRATED_COLUMNS, CASE_AGE_BANDS, ControlError, ControlTotals,
-                                 ScenarioError, WavePoint, _align_rows, _pool_weight, apply_wave,
+                                 ScenarioError, WavePoint, _align_rows, apply_wave,
                                  build_baseline, control_gaps, load_control_totals,
                                  nowcast_baseline, parse_scenario, run_scenario,
                                  schedule_faults)
@@ -351,19 +352,17 @@ class TestAlignUnitsEmptyStratum:
 
     def test_target_within_unit_weight_selects_nobody(self):
         for target in (0.5, 1.0):
-            empty = np.empty(0, dtype=np.int64)
-            chosen = _align_rows(empty, np.empty(0), *_pool_weight(np.empty(0),
-                                                                   np.array([0.5, 1.0])),
-                                 target, "sickness cases in age band 0")
+            base = SimpleNamespace(hh_weight=np.array([0.5, 1.0]))
+            chosen = _align_rows(base, np.empty(0, dtype=np.int64), np.empty(0), target,
+                                 "sickness cases in age band 0")
             assert chosen.size == 0
 
     def test_target_above_unit_weight_raises_with_context(self):
         for unit_weight, target in ((0.0, 0.5), (1.0, 1.5)):
             with pytest.raises(AlignmentError, match="sickness cases in age band 0"):
-                empty = np.empty(0, dtype=np.int64)
-                _align_rows(empty, np.empty(0), *_pool_weight(np.empty(0),
-                                                              np.array([unit_weight, 0.0])),
-                            target, "sickness cases in age band 0")
+                base = SimpleNamespace(hh_weight=np.array([unit_weight, 0.0]))
+                _align_rows(base, np.empty(0, dtype=np.int64), np.empty(0), target,
+                            "sickness cases in age band 0")
 
 
 def same_columns(a, b) -> bool:
@@ -595,13 +594,12 @@ def test_baseline_owns_13_bytes_per_person_48_per_household_and_its_pools(tables
     cap_quintile and cap_participant at 1 byte each), 48 per household
     (housing, equivalence scale, childcare, market income, taxes, benefits),
     8 per sector (its worker weight) and the alignment pools: 8 per member
-    of a fixed pool, its ranked rows, and 16 per member of a subsidy pool,
-    its rows ascending and ranked. Growing the baseline changes this test."""
+    of a pool, its rows in alignment order. Growing the baseline changes
+    this test."""
     pop = generate_synthetic(SynthConfig(households=2000, weight_jitter=True), 9)
     base = build_baseline(pop, ControlTotals(date=D(2019, 12, 1)), tables, schedules, seed=9)
     inputs = [*vars(pop.persons).values(), *vars(pop.households).values()]
-    arrays = [a for a in [*vars(base).values(),
-                          *(item for pool in base.strata.values() for item in pool)]
+    arrays = [a for a in [*vars(base).values(), *base.strata.values()]
               if isinstance(a, np.ndarray)]
     owned = [a for a in arrays if not any(np.shares_memory(a, column) for column in inputs)]
     in_sector = base.is_worker & (pop.persons.industry >= 0)  # generated in id order
@@ -610,13 +608,13 @@ def test_baseline_owns_13_bytes_per_person_48_per_household_and_its_pools(tables
     subsidy_members = np.sum(in_sector & (base.status == taxben.STATUS_CODES["employee"]))
     assert sum(a.nbytes for a in owned) == (13 * base.pid.size + 48 * base.hid.size
                                             + 8 * len(SECTORS) + 8 * fixed_members
-                                            + 16 * subsidy_members)
+                                            + 8 * subsidy_members)
 
 
 # Traced bytes per person that each phase may allocate above its live input,
 # measured on the population of the test below (4,575 persons); the peaks
 # repeat to 0.3% across processes.
-PHASE_BUDGETS = {"load_population": 194.4, "build_baseline": 182.3, "run_scenario": 224.9}
+PHASE_BUDGETS = {"load_population": 194.4, "build_baseline": 182.3, "run_scenario": 221.3}
 
 
 def test_each_phase_peaks_within_its_traced_budget_per_person(tables, schedules, tmp_path,
@@ -682,8 +680,7 @@ class TestBaselineInputOrder:
             assert all(column.flags.writeable for column in vars(table).values())
 
     def test_every_baseline_array_is_read_only(self, ordered_base):
-        arrays = [v for v in [*vars(ordered_base).values(),
-                              *(item for pool in ordered_base.strata.values() for item in pool)]
+        arrays = [v for v in [*vars(ordered_base).values(), *ordered_base.strata.values()]
                   if isinstance(v, np.ndarray)]
         assert len(arrays) > 30 and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):

@@ -8,6 +8,7 @@ ascend with its rows, and the targets cover zero, a fraction of one
 unit-weight, ordinary shares, the available weight and infeasible totals."""
 import datetime as dt
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from nowcastsim.money import cents, round_div
 from nowcastsim.population import (SECTORS, Population, SynthConfig, Table,
                                    generate_synthetic, validate)
 from nowcastsim.scenario import (CASE_AGE_BANDS, ControlTotals, WavePoint, _align_rows,
-                                 _pool_weight, apply_wave, build_baseline, case_age_band)
+                                 apply_wave, build_baseline, case_age_band)
 from scenario_oracle import baseline_take_home
 
 SEED = 11
@@ -298,7 +299,7 @@ def test_scaling_weights_and_target_keeps_the_outcome(weights, target, k):
     def outcome(scale):
         scaled = weight * scale
         try:
-            return _align_rows(ranked, scaled[ranked], *_pool_weight(scaled[pool], scaled),
+            return _align_rows(SimpleNamespace(hh_weight=scaled), ranked, scaled[ranked],
                                target * scale, "stratum").tolist()
         except AlignmentError:
             return "raises"
